@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import GeneratorSet, table_from_elements
+from .groups import CayleyTable, GeneratorSet, table_in_product
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -126,9 +128,14 @@ class ChainIso:
 # Enumeration
 
 
+def _check_level(n: int) -> None:
+    if n < 0:
+        raise CategoryError(f"levels start at 0, got level {n}")
+
+
 def chain_count(cat: FiniteCategory, n: int) -> int:
     """Number of n-chains, by dynamic programming over hom-set sizes."""
-    assert n >= 0
+    _check_level(n)
     nob = cat.n_objects
     hom_size = [[len(cat.hom_idx(x, y)) for y in range(nob)] for x in range(nob)]
     ways = [1] * nob
@@ -168,7 +175,7 @@ def enumerate_chains(cat: FiniteCategory, n: int,
                      limits: Limits = DEFAULT_LIMITS) -> list:
     """All n-chains in lexicographic order of morphism index tuples;
     level 0 yields one chain per object, in object order."""
-    assert n >= 0
+    _check_level(n)
     if n == 0:
         return [Chain(cat, (x,), ()) for x in range(cat.n_objects)]
     total = chain_count(cat, n)
@@ -274,17 +281,41 @@ class StabilizerGroup:
             identity=self.identity,
             generators=list(self.generators),
             describe=f"stabilizer in Aut({','.join(self.cat.objects[x] for x in self.objs)})",
-            known_order=self.order,
         )
 
-    def to_cayley_table(self, table_limit: int):
+    def to_cayley_table(self, table_limit: int) -> CayleyTable:
+        """The scanned elements, or the closure of the Schreier generators,
+        multiplied coordinate-wise in the Cayley tables of the Aut(x_i)."""
         if self.elements is not None:
-            return table_from_elements(self.elements, self.compose, label="stabilizer")
-        from .groups import closure
-        return closure(self.generator_set(), table_limit)
+            els, label = self.elements, "stabilizer"
+        else:
+            gens = self.generator_set()
+            els, label = gens.close(table_limit), gens.describe
+        els = np.array(els, dtype=np.int64).reshape(len(els), len(self.objs))
+        tables, coords = zip(*(_coordinate_table(self.cat, x, els[:, i])
+                               for i, x in enumerate(self.objs)))
+        return table_in_product(tables, np.stack(coords, axis=1), label=label)
 
     def generator_ids(self) -> list:
         return [tuple(self.cat.mor_ids[a] for a in alpha) for alpha in self.generators]
+
+
+def _coordinate_table(cat: FiniteCategory, x: int, auts_used) -> tuple:
+    """(table, coordinates) of one coordinate of a set of automorphism
+    tuples, ``auts_used`` holding its automorphism of x in each element.
+
+    The whole of Aut(x) is tabled, once per object, when it has no more
+    elements than the set; its composites then cost no more than the set's
+    own table, and later sets reuse them.  Otherwise only the automorphisms
+    in use are tabled, which keeps a small stabilizer inside a large Aut(x)
+    from paying |Aut(x)|^2.
+    """
+    auts = cat.aut_idx(x)
+    positions = np.searchsorted(auts, auts_used)
+    if len(auts) <= len(auts_used):
+        return cat.aut_table(x), positions
+    used, coords = np.unique(positions, return_inverse=True)
+    return cat.aut_subtable(x, used.tolist()), coords
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:
@@ -454,7 +485,7 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
     Representatives are the lexicographically least chains on their tuple
     (by morphism index), so the output is independent of enumeration order.
     """
-    assert n >= 0
+    _check_level(n)
     if n == 0:
         return iso_classes_of_objects(cat, limits)
 

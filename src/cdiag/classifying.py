@@ -17,7 +17,7 @@ from typing import Optional
 from . import chains as chains_mod
 from .chains import Chain, Orbit, StabilizerGroup, chain_count, enumerate_chains, orbits
 from .fincat import CategoryError, FiniteCategory
-from .groups import CayleyTable, are_isomorphic, match_named, table_from_elements
+from .groups import CayleyTable, are_isomorphic, match_named
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -142,7 +142,8 @@ def segal_check(cat: FiniteCategory, n: int,
     """Verify that splitting an n-chain into its n single-morphism segments
     is a bijection onto the n-fold fiber product of level 1 over level 0.
     A failure here signals an engine bug, not a property of the category."""
-    assert n >= 2
+    if n < 2:
+        raise CategoryError(f"Segal maps start at level 2, got level {n}")
     chains_n = enumerate_chains(cat, n, limits)
     split = [c.mors for c in chains_n]
     split_set = set(split)
@@ -214,8 +215,7 @@ class CompletenessReport:
 
 
 def _aut_table(cat: FiniteCategory, oi: int) -> CayleyTable:
-    els = cat.aut_idx(oi)
-    return table_from_elements(els, cat.compose_idx, label=f"Aut({cat.objects[oi]})")
+    return CayleyTable(cat.aut_table(oi), label=f"Aut({cat.objects[oi]})")
 
 
 def completeness_check(cat: FiniteCategory,
@@ -300,7 +300,8 @@ def is_discrete_classifying(cat: FiniteCategory, truncation: int,
     """True exactly when every isomorphism of ``cat`` is an identity; the
     report confirms the combinatorial shadow level by level: each component
     a singleton with trivial stabilizer."""
-    assert truncation >= 1
+    if truncation < 1:
+        raise CategoryError(f"truncation must be at least 1, got {truncation}")
     discrete = True
     for f in range(cat.n_morphisms):
         if cat.inverse_idx(f) is not None and not cat.is_identity_idx(f):
@@ -371,13 +372,19 @@ class TruncatedSimplicialSet:
         return True
 
 
+#: Highest nerve level ``nerve_truncation`` builds by default.
+MAX_NERVE_TRUNCATION = 4
+
+
 def nerve_truncation(gpd: FiniteCategory, truncation: int,
                      limits: Limits = DEFAULT_LIMITS,
-                     max_truncation: int = 4) -> TruncatedSimplicialSet:
+                     max_truncation: int = MAX_NERVE_TRUNCATION) -> TruncatedSimplicialSet:
     """Levels 0..truncation of the nerve of a groupoid, with explicit face
     and degeneracy maps, simplicial identities verified by the caller via
     ``check_simplicial_identities``."""
-    assert 0 <= truncation <= max_truncation
+    if not 0 <= truncation <= max_truncation:
+        raise CategoryError(
+            f"truncation must be between 0 and {max_truncation}, got {truncation}")
     for f in range(gpd.n_morphisms):
         if gpd.inverse_idx(f) is None:
             raise CategoryError(

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
 from . import classifying, fincat, finset, finvect, groups
 from .fincat import CategoryError, FiniteCategory
@@ -59,7 +60,7 @@ def builtin_category(spec: str) -> FiniteCategory:
             return finset.finset_skeleton(int(parts[1]))
         if kind == "vect" and len(parts) == 3:
             return finvect.vect_skeleton(int(parts[1]), int(parts[2]))
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, CategoryError, groups.GroupError) as exc:
         raise CategoryError(f"bad builtin {spec!r}: {exc}") from exc
     raise CategoryError(f"unknown builtin {spec!r} (expected one of: {BUILTINS_HELP})")
 
@@ -289,6 +290,18 @@ def _cmd_oracle_diff(args, limits):
 # Argument parsing
 
 
+def _int_in(lo: int, hi: Optional[int] = None):
+    """argparse type: an integer in lo..hi (no upper bound when hi is None)."""
+    def parse(text):
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            span = f"between {lo} and {hi}" if hi is not None else f"at least {lo}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse reports bad text as "invalid int value"
+    return parse
+
+
 def _add_common(p, category=True):
     if category:
         p.add_argument("--builtin", help=f"builtin category: {BUILTINS_HELP}")
@@ -310,12 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="one level as components with stabilizers")
     _add_common(p)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=_int_in(0), default=1)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("segal", help="chain count vs fiber-product count with bijection")
     _add_common(p)
-    p.add_argument("--level", type=int, default=2)
+    p.add_argument("--level", type=_int_in(2), default=2,
+                   help="chain length, at least 2 (levels 0 and 1 have no Segal map)")
     p.set_defaults(handler=_cmd_segal)
 
     p = sub.add_parser("complete", help="invariants of iso(C) vs the invertible-square groupoid")
@@ -324,17 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discrete", help="is every isomorphism an identity, level by level")
     _add_common(p)
-    p.add_argument("--truncation", type=int, default=2)
+    p.add_argument("--truncation", type=_int_in(1), default=2)
     p.set_defaults(handler=_cmd_discrete)
 
     p = sub.add_parser("nerve", help="truncated nerve of a groupoid with simplicial identities")
     _add_common(p)
-    p.add_argument("--truncation", type=int, default=3)
+    p.add_argument("--truncation", type=_int_in(0, classifying.MAX_NERVE_TRUNCATION), default=3)
     p.set_defaults(handler=_cmd_nerve)
 
     p = sub.add_parser("finset", help="wreath-product closed form for finite sets")
     _add_common(p, category=False)
-    p.add_argument("--max", type=int, default=4)
+    p.add_argument("--max", type=_int_in(0), default=4)
     p.add_argument("--variant", choices=("all", "inj", "surj"), default="all")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the brute-force engine")
@@ -342,16 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finvect", help="rank-orbit decomposition over a prime field")
     _add_common(p, category=False)
-    p.add_argument("--max-dim", type=int, default=2, dest="max_dim")
+    p.add_argument("--max-dim", type=_int_in(0), default=2, dest="max_dim")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(handler=_cmd_finvect)
 
     p = sub.add_parser("oracle-diff", help="closed forms vs the brute-force engine")
     _add_common(p, category=False)
-    p.add_argument("--finset-max", type=int, dest="finset_max")
+    p.add_argument("--finset-max", type=_int_in(0), dest="finset_max")
     p.add_argument("--variant", choices=("all", "inj", "surj"), default="all")
-    p.add_argument("--vect-dim", type=int, dest="vect_dim")
+    p.add_argument("--vect-dim", type=_int_in(0), dest="vect_dim")
     p.add_argument("--q", type=int, default=2)
     p.set_defaults(handler=_cmd_oracle_diff)
 
@@ -388,3 +402,7 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> None:
     sys.exit(run(argv))
+
+
+if __name__ == "__main__":
+    main()

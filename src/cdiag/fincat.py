@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .groups import CayleyTable
+import numpy as np
+
+from .groups import CayleyTable, GroupError
 
 
 class CategoryError(Exception):
@@ -101,6 +103,7 @@ class FiniteCategory:
         self._by_src = None
         self._inv = {}
         self._aut = {}
+        self._aut_table = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -210,6 +213,29 @@ class FiniteCategory:
             self._aut[oi] = [m for m in self.hom_idx(oi, oi)
                              if self.inverse_idx(m) is not None]
         return self._aut[oi]
+
+    def aut_subtable(self, oi: int, positions) -> np.ndarray:
+        """Cayley table of the automorphisms at ``positions`` (distinct) in
+        ``aut_idx(oi)``: entry (i, j) is the rank in ``positions`` of the
+        i-th after the j-th.  Raises GroupError when a composite falls
+        outside the set."""
+        auts = self.aut_idx(oi)
+        used = [auts[p] for p in positions]
+        rank = {a: r for r, a in enumerate(used)}
+        try:
+            table = [[rank[self.compose_idx(a, b)] for b in used] for a in used]
+        except KeyError:
+            raise GroupError("element set is not closed under the product") from None
+        return np.array(table, dtype=np.int64).reshape(len(used), len(used))
+
+    def aut_table(self, oi: int) -> np.ndarray:
+        """``aut_subtable`` of the whole of Aut(x), computed on the first
+        call and kept."""
+        if oi not in self._aut_table:
+            table = self.aut_subtable(oi, range(len(self.aut_idx(oi))))
+            table.setflags(write=False)
+            self._aut_table[oi] = table
+        return self._aut_table[oi]
 
     # -- axiom checking --------------------------------------------------------
 
@@ -415,7 +441,8 @@ def from_catdef(text: str, name: str = "") -> FiniteCategory:
 def ordinal(m: int) -> FiniteCategory:
     """The finite ordered set 0 -> 1 -> ... -> m viewed as a category:
     one morphism j -> k exactly when j <= k."""
-    assert m >= 0
+    if m < 0:
+        raise CategoryError(f"ordinal:<m> needs m >= 0, got {m}")
     objects = [str(j) for j in range(m + 1)]
 
     def mid(j, k):
@@ -469,7 +496,8 @@ def truncated_delta(m_max: int) -> FiniteCategory:
     """The full subcategory of the category of finite ordered sets on
     [0], ..., [m_max]; morphisms are the order-preserving maps, encoded as
     weakly increasing value tuples."""
-    assert 0 <= m_max <= 9
+    if not 0 <= m_max <= 9:
+        raise CategoryError(f"delta:<M> needs 0 <= M <= 9, got {m_max}")
     objects = [f"d{n}" for n in range(m_max + 1)]
     payloads, morphisms = [], []
     for n in range(m_max + 1):

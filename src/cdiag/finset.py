@@ -153,8 +153,8 @@ def finset_skeleton(max_card: int, variant: str = "all",
     empty set exist (exactly one per target); functions into it from a
     nonempty set do not."""
     assert variant in ("all", "inj", "surj")
-    if max_card > bound:
-        raise CategoryError(f"max_card {max_card} exceeds bound {bound}")
+    if not 0 <= max_card <= bound:
+        raise CategoryError(f"max_card {max_card} outside 0..{bound}")
     objects = [str(c) for c in range(max_card + 1)]
     payloads, morphisms = [], []
     for n in range(max_card + 1):

@@ -90,6 +90,8 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
     """Objects 0..max_dim (spaces F^d); morphisms all matrices over F_q."""
     if not modp.is_prime(q):
         raise GroupError(f"q={q} is not prime")
+    if max_dim < 0:
+        raise CategoryError(f"max_dim must be at least 0, got {max_dim}")
     objects = [str(d) for d in range(max_dim + 1)]
     payloads, morphisms = [], []
     for n in range(max_dim + 1):

@@ -17,9 +17,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import modp
+from .limits import DEFAULT_LIMITS
 
-DEFAULT_TABLE_LIMIT = 20000
-DEFAULT_ISO_LIMIT = 512
+DEFAULT_TABLE_LIMIT = DEFAULT_LIMITS.table_limit
+DEFAULT_ISO_LIMIT = DEFAULT_LIMITS.iso_limit
 
 # Tables above this size skip Light's associativity test; they only arise
 # from closure inside an already-associative ambient composition.
@@ -165,17 +166,82 @@ def cyclic_table(n: int, label: str = "") -> CayleyTable:
 
 def product_table(tables: list, label: str = "") -> CayleyTable:
     """Direct product of concrete tables, elements ordered lexicographically."""
-    if not tables:
-        return cyclic_table(1, label=label or "1")
-    shape = [t.n for t in tables]
-    els = list(itertools.product(*(range(n) for n in shape)))
-    idx = {e: i for i, e in enumerate(els)}
-    table = [
-        [idx[tuple(t.mul(a[k], b[k]) for k, t in enumerate(tables))] for b in els]
-        for a in els
-    ]
-    e = idx[tuple(t.identity for t in tables)]
-    return CayleyTable(table, identity=e, label=label)
+    return CayleyTable(_direct_product_table([t.table for t in tables]),
+                       label=label or ("" if tables else "1"))
+
+
+def table_in_product(tables: list, coords, label: str = "") -> CayleyTable:
+    """Cayley table of a set of elements of the direct product of ``tables``.
+
+    Row i of ``coords`` holds the factor coordinates of element i.  Every
+    product is computed coordinate-wise in the factor tables and located
+    among the elements by its mixed-radix code; a product outside the set
+    raises GroupError.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    strides = _strides([len(t) for t in tables])
+    codes = coords @ strides
+    order = np.argsort(codes)
+    known = codes[order]
+    product_codes = _product_codes(tables, coords, strides)
+
+    def rows(lo, hi):
+        prods = product_codes(lo, hi)
+        at = np.minimum(np.searchsorted(known, prods), len(known) - 1)
+        if not np.array_equal(known[at], prods):
+            raise GroupError("element set is not closed under the product")
+        return order[at]
+
+    return CayleyTable(_fill_table(len(coords), rows), label=label)
+
+
+# Tables are filled a block of rows at a time, each block about this many
+# cells, so temporaries stay near this size times the number of coordinates.
+_BLOCK_CELLS = 1 << 16
+
+
+def _fill_table(n: int, rows) -> np.ndarray:
+    """The n x n table whose rows lo..hi-1 are ``rows(lo, hi)``."""
+    out = np.empty((n, n), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        out[lo:hi] = rows(lo, hi)
+    return out
+
+
+def _strides(sizes) -> np.ndarray:
+    """Mixed-radix place values for digits of the given sizes, most
+    significant first."""
+    out = [1] * len(sizes)
+    for k in range(len(sizes) - 2, -1, -1):
+        out[k] = out[k + 1] * sizes[k + 1]
+    if sizes and out[0] * sizes[0] > np.iinfo(np.int64).max:
+        raise GroupError("direct product too large for 64-bit element codes")
+    return np.array(out, dtype=np.int64)
+
+
+def _grid(sizes) -> np.ndarray:
+    """All digit tuples for the given sizes, lexicographic, one per row."""
+    digits = list(itertools.product(*(range(n) for n in sizes)))
+    return np.array(digits, dtype=np.int64).reshape(len(digits), len(sizes))
+
+
+def _product_codes(tables, coords, strides):
+    """rows(lo, hi): mixed-radix codes of x * y, for x in coords[lo:hi] and
+    y in coords, multiplied coordinate-wise in the factor tables."""
+    def rows(lo, hi):
+        return sum(s * t[np.ix_(c[lo:hi], c)]
+                   for s, t, c in zip(strides, tables, coords.T))
+    return rows
+
+
+def _direct_product_table(tables: list) -> np.ndarray:
+    """Table of the direct product over lexicographic coordinate tuples,
+    whose index is their mixed-radix code."""
+    sizes = [len(t) for t in tables]
+    coords = _grid(sizes)
+    return _fill_table(len(coords), _product_codes(tables, coords, _strides(sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +258,6 @@ class GeneratorSet:
     identity: object
     generators: list
     describe: str = ""
-    known_order: Optional[int] = None
 
     def close(self, limit: int = DEFAULT_TABLE_LIMIT) -> list:
         return close_elements(self.generators, self.compose, self.identity, limit)
@@ -285,7 +350,8 @@ class Trivial(GroupExpr):
 
 class Symmetric(GroupExpr):
     def __init__(self, n: int):
-        assert n >= 0
+        if n < 0:
+            raise GroupError(f"S_n needs n >= 0, got {n}")
         self.n = n
 
     def order(self):
@@ -403,40 +469,6 @@ class Wreath(GroupExpr):
         return (self.base, self.k)
 
 
-class Concrete(GroupExpr):
-    def __init__(self, table: CayleyTable, label: str = ""):
-        self.table = table
-        self.label = label or table.label
-
-    def order(self):
-        return self.table.n
-
-    def text(self):
-        return self.label or f"table[{self.table.n}]"
-
-    def _key(self):
-        return (id(self.table),)
-
-
-class PermSub(GroupExpr):
-    """A subgroup given by a generator set inside an ambient composition."""
-
-    def __init__(self, genset: GeneratorSet):
-        self.genset = genset
-
-    def order(self):
-        if self.genset.known_order is not None:
-            return self.genset.known_order
-        return len(self.genset.close())
-
-    def text(self):
-        d = self.genset.describe
-        return d or f"subgroup[{len(self.genset.generators)} gens]"
-
-    def _key(self):
-        return (id(self.genset),)
-
-
 def order(expr: GroupExpr) -> int:
     return expr.order()
 
@@ -449,59 +481,80 @@ def expr_text(expr: GroupExpr) -> str:
 # Materialization
 
 
-def _carrier(expr: GroupExpr, table_limit: int):
-    """(elements, mul, identity) for an expression; elements hashable and in
-    deterministic order."""
+def _symmetric_table(perms: np.ndarray) -> np.ndarray:
+    """Table of the permutations ``perms`` (one per row, a complete S_n in
+    lexicographic order) under (a*b)[i] = a[b[i]]."""
+    n = perms.shape[1]
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rank = np.empty(n ** n, dtype=np.int64)
+    rank[perms @ weights] = np.arange(len(perms))
+    return _fill_table(len(perms), lambda lo, hi: rank[perms[lo:hi][:, perms] @ weights])
+
+
+def _general_linear_table(n: int, q: int) -> np.ndarray:
+    """Table of GL(n, q) in ``modp.general_linear`` order, by batched matrix
+    products mod q looked up through base-q codes of the entries."""
+    mats = np.array(modp.general_linear(n, q), dtype=np.int64)
+    weights = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
+    index = np.empty(q ** (n * n), dtype=np.int64)
+    index[mats.reshape(-1, n * n) @ weights] = np.arange(len(mats))
+
+    def rows(lo, hi):
+        prods = (mats[lo:hi, None] @ mats[None]) % q
+        return index[prods.reshape(hi - lo, len(mats), n * n) @ weights]
+
+    return _fill_table(len(mats), rows)
+
+
+def _wreath_table(base: np.ndarray, k: int) -> np.ndarray:
+    """Table of base wr S_k over the elements (f, sigma), f in base^k
+    lexicographic and sigma in S_k lexicographic, with
+    (f, sigma)(g, tau) = (h, sigma tau) and h_i = f_i g_{sigma^-1(i)}."""
+    perms = _permutations(k)
+    sk = _symmetric_table(perms)
+    n_perms = len(perms)
+    digits = _grid([len(base)] * k)
+    weights = len(base) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    inverses = np.argsort(perms, axis=1)
+
+    def rows(lo, hi):
+        f = digits[np.arange(lo, hi) // n_perms]           # (rows, k)
+        s = np.arange(lo, hi) % n_perms
+        inv = inverses[s]
+        h = sum(weights[i] * base[f[:, i, None], digits[:, inv[:, i]].T]
+                for i in range(k))                          # (rows, |base|^k)
+        return (h[:, :, None] * n_perms + sk[s][:, None, :]).reshape(hi - lo, -1)
+
+    return _fill_table(len(digits) * n_perms, rows)
+
+
+def _permutations(n: int) -> np.ndarray:
+    perms = list(itertools.permutations(range(n)))
+    return np.array(perms, dtype=np.int64).reshape(len(perms), n)
+
+
+def _expr_table(expr: GroupExpr) -> np.ndarray:
+    """Multiplication table of an expression over its elements in their
+    canonical order: permutations and matrices lexicographic, field
+    elements ascending, products and wreath coordinates lexicographic."""
     if isinstance(expr, Trivial):
-        return [0], (lambda a, b: 0), 0
+        return np.zeros((1, 1), dtype=np.int64)
     if isinstance(expr, Symmetric):
-        els = [tuple(p) for p in itertools.permutations(range(expr.n))]
-        if not els:
-            els = [()]
-        return els, (lambda a, b: tuple(a[b[i]] for i in range(len(a)))), tuple(range(expr.n))
+        return _symmetric_table(_permutations(expr.n))
     if isinstance(expr, GeneralLinear):
-        els = modp.general_linear(expr.n, expr.q)
-        q = expr.q
-        return els, (lambda a, b: modp.mul(a, b, q)), modp.identity(expr.n)
+        return _general_linear_table(expr.n, expr.q)
     if isinstance(expr, FieldUnits):
-        q = expr.q
-        return list(range(1, q)), (lambda a, b: a * b % q), 1
+        units = np.arange(1, expr.q)
+        return np.multiply.outer(units, units) % expr.q - 1
     if isinstance(expr, FieldAdditive):
-        q = expr.q
-        return list(range(q)), (lambda a, b: (a + b) % q), 0
+        values = np.arange(expr.q)
+        return np.add.outer(values, values) % expr.q
     if isinstance(expr, Product):
-        parts = [_carrier(f, table_limit) for f in expr.factors]
-        els = [tuple(c) for c in itertools.product(*(p[0] for p in parts))]
-        muls = [p[1] for p in parts]
-        ident = tuple(p[2] for p in parts)
-
-        def mul(a, b):
-            return tuple(m(x, y) for m, x, y in zip(muls, a, b))
-
-        return els, mul, ident
+        return _direct_product_table([_expr_table(f) for f in expr.factors])
     if isinstance(expr, Wreath):
-        bels, bmul, be = _carrier(expr.base, table_limit)
-        k = expr.k
-        perms = [tuple(p) for p in itertools.permutations(range(k))]
-        if not perms:
-            perms = [()]
-        els = [(tuple(c), s) for c in itertools.product(bels, repeat=k) for s in perms]
-
-        def mul(a, b):
-            (f, sig), (g, tau) = a, b
-            inv = [0] * k
-            for i, v in enumerate(sig):
-                inv[v] = i
-            h = tuple(bmul(f[i], g[inv[i]]) for i in range(k))
-            return (h, tuple(sig[tau[i]] for i in range(k)))
-
-        return els, mul, ((be,) * k, tuple(range(k)))
-    if isinstance(expr, Concrete):
-        t = expr.table
-        return list(range(t.n)), t.mul, t.identity
-    if isinstance(expr, PermSub):
-        els = expr.genset.close(table_limit)
-        return els, expr.genset.compose, expr.genset.identity
+        if expr.k == 0:     # trivial, whatever the base; its table is not needed
+            return np.zeros((1, 1), dtype=np.int64)
+        return _wreath_table(_expr_table(expr.base), expr.k)
     raise GroupError(f"cannot materialize {expr!r}")
 
 
@@ -510,16 +563,10 @@ def materialize(expr: GroupExpr, table_limit: int = DEFAULT_TABLE_LIMIT) -> Cayl
 
     Refuses expressions whose order exceeds ``table_limit``.
     """
-    if not isinstance(expr, (Concrete, PermSub)):
-        n = expr.order()
-        if n > table_limit:
-            raise ClosureLimitExceeded(table_limit, n)
-    if isinstance(expr, Concrete):
-        return expr.table
-    els, mul, _ = _carrier(expr, table_limit)
-    if len(els) > table_limit:
-        raise ClosureLimitExceeded(table_limit, len(els))
-    return table_from_elements(els, mul, label=expr.text())
+    n = expr.order()
+    if n > table_limit:
+        raise ClosureLimitExceeded(table_limit, n)
+    return CayleyTable(_expr_table(expr), label=expr.text())
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
 from cdiag import fincat, finset, finvect
-from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, act, chain_count,
-                          enumerate_chains, iso_classes_of_objects, orbits,
-                          stabilizer)
+from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, StabilizerGroup,
+                          act, chain_count, enumerate_chains,
+                          iso_classes_of_objects, orbits, stabilizer)
+from cdiag.cli import builtin_category
 from cdiag.fincat import CategoryError
+from cdiag.groups import GroupError, table_from_elements
 from cdiag.limits import Limits
 
 
@@ -280,3 +283,39 @@ def test_iso_classes_finset3():
     orbs = iso_classes_of_objects(finset.finset_skeleton(3))
     assert len(orbs) == 4
     assert sorted(o.stabilizer.order for o in orbs) == [1, 1, 2, 6]
+
+
+# ---------------------------------------------------------------------------
+# Stabilizer Cayley tables
+
+
+@pytest.mark.parametrize("spec,level,policies", [
+    ("finset:4", 1, {"scan"}),
+    ("vect:2:3", 2, {"scan", "transversal"}),
+])
+def test_stabilizer_tables_equal_per_pair_reference(spec, level, policies):
+    cat = builtin_category(spec)
+    stabs = [o.stabilizer for o in orbits(cat, level) if o.stabilizer.order <= 512]
+    assert {s.policy for s in stabs} == policies
+    for stab in stabs:
+        els = stab.elements
+        if els is None:
+            els = stab.generator_set().close(20000)
+        ref = table_from_elements(els, stab.compose)
+        assert np.array_equal(stab.to_cayley_table(20000).table, ref.table), stab.objs
+
+
+def test_stabilizer_table_rejects_a_set_that_is_not_closed(s3_category):
+    cat = s3_category
+    e, c = cat.mor_index("id_*"), cat.mor_index("g3")    # g3 has order 3
+    c2 = cat.compose_idx(c, c)
+    # {e, g3} in Aut(*): the coordinate's own automorphisms are not closed
+    small = StabilizerGroup(cat, (0,), 2, [(c,)], [(e,), (c,)], "scan")
+    with pytest.raises(GroupError, match="not closed"):
+        small.to_cayley_table(20000)
+    # each coordinate uses the closed {e, g3, g3^2}, but the pairs are not
+    # closed: (g3, g3^2)(g3, e) = (g3^2, g3^2) is missing
+    pairs = [(e, e), (c, c2), (c2, c), (c, e), (c2, e)]
+    large = StabilizerGroup(cat, (0, 0), 5, pairs, pairs, "scan")
+    with pytest.raises(GroupError, match="not closed"):
+        large.to_cayley_table(20000)

@@ -220,3 +220,14 @@ def test_face_degeneracy_finset3():
     s0 = {r[0]: r for r in rep.s0_rows}
     assert s0["L0:2"][2] == 2
     assert s0["L0:2"][1] == "L1:id_2"
+
+
+@pytest.mark.parametrize("call", [
+    lambda cat: cl.level_decomposition(cat, -1),
+    lambda cat: cl.segal_check(cat, 1),
+    lambda cat: cl.is_discrete_classifying(cat, 0),
+    lambda cat: cl.nerve_truncation(cat, cl.MAX_NERVE_TRUNCATION + 1),
+], ids=["level", "segal", "discrete", "nerve"])
+def test_out_of_range_levels_raise_category_error(call, s2_category):
+    with pytest.raises(CategoryError):
+        call(s2_category)

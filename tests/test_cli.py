@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import cdiag
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 
 
@@ -27,6 +33,49 @@ def test_builtin_errors(capsys):
     code = run(["decompose", "--builtin", "nope:1"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,reason", [
+    ("delta:12", "0 <= M <= 9, got 12"),
+    ("ordinal:-1", "m >= 0, got -1"),
+    ("group:S-1", "n >= 0, got -1"),
+    ("finset:-1", "outside 0..6"),
+    ("vect:-1:2", "at least 0, got -1"),
+])
+def test_bad_builtin_says_why(spec, reason, capsys):
+    assert run(["decompose", "--builtin", spec]) == 2
+    err = capsys.readouterr().err
+    assert f"bad builtin {spec!r}: " in err and reason in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["decompose", "--builtin", "ordinal:1", "--level", "-1"], "--level: must be at least 0"),
+    (["segal", "--builtin", "ordinal:1", "--level", "1"], "--level: must be at least 2"),
+    (["discrete", "--builtin", "ordinal:1", "--truncation", "0"],
+     "--truncation: must be at least 1"),
+    (["nerve", "--builtin", "group:S2", "--truncation", "6"],
+     "--truncation: must be between 0 and 4"),
+    (["finset", "--max", "-1"], "--max: must be at least 0"),
+    (["oracle-diff", "--vect-dim", "-2"], "--vect-dim: must be at least 0"),
+    (["decompose", "--builtin", "ordinal:1", "--level", "x"], "invalid int value"),
+])
+def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["cdiag", "cdiag.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = os.path.dirname(os.path.dirname(cdiag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "decompose", "--builtin", "finset:2", "--level", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "check orbit-stabilizer: pass" in done.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
-from cdiag import fincat
+from cdiag import fincat, finset, finvect
 from cdiag.fincat import (CatdefError, CategoryError, FiniteCategory,
                           check_equivalence_invariants, from_catdef,
                           maximal_subgroupoid, object_iso_classes, parse_catdef)
+from cdiag.groups import table_from_elements
 
 from conftest import S3_TABLE
 
@@ -297,3 +299,12 @@ def test_object_iso_classes_transports():
     for member, t in cls.transport.items():
         assert ii.src[t] == cls.rep and ii.dst[t] == member
         assert ii.inverse_idx(t) is not None
+
+
+@pytest.mark.parametrize("cat", [finset.finset_skeleton(3), finvect.vect_skeleton(2, 2),
+                                 fincat.iso_interval()], ids=lambda c: c.name)
+def test_aut_table_equals_per_pair_reference(cat):
+    for oi in range(cat.n_objects):
+        ref = table_from_elements(cat.aut_idx(oi), cat.compose_idx)
+        assert np.array_equal(cat.aut_table(oi), ref.table)
+        assert cat.aut_table(oi) is cat.aut_table(oi)

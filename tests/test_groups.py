@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from cdiag import groups
+from cdiag import groups, modp
 from cdiag.groups import (CayleyTable, ClosureLimitExceeded, FieldAdditive,
                           FieldUnits, GeneralLinear, GeneratorSet, GroupError,
                           Product, Symmetric, Trivial, Wreath, are_isomorphic,
@@ -215,6 +216,81 @@ def test_materialize_order_matches_symbolic_order():
     ]
     for expr in pool:
         assert materialize(expr).n == expr.order(), expr.text()
+
+
+def reference_carrier(expr):
+    """(elements, mul) of an expression, one Python call per product: the
+    per-pair reference that ``materialize`` must reproduce exactly."""
+    if isinstance(expr, Trivial):
+        return [0], lambda a, b: 0
+    if isinstance(expr, Symmetric):
+        return (list(itertools.permutations(range(expr.n))),
+                lambda a, b: tuple(a[i] for i in b))
+    if isinstance(expr, GeneralLinear):
+        q = expr.q
+        return modp.general_linear(expr.n, q), lambda a, b: modp.mul(a, b, q)
+    if isinstance(expr, FieldUnits):
+        q = expr.q
+        return list(range(1, q)), lambda a, b: a * b % q
+    if isinstance(expr, FieldAdditive):
+        q = expr.q
+        return list(range(q)), lambda a, b: (a + b) % q
+    if isinstance(expr, Product):
+        parts = [reference_carrier(f) for f in expr.factors]
+        els = list(itertools.product(*(p[0] for p in parts)))
+        return els, lambda a, b: tuple(p[1](x, y) for p, x, y in zip(parts, a, b))
+    if isinstance(expr, Wreath):
+        bels, bmul = reference_carrier(expr.base)
+        k = expr.k
+        perms = list(itertools.permutations(range(k)))
+        els = [(f, s) for f in itertools.product(bels, repeat=k) for s in perms]
+
+        def mul(a, b):
+            (f, sig), (g, tau) = a, b
+            inv = [sig.index(i) for i in range(k)]
+            return (tuple(bmul(f[i], g[inv[i]]) for i in range(k)),
+                    tuple(sig[t] for t in tau))
+
+        return els, mul
+    raise AssertionError(expr)
+
+
+REFERENCE_EXPRS = (
+    [Trivial()] + [Symmetric(n) for n in range(6)]
+    + [Wreath(Symmetric(3), 0), Wreath(Symmetric(4), 1), Wreath(Symmetric(2), 3),
+       Wreath(Symmetric(3), 2), Wreath(Trivial(), 3),
+       Wreath(Wreath(Symmetric(2), 2), 2),
+       Wreath(Product([Symmetric(2), FieldAdditive(3)]), 2),
+       Product([]), Product([Symmetric(3)]),
+       Product([Symmetric(3), FieldUnits(5), Wreath(Symmetric(1), 3)]),
+       Product([Wreath(Symmetric(2), 2), Symmetric(3), FieldAdditive(2)])]
+    + [GeneralLinear(n, q) for n, q in ((1, 2), (1, 7), (2, 2), (2, 3), (3, 2))]
+    + [FieldUnits(q) for q in (2, 3, 7)] + [FieldAdditive(q) for q in (2, 5)]
+)
+
+
+@pytest.mark.parametrize("expr", REFERENCE_EXPRS, ids=lambda e: e.text())
+def test_materialize_equals_per_pair_reference(expr):
+    els, mul = reference_carrier(expr)
+    assert np.array_equal(materialize(expr).table, table_from_elements(els, mul).table)
+
+
+def test_product_table_equals_per_pair_reference():
+    tables = [cyclic_table(3), materialize(Symmetric(3)), cyclic_table(2)]
+    els = list(itertools.product(*(range(t.n) for t in tables)))
+    ref = table_from_elements(
+        els, lambda a, b: tuple(t.mul(x, y) for t, x, y in zip(tables, a, b)))
+    got = product_table(tables)
+    assert np.array_equal(got.table, ref.table)
+    assert got.identity == ref.identity
+    assert product_table([]).n == 1
+
+
+def test_table_in_product_rejects_a_set_that_is_not_closed():
+    c4 = cyclic_table(4).table
+    assert groups.table_in_product([c4], [[0], [2]]).n == 2
+    with pytest.raises(GroupError, match="not closed"):
+        groups.table_in_product([c4], [[0], [1]])
 
 
 # ---------------------------------------------------------------------------
