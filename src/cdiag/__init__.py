@@ -12,9 +12,8 @@ from .fincat import (FiniteCategory, check_equivalence_invariants, from_catdef,
                      iso_interval, maximal_subgroupoid, one_object_group,
                      opposite, ordinal, parse_catdef, truncated_delta,
                      validate_category, walking_arrow)
-from .groups import (CayleyTable, GeneralLinear, GeneratorSet, GroupExpr,
-                     Product, Symmetric, Trivial, Wreath, are_isomorphic,
-                     closure, materialize)
+from .groups import (CayleyTable, GeneralLinear, GroupExpr, Product,
+                     Symmetric, Trivial, Wreath, are_isomorphic, materialize)
 from .limits import DEFAULT_LIMITS, Limits
 
 __version__ = "0.1.0"
@@ -27,7 +26,7 @@ __all__ = [
     "check_equivalence_invariants", "from_catdef", "iso_interval",
     "maximal_subgroupoid", "one_object_group", "opposite", "ordinal",
     "parse_catdef", "truncated_delta", "validate_category", "walking_arrow",
-    "CayleyTable", "GeneralLinear", "GeneratorSet", "GroupExpr", "Product",
-    "Symmetric", "Trivial", "Wreath", "are_isomorphic", "closure",
-    "materialize", "DEFAULT_LIMITS", "Limits",
+    "CayleyTable", "GeneralLinear", "GroupExpr", "Product", "Symmetric",
+    "Trivial", "Wreath", "are_isomorphic", "materialize", "DEFAULT_LIMITS",
+    "Limits",
 ]

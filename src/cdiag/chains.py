@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import CayleyTable, GeneratorSet, table_in_product
+from .groups import CayleyTable, ClosureLimitExceeded, greedy_closure, table_in_product
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -34,15 +34,18 @@ class Chain:
 
     def __init__(self, cat: FiniteCategory, objs, mors):
         objs, mors = tuple(objs), tuple(mors)
-        assert len(objs) == len(mors) + 1 and objs
+        if len(objs) != len(mors) + 1:
+            raise CategoryError("a chain of n morphisms needs n + 1 objects")
         for i, f in enumerate(mors):
-            assert cat.src[f] == objs[i] and cat.dst[f] == objs[i + 1], "not composable"
+            if cat.src[f] != objs[i] or cat.dst[f] != objs[i + 1]:
+                raise CategoryError(f"chain not composable at morphism {i + 1}")
         self.cat, self.objs, self.mors = cat, objs, mors
 
     @classmethod
     def from_morphism_ids(cls, cat: FiniteCategory, mor_ids) -> "Chain":
         mors = tuple(cat.mor_index(m) for m in mor_ids)
-        assert mors, "use from_object for level 0"
+        if not mors:
+            raise CategoryError("no morphisms given; use from_object for level 0")
         objs = (cat.src[mors[0]],) + tuple(cat.dst[f] for f in mors)
         return cls(cat, objs, mors)
 
@@ -84,9 +87,11 @@ class ChainIso:
 
     def __init__(self, source: Chain, target: Chain, components):
         cat = source.cat
-        assert target.cat is cat and source.level == target.level
+        if target.cat is not cat or source.level != target.level:
+            raise CategoryError("a ladder joins two chains of one level in one category")
         components = tuple(components)
-        assert len(components) == len(source.objs)
+        if len(components) != len(source.objs):
+            raise CategoryError("need one ladder component per chain object")
         for i, a in enumerate(components):
             if cat.src[a] != source.objs[i] or cat.dst[a] != target.objs[i]:
                 raise CategoryError(
@@ -219,35 +224,6 @@ def act(alpha_ids, chain: Chain) -> Chain:
     return Chain(cat, chain.objs, _act_mors(cat, alpha, chain.objs, chain.mors))
 
 
-def _aut_generators(cat: FiniteCategory, oi: int) -> list:
-    """A small generating set of Aut(x), greedy by closure growth."""
-    cache = cat.__dict__.setdefault("_cd_autgens", {})
-    if oi not in cache:
-        e = cat.identity_idx[oi]
-        gens, closed = [], {e}
-        for a in cat.aut_idx(oi):
-            if a not in closed:
-                gens.append(a)
-                closed = _mor_closure(cat, gens, e)
-        cache[oi] = gens
-    return cache[oi]
-
-
-def _mor_closure(cat: FiniteCategory, gens, e):
-    els = {e}
-    bdy = [e]
-    while bdy:
-        new = []
-        for g in gens:
-            for x in bdy:
-                y = cat.compose_idx(x, g)
-                if y not in els:
-                    els.add(y)
-                    new.append(y)
-        bdy = new
-    return els
-
-
 # ---------------------------------------------------------------------------
 # Stabilizers
 
@@ -258,7 +234,7 @@ class StabilizerGroup:
 
     ``elements`` is the full element list when the ambient product was small
     enough to scan directly; otherwise only Schreier generators are kept and
-    the exact order comes from the orbit-stabilizer identity.
+    the exact order comes from orbit-stabilizer division.
     """
 
     cat: FiniteCategory
@@ -275,26 +251,20 @@ class StabilizerGroup:
     def identity(self):
         return tuple(self.cat.identity_idx[x] for x in self.objs)
 
-    def generator_set(self) -> GeneratorSet:
-        return GeneratorSet(
-            compose=self.compose,
-            identity=self.identity,
-            generators=list(self.generators),
-            describe=f"stabilizer in Aut({','.join(self.cat.objects[x] for x in self.objs)})",
-        )
-
     def to_cayley_table(self, table_limit: int) -> CayleyTable:
-        """The scanned elements, or the closure of the Schreier generators,
-        multiplied coordinate-wise in the Cayley tables of the Aut(x_i)."""
-        if self.elements is not None:
-            els, label = self.elements, "stabilizer"
-        else:
-            gens = self.generator_set()
-            els, label = gens.close(table_limit), gens.describe
+        """The scanned elements, or the greedy closure of the Schreier
+        generators to ``order``, multiplied coordinate-wise in the Cayley
+        tables of the Aut(x_i).  The closure raises GroupError unless the
+        generators give exactly ``order`` elements."""
+        els = self.elements
+        if els is None:
+            if self.order > table_limit:
+                raise ClosureLimitExceeded(table_limit, self.order)
+            els = greedy_closure(self.generators, self.compose, self.identity, self.order)[2]
         els = np.array(els, dtype=np.int64).reshape(len(els), len(self.objs))
         tables, coords = zip(*(_coordinate_table(self.cat, x, els[:, i])
                                for i, x in enumerate(self.objs)))
-        return table_in_product(tables, np.stack(coords, axis=1), label=label)
+        return table_in_product(tables, np.stack(coords, axis=1), label="stabilizer")
 
     def generator_ids(self) -> list:
         return [tuple(self.cat.mor_ids[a] for a in alpha) for alpha in self.generators]
@@ -361,7 +331,7 @@ def _single_coordinate_moves(cat, objs):
     idt = [cat.identity_idx[x] for x in objs]
     moves = []
     for i, x in enumerate(objs):
-        for g in _aut_generators(cat, x):
+        for g in cat.aut_generators(x):
             alpha = list(idt)
             alpha[i] = g
             moves.append(tuple(alpha))
@@ -371,8 +341,8 @@ def _single_coordinate_moves(cat, objs):
 def _orbit_bfs(cat, objs, seed_mors, with_transversal):
     """Expand the ladder-action orbit of one chain on a fixed object tuple.
 
-    Returns (members set, transversal dict, schreier generator list); the
-    last two are None/[] unless ``with_transversal``.
+    Returns (members set, Schreier generator list); the list is empty
+    unless ``with_transversal``.
     """
     moves = _single_coordinate_moves(cat, objs)
     members = {seed_mors}
@@ -404,30 +374,42 @@ def _orbit_bfs(cat, objs, seed_mors, with_transversal):
                         seen_schreier.add(gen)
                         schreier.append(gen)
         frontier = new
-    return members, transversal, schreier
+    return members, schreier
+
+
+def _orbit_and_stabilizer(cat: FiniteCategory, objs, mors, limits: Limits):
+    """(orbit, stabilizer) of one chain on its object tuple.
+
+    The stabilizer is scanned directly when the ambient product fits
+    scan_limit, yielding the full element list; otherwise it keeps the
+    Schreier generators of the orbit search, and its order is the ambient
+    order divided by the orbit size.  Either way orbit size times order
+    must equal the ambient order.
+    """
+    ambient = _ambient_order(cat, objs)
+    transversal = ambient > limits.scan_limit
+    members, schreier = _orbit_bfs(cat, objs, mors, transversal)
+    idt = tuple(cat.identity_idx[x] for x in objs)
+    if transversal:
+        if ambient % len(members):
+            raise CategoryError("orbit size does not divide the ambient group order")
+        gens = [g for g in schreier if g != idt]
+        stab = StabilizerGroup(cat, objs, ambient // len(members), gens, None, "transversal")
+    else:
+        elements = _scan_stabilizer(cat, objs, mors)
+        gens = [a for a in elements if a != idt]
+        stab = StabilizerGroup(cat, objs, len(elements), gens, elements, "scan")
+    if len(members) * stab.order != ambient:
+        raise CategoryError(
+            f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
+            f"{len(members)} * {stab.order} != {ambient}")
+    return members, stab
 
 
 def stabilizer(cat: FiniteCategory, chain: Chain,
                limits: Limits = DEFAULT_LIMITS) -> StabilizerGroup:
-    """Stabilizer of a chain under the ladder action of Aut(x_0) x ... x Aut(x_n).
-
-    Direct scan of the ambient product when it fits scan_limit (yielding the
-    full element list); otherwise orbit-stabilizer transversal bookkeeping
-    with Schreier generators and the exact order by division.
-    """
-    objs, mors = chain.objs, chain.mors
-    ambient = _ambient_order(cat, objs)
-    if ambient <= limits.scan_limit:
-        elements = _scan_stabilizer(cat, objs, mors)
-        gens = [a for a in elements if a != tuple(cat.identity_idx[x] for x in objs)]
-        return StabilizerGroup(cat, objs, len(elements), gens, elements, "scan")
-    members, _, schreier = _orbit_bfs(cat, objs, mors, with_transversal=True)
-    if ambient % len(members):
-        raise CategoryError("orbit size does not divide the ambient group order")
-    order = ambient // len(members)
-    idt = tuple(cat.identity_idx[x] for x in objs)
-    gens = [g for g in schreier if g != idt]
-    return StabilizerGroup(cat, objs, order, gens, None, "transversal")
+    """Stabilizer of a chain under the ladder action of Aut(x_0) x ... x Aut(x_n)."""
+    return _orbit_and_stabilizer(cat, chain.objs, chain.mors, limits)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -515,39 +497,20 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
         if seed in visited:
             continue
         objs = (cat.src[seed[0]],) + tuple(cat.dst[f] for f in seed)
-        ambient = _ambient_order(cat, objs)
-        need_transversal = ambient > limits.scan_limit
-        members, _, schreier = _orbit_bfs(cat, objs, seed, need_transversal)
-        visited |= members
+        members, stab = _orbit_and_stabilizer(cat, objs, seed, limits)
         rep_mors = min(members)
-        rep = Chain(cat, objs, rep_mors)
-        if need_transversal:
-            if ambient % len(members):
-                raise CategoryError("orbit size does not divide the ambient group order")
-            order = ambient // len(members)
-            idt = tuple(cat.identity_idx[x] for x in objs)
-            # Schreier generators were collected relative to the seed; conjugate
-            # bookkeeping is unnecessary because we recompute them from the rep.
-            if rep_mors != seed:
-                _, _, schreier = _orbit_bfs(cat, objs, rep_mors, True)
-            gens = [g for g in schreier if g != idt]
-            stab = StabilizerGroup(cat, objs, order, gens, None, "transversal")
-        else:
-            elements = _scan_stabilizer(cat, objs, rep_mors)
-            idt = tuple(cat.identity_idx[x] for x in objs)
-            gens = [a for a in elements if a != idt]
-            stab = StabilizerGroup(cat, objs, len(elements), gens, elements, "scan")
+        if rep_mors != seed:
+            rep_members, stab = _orbit_and_stabilizer(cat, objs, rep_mors, limits)
+            if rep_members != members:
+                raise CategoryError(
+                    f"orbits of {seed} and of its least member {rep_mors} differ")
+        visited |= members
         mult = 1
         for x in objs:
             mult *= class_size[x]
-        orb = Orbit(rep=rep, size=len(members) * mult,
-                    rep_fiber_size=len(members),
-                    ambient_order=ambient, stabilizer=stab)
-        if not orb.check_orbit_stabilizer():
-            raise CategoryError(
-                f"orbit-stabilizer identity fails at {rep!r}: "
-                f"{orb.rep_fiber_size} * {stab.order} != {ambient}")
-        out.append(orb)
+        out.append(Orbit(rep=Chain(cat, objs, rep_mors), size=len(members) * mult,
+                         rep_fiber_size=len(members),
+                         ambient_order=_ambient_order(cat, objs), stabilizer=stab))
 
     out.sort(key=lambda o: (o.rep.objs, o.rep.mors))
     if sum(o.size for o in out) != total:

@@ -393,7 +393,7 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
     levels = [list(range(gpd.n_objects))]
     index_of = [dict((x, i) for i, x in enumerate(levels[0]))]
     for n in range(1, truncation + 1):
-        simplices = list(_chain_tuples(gpd, n))
+        simplices = list(chains_mod._chain_mors_iter(gpd, n))
         levels.append(simplices)
         index_of.append({s: i for i, s in enumerate(simplices)})
 
@@ -433,10 +433,6 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
     return TruncatedSimplicialSet(levels=levels, faces=faces, degeneracies=degen)
 
 
-def _chain_tuples(cat: FiniteCategory, n: int):
-    yield from chains_mod._chain_mors_iter(cat, n)
-
-
 # ---------------------------------------------------------------------------
 # Face and degeneracy component maps between levels 0 and 1
 
@@ -462,7 +458,7 @@ def component_of_chain(cat: FiniteCategory, decomp: Decomposition,
             if c.representative == target:
                 return c
         raise CategoryError("object not covered by the decomposition")
-    members, _, _ = chains_mod._orbit_bfs(cat, chain.objs, chain.mors, False)
+    members, _ = chains_mod._orbit_bfs(cat, chain.objs, chain.mors, False)
     rep = min(members)
     rep_ids = tuple(cat.mor_ids[f] for f in rep)
     for c in decomp.components:
@@ -485,14 +481,14 @@ def face_degeneracy_report(cat: FiniteCategory,
         src_comp = by_rep_obj[c.cell[0]]
         dst_comp = by_rep_obj[c.cell[1]]
         rows1.append((c.key, src_comp.key, dst_comp.key))
+    faces = {key: (d1_key, d0_key) for key, d1_key, d0_key in rows1}
 
     rows_s0 = []
     ok = True
     for c0 in d0.components:
         x = cat.obj_index(c0.representative[0])
-        ident_chain = Chain(cat, (x, x), (cat.identity_idx[x],))
-        image = component_of_chain(cat, d1, ident_chain)
-        id_rep_chain = Chain(cat, (x, x), (cat.identity_idx[x],))
-        ok = ok and (component_of_chain(cat, d1, id_rep_chain) is image)
+        image = component_of_chain(cat, d1, Chain(cat, (x, x), (cat.identity_idx[x],)))
+        # d_1 s_0 = d_0 s_0 = id on level-0 components
+        ok = ok and faces[image.key] == (c0.key, c0.key)
         rows_s0.append((c0.key, image.key, image.group_order))
     return FaceDegeneracyReport(level1_rows=rows1, s0_rows=rows_s0, ok=ok)

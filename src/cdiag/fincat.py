@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import CayleyTable, GroupError
+from .groups import CayleyTable, GroupError, greedy_closure
 
 
 class CategoryError(Exception):
@@ -103,6 +103,7 @@ class FiniteCategory:
         self._by_src = None
         self._inv = {}
         self._aut = {}
+        self._aut_gens = {}
         self._aut_table = {}
 
     # -- basic accessors ----------------------------------------------------
@@ -213,6 +214,15 @@ class FiniteCategory:
             self._aut[oi] = [m for m in self.hom_idx(oi, oi)
                              if self.inverse_idx(m) is not None]
         return self._aut[oi]
+
+    def aut_generators(self, oi: int) -> list:
+        """A small generating set of Aut(x), greedy over ``aut_idx(oi)``,
+        computed on the first call and kept."""
+        if oi not in self._aut_gens:
+            auts = self.aut_idx(oi)
+            self._aut_gens[oi] = greedy_closure(
+                auts, self.compose_idx, self.identity_idx[oi], len(auts))[0]
+        return self._aut_gens[oi]
 
     def aut_subtable(self, oi: int, positions) -> np.ndarray:
         """Cayley table of the automorphisms at ``positions`` (distinct) in
@@ -539,11 +549,6 @@ def _monotone_tuples(n: int, m: int):
 
 # ---------------------------------------------------------------------------
 # Maximal subgroupoid and object isomorphism classes
-
-
-def is_isomorphism(cat: FiniteCategory, mor_id: str) -> bool:
-    """True iff some g satisfies g.f = id_source and f.g = id_target."""
-    return cat.is_isomorphism(mor_id)
 
 
 def opposite(cat: FiniteCategory) -> FiniteCategory:

@@ -29,7 +29,7 @@ DEFAULT_MAX_CARD = 6
 
 
 # ---------------------------------------------------------------------------
-# Fiber profiles and trees
+# Fiber profiles
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,11 @@ class FiberProfile:
     k: tuple
 
     def __post_init__(self):
-        assert len(self.k) == self.n + 1
-        assert all(v >= 0 for v in self.k)
-        assert sum(i * v for i, v in enumerate(self.k)) == self.n
-        assert sum(self.k) == self.m
+        if (len(self.k) != self.n + 1 or any(v < 0 for v in self.k)
+                or sum(i * v for i, v in enumerate(self.k)) != self.n
+                or sum(self.k) != self.m):
+            raise CategoryError(f"k={self.k} is not a fiber profile of a function "
+                                f"from {self.n} to {self.m} points")
 
     def tree_display(self) -> str:
         """Height-2 rooted tree notation, one grove per nonzero k_i."""
@@ -66,39 +67,6 @@ class FiberProfile:
         return out
 
 
-@dataclass(frozen=True)
-class RootedTree2:
-    """A height-2 rooted tree as the multiset of children-counts of the
-    root's children; the picture of a function between finite sets, with
-    one middle vertex per target point and its fiber as leaves."""
-
-    children_counts: tuple      # weakly increasing
-
-    @classmethod
-    def from_profile(cls, p: FiberProfile) -> "RootedTree2":
-        counts = []
-        for i, v in enumerate(p.k):
-            counts.extend([i] * v)
-        return cls(tuple(counts))
-
-    def profile(self) -> FiberProfile:
-        n = sum(self.children_counts)
-        m = len(self.children_counts)
-        k = [0] * (n + 1)
-        for c in self.children_counts:
-            k[c] += 1
-        return FiberProfile(n=n, m=m, k=tuple(k))
-
-    def display(self) -> str:
-        return self.profile().tree_display()
-
-    def aut_expr(self) -> GroupExpr:
-        return self.profile().group_expr()
-
-    def aut_order(self) -> int:
-        return self.profile().group_order()
-
-
 def profile_of(values, m: int) -> FiberProfile:
     """Profile of the function sending source index j to ``values[j]``."""
     n = len(values)
@@ -113,12 +81,17 @@ def profile_of(values, m: int) -> FiberProfile:
     return FiberProfile(n=n, m=m, k=tuple(k))
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in ("all", "inj", "surj"):
+        raise CategoryError(f"variant must be all, inj or surj, got {variant!r}")
+
+
 def enumerate_profiles(n: int, m: int, variant: str = "all") -> list:
     """All nonnegative solutions of the two profile equations, lexicographic.
 
     variant "inj" forces k_i = 0 for i >= 2; "surj" forces k_0 = 0.
     """
-    assert variant in ("all", "inj", "surj")
+    _check_variant(variant)
     out = []
 
     def rec(i, ks, rem_m, rem_n):
@@ -152,7 +125,7 @@ def finset_skeleton(max_card: int, variant: str = "all",
     all functions, encoded as target-index tuples.  Functions out of the
     empty set exist (exactly one per target); functions into it from a
     nonempty set do not."""
-    assert variant in ("all", "inj", "surj")
+    _check_variant(variant)
     if not 0 <= max_card <= bound:
         raise CategoryError(f"max_card {max_card} outside 0..{bound}")
     objects = [str(c) for c in range(max_card + 1)]

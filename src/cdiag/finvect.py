@@ -36,7 +36,8 @@ class MatrixFq:
     def __post_init__(self):
         if not modp.is_prime(self.q):
             raise GroupError(f"q={self.q} is not prime")
-        assert all(all(0 <= v < self.q for v in row) for row in self.rows)
+        if not all(0 <= v < self.q for row in self.rows for v in row):
+            raise GroupError(f"matrix entries must lie in 0..{self.q - 1}")
 
     @property
     def m_rows(self) -> int:
@@ -57,7 +58,8 @@ def glnq_order(n: int, q: int) -> int:
     """|GL_n(F_q)| = prod_{i<n} (q^n - q^i); GL_0 is trivial."""
     if not modp.is_prime(q):
         raise GroupError(f"q={q} is not prime")
-    assert n >= 0
+    if n < 0:
+        raise GroupError(f"GL_n needs n >= 0, got {n}")
     qn = q ** n
     out = 1
     for i in range(n):
@@ -220,7 +222,8 @@ def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS,
     classes = []
     for r in sorted(by_rank):
         rep = canonical_rank_rep(r, m, n)
-        assert rep in by_rank[r]
+        if rep not in by_rank[r]:
+            raise CategoryError(f"canonical rank-{r} matrix has another rank")
         seen = {rep}
         frontier = [rep]
         while frontier:
@@ -239,7 +242,8 @@ def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS,
             frontier = new
         verified = seen == by_rank[r]
         size = len(by_rank[r])
-        assert group_order % size == 0
+        if group_order % size:
+            raise CategoryError(f"rank-{r} class size does not divide the group order")
         stab = group_order // size
         scan = direct_scan_stabilizer_order(rep, n, m, q, limits.scan_limit)
         policy = "division+scan" if scan is not None else "division-only"

@@ -2,17 +2,17 @@
 
 Symbolic group expressions (symmetric, general linear, products, wreath
 products) with exact arbitrary-precision orders, concrete Cayley tables
-with fully checked group axioms, breadth-first closure of generator sets,
-and small-group isomorphism testing by backtracking over generator images.
+with fully checked group axioms, greedy generating sets closed to a known
+order, and small-group isomorphism testing by backtracking over generator
+images.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -88,7 +88,8 @@ class CayleyTable:
         if not np.all((self.table == e).any(axis=1)):
             raise GroupError("missing inverse")
         if self.n <= _ASSOC_CHECK_LIMIT:
-            for g in self._generating_set():
+            gens, _, _ = greedy_closure(range(self.n), self.mul, self.identity, self.n)
+            for g in gens:
                 left = self.table[:, self.table[g]]       # x*(g*y)
                 right = self.table[self.table[:, g]]      # (x*g)*y
                 if not np.array_equal(left, right):
@@ -115,43 +116,12 @@ class CayleyTable:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
-    def _close_indices(self, seed: set) -> set:
-        els = set(seed)
-        els.add(self.identity)
-        bdy = list(els)
-        gens = list(seed)
-        while bdy:
-            new = []
-            for g in gens:
-                for x in bdy:
-                    y = int(self.table[x, g])
-                    if y not in els:
-                        els.add(y)
-                        new.append(y)
-            bdy = new
-        return els
-
-    def _generating_set(self) -> list:
-        gens, els = [], {self.identity}
-        for i in range(self.n):
-            if i not in els:
-                gens.append(i)
-                els = self._close_indices(set(gens))
-        return gens
-
     def generating_sequence(self):
         """Greedy generators ordered by decreasing element order, with the
         subgroup size after each addition."""
         order_of = [self.element_order(i) for i in range(self.n)]
         by_pref = sorted(range(self.n), key=lambda i: (-order_of[i], i))
-        gens, sizes, els = [], [], {self.identity}
-        for i in by_pref:
-            if i not in els:
-                gens.append(i)
-                els = self._close_indices(set(gens))
-                sizes.append(len(els))
-                if len(els) == self.n:
-                    break
+        gens, sizes, _ = greedy_closure(by_pref, self.mul, self.identity, self.n)
         return gens, sizes
 
     def __repr__(self):
@@ -245,59 +215,46 @@ def _direct_product_table(tables: list) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Generator sets and closure
+# Greedy closure
 
 
-@dataclass
-class GeneratorSet:
-    """Generators inside an ambient composition (typically a product of
-    automorphism groups of category objects, elements being tuples of
-    morphism indices)."""
+def greedy_closure(candidates, compose, identity, order: int) -> tuple:
+    """Greedy generators, among ``candidates``, of a group of known ``order``.
 
-    compose: Callable
-    identity: object
-    generators: list
-    describe: str = ""
-
-    def close(self, limit: int = DEFAULT_TABLE_LIMIT) -> list:
-        return close_elements(self.generators, self.compose, self.identity, limit)
-
-
-def close_elements(generators, compose, identity, limit: int = DEFAULT_TABLE_LIMIT) -> list:
-    """Breadth-first closure of ``generators`` under ``compose``.
-
-    Deterministic: the identity comes first, then elements in discovery
-    order.  Raises ClosureLimitExceeded past ``limit``.
+    Walks the candidates in order and keeps each one outside the closure of
+    those kept so far; after each, the closure is rebuilt breadth first
+    from ``identity`` as ``compose(x, g)``.  Once the closure has ``order``
+    elements it keeps no more, and every later candidate must lie in it.
+    Returns (generators, closure size after each, elements), the elements
+    in discovery order with the identity first.  Raises
+    ClosureLimitExceeded when the closure grows past ``order`` and
+    GroupError when a candidate lies outside a closure of ``order``
+    elements or the candidates run out before it reaches ``order``.
     """
-    els = [identity]
-    seen = {identity}
-    gens = []
-    for g in generators:
-        if g not in seen:
-            seen.add(g)
-            els.append(g)
-        if g not in gens:
-            gens.append(g)
-    bdy = list(els)
-    while bdy:
-        new = []
-        for g in gens:
-            for x in bdy:
-                y = compose(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    els.append(y)
-                    new.append(y)
-                    if len(els) > limit:
-                        raise ClosureLimitExceeded(limit, len(els))
-        bdy = new
-    return els
-
-
-def closure(genset: GeneratorSet, table_limit: int = DEFAULT_TABLE_LIMIT) -> CayleyTable:
-    """Materialize the group generated by ``genset`` as a Cayley table."""
-    els = genset.close(table_limit)
-    return table_from_elements(els, genset.compose, label=genset.describe)
+    gens, sizes, els, seen = [], [], [identity], {identity}
+    for c in candidates:
+        if c in seen:
+            continue
+        if len(els) == order:
+            raise GroupError(f"{c!r} lies outside the closure of {order} elements")
+        gens.append(c)
+        els, seen, frontier = [identity], {identity}, [identity]
+        while frontier:
+            new = []
+            for g in gens:
+                for x in frontier:
+                    y = compose(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        els.append(y)
+                        new.append(y)
+                        if len(els) > order:
+                            raise ClosureLimitExceeded(order, len(els))
+            frontier = new
+        sizes.append(len(els))
+    if len(els) != order:
+        raise GroupError(f"candidates generate {len(els)} elements, not {order}")
+    return gens, sizes, els
 
 
 def table_from_elements(els: list, compose, label: str = "") -> CayleyTable:
@@ -366,7 +323,8 @@ class Symmetric(GroupExpr):
 
 class GeneralLinear(GroupExpr):
     def __init__(self, n: int, q: int):
-        assert n >= 1
+        if n < 1:
+            raise GroupError(f"GL(n,q) needs n >= 1, got {n}")
         if not modp.is_prime(q):
             raise GroupError(f"q={q} is not prime")
         self.n, self.q = n, q
@@ -450,7 +408,8 @@ class Wreath(GroupExpr):
     permuting the k factors."""
 
     def __init__(self, base: GroupExpr, k: int):
-        assert k >= 0
+        if k < 0:
+            raise GroupError(f"base wr S_k needs k >= 0, got {k}")
         self.base, self.k = base, k
 
     def order(self):
@@ -467,14 +426,6 @@ class Wreath(GroupExpr):
 
     def _key(self):
         return (self.base, self.k)
-
-
-def order(expr: GroupExpr) -> int:
-    return expr.order()
-
-
-def expr_text(expr: GroupExpr) -> str:
-    return expr.text()
 
 
 # ---------------------------------------------------------------------------
@@ -692,21 +643,6 @@ def _candidate_sequences(n: int) -> list:
 
     rec(0, n, [])
     return sorted(seqs, key=lambda s: (len(s), s))
-
-
-def named_candidates(n: int):
-    """(label, CayleyTable) pairs of library groups of order ``n``, single
-    atoms before longer products, deterministic order."""
-    if n == 1:
-        yield "1", cyclic_table(1)
-        return
-    for seq in _candidate_sequences(n):
-        label = " x ".join(_ATOMS[i][0] for i in seq)
-        tables = [_atom_table(i) for i in seq]
-        if len(tables) == 1:
-            yield label, tables[0]
-        else:
-            yield label, product_table(tables, label=label)
 
 
 def match_named(table: CayleyTable, iso_limit: int = DEFAULT_ISO_LIMIT) -> Optional[str]:

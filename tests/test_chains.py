@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from cdiag import fincat, finset, finvect
 from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, StabilizerGroup,
-                          act, chain_count, enumerate_chains,
+                          _act_mors, act, chain_count, enumerate_chains,
                           iso_classes_of_objects, orbits, stabilizer)
 from cdiag.cli import builtin_category
 from cdiag.fincat import CategoryError
-from cdiag.groups import GroupError, table_from_elements
+from cdiag.groups import GroupError, greedy_closure, table_from_elements
 from cdiag.limits import Limits
 
 
@@ -251,16 +252,49 @@ def test_stabilizer_transversal_path_standalone():
     assert stab.policy == "transversal"
     assert stab.order == 4
     assert stab.to_cayley_table(20000).n == 4
+    # the Schreier generators must close to exactly the division order
+    for wrong in (2, 8):
+        with pytest.raises(GroupError):
+            dataclasses.replace(stab, order=wrong).to_cayley_table(20000)
 
 
 def test_schreier_generators_generate_the_stabilizer():
-    from cdiag.groups import close_elements
     sk = finset.finset_skeleton(3)
     tiny = Limits(scan_limit=1)
     for o in orbits(sk, 1, tiny):
         stab = o.stabilizer
-        els = close_elements(stab.generators, stab.compose, stab.identity)
-        assert len(els) == stab.order
+        _, _, els = greedy_closure(stab.generators, stab.compose, stab.identity, stab.order)
+        assert len(set(els)) == stab.order
+
+
+# Both stabilizer policies, in both enumeration orders, on four categories.
+STABILIZER_CASES = [("finset:3", 1), ("vect:2:2", 1), ("group:S3", 2), ("delta:2", 2)]
+STABILIZER_MODES = [(Limits(), False), (Limits(), True),
+                    (Limits(scan_limit=1), False), (Limits(scan_limit=1), True)]
+
+
+@pytest.mark.parametrize("spec,level", STABILIZER_CASES)
+def test_stabilizer_generators_fix_the_representative(spec, level):
+    cat = builtin_category(spec)
+    for limits, reverse in STABILIZER_MODES:
+        for o in orbits(cat, level, limits, reverse=reverse):
+            rep = o.rep
+            for g in o.stabilizer.generators:
+                assert _act_mors(cat, g, rep.objs, rep.mors) == rep.mors, (rep, g)
+
+
+@pytest.mark.parametrize("spec,level", STABILIZER_CASES)
+def test_stabilizer_of_a_chain_matches_its_orbit(spec, level):
+    cat = builtin_category(spec)
+    rng = random.Random(7)
+    for limits in (Limits(), Limits(scan_limit=1)):
+        for o in orbits(cat, level, limits):
+            # the representative and a random member of its orbit
+            alpha = [rng.choice(cat.aut_idx(x)) for x in o.rep.objs]
+            moved = Chain(cat, o.rep.objs, _act_mors(cat, alpha, o.rep.objs, o.rep.mors))
+            for chain in (o.rep, moved):
+                got = stabilizer(cat, chain, limits)
+                assert (got.order, got.policy) == (o.stabilizer.order, o.stabilizer.policy)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +334,7 @@ def test_stabilizer_tables_equal_per_pair_reference(spec, level, policies):
     for stab in stabs:
         els = stab.elements
         if els is None:
-            els = stab.generator_set().close(20000)
+            _, _, els = greedy_closure(stab.generators, stab.compose, stab.identity, stab.order)
         ref = table_from_elements(els, stab.compose)
         assert np.array_equal(stab.to_cayley_table(20000).table, ref.table), stab.objs
 

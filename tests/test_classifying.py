@@ -206,6 +206,24 @@ def test_face_degeneracy_ordinal1():
     assert rows["L1:a0_1"] == ("L0:0", "L0:1")
 
 
+def test_face_degeneracy_fails_on_a_wrong_component(monkeypatch):
+    # relabel the level-1 components so that the identity chain on each
+    # object is found in a component on another cell
+    real = cl.level_decomposition
+
+    def rotated(cat, n, limits=cl.DEFAULT_LIMITS):
+        d = real(cat, n, limits)
+        if n == 1:
+            reps = [c.representative for c in d.components]
+            for c, r in zip(d.components, reps[1:] + reps[:1]):
+                c.representative = r
+        return d
+
+    assert cl.face_degeneracy_report(fincat.ordinal(1)).ok
+    monkeypatch.setattr(cl, "level_decomposition", rotated)
+    assert not cl.face_degeneracy_report(fincat.ordinal(1)).ok
+
+
 def test_face_degeneracy_finset3():
     cat = finset.finset_skeleton(3)
     rep = cl.face_degeneracy_report(cat)

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 import subprocess
@@ -7,6 +8,12 @@ import pytest
 
 import cdiag
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(cdiag.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def run_capture(argv, capsys):
@@ -68,14 +75,41 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
 
 @pytest.mark.parametrize("module", ["cdiag", "cdiag.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = os.path.dirname(os.path.dirname(cdiag.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run(
         [sys.executable, "-m", module, "decompose", "--builtin", "finset:2", "--level", "1"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert "check orbit-stabilizer: pass" in done.stdout
+
+
+def test_validation_survives_python_dash_O():
+    script = (
+        "from cdiag import fincat\n"
+        "from cdiag.chains import Chain\n"
+        "from cdiag.fincat import CategoryError\n"
+        "from cdiag.finset import FiberProfile\n"
+        "cat = fincat.walking_arrow()\n"
+        "f, idx = cat.mor_index('f'), cat.mor_index('id_x')\n"
+        "for make in (lambda: Chain(cat, (0, 1, 1), (f, idx)),\n"
+        "             lambda: FiberProfile(n=1, m=1, k=(0, 2))):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except CategoryError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted')\n")
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
+def test_demo_runs(demo):
+    done = subprocess.run([sys.executable, demo], capture_output=True, text=True,
+                          env=_src_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -193,15 +193,3 @@ def test_oracle_diff_inj_2_3_stabilizer():
     orbs = [o for o in chains.orbits(sk, 1) if o.rep.object_ids == ("2", "3")]
     assert len(orbs) == 1
     assert orbs[0].size == 6 and orbs[0].stabilizer.order == 2
-
-
-def test_rooted_tree_round_trip():
-    from cdiag.finset import RootedTree2
-    p = FiberProfile(n=12, m=4, k=(0, 0, 2, 0, 2) + (0,) * 8)
-    tree = RootedTree2.from_profile(p)
-    assert tree.children_counts == (2, 2, 4, 4)
-    assert tree.display() == "Γ_{2,2} ∪ Γ_{4,2}"
-    assert tree.aut_order() == 9216
-    back = tree.profile()
-    assert back.n == 12 and back.m == 4 and back.k[:5] == (0, 0, 2, 0, 2)
-    assert tree.aut_expr().text() == "(S2 wr S2) x (S4 wr S2)"

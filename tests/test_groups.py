@@ -5,9 +5,9 @@ import pytest
 
 from cdiag import groups, modp
 from cdiag.groups import (CayleyTable, ClosureLimitExceeded, FieldAdditive,
-                          FieldUnits, GeneralLinear, GeneratorSet, GroupError,
-                          Product, Symmetric, Trivial, Wreath, are_isomorphic,
-                          close_elements, closure, cyclic_table, match_named,
+                          FieldUnits, GeneralLinear, GroupError, Product,
+                          Symmetric, Trivial, Wreath, are_isomorphic,
+                          cyclic_table, greedy_closure, match_named,
                           materialize, product_table, table_from_elements)
 
 
@@ -128,18 +128,21 @@ def test_element_orders_and_abelian():
 
 
 # ---------------------------------------------------------------------------
-# Closure
+# Greedy closure
+
+
+def closed_table(candidates, compose, identity, order):
+    _, _, els = greedy_closure(candidates, compose, identity, order)
+    return table_from_elements(els, compose)
 
 
 def test_closure_empty_generators():
-    gs = GeneratorSet(compose=lambda a, b: (a + b) % 5, identity=0, generators=[])
-    t = closure(gs)
+    t = closed_table([], lambda a, b: (a + b) % 5, 0, 1)
     assert t.n == 1
 
 
 def test_closure_single_generator_cyclic():
-    gs = GeneratorSet(compose=lambda a, b: (a + b) % 3, identity=0, generators=[1])
-    t = closure(gs)
+    t = closed_table([1], lambda a, b: (a + b) % 3, 0, 3)
     assert t.n == 3
     assert are_isomorphic(t, cyclic_table(3))
 
@@ -149,17 +152,41 @@ def test_closure_product_of_two_aut_groups():
     def comp(a, b):
         return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
 
-    gs = GeneratorSet(compose=comp, identity=(0, 0), generators=[(1, 0), (0, 1)])
-    t = closure(gs)
+    t = closed_table([(1, 0), (0, 1)], comp, (0, 0), 4)
     assert t.n == 4
     assert t.is_abelian()
 
 
 def test_closure_limit():
-    gs = GeneratorSet(compose=lambda a, b: (a + b) % 100, identity=0, generators=[1])
+    # the closure overshoots the stated order
     with pytest.raises(ClosureLimitExceeded) as err:
-        close_elements([1], gs.compose, 0, limit=10)
+        greedy_closure([1], lambda a, b: (a + b) % 100, 0, 10)
     assert err.value.reached == 11
+    # the closure reaches the stated order, but a later candidate lies outside
+    with pytest.raises(GroupError, match="outside the closure of 2 elements"):
+        greedy_closure([3, 1], lambda a, b: (a + b) % 6, 0, 2)
+
+
+def test_closure_stops_short_of_the_order():
+    with pytest.raises(GroupError, match="generate 3 elements, not 6"):
+        greedy_closure([2, 4], lambda a, b: (a + b) % 6, 0, 6)
+    with pytest.raises(GroupError, match="generate 1 elements, not 5"):
+        greedy_closure([], lambda a, b: (a + b) % 5, 0, 5)
+
+
+def test_greedy_closure_keeps_only_growing_candidates():
+    # Z/12: 4 generates {0,4,8}; 8 is already inside; 6 grows it to 6
+    # elements; 3 completes it; 1 is never reached
+    gens, sizes, els = greedy_closure([0, 4, 8, 6, 3, 1], lambda a, b: (a + b) % 12, 0, 12)
+    assert gens == [4, 6, 3]
+    assert sizes == [3, 6, 12]
+    assert els[0] == 0 and sorted(els) == list(range(12))
+
+
+def test_generating_sequence_is_unchanged():
+    assert materialize(Symmetric(4)).generating_sequence() == ([9, 10], [4, 24])
+    assert materialize(Wreath(Symmetric(2), 3)).generating_sequence() == \
+        ([9, 10, 7], [6, 24, 48])
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +407,8 @@ def test_match_named_products():
     label = match_named(t)
     assert label is not None
     # D6 of order 12 has several names; the matched label must reproduce it
-    rebuilt = dict(groups.named_candidates(12))[label]
+    atoms = {name: make for name, _, make in groups._ATOMS}
+    rebuilt = product_table([atoms[name]() for name in label.split(" x ")])
     assert are_isomorphic(t, rebuilt) is True
 
 
