@@ -11,6 +11,8 @@ the classifying diagram.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,30 +151,18 @@ def chain_count(cat: FiniteCategory, n: int) -> int:
     return sum(ways)
 
 
-def _chain_mors_iter(cat: FiniteCategory, n: int, allowed=None):
-    """Morphism-index tuples of n-chains, lexicographically ascending.
-    ``allowed`` optionally restricts which morphisms may appear."""
-    out_of = {}
-
-    def outgoing(x):
-        if x not in out_of:
-            ms = cat.morphisms_from_idx(x)
-            out_of[x] = [f for f in ms if allowed is None or f in allowed]
-        return out_of[x]
-
-    first = sorted(f for f in range(cat.n_morphisms)
-                   if allowed is None or f in allowed)
-
+def _chain_mors_iter(cat: FiniteCategory, n: int):
+    """Morphism-index tuples of n-chains, lexicographically ascending."""
     def rec(prefix, tail_obj, k):
         if k == 0:
             yield tuple(prefix)
             return
-        for f in outgoing(tail_obj):
+        for f in cat.morphisms_from_idx(tail_obj):
             prefix.append(f)
             yield from rec(prefix, cat.dst[f], k - 1)
             prefix.pop()
 
-    for f in first:
+    for f in range(cat.n_morphisms):
         yield from rec([f], cat.dst[f], n - 1)
 
 
@@ -289,127 +279,193 @@ def _coordinate_table(cat: FiniteCategory, x: int, auts_used) -> tuple:
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:
-    out = 1
-    for x in objs:
-        out *= len(cat.aut_idx(x))
-    return out
+    return math.prod(len(cat.aut_idx(x)) for x in objs)
 
 
-def _scan_stabilizer(cat, objs, mors) -> list:
-    """All automorphism tuples fixing the chain, in lexicographic order.
+def _tuple_action(cat: FiniteCategory, objs) -> tuple:
+    """(hom sets, strides, moves, labels) of the ladder action on the
+    chains of one object tuple.
 
-    Exhausts the ambient product coordinate by coordinate: alpha_i must
-    satisfy alpha_i . (f_i . alpha_{i-1}^-1) = f_i, so dead prefixes are
-    dropped as soon as they appear.
+    A chain is coded in mixed radix over the positions of its morphisms in
+    their hom sets, the first morphism most significant, so codes order the
+    chains lexicographically.  Each move maps every code to its image under
+    one generator of one Aut(x_i), in (i, generator) order, read from the
+    generator columns of the hom sets next to x_i.  Min-label propagation
+    with pointer jumping over the moves labels every chain with the least
+    code in its orbit.
     """
-    aut_lists = [cat.aut_idx(x) for x in objs]
-    hits = []
-    n = len(mors)
-
-    def rec(i, prefix):
-        if i == n + 1:
-            hits.append(tuple(prefix))
-            return
-        if i == 0:
-            for a in aut_lists[0]:
-                rec(1, [a])
-            return
-        h = cat.compose_idx(mors[i - 1], cat.inverse_idx(prefix[i - 1]))
-        f = mors[i - 1]
-        for a in aut_lists[i]:
-            if cat.compose_idx(a, h) == f:
-                prefix.append(a)
-                rec(i + 1, prefix)
-                prefix.pop()
-
-    rec(0, [])
-    return hits
-
-
-def _single_coordinate_moves(cat, objs):
-    """(coordinate, generator, ladder tuple) moves generating the product action."""
-    idt = [cat.identity_idx[x] for x in objs]
+    homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
+    radix = [len(h) for h in homs]
+    strides = [math.prod(radix[i + 1:]) for i in range(len(homs))]
+    codes = np.arange(math.prod(radix))
+    digits = [codes // s % r for s, r in zip(strides, radix)]
     moves = []
     for i, x in enumerate(objs):
-        for g in cat.aut_generators(x):
-            alpha = list(idt)
-            alpha[i] = g
-            moves.append(tuple(alpha))
-    return moves
+        for k in range(len(cat.aut_generators(x))):
+            img = codes.copy()
+            if i > 0:
+                left = cat.hom_columns(objs[i - 1], x)[0][k]
+                img += (left[digits[i - 1]] - digits[i - 1]) * strides[i - 1]
+            if i < len(homs):
+                right = cat.hom_columns(x, objs[i + 1])[1][k]
+                img += (right[digits[i]] - digits[i]) * strides[i]
+            moves.append(img)
+    labels = codes
+    while True:
+        new = labels
+        for img in moves:
+            new = np.minimum(new, new[img])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return homs, strides, moves, labels
+        labels = new
 
 
-def _orbit_bfs(cat, objs, seed_mors, with_transversal):
-    """Expand the ladder-action orbit of one chain on a fixed object tuple.
+def _decode(homs, strides, code) -> tuple:
+    return tuple(h[code // s % len(h)] for h, s in zip(homs, strides))
 
-    Returns (members set, Schreier generator list); the list is empty
-    unless ``with_transversal``.
-    """
-    moves = _single_coordinate_moves(cat, objs)
-    members = {seed_mors}
-    transversal = {seed_mors: tuple(cat.identity_idx[x] for x in objs)} if with_transversal else None
-    schreier = []
-    seen_schreier = set()
-    frontier = [seed_mors]
-    while frontier:
-        new = []
-        for mors in frontier:
-            for alpha in moves:
-                nxt = _act_mors(cat, alpha, objs, mors)
-                if nxt not in members:
-                    members.add(nxt)
-                    new.append(nxt)
-                    if with_transversal:
-                        u = transversal[mors]
-                        transversal[nxt] = tuple(
-                            cat.compose_idx(alpha[i], u[i]) for i in range(len(u)))
-                elif with_transversal:
-                    u = transversal[mors]
-                    v = transversal[nxt]
-                    gen = tuple(
-                        cat.compose_idx(
-                            cat.inverse_idx(v[i]),
-                            cat.compose_idx(alpha[i], u[i]))
-                        for i in range(len(u)))
-                    if gen not in seen_schreier:
-                        seen_schreier.add(gen)
-                        schreier.append(gen)
-        frontier = new
+
+def _encode(homs, strides, mors) -> int:
+    return sum(h.index(f) * s for h, f, s in zip(homs, mors, strides))
+
+
+def _orbit_search(cat, objs, moves, seed, with_transversal):
+    """Expand the orbit of the chain coded ``seed`` breadth first over the
+    moves, meeting (member, move) pairs member-major.  Returns (member
+    codes, Schreier generator list); the list is empty unless
+    ``with_transversal``.  Transversal and Schreier products are composed
+    coordinate-wise in the category."""
+    if not moves:
+        return [seed], []
+    idt = tuple(cat.identity_idx[x] for x in objs)
+    steps = [(i, g) for i, x in enumerate(objs) for g in cat.aut_generators(x)]
+    seen = np.zeros(len(moves[0]), dtype=bool)
+    seen[seed] = True
+    members, frontier = [seed], np.array([seed])
+    transversal, schreier, known = {seed: idt}, [], set()
+    while len(frontier):
+        images = np.stack([img[frontier] for img in moves], axis=1).ravel()
+        fresh, first = np.unique(images, return_index=True)
+        first = np.sort(first[~seen[fresh]])
+        seen[images[first]] = True
+        members += images[first].tolist()
+        if with_transversal:
+            tree, sources = set(first.tolist()), frontier.tolist()
+            for j, nxt in enumerate(images.tolist()):
+                i, g = steps[j % len(moves)]
+                u = transversal[sources[j // len(moves)]]
+                au = u[:i] + (cat.compose_idx(g, u[i]),) + u[i + 1:]
+                if j in tree:
+                    transversal[nxt] = au
+                    continue
+                gen = tuple(cat.compose_idx(cat.inverse_idx(v), w)
+                            for v, w in zip(transversal[nxt], au))
+                if gen not in known:
+                    known.add(gen)
+                    schreier.append(gen)
+        frontier = images[first]
     return members, schreier
 
 
-def _orbit_and_stabilizer(cat: FiniteCategory, objs, mors, limits: Limits):
-    """(orbit, stabilizer) of one chain on its object tuple.
+# The stabilizer scan takes seeds in blocks of about this many compared cells.
+_SCAN_CELLS = 1 << 20
 
-    The stabilizer is scanned directly when the ambient product fits
-    scan_limit, yielding the full element list; otherwise it keeps the
-    Schreier generators of the orbit search, and its order is the ambient
-    order divided by the orbit size.  Either way orbit size times order
-    must equal the ambient order.
+
+def _scan_stabilizers(cat, objs, homs, strides, seeds) -> list:
+    """For each chain coded in ``seeds``, every automorphism tuple fixing
+    it, in lexicographic order.
+
+    One vectorized pass over the full action tables of the tuple's hom
+    sets: a_0 runs over Aut(x_0), and a_i over the elements of Aut(x_i)
+    with a_i . h = f_i for h = f_i . a_{i-1}^-1, so dead prefixes drop out
+    coordinate by coordinate.
     """
+    auts = [np.array(cat.aut_idx(x)) for x in objs]
+    tables = [cat.hom_action_tables(x, y) for x, y in zip(objs, objs[1:])]
+    seeds = np.asarray(seeds, dtype=np.int64)
+    block = max(1, _SCAN_CELLS // _ambient_order(cat, objs))
+    out = []
+    for lo in range(0, len(seeds), block):
+        part = seeds[lo:lo + block]
+        which = np.repeat(np.arange(len(part)), len(auts[0]))
+        prefix = [np.tile(np.arange(len(auts[0])), len(part))]
+        for i, (left, right) in enumerate(tables):
+            f = (part // strides[i] % len(homs[i]))[which]
+            h = right[prefix[-1], f]
+            keep, a = np.nonzero(left[:, h].T == f[:, None])
+            which = which[keep]
+            prefix = [p[keep] for p in prefix] + [a]
+        els = np.stack([aut[p] for aut, p in zip(auts, prefix)], axis=1).tolist()
+        bounds = np.searchsorted(which, np.arange(len(part) + 1)).tolist()
+        out += [[tuple(a) for a in els[b:e]] for b, e in zip(bounds, bounds[1:])]
+    return out
+
+
+def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
+                          seeds=None, reverse: bool = False) -> list:
+    """[(chain morphisms, orbit size, stabilizer)] on one object tuple, for
+    the chains whose morphism tuples are ``seeds`` or, by default, for the
+    least chain of every orbit, in ascending order.
+
+    Orbits come from the labels of ``_tuple_action``.  The stabilizer is
+    scanned directly when the ambient product fits scan_limit, yielding the
+    full element list; otherwise it keeps the Schreier generators of a
+    breadth-first orbit search, whose member set must equal the labelled
+    orbit, and its order is the ambient order divided by the orbit size.
+    Either way orbit size times order must equal the ambient order.  With
+    ``reverse`` the search also runs from the greatest member of every
+    orbit, and its member set must equal the labelled orbit too.
+    """
+    homs, strides, moves, labels = _tuple_action(cat, objs)
+    seeds = (np.flatnonzero(labels == np.arange(len(labels))).tolist() if seeds is None
+             else [_encode(homs, strides, m) for m in seeds])
+    order = np.argsort(labels, kind="stable")
+    by_label = labels[order]
+    orbits_ = [order[np.searchsorted(by_label, labels[c]):
+                     np.searchsorted(by_label, labels[c], "right")].tolist() for c in seeds]
     ambient = _ambient_order(cat, objs)
-    transversal = ambient > limits.scan_limit
-    members, schreier = _orbit_bfs(cat, objs, mors, transversal)
     idt = tuple(cat.identity_idx[x] for x in objs)
-    if transversal:
-        if ambient % len(members):
-            raise CategoryError("orbit size does not divide the ambient group order")
-        gens = [g for g in schreier if g != idt]
-        stab = StabilizerGroup(cat, objs, ambient // len(members), gens, None, "transversal")
+    stabs = []
+    if ambient > limits.scan_limit:
+        for seed, orbit in zip(seeds, orbits_):
+            members, schreier = _orbit_search(cat, objs, moves, seed, True)
+            if sorted(members) != orbit:
+                raise CategoryError(f"orbit search from {_decode(homs, strides, seed)} "
+                                    "disagrees with the orbit labels")
+            if ambient % len(members):
+                raise CategoryError("orbit size does not divide the ambient group order")
+            stabs.append(StabilizerGroup(cat, objs, ambient // len(members),
+                                         [g for g in schreier if g != idt], None, "transversal"))
     else:
-        elements = _scan_stabilizer(cat, objs, mors)
-        gens = [a for a in elements if a != idt]
-        stab = StabilizerGroup(cat, objs, len(elements), gens, elements, "scan")
-    if len(members) * stab.order != ambient:
-        raise CategoryError(
-            f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
-            f"{len(members)} * {stab.order} != {ambient}")
-    return members, stab
+        for elements in _scan_stabilizers(cat, objs, homs, strides, seeds):
+            stabs.append(StabilizerGroup(cat, objs, len(elements),
+                                         [a for a in elements if a != idt], elements, "scan"))
+    out = []
+    for seed, orbit, stab in zip(seeds, orbits_, stabs):
+        mors = _decode(homs, strides, seed)
+        if len(orbit) * stab.order != ambient:
+            raise CategoryError(
+                f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
+                f"{len(orbit)} * {stab.order} != {ambient}")
+        if reverse and sorted(_orbit_search(cat, objs, moves, orbit[-1], False)[0]) != orbit:
+            raise CategoryError(f"orbits of {_decode(homs, strides, orbit[-1])} "
+                                f"and of its least member {mors} differ")
+        out.append((mors, len(orbit), stab))
+    return out
+
+
+def least_member(cat: FiniteCategory, chain: Chain) -> Chain:
+    """The lexicographically least chain in the orbit of ``chain`` on its
+    object tuple."""
+    homs, strides, _, labels = _tuple_action(cat, chain.objs)
+    return Chain(cat, chain.objs,
+                 _decode(homs, strides, int(labels[_encode(homs, strides, chain.mors)])))
 
 
 def stabilizer(cat: FiniteCategory, chain: Chain,
                limits: Limits = DEFAULT_LIMITS) -> StabilizerGroup:
     """Stabilizer of a chain under the ladder action of Aut(x_0) x ... x Aut(x_n)."""
-    return _orbit_and_stabilizer(cat, chain.objs, chain.mors, limits)[1]
+    return _orbit_and_stabilizer(cat, chain.objs, limits, [chain.mors])[0][2]
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +517,14 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
            reverse: bool = False) -> list:
     """All components of level n with representatives and stabilizers.
 
-    Object tuples are first reduced to isomorphism-class representatives;
-    within a representative tuple the ladder action is expanded breadth
-    first over single-coordinate automorphism generator moves.
-    Representatives are the lexicographically least chains on their tuple
-    (by morphism index), so the output is independent of enumeration order.
+    Object tuples are first reduced to isomorphism-class representatives,
+    taken in ascending order.  On each tuple the chains are labelled with
+    the least chain of their orbit by min-label propagation over the
+    single-coordinate generator moves (``_tuple_action``), and every orbit
+    gets its stabilizer from ``_orbit_and_stabilizer``.  Representatives are
+    the lexicographically least chains on their tuple (by morphism index),
+    so the output does not depend on enumeration order; ``reverse`` checks
+    that by also searching every orbit from its greatest member.
     """
     _check_level(n)
     if n == 0:
@@ -477,42 +536,16 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
             f"{total} chains at level {n} exceeds chain_limit {limits.chain_limit}")
 
     classes = object_iso_classes(cat)
-    class_size = {}
-    rep_objects = set()
-    for cls in classes:
-        rep_objects.add(cls.rep)
-        for x in cls.members:
-            class_size[x] = len(cls.members)
-
-    allowed = {f for f in range(cat.n_morphisms)
-               if cat.src[f] in rep_objects and cat.dst[f] in rep_objects}
-
-    seeds = list(_chain_mors_iter(cat, n, allowed=allowed))
-    if reverse:
-        seeds = seeds[::-1]
-
-    visited = set()
+    class_size = {x: len(cls.members) for cls in classes for x in cls.members}
     out = []
-    for seed in seeds:
-        if seed in visited:
+    for objs in itertools.product([cls.rep for cls in classes], repeat=n + 1):
+        if not all(cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])):
             continue
-        objs = (cat.src[seed[0]],) + tuple(cat.dst[f] for f in seed)
-        members, stab = _orbit_and_stabilizer(cat, objs, seed, limits)
-        rep_mors = min(members)
-        if rep_mors != seed:
-            rep_members, stab = _orbit_and_stabilizer(cat, objs, rep_mors, limits)
-            if rep_members != members:
-                raise CategoryError(
-                    f"orbits of {seed} and of its least member {rep_mors} differ")
-        visited |= members
-        mult = 1
-        for x in objs:
-            mult *= class_size[x]
-        out.append(Orbit(rep=Chain(cat, objs, rep_mors), size=len(members) * mult,
-                         rep_fiber_size=len(members),
-                         ambient_order=_ambient_order(cat, objs), stabilizer=stab))
-
-    out.sort(key=lambda o: (o.rep.objs, o.rep.mors))
+        mult = math.prod(class_size[x] for x in objs)
+        for mors, size, stab in _orbit_and_stabilizer(cat, objs, limits, reverse=reverse):
+            out.append(Orbit(rep=Chain(cat, objs, mors), size=size * mult,
+                             rep_fiber_size=size, ambient_order=_ambient_order(cat, objs),
+                             stabilizer=stab))
     if sum(o.size for o in out) != total:
         raise CategoryError("orbit sizes do not sum to the chain count")
     return out

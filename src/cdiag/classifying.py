@@ -458,9 +458,7 @@ def component_of_chain(cat: FiniteCategory, decomp: Decomposition,
             if c.representative == target:
                 return c
         raise CategoryError("object not covered by the decomposition")
-    members, _ = chains_mod._orbit_bfs(cat, chain.objs, chain.mors, False)
-    rep = min(members)
-    rep_ids = tuple(cat.mor_ids[f] for f in rep)
+    rep_ids = chains_mod.least_member(cat, chain).morphism_ids
     for c in decomp.components:
         if c.representative == rep_ids:
             return c

@@ -104,7 +104,9 @@ class FiniteCategory:
         self._inv = {}
         self._aut = {}
         self._aut_gens = {}
+        self._aut_words = {}
         self._aut_table = {}
+        self._hom_columns = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -224,6 +226,68 @@ class FiniteCategory:
                 auts, self.compose_idx, self.identity_idx[oi], len(auts))[0]
         return self._aut_gens[oi]
 
+    def aut_words(self, oi: int) -> list:
+        """Every automorphism of x as a word in ``aut_generators(oi)``:
+        (element, parent, generator) triples in breadth-first order from the
+        identity, (identity, -1, -1), each element the parent after that
+        generator, elements and parents as ranks in ``aut_idx(oi)``.
+        Computed on the first call and kept; raises CategoryError unless
+        the words reach all of Aut(x)."""
+        if oi not in self._aut_words:
+            auts, gens = self.aut_idx(oi), self.aut_generators(oi)
+            rank = {a: r for r, a in enumerate(auts)}
+            queue = [self.identity_idx[oi]]
+            words = {queue[0]: (-1, -1)}
+            for a in queue:
+                for k, g in enumerate(gens):
+                    b = self.compose_idx(a, g)
+                    if b not in words:
+                        words[b] = (rank[a], k)
+                        queue.append(b)
+            if len(words) != len(auts):
+                raise CategoryError(
+                    f"the generators of Aut({self.objects[oi]}) reach {len(words)} "
+                    f"of its {len(auts)} elements")
+            self._aut_words[oi] = [(rank[b], p, k) for b, (p, k) in words.items()]
+        return self._aut_words[oi]
+
+    def _word_rows(self, oi: int, columns: np.ndarray) -> np.ndarray:
+        """The action table of Aut(x) whose generators act by ``columns``:
+        row a holds the images under a, rows in ``aut_idx`` order, built
+        along the words as row(a . g) = row(a)[column(g)]."""
+        words = self.aut_words(oi)
+        rows = np.empty((len(words), columns.shape[1]), dtype=columns.dtype)
+        rows[words[0][0]] = np.arange(columns.shape[1])
+        for a, p, k in words[1:]:
+            rows[a] = rows[p][columns[k]]
+        return rows
+
+    def hom_columns(self, si: int, di: int) -> tuple:
+        """Generator columns of Hom(x, y) as arrays of positions in
+        ``hom_idx(si, di)``: (left, right), where left[k, p] is the position
+        of g . f_p for the k-th generator g of Aut(y) and right[k, p] that
+        of f_p . g^-1 for the k-th generator g of Aut(x).  The dtype is the
+        smallest that holds a position.  Computed on the first call and kept."""
+        key = (si, di)
+        if key not in self._hom_columns:
+            hom = self.hom_idx(si, di)
+            pos = {f: p for p, f in enumerate(hom)}
+            dtype = np.min_scalar_type(max(len(hom) - 1, 0))
+            left = [[pos[self.compose_idx(g, f)] for f in hom]
+                    for g in self.aut_generators(di)]
+            right = [[pos[self.compose_idx(f, self.inverse_idx(g))] for f in hom]
+                     for g in self.aut_generators(si)]
+            self._hom_columns[key] = tuple(np.array(c, dtype=dtype).reshape(len(c), len(hom))
+                                           for c in (left, right))
+        return self._hom_columns[key]
+
+    def hom_action_tables(self, si: int, di: int) -> tuple:
+        """(left, right) action tables of Hom(x, y), not kept: left[a, p] is
+        the position of a . f_p for the a-th element of Aut(y), right[a, p]
+        that of f_p . a^-1 for the a-th element of Aut(x)."""
+        left, right = self.hom_columns(si, di)
+        return self._word_rows(di, left), self._word_rows(si, right)
+
     def aut_subtable(self, oi: int, positions) -> np.ndarray:
         """Cayley table of the automorphisms at ``positions`` (distinct) in
         ``aut_idx(oi)``: entry (i, j) is the rank in ``positions`` of the
@@ -239,10 +303,15 @@ class FiniteCategory:
         return np.array(table, dtype=np.int64).reshape(len(used), len(used))
 
     def aut_table(self, oi: int) -> np.ndarray:
-        """``aut_subtable`` of the whole of Aut(x), computed on the first
-        call and kept."""
+        """The Cayley table of Aut(x) in ``aut_idx`` order, built along the
+        words from the left action of each generator on Aut(x), computed on
+        the first call and kept."""
         if oi not in self._aut_table:
-            table = self.aut_subtable(oi, range(len(self.aut_idx(oi))))
+            auts = self.aut_idx(oi)
+            rank = {a: r for r, a in enumerate(auts)}
+            columns = [[rank[self.compose_idx(g, a)] for a in auts]
+                       for g in self.aut_generators(oi)]
+            table = self._word_rows(oi, np.array(columns, dtype=np.int64).reshape(-1, len(auts)))
             table.setflags(write=False)
             self._aut_table[oi] = table
         return self._aut_table[oi]

@@ -28,14 +28,9 @@ def identity(n: int) -> tuple:
 
 def mul(a: tuple, b: tuple, p: int) -> tuple:
     """Product a*b mod p; a is r x k, b is k x c."""
-    if not a or not b:
-        # one factor has zero rows/cols; result shape is rows(a) x cols(b)
-        rows = len(a)
-        cols = len(b[0]) if b else 0
-        return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
-    k = len(b)
-    assert all(len(row) == k for row in a), "shape mismatch"
-    cols = len(b[0])
+    k, cols = len(b), len(b[0]) if b else 0
+    if any(len(row) != k for row in a) or any(len(row) != cols for row in b):
+        raise ValueError("matrix shapes do not match for a product")
     return tuple(
         tuple(sum(row[t] * b[t][j] for t in range(k)) % p for j in range(cols))
         for row in a
@@ -101,7 +96,8 @@ def general_linear(n: int, p: int) -> list:
 
 
 def primitive_root(p: int) -> int:
-    assert is_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p == 2:
         return 1
     for g in range(2, p):
@@ -111,7 +107,7 @@ def primitive_root(p: int) -> int:
             seen.add(x)
         if len(seen) == p - 1:
             return g
-    raise AssertionError("no primitive root found")
+    raise ValueError(f"no primitive root mod {p}")
 
 
 def gl_generators(n: int, p: int) -> list:

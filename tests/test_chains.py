@@ -4,10 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from cdiag import fincat, finset, finvect
+from cdiag import chains, fincat, finset, finvect
 from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, StabilizerGroup,
                           _act_mors, act, chain_count, enumerate_chains,
-                          iso_classes_of_objects, orbits, stabilizer)
+                          iso_classes_of_objects, least_member, orbits, stabilizer)
 from cdiag.cli import builtin_category
 from cdiag.fincat import CategoryError
 from cdiag.groups import GroupError, greedy_closure, table_from_elements
@@ -353,3 +353,91 @@ def test_stabilizer_table_rejects_a_set_that_is_not_closed(s3_category):
     large = StabilizerGroup(cat, (0, 0), 5, pairs, pairs, "scan")
     with pytest.raises(GroupError, match="not closed"):
         large.to_cayley_table(20000)
+
+
+def test_reversed_orbit_search_catches_a_lost_move(monkeypatch):
+    # Keep only the first generator move after labelling: the labels still
+    # give the right orbits, so only the search from each orbit's greatest
+    # member, run under reverse=True, can see that the moves are wrong.
+    cat = builtin_category("group:S3")
+    real = chains._tuple_action
+
+    def lossy(cat, objs):
+        homs, strides, moves, labels = real(cat, objs)
+        return homs, strides, moves[:1], labels
+
+    monkeypatch.setattr(chains, "_tuple_action", lossy)
+    orbits(cat, 1)
+    with pytest.raises(CategoryError, match="differ"):
+        orbits(cat, 1, reverse=True)
+
+
+def test_least_member_is_the_orbit_representative():
+    cat = builtin_category("vect:2:2")
+    rng = random.Random(3)
+    for o in orbits(cat, 2):
+        alpha = [rng.choice(cat.aut_idx(x)) for x in o.rep.objs]
+        moved = Chain(cat, o.rep.objs, _act_mors(cat, alpha, o.rep.objs, o.rep.mors))
+        assert least_member(cat, moved) == o.rep
+
+
+# ---------------------------------------------------------------------------
+# Aut(x) action arrays
+
+
+ACTION_CATEGORIES = ["ordinal:2", "iso-interval", "group:S3", "mixed", "finset:3",
+                     "vect:2:2", "delta:2", "op(finset:3)"]
+
+
+def _category(spec):
+    if spec == "mixed":
+        return fincat.from_catdef(MIXED_CLASS_CATDEF, name="mixed")
+    if spec == "op(finset:3)":
+        return finset.finset_skeleton(3).opposite()
+    return builtin_category(spec)
+
+
+@pytest.mark.parametrize("spec", ACTION_CATEGORIES)
+def test_action_arrays_equal_per_pair_reference(spec):
+    cat = _category(spec)
+
+    def after(a, f):
+        return cat.compose_idx(a, f)
+
+    def before_inverse(a, f):
+        return cat.compose_idx(f, cat.inverse_idx(a))
+
+    def ref(hom, auts, action):
+        pos = {f: p for p, f in enumerate(hom)}
+        return np.array([[pos[action(a, f)] for f in hom] for a in auts],
+                        dtype=np.int64).reshape(len(auts), len(hom))
+
+    for x in range(cat.n_objects):
+        words = cat.aut_words(x)
+        auts, gens = cat.aut_idx(x), cat.aut_generators(x)
+        assert sorted(a for a, _, _ in words) == list(range(len(auts)))
+        assert words[0] == (auts.index(cat.identity_idx[x]), -1, -1)
+        for a, p, k in words[1:]:
+            assert cat.compose_idx(auts[p], gens[k]) == auts[a]
+        assert np.array_equal(cat.aut_table(x), table_from_elements(auts, cat.compose_idx).table)
+        for y in range(cat.n_objects):
+            hom = cat.hom_idx(x, y)
+            if not hom:
+                continue
+            left, right = cat.hom_columns(x, y)
+            assert np.array_equal(left, ref(hom, cat.aut_generators(y), after))
+            assert np.array_equal(right, ref(hom, cat.aut_generators(x), before_inverse))
+            assert left.dtype == right.dtype == np.min_scalar_type(len(hom) - 1)
+            full_left, full_right = cat.hom_action_tables(x, y)
+            assert np.array_equal(full_left, ref(hom, cat.aut_idx(y), after))
+            assert np.array_equal(full_right, ref(hom, cat.aut_idx(x), before_inverse))
+
+
+def test_words_from_too_few_generators_raise():
+    cat = builtin_category("group:S3")
+    involution = next(a for a in cat.aut_idx(0)
+                      if a != cat.identity_idx[0]
+                      and cat.compose_idx(a, a) == cat.identity_idx[0])
+    cat._aut_gens[0] = [involution]
+    with pytest.raises(CategoryError, match="reach 2 of its 6"):
+        cat.aut_words(0)

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,15 @@ def test_validation_survives_python_dash_O():
         "    try:\n"
         "        make()\n"
         "    except CategoryError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted')\n"
+        "from cdiag import modp\n"
+        "for make in (lambda: modp.mul(((1, 1, 1),), ((1,), (1,)), 5),\n"
+        "             lambda: modp.mul(((1, 1),), ((1,), (1, 0)), 5),\n"
+        "             lambda: modp.primitive_root(4)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
         "        continue\n"
         "    raise SystemExit('accepted')\n")
     done = subprocess.run([sys.executable, "-O", "-c", script],
@@ -241,6 +251,38 @@ check size-sum: pass (6 chains at level 1)"""
 def test_golden_body_ordinal2(capsys):
     _, out = run_capture(["decompose", "--builtin", "ordinal:2", "--level", "1"], capsys)
     assert "\n".join(body_lines(out)).strip() == GOLDEN_ORDINAL2_LEVEL1
+
+
+# SHA-256 of the report body (every line not starting with #), pinned from
+# the engine before orbits and stabilizers moved onto action arrays.
+PINNED_BODIES = [
+    (("decompose", "--builtin", "vect:2:2", "--level", "2"),
+     "543614cad04ac01a07e4474b37964fe755703748bf9b6afbde7472a92489380f",
+     "56a77412981def14ab4a433a46f52eb3baabba6c426f7b75148f22099b7e6ca6"),
+    (("decompose", "--builtin", "vect:2:2", "--level", "2", "--scan-limit", "1"),
+     "543614cad04ac01a07e4474b37964fe755703748bf9b6afbde7472a92489380f",
+     "70fa63fc78707b4c267ef499fadf55862c44cd08cde6853f67c2b9842c6e9753"),
+    (("decompose", "--builtin", "finset:3", "--level", "1"),
+     "f29ee674e5fa11e0350258eacce3ab2e46ec1330ae3e42e069a1b40f8c9abace",
+     "71ae9582284be48bdb13fccc8ba22a288cf6ef5362bf78440d2a7a3b595efd60"),
+    (("decompose", "--builtin", "iso-interval", "--level", "2"),
+     "41252e2c8905e2b86c6ea290bb0126acbdbf21431f08b303de82aaedefd25ec3",
+     "04596f14a7f3f6aa3f94af529abeb811577c9f11b17aedfcb6b688e3afd3ad6b"),
+    (("decompose", "--builtin", "delta:2", "--level", "2"),
+     "010c7e45506d15640f134f5ccd2e1889d9e195444b65c29c3b730c48541eb1e7",
+     "06e1ed98ef7e60cdd220b472b843faa0997c34898f4a9f1a717d8557e5988b58"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,text_sha,json_sha", PINNED_BODIES,
+                         ids=[" ".join(p[0][2:]) for p in PINNED_BODIES])
+def test_pinned_report_body(argv, text_sha, json_sha, fmt, capsys):
+    code, out = run_capture(list(argv) + ["--format", fmt], capsys)
+    assert code == 0
+    body = "".join(line + "\n" for line in body_lines(out))
+    pinned = text_sha if fmt == "text" else json_sha
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == pinned
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,0 +1,109 @@
+"""orbits() against a naive reference on random small categories.
+
+The reference applies every element of Aut(x_0) x ... x Aut(x_n) through
+``act`` to every chain on each tuple of class representatives: no
+generators, no breadth-first search and no action arrays.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdiag import fincat, finset, finvect, groups
+from cdiag.chains import Chain, act, orbits
+from cdiag.fincat import FiniteCategory, object_iso_classes
+from cdiag.limits import Limits
+
+BASES = {"finset:3": finset.finset_skeleton(3), "vect:2:2": finvect.vect_skeleton(2, 2)}
+GROUP_TABLES = [groups.cyclic_table(n).table for n in range(1, 7)] + [
+    groups.product_table([groups.cyclic_table(2), groups.cyclic_table(2)]).table,
+    groups.product_table([groups.cyclic_table(2), groups.cyclic_table(3)]).table,
+]
+
+
+def full_subcategory(cat: FiniteCategory, objs) -> FiniteCategory:
+    keep = [f for f in range(cat.n_morphisms) if cat.src[f] in objs and cat.dst[f] in objs]
+    table = {(cat.mor_ids[g], cat.mor_ids[f]): cat.mor_ids[cat.compose_idx(g, f)]
+             for f in keep for g in keep if cat.dst[f] == cat.src[g]}
+    return FiniteCategory(
+        [cat.objects[x] for x in objs],
+        [(cat.mor_ids[f], cat.objects[cat.src[f]], cat.objects[cat.dst[f]]) for f in keep],
+        {cat.objects[x]: cat.mor_ids[cat.identity_idx[x]] for x in objs}, table)
+
+
+def relabelled_group(table, perm) -> FiniteCategory:
+    """The group of ``table`` with element i renamed perm[i]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = perm[int(table[i][j])]
+    return fincat.one_object_group(out)
+
+
+def catdef_round_trip(cat: FiniteCategory) -> FiniteCategory:
+    """Write the category as CATDEF text with fresh names and parse it back."""
+    obj = {x: f"o{x}" for x in range(cat.n_objects)}
+    name = {f: f"m{f}" for f in range(cat.n_morphisms)}
+    name.update({cat.identity_idx[x]: f"id_o{x}" for x in range(cat.n_objects)})
+    lines = [f"object {obj[x]}" for x in range(cat.n_objects)]
+    lines += [f"mor {name[f]} : {obj[cat.src[f]]} -> {obj[cat.dst[f]]}"
+              for f in range(cat.n_morphisms) if not cat.is_identity_idx(f)]
+    lines += [f"compose {name[g]} {name[f]} = {name[cat.compose_idx(g, f)]}"
+              for f in range(cat.n_morphisms) for g in cat.morphisms_from_idx(cat.dst[f])]
+    return fincat.from_catdef("\n".join(lines))
+
+
+@st.composite
+def small_categories(draw):
+    kind = draw(st.sampled_from(["sub", "group"]))
+    if kind == "sub":
+        base = BASES[draw(st.sampled_from(sorted(BASES)))]
+        objs = draw(st.sets(st.integers(0, base.n_objects - 1), min_size=1))
+        cat = full_subcategory(base, sorted(objs))
+    else:
+        table = draw(st.sampled_from(GROUP_TABLES))
+        cat = relabelled_group(table, draw(st.permutations(range(len(table)))))
+    if draw(st.booleans()):
+        cat = catdef_round_trip(cat)
+    return draw(st.sampled_from([lambda c: c, FiniteCategory.opposite,
+                                 fincat.maximal_subgroupoid]))(cat)
+
+
+def naive_orbits(cat: FiniteCategory, n: int) -> list:
+    """(objects, representative, orbit size, stabilizer elements) per orbit."""
+    out = []
+    for objs in itertools.product([c.rep for c in object_iso_classes(cat)], repeat=n + 1):
+        ambient = list(itertools.product(*(cat.aut_idx(x) for x in objs)))
+        homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
+        seen = set()
+        for mors in itertools.product(*homs):
+            if mors in seen:
+                continue
+            chain = Chain(cat, objs, mors)
+            images, fixing = set(), []
+            for alpha in ambient:
+                image = act([cat.mor_ids[a] for a in alpha], chain)
+                images.add(image.mors)
+                if image == chain:
+                    fixing.append(alpha)
+            seen |= images
+            out.append((objs, mors, len(images), fixing))
+    return out
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_categories())
+def test_orbits_match_the_naive_reference(cat):
+    for n in (1, 2):
+        expected = naive_orbits(cat, n)
+        for limits in (Limits(), Limits(scan_limit=1)):
+            got = orbits(cat, n, limits)
+            assert ([(o.rep.objs, o.rep.mors, o.rep_fiber_size, o.stabilizer.order)
+                     for o in got]
+                    == [(objs, mors, size, len(fixing))
+                        for objs, mors, size, fixing in expected])
+            for o, (_, _, _, fixing) in zip(got, expected):
+                if o.stabilizer.policy == "scan":
+                    assert o.stabilizer.elements == fixing
