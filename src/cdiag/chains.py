@@ -244,38 +244,22 @@ class StabilizerGroup:
     def to_cayley_table(self, table_limit: int) -> CayleyTable:
         """The scanned elements, or the greedy closure of the Schreier
         generators to ``order``, multiplied coordinate-wise in the Cayley
-        tables of the Aut(x_i).  The closure raises GroupError unless the
-        generators give exactly ``order`` elements."""
+        tables of the Aut(x_i) (``FiniteCategory.aut_table``).  The closure
+        raises GroupError unless the generators give exactly ``order``
+        elements, and the table unless the elements are closed."""
         els = self.elements
         if els is None:
             if self.order > table_limit:
                 raise ClosureLimitExceeded(table_limit, self.order)
             els = greedy_closure(self.generators, self.compose, self.identity, self.order)[2]
         els = np.array(els, dtype=np.int64).reshape(len(els), len(self.objs))
-        tables, coords = zip(*(_coordinate_table(self.cat, x, els[:, i])
-                               for i, x in enumerate(self.objs)))
-        return table_in_product(tables, np.stack(coords, axis=1), label="stabilizer")
+        coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
+                  for i, x in enumerate(self.objs)]
+        return table_in_product([self.cat.aut_table(x) for x in self.objs],
+                                np.stack(coords, axis=1), label="stabilizer")
 
     def generator_ids(self) -> list:
         return [tuple(self.cat.mor_ids[a] for a in alpha) for alpha in self.generators]
-
-
-def _coordinate_table(cat: FiniteCategory, x: int, auts_used) -> tuple:
-    """(table, coordinates) of one coordinate of a set of automorphism
-    tuples, ``auts_used`` holding its automorphism of x in each element.
-
-    The whole of Aut(x) is tabled, once per object, when it has no more
-    elements than the set; its composites then cost no more than the set's
-    own table, and later sets reuse them.  Otherwise only the automorphisms
-    in use are tabled, which keeps a small stabilizer inside a large Aut(x)
-    from paying |Aut(x)|^2.
-    """
-    auts = cat.aut_idx(x)
-    positions = np.searchsorted(auts, auts_used)
-    if len(auts) <= len(auts_used):
-        return cat.aut_table(x), positions
-    used, coords = np.unique(positions, return_inverse=True)
-    return cat.aut_subtable(x, used.tolist()), coords
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:

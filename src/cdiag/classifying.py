@@ -214,10 +214,6 @@ class CompletenessReport:
         return self.verdict
 
 
-def _aut_table(cat: FiniteCategory, oi: int) -> CayleyTable:
-    return CayleyTable(cat.aut_table(oi), label=f"Aut({cat.objects[oi]})")
-
-
 def completeness_check(cat: FiniteCategory,
                        limits: Limits = DEFAULT_LIMITS) -> CompletenessReport:
     """Compare the class/automorphism invariants of the maximal subgroupoid
@@ -249,8 +245,9 @@ def completeness_check(cat: FiniteCategory,
             detail.append(f"order {order_key}: order-only (above iso_limit)")
             continue
         policy = "aut-order multiset + group isomorphism"
-        ta = [_aut_table(cat, o.rep.objs[0]) for o in buckets_a[order_key]]
-        tb = [_aut_table(gpd, o.rep.objs[0]) for o in buckets_b[order_key]]
+        ta, tb = ([CayleyTable(o.rep.cat.aut_table(o.rep.objs[0]),
+                               label=f"Aut({o.rep.object_ids[0]})") for o in b[order_key]]
+                  for b in (buckets_a, buckets_b))
         if not _match_tables(ta, tb, limits.iso_limit):
             verdict = False
             detail.append(f"order {order_key}: no isomorphism matching")
@@ -377,14 +374,13 @@ MAX_NERVE_TRUNCATION = 4
 
 
 def nerve_truncation(gpd: FiniteCategory, truncation: int,
-                     limits: Limits = DEFAULT_LIMITS,
-                     max_truncation: int = MAX_NERVE_TRUNCATION) -> TruncatedSimplicialSet:
+                     limits: Limits = DEFAULT_LIMITS) -> TruncatedSimplicialSet:
     """Levels 0..truncation of the nerve of a groupoid, with explicit face
     and degeneracy maps, simplicial identities verified by the caller via
     ``check_simplicial_identities``."""
-    if not 0 <= truncation <= max_truncation:
+    if not 0 <= truncation <= MAX_NERVE_TRUNCATION:
         raise CategoryError(
-            f"truncation must be between 0 and {max_truncation}, got {truncation}")
+            f"truncation must be between 0 and {MAX_NERVE_TRUNCATION}, got {truncation}")
     for f in range(gpd.n_morphisms):
         if gpd.inverse_idx(f) is None:
             raise CategoryError(

@@ -9,6 +9,7 @@ golden comparisons should ignore them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +33,10 @@ ACCEPTANCE_SUITE = (
     "group:S2", "group:S3", "group:C4",
     "delta:2", "finset:3", "vect:2:2", "vect:1:3",
 )
+
+# The limit names, in declaration order: CDIAG_LIMITS keys, --<name> flags
+# (underscores as dashes) and the keys of the report's config.limits.
+_LIMIT_NAMES = tuple(f.name for f in dataclasses.fields(Limits))
 
 
 def builtin_category(spec: str) -> FiniteCategory:
@@ -89,16 +94,11 @@ def _resolve_limits(args) -> Limits:
             if "=" not in pair:
                 raise CategoryError(f"bad CDIAG_LIMITS entry {pair!r}")
             k, v = pair.split("=", 1)
-            if k not in ("chain_limit", "scan_limit", "table_limit", "iso_limit"):
+            if k not in _LIMIT_NAMES:
                 raise CategoryError(f"unknown limit {k!r} in CDIAG_LIMITS")
             overrides[k] = int(v)
         limits = limits.with_overrides(**overrides)
-    return limits.with_overrides(
-        chain_limit=getattr(args, "chain_limit", None),
-        scan_limit=getattr(args, "scan_limit", None),
-        table_limit=getattr(args, "table_limit", None),
-        iso_limit=getattr(args, "iso_limit", None),
-    )
+    return limits.with_overrides(**{k: getattr(args, k, None) for k in _LIMIT_NAMES})
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +308,8 @@ def _add_common(p, category=True):
         p.add_argument("--file", help="CATDEF input file")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", help="write the report to a file instead of stdout")
-    p.add_argument("--chain-limit", type=int, dest="chain_limit")
-    p.add_argument("--scan-limit", type=int, dest="scan_limit")
-    p.add_argument("--table-limit", type=int, dest="table_limit")
-    p.add_argument("--iso-limit", type=int, dest="iso_limit")
+    for k in _LIMIT_NAMES:
+        p.add_argument("--" + k.replace("_", "-"), type=int, dest=k)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,15 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_dict(args, limits: Limits) -> dict:
-    skip = {"handler", "command", "format", "output",
-            "chain_limit", "scan_limit", "table_limit", "iso_limit"}
+    skip = {"handler", "command", "format", "output", *_LIMIT_NAMES}
     cfg = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-    cfg["limits"] = {
-        "chain_limit": limits.chain_limit,
-        "scan_limit": limits.scan_limit,
-        "table_limit": limits.table_limit,
-        "iso_limit": limits.iso_limit,
-    }
+    cfg["limits"] = {k: getattr(limits, k) for k in _LIMIT_NAMES}
     return cfg
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import CayleyTable, GroupError, greedy_closure
+from .groups import CayleyTable, greedy_closure
 
 
 class CategoryError(Exception):
@@ -288,30 +288,18 @@ class FiniteCategory:
         left, right = self.hom_columns(si, di)
         return self._word_rows(di, left), self._word_rows(si, right)
 
-    def aut_subtable(self, oi: int, positions) -> np.ndarray:
-        """Cayley table of the automorphisms at ``positions`` (distinct) in
-        ``aut_idx(oi)``: entry (i, j) is the rank in ``positions`` of the
-        i-th after the j-th.  Raises GroupError when a composite falls
-        outside the set."""
-        auts = self.aut_idx(oi)
-        used = [auts[p] for p in positions]
-        rank = {a: r for r, a in enumerate(used)}
-        try:
-            table = [[rank[self.compose_idx(a, b)] for b in used] for a in used]
-        except KeyError:
-            raise GroupError("element set is not closed under the product") from None
-        return np.array(table, dtype=np.int64).reshape(len(used), len(used))
-
     def aut_table(self, oi: int) -> np.ndarray:
-        """The Cayley table of Aut(x) in ``aut_idx`` order, built along the
-        words from the left action of each generator on Aut(x), computed on
-        the first call and kept."""
+        """The read-only Cayley table of Aut(x) in ``aut_idx`` order, built
+        along the words from the left action of each generator on Aut(x), in
+        the smallest integer dtype that holds a rank.  Computed on the first
+        call and kept."""
         if oi not in self._aut_table:
             auts = self.aut_idx(oi)
             rank = {a: r for r, a in enumerate(auts)}
             columns = [[rank[self.compose_idx(g, a)] for a in auts]
                        for g in self.aut_generators(oi)]
-            table = self._word_rows(oi, np.array(columns, dtype=np.int64).reshape(-1, len(auts)))
+            dtype = np.min_scalar_type(len(auts) - 1)
+            table = self._word_rows(oi, np.array(columns, dtype=dtype).reshape(-1, len(auts)))
             table.setflags(write=False)
             self._aut_table[oi] = table
         return self._aut_table[oi]

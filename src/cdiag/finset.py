@@ -119,15 +119,14 @@ def enumerate_profiles(n: int, m: int, variant: str = "all") -> list:
 # Skeleton construction
 
 
-def finset_skeleton(max_card: int, variant: str = "all",
-                    bound: int = DEFAULT_MAX_CARD) -> FiniteCategory:
+def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
     """Skeleton on the sets {0, ..., c-1} for c = 0..max_card; morphisms are
     all functions, encoded as target-index tuples.  Functions out of the
     empty set exist (exactly one per target); functions into it from a
     nonempty set do not."""
     _check_variant(variant)
-    if not 0 <= max_card <= bound:
-        raise CategoryError(f"max_card {max_card} outside 0..{bound}")
+    if not 0 <= max_card <= DEFAULT_MAX_CARD:
+        raise CategoryError(f"max_card {max_card} outside 0..{DEFAULT_MAX_CARD}")
     objects = [str(c) for c in range(max_card + 1)]
     payloads, morphisms = [], []
     for n in range(max_card + 1):

@@ -95,6 +95,8 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
     if max_dim < 0:
         raise CategoryError(f"max_dim must be at least 0, got {max_dim}")
     objects = [str(d) for d in range(max_dim + 1)]
+    # entries above 9 need a separator: (1, 10) and (11, 0) would both read 110
+    sep = "_" if q > 10 else ""
     payloads, morphisms = [], []
     for n in range(max_dim + 1):
         for m in range(max_dim + 1):
@@ -103,7 +105,7 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
                 if n == m and rows == modp.identity(n):
                     mid = f"id_{n}"
                 else:
-                    flat = "".join(str(v) for row in rows for v in row)
+                    flat = sep.join(str(v) for row in rows for v in row)
                     mid = f"m{n}_{m}_{flat}"
                 payloads.append(payload)
                 morphisms.append((mid, str(n), str(m)))

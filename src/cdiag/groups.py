@@ -19,9 +19,6 @@ import numpy as np
 from . import modp
 from .limits import DEFAULT_LIMITS
 
-DEFAULT_TABLE_LIMIT = DEFAULT_LIMITS.table_limit
-DEFAULT_ISO_LIMIT = DEFAULT_LIMITS.iso_limit
-
 # Tables above this size skip Light's associativity test; they only arise
 # from closure inside an already-associative ambient composition.
 _ASSOC_CHECK_LIMIT = 4096
@@ -199,9 +196,11 @@ def _grid(sizes) -> np.ndarray:
 
 def _product_codes(tables, coords, strides):
     """rows(lo, hi): mixed-radix codes of x * y, for x in coords[lo:hi] and
-    y in coords, multiplied coordinate-wise in the factor tables."""
+    y in coords, multiplied coordinate-wise in the factor tables.  Each
+    gathered block is widened to int64 before it is scaled, since factor
+    tables may hold narrower integers."""
     def rows(lo, hi):
-        return sum(s * t[np.ix_(c[lo:hi], c)]
+        return sum(s * t[np.ix_(c[lo:hi], c)].astype(np.int64)
                    for s, t, c in zip(strides, tables, coords.T))
     return rows
 
@@ -509,7 +508,7 @@ def _expr_table(expr: GroupExpr) -> np.ndarray:
     raise GroupError(f"cannot materialize {expr!r}")
 
 
-def materialize(expr: GroupExpr, table_limit: int = DEFAULT_TABLE_LIMIT) -> CayleyTable:
+def materialize(expr: GroupExpr, table_limit: int = DEFAULT_LIMITS.table_limit) -> CayleyTable:
     """Concrete Cayley table of a symbolic expression.
 
     Refuses expressions whose order exceeds ``table_limit``.
@@ -525,7 +524,7 @@ def materialize(expr: GroupExpr, table_limit: int = DEFAULT_TABLE_LIMIT) -> Cayl
 
 
 def are_isomorphic(a: CayleyTable, b: CayleyTable,
-                   iso_limit: int = DEFAULT_ISO_LIMIT) -> Optional[bool]:
+                   iso_limit: int = DEFAULT_LIMITS.iso_limit) -> Optional[bool]:
     """True/False when decided; None when either order exceeds ``iso_limit``
     (undecided at the configured limit, deliberately distinct from False).
     """
@@ -645,7 +644,7 @@ def _candidate_sequences(n: int) -> list:
     return sorted(seqs, key=lambda s: (len(s), s))
 
 
-def match_named(table: CayleyTable, iso_limit: int = DEFAULT_ISO_LIMIT) -> Optional[str]:
+def match_named(table: CayleyTable, iso_limit: int = DEFAULT_LIMITS.iso_limit) -> Optional[str]:
     """Label of the first library group isomorphic to ``table``, or None.
 
     Candidates are prefiltered on abelianness and the element-order

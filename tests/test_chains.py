@@ -326,6 +326,8 @@ def test_iso_classes_finset3():
 @pytest.mark.parametrize("spec,level,policies", [
     ("finset:4", 1, {"scan"}),
     ("vect:2:3", 2, {"scan", "transversal"}),
+    # order-252 stabilizers whose coordinates use few elements of GL(2, 7)
+    ("vect:2:7", 1, {"scan"}),
 ])
 def test_stabilizer_tables_equal_per_pair_reference(spec, level, policies):
     cat = builtin_category(spec)
@@ -419,7 +421,10 @@ def test_action_arrays_equal_per_pair_reference(spec):
         assert words[0] == (auts.index(cat.identity_idx[x]), -1, -1)
         for a, p, k in words[1:]:
             assert cat.compose_idx(auts[p], gens[k]) == auts[a]
-        assert np.array_equal(cat.aut_table(x), table_from_elements(auts, cat.compose_idx).table)
+        table = cat.aut_table(x)
+        assert np.array_equal(table, table_from_elements(auts, cat.compose_idx).table)
+        assert table.dtype == np.min_scalar_type(len(auts) - 1)
+        assert not table.flags.writeable
         for y in range(cat.n_objects):
             hom = cat.hom_idx(x, y)
             if not hom:

@@ -56,6 +56,14 @@ def test_bad_builtin_says_why(spec, reason, capsys):
     assert f"bad builtin {spec!r}: " in err and reason in err
 
 
+def test_vect_builtin_with_two_digit_entries(capsys):
+    code, out = run_capture(["decompose", "--builtin", "vect:2:11", "--level", "0",
+                             "--format", "json"], capsys)
+    assert code == 0
+    orders = {tuple(r["cell"]): r["group_order"] for r in json.loads(out)["components"]}
+    assert orders[("2",)] == 13200              # |GL(2, 11)|
+
+
 @pytest.mark.parametrize("argv,message", [
     (["decompose", "--builtin", "ordinal:1", "--level", "-1"], "--level: must be at least 0"),
     (["segal", "--builtin", "ordinal:1", "--level", "1"], "--level: must be at least 2"),

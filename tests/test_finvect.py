@@ -171,6 +171,13 @@ def test_skeleton_counts_and_axioms():
     sk.check_axioms()
 
 
+def test_skeleton_ids_are_distinct_for_two_digit_entries():
+    # without a separator the entries (1, 10) and (11, 0) give one id
+    sk = vect_skeleton(2, 11)
+    assert len(set(sk.mor_ids)) == sk.n_morphisms == 14899
+    assert "m2_2_1000" in vect_skeleton(2, 3).mor_ids
+
+
 def test_skeleton_unique_zero_dim_maps():
     sk = vect_skeleton(2, 3)
     for d in range(3):

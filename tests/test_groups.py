@@ -320,6 +320,16 @@ def test_table_in_product_rejects_a_set_that_is_not_closed():
         groups.table_in_product([c4], [[0], [1]])
 
 
+def test_table_in_product_widens_narrow_factor_tables():
+    # codes reach 20 * 30 - 1 = 599; under NumPy 1.x value-based casting a
+    # stride times a uint8 block would stay uint8 and wrap
+    tables = [cyclic_table(20).table, cyclic_table(30).table]
+    coords = list(itertools.product(range(20), range(30)))
+    want = groups.table_in_product(tables, coords).table
+    narrow = [tables[0].astype(np.uint8), tables[1].astype(np.uint16)]
+    assert np.array_equal(groups.table_in_product(narrow, coords).table, want)
+
+
 # ---------------------------------------------------------------------------
 # Isomorphism testing
 
