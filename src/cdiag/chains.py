@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import CayleyTable, ClosureLimitExceeded, greedy_closure, table_in_product
+from .groups import CayleyTable, ClosureLimitExceeded, GroupError, table_in_product
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -166,6 +166,15 @@ def _chain_mors_iter(cat: FiniteCategory, n: int):
         yield from rec([f], cat.dst[f], n - 1)
 
 
+def _limited_chain_count(cat: FiniteCategory, n: int, limits: Limits) -> int:
+    """``chain_count``, raising ChainLimitExceeded above chain_limit."""
+    total = chain_count(cat, n)
+    if total > limits.chain_limit:
+        raise ChainLimitExceeded(
+            f"{total} chains at level {n} exceeds chain_limit {limits.chain_limit}")
+    return total
+
+
 def enumerate_chains(cat: FiniteCategory, n: int,
                      limits: Limits = DEFAULT_LIMITS) -> list:
     """All n-chains in lexicographic order of morphism index tuples;
@@ -173,10 +182,7 @@ def enumerate_chains(cat: FiniteCategory, n: int,
     _check_level(n)
     if n == 0:
         return [Chain(cat, (x,), ()) for x in range(cat.n_objects)]
-    total = chain_count(cat, n)
-    if total > limits.chain_limit:
-        raise ChainLimitExceeded(
-            f"{total} chains at level {n} exceeds chain_limit {limits.chain_limit}")
+    _limited_chain_count(cat, n, limits)
     out = []
     for mors in _chain_mors_iter(cat, n):
         objs = (cat.src[mors[0]],) + tuple(cat.dst[f] for f in mors)
@@ -220,46 +226,54 @@ def act(alpha_ids, chain: Chain) -> Chain:
 
 @dataclass
 class StabilizerGroup:
-    """The subgroup of Aut(x_0) x ... x Aut(x_n) fixing a chain.
+    """The subgroup of Aut(x_0) x ... x Aut(x_n) fixing the chain ``mors``.
 
     ``elements`` is the full element list when the ambient product was small
-    enough to scan directly; otherwise only Schreier generators are kept and
-    the exact order comes from orbit-stabilizer division.
+    enough to scan directly; otherwise it is None and the exact order comes
+    from orbit-stabilizer division.
     """
 
     cat: FiniteCategory
     objs: tuple
+    mors: tuple
     order: int
-    generators: list                      # automorphism tuples (morphism indices)
-    elements: Optional[list]
+    elements: Optional[list]              # automorphism tuples (morphism indices)
     policy: str                           # "scan" or "transversal"
 
-    def compose(self, a, b):
-        return tuple(self.cat.compose_idx(a[i], b[i]) for i in range(len(a)))
-
-    @property
-    def identity(self):
-        return tuple(self.cat.identity_idx[x] for x in self.objs)
-
     def to_cayley_table(self, table_limit: int) -> CayleyTable:
-        """The scanned elements, or the greedy closure of the Schreier
-        generators to ``order``, multiplied coordinate-wise in the Cayley
-        tables of the Aut(x_i) (``FiniteCategory.aut_table``).  The closure
-        raises GroupError unless the generators give exactly ``order``
-        elements, and the table unless the elements are closed."""
+        """The scanned elements, or those of ``_chain_stabilizer``,
+        multiplied coordinate-wise in the Cayley tables of the Aut(x_i)
+        (``FiniteCategory.aut_table``).  Raises GroupError unless the
+        chain's stabilizer has exactly ``order`` elements, and the table
+        unless the elements are closed."""
         els = self.elements
         if els is None:
             if self.order > table_limit:
                 raise ClosureLimitExceeded(table_limit, self.order)
-            els = greedy_closure(self.generators, self.compose, self.identity, self.order)[2]
+            els = _chain_stabilizer(self.cat, self.objs, self.mors)
+            if len(els) != self.order:
+                raise GroupError(f"the stabilizer has {len(els)} elements, "
+                                 f"not the division order {self.order}")
         els = np.array(els, dtype=np.int64).reshape(len(els), len(self.objs))
         coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
                   for i, x in enumerate(self.objs)]
         return table_in_product([self.cat.aut_table(x) for x in self.objs],
                                 np.stack(coords, axis=1), label="stabilizer")
 
-    def generator_ids(self) -> list:
-        return [tuple(self.cat.mor_ids[a] for a in alpha) for alpha in self.generators]
+
+def _chain_stabilizer(cat: FiniteCategory, objs, mors) -> list:
+    """Every automorphism tuple fixing the chain, in lexicographic order:
+    a_0 runs over Aut(x_0), and a_i over the elements of Aut(x_i) with
+    a_i . f_i = f_i . a_{i-1}, so dead prefixes drop out coordinate by
+    coordinate."""
+    els = [(a,) for a in cat.aut_idx(objs[0])]
+    for i, f in enumerate(mors):
+        after = {}
+        for a in cat.aut_idx(objs[i + 1]):
+            after.setdefault(cat.compose_idx(a, f), []).append(a)
+        before = {a: cat.compose_idx(f, a) for a in cat.aut_idx(objs[i])}
+        els = [p + (a,) for p in els for a in after.get(before[p[-1]], ())]
+    return els
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:
@@ -313,42 +327,22 @@ def _encode(homs, strides, mors) -> int:
     return sum(h.index(f) * s for h, f, s in zip(homs, mors, strides))
 
 
-def _orbit_search(cat, objs, moves, seed, with_transversal):
-    """Expand the orbit of the chain coded ``seed`` breadth first over the
-    moves, meeting (member, move) pairs member-major.  Returns (member
-    codes, Schreier generator list); the list is empty unless
-    ``with_transversal``.  Transversal and Schreier products are composed
-    coordinate-wise in the category."""
+def _orbit_search(moves, seed) -> list:
+    """Member codes of the orbit of the chain coded ``seed``, expanded
+    breadth first over the moves, (member, move) pairs met member-major."""
     if not moves:
-        return [seed], []
-    idt = tuple(cat.identity_idx[x] for x in objs)
-    steps = [(i, g) for i, x in enumerate(objs) for g in cat.aut_generators(x)]
+        return [seed]
     seen = np.zeros(len(moves[0]), dtype=bool)
     seen[seed] = True
     members, frontier = [seed], np.array([seed])
-    transversal, schreier, known = {seed: idt}, [], set()
     while len(frontier):
         images = np.stack([img[frontier] for img in moves], axis=1).ravel()
         fresh, first = np.unique(images, return_index=True)
         first = np.sort(first[~seen[fresh]])
         seen[images[first]] = True
         members += images[first].tolist()
-        if with_transversal:
-            tree, sources = set(first.tolist()), frontier.tolist()
-            for j, nxt in enumerate(images.tolist()):
-                i, g = steps[j % len(moves)]
-                u = transversal[sources[j // len(moves)]]
-                au = u[:i] + (cat.compose_idx(g, u[i]),) + u[i + 1:]
-                if j in tree:
-                    transversal[nxt] = au
-                    continue
-                gen = tuple(cat.compose_idx(cat.inverse_idx(v), w)
-                            for v, w in zip(transversal[nxt], au))
-                if gen not in known:
-                    known.add(gen)
-                    schreier.append(gen)
         frontier = images[first]
-    return members, schreier
+    return members
 
 
 # The stabilizer scan takes seeds in blocks of about this many compared cells.
@@ -393,9 +387,10 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
 
     Orbits come from the labels of ``_tuple_action``.  The stabilizer is
     scanned directly when the ambient product fits scan_limit, yielding the
-    full element list; otherwise it keeps the Schreier generators of a
-    breadth-first orbit search, whose member set must equal the labelled
-    orbit, and its order is the ambient order divided by the orbit size.
+    full element list; otherwise a breadth-first orbit search, whose member
+    set must equal the labelled orbit, gives its order as the ambient order
+    divided by the orbit size, and its elements are listed only when it is
+    tabled.
     Either way orbit size times order must equal the ambient order.  With
     ``reverse`` the search also runs from the greatest member of every
     orbit, and its member set must equal the labelled orbit too.
@@ -408,30 +403,29 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     orbits_ = [order[np.searchsorted(by_label, labels[c]):
                      np.searchsorted(by_label, labels[c], "right")].tolist() for c in seeds]
     ambient = _ambient_order(cat, objs)
-    idt = tuple(cat.identity_idx[x] for x in objs)
+    reps = [_decode(homs, strides, c) for c in seeds]
     stabs = []
     if ambient > limits.scan_limit:
-        for seed, orbit in zip(seeds, orbits_):
-            members, schreier = _orbit_search(cat, objs, moves, seed, True)
+        for seed, orbit, mors in zip(seeds, orbits_, reps):
+            members = _orbit_search(moves, seed)
             if sorted(members) != orbit:
-                raise CategoryError(f"orbit search from {_decode(homs, strides, seed)} "
-                                    "disagrees with the orbit labels")
+                raise CategoryError(f"orbit search from {mors} disagrees with the orbit labels")
             if ambient % len(members):
                 raise CategoryError("orbit size does not divide the ambient group order")
-            stabs.append(StabilizerGroup(cat, objs, ambient // len(members),
-                                         [g for g in schreier if g != idt], None, "transversal"))
+            stabs.append(StabilizerGroup(cat, objs, mors, ambient // len(members),
+                                         None, "transversal"))
     else:
-        for elements in _scan_stabilizers(cat, objs, homs, strides, seeds):
-            stabs.append(StabilizerGroup(cat, objs, len(elements),
-                                         [a for a in elements if a != idt], elements, "scan"))
+        scans = _scan_stabilizers(cat, objs, homs, strides, seeds)
+        stabs = [StabilizerGroup(cat, objs, mors, len(els), els, "scan")
+                 for mors, els in zip(reps, scans)]
     out = []
-    for seed, orbit, stab in zip(seeds, orbits_, stabs):
-        mors = _decode(homs, strides, seed)
+    for orbit, stab in zip(orbits_, stabs):
+        mors = stab.mors
         if len(orbit) * stab.order != ambient:
             raise CategoryError(
                 f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
                 f"{len(orbit)} * {stab.order} != {ambient}")
-        if reverse and sorted(_orbit_search(cat, objs, moves, orbit[-1], False)[0]) != orbit:
+        if reverse and sorted(_orbit_search(moves, orbit[-1])) != orbit:
             raise CategoryError(f"orbits of {_decode(homs, strides, orbit[-1])} "
                                 f"and of its least member {mors} differ")
         out.append((mors, len(orbit), stab))
@@ -483,10 +477,7 @@ def iso_classes_of_objects(cat: FiniteCategory,
     orbits_ = []
     for cls in object_iso_classes(cat):
         auts = cat.aut_idx(cls.rep)
-        stab = StabilizerGroup(
-            cat, (cls.rep,), len(auts),
-            [(a,) for a in auts if a != cat.identity_idx[cls.rep]],
-            [(a,) for a in auts], "scan")
+        stab = StabilizerGroup(cat, (cls.rep,), (), len(auts), [(a,) for a in auts], "scan")
         orbits_.append(Orbit(
             rep=Chain(cat, (cls.rep,), ()),
             size=len(cls.members),
@@ -514,11 +505,7 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
     if n == 0:
         return iso_classes_of_objects(cat, limits)
 
-    total = chain_count(cat, n)
-    if total > limits.chain_limit:
-        raise ChainLimitExceeded(
-            f"{total} chains at level {n} exceeds chain_limit {limits.chain_limit}")
-
+    total = _limited_chain_count(cat, n, limits)
     classes = object_iso_classes(cat)
     class_size = {x: len(cls.members) for cls in classes for x in cls.members}
     out = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import chains as chains_mod
-from .chains import Chain, Orbit, StabilizerGroup, chain_count, enumerate_chains, orbits
+from .chains import Chain, Orbit, StabilizerGroup, chain_count, orbits
 from .fincat import CategoryError, FiniteCategory
 from .groups import CayleyTable, are_isomorphic, match_named
 from .limits import DEFAULT_LIMITS, Limits
@@ -34,7 +34,6 @@ class Component:
     group_order: int
     group_expr: Optional[str]
     policy: str                 # "isomorphism" | "order-only" | "closed-form"
-    n_generators: int = 0
     stabilizer: Optional[StabilizerGroup] = None
     orbit: Optional[Orbit] = None
     extra: dict = field(default_factory=dict)
@@ -46,7 +45,7 @@ class Component:
     def group_display(self) -> str:
         if self.group_expr is not None:
             return self.group_expr
-        return f"order={self.group_order} gens={self.n_generators}"
+        return f"order={self.group_order}"
 
 
 @dataclass
@@ -91,7 +90,6 @@ def level_decomposition(cat: FiniteCategory, n: int,
             group_order=o.stabilizer.order,
             group_expr=expr,
             policy=policy,
-            n_generators=len(o.stabilizer.generators),
             stabilizer=o.stabilizer,
             orbit=o,
         ))
@@ -118,39 +116,25 @@ class SegalReport:
         return (self.chain_count == self.fiber_product_count) and self.bijection_ok
 
 
-def _fiber_product_tuples(cat: FiniteCategory, n: int):
-    """n-tuples of single morphisms glued along matching endpoint objects."""
-    by_src = {}
-    for f in range(cat.n_morphisms):
-        by_src.setdefault(cat.src[f], []).append(f)
-
-    def rec(prefix, tail):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for f in by_src.get(tail, []):
-            prefix.append(f)
-            yield from rec(prefix, cat.dst[f])
-            prefix.pop()
-
-    for f in range(cat.n_morphisms):
-        yield from rec([f], cat.dst[f])
-
-
 def segal_check(cat: FiniteCategory, n: int,
                 limits: Limits = DEFAULT_LIMITS) -> SegalReport:
     """Verify that splitting an n-chain into its n single-morphism segments
-    is a bijection onto the n-fold fiber product of level 1 over level 0.
-    A failure here signals an engine bug, not a property of the category."""
+    is a bijection onto the n-fold fiber product of level 1 over level 0:
+    the enumerated tuples are composable and strictly ascending, so
+    distinct, and there are as many as the fiber product's size, counted
+    independently over hom-set sizes.  A failure here signals an engine
+    bug, not a property of the category."""
     if n < 2:
         raise CategoryError(f"Segal maps start at level 2, got level {n}")
-    chains_n = enumerate_chains(cat, n, limits)
-    split = [c.mors for c in chains_n]
-    split_set = set(split)
-    fiber = set(_fiber_product_tuples(cat, n))
-    ok = len(split) == len(split_set) and split_set == fiber
-    return SegalReport(level=n, chain_count=len(chains_n),
-                       fiber_product_count=len(fiber), bijection_ok=ok)
+    fiber = chains_mod._limited_chain_count(cat, n, limits)
+    src, dst = cat.src, cat.dst
+    count, ok, prev = 0, True, ()
+    for mors in chains_mod._chain_mors_iter(cat, n):
+        ok = ok and (len(mors) == n and prev < mors
+                     and all(dst[f] == src[g] for f, g in zip(mors, mors[1:])))
+        count, prev = count + 1, mors
+    return SegalReport(level=n, chain_count=count,
+                       fiber_product_count=fiber, bijection_ok=ok)
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,6 @@ class FiniteCategory:
     def target(self, mor_id: str) -> str:
         return self.objects[self.dst[self.mor_index(mor_id)]]
 
-    def identity_of(self, obj_id: str) -> str:
-        return self.mor_ids[self.identity_idx[self.obj_index(obj_id)]]
-
     def is_identity_idx(self, mi: int) -> bool:
         return mi in self._identity_set
 

@@ -23,7 +23,8 @@ from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
                      Product, are_isomorphic, materialize, table_from_elements)
 from .limits import DEFAULT_LIMITS, Limits
 
-DEFAULT_ENUM_BOUND = 2 ** 20
+# orbits_by_rank enumerates at most this many matrices.
+_ENUM_BOUND = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -204,14 +205,13 @@ def _named_rank_expr(n: int, m: int, r: int, q: int) -> Optional[str]:
             else "{([[a,b],[0,d]],[[a,0],[y,z]])}")
 
 
-def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS,
-                   enum_bound: int = DEFAULT_ENUM_BOUND) -> VectCell:
+def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS) -> VectCell:
     """Enumerate all m x n matrices, group them by rank, and verify each
     rank class is one orbit by breadth-first action from the canonical
     representative."""
     count = q ** (n * m)
-    if count > enum_bound:
-        raise CategoryError(f"{count} matrices exceeds enumeration bound {enum_bound}")
+    if count > _ENUM_BOUND:
+        raise CategoryError(f"{count} matrices exceeds enumeration bound {_ENUM_BOUND}")
     by_rank = {}
     for rows in modp.all_matrices(m, n, q):
         by_rank.setdefault(modp.rank(rows, q), set()).add(rows)

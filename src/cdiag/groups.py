@@ -4,7 +4,7 @@ Symbolic group expressions (symmetric, general linear, products, wreath
 products) with exact arbitrary-precision orders, concrete Cayley tables
 with fully checked group axioms, greedy generating sets closed to a known
 order, and small-group isomorphism testing by backtracking over generator
-images.
+images of the same element order and centralizer order.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ class CayleyTable:
     ``_ASSOC_CHECK_LIMIT``.
     """
 
-    def __init__(self, table, identity: Optional[int] = None, label: str = "",
-                 check: bool = True):
+    def __init__(self, table, identity: Optional[int] = None, label: str = ""):
         t = np.asarray(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise GroupError("table must be square")
@@ -66,8 +65,7 @@ class CayleyTable:
                 raise GroupError("no identity element")
         self.identity = int(identity)
         self._orders = None
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     def _find_identity(self):
         rng = np.arange(self.n)
@@ -109,6 +107,10 @@ class CayleyTable:
         if self._orders is None:
             self._orders = Counter(self.element_order(i) for i in range(self.n))
         return self._orders
+
+    def centralizer_orders(self) -> np.ndarray:
+        """For each element, the number of elements that commute with it."""
+        return (self.table == self.table.T).sum(axis=0)
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
@@ -539,8 +541,10 @@ def are_isomorphic(a: CayleyTable, b: CayleyTable,
     if a.element_order_histogram() != b.element_order_histogram():
         return False
 
+    # an isomorphism preserves element orders and centralizer orders
     gens, sizes = a.generating_sequence()
-    orders_b = [b.element_order(i) for i in range(b.n)]
+    cent_a, cent_b = a.centralizer_orders().tolist(), b.centralizer_orders().tolist()
+    orders_b = [(b.element_order(i), cent_b[i]) for i in range(b.n)]
 
     def extend(images):
         """Grow the partial hom gens[:len(images)] -> images over the
@@ -576,7 +580,7 @@ def are_isomorphic(a: CayleyTable, b: CayleyTable,
         if i == len(gens):
             amap = extend(images)
             return amap is not None and len(amap) == a.n
-        want = a.element_order(gens[i])
+        want = (a.element_order(gens[i]), cent_a[gens[i]])
         for h in range(b.n):
             if orders_b[h] != want:
                 continue

@@ -10,7 +10,7 @@ from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, StabilizerGroup,
                           iso_classes_of_objects, least_member, orbits, stabilizer)
 from cdiag.cli import builtin_category
 from cdiag.fincat import CategoryError
-from cdiag.groups import GroupError, greedy_closure, table_from_elements
+from cdiag.groups import GroupError, table_from_elements
 from cdiag.limits import Limits
 
 
@@ -225,7 +225,7 @@ def test_zero_matrix_stabilizer_over_f2():
 
 
 def test_transversal_path_agrees_with_scan():
-    # force the Schreier/transversal fallback with a tiny scan limit and
+    # force the transversal fallback with a tiny scan limit and
     # compare its exact orders against the direct scan
     tiny = Limits(scan_limit=1)
     cases = [(finset.finset_skeleton(3), 1), (finvect.vect_skeleton(2, 2), 1)]
@@ -252,19 +252,10 @@ def test_stabilizer_transversal_path_standalone():
     assert stab.policy == "transversal"
     assert stab.order == 4
     assert stab.to_cayley_table(20000).n == 4
-    # the Schreier generators must close to exactly the division order
+    # the chain's stabilizer must have exactly the division order
     for wrong in (2, 8):
         with pytest.raises(GroupError):
             dataclasses.replace(stab, order=wrong).to_cayley_table(20000)
-
-
-def test_schreier_generators_generate_the_stabilizer():
-    sk = finset.finset_skeleton(3)
-    tiny = Limits(scan_limit=1)
-    for o in orbits(sk, 1, tiny):
-        stab = o.stabilizer
-        _, _, els = greedy_closure(stab.generators, stab.compose, stab.identity, stab.order)
-        assert len(set(els)) == stab.order
 
 
 # Both stabilizer policies, in both enumeration orders, on four categories.
@@ -274,13 +265,26 @@ STABILIZER_MODES = [(Limits(), False), (Limits(), True),
 
 
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
-def test_stabilizer_generators_fix_the_representative(spec, level):
+def test_stabilizer_elements_fix_the_representative(spec, level):
     cat = builtin_category(spec)
+    scanned = {o.rep.mors: o.stabilizer for o in orbits(cat, level)}
+    assert {s.policy for s in scanned.values()} == {"scan"}
+    saw_transversal = False
     for limits, reverse in STABILIZER_MODES:
         for o in orbits(cat, level, limits, reverse=reverse):
-            rep = o.rep
-            for g in o.stabilizer.generators:
+            rep, stab = o.rep, o.stabilizer
+            els = stab.elements
+            if els is None:
+                # listed only when tabled; must equal the scan of the same chain
+                els = chains._chain_stabilizer(cat, rep.objs, rep.mors)
+                assert els == scanned[rep.mors].elements, rep
+                saw_transversal = True
+            assert len(els) == stab.order
+            for g in els:
                 assert _act_mors(cat, g, rep.objs, rep.mors) == rep.mors, (rep, g)
+    # scan_limit=1 sends every stabilizer with a nontrivial ambient product
+    # down the transversal path (delta:2 has none)
+    assert saw_transversal == any(o.ambient_order > 1 for o in orbits(cat, level))
 
 
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
@@ -333,11 +337,15 @@ def test_stabilizer_tables_equal_per_pair_reference(spec, level, policies):
     cat = builtin_category(spec)
     stabs = [o.stabilizer for o in orbits(cat, level) if o.stabilizer.order <= 512]
     assert {s.policy for s in stabs} == policies
+
+    def compose(a, b):
+        return tuple(cat.compose_idx(x, y) for x, y in zip(a, b))
+
     for stab in stabs:
         els = stab.elements
         if els is None:
-            _, _, els = greedy_closure(stab.generators, stab.compose, stab.identity, stab.order)
-        ref = table_from_elements(els, stab.compose)
+            els = chains._chain_stabilizer(cat, stab.objs, stab.mors)
+        ref = table_from_elements(els, compose)
         assert np.array_equal(stab.to_cayley_table(20000).table, ref.table), stab.objs
 
 
@@ -346,13 +354,13 @@ def test_stabilizer_table_rejects_a_set_that_is_not_closed(s3_category):
     e, c = cat.mor_index("id_*"), cat.mor_index("g3")    # g3 has order 3
     c2 = cat.compose_idx(c, c)
     # {e, g3} in Aut(*): the coordinate's own automorphisms are not closed
-    small = StabilizerGroup(cat, (0,), 2, [(c,)], [(e,), (c,)], "scan")
+    small = StabilizerGroup(cat, (0,), (), 2, [(e,), (c,)], "scan")
     with pytest.raises(GroupError, match="not closed"):
         small.to_cayley_table(20000)
     # each coordinate uses the closed {e, g3, g3^2}, but the pairs are not
     # closed: (g3, g3^2)(g3, e) = (g3^2, g3^2) is missing
     pairs = [(e, e), (c, c2), (c2, c), (c, e), (c2, e)]
-    large = StabilizerGroup(cat, (0, 0), 5, pairs, pairs, "scan")
+    large = StabilizerGroup(cat, (0, 0), (e,), 5, pairs, "scan")
     with pytest.raises(GroupError, match="not closed"):
         large.to_cayley_table(20000)
 

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from cdiag import chains as chains_mod
 from cdiag import classifying as cl
 from cdiag import fincat, finset, finvect
 from cdiag.fincat import CategoryError
@@ -57,7 +58,6 @@ def test_unmatched_group_reported_by_order_and_generators():
     assert len(full_rank) == 1
     c = full_rank[0]
     assert c.group_expr is None
-    assert c.n_generators > 0
     assert str(c.group_order) in c.group_display()
 
 
@@ -86,6 +86,36 @@ def test_segal_suite_levels_2_and_3():
         for n in (2, 3):
             r = cl.segal_check(cat, n)
             assert r.ok, (spec, n)
+
+
+def test_segal_check_respects_chain_limit():
+    from cdiag.chains import ChainLimitExceeded
+    from cdiag.limits import Limits
+    with pytest.raises(ChainLimitExceeded):
+        cl.segal_check(finset.finset_skeleton(3), 2, Limits(chain_limit=10))
+
+
+# The level-2 chains of the walking arrow are [(0, 0), (0, 2), (1, 1), (2, 1)]
+# (morphisms id_x, id_y, f); each mutant spoils the enumeration once.
+SEGAL_MUTANTS = {
+    "drop": lambda ts: ts[1:],
+    "duplicate": lambda ts: ts[:1] + ts,
+    "reorder": lambda ts: [ts[1], ts[0]] + ts[2:],
+    "not-composable": lambda ts: ts[:-1] + [(2, 2)],     # f after f
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SEGAL_MUTANTS))
+def test_segal_check_fails_on_a_spoiled_enumeration(mutant, monkeypatch):
+    cat = fincat.walking_arrow()
+    chains_iter = chains_mod._chain_mors_iter
+    assert list(chains_iter(cat, 2)) == [(0, 0), (0, 2), (1, 1), (2, 1)]
+    assert cl.segal_check(cat, 2).ok
+    monkeypatch.setattr(chains_mod, "_chain_mors_iter",
+                        lambda c, n: iter(SEGAL_MUTANTS[mutant](list(chains_iter(c, n)))))
+    r = cl.segal_check(cat, 2)
+    assert r.ok is False
+    assert r.fiber_product_count == 4
 
 
 # ---------------------------------------------------------------------------

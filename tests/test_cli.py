@@ -279,6 +279,13 @@ PINNED_BODIES = [
     (("decompose", "--builtin", "delta:2", "--level", "2"),
      "010c7e45506d15640f134f5ccd2e1889d9e195444b65c29c3b730c48541eb1e7",
      "06e1ed98ef7e60cdd220b472b843faa0997c34898f4a9f1a717d8557e5988b58"),
+    # transversal stabilizers that are tabled (vect:2:5 has one of order 480)
+    (("decompose", "--builtin", "vect:2:3", "--level", "2"),
+     "57d483241d984646a3857d1e76bed57185bbad7e4c3350b3d9a2b8f45d2c4968",
+     "0d603232e26a21fce943150800d875227c1201df4816eadf5e0913c193f93b86"),
+    (("decompose", "--builtin", "vect:2:5", "--level", "1"),
+     "3f383a8624fd6719485b1d05cbb4eac3732744e0004e7ccc6cdc6c141d3b0335",
+     "16e740d2b86332b8b3d7dc7d61268f98c98a681e82e1164e6f03431193e540ce"),
 ]
 
 

@@ -105,7 +105,7 @@ def test_cell_sizes_sum_to_qnm():
 
 def test_enumeration_bound():
     with pytest.raises(CategoryError):
-        orbits_by_rank(3, 3, 5, enum_bound=100)
+        orbits_by_rank(3, 3, 5)         # 5^9 matrices
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,16 @@ def test_element_orders_and_abelian():
     assert s3.element_order_histogram() == {1: 1, 2: 3, 3: 2}
 
 
+@pytest.mark.parametrize("expr", [Symmetric(3), Symmetric(4), Wreath(Symmetric(2), 3),
+                                  Product([Symmetric(3), FieldUnits(5)])],
+                         ids=lambda e: e.text())
+def test_centralizer_orders_by_hand(expr):
+    t = materialize(expr)
+    want = [sum(t.mul(g, x) == t.mul(x, g) for g in range(t.n)) for x in range(t.n)]
+    assert t.centralizer_orders().tolist() == want
+    assert cyclic_table(6).centralizer_orders().tolist() == [6] * 6
+
+
 # ---------------------------------------------------------------------------
 # Greedy closure
 
