@@ -258,6 +258,17 @@ def test_stabilizer_transversal_path_standalone():
             dataclasses.replace(stab, order=wrong).to_cayley_table(20000)
 
 
+def test_transversal_stabilizer_elements_form_the_stabilizer():
+    sk = finset.finset_skeleton(3)
+    tiny = Limits(scan_limit=1)
+    for o in orbits(sk, 1, tiny):
+        stab = o.stabilizer
+        els = chains._chain_stabilizer(sk, stab.objs, stab.mors)
+        assert len(set(els)) == len(els) == stab.order
+        # the table raises unless the listed elements are closed
+        assert stab.to_cayley_table(20000).n == stab.order
+
+
 # Both stabilizer policies, in both enumeration orders, on four categories.
 STABILIZER_CASES = [("finset:3", 1), ("vect:2:2", 1), ("group:S3", 2), ("delta:2", 2)]
 STABILIZER_MODES = [(Limits(), False), (Limits(), True),
