@@ -241,16 +241,16 @@ class StabilizerGroup:
     policy: str                           # "scan" or "transversal"
 
     def to_cayley_table(self, table_limit: int) -> CayleyTable:
-        """The scanned elements, or those of ``_chain_stabilizer``,
-        multiplied coordinate-wise in the Cayley tables of the Aut(x_i)
-        (``FiniteCategory.aut_table``).  Raises GroupError unless the
-        chain's stabilizer has exactly ``order`` elements, and the table
-        unless the elements are closed."""
+        """The scanned elements, or those ``_stabilizer_elements`` lists
+        for the chain, multiplied coordinate-wise in the Cayley tables of
+        the Aut(x_i) (``FiniteCategory.aut_table``).  Raises GroupError
+        unless the chain's stabilizer has exactly ``order`` elements, and
+        the table unless the elements are closed."""
         els = self.elements
         if els is None:
             if self.order > table_limit:
                 raise ClosureLimitExceeded(table_limit, self.order)
-            els = _chain_stabilizer(self.cat, self.objs, self.mors)
+            els = _stabilizer_elements(self.cat, self.objs, [self.mors])[0]
             if len(els) != self.order:
                 raise GroupError(f"the stabilizer has {len(els)} elements, "
                                  f"not the division order {self.order}")
@@ -259,21 +259,6 @@ class StabilizerGroup:
                   for i, x in enumerate(self.objs)]
         return table_in_product([self.cat.aut_table(x) for x in self.objs],
                                 np.stack(coords, axis=1), label="stabilizer")
-
-
-def _chain_stabilizer(cat: FiniteCategory, objs, mors) -> list:
-    """Every automorphism tuple fixing the chain, in lexicographic order:
-    a_0 runs over Aut(x_0), and a_i over the elements of Aut(x_i) with
-    a_i . f_i = f_i . a_{i-1}, so dead prefixes drop out coordinate by
-    coordinate."""
-    els = [(a,) for a in cat.aut_idx(objs[0])]
-    for i, f in enumerate(mors):
-        after = {}
-        for a in cat.aut_idx(objs[i + 1]):
-            after.setdefault(cat.compose_idx(a, f), []).append(a)
-        before = {a: cat.compose_idx(f, a) for a in cat.aut_idx(objs[i])}
-        els = [p + (a,) for p in els for a in after.get(before[p[-1]], ())]
-    return els
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:
@@ -345,34 +330,47 @@ def _orbit_search(moves, seed) -> list:
     return members
 
 
-# The stabilizer scan takes seeds in blocks of about this many compared cells.
+# Stabilizers are listed for blocks of chains with about this many
+# ambient elements in all.
 _SCAN_CELLS = 1 << 20
 
 
-def _scan_stabilizers(cat, objs, homs, strides, seeds) -> list:
-    """For each chain coded in ``seeds``, every automorphism tuple fixing
-    it, in lexicographic order.
+def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> list:
+    """For each morphism tuple in ``reps`` on the object tuple ``objs``,
+    every automorphism tuple fixing it, in lexicographic order.
 
-    One vectorized pass over the full action tables of the tuple's hom
-    sets: a_0 runs over Aut(x_0), and a_i over the elements of Aut(x_i)
-    with a_i . h = f_i for h = f_i . a_{i-1}^-1, so dead prefixes drop out
-    coordinate by coordinate.
+    a_0 runs over Aut(x_0), and a_i over the elements of Aut(x_i) with
+    a_i . f_i = f_i . a_{i-1}, so dead prefixes drop out coordinate by
+    coordinate.  Each coordinate is one join on the action columns of the
+    block's own f_i (``FiniteCategory.hom_action_tables``): the positions
+    of a . f_i, sorted stably, are searched for that of f_i . a_{i-1},
+    read from the right action at a_{i-1}^-1, so the matches of every
+    prefix come out in ascending rank.
     """
-    auts = [np.array(cat.aut_idx(x)) for x in objs]
-    tables = [cat.hom_action_tables(x, y) for x, y in zip(objs, objs[1:])]
-    seeds = np.asarray(seeds, dtype=np.int64)
+    auts = [np.array(cat.aut_idx(x), dtype=np.int64) for x in objs]
+    inv_rank = [np.searchsorted(aut, [cat.inverse_idx(a) for a in aut]) for aut in auts[:-1]]
+    homs = [np.array(cat.hom_idx(x, y)) for x, y in zip(objs, objs[1:])]
+    reps = np.array(reps, dtype=np.int64).reshape(len(reps), len(homs))
     block = max(1, _SCAN_CELLS // _ambient_order(cat, objs))
     out = []
-    for lo in range(0, len(seeds), block):
-        part = seeds[lo:lo + block]
+    for lo in range(0, len(reps), block):
+        part = reps[lo:lo + block]
         which = np.repeat(np.arange(len(part)), len(auts[0]))
         prefix = [np.tile(np.arange(len(auts[0])), len(part))]
-        for i, (left, right) in enumerate(tables):
-            f = (part // strides[i] % len(homs[i]))[which]
-            h = right[prefix[-1], f]
-            keep, a = np.nonzero(left[:, h].T == f[:, None])
+        for i, hom in enumerate(homs):
+            left, right = cat.hom_action_tables(objs[i], objs[i + 1],
+                                                np.searchsorted(hom, part[:, i]))
+            keys = (left.T + np.arange(len(part))[:, None] * len(hom)).ravel()
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            want = right[inv_rank[i][prefix[-1]], which] + which * len(hom)
+            first = np.searchsorted(keys, want)
+            count = np.searchsorted(keys, want, "right") - first
+            # the matches of prefix j are order[first[j]:first[j] + count[j]]
+            keep = np.repeat(np.arange(len(which)), count)
+            at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
             which = which[keep]
-            prefix = [p[keep] for p in prefix] + [a]
+            prefix = [p[keep] for p in prefix] + [order[at] % len(auts[i + 1])]
         els = np.stack([aut[p] for aut, p in zip(auts, prefix)], axis=1).tolist()
         bounds = np.searchsorted(which, np.arange(len(part) + 1)).tolist()
         out += [[tuple(a) for a in els[b:e]] for b, e in zip(bounds, bounds[1:])]
@@ -415,7 +413,7 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
             stabs.append(StabilizerGroup(cat, objs, mors, ambient // len(members),
                                          None, "transversal"))
     else:
-        scans = _scan_stabilizers(cat, objs, homs, strides, seeds)
+        scans = _stabilizer_elements(cat, objs, reps)
         stabs = [StabilizerGroup(cat, objs, mors, len(els), els, "scan")
                  for mors, els in zip(reps, scans)]
     out = []

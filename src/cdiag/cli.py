@@ -51,14 +51,18 @@ def builtin_category(spec: str) -> FiniteCategory:
         if kind == "iso-interval" and len(parts) == 1:
             return fincat.iso_interval()
         if kind == "group" and len(parts) == 2:
-            g = parts[1]
-            if g.startswith("S"):
-                table = groups.materialize(groups.Symmetric(int(g[1:])))
-            elif g.startswith("C"):
-                table = groups.cyclic_table(int(g[1:]))
+            g, k = parts[1][:1], int(parts[1][1:])
+            if g == "S":
+                if k > 6:
+                    raise CategoryError(f"group:S<k> needs k <= 6, got {k}")
+                table = groups.materialize(groups.Symmetric(k))
+            elif g == "C":
+                if not 1 <= k <= 720:
+                    raise CategoryError(f"group:C<k> needs 1 <= k <= 720, got {k}")
+                table = groups.cyclic_table(k)
             else:
-                raise ValueError(g)
-            return fincat.one_object_group(table, name=f"group:{g}")
+                raise ValueError(parts[1])
+            return fincat.one_object_group(table, name=f"group:{parts[1]}")
         if kind == "delta" and len(parts) == 2:
             return fincat.truncated_delta(int(parts[1]))
         if kind == "finset" and len(parts) == 2:

@@ -3,7 +3,8 @@
 A FiniteCategory stores objects and morphisms as opaque string ids; all
 engine-internal indexing uses dense integers.  Composition is either a
 materialized table (parsed and small built-in categories) or computed on
-demand from hashable morphism payloads (function/matrix skeletons), with
+demand from hashable morphism payloads (function/matrix skeletons, and
+derived categories, whose payloads are the parent's morphism indices), with
 results cached.  Values are immutable after construction and every
 operation here is pure.
 """
@@ -216,18 +217,19 @@ class FiniteCategory:
 
     def aut_generators(self, oi: int) -> list:
         """A small generating set of Aut(x), greedy over ``aut_idx(oi)``,
-        computed on the first call and kept."""
+        computed on the first call and kept.  The closure steps a -> g . a,
+        as the words do, so it leaves their composites cached."""
         if oi not in self._aut_gens:
             auts = self.aut_idx(oi)
             self._aut_gens[oi] = greedy_closure(
-                auts, self.compose_idx, self.identity_idx[oi], len(auts))[0]
+                auts, lambda a, g: self.compose_idx(g, a), self.identity_idx[oi], len(auts))[0]
         return self._aut_gens[oi]
 
     def aut_words(self, oi: int) -> list:
-        """Every automorphism of x as a word in ``aut_generators(oi)``:
+        """Every automorphism of x as a left word in ``aut_generators(oi)``:
         (element, parent, generator) triples in breadth-first order from the
-        identity, (identity, -1, -1), each element the parent after that
-        generator, elements and parents as ranks in ``aut_idx(oi)``.
+        identity, (identity, -1, -1), each element that generator after the
+        parent, elements and parents as ranks in ``aut_idx(oi)``.
         Computed on the first call and kept; raises CategoryError unless
         the words reach all of Aut(x)."""
         if oi not in self._aut_words:
@@ -237,7 +239,7 @@ class FiniteCategory:
             words = {queue[0]: (-1, -1)}
             for a in queue:
                 for k, g in enumerate(gens):
-                    b = self.compose_idx(a, g)
+                    b = self.compose_idx(g, a)
                     if b not in words:
                         words[b] = (rank[a], k)
                         queue.append(b)
@@ -248,15 +250,16 @@ class FiniteCategory:
             self._aut_words[oi] = [(rank[b], p, k) for b, (p, k) in words.items()]
         return self._aut_words[oi]
 
-    def _word_rows(self, oi: int, columns: np.ndarray) -> np.ndarray:
-        """The action table of Aut(x) whose generators act by ``columns``:
-        row a holds the images under a, rows in ``aut_idx`` order, built
-        along the words as row(a . g) = row(a)[column(g)]."""
+    def _word_rows(self, oi: int, columns: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """The action table of Aut(x) on the points ``start``, where the
+        k-th generator maps point p to columns[k, p]: row a holds the images
+        of the points under a, rows in ``aut_idx`` order, built along the
+        left words as row(g . a) = column(g)[row(a)]."""
         words = self.aut_words(oi)
-        rows = np.empty((len(words), columns.shape[1]), dtype=columns.dtype)
-        rows[words[0][0]] = np.arange(columns.shape[1])
+        rows = np.empty((len(words), len(start)), dtype=columns.dtype)
+        rows[words[0][0]] = start
         for a, p, k in words[1:]:
-            rows[a] = rows[p][columns[k]]
+            rows[a] = columns[k][rows[p]]
         return rows
 
     def hom_columns(self, si: int, di: int) -> tuple:
@@ -278,12 +281,14 @@ class FiniteCategory:
                                            for c in (left, right))
         return self._hom_columns[key]
 
-    def hom_action_tables(self, si: int, di: int) -> tuple:
-        """(left, right) action tables of Hom(x, y), not kept: left[a, p] is
-        the position of a . f_p for the a-th element of Aut(y), right[a, p]
-        that of f_p . a^-1 for the a-th element of Aut(x)."""
+    def hom_action_tables(self, si: int, di: int, positions) -> tuple:
+        """(left, right) action tables of Aut(y) and Aut(x) on the morphisms
+        at ``positions`` in ``hom_idx(si, di)``, not kept: left[a, j] is the
+        position of a . f and right[a, j] that of f . a^-1, for f at
+        positions[j] and the a-th element of Aut(y) or Aut(x)."""
         left, right = self.hom_columns(si, di)
-        return self._word_rows(di, left), self._word_rows(si, right)
+        positions = np.asarray(positions, dtype=left.dtype)
+        return self._word_rows(di, left, positions), self._word_rows(si, right, positions)
 
     def aut_table(self, oi: int) -> np.ndarray:
         """The read-only Cayley table of Aut(x) in ``aut_idx`` order, built
@@ -296,7 +301,8 @@ class FiniteCategory:
             columns = [[rank[self.compose_idx(g, a)] for a in auts]
                        for g in self.aut_generators(oi)]
             dtype = np.min_scalar_type(len(auts) - 1)
-            table = self._word_rows(oi, np.array(columns, dtype=dtype).reshape(-1, len(auts)))
+            table = self._word_rows(oi, np.array(columns, dtype=dtype).reshape(-1, len(auts)),
+                                    np.arange(len(auts), dtype=dtype))
             table.setflags(write=False)
             self._aut_table[oi] = table
         return self._aut_table[oi]
@@ -304,8 +310,8 @@ class FiniteCategory:
     # -- axiom checking --------------------------------------------------------
 
     def check_axioms(self):
-        """Verify identity laws, associativity, and (for table-backed
-        categories) that the table covers exactly the composable pairs.
+        """Verify identity laws and associativity, which composes every
+        composable pair, so a table missing a composite raises too.
         Intended for parsed input and small built categories."""
         nm = len(self.mor_ids)
         for fi in range(nm):
@@ -314,20 +320,6 @@ class FiniteCategory:
                 raise CategoryError(f"left identity law fails for {f}")
             if self.compose_idx(fi, self.identity_idx[self.src[fi]]) != fi:
                 raise CategoryError(f"right identity law fails for {f}")
-        if self._payloads is None:
-            composable = {(g, f) for f in range(nm) for g in range(nm)
-                          if self.dst[f] == self.src[g]}
-            extra = set(self._ctab) - composable
-            if extra:
-                g, f = sorted(extra)[0]
-                raise CategoryError(
-                    f"composite declared for non-composable pair "
-                    f"({self.mor_ids[g]}, {self.mor_ids[f]})")
-            missing = composable - set(self._ctab)
-            if missing:
-                g, f = sorted(missing)[0]
-                raise CategoryError(
-                    f"missing composite for pair ({self.mor_ids[g]}, {self.mor_ids[f]})")
         for fi in range(nm):
             for gi in self.morphisms_from_idx(self.dst[fi]):
                 gf = self.compose_idx(gi, fi)
@@ -341,20 +333,14 @@ class FiniteCategory:
     # -- derived categories ----------------------------------------------------
 
     def opposite(self) -> "FiniteCategory":
+        """Sources and targets swapped, composition reversed; each payload is
+        the morphism's index here."""
         mors = [(m, self.objects[self.dst[i]], self.objects[self.src[i]])
                 for i, m in enumerate(self.mor_ids)]
         ident = {o: self.mor_ids[self.identity_idx[i]] for i, o in enumerate(self.objects)}
-        if self._payloads is not None:
-            fn = self._compose_payload
-            return FiniteCategory(
-                self.objects, mors, ident,
-                payloads=self._payloads,
-                compose_payload=lambda gp, fp: fn(fp, gp),
-                inverse_payload=self._inverse_payload,
-                name=f"op({self.name})" if self.name else "op")
-        table = {(self.mor_ids[f], self.mor_ids[g]): self.mor_ids[h]
-                 for (g, f), h in self._ctab.items()}
-        return FiniteCategory(self.objects, mors, ident, table,
+        return FiniteCategory(self.objects, mors, ident, payloads=range(self.n_morphisms),
+                              compose_payload=lambda g, f: self.compose_idx(f, g),
+                              inverse_payload=self.inverse_idx,
                               name=f"op({self.name})" if self.name else "op")
 
     def same_presentation(self, other: "FiniteCategory") -> bool:
@@ -505,8 +491,8 @@ def from_catdef(text: str, name: str = "") -> FiniteCategory:
 def ordinal(m: int) -> FiniteCategory:
     """The finite ordered set 0 -> 1 -> ... -> m viewed as a category:
     one morphism j -> k exactly when j <= k."""
-    if m < 0:
-        raise CategoryError(f"ordinal:<m> needs m >= 0, got {m}")
+    if not 0 <= m <= 100:
+        raise CategoryError(f"ordinal:<m> needs m <= 100 and m >= 0, got {m}")
     objects = [str(j) for j in range(m + 1)]
 
     def mid(j, k):
@@ -611,25 +597,15 @@ def opposite(cat: FiniteCategory) -> FiniteCategory:
 
 
 def maximal_subgroupoid(cat: FiniteCategory) -> FiniteCategory:
-    """Same objects, only the isomorphisms, composition restricted."""
+    """Same objects, only the isomorphisms, composition restricted; each
+    payload is the morphism's index in ``cat``."""
     keep = [i for i in range(cat.n_morphisms) if cat.inverse_idx(i) is not None]
     morphisms = [(cat.mor_ids[i], cat.objects[cat.src[i]], cat.objects[cat.dst[i]])
                  for i in keep]
     identity = {o: cat.mor_ids[cat.identity_idx[i]] for i, o in enumerate(cat.objects)}
-    nm = f"iso({cat.name})" if cat.name else "iso"
-    if cat._payloads is not None:
-        return FiniteCategory(cat.objects, morphisms, identity,
-                              payloads=[cat._payloads[i] for i in keep],
-                              compose_payload=cat._compose_payload,
-                              inverse_payload=cat._inverse_payload, name=nm)
-    keepset = set(keep)
-    table = {}
-    for f in keep:
-        for g in keepset & set(cat.morphisms_from_idx(cat.dst[f])):
-            h = cat.compose_idx(g, f)
-            assert h in keepset, "isomorphisms are closed under composition"
-            table[(cat.mor_ids[g], cat.mor_ids[f])] = cat.mor_ids[h]
-    return FiniteCategory(cat.objects, morphisms, identity, table, name=nm)
+    return FiniteCategory(cat.objects, morphisms, identity, payloads=keep,
+                          compose_payload=cat.compose_idx, inverse_payload=cat.inverse_idx,
+                          name=f"iso({cat.name})" if cat.name else "iso")
 
 
 @dataclass

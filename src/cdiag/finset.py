@@ -53,18 +53,21 @@ class FiberProfile:
         return " ∪ ".join(parts) if parts else "·"
 
     def group_expr(self) -> GroupExpr:
-        factors = [Wreath(Symmetric(i), v) for i, v in enumerate(self.k) if v > 0]
-        if not factors:
-            return Trivial()
-        if len(factors) == 1:
-            return factors[0]
-        return Product(factors)
+        return _product_of([Wreath(Symmetric(i), v) for i, v in enumerate(self.k) if v > 0])
 
     def group_order(self) -> int:
         out = 1
         for i, v in enumerate(self.k):
             out *= factorial(i) ** v * factorial(v)
         return out
+
+
+def _product_of(factors: list) -> GroupExpr:
+    """The direct product of ``factors``: Trivial for none, the factor
+    itself for one."""
+    if not factors:
+        return Trivial()
+    return factors[0] if len(factors) == 1 else Product(factors)
 
 
 def profile_of(values, m: int) -> FiberProfile:
@@ -225,8 +228,7 @@ def injective_level1(n: int, m: int) -> list:
     profiles = enumerate_profiles(n, m, "inj")
     assert len(profiles) == 1
     p = profiles[0]
-    factors = [f for f in (Symmetric(m - n), Symmetric(n)) if f.order() > 1]
-    expr = factors[0] if len(factors) == 1 else (Product(factors) if factors else Trivial())
+    expr = _product_of([f for f in (Symmetric(m - n), Symmetric(n)) if f.order() > 1])
     return [_profile_component(p, expr)]
 
 
@@ -241,13 +243,7 @@ def surjective_level1(n: int, m: int) -> list:
         for i in range(2, p.n + 1):
             if p.k[i] > 0:
                 factors.append(Wreath(Symmetric(i), p.k[i]))
-        if not factors:
-            expr = Trivial()
-        elif len(factors) == 1:
-            expr = factors[0]
-        else:
-            expr = Product(factors)
-        out.append(_profile_component(p, expr))
+        out.append(_profile_component(p, _product_of(factors)))
     return out
 
 

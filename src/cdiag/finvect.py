@@ -23,7 +23,7 @@ from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
                      Product, are_isomorphic, materialize, table_from_elements)
 from .limits import DEFAULT_LIMITS, Limits
 
-# orbits_by_rank enumerates at most this many matrices.
+# vect_skeleton and orbits_by_rank enumerate at most this many matrices.
 _ENUM_BOUND = 2 ** 20
 
 
@@ -91,10 +91,15 @@ def canonical_rank_rep(rank: int, m: int, n: int) -> tuple:
 
 def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
     """Objects 0..max_dim (spaces F^d); morphisms all matrices over F_q."""
-    if not modp.is_prime(q):
-        raise GroupError(f"q={q} is not prime")
     if max_dim < 0:
         raise CategoryError(f"max_dim must be at least 0, got {max_dim}")
+    # checked before the primality test, whose trial division runs for
+    # minutes on a large q; max_dim^2 > 20 alone means more than 2^20 matrices
+    if max_dim * max_dim > 20 or sum(q ** (n * m) for n in range(max_dim + 1)
+                                     for m in range(max_dim + 1)) > _ENUM_BOUND:
+        raise CategoryError(f"vect:{max_dim}:{q} has more than {_ENUM_BOUND} morphisms")
+    if not modp.is_prime(q):
+        raise GroupError(f"q={q} is not prime")
     objects = [str(d) for d in range(max_dim + 1)]
     # entries above 9 need a separator: (1, 10) and (11, 0) would both read 110
     sep = "_" if q > 10 else ""
@@ -197,12 +202,7 @@ def _named_rank_expr(n: int, m: int, r: int, q: int) -> Optional[str]:
         return " x ".join(parts) if parts else "1"
     if r == n == m:
         return gl_text(n) or "1"
-    if {n, m} == {1, 2}:
-        u, a = FieldUnits(q), FieldAdditive(q)
-        return Product([u, u, a]).text() if q == 2 else "{([a],[[a,x],[0,z]])}"
-    u, a = FieldUnits(q), FieldAdditive(q)
-    return (Product([u, u, u, a, a]).text() if q == 2
-            else "{([[a,b],[0,d]],[[a,0],[y,z]])}")
+    return _column_text(q) if {n, m} == {1, 2} else _diag_text(q)
 
 
 def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS) -> VectCell:
@@ -263,6 +263,33 @@ def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS) -> V
 # The dimension <= 2 stabilizer catalogue
 
 
+def _column_text(q: int) -> str:
+    """Display form of the stabilizer of the column [1;0]."""
+    u, a = FieldUnits(q), FieldAdditive(q)
+    return Product([u, u, a]).text() if q == 2 else "{([a],[[a,x],[0,z]])}"
+
+
+def _diag_text(q: int) -> str:
+    """Display form of the stabilizer of diag(1,0)."""
+    u, a = FieldUnits(q), FieldAdditive(q)
+    return (Product([u, u, u, a, a]).text() if q == 2
+            else "{([[a,b],[0,d]],[[a,0],[y,z]])}")
+
+
+def _column_elements(q: int) -> list:
+    """The pairs ([a], [[a,x],[0,z]]) with a, z units."""
+    units = range(1, q)
+    return [(((w,),), ((w, x), (0, z))) for w in units for x in range(q) for z in units]
+
+
+def _diag_elements(q: int) -> list:
+    """The pairs ([[a,b],[0,d]], [[a,0],[y,z]]) with a, d, z units."""
+    units = range(1, q)
+    return [(((w, b), (0, d)), ((w, 0), (y, z)))
+            for w in units for b in range(q) for d in units
+            for y in range(q) for z in units]
+
+
 @dataclass
 class StabilizerCase:
     case: str
@@ -271,25 +298,25 @@ class StabilizerCase:
     representative: tuple
     expr_text: str
     order: int
-    _elements: object = None      # list of (C, D) pairs, or None to use expr
+    _elements: object = None      # q -> list of (C, D) pairs, or None to use expr
     expr: object = None
     q: int = 0
 
     def table(self, table_limit: int):
-        """The stabilizer subgroup as a concrete Cayley table."""
+        """The stabilizer subgroup as a concrete Cayley table; the elements
+        are listed only within ``table_limit``."""
         if self._elements is None:
             return materialize(self.expr, table_limit)
-        if len(self._elements) > table_limit:
+        if self.order > table_limit:
             raise CategoryError(
-                f"stabilizer of order {len(self._elements)} exceeds "
-                f"table_limit {table_limit}")
+                f"stabilizer of order {self.order} exceeds table_limit {table_limit}")
         q = self.q
 
         def mul(e1, e2):
             (c1, d1), (c2, d2) = e1, e2
             return (modp.mul(c1, c2, q), modp.mul(d1, d2, q))
 
-        return table_from_elements(self._elements, mul, label=self.case)
+        return table_from_elements(self._elements(q), mul, label=self.case)
 
 
 def paper_stabilizers_dim_le2(q: int) -> list:
@@ -301,8 +328,8 @@ def paper_stabilizers_dim_le2(q: int) -> list:
     diag(1,0): pairs ([[a,b],[0,d]], [[a,0],[y,z]]);
     the full-rank 2 x 2: pairs (C, C^{-1}), a copy of GL_2.
 
-    The column and diag cases carry their explicit element lists: the
-    entrywise parametrization is exact, but the multiplication twists the
+    The column and diag cases list their elements explicitly when tabled:
+    the entrywise parametrization is exact, but the multiplication twists the
     off-diagonal coordinates, so for q > 2 these groups are nonabelian and
     in particular not direct products of unit/additive groups (they only
     have the same order).  At q = 2 the twist vanishes and the direct
@@ -310,19 +337,9 @@ def paper_stabilizers_dim_le2(q: int) -> list:
     """
     if not modp.is_prime(q):
         raise GroupError(f"q={q} is not prime")
-    u, a = FieldUnits(q), FieldAdditive(q)
+    u = FieldUnits(q)
     gl2 = GeneralLinear(2, q)
-    units = range(1, q)
     zero22 = tuple(tuple(0 for _ in range(2)) for _ in range(2))
-
-    column_els = [(((w,),), ((w, x), (0, z)))
-                  for w in units for x in range(q) for z in units]
-    diag_els = [(((w, b), (0, d)), ((w, 0), (y, z)))
-                for w in units for b in range(q) for d in units
-                for y in range(q) for z in units]
-    column_text = Product([u, u, a]).text() if q == 2 else "{([a],[[a,x],[0,z]])}"
-    diag_text = (Product([u, u, u, a, a]).text() if q == 2
-                 else "{([[a,b],[0,d]],[[a,0],[y,z]])}")
     return [
         StabilizerCase("rank-0 2x2", 2, 2, zero22,
                        Product([gl2, gl2]).text(), gl2.order() ** 2,
@@ -330,9 +347,9 @@ def paper_stabilizers_dim_le2(q: int) -> list:
         StabilizerCase("unit 1x1", 1, 1, ((1,),),
                        u.text(), q - 1, None, u, q),
         StabilizerCase("column [1;0]", 1, 2, ((1,), (0,)),
-                       column_text, (q - 1) ** 2 * q, column_els, None, q),
+                       _column_text(q), (q - 1) ** 2 * q, _column_elements, None, q),
         StabilizerCase("diag(1,0) 2x2", 2, 2, ((1, 0), (0, 0)),
-                       diag_text, (q - 1) ** 3 * q * q, diag_els, None, q),
+                       _diag_text(q), (q - 1) ** 3 * q * q, _diag_elements, None, q),
         StabilizerCase("full-rank 2x2", 2, 2, ((1, 0), (0, 1)),
                        gl2.text(), gl2.order(), None, gl2, q),
     ]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -263,10 +264,27 @@ def test_transversal_stabilizer_elements_form_the_stabilizer():
     tiny = Limits(scan_limit=1)
     for o in orbits(sk, 1, tiny):
         stab = o.stabilizer
-        els = chains._chain_stabilizer(sk, stab.objs, stab.mors)
+        els = chains._stabilizer_elements(sk, stab.objs, [stab.mors])[0]
         assert len(set(els)) == len(els) == stab.order
         # the table raises unless the listed elements are closed
         assert stab.to_cayley_table(20000).n == stab.order
+
+
+@pytest.mark.parametrize("cells", [chains._SCAN_CELLS, 1])
+def test_stabilizer_elements_equal_a_brute_force_filter(cells, monkeypatch):
+    # every automorphism tuple that fixes the chain, in lexicographic order,
+    # for all chains of each tuple in one call; cells=1 lists one chain per block
+    monkeypatch.setattr(chains, "_SCAN_CELLS", cells)
+    for spec, level in [("finset:3", 1), ("vect:2:2", 1), ("group:S3", 2), ("mixed", 2)]:
+        cat = _category(spec)
+        by_objs = {}
+        for c in enumerate_chains(cat, level):
+            by_objs.setdefault(c.objs, []).append(c.mors)
+        for objs, reps in by_objs.items():
+            ambient = list(itertools.product(*(cat.aut_idx(x) for x in objs)))
+            want = [[g for g in ambient if _act_mors(cat, g, objs, mors) == mors]
+                    for mors in reps]
+            assert chains._stabilizer_elements(cat, objs, reps) == want, objs
 
 
 # Both stabilizer policies, in both enumeration orders, on four categories.
@@ -287,7 +305,7 @@ def test_stabilizer_elements_fix_the_representative(spec, level):
             els = stab.elements
             if els is None:
                 # listed only when tabled; must equal the scan of the same chain
-                els = chains._chain_stabilizer(cat, rep.objs, rep.mors)
+                els = chains._stabilizer_elements(cat, rep.objs, [rep.mors])[0]
                 assert els == scanned[rep.mors].elements, rep
                 saw_transversal = True
             assert len(els) == stab.order
@@ -355,7 +373,7 @@ def test_stabilizer_tables_equal_per_pair_reference(spec, level, policies):
     for stab in stabs:
         els = stab.elements
         if els is None:
-            els = chains._chain_stabilizer(cat, stab.objs, stab.mors)
+            els = chains._stabilizer_elements(cat, stab.objs, [stab.mors])[0]
         ref = table_from_elements(els, compose)
         assert np.array_equal(stab.to_cayley_table(20000).table, ref.table), stab.objs
 
@@ -439,7 +457,7 @@ def test_action_arrays_equal_per_pair_reference(spec):
         assert sorted(a for a, _, _ in words) == list(range(len(auts)))
         assert words[0] == (auts.index(cat.identity_idx[x]), -1, -1)
         for a, p, k in words[1:]:
-            assert cat.compose_idx(auts[p], gens[k]) == auts[a]
+            assert cat.compose_idx(gens[k], auts[p]) == auts[a]
         table = cat.aut_table(x)
         assert np.array_equal(table, table_from_elements(auts, cat.compose_idx).table)
         assert table.dtype == np.min_scalar_type(len(auts) - 1)
@@ -452,9 +470,15 @@ def test_action_arrays_equal_per_pair_reference(spec):
             assert np.array_equal(left, ref(hom, cat.aut_generators(y), after))
             assert np.array_equal(right, ref(hom, cat.aut_generators(x), before_inverse))
             assert left.dtype == right.dtype == np.min_scalar_type(len(hom) - 1)
-            full_left, full_right = cat.hom_action_tables(x, y)
-            assert np.array_equal(full_left, ref(hom, cat.aut_idx(y), after))
-            assert np.array_equal(full_right, ref(hom, cat.aut_idx(x), before_inverse))
+            full_left = ref(hom, cat.aut_idx(y), after)
+            full_right = ref(hom, cat.aut_idx(x), before_inverse)
+            every = list(range(len(hom)))
+            # a non-contiguous subset, out of order and with repeats
+            some = [p for p in every if p % 3 != 1][::-1] * 2
+            for positions in (every, some):
+                on_left, on_right = cat.hom_action_tables(x, y, positions)
+                assert np.array_equal(on_left, full_left[:, positions])
+                assert np.array_equal(on_right, full_right[:, positions])
 
 
 def test_words_from_too_few_generators_raise():

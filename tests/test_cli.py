@@ -49,11 +49,26 @@ def test_builtin_errors(capsys):
     ("group:S-1", "n >= 0, got -1"),
     ("finset:-1", "outside 0..6"),
     ("vect:-1:2", "at least 0, got -1"),
+    ("ordinal:101", "m <= 100 and m >= 0, got 101"),
+    ("group:S7", "k <= 6, got 7"),
+    ("group:C721", "1 <= k <= 720, got 721"),
+    ("vect:3:5", "vect:3:5 has more than 1048576 morphisms"),
+    ("vect:1:1000000000000000003", "has more than 1048576 morphisms"),
 ])
 def test_bad_builtin_says_why(spec, reason, capsys):
     assert run(["decompose", "--builtin", spec]) == 2
     err = capsys.readouterr().err
     assert f"bad builtin {spec!r}: " in err and reason in err
+
+
+def test_vect_builtin_within_the_bound_builds():
+    assert builtin_category("vect:3:3").n_morphisms == sum(
+        3 ** (n * m) for n in range(4) for m in range(4))
+
+
+def test_oracle_diff_rejects_a_vect_dimension_over_the_bound(capsys):
+    assert run(["oracle-diff", "--vect-dim", "5"]) == 2
+    assert "vect:5:2 has more than 1048576 morphisms" in capsys.readouterr().err
 
 
 def test_vect_builtin_with_two_digit_entries(capsys):

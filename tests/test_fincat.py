@@ -105,6 +105,14 @@ def test_validate_missing_composite():
         from_catdef(text)
 
 
+def test_check_axioms_finds_a_missing_composite():
+    # built directly, without the parser's own check: f after f is missing
+    table = {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f"}
+    cat = FiniteCategory(["x"], [("e", "x", "x"), ("f", "x", "x")], {"x": "e"}, table)
+    with pytest.raises(CategoryError, match=r"missing composite for pair \(f, f\)"):
+        cat.check_axioms()
+
+
 def test_validate_associativity_violation_reports_triple():
     # a 3-cycle composed against the wrong table entry
     text = ("object x\nmor a : x -> x\nmor b : x -> x\n"
@@ -170,6 +178,19 @@ def test_maximal_subgroupoid_ordinal():
 def test_opposite_involution():
     for cat in (fincat.walking_arrow(), fincat.ordinal(2), fincat.iso_interval()):
         assert cat.opposite().opposite().same_presentation(cat)
+
+
+def test_derived_categories_compose_through_the_parent(s3_category):
+    for cat in (s3_category, fincat.ordinal(2), finset.finset_skeleton(2)):
+        op, sub = cat.opposite(), maximal_subgroupoid(cat)
+        for f in cat.mor_ids:
+            for g in cat.mor_ids:
+                if cat.source(g) == cat.target(f):
+                    assert op.compose(f, g) == cat.compose(g, f)
+                    if g in sub.mor_ids and f in sub.mor_ids:
+                        assert sub.compose(g, f) == cat.compose(g, f)
+        assert [op.inverse_idx(i) for i in range(op.n_morphisms)] == \
+            [cat.inverse_idx(i) for i in range(cat.n_morphisms)]
 
 
 def test_opposite_walking_arrow():

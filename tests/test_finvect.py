@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cdiag import modp
+from cdiag import finvect, modp
 from cdiag.fincat import CategoryError
 from cdiag.finvect import (MatrixFq, direct_scan_stabilizer_order, glnq_order,
                            matrix_action, oracle_diff_vect, orbits_by_rank,
@@ -147,6 +147,21 @@ def test_column_case_group_structure():
     from cdiag.groups import Symmetric, cyclic_table, materialize, product_table
     s3xc2 = product_table([materialize(Symmetric(3)), cyclic_table(2)])
     assert are_isomorphic(t, s3xc2) is True
+
+
+def test_catalogue_lists_elements_only_when_tabled(monkeypatch):
+    def refuse(q):
+        raise AssertionError("listed the elements of a case above table_limit")
+
+    monkeypatch.setattr(finvect, "_column_elements", refuse)
+    monkeypatch.setattr(finvect, "_diag_elements", refuse)
+    cases = {c.case: c for c in paper_stabilizers_dim_le2(101)}
+    diag = cases["diag(1,0) 2x2"]
+    assert diag.order == 100 ** 3 * 101 ** 2
+    with pytest.raises(CategoryError, match="exceeds table_limit 20000"):
+        diag.table(20000)
+    with pytest.raises(CategoryError, match="exceeds table_limit 20000"):
+        cases["column [1;0]"].table(20000)
 
 
 def test_full_rank_case_is_gl2():
