@@ -10,8 +10,8 @@ from .classifying import (Component, Decomposition, completeness_check,
                           level_decomposition, nerve_truncation, segal_check)
 from .fincat import (FiniteCategory, check_equivalence_invariants, from_catdef,
                      iso_interval, maximal_subgroupoid, one_object_group,
-                     opposite, ordinal, parse_catdef, truncated_delta,
-                     validate_category, walking_arrow)
+                     ordinal, parse_catdef, truncated_delta, validate_category,
+                     walking_arrow)
 from .groups import (CayleyTable, GeneralLinear, GroupExpr, Product,
                      Symmetric, Trivial, Wreath, are_isomorphic, materialize)
 from .limits import DEFAULT_LIMITS, Limits
@@ -24,7 +24,7 @@ __all__ = [
     "face_degeneracy_report", "is_discrete_classifying", "level_decomposition",
     "nerve_truncation", "segal_check", "FiniteCategory",
     "check_equivalence_invariants", "from_catdef", "iso_interval",
-    "maximal_subgroupoid", "one_object_group", "opposite", "ordinal",
+    "maximal_subgroupoid", "one_object_group", "ordinal",
     "parse_catdef", "truncated_delta", "validate_category", "walking_arrow",
     "CayleyTable", "GeneralLinear", "GroupExpr", "Product", "Symmetric",
     "Trivial", "Wreath", "are_isomorphic", "materialize", "DEFAULT_LIMITS",

@@ -469,8 +469,7 @@ class Orbit:
         return self.rep_fiber_size * self.stabilizer.order == self.ambient_order
 
 
-def iso_classes_of_objects(cat: FiniteCategory,
-                           limits: Limits = DEFAULT_LIMITS) -> list:
+def iso_classes_of_objects(cat: FiniteCategory) -> list:
     """Level-0 orbits: isomorphism classes of objects with Aut(rep)."""
     orbits_ = []
     for cls in object_iso_classes(cat):
@@ -501,7 +500,7 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
     """
     _check_level(n)
     if n == 0:
-        return iso_classes_of_objects(cat, limits)
+        return iso_classes_of_objects(cat)
 
     total = _limited_chain_count(cat, n, limits)
     classes = object_iso_classes(cat)

@@ -11,6 +11,7 @@ isomorphism below the configured limit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -141,17 +142,23 @@ def segal_check(cat: FiniteCategory, n: int,
 # Completeness via the walking isomorphism
 
 
-def invertible_square_groupoid(cat: FiniteCategory) -> FiniteCategory:
+def invertible_square_groupoid(cat: FiniteCategory,
+                               limits: Limits = DEFAULT_LIMITS) -> FiniteCategory:
     """The groupoid whose objects are the mutually inverse pairs (f, g) of
     ``cat`` (one per isomorphism f) and whose morphisms are pairs of
-    isomorphisms making both squares commute."""
+    isomorphisms making both squares commute.  Its morphisms are its
+    1-chains, so their count is held to chain_limit before any is built."""
     isos = [f for f in range(cat.n_morphisms) if cat.inverse_idx(f) is not None]
     obj_ids = [cat.mor_ids[f] for f in isos]
-    pos = {f: k for k, f in enumerate(isos)}
 
-    iso_by_pair = {}
+    iso_by_pair, isos_out = {}, Counter()
     for f in isos:
         iso_by_pair.setdefault((cat.src[f], cat.dst[f]), []).append(f)
+        isos_out[cat.src[f]] += 1
+    total = sum(isos_out[x] * isos_out[y] * len(fs) for (x, y), fs in iso_by_pair.items())
+    if total > limits.chain_limit:
+        raise chains_mod.ChainLimitExceeded(
+            f"{total} invertible squares exceeds chain_limit {limits.chain_limit}")
 
     payloads, morphisms = [], []
     identity = {}
@@ -203,9 +210,9 @@ def completeness_check(cat: FiniteCategory,
     """Compare the class/automorphism invariants of the maximal subgroupoid
     of ``cat`` with those of the groupoid of invertible squares; equality is
     the checkable shadow of completeness of the classifying diagram."""
-    side_a = chains_mod.iso_classes_of_objects(cat, limits)
-    gpd = invertible_square_groupoid(cat)
-    side_b = chains_mod.iso_classes_of_objects(gpd, limits)
+    side_a = chains_mod.iso_classes_of_objects(cat)
+    gpd = invertible_square_groupoid(cat, limits)
+    side_b = chains_mod.iso_classes_of_objects(gpd)
 
     counts = (len(side_a), len(side_b))
     multi_a = tuple(sorted(o.stabilizer.order for o in side_a))
@@ -361,7 +368,8 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
                      limits: Limits = DEFAULT_LIMITS) -> TruncatedSimplicialSet:
     """Levels 0..truncation of the nerve of a groupoid, with explicit face
     and degeneracy maps, simplicial identities verified by the caller via
-    ``check_simplicial_identities``."""
+    ``check_simplicial_identities``.  Every level is held to chain_limit
+    before any is listed."""
     if not 0 <= truncation <= MAX_NERVE_TRUNCATION:
         raise CategoryError(
             f"truncation must be between 0 and {MAX_NERVE_TRUNCATION}, got {truncation}")
@@ -370,6 +378,8 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
             raise CategoryError(
                 f"nerve truncation expects a groupoid; {gpd.mor_ids[f]} is not invertible")
 
+    for n in range(1, truncation + 1):
+        chains_mod._limited_chain_count(gpd, n, limits)
     levels = [list(range(gpd.n_objects))]
     index_of = [dict((x, i) for i, x in enumerate(levels[0]))]
     for n in range(1, truncation + 1):

@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finvect", help="rank-orbit decomposition over a prime field")
     _add_common(p, category=False)
     p.add_argument("--max-dim", type=_int_in(0), default=2, dest="max_dim")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_int_in(2, finvect.ENUM_BOUND), default=2)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(handler=_cmd_finvect)
 
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finset-max", type=_int_in(0), dest="finset_max")
     p.add_argument("--variant", choices=("all", "inj", "surj"), default="all")
     p.add_argument("--vect-dim", type=_int_in(0), dest="vect_dim")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=_int_in(2, finvect.ENUM_BOUND), default=2)
     p.set_defaults(handler=_cmd_oracle_diff)
 
     return ap

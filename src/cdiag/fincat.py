@@ -1,12 +1,12 @@
 """Finite categories with explicit, fully validated composition.
 
 A FiniteCategory stores objects and morphisms as opaque string ids; all
-engine-internal indexing uses dense integers.  Composition is either a
-materialized table (parsed and small built-in categories) or computed on
-demand from hashable morphism payloads (function/matrix skeletons, and
-derived categories, whose payloads are the parent's morphism indices), with
-results cached.  Values are immutable after construction and every
-operation here is pure.
+engine-internal indexing uses dense integers.  Every morphism carries a
+hashable payload (an ordered pair for ordinals, a group element, a function
+or matrix for the skeletons, the parent's morphism index for derived
+categories, the morphism's own name for CATDEF input), and composites are
+computed from payloads on demand and cached.  Values are immutable after
+construction and every operation here is pure.
 """
 
 from __future__ import annotations
@@ -35,17 +35,18 @@ class CatdefError(CategoryError):
 
 
 class FiniteCategory:
-    def __init__(self, objects, morphisms, identity, compose_table=None, *,
-                 payloads=None, compose_payload=None, inverse_payload=None,
-                 name: str = ""):
+    def __init__(self, objects, morphisms, identity, *, payloads, compose_payload,
+                 inverse_payload=None, name: str = ""):
         """
         objects: sequence of object ids.
         morphisms: sequence of (morphism id, source id, target id).
         identity: mapping object id -> morphism id.
-        compose_table: mapping (g id, f id) -> h id, meaning g after f.
-            Alternatively pass payloads (one hashable value per morphism,
-            in morphism order) with compose_payload/inverse_payload and
-            composites are computed on demand.
+        payloads: one distinct hashable value per morphism, in morphism order.
+        compose_payload: (payload of g, payload of f) -> payload of g after f,
+            called only on composable pairs; None when there is no composite.
+        inverse_payload: payload -> payload of its inverse, or None when the
+            morphism is not invertible.  Without it inverses are searched
+            for in the opposite hom set.
         """
         self.name = name
         self.objects = tuple(objects)
@@ -77,28 +78,15 @@ class FiniteCategory:
         self.identity_idx = tuple(ident)
         self._identity_set = frozenset(ident)
 
-        if compose_table is not None:
-            tab = {}
-            for (g, f), h in compose_table.items():
-                gi, fi, hi = self._midx[g], self._midx[f], self._midx[h]
-                if self.dst[fi] != self.src[gi]:
-                    raise CategoryError(f"compose {g} {f}: pair is not composable")
-                tab[(gi, fi)] = hi
-            self._ctab = tab
-            self._payloads = None
-            self._compose_payload = None
-            self._inverse_payload = None
-            self._payload_idx = None
-        else:
-            if payloads is None or compose_payload is None:
-                raise CategoryError("need compose_table or payloads+compose_payload")
-            self._payloads = tuple(payloads)
-            if len(self._payloads) != len(self.mor_ids):
-                raise CategoryError("one payload per morphism required")
-            self._payload_idx = {p: i for i, p in enumerate(self._payloads)}
-            self._compose_payload = compose_payload
-            self._inverse_payload = inverse_payload
-            self._ctab = {}
+        self.payloads = tuple(payloads)
+        if len(self.payloads) != len(self.mor_ids):
+            raise CategoryError("one payload per morphism required")
+        self._payload_idx = {p: i for i, p in enumerate(self.payloads)}
+        if len(self._payload_idx) != len(self.payloads):
+            raise CategoryError("duplicate morphism payload")
+        self._compose_payload = compose_payload
+        self._inverse_payload = inverse_payload
+        self._ctab = {}
 
         self._hom = None
         self._by_src = None
@@ -164,17 +152,12 @@ class FiniteCategory:
                 f"pair not composable: {self.mor_ids[gi]} after {self.mor_ids[fi]}")
         key = (gi, fi)
         h = self._ctab.get(key)
-        if h is not None:
-            return h
-        if self._compose_payload is None:
-            raise CategoryError(
-                f"missing composite for pair ({self.mor_ids[gi]}, {self.mor_ids[fi]})")
-        hp = self._compose_payload(self._payloads[gi], self._payloads[fi])
-        try:
-            h = self._payload_idx[hp]
-        except KeyError:
-            raise CategoryError("composition left the morphism set") from None
-        self._ctab[key] = h
+        if h is None:
+            h = self._payload_idx.get(self._compose_payload(self.payloads[gi], self.payloads[fi]))
+            if h is None:
+                raise CategoryError(
+                    f"missing composite for pair ({self.mor_ids[gi]}, {self.mor_ids[fi]})")
+            self._ctab[key] = h
         return h
 
     def compose(self, g: str, f: str) -> str:
@@ -187,7 +170,7 @@ class FiniteCategory:
             return self._inv[mi]
         inv = None
         if self._inverse_payload is not None:
-            p = self._inverse_payload(self._payloads[mi])
+            p = self._inverse_payload(self.payloads[mi])
             if p is not None:
                 inv = self._payload_idx.get(p)
                 if inv is None or not self._check_inverse(mi, inv):
@@ -311,7 +294,7 @@ class FiniteCategory:
 
     def check_axioms(self):
         """Verify identity laws and associativity, which composes every
-        composable pair, so a table missing a composite raises too.
+        composable pair, so a missing composite raises too.
         Intended for parsed input and small built categories."""
         nm = len(self.mor_ids)
         for fi in range(nm):
@@ -475,7 +458,8 @@ def validate_category(rdef: RawCategoryDef, name: str = "") -> FiniteCategory:
             if df == sg and (g, f) not in table:
                 raise CategoryError(f"missing composite for composable pair ({g}, {f})")
 
-    cat = FiniteCategory(objects, morphisms, identity, table, name=name)
+    cat = FiniteCategory(objects, morphisms, identity, payloads=[m for m, _, _ in morphisms],
+                         compose_payload=lambda g, f: table.get((g, f)), name=name)
     cat.check_axioms()
     return cat
 
@@ -490,24 +474,18 @@ def from_catdef(text: str, name: str = "") -> FiniteCategory:
 
 def ordinal(m: int) -> FiniteCategory:
     """The finite ordered set 0 -> 1 -> ... -> m viewed as a category:
-    one morphism j -> k exactly when j <= k."""
+    one morphism j -> k exactly when j <= k, with payload (j, k)."""
     if not 0 <= m <= 100:
         raise CategoryError(f"ordinal:<m> needs m <= 100 and m >= 0, got {m}")
     objects = [str(j) for j in range(m + 1)]
-
-    def mid(j, k):
-        return f"id_{j}" if j == k else f"a{j}_{k}"
-
-    morphisms = [(f"id_{j}", str(j), str(j)) for j in range(m + 1)]
-    morphisms += [(mid(j, k), str(j), str(k))
-                  for j in range(m + 1) for k in range(j + 1, m + 1)]
+    payloads = [(j, j) for j in range(m + 1)]
+    payloads += [(j, k) for j in range(m + 1) for k in range(j + 1, m + 1)]
+    morphisms = [(f"id_{j}" if j == k else f"a{j}_{k}", str(j), str(k)) for j, k in payloads]
     identity = {str(j): f"id_{j}" for j in range(m + 1)}
-    table = {}
-    for j in range(m + 1):
-        for k in range(j, m + 1):
-            for l in range(k, m + 1):
-                table[(mid(k, l), mid(j, k))] = mid(j, l)
-    return FiniteCategory(objects, morphisms, identity, table, name=f"ordinal:{m}")
+    return FiniteCategory(objects, morphisms, identity, payloads=payloads,
+                          compose_payload=lambda g, f: (f[0], g[1]),
+                          inverse_payload=lambda p: p if p[0] == p[1] else None,
+                          name=f"ordinal:{m}")
 
 
 def walking_arrow() -> FiniteCategory:
@@ -525,20 +503,18 @@ def iso_interval() -> FiniteCategory:
     return from_catdef(text, name="iso-interval")
 
 
-def one_object_group(table, names=None, name: str = "") -> FiniteCategory:
-    """A group as a one-object category whose morphisms are the elements.
+def one_object_group(table, name: str = "") -> FiniteCategory:
+    """A group as a one-object category whose morphisms are the elements,
+    each with its element index as payload.
 
     ``table`` is a CayleyTable or a square list of lists (validated).
     """
     if not isinstance(table, CayleyTable):
         table = CayleyTable(table)
     n = table.n
-    if names is None:
-        names = [f"g{i}" for i in range(n)]
-    mor = ["id_*" if i == table.identity else names[i] for i in range(n)]
-    morphisms = [(mor[i], "*", "*") for i in range(n)]
-    ctab = {(mor[i], mor[j]): mor[table.mul(i, j)] for i in range(n) for j in range(n)}
-    return FiniteCategory(["*"], morphisms, {"*": "id_*"}, ctab,
+    morphisms = [("id_*" if i == table.identity else f"g{i}", "*", "*") for i in range(n)]
+    return FiniteCategory(["*"], morphisms, {"*": "id_*"}, payloads=range(n),
+                          compose_payload=table.mul, inverse_payload=table.inv,
                           name=name or f"group[{n}]")
 
 
@@ -589,11 +565,6 @@ def _monotone_tuples(n: int, m: int):
 
 # ---------------------------------------------------------------------------
 # Maximal subgroupoid and object isomorphism classes
-
-
-def opposite(cat: FiniteCategory) -> FiniteCategory:
-    """Sources and targets swapped, composition reversed."""
-    return cat.opposite()
 
 
 def maximal_subgroupoid(cat: FiniteCategory) -> FiniteCategory:

@@ -307,7 +307,7 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
 
     by_cell = {}
     for o in orbs:
-        n, m, values = skel._payloads[o.rep.mors[0]]
+        n, m, values = skel.payloads[o.rep.mors[0]]
         by_cell.setdefault((n, m), []).append((profile_of(values, m), o))
 
     for n in range(max_card + 1):

@@ -23,8 +23,10 @@ from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
                      Product, are_isomorphic, materialize, table_from_elements)
 from .limits import DEFAULT_LIMITS, Limits
 
-# vect_skeleton and orbits_by_rank enumerate at most this many matrices.
-_ENUM_BOUND = 2 ** 20
+# vect_skeleton and orbits_by_rank enumerate at most this many matrices, and
+# no field is larger: that keeps the loops of is_prime (over the root of q)
+# and primitive_root (over q) under a second.
+ENUM_BOUND = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,10 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
     # checked before the primality test, whose trial division runs for
     # minutes on a large q; max_dim^2 > 20 alone means more than 2^20 matrices
     if max_dim * max_dim > 20 or sum(q ** (n * m) for n in range(max_dim + 1)
-                                     for m in range(max_dim + 1)) > _ENUM_BOUND:
-        raise CategoryError(f"vect:{max_dim}:{q} has more than {_ENUM_BOUND} morphisms")
+                                     for m in range(max_dim + 1)) > ENUM_BOUND:
+        raise CategoryError(f"vect:{max_dim}:{q} has more than {ENUM_BOUND} morphisms")
+    if q > ENUM_BOUND:
+        raise CategoryError(f"vect:{max_dim}:{q} needs q <= {ENUM_BOUND}")
     if not modp.is_prime(q):
         raise GroupError(f"q={q} is not prime")
     objects = [str(d) for d in range(max_dim + 1)]
@@ -210,8 +214,8 @@ def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS) -> V
     rank class is one orbit by breadth-first action from the canonical
     representative."""
     count = q ** (n * m)
-    if count > _ENUM_BOUND:
-        raise CategoryError(f"{count} matrices exceeds enumeration bound {_ENUM_BOUND}")
+    if count > ENUM_BOUND:
+        raise CategoryError(f"{count} matrices exceeds enumeration bound {ENUM_BOUND}")
     by_rank = {}
     for rows in modp.all_matrices(m, n, q):
         by_rank.setdefault(modp.rank(rows, q), set()).add(rows)
@@ -389,7 +393,7 @@ def oracle_diff_vect(max_dim: int, q: int,
 
     by_cell = {}
     for o in orbs:
-        n, m, rows = skel._payloads[o.rep.mors[0]]
+        n, m, rows = skel.payloads[o.rep.mors[0]]
         by_cell.setdefault((n, m), []).append((modp.rank(rows, q), o))
 
     for n in range(max_dim + 1):

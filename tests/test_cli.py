@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -61,6 +62,13 @@ def test_bad_builtin_says_why(spec, reason, capsys):
     assert f"bad builtin {spec!r}: " in err and reason in err
 
 
+@pytest.mark.parametrize("spec", ["group:S6", "group:C720", "ordinal:100"])
+def test_builders_materialize_no_composites(spec):
+    cat = builtin_category(spec)
+    assert cat._ctab == {}
+    assert cat.n_morphisms == {"group:S6": 720, "group:C720": 720, "ordinal:100": 5151}[spec]
+
+
 def test_vect_builtin_within_the_bound_builds():
     assert builtin_category("vect:3:3").n_morphisms == sum(
         3 ** (n * m) for n in range(4) for m in range(4))
@@ -69,6 +77,29 @@ def test_vect_builtin_within_the_bound_builds():
 def test_oracle_diff_rejects_a_vect_dimension_over_the_bound(capsys):
     assert run(["oracle-diff", "--vect-dim", "5"]) == 2
     assert "vect:5:2 has more than 1048576 morphisms" in capsys.readouterr().err
+
+
+def _exit_code(argv):
+    """The exit code of ``run``, including argparse's exit 2."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["finvect", "--max-dim", "0", "--q", "1000000000000000003"],
+     "--q: must be between 2 and 1048576"),
+    (["finvect", "--max-dim", "1", "--q", "1000000007"], "--q: must be between 2 and 1048576"),
+    (["decompose", "--builtin", "vect:0:1000000000000000003"], "needs q <= 1048576"),
+    (["oracle-diff", "--vect-dim", "0", "--q", "1000000000000000003"],
+     "--q: must be between 2 and 1048576"),
+])
+def test_a_field_over_the_bound_is_refused_at_once(argv, message, capsys):
+    start = time.perf_counter()
+    assert _exit_code(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 def test_vect_builtin_with_two_digit_entries(capsys):
@@ -301,6 +332,20 @@ PINNED_BODIES = [
     (("decompose", "--builtin", "vect:2:5", "--level", "1"),
      "3f383a8624fd6719485b1d05cbb4eac3732744e0004e7ccc6cdc6c141d3b0335",
      "16e740d2b86332b8b3d7dc7d61268f98c98a681e82e1164e6f03431193e540ce"),
+    # groups and ordinals, pinned from the engine whose builders stored
+    # every composite in a table
+    (("decompose", "--builtin", "group:S4", "--level", "2"),
+     "29090e9ad5befdb91912302a79fc7b65ac5e2bf7ea611792287b2a6c9251ebe7",
+     "238d6c4a8b4a662ca7a0b126555e47ccdf61cdf0a39e4f4f80c80c029a536709"),
+    (("decompose", "--builtin", "ordinal:4", "--level", "2"),
+     "a42f971ff3ab752723db41a3889a2a3a8838bedff45b35e0ee0a610f556b0d1e",
+     "b4b7ff9e83ddc4d8f5ae73fdc80b111da65922d42d4bf6998e0265b120ac1dfd"),
+    (("decompose", "--builtin", "group:C6", "--level", "1"),
+     "370d9ae08624ecfd239146d8c0070e61e1d310c82b9f400a4e392d89c918ea97",
+     "d66af6830959bb9980f4022342d546cfb92e386267e4baa93a4b8b1e560feb2f"),
+    (("complete", "--builtin", "group:S3"),
+     "26396122228574df07fd53c905b7e4d69156d93eecc6cfc5f697c66e0d92db8b",
+     "603c0d77afa2c3fe1443a3c70f10d096daafe8139c9ab60eacad5b1527855d1a"),
 ]
 
 
@@ -349,6 +394,27 @@ def test_env_limits_overridden_by_flags(capsys, monkeypatch):
         ["decompose", "--builtin", "ordinal:1", "--format", "json",
          "--iso-limit", "32"], capsys)
     assert json.loads(out)["config"]["limits"]["iso_limit"] == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["nerve", "--builtin", "group:S6", "--truncation", "3"],
+    ["complete", "--builtin", "vect:2:5"],
+])
+def test_nerve_and_complete_refuse_over_chain_limit_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "exceeds chain_limit 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["nerve", "--truncation", "3"], ["complete"]])
+def test_nerve_and_complete_count_against_chain_limit(command, capsys):
+    # group:S3 has 6^3 = 216 nerve 3-simplices and 216 invertible squares
+    argv = [command[0], "--builtin", "group:S3"] + command[1:]
+    assert run(argv + ["--chain-limit", "215"]) == 2
+    assert "216" in capsys.readouterr().err
+    assert run(argv + ["--chain-limit", "216"]) == 0
+    assert run(argv) == 0
 
 
 def test_bad_env_limits(capsys, monkeypatch):

@@ -108,9 +108,24 @@ def test_validate_missing_composite():
 def test_check_axioms_finds_a_missing_composite():
     # built directly, without the parser's own check: f after f is missing
     table = {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f"}
-    cat = FiniteCategory(["x"], [("e", "x", "x"), ("f", "x", "x")], {"x": "e"}, table)
+    cat = FiniteCategory(["x"], [("e", "x", "x"), ("f", "x", "x")], {"x": "e"},
+                         payloads=["e", "f"], compose_payload=lambda g, f: table.get((g, f)))
     with pytest.raises(CategoryError, match=r"missing composite for pair \(f, f\)"):
         cat.check_axioms()
+
+
+def test_a_composite_payload_outside_the_category_is_missing():
+    # f after f lands on a payload no morphism carries
+    cat = FiniteCategory(["x"], [("e", "x", "x"), ("f", "x", "x")], {"x": "e"},
+                         payloads=[0, 1], compose_payload=lambda g, f: g + f)
+    with pytest.raises(CategoryError, match=r"missing composite for pair \(f, f\)"):
+        cat.compose("f", "f")
+
+
+def test_a_payload_shared_by_two_morphisms_is_refused():
+    with pytest.raises(CategoryError, match="duplicate morphism payload"):
+        FiniteCategory(["x"], [("e", "x", "x"), ("f", "x", "x")], {"x": "e"},
+                       payloads=[0, 0], compose_payload=lambda g, f: 0)
 
 
 def test_validate_associativity_violation_reports_triple():
@@ -130,7 +145,8 @@ def test_validate_rejects_every_single_entry_perturbation():
         morphs = [(n, "*", "*") for n in names]
         ctab = {(names[i], names[j]): names[table[i][j]]
                 for i in range(6) for j in range(6)}
-        FiniteCategory(["*"], morphs, {"*": "e"}, ctab).check_axioms()
+        FiniteCategory(["*"], morphs, {"*": "e"}, payloads=names,
+                       compose_payload=lambda g, f: ctab.get((g, f))).check_axioms()
 
     build(S3_TABLE)
     for _ in range(200):

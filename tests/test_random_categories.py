@@ -29,7 +29,8 @@ def full_subcategory(cat: FiniteCategory, objs) -> FiniteCategory:
     return FiniteCategory(
         [cat.objects[x] for x in objs],
         [(cat.mor_ids[f], cat.objects[cat.src[f]], cat.objects[cat.dst[f]]) for f in keep],
-        {cat.objects[x]: cat.mor_ids[cat.identity_idx[x]] for x in objs}, table)
+        {cat.objects[x]: cat.mor_ids[cat.identity_idx[x]] for x in objs},
+        payloads=[cat.mor_ids[f] for f in keep], compose_payload=lambda g, f: table.get((g, f)))
 
 
 def relabelled_group(table, perm) -> FiniteCategory:
