@@ -19,12 +19,17 @@ from typing import Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import CayleyTable, ClosureLimitExceeded, GroupError, table_in_product
+from .groups import CayleyTable, ClosureLimitExceeded, table_in_product
 from .limits import DEFAULT_LIMITS, Limits
 
 
 class ChainLimitExceeded(CategoryError):
     pass
+
+
+class SelfCheckFailed(CategoryError):
+    """An identity the engine checks on its own results fails: a fault of
+    the engine, not a property of the category."""
 
 
 class Chain:
@@ -243,7 +248,7 @@ class StabilizerGroup:
     def to_cayley_table(self, table_limit: int) -> CayleyTable:
         """The scanned elements, or those ``_stabilizer_elements`` lists
         for the chain, multiplied coordinate-wise in the Cayley tables of
-        the Aut(x_i) (``FiniteCategory.aut_table``).  Raises GroupError
+        the Aut(x_i) (``FiniteCategory.aut_table``).  Raises SelfCheckFailed
         unless the chain's stabilizer has exactly ``order`` elements, and
         the table unless the elements are closed."""
         els = self.elements
@@ -252,8 +257,8 @@ class StabilizerGroup:
                 raise ClosureLimitExceeded(table_limit, self.order)
             els = _stabilizer_elements(self.cat, self.objs, [self.mors])[0]
             if len(els) != self.order:
-                raise GroupError(f"the stabilizer has {len(els)} elements, "
-                                 f"not the division order {self.order}")
+                raise SelfCheckFailed(f"the stabilizer has {len(els)} elements, "
+                                      f"not the division order {self.order}")
         els = np.array(els, dtype=np.int64).reshape(len(els), len(self.objs))
         coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
                   for i, x in enumerate(self.objs)]
@@ -273,9 +278,10 @@ def _tuple_action(cat: FiniteCategory, objs) -> tuple:
     their hom sets, the first morphism most significant, so codes order the
     chains lexicographically.  Each move maps every code to its image under
     one generator of one Aut(x_i), in (i, generator) order, read from the
-    generator columns of the hom sets next to x_i.  Min-label propagation
-    with pointer jumping over the moves labels every chain with the least
-    code in its orbit.
+    generator columns of the hom sets next to x_i; a lone object (level 0)
+    has no hom sets to move, so no moves.  Min-label propagation with
+    pointer jumping over the moves labels every chain with the least code
+    in its orbit.
     """
     homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
     radix = [len(h) for h in homs]
@@ -283,7 +289,7 @@ def _tuple_action(cat: FiniteCategory, objs) -> tuple:
     codes = np.arange(math.prod(radix))
     digits = [codes // s % r for s, r in zip(strides, radix)]
     moves = []
-    for i, x in enumerate(objs):
+    for i, x in enumerate(objs if homs else ()):
         for k in range(len(cat.aut_generators(x))):
             img = codes.copy()
             if i > 0:
@@ -407,9 +413,9 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
         for seed, orbit, mors in zip(seeds, orbits_, reps):
             members = _orbit_search(moves, seed)
             if sorted(members) != orbit:
-                raise CategoryError(f"orbit search from {mors} disagrees with the orbit labels")
+                raise SelfCheckFailed(f"orbit search from {mors} disagrees with the orbit labels")
             if ambient % len(members):
-                raise CategoryError("orbit size does not divide the ambient group order")
+                raise SelfCheckFailed("orbit size does not divide the ambient group order")
             stabs.append(StabilizerGroup(cat, objs, mors, ambient // len(members),
                                          None, "transversal"))
     else:
@@ -420,12 +426,12 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     for orbit, stab in zip(orbits_, stabs):
         mors = stab.mors
         if len(orbit) * stab.order != ambient:
-            raise CategoryError(
+            raise SelfCheckFailed(
                 f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
                 f"{len(orbit)} * {stab.order} != {ambient}")
         if reverse and sorted(_orbit_search(moves, orbit[-1])) != orbit:
-            raise CategoryError(f"orbits of {_decode(homs, strides, orbit[-1])} "
-                                f"and of its least member {mors} differ")
+            raise SelfCheckFailed(f"orbits of {_decode(homs, strides, orbit[-1])} "
+                                  f"and of its least member {mors} differ")
         out.append((mors, len(orbit), stab))
     return out
 
@@ -469,22 +475,6 @@ class Orbit:
         return self.rep_fiber_size * self.stabilizer.order == self.ambient_order
 
 
-def iso_classes_of_objects(cat: FiniteCategory) -> list:
-    """Level-0 orbits: isomorphism classes of objects with Aut(rep)."""
-    orbits_ = []
-    for cls in object_iso_classes(cat):
-        auts = cat.aut_idx(cls.rep)
-        stab = StabilizerGroup(cat, (cls.rep,), (), len(auts), [(a,) for a in auts], "scan")
-        orbits_.append(Orbit(
-            rep=Chain(cat, (cls.rep,), ()),
-            size=len(cls.members),
-            rep_fiber_size=1,
-            ambient_order=len(auts),
-            stabilizer=stab,
-        ))
-    return orbits_
-
-
 def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
            reverse: bool = False) -> list:
     """All components of level n with representatives and stabilizers.
@@ -496,12 +486,11 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
     gets its stabilizer from ``_orbit_and_stabilizer``.  Representatives are
     the lexicographically least chains on their tuple (by morphism index),
     so the output does not depend on enumeration order; ``reverse`` checks
-    that by also searching every orbit from its greatest member.
+    that by also searching every orbit from its greatest member.  Level 0
+    is the same search on one-object tuples: one chain per isomorphism
+    class of objects, stabilized by all of Aut(x).
     """
     _check_level(n)
-    if n == 0:
-        return iso_classes_of_objects(cat)
-
     total = _limited_chain_count(cat, n, limits)
     classes = object_iso_classes(cat)
     class_size = {x: len(cls.members) for cls in classes for x in cls.members}
@@ -515,5 +504,5 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
                              rep_fiber_size=size, ambient_order=_ambient_order(cat, objs),
                              stabilizer=stab))
     if sum(o.size for o in out) != total:
-        raise CategoryError("orbit sizes do not sum to the chain count")
+        raise SelfCheckFailed("orbit sizes do not sum to the chain count")
     return out

@@ -11,14 +11,13 @@ isomorphism below the configured limit.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import chains as chains_mod
-from .chains import Chain, Orbit, StabilizerGroup, chain_count, orbits
-from .fincat import CategoryError, FiniteCategory
-from .groups import CayleyTable, are_isomorphic, match_named
+from .chains import Chain, Orbit, SelfCheckFailed, StabilizerGroup, chain_count, orbits
+from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid
+from .groups import are_isomorphic, match_named
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -96,7 +95,7 @@ def level_decomposition(cat: FiniteCategory, n: int,
         ))
     total = chain_count(cat, n)
     if sum(c.orbit_size for c in comps) != total:
-        raise CategoryError("component sizes do not sum to the chain count")
+        raise SelfCheckFailed("component sizes do not sum to the chain count")
     return Decomposition(category=cat.name, level=n, total_chains=total,
                          components=comps)
 
@@ -142,59 +141,9 @@ def segal_check(cat: FiniteCategory, n: int,
 # Completeness via the walking isomorphism
 
 
-def invertible_square_groupoid(cat: FiniteCategory,
-                               limits: Limits = DEFAULT_LIMITS) -> FiniteCategory:
-    """The groupoid whose objects are the mutually inverse pairs (f, g) of
-    ``cat`` (one per isomorphism f) and whose morphisms are pairs of
-    isomorphisms making both squares commute.  Its morphisms are its
-    1-chains, so their count is held to chain_limit before any is built."""
-    isos = [f for f in range(cat.n_morphisms) if cat.inverse_idx(f) is not None]
-    obj_ids = [cat.mor_ids[f] for f in isos]
-
-    iso_by_pair, isos_out = {}, Counter()
-    for f in isos:
-        iso_by_pair.setdefault((cat.src[f], cat.dst[f]), []).append(f)
-        isos_out[cat.src[f]] += 1
-    total = sum(isos_out[x] * isos_out[y] * len(fs) for (x, y), fs in iso_by_pair.items())
-    if total > limits.chain_limit:
-        raise chains_mod.ChainLimitExceeded(
-            f"{total} invertible squares exceeds chain_limit {limits.chain_limit}")
-
-    payloads, morphisms = [], []
-    identity = {}
-    for k, f in enumerate(isos):
-        for k2, f2 in enumerate(isos):
-            alphas = iso_by_pair.get((cat.src[f], cat.src[f2]), [])
-            for a in alphas:
-                # beta is forced: beta = f2 . a . f^{-1}; both squares then commute
-                b = cat.compose_idx(f2, cat.compose_idx(a, cat.inverse_idx(f)))
-                assert cat.compose_idx(b, f) == cat.compose_idx(f2, a)
-                payload = (k, k2, a)
-                mid = f"sq{len(payloads)}"
-                if k == k2 and a == cat.identity_idx[cat.src[f]]:
-                    mid = f"id_{obj_ids[k]}"
-                    identity[obj_ids[k]] = mid
-                payloads.append(payload)
-                morphisms.append((mid, obj_ids[k], obj_ids[k2]))
-
-    def comp(gp, fp):
-        (kb, kc, a2), (ka, kb2, a1) = gp, fp
-        assert kb2 == kb
-        return (ka, kc, cat.compose_idx(a2, a1))
-
-    def inv(p):
-        k, k2, a = p
-        return (k2, k, cat.inverse_idx(a))
-
-    return FiniteCategory(obj_ids, morphisms, identity,
-                          payloads=payloads, compose_payload=comp,
-                          inverse_payload=inv,
-                          name=f"iso-squares({cat.name})" if cat.name else "iso-squares")
-
-
 @dataclass
 class CompletenessReport:
-    class_counts: tuple          # (iso(C), iso-squares)
+    class_counts: tuple          # (level 0, level 1) of iso(C)
     aut_order_multisets: tuple
     verdict: bool
     policy: str
@@ -207,12 +156,13 @@ class CompletenessReport:
 
 def completeness_check(cat: FiniteCategory,
                        limits: Limits = DEFAULT_LIMITS) -> CompletenessReport:
-    """Compare the class/automorphism invariants of the maximal subgroupoid
-    of ``cat`` with those of the groupoid of invertible squares; equality is
-    the checkable shadow of completeness of the classifying diagram."""
-    side_a = chains_mod.iso_classes_of_objects(cat)
-    gpd = invertible_square_groupoid(cat, limits)
-    side_b = chains_mod.iso_classes_of_objects(gpd)
+    """Compare the components of levels 0 and 1 of the classifying diagram
+    of iso(C), the maximal subgroupoid of ``cat``: its objects up to
+    isomorphism, and its isomorphisms up to invertible squares.  Equal
+    class counts, stabilizer orders and, below iso_limit, stabilizer groups
+    are the checkable shadow of completeness of the classifying diagram."""
+    gpd = maximal_subgroupoid(cat)
+    side_a, side_b = orbits(gpd, 0, limits), orbits(gpd, 1, limits)
 
     counts = (len(side_a), len(side_b))
     multi_a = tuple(sorted(o.stabilizer.order for o in side_a))
@@ -227,17 +177,18 @@ def completeness_check(cat: FiniteCategory,
     detail = []
     buckets_a, buckets_b = {}, {}
     for o in side_a:
-        buckets_a.setdefault(o.stabilizer.order, []).append(o)
+        buckets_a.setdefault(o.stabilizer.order, []).append(o.stabilizer)
     for o in side_b:
-        buckets_b.setdefault(o.stabilizer.order, []).append(o)
+        buckets_b.setdefault(o.stabilizer.order, []).append(o.stabilizer)
     verdict = True
     for order_key in sorted(buckets_a):
         if order_key > limits.iso_limit:
             detail.append(f"order {order_key}: order-only (above iso_limit)")
             continue
         policy = "aut-order multiset + group isomorphism"
-        ta, tb = ([CayleyTable(o.rep.cat.aut_table(o.rep.objs[0]),
-                               label=f"Aut({o.rep.object_ids[0]})") for o in b[order_key]]
+        if order_key == 1:
+            continue            # every group of order 1 is trivial
+        ta, tb = ([s.to_cayley_table(limits.table_limit) for s in b[order_key]]
                   for b in (buckets_a, buckets_b))
         if not _match_tables(ta, tb, limits.iso_limit):
             verdict = False
@@ -360,7 +311,7 @@ class TruncatedSimplicialSet:
         return True
 
 
-#: Highest nerve level ``nerve_truncation`` builds by default.
+#: Highest nerve level ``nerve_truncation`` builds.
 MAX_NERVE_TRUNCATION = 4
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: deterministic text and JSON reports.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error.
+Exit codes: 0 success, 1 verification mismatch or failed engine self-check,
+2 usage or input error.
 Reports contain no timestamps; repeated runs with the same configuration
 are byte-identical.  Header lines start with ``#`` and carry run metadata;
 golden comparisons should ignore them.
@@ -16,6 +17,7 @@ import sys
 from typing import Optional
 
 from . import classifying, fincat, finset, finvect, groups
+from .chains import SelfCheckFailed
 from .fincat import CategoryError, FiniteCategory
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -334,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chain length, at least 2 (levels 0 and 1 have no Segal map)")
     p.set_defaults(handler=_cmd_segal)
 
-    p = sub.add_parser("complete", help="invariants of iso(C) vs the invertible-square groupoid")
+    p = sub.add_parser("complete",
+                       help="levels 0 and 1 of the classifying diagram of iso(C)")
     _add_common(p)
     p.set_defaults(handler=_cmd_complete)
 
@@ -387,6 +390,9 @@ def run(argv=None) -> int:
     try:
         limits = _resolve_limits(args)
         code, body = args.handler(args, limits)
+    except SelfCheckFailed as exc:
+        sys.stderr.write(f"cdiag: self-check failed: {exc}\n")
+        return MISMATCH
     except (CategoryError, groups.GroupError, OSError, ValueError) as exc:
         sys.stderr.write(f"cdiag: error: {exc}\n")
         return USAGE_ERROR

@@ -78,7 +78,7 @@ def test_criterion_5_completeness():
         ok = ok and rep.verdict
         ok = ok and "group isomorphism" in rep.policy
     verdict("criterion 5 (completeness)", ok,
-            "iso(C) matches the invertible-square groupoid on every builtin, "
+            "levels 0 and 1 of iso(C) match on every builtin, "
             "isomorphism-confirmed below the limit")
 
 

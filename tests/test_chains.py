@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cdiag import chains, fincat, finset, finvect
-from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, StabilizerGroup,
-                          _act_mors, act, chain_count, enumerate_chains,
-                          iso_classes_of_objects, least_member, orbits, stabilizer)
+from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, SelfCheckFailed,
+                          StabilizerGroup, _act_mors, act, chain_count, enumerate_chains,
+                          least_member, orbits, stabilizer)
 from cdiag.cli import builtin_category
 from cdiag.fincat import CategoryError
 from cdiag.groups import GroupError, table_from_elements
@@ -255,7 +255,7 @@ def test_stabilizer_transversal_path_standalone():
     assert stab.to_cayley_table(20000).n == 4
     # the chain's stabilizer must have exactly the division order
     for wrong in (2, 8):
-        with pytest.raises(GroupError):
+        with pytest.raises(SelfCheckFailed):
             dataclasses.replace(stab, order=wrong).to_cayley_table(20000)
 
 
@@ -335,21 +335,31 @@ def test_stabilizer_of_a_chain_matches_its_orbit(spec, level):
 
 
 def test_iso_classes_walking_arrow():
-    orbs = iso_classes_of_objects(fincat.walking_arrow())
+    orbs = orbits(fincat.walking_arrow(), 0)
     assert len(orbs) == 2
     assert all(o.stabilizer.order == 1 for o in orbs)
 
 
 def test_iso_classes_iso_interval():
-    orbs = iso_classes_of_objects(fincat.iso_interval())
+    orbs = orbits(fincat.iso_interval(), 0)
     assert len(orbs) == 1 and orbs[0].stabilizer.order == 1
     assert orbs[0].size == 2
 
 
 def test_iso_classes_finset3():
-    orbs = iso_classes_of_objects(finset.finset_skeleton(3))
+    sk = finset.finset_skeleton(3)
+    orbs = orbits(sk, 0)
     assert len(orbs) == 4
     assert sorted(o.stabilizer.order for o in orbs) == [1, 1, 2, 6]
+    # the scan lists all of Aut(x), in aut_idx order
+    for o in orbs:
+        assert o.stabilizer.elements == [(a,) for a in sk.aut_idx(o.rep.objs[0])]
+
+
+def test_level0_is_held_to_chain_limit():
+    with pytest.raises(ChainLimitExceeded, match="4 chains at level 0"):
+        orbits(finset.finset_skeleton(3), 0, Limits(chain_limit=3))
+    assert len(orbits(finset.finset_skeleton(3), 0, Limits(chain_limit=4))) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +417,7 @@ def test_reversed_orbit_search_catches_a_lost_move(monkeypatch):
 
     monkeypatch.setattr(chains, "_tuple_action", lossy)
     orbits(cat, 1)
-    with pytest.raises(CategoryError, match="differ"):
+    with pytest.raises(SelfCheckFailed, match="differ"):
         orbits(cat, 1, reverse=True)
 
 

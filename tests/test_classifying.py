@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from math import comb
 
@@ -6,7 +7,9 @@ import pytest
 from cdiag import chains as chains_mod
 from cdiag import classifying as cl
 from cdiag import fincat, finset, finvect
+from cdiag.cli import run
 from cdiag.fincat import CategoryError
+from cdiag.limits import DEFAULT_LIMITS
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +147,33 @@ def test_completeness_iso_interval():
     assert rep.aut_order_multisets == ((1,), (1,))
 
 
-def test_invertible_square_groupoid_shape(s3_category):
-    gpd = cl.invertible_square_groupoid(s3_category)
-    assert gpd.n_objects == 6             # one object per group element
-    assert gpd.n_morphisms == 6 * 6 * 6   # each (f, f') pair carries 6 squares
-    gpd.check_axioms()
+def test_iso_s3_level1_is_one_component(s3_category):
+    level1 = chains_mod.orbits(fincat.maximal_subgroupoid(s3_category), 1)
+    assert [(o.size, o.stabilizer.order) for o in level1] == [(6, 6)]
+    # a component of s chains with stabilizer order k holds s^2 * k invertible
+    # squares: 6 * 6 * 6 of them between the 6 isomorphisms of S3
+    assert sum(o.size ** 2 * o.stabilizer.order for o in level1) == 216
+
+
+LEVEL1_SPOILERS = {
+    "drop": lambda orbs: orbs[:-1],
+    "order": lambda orbs: [dataclasses.replace(orbs[0], stabilizer=dataclasses.replace(
+        orbs[0].stabilizer, order=2 * orbs[0].stabilizer.order))] + orbs[1:],
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(LEVEL1_SPOILERS))
+def test_completeness_fails_on_a_spoiled_level_1(spoil, monkeypatch, capsys):
+    real = cl.orbits
+
+    def spoiled(cat, n, limits=DEFAULT_LIMITS, reverse=False):
+        orbs = real(cat, n, limits, reverse)
+        return LEVEL1_SPOILERS[spoil](orbs) if n == 1 else orbs
+
+    monkeypatch.setattr(cl, "orbits", spoiled)
+    assert cl.completeness_check(finset.finset_skeleton(3)).verdict is False
+    assert run(["complete", "--builtin", "finset:3"]) == 1
+    assert "check completeness: fail" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

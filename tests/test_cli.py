@@ -9,6 +9,7 @@ import time
 import pytest
 
 import cdiag
+from cdiag import chains, classifying
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 
 
@@ -346,6 +347,10 @@ PINNED_BODIES = [
     (("complete", "--builtin", "group:S3"),
      "26396122228574df07fd53c905b7e4d69156d93eecc6cfc5f697c66e0d92db8b",
      "603c0d77afa2c3fe1443a3c70f10d096daafe8139c9ab60eacad5b1527855d1a"),
+    # pinned from the engine that built the whole invertible-square groupoid
+    (("complete", "--builtin", "group:S5", "--chain-limit", "2000000"),
+     "d2f9fa44c82a8675b2bdf0b41d2f0776197aa205fd6b7cacc6181f8f7fca1e5d",
+     "beda0b29eeaafc1398781fc39a16c8099c9e89cc5bc19c1b3563be02afe93146"),
 ]
 
 
@@ -398,7 +403,6 @@ def test_env_limits_overridden_by_flags(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["nerve", "--builtin", "group:S6", "--truncation", "3"],
-    ["complete", "--builtin", "vect:2:5"],
 ])
 def test_nerve_and_complete_refuse_over_chain_limit_at_once(argv, capsys):
     start = time.perf_counter()
@@ -407,14 +411,39 @@ def test_nerve_and_complete_refuse_over_chain_limit_at_once(argv, capsys):
     assert "exceeds chain_limit 1000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["group:S5", "group:S6", "vect:2:5"])
+def test_complete_on_large_automorphism_groups_runs_at_once(spec, capsys):
+    start = time.perf_counter()
+    assert run(["complete", "--builtin", spec]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert "check completeness: pass" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", [["nerve", "--truncation", "3"], ["complete"]])
 def test_nerve_and_complete_count_against_chain_limit(command, capsys):
-    # group:S3 has 6^3 = 216 nerve 3-simplices and 216 invertible squares
+    # group:S3 has 6^3 = 216 nerve 3-simplices; complete counts its 6
+    # isomorphisms, the 1-chains of iso(C)
+    count, level = {"nerve": (216, 3), "complete": (6, 1)}[command[0]]
     argv = [command[0], "--builtin", "group:S3"] + command[1:]
-    assert run(argv + ["--chain-limit", "215"]) == 2
-    assert "216" in capsys.readouterr().err
-    assert run(argv + ["--chain-limit", "216"]) == 0
+    assert run(argv + ["--chain-limit", str(count - 1)]) == 2
+    assert f"{count} chains at level {level} exceeds" in capsys.readouterr().err
+    assert run(argv + ["--chain-limit", str(count)]) == 0
     assert run(argv) == 0
+
+
+def test_a_failed_stabilizer_self_check_exits_1(monkeypatch, capsys):
+    listed = chains._stabilizer_elements
+    monkeypatch.setattr(chains, "_stabilizer_elements",
+                        lambda cat, objs, reps: [els[:-1] for els in listed(cat, objs, reps)])
+    assert run(["decompose", "--builtin", "finset:3", "--level", "1"]) == 1
+    assert "orbit-stabilizer identity fails" in capsys.readouterr().err
+
+
+def test_a_failed_size_sum_exits_1(monkeypatch, capsys):
+    real = classifying.orbits
+    monkeypatch.setattr(classifying, "orbits", lambda *a, **kw: real(*a, **kw)[:-1])
+    assert run(["decompose", "--builtin", "finset:3", "--level", "1"]) == 1
+    assert "component sizes do not sum to the chain count" in capsys.readouterr().err
 
 
 def test_bad_env_limits(capsys, monkeypatch):

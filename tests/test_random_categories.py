@@ -1,17 +1,22 @@
-"""orbits() against a naive reference on random small categories.
+"""orbits() and completeness_check() against naive references on random
+small categories.
 
-The reference applies every element of Aut(x_0) x ... x Aut(x_n) through
-``act`` to every chain on each tuple of class representatives: no
-generators, no breadth-first search and no action arrays.
+The orbit reference applies every element of Aut(x_0) x ... x Aut(x_n)
+through ``act`` to every chain on each tuple of class representatives: no
+generators, no breadth-first search and no action arrays.  The completeness
+reference counts invertible squares pair by pair with ``compose_idx``.
 """
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdiag import fincat, finset, finvect, groups
 from cdiag.chains import Chain, act, orbits
+from cdiag.classifying import completeness_check
+from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import FiniteCategory, object_iso_classes
 from cdiag.limits import Limits
 
@@ -108,3 +113,48 @@ def test_orbits_match_the_naive_reference(cat):
             for o, (_, _, _, fixing) in zip(got, expected):
                 if o.stabilizer.policy == "scan":
                     assert o.stabilizer.elements == fixing
+
+
+def naive_invertible_squares(cat: FiniteCategory) -> tuple:
+    """(class count, sorted automorphism orders) of the isomorphisms f of
+    ``cat``, where f and f' are joined by every pair of isomorphisms (a, b)
+    with b . f = f' . a, and Aut(f) is the set of such pairs from f to f."""
+    isos = [f for f in range(cat.n_morphisms) if cat.inverse_idx(f) is not None]
+
+    def squares(f, g):
+        return sum(cat.compose_idx(b, f) == cat.compose_idx(g, a)
+                   for a in isos if (cat.src[a], cat.dst[a]) == (cat.src[f], cat.src[g])
+                   for b in isos if (cat.src[b], cat.dst[b]) == (cat.dst[f], cat.dst[g]))
+
+    root = {f: f for f in isos}
+
+    def find(f):
+        while root[f] != f:
+            f = root[f]
+        return f
+
+    for f in isos:
+        for g in isos:
+            if squares(f, g):
+                root[find(g)] = find(f)
+    classes = sorted({find(f) for f in isos})
+    return len(classes), tuple(sorted(squares(f, f) for f in classes))
+
+
+def check_completeness_against_squares(cat: FiniteCategory) -> None:
+    count, orders = naive_invertible_squares(cat)
+    rep = completeness_check(cat)
+    assert rep.verdict
+    assert rep.class_counts == (count, count)
+    assert rep.aut_order_multisets == (orders, orders)
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SUITE)
+def test_completeness_matches_naive_squares_on_builtins(spec):
+    check_completeness_against_squares(builtin_category(spec))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_categories())
+def test_completeness_matches_naive_squares(cat):
+    check_completeness_against_squares(cat)
