@@ -156,19 +156,31 @@ def chain_count(cat: FiniteCategory, n: int) -> int:
     return sum(ways)
 
 
-def _chain_mors_iter(cat: FiniteCategory, n: int):
-    """Morphism-index tuples of n-chains, lexicographically ascending."""
-    def rec(prefix, tail_obj, k):
-        if k == 0:
-            yield tuple(prefix)
-            return
-        for f in cat.morphisms_from_idx(tail_obj):
-            prefix.append(f)
-            yield from rec(prefix, cat.dst[f], k - 1)
-            prefix.pop()
+def _chain_array(cat: FiniteCategory, n: int) -> np.ndarray:
+    """Every n-chain (n >= 1) as one row of morphism indices, the rows
+    lexicographically ascending, in the narrowest type that holds an index.
 
-    for f in range(cat.n_morphisms):
-        yield from rec([f], cat.dst[f], n - 1)
+    Built a column at a time: each row is repeated once per morphism out of
+    its tail object, and the copies take those morphisms in ascending order.
+    Identities extend every prefix, so no level has more rows than the last.
+    """
+    dtype = np.min_scalar_type(max(cat.n_morphisms, cat.n_objects))
+    src, dst = np.array(cat.src, dtype=dtype), np.array(cat.dst, dtype=dtype)
+    out = np.argsort(src, kind="stable").astype(dtype)
+    pos = np.int32 if chain_count(cat, n) < 2 ** 31 else np.int64
+    degree = np.bincount(src, minlength=cat.n_objects).astype(pos)
+    first_out = np.cumsum(degree, dtype=pos) - degree
+    rows = np.arange(cat.n_morphisms, dtype=dtype)[:, None]
+    for _ in range(n - 1):
+        tail = dst[rows[:, -1]]
+        count = degree[tail]
+        # copy j of row r takes out[first_out[tail[r]] + j]
+        at = np.repeat(first_out[tail] - np.cumsum(count, dtype=pos) + count, count)
+        at += np.arange(len(at), dtype=pos)
+        last = out[at]
+        del at      # free the positions before the rows are copied
+        rows = np.column_stack([np.repeat(rows, count, axis=0), last])
+    return rows
 
 
 def _limited_chain_count(cat: FiniteCategory, n: int, limits: Limits) -> int:
@@ -188,11 +200,9 @@ def enumerate_chains(cat: FiniteCategory, n: int,
     if n == 0:
         return [Chain(cat, (x,), ()) for x in range(cat.n_objects)]
     _limited_chain_count(cat, n, limits)
-    out = []
-    for mors in _chain_mors_iter(cat, n):
-        objs = (cat.src[mors[0]],) + tuple(cat.dst[f] for f in mors)
-        out.append(Chain(cat, objs, mors))
-    return out
+    rows = _chain_array(cat, n)
+    objs = np.column_stack([np.array(cat.src)[rows[:, 0]], np.array(cat.dst)[rows]])
+    return [Chain(cat, o, m) for o, m in zip(objs.tolist(), rows.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +320,11 @@ def _tuple_action(cat: FiniteCategory, objs) -> tuple:
         labels = new
 
 
-def _decode(homs, strides, code) -> tuple:
-    return tuple(h[code // s % len(h)] for h, s in zip(homs, strides))
+def _decode(homs, strides, codes) -> list:
+    """The morphism tuples coded by ``codes``, one gather per hom set."""
+    codes = np.asarray(codes)
+    cols = [np.array(h)[codes // s % len(h)].tolist() for h, s in zip(homs, strides)]
+    return list(zip(*cols)) if cols else [()] * len(codes)
 
 
 def _encode(homs, strides, mors) -> int:
@@ -400,17 +413,20 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     orbit, and its member set must equal the labelled orbit too.
     """
     homs, strides, moves, labels = _tuple_action(cat, objs)
-    seeds = (np.flatnonzero(labels == np.arange(len(labels))).tolist() if seeds is None
-             else [_encode(homs, strides, m) for m in seeds])
+    seeds = (np.flatnonzero(labels == np.arange(len(labels))) if seeds is None
+             else np.array([_encode(homs, strides, m) for m in seeds], dtype=np.int64))
     order = np.argsort(labels, kind="stable")
     by_label = labels[order]
-    orbits_ = [order[np.searchsorted(by_label, labels[c]):
-                     np.searchsorted(by_label, labels[c], "right")].tolist() for c in seeds]
+    # orbit k is order[bounds[k]:bounds[k + 1]], its label by_label[bounds[k]]
+    bounds = np.flatnonzero(np.diff(by_label, prepend=-1, append=len(labels)))
+    group = np.searchsorted(by_label[bounds[:-1]], labels[seeds])
+    ranked = order.tolist()
+    orbits_ = [ranked[b:e] for b, e in zip(bounds[group].tolist(), bounds[group + 1].tolist())]
     ambient = _ambient_order(cat, objs)
-    reps = [_decode(homs, strides, c) for c in seeds]
+    reps = _decode(homs, strides, seeds)
     stabs = []
     if ambient > limits.scan_limit:
-        for seed, orbit, mors in zip(seeds, orbits_, reps):
+        for seed, orbit, mors in zip(seeds.tolist(), orbits_, reps):
             members = _orbit_search(moves, seed)
             if sorted(members) != orbit:
                 raise SelfCheckFailed(f"orbit search from {mors} disagrees with the orbit labels")
@@ -430,7 +446,7 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
                 f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
                 f"{len(orbit)} * {stab.order} != {ambient}")
         if reverse and sorted(_orbit_search(moves, orbit[-1])) != orbit:
-            raise SelfCheckFailed(f"orbits of {_decode(homs, strides, orbit[-1])} "
+            raise SelfCheckFailed(f"orbits of {_decode(homs, strides, orbit[-1:])[0]} "
                                   f"and of its least member {mors} differ")
         out.append((mors, len(orbit), stab))
     return out
@@ -441,7 +457,7 @@ def least_member(cat: FiniteCategory, chain: Chain) -> Chain:
     object tuple."""
     homs, strides, _, labels = _tuple_action(cat, chain.objs)
     return Chain(cat, chain.objs,
-                 _decode(homs, strides, int(labels[_encode(homs, strides, chain.mors)])))
+                 _decode(homs, strides, labels[[_encode(homs, strides, chain.mors)]])[0])
 
 
 def stabilizer(cat: FiniteCategory, chain: Chain,
@@ -499,10 +515,10 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
         if not all(cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])):
             continue
         mult = math.prod(class_size[x] for x in objs)
+        ambient = _ambient_order(cat, objs)
         for mors, size, stab in _orbit_and_stabilizer(cat, objs, limits, reverse=reverse):
             out.append(Orbit(rep=Chain(cat, objs, mors), size=size * mult,
-                             rep_fiber_size=size, ambient_order=_ambient_order(cat, objs),
-                             stabilizer=stab))
+                             rep_fiber_size=size, ambient_order=ambient, stabilizer=stab))
     if sum(o.size for o in out) != total:
         raise SelfCheckFailed("orbit sizes do not sum to the chain count")
     return out

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import chains as chains_mod
 from .chains import Chain, Orbit, SelfCheckFailed, StabilizerGroup, chain_count, orbits
 from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid
@@ -120,20 +122,29 @@ def segal_check(cat: FiniteCategory, n: int,
                 limits: Limits = DEFAULT_LIMITS) -> SegalReport:
     """Verify that splitting an n-chain into its n single-morphism segments
     is a bijection onto the n-fold fiber product of level 1 over level 0:
-    the enumerated tuples are composable and strictly ascending, so
-    distinct, and there are as many as the fiber product's size, counted
-    independently over hom-set sizes.  A failure here signals an engine
-    bug, not a property of the category."""
+    the enumerated rows have n morphisms each, are composable and strictly
+    ascending, so distinct, and there are as many as the fiber product's
+    size, counted independently over hom-set sizes.  The checks run a
+    column at a time over the chain array.  A failure here signals an
+    engine bug, not a property of the category."""
     if n < 2:
         raise CategoryError(f"Segal maps start at level 2, got level {n}")
     fiber = chains_mod._limited_chain_count(cat, n, limits)
-    src, dst = cat.src, cat.dst
-    count, ok, prev = 0, True, ()
-    for mors in chains_mod._chain_mors_iter(cat, n):
-        ok = ok and (len(mors) == n and prev < mors
-                     and all(dst[f] == src[g] for f, g in zip(mors, mors[1:])))
-        count, prev = count + 1, mors
-    return SegalReport(level=n, chain_count=count,
+    rows = chains_mod._chain_array(cat, n)
+    src, dst = (np.array(e, dtype=np.min_scalar_type(cat.n_objects)) for e in (cat.src, cat.dst))
+    ok = rows.shape[1:] == (n,)
+    if ok:
+        ok = all(np.array_equal(dst[rows[:, i - 1]], src[rows[:, i]]) for i in range(1, n))
+        # each row against the one before: later once a column is greater
+        # while every column before it was tied
+        later = np.zeros(len(rows[1:]), dtype=bool)
+        tied = ~later
+        for i in range(n):
+            cur, prev = rows[1:, i], rows[:-1, i]
+            later |= tied & (cur > prev)
+            tied &= cur == prev
+        ok = ok and bool(later.all())
+    return SegalReport(level=n, chain_count=len(rows),
                        fiber_product_count=fiber, bijection_ok=ok)
 
 
@@ -334,7 +345,7 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
     levels = [list(range(gpd.n_objects))]
     index_of = [dict((x, i) for i, x in enumerate(levels[0]))]
     for n in range(1, truncation + 1):
-        simplices = list(chains_mod._chain_mors_iter(gpd, n))
+        simplices = list(map(tuple, chains_mod._chain_array(gpd, n).tolist()))
         levels.append(simplices)
         index_of.append({s: i for i, s in enumerate(simplices)})
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -41,6 +42,42 @@ def test_enumerate_is_lexicographic():
     mors = [c.mors for c in cs]
     assert mors == sorted(mors)
     assert len(cs) == chain_count(cat, 2)
+
+
+def test_chain_array_is_narrow():
+    rows = chains._chain_array(finset.finset_skeleton(4), 2)
+    assert rows.shape == (133799, 2)
+    assert rows.dtype == np.uint16
+
+
+def test_chain_array_of_the_empty_category():
+    empty = fincat.from_catdef("# nothing")
+    for n in (1, 2, 3):
+        assert chains._chain_array(empty, n).shape == (0, n)
+    assert enumerate_chains(empty, 2) == []
+
+
+# sha256 of repr([(c.objs, c.mors) for c in enumerate_chains(S3, n)]) and of
+# repr((levels, sorted faces, sorted degeneracies)) of nerve_truncation(S3, 3),
+# pinned from the engine that enumerated chains with a recursive generator
+S3_ENUMERATION_SHA = [
+    "367d5052b11809bd2bf74b9e45d7be98112a302f4975e17201d62aedaafe0c46",
+    "9846e009d46a4a82030878baa99e02acaaabc3199aac18c854a9cf324ef3ed5f",
+    "53b41248bc98dde4118548e0184205b01c97344d5b4555138e8311704391465c",
+    "cb45cb02f00ac85db1ac49cedca84ee81bce4fe50734161c89f5168c8cf0ad6f",
+]
+S3_NERVE_SHA = "19d58fdf56ea8447b5a05a9585baf8609012847cf106678bc0cbd13b0861460d"
+
+
+def test_s3_enumeration_and_nerve_are_pinned():
+    from cdiag.classifying import nerve_truncation
+    cat = builtin_category("group:S3")
+    for n, pinned in enumerate(S3_ENUMERATION_SHA):
+        text = repr([(c.objs, c.mors) for c in enumerate_chains(cat, n)])
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned, n
+    t = nerve_truncation(cat, 3)
+    text = repr((t.levels, sorted(t.faces.items()), sorted(t.degeneracies.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == S3_NERVE_SHA
 
 
 def test_chain_limit():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from cdiag import chains as chains_mod
@@ -99,26 +100,55 @@ def test_segal_check_respects_chain_limit():
 
 
 # The level-2 chains of the walking arrow are [(0, 0), (0, 2), (1, 1), (2, 1)]
-# (morphisms id_x, id_y, f); each mutant spoils the enumeration once.
+# (morphisms id_x, id_y, f); each mutant spoils the enumeration once, and
+# every clause of the check (count, order, composability, width) has a
+# mutant that fails it.
 SEGAL_MUTANTS = {
     "drop": lambda ts: ts[1:],
     "duplicate": lambda ts: ts[:1] + ts,
     "reorder": lambda ts: [ts[1], ts[0]] + ts[2:],
     "not-composable": lambda ts: ts[:-1] + [(2, 2)],     # f after f
+    # each row extended by the identity of its tail, so still composable,
+    # ascending and four in number
+    "wrong-width": lambda ts: [(0, 0, 0)] + [t + (1,) for t in ts[1:]],
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(SEGAL_MUTANTS))
 def test_segal_check_fails_on_a_spoiled_enumeration(mutant, monkeypatch):
     cat = fincat.walking_arrow()
-    chains_iter = chains_mod._chain_mors_iter
-    assert list(chains_iter(cat, 2)) == [(0, 0), (0, 2), (1, 1), (2, 1)]
+    chain_array = chains_mod._chain_array
+    assert chain_array(cat, 2).tolist() == [[0, 0], [0, 2], [1, 1], [2, 1]]
     assert cl.segal_check(cat, 2).ok
-    monkeypatch.setattr(chains_mod, "_chain_mors_iter",
-                        lambda c, n: iter(SEGAL_MUTANTS[mutant](list(chains_iter(c, n)))))
+    monkeypatch.setattr(chains_mod, "_chain_array", lambda c, n: np.array(
+        SEGAL_MUTANTS[mutant](list(map(tuple, chain_array(c, n).tolist())))))
     r = cl.segal_check(cat, 2)
     assert r.ok is False
     assert r.fiber_product_count == 4
+
+
+def test_segal_check_on_zero_and_one_chains():
+    empty = fincat.from_catdef("# nothing")
+    for n in (2, 3):
+        r = cl.segal_check(empty, n)
+        assert r.chain_count == 0 == r.fiber_product_count and r.ok
+        r = cl.segal_check(fincat.ordinal(0), n)
+        assert r.chain_count == 1 == r.fiber_product_count and r.ok
+
+
+def test_chain_limit_is_checked_before_the_chain_array(monkeypatch):
+    from cdiag.chains import ChainLimitExceeded
+    from cdiag.limits import Limits
+
+    def refuse(cat, n):
+        raise AssertionError("chain array built before the chain limit was checked")
+
+    monkeypatch.setattr(chains_mod, "_chain_array", refuse)
+    with pytest.raises(ChainLimitExceeded):
+        cl.segal_check(finset.finset_skeleton(3), 2, Limits(chain_limit=10))
+    with pytest.raises(ChainLimitExceeded):
+        cl.nerve_truncation(fincat.maximal_subgroupoid(finset.finset_skeleton(3)), 2,
+                            Limits(chain_limit=10))
 
 
 # ---------------------------------------------------------------------------

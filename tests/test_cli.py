@@ -258,6 +258,19 @@ def test_catdef_file_error_has_line(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_segal_on_an_empty_catdef_file(tmp_path, capsys):
+    p = tmp_path / "empty.catdef"
+    p.write_text("# nothing\n", encoding="utf-8")
+    code, out = run_capture(["segal", "--file", str(p), "--level", "2"], capsys)
+    assert code == 0
+    assert body_lines(out) == ["check segal-2: pass (0 = 0, bijection verified)"]
+    code, out = run_capture(["segal", "--file", str(p), "--level", "2",
+                             "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["checks"] == [{"details": "0 = 0, bijection verified",
+                                          "name": "segal-2", "status": "pass"}]
+
+
 def test_exactly_one_input(capsys, tmp_path):
     p = tmp_path / "a.catdef"
     p.write_text("object x\n", encoding="utf-8")
@@ -351,6 +364,16 @@ PINNED_BODIES = [
     (("complete", "--builtin", "group:S5", "--chain-limit", "2000000"),
      "d2f9fa44c82a8675b2bdf0b41d2f0776197aa205fd6b7cacc6181f8f7fca1e5d",
      "beda0b29eeaafc1398781fc39a16c8099c9e89cc5bc19c1b3563be02afe93146"),
+    # pinned from the engine that enumerated chains with a recursive generator
+    (("segal", "--builtin", "finset:4", "--level", "2"),
+     "d09376c31f4c788e273311c0c870ebd59ec6f975cb8df38ed24135b747c75832",
+     "d90d8454f222a8a7c73e5957a566bb2d3cdb901558e7bf7d4130286f8e9a7f03"),
+    (("decompose", "--builtin", "delta:3", "--level", "2"),
+     "0b804aec9d07f236223a517ad34704b569f0135b934056765f533b26b25d146f",
+     "c7593f2c3c9c835d7b057335096b6e9a43837c5c942dc41e8eee711d9a3252ea"),
+    (("nerve", "--builtin", "group:S3", "--truncation", "3"),
+     "a53bf6be8df9c87a4636364b0dc79c44304361e3d5f78f5167dd4682c6f55f17",
+     "665ca370f026f120f51ed88e3be676df0fdef1df55e3f48098498af073a366f4"),
 ]
 
 

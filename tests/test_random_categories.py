@@ -1,10 +1,11 @@
-"""orbits() and completeness_check() against naive references on random
-small categories.
+"""The chain array, orbits() and completeness_check() against naive
+references on random small categories.
 
 The orbit reference applies every element of Aut(x_0) x ... x Aut(x_n)
 through ``act`` to every chain on each tuple of class representatives: no
 generators, no breadth-first search and no action arrays.  The completeness
 reference counts invertible squares pair by pair with ``compose_idx``.
+The chain reference filters itertools.product of the morphisms.
 """
 
 import itertools
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdiag import fincat, finset, finvect, groups
-from cdiag.chains import Chain, act, orbits
+from cdiag.chains import Chain, _chain_array, act, orbits
 from cdiag.classifying import completeness_check
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import FiniteCategory, object_iso_classes
@@ -113,6 +114,31 @@ def test_orbits_match_the_naive_reference(cat):
             for o, (_, _, _, fixing) in zip(got, expected):
                 if o.stabilizer.policy == "scan":
                     assert o.stabilizer.elements == fixing
+
+
+def check_chain_array(cat: FiniteCategory) -> None:
+    """``_chain_array`` against the composable tuples of itertools.product,
+    in product order, at levels 1-3 wherever the product has at most 10^6
+    tuples."""
+    for n in (1, 2, 3):
+        if cat.n_morphisms ** n > 10 ** 6:
+            continue
+        expected = [t for t in itertools.product(range(cat.n_morphisms), repeat=n)
+                    if all(cat.dst[f] == cat.src[g] for f, g in zip(t, t[1:]))]
+        rows = _chain_array(cat, n)
+        assert rows.shape == (len(expected), n)
+        assert list(map(tuple, rows.tolist())) == expected
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SUITE)
+def test_chain_array_matches_the_naive_product_on_builtins(spec):
+    check_chain_array(builtin_category(spec))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_categories())
+def test_chain_array_matches_the_naive_product(cat):
+    check_chain_array(cat)
 
 
 def naive_invertible_squares(cat: FiniteCategory) -> tuple:
