@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -243,9 +243,9 @@ def act(alpha_ids, chain: Chain) -> Chain:
 class StabilizerGroup:
     """The subgroup of Aut(x_0) x ... x Aut(x_n) fixing the chain ``mors``.
 
-    ``elements`` is the full element list when the ambient product was small
-    enough to scan directly; otherwise it is None and the exact order comes
-    from orbit-stabilizer division.
+    ``order`` comes from orbit-stabilizer division.  ``elements`` lists the
+    group when its order is at most the table_limit it was found under, and
+    is None otherwise.
     """
 
     cat: FiniteCategory
@@ -256,20 +256,13 @@ class StabilizerGroup:
     policy: str                           # "scan" or "transversal"
 
     def to_cayley_table(self, table_limit: int) -> CayleyTable:
-        """The scanned elements, or those ``_stabilizer_elements`` lists
-        for the chain, multiplied coordinate-wise in the Cayley tables of
-        the Aut(x_i) (``FiniteCategory.aut_table``).  Raises SelfCheckFailed
-        unless the chain's stabilizer has exactly ``order`` elements, and
-        the table unless the elements are closed."""
-        els = self.elements
-        if els is None:
-            if self.order > table_limit:
-                raise ClosureLimitExceeded(table_limit, self.order)
-            els = _stabilizer_elements(self.cat, self.objs, [self.mors])[0]
-            if len(els) != self.order:
-                raise SelfCheckFailed(f"the stabilizer has {len(els)} elements, "
-                                      f"not the division order {self.order}")
-        els = np.array(els, dtype=np.int64).reshape(len(els), len(self.objs))
+        """The listed elements multiplied coordinate-wise in the Cayley
+        tables of the Aut(x_i) (``FiniteCategory.aut_table``).  Raises
+        ClosureLimitExceeded when the order exceeds ``table_limit`` or no
+        elements were kept, and the table raises unless they are closed."""
+        if self.elements is None or self.order > table_limit:
+            raise ClosureLimitExceeded(table_limit, self.order)
+        els = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), len(self.objs))
         coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
                   for i, x in enumerate(self.objs)]
         return table_in_product([self.cat.aut_table(x) for x in self.objs],
@@ -353,10 +346,15 @@ def _orbit_search(moves, seed) -> list:
 # ambient elements in all.
 _SCAN_CELLS = 1 << 20
 
+# Stabilizers of at most this order are listed when their orbit is found;
+# the orbits of larger ones are checked by a breadth-first search instead.
+_LIST_LIMIT = 100_000
 
-def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> list:
-    """For each morphism tuple in ``reps`` on the object tuple ``objs``,
-    every automorphism tuple fixing it, in lexicographic order.
+
+def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
+    """For each morphism tuple in ``reps`` on the object tuple ``objs``, in
+    turn, the list of every automorphism tuple fixing it, in lexicographic
+    order.  Only one block of lists is held at a time.
 
     a_0 runs over Aut(x_0), and a_i over the elements of Aut(x_i) with
     a_i . f_i = f_i . a_{i-1}, so dead prefixes drop out coordinate by
@@ -371,7 +369,6 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> list:
     homs = [np.array(cat.hom_idx(x, y)) for x, y in zip(objs, objs[1:])]
     reps = np.array(reps, dtype=np.int64).reshape(len(reps), len(homs))
     block = max(1, _SCAN_CELLS // _ambient_order(cat, objs))
-    out = []
     for lo in range(0, len(reps), block):
         part = reps[lo:lo + block]
         which = np.repeat(np.arange(len(part)), len(auts[0]))
@@ -392,8 +389,8 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> list:
             prefix = [p[keep] for p in prefix] + [order[at] % len(auts[i + 1])]
         els = np.stack([aut[p] for aut, p in zip(auts, prefix)], axis=1).tolist()
         bounds = np.searchsorted(which, np.arange(len(part) + 1)).tolist()
-        out += [[tuple(a) for a in els[b:e]] for b, e in zip(bounds, bounds[1:])]
-    return out
+        for b, e in zip(bounds, bounds[1:]):
+            yield [tuple(a) for a in els[b:e]]
 
 
 def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
@@ -402,15 +399,15 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     the chains whose morphism tuples are ``seeds`` or, by default, for the
     least chain of every orbit, in ascending order.
 
-    Orbits come from the labels of ``_tuple_action``.  The stabilizer is
-    scanned directly when the ambient product fits scan_limit, yielding the
-    full element list; otherwise a breadth-first orbit search, whose member
-    set must equal the labelled orbit, gives its order as the ambient order
-    divided by the orbit size, and its elements are listed only when it is
-    tabled.
-    Either way orbit size times order must equal the ambient order.  With
-    ``reverse`` the search also runs from the greatest member of every
-    orbit, and its member set must equal the labelled orbit too.
+    Orbits come from the labels of ``_tuple_action``, and the stabilizer
+    order is the ambient order divided by the orbit size.  A stabilizer of
+    order at most ``_LIST_LIMIT`` is listed (policy "scan"); a larger one
+    gets a breadth-first orbit search, whose member set must equal the
+    labelled orbit (policy "transversal").  Elements are kept when the order
+    fits table_limit, so those are listed under either policy.  A listed
+    stabilizer must have exactly the division order.  With ``reverse`` the
+    search also runs from the greatest member of every orbit, and its member
+    set must equal the labelled orbit too.
     """
     homs, strides, moves, labels = _tuple_action(cat, objs)
     seeds = (np.flatnonzero(labels == np.arange(len(labels))) if seeds is None
@@ -424,30 +421,26 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     orbits_ = [ranked[b:e] for b, e in zip(bounds[group].tolist(), bounds[group + 1].tolist())]
     ambient = _ambient_order(cat, objs)
     reps = _decode(homs, strides, seeds)
-    stabs = []
-    if ambient > limits.scan_limit:
-        for seed, orbit, mors in zip(seeds.tolist(), orbits_, reps):
-            members = _orbit_search(moves, seed)
-            if sorted(members) != orbit:
-                raise SelfCheckFailed(f"orbit search from {mors} disagrees with the orbit labels")
-            if ambient % len(members):
-                raise SelfCheckFailed("orbit size does not divide the ambient group order")
-            stabs.append(StabilizerGroup(cat, objs, mors, ambient // len(members),
-                                         None, "transversal"))
-    else:
-        scans = _stabilizer_elements(cat, objs, reps)
-        stabs = [StabilizerGroup(cat, objs, mors, len(els), els, "scan")
-                 for mors, els in zip(reps, scans)]
+    if any(ambient % len(orbit) for orbit in orbits_):
+        raise SelfCheckFailed("orbit size does not divide the ambient group order")
+    orders = [ambient // len(orbit) for orbit in orbits_]
+    bound = max(_LIST_LIMIT, limits.table_limit)
+    listed = iter(_stabilizer_elements(cat, objs, [m for m, k in zip(reps, orders) if k <= bound]))
     out = []
-    for orbit, stab in zip(orbits_, stabs):
-        mors = stab.mors
-        if len(orbit) * stab.order != ambient:
+    for seed, orbit, mors, stab_order in zip(seeds.tolist(), orbits_, reps, orders):
+        els = next(listed) if stab_order <= bound else None
+        if els is not None and len(els) != stab_order:
             raise SelfCheckFailed(
                 f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
-                f"{len(orbit)} * {stab.order} != {ambient}")
+                f"{len(orbit)} * {len(els)} != {ambient}")
+        if stab_order > _LIST_LIMIT and sorted(_orbit_search(moves, seed)) != orbit:
+            raise SelfCheckFailed(f"orbit search from {mors} disagrees with the orbit labels")
         if reverse and sorted(_orbit_search(moves, orbit[-1])) != orbit:
             raise SelfCheckFailed(f"orbits of {_decode(homs, strides, orbit[-1:])[0]} "
                                   f"and of its least member {mors} differ")
+        stab = StabilizerGroup(cat, objs, mors, stab_order,
+                               els if stab_order <= limits.table_limit else None,
+                               "scan" if stab_order <= _LIST_LIMIT else "transversal")
         out.append((mors, len(orbit), stab))
     return out
 

@@ -247,7 +247,7 @@ def _cmd_finvect(args, limits):
     rows = [_component_row(c) for c in finvect.vect_level0(args.max_dim, args.q)]
     for n in range(args.max_dim + 1):
         for m in range(args.max_dim + 1):
-            cell = finvect.orbits_by_rank(n, m, args.q, limits)
+            cell = finvect.orbits_by_rank(n, m, args.q)
             for cls in cell.classes:
                 rows.append({
                     "level": 1,

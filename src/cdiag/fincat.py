@@ -539,8 +539,7 @@ def truncated_delta(m_max: int) -> FiniteCategory:
     identity = {f"d{n}": f"id_d{n}" for n in range(m_max + 1)}
 
     def comp(gp, fp):
-        (gn, gm, g), (fn, fm, f) = gp, fp
-        assert fm == gn
+        (_, gm, g), (fn, _, f) = gp, fp
         return (fn, gm, tuple(g[v] for v in f))
 
     def inv(p):

@@ -149,8 +149,7 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
     identity = {str(n): f"id_{n}" for n in range(max_card + 1)}
 
     def comp(gp, fp):
-        (gn, gm, g), (fn, fm, f) = gp, fp
-        assert fm == gn
+        (_, gm, g), (fn, _, f) = gp, fp
         return (fn, gm, tuple(g[v] for v in f))
 
     def inv(p):
@@ -198,10 +197,11 @@ def closed_form_level0(max_card: int) -> list:
 
 
 def _profile_component(p: FiberProfile, expr: GroupExpr) -> Component:
-    order = p.group_order()
-    assert expr.order() == order
-    total = factorial(p.n) * factorial(p.m)
-    assert total % order == 0
+    order, total = p.group_order(), factorial(p.n) * factorial(p.m)
+    if expr.order() != order or total % order:
+        raise chains_mod.SelfCheckFailed(
+            f"profile {p.k}: group order {order} is not the order {expr.order()} "
+            f"of {expr.text()} or does not divide {p.n}! * {p.m}! = {total}")
     return Component(
         level=1, cell=(str(p.n), str(p.m)),
         representative=("k=" + ",".join(str(v) for v in p.k),),
@@ -226,7 +226,9 @@ def injective_level1(n: int, m: int) -> list:
     if n > m:
         return []
     profiles = enumerate_profiles(n, m, "inj")
-    assert len(profiles) == 1
+    if len(profiles) != 1:
+        raise chains_mod.SelfCheckFailed(
+            f"{len(profiles)} injective profiles from {n} to {m}, not one")
     p = profiles[0]
     expr = _product_of([f for f in (Symmetric(m - n), Symmetric(n)) if f.order() > 1])
     return [_profile_component(p, expr)]

@@ -28,6 +28,10 @@ from .limits import DEFAULT_LIMITS, Limits
 # and primitive_root (over q) under a second.
 ENUM_BOUND = 2 ** 20
 
+# orbits_by_rank counts a stabilizer by a direct scan over GL_n x GL_m when
+# the pair count is at most this.
+SCAN_BOUND = 100_000
+
 
 @dataclass(frozen=True)
 class MatrixFq:
@@ -122,8 +126,7 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
     identity = {str(n): f"id_{n}" for n in range(max_dim + 1)}
 
     def comp(gp, fp):
-        (gn, gm, g), (fn, fm, f) = gp, fp
-        assert fm == gn
+        (gn, gm, g), (fn, _, f) = gp, fp
         if gn == 0:
             # factoring through F^0: the zero map, whose shape the bare row
             # tuples cannot carry
@@ -154,7 +157,7 @@ class RankClass:
     class_size: int
     orbit_verified: bool          # breadth-first action covers the whole class
     stabilizer_order: int         # by orbit-stabilizer division
-    scan_order: Optional[int]     # direct pair scan, when within scan_limit
+    scan_order: Optional[int]     # direct pair scan, when within SCAN_BOUND
     policy: str
     expr_text: Optional[str] = None   # named form, dimensions <= 2 only
 
@@ -171,13 +174,13 @@ class VectCell:
 
 
 def direct_scan_stabilizer_order(A_rows: tuple, n: int, m: int, q: int,
-                                 scan_limit: int) -> Optional[int]:
+                                 bound: int = SCAN_BOUND) -> Optional[int]:
     """Exhaustive scan over GL_n x GL_m counting pairs with Q A = A P.
 
-    Returns None when the pair count exceeds ``scan_limit``.
+    Returns None when the pair count exceeds ``bound``.
     """
     total = glnq_order(n, q) * glnq_order(m, q)
-    if total > scan_limit:
+    if total > bound:
         return None
     gln = modp.general_linear(n, q)
     glm = modp.general_linear(m, q)
@@ -209,7 +212,7 @@ def _named_rank_expr(n: int, m: int, r: int, q: int) -> Optional[str]:
     return _column_text(q) if {n, m} == {1, 2} else _diag_text(q)
 
 
-def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS) -> VectCell:
+def orbits_by_rank(n: int, m: int, q: int) -> VectCell:
     """Enumerate all m x n matrices, group them by rank, and verify each
     rank class is one orbit by breadth-first action from the canonical
     representative."""
@@ -251,7 +254,7 @@ def orbits_by_rank(n: int, m: int, q: int, limits: Limits = DEFAULT_LIMITS) -> V
         if group_order % size:
             raise CategoryError(f"rank-{r} class size does not divide the group order")
         stab = group_order // size
-        scan = direct_scan_stabilizer_order(rep, n, m, q, limits.scan_limit)
+        scan = direct_scan_stabilizer_order(rep, n, m, q)
         policy = "division+scan" if scan is not None else "division-only"
         classes.append(RankClass(rank=r, class_size=size, orbit_verified=verified,
                                  stabilizer_order=stab, scan_order=scan,
@@ -398,7 +401,7 @@ def oracle_diff_vect(max_dim: int, q: int,
 
     for n in range(max_dim + 1):
         for m in range(max_dim + 1):
-            cell = orbits_by_rank(n, m, q, limits)
+            cell = orbits_by_rank(n, m, q)
             got = dict(by_cell.get((n, m), []))
             if sorted(got) != [c.rank for c in cell.classes]:
                 report.add(f"cell ({n},{m}): orbit ranks {sorted(got)} vs "

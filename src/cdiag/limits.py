@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Limits:
     chain_limit: int = 1_000_000   # max chains enumerated per level
-    scan_limit: int = 100_000      # max |Aut(x0) x ... x Aut(xn)| for direct stabilizer scans
     table_limit: int = 20_000      # max elements materialized by closure
     iso_limit: int = 512           # max order for group-isomorphism testing
 

@@ -10,7 +10,6 @@ import random
 from cdiag import classifying as cl, fincat, finset, finvect, modp
 from cdiag.chains import act, enumerate_chains, orbits
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
-from cdiag.limits import DEFAULT_LIMITS
 
 
 def verdict(criterion, ok, detail=""):
@@ -129,9 +128,9 @@ def test_criterion_8_finvect_corollary():
     # the five explicit cases, with the column/diag orders produced by the
     # direct pair scan before being compared against the formulas
     for q in (2, 3, 5):
-        scan_limit = 250_000 if q == 5 else DEFAULT_LIMITS.scan_limit
-        col = finvect.direct_scan_stabilizer_order(((1,), (0,)), 1, 2, q, scan_limit)
-        diag = finvect.direct_scan_stabilizer_order(((1, 0), (0, 0)), 2, 2, q, scan_limit)
+        bound = 250_000 if q == 5 else finvect.SCAN_BOUND
+        col = finvect.direct_scan_stabilizer_order(((1,), (0,)), 1, 2, q, bound)
+        diag = finvect.direct_scan_stabilizer_order(((1, 0), (0, 0)), 2, 2, q, bound)
         cases = {c.case: c.order for c in finvect.paper_stabilizers_dim_le2(q)}
         ok = ok and col == (q - 1) ** 2 * q == cases["column [1;0]"]
         ok = ok and diag == (q - 1) ** 3 * q * q == cases["diag(1,0) 2x2"]

@@ -12,7 +12,7 @@ from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, SelfCheckFailed,
                           least_member, orbits, stabilizer)
 from cdiag.cli import builtin_category
 from cdiag.fincat import CategoryError
-from cdiag.groups import GroupError, table_from_elements
+from cdiag.groups import ClosureLimitExceeded, GroupError, table_from_elements
 from cdiag.limits import Limits
 
 
@@ -262,49 +262,74 @@ def test_zero_matrix_stabilizer_over_f2():
     assert stabilizer(sk, c).order == 36
 
 
-def test_transversal_path_agrees_with_scan():
-    # force the transversal fallback with a tiny scan limit and
-    # compare its exact orders against the direct scan
-    tiny = Limits(scan_limit=1)
-    cases = [(finset.finset_skeleton(3), 1), (finvect.vect_skeleton(2, 2), 1)]
-    for cat, n in cases:
-        default = {o.rep.mors: o.stabilizer.order for o in orbits(cat, n)}
-        forced = {o.rep.mors: (o.stabilizer.order, o.stabilizer.policy,
-                               o.ambient_order)
-                  for o in orbits(cat, n, tiny)}
+def test_transversal_path_agrees_with_scan(monkeypatch):
+    # force the search path with a listing bound of 0 and compare its
+    # exact orders and elements against the listed path
+    cats = [(finset.finset_skeleton(3), 1), (finvect.vect_skeleton(2, 2), 1)]
+    listed = [{o.rep.mors: o.stabilizer for o in orbits(cat, n)} for cat, n in cats]
+    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
+    for (cat, n), default in zip(cats, listed):
+        forced = {o.rep.mors: o.stabilizer for o in orbits(cat, n)}
         assert set(default) == set(forced)
-        saw_transversal = False
-        for rep, order in default.items():
-            forder, fpolicy, ambient = forced[rep]
-            assert forder == order
-            if ambient > 1:
-                assert fpolicy == "transversal"
-                saw_transversal = True
-        assert saw_transversal
+        for rep, stab in default.items():
+            assert stab.policy == "scan"
+            assert forced[rep].policy == "transversal"
+            assert forced[rep].order == stab.order
+            assert forced[rep].elements == stab.elements
 
 
-def test_stabilizer_transversal_path_standalone():
+def test_stabilizer_transversal_path_standalone(monkeypatch):
     sk = finvect.vect_skeleton(2, 2)
     c = Chain.from_morphism_ids(sk, ["m2_2_1000"])   # diag(1, 0)
-    stab = stabilizer(sk, c, Limits(scan_limit=1))
+    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
+    stab = stabilizer(sk, c)
     assert stab.policy == "transversal"
     assert stab.order == 4
     assert stab.to_cayley_table(20000).n == 4
-    # the chain's stabilizer must have exactly the division order
-    for wrong in (2, 8):
-        with pytest.raises(SelfCheckFailed):
-            dataclasses.replace(stab, order=wrong).to_cayley_table(20000)
+    # to_cayley_table lists nothing: it refuses above table_limit or without elements
+    for refused, table_limit in ((stab, 3), (dataclasses.replace(stab, elements=None), 20000)):
+        with pytest.raises(ClosureLimitExceeded):
+            refused.to_cayley_table(table_limit)
+    # the chain's stabilizer must have exactly the division order, checked
+    # when its orbit is found
+    listed = chains._stabilizer_elements
+    monkeypatch.setattr(chains, "_stabilizer_elements",
+                        lambda cat, objs, reps: [els[:-1] for els in listed(cat, objs, reps)])
+    with pytest.raises(SelfCheckFailed, match="orbit-stabilizer identity fails"):
+        orbits(sk, 1)
 
 
-def test_transversal_stabilizer_elements_form_the_stabilizer():
+def test_transversal_stabilizer_elements_form_the_stabilizer(monkeypatch):
     sk = finset.finset_skeleton(3)
-    tiny = Limits(scan_limit=1)
-    for o in orbits(sk, 1, tiny):
+    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
+    for o in orbits(sk, 1):
         stab = o.stabilizer
-        els = chains._stabilizer_elements(sk, stab.objs, [stab.mors])[0]
+        assert stab.policy == "transversal"
+        [els] = chains._stabilizer_elements(sk, stab.objs, [stab.mors])
+        assert stab.elements == els
         assert len(set(els)) == len(els) == stab.order
         # the table raises unless the listed elements are closed
         assert stab.to_cayley_table(20000).n == stab.order
+
+
+def test_small_stabilizers_in_a_large_product_are_listed():
+    # level 1 of S6: one orbit in an ambient product of order 720^2 = 518400,
+    # stabilized by the diagonal, of order 720
+    cat = builtin_category("group:S6")
+    [o] = orbits(cat, 1)
+    assert (o.ambient_order, o.stabilizer.order) == (518400, 720)
+    assert o.stabilizer.policy == "scan"
+    assert o.stabilizer.elements == [(a, a) for a in cat.aut_idx(0)]
+
+
+def test_a_stabilizer_over_the_listing_bound_is_searched():
+    orbs = orbits(builtin_category("vect:2:3"), 2)
+    big = [o.stabilizer for o in orbs if o.stabilizer.order > chains._LIST_LIMIT]
+    assert [s.order for s in big] == [110592]
+    assert big[0].policy == "transversal" and big[0].elements is None
+    with pytest.raises(ClosureLimitExceeded):
+        big[0].to_cayley_table(10 ** 6)
+    assert all(o.stabilizer.policy == "scan" for o in orbs if o.stabilizer is not big[0])
 
 
 @pytest.mark.parametrize("cells", [chains._SCAN_CELLS, 1])
@@ -321,49 +346,45 @@ def test_stabilizer_elements_equal_a_brute_force_filter(cells, monkeypatch):
             ambient = list(itertools.product(*(cat.aut_idx(x) for x in objs)))
             want = [[g for g in ambient if _act_mors(cat, g, objs, mors) == mors]
                     for mors in reps]
-            assert chains._stabilizer_elements(cat, objs, reps) == want, objs
+            assert list(chains._stabilizer_elements(cat, objs, reps)) == want, objs
 
 
-# Both stabilizer policies, in both enumeration orders, on four categories.
+# Both stabilizer policies (the default listing bound, and 0 to search
+# every orbit), in both enumeration orders, on four categories.
 STABILIZER_CASES = [("finset:3", 1), ("vect:2:2", 1), ("group:S3", 2), ("delta:2", 2)]
-STABILIZER_MODES = [(Limits(), False), (Limits(), True),
-                    (Limits(scan_limit=1), False), (Limits(scan_limit=1), True)]
+STABILIZER_MODES = [(chains._LIST_LIMIT, False), (chains._LIST_LIMIT, True),
+                    (0, False), (0, True)]
 
 
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
-def test_stabilizer_elements_fix_the_representative(spec, level):
+def test_stabilizer_elements_fix_the_representative(spec, level, monkeypatch):
     cat = builtin_category(spec)
     scanned = {o.rep.mors: o.stabilizer for o in orbits(cat, level)}
     assert {s.policy for s in scanned.values()} == {"scan"}
-    saw_transversal = False
-    for limits, reverse in STABILIZER_MODES:
-        for o in orbits(cat, level, limits, reverse=reverse):
+    for list_limit, reverse in STABILIZER_MODES:
+        monkeypatch.setattr(chains, "_LIST_LIMIT", list_limit)
+        for o in orbits(cat, level, reverse=reverse):
             rep, stab = o.rep, o.stabilizer
-            els = stab.elements
-            if els is None:
-                # listed only when tabled; must equal the scan of the same chain
-                els = chains._stabilizer_elements(cat, rep.objs, [rep.mors])[0]
-                assert els == scanned[rep.mors].elements, rep
-                saw_transversal = True
-            assert len(els) == stab.order
-            for g in els:
+            assert stab.policy == ("scan" if list_limit else "transversal")
+            # the search path lists the same elements as the scan of the same chain
+            assert stab.elements == scanned[rep.mors].elements, rep
+            assert len(stab.elements) == stab.order
+            for g in stab.elements:
                 assert _act_mors(cat, g, rep.objs, rep.mors) == rep.mors, (rep, g)
-    # scan_limit=1 sends every stabilizer with a nontrivial ambient product
-    # down the transversal path (delta:2 has none)
-    assert saw_transversal == any(o.ambient_order > 1 for o in orbits(cat, level))
 
 
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
-def test_stabilizer_of_a_chain_matches_its_orbit(spec, level):
+def test_stabilizer_of_a_chain_matches_its_orbit(spec, level, monkeypatch):
     cat = builtin_category(spec)
     rng = random.Random(7)
-    for limits in (Limits(), Limits(scan_limit=1)):
-        for o in orbits(cat, level, limits):
+    for list_limit in (chains._LIST_LIMIT, 0):
+        monkeypatch.setattr(chains, "_LIST_LIMIT", list_limit)
+        for o in orbits(cat, level):
             # the representative and a random member of its orbit
             alpha = [rng.choice(cat.aut_idx(x)) for x in o.rep.objs]
             moved = Chain(cat, o.rep.objs, _act_mors(cat, alpha, o.rep.objs, o.rep.mors))
             for chain in (o.rep, moved):
-                got = stabilizer(cat, chain, limits)
+                got = stabilizer(cat, chain)
                 assert (got.order, got.policy) == (o.stabilizer.order, o.stabilizer.policy)
 
 
@@ -405,7 +426,7 @@ def test_level0_is_held_to_chain_limit():
 
 @pytest.mark.parametrize("spec,level,policies", [
     ("finset:4", 1, {"scan"}),
-    ("vect:2:3", 2, {"scan", "transversal"}),
+    ("vect:2:3", 2, {"scan"}),
     # order-252 stabilizers whose coordinates use few elements of GL(2, 7)
     ("vect:2:7", 1, {"scan"}),
 ])
@@ -418,10 +439,7 @@ def test_stabilizer_tables_equal_per_pair_reference(spec, level, policies):
         return tuple(cat.compose_idx(x, y) for x, y in zip(a, b))
 
     for stab in stabs:
-        els = stab.elements
-        if els is None:
-            els = chains._stabilizer_elements(cat, stab.objs, [stab.mors])[0]
-        ref = table_from_elements(els, compose)
+        ref = table_from_elements(stab.elements, compose)
         assert np.array_equal(stab.to_cayley_table(20000).table, ref.table), stab.objs
 
 

@@ -1,3 +1,4 @@
+import ast
 import glob
 import hashlib
 import json
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import cdiag
-from cdiag import chains, classifying
+from cdiag import chains, classifying, finset
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 
 
@@ -167,6 +168,18 @@ def test_validation_survives_python_dash_O():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+def test_no_assert_in_the_package():
+    # checks must survive python -O, which strips assert statements
+    pkg = os.path.dirname(cdiag.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
 
 
@@ -322,58 +335,58 @@ def test_golden_body_ordinal2(capsys):
 
 
 # SHA-256 of the report body (every line not starting with #), pinned from
-# the engine before orbits and stabilizers moved onto action arrays.
+# the engine before orbits and stabilizers moved onto action arrays.  The
+# JSON digests were re-taken when scan_limit left config.limits, after
+# checking that the old reports without that key were the same bytes.
 PINNED_BODIES = [
     (("decompose", "--builtin", "vect:2:2", "--level", "2"),
      "543614cad04ac01a07e4474b37964fe755703748bf9b6afbde7472a92489380f",
-     "56a77412981def14ab4a433a46f52eb3baabba6c426f7b75148f22099b7e6ca6"),
-    (("decompose", "--builtin", "vect:2:2", "--level", "2", "--scan-limit", "1"),
-     "543614cad04ac01a07e4474b37964fe755703748bf9b6afbde7472a92489380f",
-     "70fa63fc78707b4c267ef499fadf55862c44cd08cde6853f67c2b9842c6e9753"),
+     "591e329aa731148bcdec040a33e5ce5bd999153193021b059d4ac40249515496"),
     (("decompose", "--builtin", "finset:3", "--level", "1"),
      "f29ee674e5fa11e0350258eacce3ab2e46ec1330ae3e42e069a1b40f8c9abace",
-     "71ae9582284be48bdb13fccc8ba22a288cf6ef5362bf78440d2a7a3b595efd60"),
+     "9596af831afd68bff366286d5ca0e0256b073aa93f31f0f5c89674b912cc1207"),
     (("decompose", "--builtin", "iso-interval", "--level", "2"),
      "41252e2c8905e2b86c6ea290bb0126acbdbf21431f08b303de82aaedefd25ec3",
-     "04596f14a7f3f6aa3f94af529abeb811577c9f11b17aedfcb6b688e3afd3ad6b"),
+     "6a2e1bcc2e48f2f8db37059ee4931fb359ae82d1600a48304a7f70ef5eab0b0e"),
     (("decompose", "--builtin", "delta:2", "--level", "2"),
      "010c7e45506d15640f134f5ccd2e1889d9e195444b65c29c3b730c48541eb1e7",
-     "06e1ed98ef7e60cdd220b472b843faa0997c34898f4a9f1a717d8557e5988b58"),
-    # transversal stabilizers that are tabled (vect:2:5 has one of order 480)
+     "a507bfa13ba51655a4e9939776bfd49bd4f9635094f84a5aa510cbd66bcc1d53"),
+    # small stabilizers inside ambient products above 100,000, tabled to be
+    # named (vect:2:5 has one of order 480)
     (("decompose", "--builtin", "vect:2:3", "--level", "2"),
      "57d483241d984646a3857d1e76bed57185bbad7e4c3350b3d9a2b8f45d2c4968",
-     "0d603232e26a21fce943150800d875227c1201df4816eadf5e0913c193f93b86"),
+     "1a72cfca28315eb1c57945df5e163a4aedaa315ae28aa91e1a8adf3b1c775a14"),
     (("decompose", "--builtin", "vect:2:5", "--level", "1"),
      "3f383a8624fd6719485b1d05cbb4eac3732744e0004e7ccc6cdc6c141d3b0335",
-     "16e740d2b86332b8b3d7dc7d61268f98c98a681e82e1164e6f03431193e540ce"),
+     "3295b478f29be444a8caa67e1c07ec2087e3d86c6fc66a1a532a98019fd158ad"),
     # groups and ordinals, pinned from the engine whose builders stored
     # every composite in a table
     (("decompose", "--builtin", "group:S4", "--level", "2"),
      "29090e9ad5befdb91912302a79fc7b65ac5e2bf7ea611792287b2a6c9251ebe7",
-     "238d6c4a8b4a662ca7a0b126555e47ccdf61cdf0a39e4f4f80c80c029a536709"),
+     "c79820f8ae73b119a508f75a6a60367ba7bb8beb3971a3737c6f83726d264ee3"),
     (("decompose", "--builtin", "ordinal:4", "--level", "2"),
      "a42f971ff3ab752723db41a3889a2a3a8838bedff45b35e0ee0a610f556b0d1e",
-     "b4b7ff9e83ddc4d8f5ae73fdc80b111da65922d42d4bf6998e0265b120ac1dfd"),
+     "547870c42be4506f200c2ebb0e85c680ae96756ff1c53ffce5b9d95ed512558e"),
     (("decompose", "--builtin", "group:C6", "--level", "1"),
      "370d9ae08624ecfd239146d8c0070e61e1d310c82b9f400a4e392d89c918ea97",
-     "d66af6830959bb9980f4022342d546cfb92e386267e4baa93a4b8b1e560feb2f"),
+     "b2fa317e091ccc49ba918a26058cd7de3bf5db85bf33e3e7a0c8fd8c44712fba"),
     (("complete", "--builtin", "group:S3"),
      "26396122228574df07fd53c905b7e4d69156d93eecc6cfc5f697c66e0d92db8b",
-     "603c0d77afa2c3fe1443a3c70f10d096daafe8139c9ab60eacad5b1527855d1a"),
+     "bcd0a4d7f9da707c093b425e2c1b27b56346e9314573d7b683b26b21bd7f806c"),
     # pinned from the engine that built the whole invertible-square groupoid
     (("complete", "--builtin", "group:S5", "--chain-limit", "2000000"),
      "d2f9fa44c82a8675b2bdf0b41d2f0776197aa205fd6b7cacc6181f8f7fca1e5d",
-     "beda0b29eeaafc1398781fc39a16c8099c9e89cc5bc19c1b3563be02afe93146"),
+     "3ae8685e02e4924f4f5d4f2a384c787ab9c932a7fd29fd8361144ca9972a540f"),
     # pinned from the engine that enumerated chains with a recursive generator
     (("segal", "--builtin", "finset:4", "--level", "2"),
      "d09376c31f4c788e273311c0c870ebd59ec6f975cb8df38ed24135b747c75832",
-     "d90d8454f222a8a7c73e5957a566bb2d3cdb901558e7bf7d4130286f8e9a7f03"),
+     "ec72a113d2e972caa5510732068575bd3210eb766758c900f56d708c9565cc93"),
     (("decompose", "--builtin", "delta:3", "--level", "2"),
      "0b804aec9d07f236223a517ad34704b569f0135b934056765f533b26b25d146f",
-     "c7593f2c3c9c835d7b057335096b6e9a43837c5c942dc41e8eee711d9a3252ea"),
+     "15b0015167b2eaf8f60220e1fe321a8c17d44b01d3ff42ec1cf0f78fb0456e3e"),
     (("nerve", "--builtin", "group:S3", "--truncation", "3"),
      "a53bf6be8df9c87a4636364b0dc79c44304361e3d5f78f5167dd4682c6f55f17",
-     "665ca370f026f120f51ed88e3be676df0fdef1df55e3f48098498af073a366f4"),
+     "6ceabb477cabb6658da536bb565a251cea81b35a2377c32d44228b9b97269de0"),
 ]
 
 
@@ -381,11 +394,22 @@ PINNED_BODIES = [
 @pytest.mark.parametrize("argv,text_sha,json_sha", PINNED_BODIES,
                          ids=[" ".join(p[0][2:]) for p in PINNED_BODIES])
 def test_pinned_report_body(argv, text_sha, json_sha, fmt, capsys):
+    assert _body_digest(argv, fmt, capsys) == (text_sha if fmt == "text" else json_sha)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_pinned_body_on_the_search_path(fmt, monkeypatch, capsys):
+    # a listing bound of 0 sends every stabilizer down the orbit search
+    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
+    argv, text_sha, json_sha = PINNED_BODIES[0]
+    assert _body_digest(argv, fmt, capsys) == (text_sha if fmt == "text" else json_sha)
+
+
+def _body_digest(argv, fmt, capsys):
     code, out = run_capture(list(argv) + ["--format", fmt], capsys)
     assert code == 0
     body = "".join(line + "\n" for line in body_lines(out))
-    pinned = text_sha if fmt == "text" else json_sha
-    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == pinned
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 def test_output_file(tmp_path, capsys):
@@ -404,16 +428,38 @@ def test_output_file(tmp_path, capsys):
 def test_limit_flags_echoed(capsys):
     _, out = run_capture(
         ["decompose", "--builtin", "ordinal:1", "--format", "json",
-         "--scan-limit", "777"], capsys)
-    assert json.loads(out)["config"]["limits"]["scan_limit"] == 777
+         "--table-limit", "777"], capsys)
+    lims = json.loads(out)["config"]["limits"]
+    assert lims == {"chain_limit": 1_000_000, "table_limit": 777, "iso_limit": 512}
 
 
 def test_env_limits(capsys, monkeypatch):
-    monkeypatch.setenv("CDIAG_LIMITS", "iso_limit=64,scan_limit=5000")
+    monkeypatch.setenv("CDIAG_LIMITS", "iso_limit=64,table_limit=5000")
     _, out = run_capture(
         ["decompose", "--builtin", "ordinal:1", "--format", "json"], capsys)
     lims = json.loads(out)["config"]["limits"]
-    assert lims["iso_limit"] == 64 and lims["scan_limit"] == 5000
+    assert lims["iso_limit"] == 64 and lims["table_limit"] == 5000
+
+
+def test_the_scan_limit_is_gone(capsys, monkeypatch):
+    argv = ["decompose", "--builtin", "ordinal:1"]
+    assert _exit_code(argv + ["--scan-limit", "1"]) == 2
+    assert "unrecognized arguments: --scan-limit" in capsys.readouterr().err
+    monkeypatch.setenv("CDIAG_LIMITS", "scan_limit=5")
+    assert run(argv) == 2
+    assert "unknown limit 'scan_limit'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--builtin", "group:S3", "--level", "1"],
+    ["complete", "--builtin", "group:S3"],
+])
+def test_table_limit_holds_for_every_stabilizer(argv, capsys):
+    # group:S3 has stabilizers of order 6, tabled to name them
+    assert run(argv + ["--table-limit", "6"]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--table-limit", "5"]) == 2
+    assert "closure exceeded limit 5" in capsys.readouterr().err
 
 
 def test_env_limits_overridden_by_flags(capsys, monkeypatch):
@@ -460,6 +506,13 @@ def test_a_failed_stabilizer_self_check_exits_1(monkeypatch, capsys):
                         lambda cat, objs, reps: [els[:-1] for els in listed(cat, objs, reps)])
     assert run(["decompose", "--builtin", "finset:3", "--level", "1"]) == 1
     assert "orbit-stabilizer identity fails" in capsys.readouterr().err
+
+
+def test_a_failed_closed_form_self_check_exits_1(monkeypatch, capsys):
+    real = finset.FiberProfile.group_order
+    monkeypatch.setattr(finset.FiberProfile, "group_order", lambda p: 2 * real(p))
+    assert run(["finset", "--max", "3"]) == 1
+    assert "self-check failed: profile" in capsys.readouterr().err
 
 
 def test_a_failed_size_sum_exits_1(monkeypatch, capsys):

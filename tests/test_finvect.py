@@ -121,10 +121,10 @@ def test_paper_cases_q2():
     assert d["rank-0 2x2"] == 36
 
 
-@pytest.mark.parametrize("q,scan_limit", [(2, 100_000), (3, 100_000), (5, 250_000)])
-def test_paper_case_orders_produced_by_direct_scan(q, scan_limit):
-    col = direct_scan_stabilizer_order(((1,), (0,)), 1, 2, q, scan_limit)
-    diag = direct_scan_stabilizer_order(((1, 0), (0, 0)), 2, 2, q, scan_limit)
+@pytest.mark.parametrize("q,bound", [(2, 100_000), (3, 100_000), (5, 250_000)])
+def test_paper_case_orders_produced_by_direct_scan(q, bound):
+    col = direct_scan_stabilizer_order(((1,), (0,)), 1, 2, q, bound)
+    diag = direct_scan_stabilizer_order(((1, 0), (0, 0)), 2, 2, q, bound)
     assert col == (q - 1) ** 2 * q
     assert diag == (q - 1) ** 3 * q * q
     cases = {c.case: c.order for c in paper_stabilizers_dim_le2(q)}

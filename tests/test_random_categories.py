@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdiag import fincat, finset, finvect, groups
+from cdiag import chains, fincat, finset, finvect, groups
 from cdiag.chains import Chain, _chain_array, act, orbits
 from cdiag.classifying import completeness_check
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import FiniteCategory, object_iso_classes
-from cdiag.limits import Limits
 
 BASES = {"finset:3": finset.finset_skeleton(3), "vect:2:2": finvect.vect_skeleton(2, 2)}
 GROUP_TABLES = [groups.cyclic_table(n).table for n in range(1, 7)] + [
@@ -105,15 +104,18 @@ def naive_orbits(cat: FiniteCategory, n: int) -> list:
 def test_orbits_match_the_naive_reference(cat):
     for n in (1, 2):
         expected = naive_orbits(cat, n)
-        for limits in (Limits(), Limits(scan_limit=1)):
-            got = orbits(cat, n, limits)
+        # the default listing bound, and 0 to search every orbit
+        for list_limit in (chains._LIST_LIMIT, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chains, "_LIST_LIMIT", list_limit)
+                got = orbits(cat, n)
             assert ([(o.rep.objs, o.rep.mors, o.rep_fiber_size, o.stabilizer.order)
                      for o in got]
                     == [(objs, mors, size, len(fixing))
                         for objs, mors, size, fixing in expected])
             for o, (_, _, _, fixing) in zip(got, expected):
-                if o.stabilizer.policy == "scan":
-                    assert o.stabilizer.elements == fixing
+                assert o.stabilizer.policy == ("scan" if list_limit else "transversal")
+                assert o.stabilizer.elements == fixing
 
 
 def check_chain_array(cat: FiniteCategory) -> None:
