@@ -183,6 +183,37 @@ def _chain_array(cat: FiniteCategory, n: int) -> np.ndarray:
     return rows
 
 
+def _chain_index(cat: FiniteCategory, rows: np.ndarray) -> np.ndarray:
+    """The row number of each n-chain (n >= 1) of ``rows`` in
+    ``_chain_array(cat, n)``, counted over hom sets like ``chain_count``.
+
+    Rows ascend lexicographically, so a chain's number counts the chains
+    that first differ from it by a smaller morphism: column k adds, for
+    each smaller morphism g out of the same object, the number of
+    (n-1-k)-chains that start at dst(g), and column 0 counts every smaller
+    morphism.
+    """
+    src, dst = np.array(cat.src, dtype=np.intp), np.array(cat.dst, dtype=np.intp)
+    # g is at rank[g] of the morphisms sorted by source, whose run starts at first[g]
+    order = np.argsort(src, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = np.searchsorted(src[order], src)
+    starting = np.ones(cat.n_objects, dtype=np.int64)    # m-chains from each object
+    index = np.zeros(len(rows), dtype=np.int64)
+    for k in range(rows.shape[1] - 1, -1, -1):           # m = n-1-k chains after column k
+        after = starting[dst]
+        if k == 0:
+            below = np.cumsum(after) - after
+        else:
+            ahead = np.concatenate([[0], np.cumsum(after[order])])
+            below = ahead[rank] - ahead[first]
+        index += below[rows[:, k]]
+        starting = np.zeros(cat.n_objects, dtype=np.int64)
+        np.add.at(starting, src, after)
+    return index
+
+
 def _limited_chain_count(cat: FiniteCategory, n: int, limits: Limits) -> int:
     """``chain_count``, raising ChainLimitExceeded above chain_limit."""
     total = chain_count(cat, n)

@@ -272,53 +272,40 @@ def is_discrete_classifying(cat: FiniteCategory, truncation: int,
 
 @dataclass
 class TruncatedSimplicialSet:
-    levels: list            # levels[n]: list of simplex keys (mors tuples / object indices)
-    faces: dict             # (n, i) -> list mapping level-n index -> level-(n-1) index
-    degeneracies: dict      # (n, j) -> list mapping level-n index -> level-(n+1) index
+    levels: list            # levels[0]: object indices; levels[n]: _chain_array rows
+    faces: dict             # (n, i) -> level-(n-1) row number of each level-n row
+    degeneracies: dict      # (n, j) -> level-(n+1) row number of each level-n row
 
     @property
     def level_sizes(self) -> list:
         return [len(l) for l in self.levels]
 
     def check_simplicial_identities(self) -> bool:
+        """Each identity is one comparison of gathered row-number arrays."""
+        d, s = self.faces, self.degeneracies
         L = len(self.levels) - 1
         for n in range(2, L + 1):
-            size = len(self.levels[n])
             for j in range(n + 1):
                 for i in range(j):
-                    di, dj = self.faces[(n, i)], self.faces[(n, j)]
-                    di_low = self.faces[(n - 1, i)]
-                    dj1_low = self.faces[(n - 1, j - 1)]
-                    for s in range(size):
-                        if di_low[dj[s]] != dj1_low[di[s]]:
-                            return False
-        for n in range(0, L):
-            size = len(self.levels[n])
+                    if not np.array_equal(d[(n - 1, i)][d[(n, j)]], d[(n - 1, j - 1)][d[(n, i)]]):
+                        return False
+        for n in range(L):
+            same = np.arange(len(self.levels[n]))
             for j in range(n + 1):
-                sj = self.degeneracies[(n, j)]
                 for i in range(n + 2):
-                    d_up = self.faces[(n + 1, i)]
-                    for s in range(size):
-                        v = d_up[sj[s]]
-                        if i == j or i == j + 1:
-                            ok = v == s
-                        elif i < j:
-                            ok = v == self.degeneracies[(n - 1, j - 1)][self.faces[(n, i)][s]]
-                        else:
-                            ok = v == self.degeneracies[(n - 1, j)][self.faces[(n, i - 1)][s]]
-                        if not ok:
-                            return False
-        for n in range(0, L - 1):
-            size = len(self.levels[n])
+                    if i == j or i == j + 1:
+                        want = same
+                    elif i < j:
+                        want = s[(n - 1, j - 1)][d[(n, i)]]
+                    else:
+                        want = s[(n - 1, j)][d[(n, i - 1)]]
+                    if not np.array_equal(d[(n + 1, i)][s[(n, j)]], want):
+                        return False
+        for n in range(L - 1):
             for j in range(n + 1):
                 for i in range(j + 1):
-                    si_up = self.degeneracies[(n + 1, i)]
-                    sj_ = self.degeneracies[(n, j)]
-                    sj1_up = self.degeneracies[(n + 1, j + 1)]
-                    si_ = self.degeneracies[(n, i)]
-                    for s in range(size):
-                        if si_up[sj_[s]] != sj1_up[si_[s]]:
-                            return False
+                    if not np.array_equal(s[(n + 1, i)][s[(n, j)]], s[(n + 1, j + 1)][s[(n, i)]]):
+                        return False
         return True
 
 
@@ -326,12 +313,26 @@ class TruncatedSimplicialSet:
 MAX_NERVE_TRUNCATION = 4
 
 
+def _compose_columns(cat: FiniteCategory, g, f) -> np.ndarray:
+    """g[r] . f[r] for every r, one ``compose_idx`` call per distinct pair."""
+    m = cat.n_morphisms
+    pairs, at = np.unique(g.astype(np.int64) * m + f, return_inverse=True)
+    composite = map(cat.compose_idx, (pairs // m).tolist(), (pairs % m).tolist())
+    return np.array(list(composite), dtype=g.dtype)[at]
+
+
 def nerve_truncation(gpd: FiniteCategory, truncation: int,
                      limits: Limits = DEFAULT_LIMITS) -> TruncatedSimplicialSet:
     """Levels 0..truncation of the nerve of a groupoid, with explicit face
     and degeneracy maps, simplicial identities verified by the caller via
     ``check_simplicial_identities``.  Every level is held to chain_limit
-    before any is listed."""
+    before any is listed.
+
+    Level n >= 1 is ``_chain_array(gpd, n)`` and every map an array of row
+    numbers (``_chain_index``).  A face drops the first or last column or
+    composes two adjacent ones; a degeneracy inserts a column of
+    identities.  Level 0 is the objects, so d_0 and d_1 of a 1-simplex are
+    its target and source."""
     if not 0 <= truncation <= MAX_NERVE_TRUNCATION:
         raise CategoryError(
             f"truncation must be between 0 and {MAX_NERVE_TRUNCATION}, got {truncation}")
@@ -342,46 +343,29 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
 
     for n in range(1, truncation + 1):
         chains_mod._limited_chain_count(gpd, n, limits)
-    levels = [list(range(gpd.n_objects))]
-    index_of = [dict((x, i) for i, x in enumerate(levels[0]))]
-    for n in range(1, truncation + 1):
-        simplices = list(map(tuple, chains_mod._chain_array(gpd, n).tolist()))
-        levels.append(simplices)
-        index_of.append({s: i for i, s in enumerate(simplices)})
-
-    def src_of(mors):
-        return gpd.src[mors[0]]
-
-    def vertex(mors, k):
-        return src_of(mors) if k == 0 else gpd.dst[mors[k - 1]]
+    levels = [np.arange(gpd.n_objects)]
+    levels += [chains_mod._chain_array(gpd, n) for n in range(1, truncation + 1)]
+    src, dst, ident = (np.array(e, dtype=np.intp) for e in (gpd.src, gpd.dst, gpd.identity_idx))
+    index = chains_mod._chain_index
 
     faces, degen = {}, {}
-    for n in range(1, truncation + 1):
-        for i in range(n + 1):
-            col = []
-            for mors in levels[n]:
-                if n == 1:
-                    t = gpd.dst[mors[0]] if i == 0 else gpd.src[mors[0]]
-                    col.append(index_of[0][t])
-                    continue
-                if i == 0:
-                    out = mors[1:]
-                elif i == n:
-                    out = mors[:-1]
-                else:
-                    out = mors[:i - 1] + (gpd.compose_idx(mors[i], mors[i - 1]),) + mors[i + 1:]
-                col.append(index_of[n - 1][out])
-            faces[(n, i)] = col
-    for n in range(0, truncation):
+    if truncation >= 1:
+        faces[(1, 0)], faces[(1, 1)] = dst[levels[1][:, 0]], src[levels[1][:, 0]]
+    for n in range(2, truncation + 1):
+        rows = levels[n]
+        faces[(n, 0)], faces[(n, n)] = index(gpd, rows[:, 1:]), index(gpd, rows[:, :-1])
+        for i in range(1, n):
+            composite = _compose_columns(gpd, rows[:, i], rows[:, i - 1])
+            faces[(n, i)] = index(gpd, np.column_stack(
+                [rows[:, :i - 1], composite, rows[:, i + 1:]]))
+    for n in range(truncation):
+        if n == 0:
+            rows, vertices = np.empty((gpd.n_objects, 0), dtype=np.intp), levels[0][:, None]
+        else:
+            rows = levels[n]
+            vertices = np.column_stack([src[rows[:, 0]], dst[rows]])
         for j in range(n + 1):
-            col = []
-            for s in levels[n]:
-                mors = () if n == 0 else s
-                x = s if n == 0 else vertex(mors, j)
-                ins = gpd.identity_idx[x]
-                out = mors[:j] + (ins,) + mors[j:]
-                col.append(index_of[n + 1][out])
-            degen[(n, j)] = col
+            degen[(n, j)] = index(gpd, np.insert(rows, j, ident[vertices[:, j]], axis=1))
     return TruncatedSimplicialSet(levels=levels, faces=faces, degeneracies=degen)
 
 

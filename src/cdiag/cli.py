@@ -390,15 +390,15 @@ def run(argv=None) -> int:
     try:
         limits = _resolve_limits(args)
         code, body = args.handler(args, limits)
+        report = {"command": args.command, "config": _config_dict(args, limits)}
+        report.update(body)
+        _emit(report, args)
     except SelfCheckFailed as exc:
         sys.stderr.write(f"cdiag: self-check failed: {exc}\n")
         return MISMATCH
     except (CategoryError, groups.GroupError, OSError, ValueError) as exc:
         sys.stderr.write(f"cdiag: error: {exc}\n")
         return USAGE_ERROR
-    report = {"command": args.command, "config": _config_dict(args, limits)}
-    report.update(body)
-    _emit(report, args)
     return code
 
 

@@ -288,15 +288,6 @@ class GroupExpr:
     def __repr__(self):
         return f"<{type(self).__name__} {self.text()}>"
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
-    def _key(self):
-        return ()
-
 
 class Trivial(GroupExpr):
     def order(self):
@@ -318,9 +309,6 @@ class Symmetric(GroupExpr):
     def text(self):
         return f"S{self.n}"
 
-    def _key(self):
-        return (self.n,)
-
 
 class GeneralLinear(GroupExpr):
     def __init__(self, n: int, q: int):
@@ -340,9 +328,6 @@ class GeneralLinear(GroupExpr):
     def text(self):
         return f"GL({self.n},{self.q})"
 
-    def _key(self):
-        return (self.n, self.q)
-
 
 class FieldUnits(GroupExpr):
     """Multiplicative group of F_q; same group as GL(1, q)."""
@@ -358,9 +343,6 @@ class FieldUnits(GroupExpr):
     def text(self):
         return f"U({self.q})"
 
-    def _key(self):
-        return (self.q,)
-
 
 class FieldAdditive(GroupExpr):
     def __init__(self, q: int):
@@ -373,9 +355,6 @@ class FieldAdditive(GroupExpr):
 
     def text(self):
         return f"A({self.q})"
-
-    def _key(self):
-        return (self.q,)
 
 
 class Product(GroupExpr):
@@ -400,9 +379,6 @@ class Product(GroupExpr):
     def _needs_parens(self):
         return len(self.factors) > 1
 
-    def _key(self):
-        return self.factors
-
 
 class Wreath(GroupExpr):
     """base wr S_k: the semidirect product base^k x| S_k with S_k
@@ -424,9 +400,6 @@ class Wreath(GroupExpr):
 
     def _needs_parens(self):
         return True
-
-    def _key(self):
-        return (self.base, self.k)
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,15 @@ def test_segal_on_an_empty_catdef_file(tmp_path, capsys):
                                           "name": "segal-2", "status": "pass"}]
 
 
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_an_output_path_that_cannot_be_opened_is_a_usage_error(where, tmp_path, capsys):
+    # a file in a directory that does not exist, and a directory itself
+    code = run(["decompose", "--builtin", "ordinal:1", "--output", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("cdiag: error: ") and captured.out == ""
+
+
 def test_exactly_one_input(capsys, tmp_path):
     p = tmp_path / "a.catdef"
     p.write_text("object x\n", encoding="utf-8")

@@ -1,22 +1,25 @@
-"""The chain array, orbits() and completeness_check() against naive
-references on random small categories.
+"""The chain array, orbits(), completeness_check() and the truncated nerve
+against naive references on random small categories.
 
 The orbit reference applies every element of Aut(x_0) x ... x Aut(x_n)
 through ``act`` to every chain on each tuple of class representatives: no
 generators, no breadth-first search and no action arrays.  The completeness
 reference counts invertible squares pair by pair with ``compose_idx``.
-The chain reference filters itertools.product of the morphisms.
+The chain reference filters itertools.product of the morphisms.  The nerve
+reference maps one simplex at a time, composing with ``compose_idx`` and
+looking every image up in a dict of the level's tuples.
 """
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdiag import chains, fincat, finset, finvect, groups
-from cdiag.chains import Chain, _chain_array, act, orbits
-from cdiag.classifying import completeness_check
+from cdiag.chains import Chain, _chain_array, _chain_index, act, orbits
+from cdiag.classifying import completeness_check, nerve_truncation
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import FiniteCategory, object_iso_classes
 
@@ -118,18 +121,23 @@ def test_orbits_match_the_naive_reference(cat):
                 assert o.stabilizer.elements == fixing
 
 
+def naive_chains(cat: FiniteCategory, n: int) -> list:
+    return [t for t in itertools.product(range(cat.n_morphisms), repeat=n)
+            if all(cat.dst[f] == cat.src[g] for f, g in zip(t, t[1:]))]
+
+
 def check_chain_array(cat: FiniteCategory) -> None:
     """``_chain_array`` against the composable tuples of itertools.product,
     in product order, at levels 1-3 wherever the product has at most 10^6
-    tuples."""
+    tuples, and ``_chain_index`` numbering its rows in order."""
     for n in (1, 2, 3):
         if cat.n_morphisms ** n > 10 ** 6:
             continue
-        expected = [t for t in itertools.product(range(cat.n_morphisms), repeat=n)
-                    if all(cat.dst[f] == cat.src[g] for f, g in zip(t, t[1:]))]
+        expected = naive_chains(cat, n)
         rows = _chain_array(cat, n)
         assert rows.shape == (len(expected), n)
         assert list(map(tuple, rows.tolist())) == expected
+        assert np.array_equal(_chain_index(cat, rows), np.arange(len(rows)))
 
 
 @pytest.mark.parametrize("spec", ACCEPTANCE_SUITE)
@@ -186,3 +194,54 @@ def test_completeness_matches_naive_squares_on_builtins(spec):
 @given(small_categories())
 def test_completeness_matches_naive_squares(cat):
     check_completeness_against_squares(cat)
+
+
+def naive_nerve(gpd: FiniteCategory, truncation: int) -> tuple:
+    """(levels, faces, degeneracies) of the nerve, one simplex at a time."""
+    levels = [list(range(gpd.n_objects))]
+    levels += [naive_chains(gpd, n) for n in range(1, truncation + 1)]
+    row = [{s: r for r, s in enumerate(level)} for level in levels]
+    faces, degen = {}, {}
+    for n in range(1, truncation + 1):
+        for i in range(n + 1):
+            out = []
+            for t in levels[n]:
+                if n == 1:
+                    out.append(gpd.dst[t[0]] if i == 0 else gpd.src[t[0]])
+                elif i == 0 or i == n:
+                    out.append(row[n - 1][t[1:] if i == 0 else t[:-1]])
+                else:
+                    composite = gpd.compose_idx(t[i], t[i - 1])
+                    out.append(row[n - 1][t[:i - 1] + (composite,) + t[i + 1:]])
+            faces[(n, i)] = out
+    for n in range(truncation):
+        for j in range(n + 1):
+            out = []
+            for s in levels[n]:
+                t = () if n == 0 else s
+                x = s if n == 0 else gpd.src[s[0]] if j == 0 else gpd.dst[s[j - 1]]
+                out.append(row[n + 1][t[:j] + (gpd.identity_idx[x],) + t[j:]])
+            degen[(n, j)] = out
+    return levels, faces, degen
+
+
+def check_nerve_against_the_reference(gpd: FiniteCategory, truncation: int) -> None:
+    t = nerve_truncation(gpd, truncation)
+    levels, faces, degen = naive_nerve(gpd, truncation)
+    assert t.levels[0].tolist() == levels[0]
+    assert [list(map(tuple, rows.tolist())) for rows in t.levels[1:]] == levels[1:]
+    assert {k: v.tolist() for k, v in t.faces.items()} == faces
+    assert {k: v.tolist() for k, v in t.degeneracies.items()} == degen
+    assert t.check_simplicial_identities()
+
+
+def test_nerve_matches_the_reference_with_uint16_morphisms():
+    cat = builtin_category("group:C300")
+    assert _chain_array(cat, 2).dtype == np.uint16
+    check_nerve_against_the_reference(cat, 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_categories())
+def test_nerve_matches_the_reference(cat):
+    check_nerve_against_the_reference(fincat.maximal_subgroupoid(cat), 3)
