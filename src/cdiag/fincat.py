@@ -5,12 +5,15 @@ engine-internal indexing uses dense integers.  Every morphism carries a
 hashable payload (an ordered pair for ordinals, a group element, a function
 or matrix for the skeletons, the parent's morphism index for derived
 categories, the morphism's own name for CATDEF input), and composites are
-computed from payloads on demand and cached.  Values are immutable after
-construction and every operation here is pure.
+computed from payloads on demand and cached.  The finset and vect skeletons
+also give a hom-set codec, which reads a whole hom set as one integer array
+so that a generator acts on it in one numpy step.  Values are immutable
+after construction and every operation here is pure.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -22,6 +25,16 @@ from .groups import CayleyTable, greedy_closure
 
 class CategoryError(Exception):
     pass
+
+
+def _radix_codes(stack: np.ndarray, radix: int) -> np.ndarray:
+    """Each array of ``stack`` read as one number in base ``radix``, its
+    first entry most significant, as int64; -1 for an array with an entry
+    outside 0 .. radix - 1."""
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:])).astype(np.int64)
+    codes = flat @ radix ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes[((flat < 0) | (flat >= radix)).any(axis=1)] = -1
+    return codes
 
 
 class CatdefError(CategoryError):
@@ -36,7 +49,7 @@ class CatdefError(CategoryError):
 
 class FiniteCategory:
     def __init__(self, objects, morphisms, identity, *, payloads, compose_payload,
-                 inverse_payload=None, name: str = ""):
+                 inverse_payload=None, codec=None, name: str = ""):
         """
         objects: sequence of object ids.
         morphisms: sequence of (morphism id, source id, target id).
@@ -47,6 +60,14 @@ class FiniteCategory:
         inverse_payload: payload -> payload of its inverse, or None when the
             morphism is not invertible.  Without it inverses are searched
             for in the opposite hom set.
+        codec: reads the payloads of a hom set as integer arrays, for
+            ``hom_columns``.  ``codec.values(si, di, payloads)`` stacks the
+            payloads of morphisms si -> di into one array, one payload per
+            row, with entries in 0 .. ``codec.radix(si, di)`` - 1;
+            ``codec.left(g, F)`` and ``codec.right(F, h)`` are the stacks of
+            g after each f in F and of each f in F after h, for one stacked
+            g of di -> di or h of si -> si.  Without it every composite is
+            computed pair by pair.
         """
         self.name = name
         self.objects = tuple(objects)
@@ -86,6 +107,7 @@ class FiniteCategory:
             raise CategoryError("duplicate morphism payload")
         self._compose_payload = compose_payload
         self._inverse_payload = inverse_payload
+        self._codec = codec
         self._ctab = {}
 
         self._hom = None
@@ -250,19 +272,55 @@ class FiniteCategory:
         ``hom_idx(si, di)``: (left, right), where left[k, p] is the position
         of g . f_p for the k-th generator g of Aut(y) and right[k, p] that
         of f_p . g^-1 for the k-th generator g of Aut(x).  The dtype is the
-        smallest that holds a position.  Computed on the first call and kept."""
+        smallest that holds a position.  Read through the codec when there
+        is one, else one composite per morphism each.  Computed on the first
+        call and kept."""
         key = (si, di)
         if key not in self._hom_columns:
             hom = self.hom_idx(si, di)
-            pos = {f: p for p, f in enumerate(hom)}
+            gens = self.aut_generators(di)
+            invs = [self.inverse_idx(g) for g in self.aut_generators(si)]
+            if self._codec is None:
+                pos = {f: p for p, f in enumerate(hom)}
+                left = [[pos[self.compose_idx(g, f)] for f in hom] for g in gens]
+                right = [[pos[self.compose_idx(f, h)] for f in hom] for h in invs]
+            else:
+                left, right = self._coded_columns(si, di, hom, gens, invs)
             dtype = np.min_scalar_type(max(len(hom) - 1, 0))
-            left = [[pos[self.compose_idx(g, f)] for f in hom]
-                    for g in self.aut_generators(di)]
-            right = [[pos[self.compose_idx(f, self.inverse_idx(g))] for f in hom]
-                     for g in self.aut_generators(si)]
             self._hom_columns[key] = tuple(np.array(c, dtype=dtype).reshape(len(c), len(hom))
                                            for c in (left, right))
         return self._hom_columns[key]
+
+    def _coded_columns(self, si: int, di: int, hom: list, gens: list, invs: list) -> tuple:
+        """The columns of ``hom_columns`` through the codec: each generator
+        acts on the stacked hom set at once, and every image is found by its
+        radix code among the codes of the hom set.  Raises CategoryError,
+        as ``compose_idx`` does, for an image outside the hom set."""
+        codec = self._codec
+
+        def stack(s, d, mors):
+            return codec.values(s, d, [self.payloads[m] for m in mors])
+
+        radix = codec.radix(si, di)
+        F = stack(si, di, hom)
+        codes = _radix_codes(F, radix)
+        order = np.argsort(codes)
+
+        def positions(images, pair):
+            found = _radix_codes(images, radix)
+            at = order[np.minimum(np.searchsorted(codes, found, sorter=order), len(hom) - 1)]
+            missing = np.flatnonzero(codes[at] != found)
+            if len(missing):
+                g, f = pair(hom[missing[0]])
+                raise CategoryError(
+                    f"missing composite for pair ({self.mor_ids[g]}, {self.mor_ids[f]})")
+            return at
+
+        left = [positions(codec.left(stack(di, di, [g])[0], F), lambda f: (g, f))
+                for g in gens]
+        right = [positions(codec.right(F, stack(si, si, [h])[0]), lambda f: (f, h))
+                 for h in invs]
+        return left, right
 
     def hom_action_tables(self, si: int, di: int, positions) -> tuple:
         """(left, right) action tables of Aut(y) and Aut(x) on the morphisms
@@ -275,17 +333,16 @@ class FiniteCategory:
 
     def aut_table(self, oi: int) -> np.ndarray:
         """The read-only Cayley table of Aut(x) in ``aut_idx`` order, built
-        along the words from the left action of each generator on Aut(x), in
-        the smallest integer dtype that holds a rank.  Computed on the first
-        call and kept."""
+        along the words from the left generator columns of Hom(x, x) at the
+        positions of Aut(x), in the smallest integer dtype that holds a
+        rank.  Computed on the first call and kept."""
         if oi not in self._aut_table:
             auts = self.aut_idx(oi)
-            rank = {a: r for r, a in enumerate(auts)}
-            columns = [[rank[self.compose_idx(g, a)] for a in auts]
-                       for g in self.aut_generators(oi)]
-            dtype = np.min_scalar_type(len(auts) - 1)
-            table = self._word_rows(oi, np.array(columns, dtype=dtype).reshape(-1, len(auts)),
-                                    np.arange(len(auts), dtype=dtype))
+            at = np.searchsorted(self.hom_idx(oi, oi), auts)
+            rank = np.zeros(len(self.hom_idx(oi, oi)), dtype=np.min_scalar_type(len(auts) - 1))
+            rank[at] = np.arange(len(auts))
+            columns = rank[self.hom_columns(oi, oi)[0][:, at]]
+            table = self._word_rows(oi, columns, np.arange(len(auts), dtype=rank.dtype))
             table.setflags(write=False)
             self._aut_table[oi] = table
         return self._aut_table[oi]

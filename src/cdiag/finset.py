@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import factorial
 
+import numpy as np
+
 from . import chains as chains_mod
 from .classifying import Component
 from .fincat import CategoryError, FiniteCategory
@@ -164,7 +166,25 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
     name = f"finset:{max_card}" + ("" if variant == "all" else f":{variant}")
     return FiniteCategory(objects, morphisms, identity,
                           payloads=payloads, compose_payload=comp,
-                          inverse_payload=inv, name=name)
+                          inverse_payload=inv, codec=_FunctionCodec(), name=name)
+
+
+class _FunctionCodec:
+    """The hom-set codec of the skeleton (``FiniteCategory``): a function
+    n -> m is its value tuple, a row of n entries below m, so g after F is
+    the gather g[F] and F after h is F[:, h]."""
+
+    def values(self, n, m, payloads):
+        return np.array([p[2] for p in payloads], dtype=np.uint8).reshape(len(payloads), n)
+
+    def radix(self, n, m):
+        return m
+
+    def left(self, g, F):
+        return g[F]
+
+    def right(self, F, h):
+        return F[:, h]
 
 
 def _functions(n: int, m: int):

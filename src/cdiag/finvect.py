@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import chains as chains_mod
 from . import modp
 from .classifying import Component
@@ -113,10 +115,11 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
     sep = "_" if q > 10 else ""
     payloads, morphisms = [], []
     for n in range(max_dim + 1):
+        ident = modp.identity(n)
         for m in range(max_dim + 1):
             for rows in modp.all_matrices(m, n, q):
                 payload = (n, m, rows)
-                if n == m and rows == modp.identity(n):
+                if n == m and rows == ident:
                     mid = f"id_{n}"
                 else:
                     flat = sep.join(str(v) for row in rows for v in row)
@@ -143,8 +146,31 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
         return None if r is None else (n, n, r)
 
     return FiniteCategory(objects, morphisms, identity,
-                          payloads=payloads, compose_payload=comp,
-                          inverse_payload=inv, name=f"vect:{max_dim}:{q}")
+                          payloads=payloads, compose_payload=comp, inverse_payload=inv,
+                          codec=_MatrixCodec(max_dim, q), name=f"vect:{max_dim}:{q}")
+
+
+class _MatrixCodec:
+    """The hom-set codec of the skeleton (``FiniteCategory``): a matrix
+    F^n -> F^m is its m x n entries below q, so g after F and F after h
+    are batched products mod q.  The dtype holds the sums of a product
+    before they are reduced."""
+
+    def __init__(self, max_dim: int, q: int):
+        self.q = q
+        self.dtype = np.min_scalar_type((q - 1) ** 2 * max(max_dim, 1))
+
+    def values(self, n, m, payloads):
+        return np.array([p[2] for p in payloads], dtype=self.dtype).reshape(len(payloads), m, n)
+
+    def radix(self, n, m):
+        return self.q
+
+    def left(self, g, F):
+        return g @ F % self.q
+
+    def right(self, F, h):
+        return F @ h % self.q
 
 
 # ---------------------------------------------------------------------------

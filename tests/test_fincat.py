@@ -338,10 +338,44 @@ def test_object_iso_classes_transports():
         assert ii.inverse_idx(t) is not None
 
 
-@pytest.mark.parametrize("cat", [finset.finset_skeleton(3), finvect.vect_skeleton(2, 2),
+@pytest.mark.parametrize("cat", [finset.finset_skeleton(3), finset.finset_skeleton(4, "surj"),
+                                 finvect.vect_skeleton(2, 2), finvect.vect_skeleton(2, 3),
                                  fincat.iso_interval()], ids=lambda c: c.name)
 def test_aut_table_equals_per_pair_reference(cat):
     for oi in range(cat.n_objects):
         ref = table_from_elements(cat.aut_idx(oi), cat.compose_idx)
         assert np.array_equal(cat.aut_table(oi), ref.table)
         assert cat.aut_table(oi) is cat.aut_table(oi)
+
+
+class _SpoiledCodec:
+    """A hom-set codec whose left action adds 1 to every entry."""
+
+    def __init__(self, codec):
+        self.codec = codec
+
+    def __getattr__(self, name):
+        return getattr(self.codec, name)
+
+    def left(self, g, F):
+        return self.codec.left(g, F) + 1
+
+
+@pytest.mark.parametrize("cat", [finset.finset_skeleton(3), finset.finset_skeleton(3, "inj"),
+                                 finvect.vect_skeleton(2, 3)], ids=lambda c: c.name)
+def test_spoiled_codec_raises_missing_composite(cat):
+    cat._codec = _SpoiledCodec(cat._codec)
+    spoiled = 0
+    for x in range(1, cat.n_objects):
+        for y in range(1, cat.n_objects):
+            if cat.hom_idx(x, y) and cat.aut_generators(y):
+                with pytest.raises(CategoryError, match="missing composite for pair"):
+                    cat.hom_columns(x, y)
+                spoiled += 1
+    assert spoiled
+
+
+def test_radix_codes_refuse_an_entry_beyond_the_radix():
+    # (0, 3) in base 3 would carry into the code of (1, 0)
+    stack = np.array([[0, 3], [1, 0], [2, 2], [0, -1]])
+    assert fincat._radix_codes(stack, 3).tolist() == [-1, 3, 8, -1]

@@ -200,6 +200,24 @@ def test_skeleton_unique_zero_dim_maps():
         assert len(sk.hom_idx(sk.obj_index(str(d)), sk.obj_index("0"))) == 1
 
 
+@pytest.mark.parametrize("q", [2, 17, 257])
+def test_matrix_codec_products_equal_modp(q):
+    # all-(q - 1) factors give the largest sums before the reduction mod q
+    codec = finvect._MatrixCodec(3, q)
+    rng = random.Random(q)
+
+    def rand(m, n):
+        return tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(m))
+
+    top = ((q - 1,) * 3,) * 3
+    fs = [rand(3, 3) for _ in range(20)] + [top]
+    F = codec.values(3, 3, [(3, 3, f) for f in fs])
+    for g in (rand(3, 3), top):
+        G = codec.values(3, 3, [(3, 3, g)])[0]
+        assert codec.left(G, F).tolist() == [[list(r) for r in modp.mul(g, f, q)] for f in fs]
+        assert codec.right(F, G).tolist() == [[list(r) for r in modp.mul(f, g, q)] for f in fs]
+
+
 # ---------------------------------------------------------------------------
 # Oracle diff
 
