@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import CayleyTable, ClosureLimitExceeded, table_in_product
+from .groups import CayleyTable, ClosureLimitExceeded, GroupMemo, table_in_product
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -286,18 +286,19 @@ class StabilizerGroup:
     elements: Optional[list]              # automorphism tuples (morphism indices)
     policy: str                           # "scan" or "transversal"
 
-    def to_cayley_table(self, table_limit: int) -> CayleyTable:
+    def to_cayley_table(self, table_limit: int, memo: Optional[GroupMemo] = None) -> CayleyTable:
         """The listed elements multiplied coordinate-wise in the Cayley
         tables of the Aut(x_i) (``FiniteCategory.aut_table``).  Raises
         ClosureLimitExceeded when the order exceeds ``table_limit`` or no
-        elements were kept, and the table raises unless they are closed."""
+        elements were kept, and the table raises unless they are closed
+        (checked once per distinct array through a ``memo``)."""
         if self.elements is None or self.order > table_limit:
             raise ClosureLimitExceeded(table_limit, self.order)
         els = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), len(self.objs))
         coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
                   for i, x in enumerate(self.objs)]
         return table_in_product([self.cat.aut_table(x) for x in self.objs],
-                                np.stack(coords, axis=1), label="stabilizer")
+                                np.stack(coords, axis=1), label="stabilizer", memo=memo)
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:

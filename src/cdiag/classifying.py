@@ -19,7 +19,7 @@ import numpy as np
 from . import chains as chains_mod
 from .chains import Chain, Orbit, SelfCheckFailed, StabilizerGroup, chain_count, orbits
 from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid
-from .groups import are_isomorphic, match_named
+from .groups import GroupMemo
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -64,15 +64,13 @@ class Decomposition:
         return len(self.components)
 
 
-def _match_component_group(stab: StabilizerGroup, limits: Limits):
+def _match_component_group(stab: StabilizerGroup, limits: Limits, memo: GroupMemo):
     """(group_expr, policy) for a stabilizer: named expression by isomorphism
     when the order fits iso_limit, otherwise order-only reporting."""
     if stab.order == 1:
         return "1", "isomorphism"
     if stab.order <= limits.iso_limit:
-        table = stab.to_cayley_table(limits.table_limit)
-        label = match_named(table, limits.iso_limit)
-        return label, "isomorphism"
+        return memo.name(stab.to_cayley_table(limits.table_limit, memo)), "isomorphism"
     return None, "order-only"
 
 
@@ -80,9 +78,10 @@ def level_decomposition(cat: FiniteCategory, n: int,
                         limits: Limits = DEFAULT_LIMITS) -> Decomposition:
     """Level n as components (representative, class size, stabilizer)."""
     orbs = orbits(cat, n, limits)
+    memo = GroupMemo(limits.iso_limit)
     comps = []
     for o in orbs:
-        expr, policy = _match_component_group(o.stabilizer, limits)
+        expr, policy = _match_component_group(o.stabilizer, limits, memo)
         rep = o.rep.morphism_ids if n >= 1 else (o.rep.object_ids[0],)
         comps.append(Component(
             level=n,
@@ -192,6 +191,7 @@ def completeness_check(cat: FiniteCategory,
     for o in side_b:
         buckets_b.setdefault(o.stabilizer.order, []).append(o.stabilizer)
     verdict = True
+    memo = GroupMemo(limits.iso_limit)
     for order_key in sorted(buckets_a):
         if order_key > limits.iso_limit:
             detail.append(f"order {order_key}: order-only (above iso_limit)")
@@ -199,16 +199,16 @@ def completeness_check(cat: FiniteCategory,
         policy = "aut-order multiset + group isomorphism"
         if order_key == 1:
             continue            # every group of order 1 is trivial
-        ta, tb = ([s.to_cayley_table(limits.table_limit) for s in b[order_key]]
+        ta, tb = ([s.to_cayley_table(limits.table_limit, memo) for s in b[order_key]]
                   for b in (buckets_a, buckets_b))
-        if not _match_tables(ta, tb, limits.iso_limit):
+        if not _match_tables(ta, tb, memo):
             verdict = False
             detail.append(f"order {order_key}: no isomorphism matching")
     return CompletenessReport(counts, (multi_a, multi_b), verdict, policy,
                               detail="; ".join(detail))
 
 
-def _match_tables(ta: list, tb: list, iso_limit: int) -> bool:
+def _match_tables(ta: list, tb: list, memo: GroupMemo) -> bool:
     """Perfect matching between two small lists of groups under isomorphism."""
     if len(ta) != len(tb):
         return False
@@ -220,7 +220,7 @@ def _match_tables(ta: list, tb: list, iso_limit: int) -> bool:
         if i == len(ta):
             return True
         for j in range(len(tb)):
-            if not used[j] and are_isomorphic(ta[i], tb[j], iso_limit):
+            if not used[j] and memo.isomorphic(ta[i], tb[j]):
                 used[j] = True
                 if rec(i + 1):
                     return True

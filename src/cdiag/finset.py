@@ -23,8 +23,8 @@ import numpy as np
 from . import chains as chains_mod
 from .classifying import Component
 from .fincat import CategoryError, FiniteCategory
-from .groups import (GroupExpr, Product, Symmetric, Trivial, Wreath,
-                     are_isomorphic, materialize)
+from .groups import (GroupExpr, GroupMemo, Product, Symmetric, Trivial, Wreath,
+                     materialize)
 from .limits import DEFAULT_LIMITS, Limits
 
 DEFAULT_MAX_CARD = 6
@@ -326,6 +326,7 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
     skel = finset_skeleton(max_card, variant)
     orbs = chains_mod.orbits(skel, 1, limits)
     report = DiffReport(subject=f"finset max={max_card} variant={variant}")
+    memo = GroupMemo(limits.iso_limit)
 
     by_cell = {}
     for o in orbs:
@@ -357,9 +358,9 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
                         f"{o.stabilizer.order} != wreath order {want_order}")
                     continue
                 if want_order <= limits.iso_limit:
-                    stab_table = o.stabilizer.to_cayley_table(limits.table_limit)
-                    wreath_table = materialize(p.group_expr(), limits.table_limit)
-                    verdict = are_isomorphic(stab_table, wreath_table, limits.iso_limit)
+                    stab_table = o.stabilizer.to_cayley_table(limits.table_limit, memo)
+                    wreath_table = materialize(p.group_expr(), limits.table_limit, memo)
+                    verdict = memo.isomorphic(stab_table, wreath_table)
                     report.policies[p.k] = "isomorphism"
                     if verdict is not True:
                         report.add(

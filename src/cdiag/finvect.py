@@ -22,7 +22,7 @@ from .classifying import Component
 from .fincat import CategoryError, FiniteCategory
 from .finset import DiffReport
 from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
-                     Product, are_isomorphic, materialize, table_from_elements)
+                     GroupMemo, Product, materialize, table_from_elements)
 from .limits import DEFAULT_LIMITS, Limits
 
 # vect_skeleton and orbits_by_rank enumerate at most this many matrices, and
@@ -412,6 +412,7 @@ def oracle_diff_vect(max_dim: int, q: int,
     skel = vect_skeleton(max_dim, q)
     orbs = chains_mod.orbits(skel, 1, limits)
     report = DiffReport(subject=f"vect max_dim={max_dim} q={q}")
+    memo = GroupMemo(limits.iso_limit)
 
     paper_cases = {(c.n, c.m, modp.rank(c.representative, q)): c
                    for c in paper_stabilizers_dim_le2(q)}
@@ -455,9 +456,9 @@ def oracle_diff_vect(max_dim: int, q: int,
                             f"cell ({n},{m}) rank {cls.rank}: catalogue order "
                             f"{case.order} ({case.expr_text}) != {o.stabilizer.order}")
                     elif case.order <= limits.iso_limit:
-                        stab_table = o.stabilizer.to_cayley_table(limits.table_limit)
+                        stab_table = o.stabilizer.to_cayley_table(limits.table_limit, memo)
                         want = case.table(limits.table_limit)
-                        if are_isomorphic(stab_table, want, limits.iso_limit) is not True:
+                        if memo.isomorphic(stab_table, want) is not True:
                             report.add(
                                 f"cell ({n},{m}) rank {cls.rank}: stabilizer not "
                                 f"isomorphic to {case.expr_text}")

@@ -40,16 +40,17 @@ class ClosureLimitExceeded(GroupError):
 
 
 class CayleyTable:
-    """A finite group as an n x n multiplication table over element indices.
+    """A finite group as an n x n multiplication table over element indices,
+    stored in the smallest dtype that holds an index (``np.min_scalar_type(n - 1)``).
 
     Group axioms are checked on construction: closure and identity/inverses
-    always, associativity via Light's test on a greedy generating set (full
-    proof of associativity, not a sample) for orders up to
-    ``_ASSOC_CHECK_LIMIT``.
+    always (the range check runs before the table is narrowed),
+    associativity via Light's test on a greedy generating set (full proof of
+    associativity, not a sample) for orders up to ``_ASSOC_CHECK_LIMIT``.
     """
 
     def __init__(self, table, identity: Optional[int] = None, label: str = ""):
-        t = np.asarray(table, dtype=np.int64)
+        t = np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise GroupError("table must be square")
         self.n = int(t.shape[0])
@@ -57,7 +58,7 @@ class CayleyTable:
             raise GroupError("empty table")
         if t.min() < 0 or t.max() >= self.n:
             raise GroupError("table entries out of range (not closed)")
-        self.table = t
+        self.table = t.astype(np.min_scalar_type(self.n - 1), copy=False)
         self.label = label
         if identity is None:
             identity = self._find_identity()
@@ -96,17 +97,28 @@ class CayleyTable:
     def inv(self, i: int) -> int:
         return int(np.nonzero(self.table[i] == self.identity)[0][0])
 
+    @property
+    def orders(self) -> np.ndarray:
+        """Every element's order, by stepping all powers x^k at once; a power
+        that misses the identity for n steps raises GroupError."""
+        if self._orders is None:
+            els = np.arange(self.n)
+            power, orders = els, np.zeros(self.n, dtype=np.int64)
+            for k in range(1, self.n + 1):
+                orders[(power == self.identity) & (orders == 0)] = k
+                if orders.all():
+                    break
+                power = self.table[power, els]
+            else:
+                raise GroupError("an element has no power equal to the identity")
+            self._orders = orders
+        return self._orders
+
     def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = self.mul(x, i)
-            k += 1
-        return k
+        return int(self.orders[i])
 
     def element_order_histogram(self) -> Counter:
-        if self._orders is None:
-            self._orders = Counter(self.element_order(i) for i in range(self.n))
-        return self._orders
+        return Counter(self.orders.tolist())
 
     def centralizer_orders(self) -> np.ndarray:
         """For each element, the number of elements that commute with it."""
@@ -118,8 +130,7 @@ class CayleyTable:
     def generating_sequence(self):
         """Greedy generators ordered by decreasing element order, with the
         subgroup size after each addition."""
-        order_of = [self.element_order(i) for i in range(self.n)]
-        by_pref = sorted(range(self.n), key=lambda i: (-order_of[i], i))
+        by_pref = np.argsort(-self.orders, kind="stable").tolist()
         gens, sizes, _ = greedy_closure(by_pref, self.mul, self.identity, self.n)
         return gens, sizes
 
@@ -139,13 +150,15 @@ def product_table(tables: list, label: str = "") -> CayleyTable:
                        label=label or ("" if tables else "1"))
 
 
-def table_in_product(tables: list, coords, label: str = "") -> CayleyTable:
+def table_in_product(tables: list, coords, label: str = "",
+                     memo: Optional["GroupMemo"] = None) -> CayleyTable:
     """Cayley table of a set of elements of the direct product of ``tables``.
 
     Row i of ``coords`` holds the factor coordinates of element i.  Every
     product is computed coordinate-wise in the factor tables and located
     among the elements by its mixed-radix code; a product outside the set
-    raises GroupError.
+    raises GroupError.  With a ``memo`` the table is checked once per
+    distinct array.
     """
     coords = np.asarray(coords, dtype=np.int64)
     strides = _strides([len(t) for t in tables])
@@ -161,7 +174,8 @@ def table_in_product(tables: list, coords, label: str = "") -> CayleyTable:
             raise GroupError("element set is not closed under the product")
         return order[at]
 
-    return CayleyTable(_fill_table(len(coords), rows), label=label)
+    table = _fill_table(len(coords), rows)
+    return CayleyTable(table, label=label) if memo is None else memo.table(table, label)
 
 
 # Tables are filled a block of rows at a time, each block about this many
@@ -170,12 +184,17 @@ _BLOCK_CELLS = 1 << 16
 
 
 def _fill_table(n: int, rows) -> np.ndarray:
-    """The n x n table whose rows lo..hi-1 are ``rows(lo, hi)``."""
-    out = np.empty((n, n), dtype=np.int64)
+    """The n x n table whose rows lo..hi-1 are ``rows(lo, hi)``, in the
+    smallest dtype that holds an index.  Each block is range-checked before
+    it is narrowed into the table."""
+    out = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        out[lo:hi] = rows(lo, hi)
+        block = np.asarray(rows(lo, hi))
+        if block.min() < 0 or block.max() >= n:
+            raise GroupError("table entries out of range (not closed)")
+        out[lo:hi] = block
     return out
 
 
@@ -463,35 +482,38 @@ def _expr_table(expr: GroupExpr) -> np.ndarray:
     canonical order: permutations and matrices lexicographic, field
     elements ascending, products and wreath coordinates lexicographic."""
     if isinstance(expr, Trivial):
-        return np.zeros((1, 1), dtype=np.int64)
+        return np.zeros((1, 1), dtype=np.uint8)
     if isinstance(expr, Symmetric):
         return _symmetric_table(_permutations(expr.n))
     if isinstance(expr, GeneralLinear):
         return _general_linear_table(expr.n, expr.q)
     if isinstance(expr, FieldUnits):
         units = np.arange(1, expr.q)
-        return np.multiply.outer(units, units) % expr.q - 1
+        return _fill_table(expr.q - 1, lambda lo, hi: units[lo:hi, None] * units % expr.q - 1)
     if isinstance(expr, FieldAdditive):
         values = np.arange(expr.q)
-        return np.add.outer(values, values) % expr.q
+        return _fill_table(expr.q, lambda lo, hi: (values[lo:hi, None] + values) % expr.q)
     if isinstance(expr, Product):
         return _direct_product_table([_expr_table(f) for f in expr.factors])
     if isinstance(expr, Wreath):
         if expr.k == 0:     # trivial, whatever the base; its table is not needed
-            return np.zeros((1, 1), dtype=np.int64)
+            return np.zeros((1, 1), dtype=np.uint8)
         return _wreath_table(_expr_table(expr.base), expr.k)
     raise GroupError(f"cannot materialize {expr!r}")
 
 
-def materialize(expr: GroupExpr, table_limit: int = DEFAULT_LIMITS.table_limit) -> CayleyTable:
+def materialize(expr: GroupExpr, table_limit: int = DEFAULT_LIMITS.table_limit,
+                memo: Optional["GroupMemo"] = None) -> CayleyTable:
     """Concrete Cayley table of a symbolic expression.
 
-    Refuses expressions whose order exceeds ``table_limit``.
+    Refuses expressions whose order exceeds ``table_limit``.  With a
+    ``memo`` the table is checked once per distinct array.
     """
     n = expr.order()
     if n > table_limit:
         raise ClosureLimitExceeded(table_limit, n)
-    return CayleyTable(_expr_table(expr), label=expr.text())
+    table = _expr_table(expr)
+    return CayleyTable(table, label=expr.text()) if memo is None else memo.table(table, expr.text())
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +539,7 @@ def are_isomorphic(a: CayleyTable, b: CayleyTable,
     # an isomorphism preserves element orders and centralizer orders
     gens, sizes = a.generating_sequence()
     cent_a, cent_b = a.centralizer_orders().tolist(), b.centralizer_orders().tolist()
-    orders_b = [(b.element_order(i), cent_b[i]) for i in range(b.n)]
+    orders_b = list(zip(b.orders.tolist(), cent_b))
 
     def extend(images):
         """Grow the partial hom gens[:len(images)] -> images over the
@@ -576,7 +598,6 @@ _ATOMS = [(f"C{k}", k, lambda k=k: cyclic_table(k)) for k in range(2, 13)]
 _ATOMS += [(f"S{k}", factorial(k), lambda k=k: materialize(Symmetric(k)))
            for k in range(3, 7)]
 _atom_cache: dict = {}
-_atom_hist_cache: dict = {}
 
 
 def _atom_table(i: int) -> CayleyTable:
@@ -585,20 +606,14 @@ def _atom_table(i: int) -> CayleyTable:
     return _atom_cache[i]
 
 
-def _atom_histogram(i: int) -> Counter:
-    if i not in _atom_hist_cache:
-        _atom_hist_cache[i] = _atom_table(i).element_order_histogram()
-    return _atom_hist_cache[i]
-
-
 def _sequence_histogram(seq) -> Counter:
     """Element-order histogram of a product of atoms, by lcm convolution."""
     from math import lcm
     hist = Counter({1: 1})
     for i in seq:
-        nxt = Counter()
+        atom, nxt = _atom_table(i).element_order_histogram(), Counter()
         for o1, m1 in hist.items():
-            for o2, m2 in _atom_histogram(i).items():
+            for o2, m2 in atom.items():
                 nxt[lcm(o1, o2)] += m1 * m2
         hist = nxt
     return hist
@@ -645,3 +660,39 @@ def match_named(table: CayleyTable, iso_limit: int = DEFAULT_LIMITS.iso_limit) -
         if are_isomorphic(table, cand, iso_limit):
             return label
     return None
+
+
+# ---------------------------------------------------------------------------
+# One command's memo
+
+
+def _table_key(table: np.ndarray, identity=None) -> tuple:
+    """The exact narrow table as a dict key, never a digest."""
+    return (len(table), identity, table.tobytes())
+
+
+class GroupMemo:
+    """Checked tables, library names and isomorphism verdicts, each worked
+    out once per distinct table.  A caller makes one for one command (one
+    ``iso_limit``) and drops it with the command."""
+
+    def __init__(self, iso_limit: int):
+        self.iso_limit, self._done = iso_limit, {}
+
+    def _once(self, key, compute):
+        if key not in self._done:
+            self._done[key] = compute()
+        return self._done[key]
+
+    def table(self, table: np.ndarray, label: str = "") -> CayleyTable:
+        """``CayleyTable(table)``, checked on the first sight of the array only."""
+        return self._once(("table", label, _table_key(table)),
+                          lambda: CayleyTable(table, label=label))
+
+    def name(self, t: CayleyTable) -> Optional[str]:
+        return self._once(("name", _table_key(t.table, t.identity)),
+                          lambda: match_named(t, self.iso_limit))
+
+    def isomorphic(self, a: CayleyTable, b: CayleyTable) -> Optional[bool]:
+        return self._once(("iso", _table_key(a.table, a.identity), _table_key(b.table, b.identity)),
+                          lambda: are_isomorphic(a, b, self.iso_limit))

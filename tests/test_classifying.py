@@ -7,7 +7,7 @@ import pytest
 
 from cdiag import chains as chains_mod
 from cdiag import classifying as cl
-from cdiag import fincat, finset, finvect
+from cdiag import fincat, finset, finvect, groups
 from cdiag.cli import run
 from cdiag.fincat import CategoryError
 from cdiag.limits import DEFAULT_LIMITS
@@ -63,6 +63,37 @@ def test_unmatched_group_reported_by_order_and_generators():
     c = full_rank[0]
     assert c.group_expr is None
     assert str(c.group_order) in c.group_display()
+
+
+def test_memoized_names_equal_fresh_names():
+    # stabilizers of one order take different names (24: S4 and
+    # C2 x C2 x S3; 8: C2 x C2 x C2 and unnamed), so a memo keyed by less
+    # than the exact table would mislabel some of them
+    d = cl.level_decomposition(finset.finset_skeleton(4), 2)
+    names = {}
+    for c in d.components:
+        names.setdefault(c.group_order, set()).add(c.group_expr)
+        if 1 < c.group_order <= DEFAULT_LIMITS.iso_limit:
+            fresh = c.stabilizer.to_cayley_table(DEFAULT_LIMITS.table_limit)
+            assert c.group_expr == groups.match_named(fresh)
+    assert names[24] == {"S4", "C2 x C2 x S3"}
+    assert names[8] == {"C2 x C2 x C2", None}
+
+
+def test_memoized_verdicts_equal_fresh_verdicts():
+    orbs = chains_mod.orbits(finset.finset_skeleton(4), 2)
+    stabs = [o.stabilizer for o in orbs if o.stabilizer.order in (8, 24)]
+    tables = [s.to_cayley_table(DEFAULT_LIMITS.table_limit) for s in stabs]
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    unlike = 0          # non-isomorphic pairs of one order and one identity
+    for a, b in itertools.product(tables, repeat=2):
+        want = groups.are_isomorphic(groups.CayleyTable(a.table.copy()),
+                                     groups.CayleyTable(b.table.copy()))
+        assert memo.isomorphic(a, b) == want
+        unlike += (a.n, a.identity) == (b.n, b.identity) and not want
+    assert unlike
+    for t in tables:
+        assert np.array_equal(memo.table(t.table).table, t.table)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from math import factorial
 
 import pytest
 
-from cdiag import finset
+from cdiag import finset, groups
 from cdiag.fincat import CategoryError
 from cdiag.finset import (FiberProfile, closed_form_level0, closed_form_level1,
                           enumerate_profiles, finset_skeleton,
@@ -171,6 +171,23 @@ def test_oracle_diff_max3(variant):
     assert rep.ok, rep.mismatches
     assert rep.checked > 0
     assert "isomorphism" in rep.policies.values().__iter__().__next__() or rep.policies
+
+
+@pytest.mark.parametrize("variant", ["all", "inj", "surj"])
+def test_oracle_verdicts_equal_fresh_isomorphism_tests(variant, monkeypatch):
+    seen = []
+    memoized = groups.GroupMemo.isomorphic
+
+    def spy(memo, a, b):
+        verdict = memoized(memo, a, b)
+        seen.append((a.table.copy(), b.table.copy(), verdict))
+        return verdict
+
+    monkeypatch.setattr(groups.GroupMemo, "isomorphic", spy)
+    assert oracle_diff_finset(4, variant).ok
+    assert seen
+    for a, b, verdict in seen:
+        assert verdict == groups.are_isomorphic(groups.CayleyTable(a), groups.CayleyTable(b))
 
 
 def test_oracle_diff_reports_iso_policy():

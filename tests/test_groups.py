@@ -333,11 +333,97 @@ def test_table_in_product_rejects_a_set_that_is_not_closed():
 def test_table_in_product_widens_narrow_factor_tables():
     # codes reach 20 * 30 - 1 = 599; under NumPy 1.x value-based casting a
     # stride times a uint8 block would stay uint8 and wrap
-    tables = [cyclic_table(20).table, cyclic_table(30).table]
+    tables = [cyclic_table(20).table.astype(np.int64), cyclic_table(30).table.astype(np.int64)]
     coords = list(itertools.product(range(20), range(30)))
     want = groups.table_in_product(tables, coords).table
     narrow = [tables[0].astype(np.uint8), tables[1].astype(np.uint16)]
     assert np.array_equal(groups.table_in_product(narrow, coords).table, want)
+
+
+# ---------------------------------------------------------------------------
+# Narrow tables
+
+
+NARROW_CASES = {
+    "1": lambda: materialize(Trivial()),
+    "C256": lambda: cyclic_table(256),
+    "C257": lambda: cyclic_table(257),
+    "S6": lambda: materialize(Symmetric(6)),
+    "U(7)": lambda: materialize(FieldUnits(7)),
+    "A(5)": lambda: materialize(FieldAdditive(5)),
+    "GL(2,3)": lambda: materialize(GeneralLinear(2, 3)),
+    "C17 x C17": lambda: product_table([cyclic_table(17)] * 2),
+    "A(13) wr S2": lambda: materialize(Wreath(FieldAdditive(13), 2)),
+    "in product": lambda: groups.table_in_product(
+        [cyclic_table(20).table] * 2, list(itertools.product(range(0, 20, 2), repeat=2))),
+    "from elements": lambda: table_from_elements(list(range(300)), lambda a, b: (a + b) % 300),
+}
+
+
+@pytest.mark.parametrize("make", NARROW_CASES.values(), ids=NARROW_CASES.keys())
+def test_table_takes_the_smallest_dtype_that_holds_an_index(make):
+    t = make()
+    assert t.table.dtype == np.min_scalar_type(t.n - 1)
+
+
+@pytest.mark.parametrize("expr", [Product([FieldAdditive(17)] * 2), Wreath(FieldAdditive(13), 2)],
+                         ids=lambda e: e.text())
+def test_uint8_factors_give_a_uint16_table_equal_to_the_reference(expr):
+    els, mul = reference_carrier(expr)
+    got = materialize(expr)
+    assert got.table.dtype == np.uint16
+    assert np.array_equal(got.table, table_from_elements(els, mul).table)
+
+
+def test_product_of_uint8_tables_equals_per_pair_reference():
+    c17 = cyclic_table(17)
+    assert c17.table.dtype == np.uint8
+    els = list(itertools.product(range(17), repeat=2))
+    ref = table_from_elements(els, lambda a, b: ((a[0] + b[0]) % 17, (a[1] + b[1]) % 17))
+    got = product_table([c17] * 2)
+    assert got.table.dtype == np.uint16
+    assert np.array_equal(got.table, ref.table)
+
+
+def test_range_check_runs_before_the_narrowing_cast():
+    # -1 would wrap to 255, a valid index of a 256-element uint8 table
+    t = cyclic_table(256).table.astype(np.int64)
+    t[3, 5] = -1
+    with pytest.raises(GroupError, match="out of range"):
+        CayleyTable(t)
+    with pytest.raises(GroupError, match="out of range"):
+        groups._fill_table(256, lambda lo, hi: t[lo:hi])
+
+
+@pytest.mark.parametrize("make", [lambda: materialize(Symmetric(4)),
+                                  lambda: product_table([cyclic_table(17)] * 2)],
+                         ids=["S4 uint8", "C17 x C17 uint16"])
+def test_light_test_fails_on_a_narrow_table_with_one_spoiled_entry(make):
+    t = make().table.copy()
+    # swap two entries of row 1 away from the identity: every row still
+    # holds the identity, so only associativity can fail
+    cols = [j for j in range(1, len(t)) if t[1, j] != 0][:2]
+    t[1, cols] = t[1, cols[::-1]]
+    with pytest.raises(GroupError, match="associativity"):
+        CayleyTable(t, identity=0)
+
+
+def test_element_orders_are_one_array_and_bounded():
+    def power_order(t, x):      # one element at a time, as a reference
+        k, y = 1, x
+        while y != t.identity:
+            y, k = t.mul(y, x), k + 1
+        return k
+
+    for t in (materialize(Symmetric(4)), materialize(Wreath(Symmetric(2), 3)), cyclic_table(12)):
+        assert t.orders.tolist() == [power_order(t, x) for x in range(t.n)]
+        assert t.orders is t.orders
+    # not a group (the axioms would refuse it): 1 * 1 = 2 and 2 * 1 = 1,
+    # so the powers of 1 never reach 0
+    t = cyclic_table(3)
+    t.table, t._orders = np.array([[0, 1, 2], [1, 2, 1], [2, 1, 0]], dtype=np.uint8), None
+    with pytest.raises(GroupError, match="no power"):
+        t.orders
 
 
 # ---------------------------------------------------------------------------
