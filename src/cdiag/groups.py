@@ -84,7 +84,7 @@ class CayleyTable:
         if not np.all((self.table == e).any(axis=1)):
             raise GroupError("missing inverse")
         if self.n <= _ASSOC_CHECK_LIMIT:
-            gens, _, _ = greedy_closure(range(self.n), self.mul, self.identity, self.n)
+            gens, _, _ = greedy_closure(range(self.n), self._column_mul(), self.identity, self.n)
             for g in gens:
                 left = self.table[:, self.table[g]]       # x*(g*y)
                 right = self.table[self.table[:, g]]      # (x*g)*y
@@ -93,6 +93,17 @@ class CayleyTable:
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
+
+    def _column_mul(self):
+        """``mul`` for one closure: column g is read as a Python list the
+        first time g is a right factor, and dropped with the function."""
+        cols = {}
+
+        def mul(x, g):
+            if g not in cols:
+                cols[g] = self.table[:, g].tolist()
+            return cols[g][x]
+        return mul
 
     def inv(self, i: int) -> int:
         return int(np.nonzero(self.table[i] == self.identity)[0][0])
@@ -131,7 +142,7 @@ class CayleyTable:
         """Greedy generators ordered by decreasing element order, with the
         subgroup size after each addition."""
         by_pref = np.argsort(-self.orders, kind="stable").tolist()
-        gens, sizes, _ = greedy_closure(by_pref, self.mul, self.identity, self.n)
+        gens, sizes, _ = greedy_closure(by_pref, self._column_mul(), self.identity, self.n)
         return gens, sizes
 
     def __repr__(self):
@@ -540,26 +551,28 @@ def are_isomorphic(a: CayleyTable, b: CayleyTable,
     gens, sizes = a.generating_sequence()
     cent_a, cent_b = a.centralizer_orders().tolist(), b.centralizer_orders().tolist()
     orders_b = list(zip(b.orders.tolist(), cent_b))
+    cols_a = [a.table[:, g].tolist() for g in gens]
 
     def extend(images):
         """Grow the partial hom gens[:len(images)] -> images over the
-        generated subgroup; None on any inconsistency."""
+        generated subgroup, reading x*g and f(x)*h from table columns;
+        None on any inconsistency."""
         amap = {a.identity: b.identity}
         frontier = [a.identity]
-        pairs = list(zip(gens[: len(images)], images))
-        for g, h in pairs:
+        for g, h in zip(gens, images):
             if g in amap:
                 if amap[g] != h:
                     return None
             else:
                 amap[g] = h
                 frontier.append(g)
+        cols = list(zip(cols_a, [b.table[:, h].tolist() for h in images]))
         while frontier:
             new = []
-            for g, h in pairs:
-                for x in list(frontier):
-                    y = a.mul(x, g)
-                    fy = b.mul(amap[x], h)
+            for col_g, col_h in cols:
+                for x in frontier:
+                    y = col_g[x]
+                    fy = col_h[amap[x]]
                     if y in amap:
                         if amap[y] != fy:
                             return None
@@ -636,12 +649,20 @@ def _candidate_sequences(n: int) -> list:
     return sorted(seqs, key=lambda s: (len(s), s))
 
 
-def match_named(table: CayleyTable, iso_limit: int = DEFAULT_LIMITS.iso_limit) -> Optional[str]:
+def _candidate(seq: tuple) -> CayleyTable:
+    """The table of the product of the atoms ``seq``."""
+    tables = [_atom_table(i) for i in seq]
+    label = " x ".join(_ATOMS[i][0] for i in seq)
+    return tables[0] if len(tables) == 1 else product_table(tables, label=label)
+
+
+def match_named(table: CayleyTable, iso_limit: int = DEFAULT_LIMITS.iso_limit,
+                candidate=_candidate) -> Optional[str]:
     """Label of the first library group isomorphic to ``table``, or None.
 
     Candidates are prefiltered on abelianness and the element-order
     histogram (both computable from atom data without building the product
-    table), so only plausible products are materialized.
+    table), so only plausible products are materialized, by ``candidate``.
     """
     if table.n > iso_limit:
         return None
@@ -654,11 +675,8 @@ def match_named(table: CayleyTable, iso_limit: int = DEFAULT_LIMITS.iso_limit) -
             continue
         if _sequence_histogram(seq) != hist:
             continue
-        label = " x ".join(_ATOMS[i][0] for i in seq)
-        tables = [_atom_table(i) for i in seq]
-        cand = tables[0] if len(tables) == 1 else product_table(tables, label=label)
-        if are_isomorphic(table, cand, iso_limit):
-            return label
+        if are_isomorphic(table, candidate(seq), iso_limit):
+            return " x ".join(_ATOMS[i][0] for i in seq)
     return None
 
 
@@ -673,7 +691,8 @@ def _table_key(table: np.ndarray, identity=None) -> tuple:
 
 class GroupMemo:
     """Checked tables, library names and isomorphism verdicts, each worked
-    out once per distinct table.  A caller makes one for one command (one
+    out once per distinct table, and the library's candidate tables, each
+    built once per atom sequence.  A caller makes one for one command (one
     ``iso_limit``) and drops it with the command."""
 
     def __init__(self, iso_limit: int):
@@ -691,7 +710,10 @@ class GroupMemo:
 
     def name(self, t: CayleyTable) -> Optional[str]:
         return self._once(("name", _table_key(t.table, t.identity)),
-                          lambda: match_named(t, self.iso_limit))
+                          lambda: match_named(t, self.iso_limit, self._candidate))
+
+    def _candidate(self, seq: tuple) -> CayleyTable:
+        return self._once(("candidate", seq), lambda: _candidate(seq))
 
     def isomorphic(self, a: CayleyTable, b: CayleyTable) -> Optional[bool]:
         return self._once(("iso", _table_key(a.table, a.identity), _table_key(b.table, b.identity)),

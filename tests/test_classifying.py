@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import Counter
 from math import comb
 
 import numpy as np
@@ -78,6 +79,29 @@ def test_memoized_names_equal_fresh_names():
             assert c.group_expr == groups.match_named(fresh)
     assert names[24] == {"S4", "C2 x C2 x S3"}
     assert names[8] == {"C2 x C2 x C2", None}
+
+
+def test_memo_builds_each_candidate_table_once(monkeypatch):
+    tables = [o.stabilizer.to_cayley_table(DEFAULT_LIMITS.table_limit)
+              for cat in (finvect.vect_skeleton(2, 3), finset.finset_skeleton(4))
+              for o in chains_mod.orbits(cat, 2)
+              if 1 < o.stabilizer.order <= DEFAULT_LIMITS.iso_limit]
+    fresh = [groups.match_named(t) for t in tables]
+    built, product_table = Counter(), groups.product_table
+
+    def spy(factors, label=""):
+        built[label] += 1
+        return product_table(factors, label)
+
+    monkeypatch.setattr(groups, "product_table", spy)
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    assert [memo.name(t) for t in tables] == fresh
+    once = dict(built)
+    assert len(once) > 1 and set(once.values()) == {1}
+    # nothing outlives the memo: a second one builds every candidate again
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    assert [memo.name(t) for t in tables] == fresh
+    assert built == {label: 2 for label in once}
 
 
 def test_memoized_verdicts_equal_fresh_verdicts():

@@ -50,6 +50,33 @@ def tree_aut_closure_order(n, m):
     return len(els)
 
 
+def quaternion_table():
+    """Q8 as a concrete table over 1, i, j, k, -1, -i, -j, -k."""
+    mul = [[(0, 0), (0, 1), (0, 2), (0, 3)],
+           [(0, 1), (1, 0), (0, 3), (1, 2)],
+           [(0, 2), (1, 3), (1, 0), (0, 1)],
+           [(0, 3), (0, 2), (1, 1), (1, 0)]]
+
+    def qmul(a, b):
+        s, x = mul[a % 4][b % 4]
+        return ((s + a // 4 + b // 4) % 2) * 4 + x
+
+    return table_from_elements(list(range(8)), qmul)
+
+
+def relabelled(t, seed):
+    """``t`` with its elements renamed by a random permutation that moves
+    the identity off index 0."""
+    perm = np.random.default_rng(seed).permutation(t.n)
+    if perm[t.identity] == 0:
+        perm[[t.identity, (t.identity + 1) % t.n]] = perm[[(t.identity + 1) % t.n, t.identity]]
+    table = np.empty_like(t.table)
+    table[np.ix_(perm, perm)] = perm[t.table]
+    out = CayleyTable(table)
+    assert out.identity == perm[t.identity] != 0
+    return out
+
+
 def count_invertible_2x2(q):
     """Independent oracle: invertible 2x2 matrices over F_q by determinant."""
     cnt = 0
@@ -197,6 +224,39 @@ def test_generating_sequence_is_unchanged():
     assert materialize(Symmetric(4)).generating_sequence() == ([9, 10], [4, 24])
     assert materialize(Wreath(Symmetric(2), 3)).generating_sequence() == \
         ([9, 10, 7], [6, 24, 48])
+
+
+CLOSURE_POOL = {
+    "S4": lambda: materialize(Symmetric(4)),
+    "GL(2,3)": lambda: materialize(GeneralLinear(2, 3)),
+    "S2 wr S3": lambda: materialize(Wreath(Symmetric(2), 3)),
+    "S3 wr S2": lambda: materialize(Wreath(Symmetric(3), 2)),
+    "C3 x S3 x C2": lambda: product_table([cyclic_table(3), materialize(Symmetric(3)),
+                                           cyclic_table(2)]),
+    "(S2 wr S2) x S3 x A(2)": lambda: materialize(
+        Product([Wreath(Symmetric(2), 2), Symmetric(3), FieldAdditive(2)])),
+}
+
+
+@pytest.mark.parametrize("make", CLOSURE_POOL.values(), ids=CLOSURE_POOL.keys())
+def test_column_closures_equal_the_per_pair_reference(make, monkeypatch):
+    # the Light's-test generators and generating_sequence read products
+    # from table columns; each closure must equal one run on CayleyTable.mul
+    calls, closure = [], groups.greedy_closure
+
+    def spy(candidates, compose, identity, order):
+        candidates = list(candidates)
+        calls.append((candidates, closure(candidates, compose, identity, order)))
+        return calls[-1][1]
+
+    table = make().table
+    monkeypatch.setattr(groups, "greedy_closure", spy)
+    t = CayleyTable(table)
+    gens, sizes = t.generating_sequence()
+    assert len(calls) == 2 and calls[0][0] == list(range(t.n))
+    for candidates, got in calls:
+        assert got == closure(candidates, t.mul, t.identity, t.n)
+    assert (gens, sizes) == calls[1][1][:2]
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +518,27 @@ def test_iso_c4_vs_klein():
 
 def test_iso_dihedral_vs_quaternion_order8():
     d4 = materialize(Wreath(Symmetric(2), 2))
-    # quaternion group as a concrete table over 1,i,j,k,-1,-i,-j,-k
-    def qmul(a, b):
-        sa, xa = a // 4, a % 4
-        sb, xb = b // 4, b % 4
-        mul = [[(0, 0), (0, 1), (0, 2), (0, 3)],
-               [(0, 1), (1, 0), (0, 3), (1, 2)],
-               [(0, 2), (1, 3), (1, 0), (0, 1)],
-               [(0, 3), (0, 2), (1, 1), (1, 0)]]
-        s, x = mul[xa][xb]
-        return ((s + sa + sb) % 2) * 4 + x
-    q8 = table_from_elements(list(range(8)), qmul)
-    assert are_isomorphic(d4, q8) is False
+    assert are_isomorphic(d4, quaternion_table()) is False
+
+
+def test_iso_exhausts_the_backtracking_when_every_prefilter_passes():
+    # C4 x| C4 (the second factor inverts the first) and C2 x Q8 share
+    # abelianness, the order histogram and the centralizer orders, so only
+    # the search itself can tell them apart
+    c4c4 = table_from_elements(
+        list(itertools.product(range(4), repeat=2)),
+        lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4))
+    c2q8 = product_table([cyclic_table(2), quaternion_table()])
+    for t in (c4c4, c2q8):
+        assert not t.is_abelian()
+        assert t.element_order_histogram() == {1: 1, 2: 3, 4: 12}
+        assert sorted(t.centralizer_orders().tolist()) == [8] * 12 + [16] * 4
+    assert are_isomorphic(c4c4, c2q8) is False
+    assert are_isomorphic(c2q8, c4c4) is False
+    for seed, t in enumerate((c4c4, c2q8)):
+        moved = relabelled(t, seed)
+        assert are_isomorphic(t, moved) is True
+        assert are_isomorphic(moved, t) is True
 
 
 def test_iso_undecided_above_limit():
@@ -519,15 +588,4 @@ def test_match_named_products():
 
 
 def test_match_named_returns_none_for_unlisted():
-    q8 = None
-    def qmul(a, b):
-        sa, xa = a // 4, a % 4
-        sb, xb = b // 4, b % 4
-        mul = [[(0, 0), (0, 1), (0, 2), (0, 3)],
-               [(0, 1), (1, 0), (0, 3), (1, 2)],
-               [(0, 2), (1, 3), (1, 0), (0, 1)],
-               [(0, 3), (0, 2), (1, 1), (1, 0)]]
-        s, x = mul[xa][xb]
-        return ((s + sa + sb) % 2) * 4 + x
-    q8 = table_from_elements(list(range(8)), qmul)
-    assert match_named(q8) is None
+    assert match_named(quaternion_table()) is None
