@@ -11,7 +11,7 @@ trivial.
 """
 
 from cdiag import fincat
-from cdiag.classifying import (face_degeneracy_report, is_discrete_classifying,
+from cdiag.classifying import (component_maps, is_discrete_classifying,
                                level_decomposition)
 
 for m in range(6):
@@ -29,7 +29,11 @@ for n, count, flat in report.levels:
     print(f"  level {n}: {count} components, all singleton+trivial: {flat}")
 
 # face maps connect level-1 components to their endpoint components
-faces = face_degeneracy_report(fincat.ordinal(1))
+ordinal1 = fincat.ordinal(1)
+maps = component_maps(ordinal1, 1)
+objs, mors = ([c.representative[0] for c in level_decomposition(ordinal1, n).components]
+              for n in (0, 1))
 print("\nface maps on [1]:")
-for comp, d1_target, d0_target in faces.level1_rows:
-    print(f"  {comp}: d1 -> {d1_target}, d0 -> {d0_target}")
+for k, f in enumerate(mors):
+    d1, d0 = maps.faces[(1, 1)][k], maps.faces[(1, 0)][k]
+    print(f"  {f}: d1 -> {objs[d1]}, d0 -> {objs[d0]}")

@@ -6,11 +6,11 @@ cross-checked against a brute-force orbit engine."""
 from .chains import (Chain, ChainIso, Orbit, StabilizerGroup, act,
                      enumerate_chains, orbits, stabilizer)
 from .classifying import (Component, Decomposition, completeness_check,
-                          face_degeneracy_report, is_discrete_classifying,
+                          component_maps, is_discrete_classifying,
                           level_decomposition, nerve_truncation, segal_check)
-from .fincat import (FiniteCategory, check_equivalence_invariants, from_catdef,
-                     iso_interval, maximal_subgroupoid, one_object_group,
-                     ordinal, parse_catdef, truncated_delta, validate_category,
+from .fincat import (FiniteCategory, from_catdef, iso_interval,
+                     maximal_subgroupoid, one_object_group, ordinal,
+                     parse_catdef, truncated_delta, validate_category,
                      walking_arrow)
 from .groups import (CayleyTable, GeneralLinear, GroupExpr, Product,
                      Symmetric, Trivial, Wreath, are_isomorphic, materialize)
@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Chain", "ChainIso", "Orbit", "StabilizerGroup", "act", "enumerate_chains", "orbits",
     "stabilizer", "Component", "Decomposition", "completeness_check",
-    "face_degeneracy_report", "is_discrete_classifying", "level_decomposition",
-    "nerve_truncation", "segal_check", "FiniteCategory",
-    "check_equivalence_invariants", "from_catdef", "iso_interval",
+    "component_maps", "is_discrete_classifying", "level_decomposition",
+    "nerve_truncation", "segal_check", "FiniteCategory", "from_catdef", "iso_interval",
     "maximal_subgroupoid", "one_object_group", "ordinal",
     "parse_catdef", "truncated_delta", "validate_category", "walking_arrow",
     "CayleyTable", "GeneralLinear", "GroupExpr", "Product", "Symmetric",

@@ -11,7 +11,6 @@ the classifying diagram.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -535,10 +534,16 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
     total = _limited_chain_count(cat, n, limits)
     classes = object_iso_classes(cat)
     class_size = {x: len(cls.members) for cls in classes for x in cls.members}
+    # each tuple extends by the representatives with morphisms from its last
+    # object, in ascending order: tuples come out ascending, and no more of
+    # them than chains
+    reps = [cls.rep for cls in classes]
+    after = {x: [y for y in reps if cat.hom_idx(x, y)] for x in reps}
+    tuples = [(x,) for x in reps]
+    for _ in range(n):
+        tuples = [objs + (y,) for objs in tuples for y in after[objs[-1]]]
     out = []
-    for objs in itertools.product([cls.rep for cls in classes], repeat=n + 1):
-        if not all(cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])):
-            continue
+    for objs in tuples:
         mult = math.prod(class_size[x] for x in objs)
         ambient = _ambient_order(cat, objs)
         for mors, size, stab in _orbit_and_stabilizer(cat, objs, limits, reverse=reverse):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import chains as chains_mod
-from .chains import Chain, Orbit, SelfCheckFailed, StabilizerGroup, chain_count, orbits
+from .chains import Orbit, SelfCheckFailed, StabilizerGroup, chain_count, orbits
 from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid
 from .groups import GroupMemo
 from .limits import DEFAULT_LIMITS, Limits
@@ -39,10 +39,6 @@ class Component:
     stabilizer: Optional[StabilizerGroup] = None
     orbit: Optional[Orbit] = None
     extra: dict = field(default_factory=dict)
-
-    @property
-    def key(self) -> str:
-        return f"L{self.level}:" + ",".join(self.representative)
 
     def group_display(self) -> str:
         if self.group_expr is not None:
@@ -267,12 +263,12 @@ def is_discrete_classifying(cat: FiniteCategory, truncation: int,
 
 
 # ---------------------------------------------------------------------------
-# Truncated nerve of a groupoid
+# Face and degeneracy maps: truncated nerves of groupoids, and components
 
 
 @dataclass
 class TruncatedSimplicialSet:
-    levels: list            # levels[0]: object indices; levels[n]: _chain_array rows
+    levels: list            # levels[0]: object indices; levels[n]: morphism rows
     faces: dict             # (n, i) -> level-(n-1) row number of each level-n row
     degeneracies: dict      # (n, j) -> level-(n+1) row number of each level-n row
 
@@ -309,8 +305,14 @@ class TruncatedSimplicialSet:
         return True
 
 
-#: Highest nerve level ``nerve_truncation`` builds.
+#: Highest level ``nerve_truncation`` and ``component_maps`` build.
 MAX_NERVE_TRUNCATION = 4
+
+
+def _check_truncation(truncation: int) -> None:
+    if not 0 <= truncation <= MAX_NERVE_TRUNCATION:
+        raise CategoryError(
+            f"truncation must be between 0 and {MAX_NERVE_TRUNCATION}, got {truncation}")
 
 
 def _compose_columns(cat: FiniteCategory, g, f) -> np.ndarray:
@@ -321,6 +323,37 @@ def _compose_columns(cat: FiniteCategory, g, f) -> np.ndarray:
     return np.array(list(composite), dtype=g.dtype)[at]
 
 
+def _simplicial_set(cat: FiniteCategory, levels: list, index) -> TruncatedSimplicialSet:
+    """Faces and degeneracies of the simplices ``levels``: object indices at
+    level 0, one row of n composable morphism indices per n-simplex above.
+
+    A face drops the first or last column or composes two adjacent ones; a
+    degeneracy inserts a column of identities.  ``index(n, rows)`` numbers
+    each resulting level-n simplex (an object index at level 0), so d_0 and
+    d_1 of a 1-simplex are its target and source."""
+    src, dst, ident = (np.array(e, dtype=np.intp) for e in (cat.src, cat.dst, cat.identity_idx))
+    faces, degen = {}, {}
+    for n in range(1, len(levels)):
+        rows = levels[n]
+        if n == 1:
+            faces[(1, 0)], faces[(1, 1)] = index(0, dst[rows[:, 0]]), index(0, src[rows[:, 0]])
+            continue
+        faces[(n, 0)], faces[(n, n)] = index(n - 1, rows[:, 1:]), index(n - 1, rows[:, :-1])
+        for i in range(1, n):
+            composite = _compose_columns(cat, rows[:, i], rows[:, i - 1])
+            faces[(n, i)] = index(n - 1, np.column_stack(
+                [rows[:, :i - 1], composite, rows[:, i + 1:]]))
+    for n in range(len(levels) - 1):
+        if n == 0:
+            rows, vertices = np.empty((len(levels[0]), 0), dtype=np.intp), levels[0][:, None]
+        else:
+            rows = levels[n]
+            vertices = np.column_stack([src[rows[:, 0]], dst[rows]])
+        for j in range(n + 1):
+            degen[(n, j)] = index(n + 1, np.insert(rows, j, ident[vertices[:, j]], axis=1))
+    return TruncatedSimplicialSet(levels=levels, faces=faces, degeneracies=degen)
+
+
 def nerve_truncation(gpd: FiniteCategory, truncation: int,
                      limits: Limits = DEFAULT_LIMITS) -> TruncatedSimplicialSet:
     """Levels 0..truncation of the nerve of a groupoid, with explicit face
@@ -328,14 +361,9 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
     ``check_simplicial_identities``.  Every level is held to chain_limit
     before any is listed.
 
-    Level n >= 1 is ``_chain_array(gpd, n)`` and every map an array of row
-    numbers (``_chain_index``).  A face drops the first or last column or
-    composes two adjacent ones; a degeneracy inserts a column of
-    identities.  Level 0 is the objects, so d_0 and d_1 of a 1-simplex are
-    its target and source."""
-    if not 0 <= truncation <= MAX_NERVE_TRUNCATION:
-        raise CategoryError(
-            f"truncation must be between 0 and {MAX_NERVE_TRUNCATION}, got {truncation}")
+    Level 0 is the objects and level n >= 1 is ``_chain_array(gpd, n)``;
+    every map is an array of row numbers (``_chain_index``)."""
+    _check_truncation(truncation)
     for f in range(gpd.n_morphisms):
         if gpd.inverse_idx(f) is None:
             raise CategoryError(
@@ -345,84 +373,52 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
         chains_mod._limited_chain_count(gpd, n, limits)
     levels = [np.arange(gpd.n_objects)]
     levels += [chains_mod._chain_array(gpd, n) for n in range(1, truncation + 1)]
-    src, dst, ident = (np.array(e, dtype=np.intp) for e in (gpd.src, gpd.dst, gpd.identity_idx))
-    index = chains_mod._chain_index
+    return _simplicial_set(gpd, levels, lambda n, rows:
+                           rows if n == 0 else chains_mod._chain_index(gpd, rows))
 
-    faces, degen = {}, {}
-    if truncation >= 1:
-        faces[(1, 0)], faces[(1, 1)] = dst[levels[1][:, 0]], src[levels[1][:, 0]]
-    for n in range(2, truncation + 1):
-        rows = levels[n]
-        faces[(n, 0)], faces[(n, n)] = index(gpd, rows[:, 1:]), index(gpd, rows[:, :-1])
-        for i in range(1, n):
-            composite = _compose_columns(gpd, rows[:, i], rows[:, i - 1])
-            faces[(n, i)] = index(gpd, np.column_stack(
-                [rows[:, :i - 1], composite, rows[:, i + 1:]]))
-    for n in range(truncation):
+
+def component_maps(cat: FiniteCategory, truncation: int,
+                   limits: Limits = DEFAULT_LIMITS) -> TruncatedSimplicialSet:
+    """Levels 0..truncation of the classifying diagram as components, one
+    simplex per component in ``orbits(cat, n)`` order, with the face and
+    degeneracy maps between them as arrays of component numbers.
+
+    Each component is its representative chain, a row of morphism indices
+    on a tuple of class representatives (its object at level 0).  A face or
+    degeneracy of such a row lies on a tuple of class representatives
+    again, so no object is transported: the image's component is the one
+    whose representative is the least member of the image's orbit on that
+    tuple (``_tuple_action``).  An image found in no component raises
+    SelfCheckFailed.  Labels are computed per tuple and per level, so
+    ``check_simplicial_identities`` can fail on them."""
+    _check_truncation(truncation)
+    orbs = [orbits(cat, n, limits) for n in range(truncation + 1)]
+    where = {(o.rep.objs, o.rep.mors): k for level in orbs for k, o in enumerate(level)}
+    levels = [np.array([o.rep.objs[0] for o in orbs[0]], dtype=np.intp)]
+    levels += [np.array([o.rep.mors for o in orbs[n]], dtype=np.intp).reshape(len(orbs[n]), n)
+               for n in range(1, truncation + 1)]
+    src, dst = np.array(cat.src, dtype=np.intp), np.array(cat.dst, dtype=np.intp)
+    actions = {}
+
+    def index(n, rows):
         if n == 0:
-            rows, vertices = np.empty((gpd.n_objects, 0), dtype=np.intp), levels[0][:, None]
+            objs, rows = rows[:, None], np.empty((len(rows), 0), dtype=np.intp)
         else:
-            rows = levels[n]
-            vertices = np.column_stack([src[rows[:, 0]], dst[rows]])
-        for j in range(n + 1):
-            degen[(n, j)] = index(gpd, np.insert(rows, j, ident[vertices[:, j]], axis=1))
-    return TruncatedSimplicialSet(levels=levels, faces=faces, degeneracies=degen)
+            objs = np.column_stack([src[rows[:, 0]], dst[rows]])
+        out = np.empty(len(rows), dtype=np.intp)
+        tuples, at = np.unique(objs, axis=0, return_inverse=True)
+        for t, tup in enumerate(map(tuple, tuples.tolist())):
+            if tup not in actions:
+                actions[tup] = chains_mod._tuple_action(cat, tup)
+            homs, strides, _, labels = actions[tup]
+            sel = np.flatnonzero(at.ravel() == t)
+            codes = np.zeros(len(sel), dtype=np.int64)
+            for i, (h, s) in enumerate(zip(homs, strides)):
+                codes += np.searchsorted(h, rows[sel, i]) * s
+            for r, mors in zip(sel.tolist(), chains_mod._decode(homs, strides, labels[codes])):
+                if (tup, mors) not in where:
+                    raise SelfCheckFailed(f"{mors} on {tup} is no component of level {n}")
+                out[r] = where[tup, mors]
+        return out
 
-
-# ---------------------------------------------------------------------------
-# Face and degeneracy component maps between levels 0 and 1
-
-
-@dataclass
-class FaceDegeneracyReport:
-    level1_rows: list      # (level-1 component key, d1 -> level-0 key, d0 -> level-0 key)
-    s0_rows: list          # (level-0 key, image level-1 key, image stabilizer order)
-    ok: bool
-
-
-def component_of_chain(cat: FiniteCategory, decomp: Decomposition,
-                       chain: Chain) -> Component:
-    """The component of ``decomp`` containing the given chain."""
-    if decomp.level == 0:
-        target = None
-        from .fincat import object_iso_classes
-        for cls in object_iso_classes(cat):
-            if chain.objs[0] in cls.members:
-                target = (cat.objects[cls.rep],)
-                break
-        for c in decomp.components:
-            if c.representative == target:
-                return c
-        raise CategoryError("object not covered by the decomposition")
-    rep_ids = chains_mod.least_member(cat, chain).morphism_ids
-    for c in decomp.components:
-        if c.representative == rep_ids:
-            return c
-    raise CategoryError("chain not covered by the decomposition "
-                        "(is it on a representative object tuple?)")
-
-
-def face_degeneracy_report(cat: FiniteCategory,
-                           limits: Limits = DEFAULT_LIMITS) -> FaceDegeneracyReport:
-    """How the two face maps and the degeneracy connect the components of
-    levels 1 and 0."""
-    d0 = level_decomposition(cat, 0, limits)
-    d1 = level_decomposition(cat, 1, limits)
-    by_rep_obj = {c.representative[0]: c for c in d0.components}
-
-    rows1 = []
-    for c in d1.components:
-        src_comp = by_rep_obj[c.cell[0]]
-        dst_comp = by_rep_obj[c.cell[1]]
-        rows1.append((c.key, src_comp.key, dst_comp.key))
-    faces = {key: (d1_key, d0_key) for key, d1_key, d0_key in rows1}
-
-    rows_s0 = []
-    ok = True
-    for c0 in d0.components:
-        x = cat.obj_index(c0.representative[0])
-        image = component_of_chain(cat, d1, Chain(cat, (x, x), (cat.identity_idx[x],)))
-        # d_1 s_0 = d_0 s_0 = id on level-0 components
-        ok = ok and faces[image.key] == (c0.key, c0.key)
-        rows_s0.append((c0.key, image.key, image.group_order))
-    return FaceDegeneracyReport(level1_rows=rows1, s0_rows=rows_s0, ok=ok)
+    return _simplicial_set(cat, levels, index)

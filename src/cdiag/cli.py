@@ -244,6 +244,8 @@ def _cmd_finset(args, limits):
 
 
 def _cmd_finvect(args, limits):
+    # the largest cell first, so that a command that must fail fails at once
+    finvect.check_enumerable(args.max_dim, args.max_dim, args.q)
     rows = [_component_row(c) for c in finvect.vect_level0(args.max_dim, args.q)]
     for n in range(args.max_dim + 1):
         for m in range(args.max_dim + 1):

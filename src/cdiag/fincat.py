@@ -637,20 +637,19 @@ def maximal_subgroupoid(cat: FiniteCategory) -> FiniteCategory:
 
 @dataclass
 class ObjectClass:
-    """An isomorphism class of objects with transports from the representative."""
+    """An isomorphism class of objects."""
     rep: int                       # object index of the representative
     members: list                  # object indices, ascending
-    transport: dict                # object index -> morphism index of an iso rep -> member
 
 
 def object_iso_classes(cat: FiniteCategory) -> list:
     """Isomorphism classes of objects; deterministic, reps are least indices."""
-    seen = {}
+    seen = set()
     classes = []
     for start in range(cat.n_objects):
         if start in seen:
             continue
-        transport = {start: cat.identity_idx[start]}
+        members = {start}
         frontier = [start]
         while frontier:
             new = []
@@ -659,53 +658,10 @@ def object_iso_classes(cat: FiniteCategory) -> list:
                     if cat.inverse_idx(f) is None:
                         continue
                     y = cat.dst[f]
-                    if y not in transport:
-                        transport[y] = cat.compose_idx(f, transport[x])
+                    if y not in members:
+                        members.add(y)
                         new.append(y)
             frontier = new
-        members = sorted(transport)
-        cls = ObjectClass(rep=start, members=members, transport=transport)
-        classes.append(cls)
-        for y in members:
-            seen[y] = cls
+        classes.append(ObjectClass(rep=start, members=sorted(members)))
+        seen |= members
     return classes
-
-
-# ---------------------------------------------------------------------------
-# Equivalence invariants
-
-
-@dataclass
-class EquivalenceReport:
-    """Skeletal invariants of two categories: number of isomorphism classes
-    of objects and the multiset of automorphism-group orders.  Equality is
-    necessary for equivalence of the categories; it is not claimed to be
-    sufficient in general."""
-
-    class_counts: tuple
-    aut_order_multisets: tuple
-    class_count_match: bool
-    aut_orders_match: bool
-    policy: str
-    note: str = ("necessary invariants only; equality does not prove "
-                 "equivalence of the categories in general")
-
-    @property
-    def invariants_match(self) -> bool:
-        return self.class_count_match and self.aut_orders_match
-
-
-def check_equivalence_invariants(a: FiniteCategory, b: FiniteCategory) -> EquivalenceReport:
-    def profile(cat):
-        classes = object_iso_classes(cat)
-        orders = tuple(sorted(len(cat.aut_idx(c.rep)) for c in classes))
-        return len(classes), orders
-
-    (na, oa), (nb, ob) = profile(a), profile(b)
-    return EquivalenceReport(
-        class_counts=(na, nb),
-        aut_order_multisets=(oa, ob),
-        class_count_match=na == nb,
-        aut_orders_match=oa == ob,
-        policy="class-count + aut-order multiset",
-    )

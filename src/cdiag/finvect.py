@@ -238,13 +238,19 @@ def _named_rank_expr(n: int, m: int, r: int, q: int) -> Optional[str]:
     return _column_text(q) if {n, m} == {1, 2} else _diag_text(q)
 
 
+def check_enumerable(n: int, m: int, q: int) -> None:
+    """Raise CategoryError when there are more than ENUM_BOUND m x n
+    matrices over F_q."""
+    # q >= 2, so n * m > 20 alone means more than 2^20 matrices
+    if n * m > 20 or q ** (n * m) > ENUM_BOUND:
+        raise CategoryError(f"{q}^{n * m} matrices exceeds enumeration bound {ENUM_BOUND}")
+
+
 def orbits_by_rank(n: int, m: int, q: int) -> VectCell:
     """Enumerate all m x n matrices, group them by rank, and verify each
     rank class is one orbit by breadth-first action from the canonical
     representative."""
-    count = q ** (n * m)
-    if count > ENUM_BOUND:
-        raise CategoryError(f"{count} matrices exceeds enumeration bound {ENUM_BOUND}")
+    check_enumerable(n, m, q)
     by_rank = {}
     for rows in modp.all_matrices(m, n, q):
         by_rank.setdefault(modp.rank(rows, q), set()).add(rows)

@@ -9,7 +9,7 @@ import pytest
 from cdiag import chains as chains_mod
 from cdiag import classifying as cl
 from cdiag import fincat, finset, finvect, groups
-from cdiag.cli import run
+from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 from cdiag.fincat import CategoryError
 from cdiag.limits import DEFAULT_LIMITS
 
@@ -336,48 +336,87 @@ def test_nerve_face_conventions(s2_category):
 
 
 # ---------------------------------------------------------------------------
-# Face/degeneracy component report
+# Face and degeneracy maps on components
+
+
+@pytest.mark.parametrize("spec,truncation", [
+    *((spec, 3) for spec in ACCEPTANCE_SUITE),
+    ("finset:4", 2), ("vect:2:3", 2), ("delta:3", 2),
+])
+def test_component_maps_satisfy_the_simplicial_identities(spec, truncation):
+    cat = builtin_category(spec)
+    t = cl.component_maps(cat, truncation)
+    assert t.level_sizes == [len(chains_mod.orbits(cat, n)) for n in range(truncation + 1)]
+    assert t.check_simplicial_identities()
 
 
 def test_face_degeneracy_ordinal1():
-    rep = cl.face_degeneracy_report(fincat.ordinal(1))
-    assert rep.ok
-    rows = {r[0]: (r[1], r[2]) for r in rep.level1_rows}
-    assert rows["L1:a0_1"] == ("L0:0", "L0:1")
-
-
-def test_face_degeneracy_fails_on_a_wrong_component(monkeypatch):
-    # relabel the level-1 components so that the identity chain on each
-    # object is found in a component on another cell
-    real = cl.level_decomposition
-
-    def rotated(cat, n, limits=cl.DEFAULT_LIMITS):
-        d = real(cat, n, limits)
-        if n == 1:
-            reps = [c.representative for c in d.components]
-            for c, r in zip(d.components, reps[1:] + reps[:1]):
-                c.representative = r
-        return d
-
-    assert cl.face_degeneracy_report(fincat.ordinal(1)).ok
-    monkeypatch.setattr(cl, "level_decomposition", rotated)
-    assert not cl.face_degeneracy_report(fincat.ordinal(1)).ok
+    cat = fincat.ordinal(1)
+    t = cl.component_maps(cat, 1)
+    assert t.levels[0].tolist() == [0, 1]
+    level1 = [o.rep.morphism_ids for o in chains_mod.orbits(cat, 1)]
+    assert level1 == [("id_0",), ("a0_1",), ("id_1",)]
+    assert t.faces[(1, 0)][1] == 1 and t.faces[(1, 1)][1] == 0
+    assert t.degeneracies[(0, 0)].tolist() == [0, 2]
+    assert t.check_simplicial_identities()
 
 
 def test_face_degeneracy_finset3():
     cat = finset.finset_skeleton(3)
-    rep = cl.face_degeneracy_report(cat)
-    assert rep.ok
-    d1 = cl.level_decomposition(cat, 1)
+    t = cl.component_maps(cat, 1)
+    level0, level1 = (chains_mod.orbits(cat, n) for n in (0, 1))
     # the surjection class 3 ->> 2 connects the S3 component to the S2 one
-    surj = next(c for c in d1.components
-                if c.cell == ("3", "2") and c.group_order == 2)
-    row = next(r for r in rep.level1_rows if r[0] == surj.key)
-    assert row[1] == "L0:3" and row[2] == "L0:2"
+    surj = next(k for k, o in enumerate(level1)
+                if o.rep.object_ids == ("3", "2") and o.stabilizer.order == 2)
+    assert level0[t.faces[(1, 1)][surj]].rep.object_ids == ("3",)
+    assert level0[t.faces[(1, 0)][surj]].rep.object_ids == ("2",)
     # s0 of the 2-element class lands on the identity component, stabilizer S2
-    s0 = {r[0]: r for r in rep.s0_rows}
-    assert s0["L0:2"][2] == 2
-    assert s0["L0:2"][1] == "L1:id_2"
+    two = next(k for k, o in enumerate(level0) if o.rep.object_ids == ("2",))
+    image = level1[t.degeneracies[(0, 0)][two]]
+    assert image.rep.morphism_ids == ("id_2",) and image.stabilizer.order == 2
+    assert t.check_simplicial_identities()
+
+
+def test_face_degeneracy_fails_on_a_wrong_component(monkeypatch):
+    # the orbits are computed first, then every tuple's labels are left
+    # unpropagated, so an image that is not the least chain of its orbit
+    # is looked up as itself and found in no component
+    cat = finset.finset_skeleton(3)
+    levels = [chains_mod.orbits(cat, n) for n in range(3)]
+    assert cl.component_maps(cat, 2).check_simplicial_identities()
+    monkeypatch.setattr(cl, "orbits", lambda cat, n, limits: levels[n])
+    real = chains_mod._tuple_action
+
+    def unpropagated(cat, objs):
+        homs, strides, moves, labels = real(cat, objs)
+        return homs, strides, moves, np.arange(len(labels))
+
+    monkeypatch.setattr(chains_mod, "_tuple_action", unpropagated)
+    with pytest.raises(chains_mod.SelfCheckFailed, match="no component of level"):
+        cl.component_maps(cat, 2)
+
+
+def _band(left: bool):
+    """{id, a, b} with g . f = g (left zero) or g . f = f (right zero)."""
+    composites = "".join(f"compose {g} {f} = {g if left else f}\n" for g in "ab" for f in "ab")
+    return fincat.from_catdef("object x\nmor a : x -> x\nmor b : x -> x\n" + composites,
+                              name="left-zero" if left else "right-zero")
+
+
+def test_bands_share_levels_but_not_inner_faces():
+    # neither band has a non-identity automorphism, and they are not
+    # isomorphic: the levels agree, and only the composing face d_1 differs
+    left, right = _band(True), _band(False)
+    for n in range(4):
+        a, b = (cl.level_decomposition(cat, n) for cat in (left, right))
+        assert [(c.representative, c.orbit_size, c.group_expr) for c in a.components] \
+            == [(c.representative, c.orbit_size, c.group_expr) for c in b.components]
+    tl, tr = cl.component_maps(left, 2), cl.component_maps(right, 2)
+    assert tl.check_simplicial_identities() and tr.check_simplicial_identities()
+    assert tl.faces[(2, 1)].tolist() == [0, 1, 2, 1, 1, 2, 2, 1, 2]
+    assert tr.faces[(2, 1)].tolist() == [0, 1, 2, 1, 1, 1, 2, 2, 2]
+    for key in set(tl.faces) - {(2, 1)}:
+        assert np.array_equal(tl.faces[key], tr.faces[key])
 
 
 @pytest.mark.parametrize("call", [
@@ -385,7 +424,9 @@ def test_face_degeneracy_finset3():
     lambda cat: cl.segal_check(cat, 1),
     lambda cat: cl.is_discrete_classifying(cat, 0),
     lambda cat: cl.nerve_truncation(cat, cl.MAX_NERVE_TRUNCATION + 1),
-], ids=["level", "segal", "discrete", "nerve"])
+    lambda cat: cl.component_maps(cat, cl.MAX_NERVE_TRUNCATION + 1),
+    lambda cat: cl.component_maps(cat, -1),
+], ids=["level", "segal", "discrete", "nerve", "components", "components-negative"])
 def test_out_of_range_levels_raise_category_error(call, s2_category):
     with pytest.raises(CategoryError):
         call(s2_category)

@@ -180,6 +180,27 @@ def test_no_assert_in_the_package():
     assert not found, found
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in cdiag.__all__ if not hasattr(cdiag, name)] == []
+    assert len(set(cdiag.__all__)) == len(cdiag.__all__)
+
+
+@pytest.mark.parametrize("argv,code,expect", [
+    # ordinal:1 has 102 level-100 chains on 2^101 tuples of its two objects
+    (["decompose", "--builtin", "ordinal:1", "--level", "100", "--format", "json"], 0, 102),
+    # the 5 x 5 cell alone holds 2^25 matrices
+    (["finvect", "--max-dim", "5", "--q", "2"], 2, "2^25 matrices exceeds enumeration bound"),
+])
+def test_commands_bounded_by_their_output_end_at_once(argv, code, expect):
+    done = subprocess.run([sys.executable, "-m", "cdiag", *argv], capture_output=True,
+                          text=True, env=_src_env(), timeout=30)
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert len(json.loads(done.stdout)["components"]) == expect
+    else:
+        assert expect in done.stderr
+
+
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cdiag import fincat, finset, finvect
-from cdiag.fincat import (CatdefError, CategoryError, FiniteCategory,
-                          check_equivalence_invariants, from_catdef,
+from cdiag.classifying import level_decomposition
+from cdiag.fincat import (CatdefError, CategoryError, FiniteCategory, from_catdef,
                           maximal_subgroupoid, object_iso_classes, parse_catdef)
 from cdiag.groups import table_from_elements
 
@@ -272,32 +272,26 @@ def test_truncated_delta_monotone_counts():
 
 
 # ---------------------------------------------------------------------------
-# Equivalence invariants
+# Equivalence invariants: level 0 of the classifying diagram
+
+
+def _level0(cat):
+    d = level_decomposition(cat, 0)
+    return len(d), d.orders()
 
 
 def test_equivalence_invariants_point_vs_iso_interval():
-    rep = check_equivalence_invariants(fincat.ordinal(0), fincat.iso_interval())
-    assert rep.invariants_match
-    assert rep.class_counts == (1, 1)
-    assert rep.aut_order_multisets == ((1,), (1,))
+    assert _level0(fincat.ordinal(0)) == _level0(fincat.iso_interval()) == (1, [1])
 
 
 def test_equivalence_invariants_walking_arrow_vs_point():
-    rep = check_equivalence_invariants(fincat.walking_arrow(), fincat.ordinal(0))
-    assert not rep.class_count_match
-    assert rep.class_counts == (2, 1)
+    assert _level0(fincat.walking_arrow()) == (2, [1, 1])
+    assert _level0(fincat.ordinal(0)) == (1, [1])
 
 
 def test_equivalence_invariants_s3_vs_s2(s3_category, s2_category):
-    rep = check_equivalence_invariants(s3_category, s2_category)
-    assert rep.class_count_match
-    assert not rep.aut_orders_match
-    assert rep.aut_order_multisets == ((6,), (2,))
-
-
-def test_equivalence_report_states_not_sufficient(s3_category):
-    rep = check_equivalence_invariants(s3_category, s3_category)
-    assert "not" in rep.note and "sufficient" not in rep.policy
+    assert _level0(s3_category) == (1, [6])
+    assert _level0(s2_category) == (1, [2])
 
 
 def test_builder_inverse_hints_agree_with_generic_search():
@@ -327,15 +321,16 @@ def test_opposite_of_computed_category():
     assert op.source(f) == "2" and op.target(f) == "1"
 
 
-def test_object_iso_classes_transports():
-    ii = fincat.iso_interval()
-    classes = object_iso_classes(ii)
-    assert len(classes) == 1
-    cls = classes[0]
-    assert cls.members == [0, 1]
-    for member, t in cls.transport.items():
-        assert ii.src[t] == cls.rep and ii.dst[t] == member
-        assert ii.inverse_idx(t) is not None
+def test_object_iso_classes_members():
+    classes = object_iso_classes(fincat.iso_interval())
+    assert [(c.rep, c.members) for c in classes] == [(0, [0, 1])]
+    # the walking arrow's one morphism is not invertible
+    classes = object_iso_classes(fincat.walking_arrow())
+    assert [(c.rep, c.members) for c in classes] == [(0, [0]), (1, [1])]
+    # identities and a non-invertible arrow join no classes; an isomorphism does
+    cat = from_catdef("object a\nobject b\nobject c\nobject d\nmor f : a -> c\n"
+                      "mor g : b -> d\nmor h : d -> b\ncompose h g = id_b\ncompose g h = id_d\n")
+    assert [(c.rep, c.members) for c in object_iso_classes(cat)] == [(0, [0]), (1, [1, 3]), (2, [2])]
 
 
 @pytest.mark.parametrize("cat", [finset.finset_skeleton(3), finset.finset_skeleton(4, "surj"),
