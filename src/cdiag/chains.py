@@ -51,13 +51,9 @@ class Chain:
     def from_morphism_ids(cls, cat: FiniteCategory, mor_ids) -> "Chain":
         mors = tuple(cat.mor_index(m) for m in mor_ids)
         if not mors:
-            raise CategoryError("no morphisms given; use from_object for level 0")
+            raise CategoryError("no morphisms given; a level-0 chain is Chain(cat, (x,), ())")
         objs = (cat.src[mors[0]],) + tuple(cat.dst[f] for f in mors)
         return cls(cat, objs, mors)
-
-    @classmethod
-    def from_object(cls, cat: FiniteCategory, obj_id: str) -> "Chain":
-        return cls(cat, (cat.obj_index(obj_id),), ())
 
     @property
     def level(self) -> int:

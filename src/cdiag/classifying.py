@@ -205,25 +205,20 @@ def completeness_check(cat: FiniteCategory,
 
 
 def _match_tables(ta: list, tb: list, memo: GroupMemo) -> bool:
-    """Perfect matching between two small lists of groups under isomorphism."""
+    """Whether the two lists of groups match one to one under isomorphism.
+    Every order here is at most ``iso_limit``, so isomorphism is decided
+    and is an equivalence relation; matching each group of ``ta`` to the
+    first unused isomorphic one of ``tb`` then finds a perfect matching
+    exactly when one exists."""
     if len(ta) != len(tb):
         return False
-    if not ta:
-        return True
-    used = [False] * len(tb)
-
-    def rec(i):
-        if i == len(ta):
-            return True
-        for j in range(len(tb)):
-            if not used[j] and memo.isomorphic(ta[i], tb[j]):
-                used[j] = True
-                if rec(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return rec(0)
+    free = list(tb)
+    for a in ta:
+        j = next((j for j, b in enumerate(free) if memo.isomorphic(a, b)), None)
+        if j is None:
+            return False
+        del free[j]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ after construction and every operation here is pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -60,10 +61,11 @@ class FiniteCategory:
         inverse_payload: payload -> payload of its inverse, or None when the
             morphism is not invertible.  Without it inverses are searched
             for in the opposite hom set.
-        codec: reads the payloads of a hom set as integer arrays, for
-            ``hom_columns``.  ``codec.values(si, di, payloads)`` stacks the
-            payloads of morphisms si -> di into one array, one payload per
-            row, with entries in 0 .. ``codec.radix(si, di)`` - 1;
+        codec: reads the payloads of a hom set as integer arrays, for the
+            generator columns of hom sets and of Aut(x).
+            ``codec.values(si, di, payloads)`` stacks the payloads of
+            morphisms si -> di into one array, one payload per row, with
+            entries in 0 .. ``codec.radix(si, di)`` - 1;
             ``codec.left(g, F)`` and ``codec.right(F, h)`` are the stacks of
             g after each f in F and of each f in F after h, for one stacked
             g of di -> di or h of si -> si.  Without it every composite is
@@ -114,8 +116,7 @@ class FiniteCategory:
         self._by_src = None
         self._inv = {}
         self._aut = {}
-        self._aut_gens = {}
-        self._aut_words = {}
+        self._aut_closures = {}
         self._aut_table = {}
         self._hom_columns = {}
 
@@ -220,40 +221,37 @@ class FiniteCategory:
                              if self.inverse_idx(m) is not None]
         return self._aut[oi]
 
-    def aut_generators(self, oi: int) -> list:
-        """A small generating set of Aut(x), greedy over ``aut_idx(oi)``,
-        computed on the first call and kept.  The closure steps a -> g . a,
-        as the words do, so it leaves their composites cached."""
-        if oi not in self._aut_gens:
+    def _aut_closure(self, oi: int) -> tuple:
+        """(generators, words, columns) of Aut(x) from one greedy closure
+        over the ranks in ``aut_idx(oi)``, which steps a -> g . a along the
+        column of g, the ranks of g . a for every a, computed once per
+        generator.  Computed on the first call and kept."""
+        if oi not in self._aut_closures:
             auts = self.aut_idx(oi)
-            self._aut_gens[oi] = greedy_closure(
-                auts, lambda a, g: self.compose_idx(g, a), self.identity_idx[oi], len(auts))[0]
-        return self._aut_gens[oi]
+            column, cols = self._column(oi, oi, auts), {}
+
+            def step(a, g):
+                if g not in cols:
+                    cols[g] = column(auts[g], True).tolist()
+                return cols[g][a]
+
+            gens, _, words = greedy_closure(range(len(auts)), step,
+                                            auts.index(self.identity_idx[oi]), len(auts))
+            columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(len(auts) - 1))
+            self._aut_closures[oi] = ([auts[g] for g in gens], words,
+                                      columns.reshape(len(gens), len(auts)))
+        return self._aut_closures[oi]
+
+    def aut_generators(self, oi: int) -> list:
+        """A small generating set of Aut(x), greedy over ``aut_idx(oi)``."""
+        return self._aut_closure(oi)[0]
 
     def aut_words(self, oi: int) -> list:
         """Every automorphism of x as a left word in ``aut_generators(oi)``:
         (element, parent, generator) triples in breadth-first order from the
         identity, (identity, -1, -1), each element that generator after the
-        parent, elements and parents as ranks in ``aut_idx(oi)``.
-        Computed on the first call and kept; raises CategoryError unless
-        the words reach all of Aut(x)."""
-        if oi not in self._aut_words:
-            auts, gens = self.aut_idx(oi), self.aut_generators(oi)
-            rank = {a: r for r, a in enumerate(auts)}
-            queue = [self.identity_idx[oi]]
-            words = {queue[0]: (-1, -1)}
-            for a in queue:
-                for k, g in enumerate(gens):
-                    b = self.compose_idx(g, a)
-                    if b not in words:
-                        words[b] = (rank[a], k)
-                        queue.append(b)
-            if len(words) != len(auts):
-                raise CategoryError(
-                    f"the generators of Aut({self.objects[oi]}) reach {len(words)} "
-                    f"of its {len(auts)} elements")
-            self._aut_words[oi] = [(rank[b], p, k) for b, (p, k) in words.items()]
-        return self._aut_words[oi]
+        parent, elements and parents as ranks in ``aut_idx(oi)``."""
+        return self._aut_closure(oi)[1]
 
     def _word_rows(self, oi: int, columns: np.ndarray, start: np.ndarray) -> np.ndarray:
         """The action table of Aut(x) on the points ``start``, where the
@@ -267,60 +265,66 @@ class FiniteCategory:
             rows[a] = columns[k][rows[p]]
         return rows
 
+    def _column(self, si: int, di: int, mors: list):
+        """column(g, left): the positions among ``mors``, morphisms x -> y,
+        of g . f for each f (``left``, g an endomorphism of y) or of f . g
+        (else, g one of x), as an int64 array.  Read through the codec when
+        there is one, which stacks ``mors`` once here and acts by one numpy
+        step per g, else one composite per morphism.  A column raises
+        CategoryError for an image outside ``mors``."""
+        if self._codec is None:
+            pos = {f: p for p, f in enumerate(mors)}
+
+            def positions(g, left):
+                images = (self.compose_idx(g, f) if left else self.compose_idx(f, g) for f in mors)
+                return np.array([pos.get(h, -1) for h in images], dtype=np.int64)
+        else:
+            codec = self._codec
+
+            def stack(s, d, ms):
+                return codec.values(s, d, [self.payloads[m] for m in ms])
+
+            radix = codec.radix(si, di)
+            F = stack(si, di, mors)
+            codes = _radix_codes(F, radix)
+            order = np.argsort(codes)
+
+            def positions(g, left):
+                images = (codec.left(stack(di, di, [g])[0], F) if left
+                          else codec.right(F, stack(si, si, [g])[0]))
+                found = _radix_codes(images, radix)
+                at = order[np.minimum(np.searchsorted(codes, found, sorter=order), len(mors) - 1)]
+                return np.where(codes[at] == found, at, -1)
+
+        def column(g, left):
+            at = positions(g, left)
+            missing = np.flatnonzero(at < 0)
+            if len(missing):
+                f = mors[missing[0]]
+                a, b = (g, f) if left else (f, g)
+                raise CategoryError(
+                    f"missing composite for pair ({self.mor_ids[a]}, {self.mor_ids[b]})")
+            return at
+
+        return column
+
     def hom_columns(self, si: int, di: int) -> tuple:
         """Generator columns of Hom(x, y) as arrays of positions in
         ``hom_idx(si, di)``: (left, right), where left[k, p] is the position
         of g . f_p for the k-th generator g of Aut(y) and right[k, p] that
         of f_p . g^-1 for the k-th generator g of Aut(x).  The dtype is the
-        smallest that holds a position.  Read through the codec when there
-        is one, else one composite per morphism each.  Computed on the first
-        call and kept."""
+        smallest that holds a position.  Computed on the first call and
+        kept."""
         key = (si, di)
         if key not in self._hom_columns:
             hom = self.hom_idx(si, di)
-            gens = self.aut_generators(di)
+            column = self._column(si, di, hom)
             invs = [self.inverse_idx(g) for g in self.aut_generators(si)]
-            if self._codec is None:
-                pos = {f: p for p, f in enumerate(hom)}
-                left = [[pos[self.compose_idx(g, f)] for f in hom] for g in gens]
-                right = [[pos[self.compose_idx(f, h)] for f in hom] for h in invs]
-            else:
-                left, right = self._coded_columns(si, di, hom, gens, invs)
             dtype = np.min_scalar_type(max(len(hom) - 1, 0))
-            self._hom_columns[key] = tuple(np.array(c, dtype=dtype).reshape(len(c), len(hom))
-                                           for c in (left, right))
+            self._hom_columns[key] = tuple(
+                np.array([column(g, left) for g in gens], dtype=dtype).reshape(len(gens), len(hom))
+                for gens, left in ((self.aut_generators(di), True), (invs, False)))
         return self._hom_columns[key]
-
-    def _coded_columns(self, si: int, di: int, hom: list, gens: list, invs: list) -> tuple:
-        """The columns of ``hom_columns`` through the codec: each generator
-        acts on the stacked hom set at once, and every image is found by its
-        radix code among the codes of the hom set.  Raises CategoryError,
-        as ``compose_idx`` does, for an image outside the hom set."""
-        codec = self._codec
-
-        def stack(s, d, mors):
-            return codec.values(s, d, [self.payloads[m] for m in mors])
-
-        radix = codec.radix(si, di)
-        F = stack(si, di, hom)
-        codes = _radix_codes(F, radix)
-        order = np.argsort(codes)
-
-        def positions(images, pair):
-            found = _radix_codes(images, radix)
-            at = order[np.minimum(np.searchsorted(codes, found, sorter=order), len(hom) - 1)]
-            missing = np.flatnonzero(codes[at] != found)
-            if len(missing):
-                g, f = pair(hom[missing[0]])
-                raise CategoryError(
-                    f"missing composite for pair ({self.mor_ids[g]}, {self.mor_ids[f]})")
-            return at
-
-        left = [positions(codec.left(stack(di, di, [g])[0], F), lambda f: (g, f))
-                for g in gens]
-        right = [positions(codec.right(F, stack(si, si, [h])[0]), lambda f: (f, h))
-                 for h in invs]
-        return left, right
 
     def hom_action_tables(self, si: int, di: int, positions) -> tuple:
         """(left, right) action tables of Aut(y) and Aut(x) on the morphisms
@@ -333,16 +337,12 @@ class FiniteCategory:
 
     def aut_table(self, oi: int) -> np.ndarray:
         """The read-only Cayley table of Aut(x) in ``aut_idx`` order, built
-        along the words from the left generator columns of Hom(x, x) at the
-        positions of Aut(x), in the smallest integer dtype that holds a
-        rank.  Computed on the first call and kept."""
+        along the words from the rank columns of the closure, in the
+        smallest integer dtype that holds a rank.  Computed on the first
+        call and kept."""
         if oi not in self._aut_table:
-            auts = self.aut_idx(oi)
-            at = np.searchsorted(self.hom_idx(oi, oi), auts)
-            rank = np.zeros(len(self.hom_idx(oi, oi)), dtype=np.min_scalar_type(len(auts) - 1))
-            rank[at] = np.arange(len(auts))
-            columns = rank[self.hom_columns(oi, oi)[0][:, at]]
-            table = self._word_rows(oi, columns, np.arange(len(auts), dtype=rank.dtype))
+            columns = self._aut_closure(oi)[2]
+            table = self._word_rows(oi, columns, np.arange(columns.shape[1], dtype=columns.dtype))
             table.setflags(write=False)
             self._aut_table[oi] = table
         return self._aut_table[oi]
@@ -585,7 +585,7 @@ def truncated_delta(m_max: int) -> FiniteCategory:
     payloads, morphisms = [], []
     for n in range(m_max + 1):
         for m in range(m_max + 1):
-            for t in _monotone_tuples(n, m):
+            for t in itertools.combinations_with_replacement(range(m + 1), n + 1):
                 payload = (n, m, t)
                 if n == m and t == tuple(range(n + 1)):
                     mid = f"id_d{n}"
@@ -606,17 +606,6 @@ def truncated_delta(m_max: int) -> FiniteCategory:
     return FiniteCategory(objects, morphisms, identity,
                           payloads=payloads, compose_payload=comp,
                           inverse_payload=inv, name=f"delta:{m_max}")
-
-
-def _monotone_tuples(n: int, m: int):
-    """Weakly increasing (n+1)-tuples with values in 0..m, lexicographic."""
-    def rec(prefix, lo, remaining):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for v in range(lo, m + 1):
-            yield from rec(prefix + [v], v, remaining - 1)
-    yield from rec([], 0, n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def _check_variant(variant: str) -> None:
 def enumerate_profiles(n: int, m: int, variant: str = "all") -> list:
     """All nonnegative solutions of the two profile equations, lexicographic.
 
-    variant "inj" forces k_i = 0 for i >= 2; "surj" forces k_0 = 0.
+    variant "inj" keeps those with k_i = 0 for i >= 2; "surj" those with
+    k_0 = 0.
     """
     _check_variant(variant)
     out = []
@@ -102,22 +103,17 @@ def enumerate_profiles(n: int, m: int, variant: str = "all") -> list:
     def rec(i, ks, rem_m, rem_n):
         if i == n + 1:
             if rem_m == 0 and rem_n == 0:
-                out.append(FiberProfile(n=n, m=m, k=tuple(ks)))
+                out.append(tuple(ks))
             return
-        if variant == "inj" and i >= 2:
-            if rem_n == 0:
-                rec(n + 1, ks + [0] * (n + 1 - i), rem_m, rem_n)
-            return
-        lo_forbidden = variant == "surj" and i == 0
-        top = 0 if lo_forbidden else rem_m
-        for k in range(top + 1):
-            need = i * k
-            if i >= 1 and need > rem_n:
+        for k in range(rem_m + 1):
+            if i * k > rem_n:
                 break
-            rec(i + 1, ks + [k], rem_m - k, rem_n - (need if i >= 1 else 0))
+            rec(i + 1, ks + [k], rem_m - k, rem_n - i * k)
 
     rec(0, [], m, n)
-    return out
+    keep = {"all": lambda k: True, "inj": lambda k: not any(k[2:]),
+            "surj": lambda k: k[0] == 0}[variant]
+    return [FiberProfile(n=n, m=m, k=k) for k in out if keep(k)]
 
 
 # ---------------------------------------------------------------------------

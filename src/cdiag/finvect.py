@@ -64,16 +64,12 @@ class MatrixFq:
 
 
 def glnq_order(n: int, q: int) -> int:
-    """|GL_n(F_q)| = prod_{i<n} (q^n - q^i); GL_0 is trivial."""
+    """|GL_n(F_q)|, as ``GeneralLinear(n, q).order()``; GL_0 is trivial."""
     if not modp.is_prime(q):
         raise GroupError(f"q={q} is not prime")
     if n < 0:
         raise GroupError(f"GL_n needs n >= 0, got {n}")
-    qn = q ** n
-    out = 1
-    for i in range(n):
-        out *= qn - q ** i
-    return out
+    return 1 if n == 0 else GeneralLinear(n, q).order()
 
 
 def matrix_action(P: tuple, Q: tuple, A: MatrixFq) -> MatrixFq:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
 import numpy as np
@@ -256,36 +256,39 @@ def greedy_closure(candidates, compose, identity, order: int) -> tuple:
     those kept so far; after each, the closure is rebuilt breadth first
     from ``identity`` as ``compose(x, g)``.  Once the closure has ``order``
     elements it keeps no more, and every later candidate must lie in it.
-    Returns (generators, closure size after each, elements), the elements
-    in discovery order with the identity first.  Raises
-    ClosureLimitExceeded when the closure grows past ``order`` and
-    GroupError when a candidate lies outside a closure of ``order``
-    elements or the candidates run out before it reaches ``order``.
+    Returns (generators, closure size after each, tree), the tree the last
+    closure's (element, parent, k) triples in discovery order, each element
+    ``compose(parent, generators[k])`` and the identity first as
+    (identity, -1, -1).  Raises ClosureLimitExceeded when the closure grows
+    past ``order`` and GroupError when a candidate lies outside a closure
+    of ``order`` elements or the candidates run out before it reaches
+    ``order``.
     """
-    gens, sizes, els, seen = [], [], [identity], {identity}
+    root = (identity, -1, -1)
+    gens, sizes, tree, seen = [], [], [root], {identity}
     for c in candidates:
         if c in seen:
             continue
-        if len(els) == order:
+        if len(tree) == order:
             raise GroupError(f"{c!r} lies outside the closure of {order} elements")
         gens.append(c)
-        els, seen, frontier = [identity], {identity}, [identity]
+        tree, seen, frontier = [root], {identity}, [identity]
         while frontier:
             new = []
-            for g in gens:
+            for k, g in enumerate(gens):
                 for x in frontier:
                     y = compose(x, g)
                     if y not in seen:
                         seen.add(y)
-                        els.append(y)
+                        tree.append((y, x, k))
                         new.append(y)
-                        if len(els) > order:
-                            raise ClosureLimitExceeded(order, len(els))
+                        if len(tree) > order:
+                            raise ClosureLimitExceeded(order, len(tree))
             frontier = new
-        sizes.append(len(els))
-    if len(els) != order:
-        raise GroupError(f"candidates generate {len(els)} elements, not {order}")
-    return gens, sizes, els
+        sizes.append(len(tree))
+    if len(tree) != order:
+        raise GroupError(f"candidates generate {len(tree)} elements, not {order}")
+    return gens, sizes, tree
 
 
 def table_from_elements(els: list, compose, label: str = "") -> CayleyTable:
@@ -349,11 +352,8 @@ class GeneralLinear(GroupExpr):
         self.n, self.q = n, q
 
     def order(self):
-        qn = self.q ** self.n
-        out = 1
-        for i in range(self.n):
-            out *= qn - self.q ** i
-        return out
+        """prod_{i<n} (q^n - q^i)."""
+        return prod(self.q ** self.n - self.q ** i for i in range(self.n))
 
     def text(self):
         return f"GL({self.n},{self.q})"

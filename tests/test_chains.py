@@ -551,11 +551,20 @@ def test_action_arrays_equal_per_pair_reference(spec):
                 assert np.array_equal(on_right, full_right[:, positions])
 
 
-def test_words_from_too_few_generators_raise():
+def test_words_and_generators_come_from_one_closure(monkeypatch):
+    # the generators, the words and the Cayley table of each Aut(x) come
+    # from one greedy closure, whose tree is the words
+    closures, closure = [], fincat.greedy_closure
+
+    def spy(*args):
+        closures.append(args[3])
+        return closure(*args)
+
+    monkeypatch.setattr(fincat, "greedy_closure", spy)
     cat = builtin_category("group:S3")
-    involution = next(a for a in cat.aut_idx(0)
-                      if a != cat.identity_idx[0]
-                      and cat.compose_idx(a, a) == cat.identity_idx[0])
-    cat._aut_gens[0] = [involution]
-    with pytest.raises(CategoryError, match="reach 2 of its 6"):
-        cat.aut_words(0)
+    auts, gens, words = cat.aut_idx(0), cat.aut_generators(0), cat.aut_words(0)
+    table = cat.aut_table(0)
+    cat.hom_action_tables(0, 0, range(6))
+    assert closures == [6]
+    ranks = [auts.index(g) for g in gens]
+    assert all(table[ranks[k], p] == a for a, p, k in words[1:])

@@ -261,6 +261,22 @@ def test_completeness_fails_on_a_spoiled_level_1(spoil, monkeypatch, capsys):
     assert "check completeness: fail" in capsys.readouterr().out
 
 
+def test_greedy_table_matching_equals_a_brute_force_matching():
+    c4, v4 = groups.cyclic_table(4), groups.product_table([groups.cyclic_table(2)] * 2)
+    u5 = groups.materialize(groups.FieldUnits(5))       # C4 on other labels
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+
+    def brute(ta, tb):
+        return any(all(groups.are_isomorphic(a, b) for a, b in zip(ta, p))
+                   for p in itertools.permutations(tb))
+
+    for ta, tb, want in (([c4, v4, u5], [v4, u5, c4], True),
+                         ([c4, v4, u5], [v4, v4, c4], False)):
+        for perm in itertools.permutations(ta):
+            assert brute(list(perm), tb) is want
+            assert cl._match_tables(list(perm), tb, memo) is want
+
+
 # ---------------------------------------------------------------------------
 # Discreteness
 

@@ -359,6 +359,9 @@ class _SpoiledCodec:
 @pytest.mark.parametrize("cat", [finset.finset_skeleton(3), finset.finset_skeleton(3, "inj"),
                                  finvect.vect_skeleton(2, 3)], ids=lambda c: c.name)
 def test_spoiled_codec_raises_missing_composite(cat):
+    # the closure of each Aut(x) reads the codec too, so it runs first
+    for x in range(cat.n_objects):
+        cat.aut_generators(x)
     cat._codec = _SpoiledCodec(cat._codec)
     spoiled = 0
     for x in range(1, cat.n_objects):
@@ -368,6 +371,56 @@ def test_spoiled_codec_raises_missing_composite(cat):
                     cat.hom_columns(x, y)
                 spoiled += 1
     assert spoiled
+
+
+def _spoil_codec(cat):
+    cat._codec = _SpoiledCodec(cat._codec)
+
+
+def _spoil_composites(cat):
+    """Read every composite not yet cached as the constant map onto 0,
+    which is no automorphism of a set of two or more elements."""
+    const = {n: cat.mor_index(f"f{n}_{n}_" + "0" * n) for n in (2, 3)}
+    cat._compose_payload = lambda g, f: const[cat.src[f]]
+
+
+@pytest.mark.parametrize("make, spoil", [
+    (lambda: finset.finset_skeleton(3), _spoil_codec),
+    (lambda: finvect.vect_skeleton(2, 3), _spoil_codec),
+    (lambda: finset.finset_skeleton(3).opposite(), _spoil_composites),
+], ids=["codec finset:3", "codec vect:2:3", "composite op(finset:3)"])
+def test_a_product_outside_aut_raises_from_the_closure(make, spoil):
+    cat = make()
+    for x in range(cat.n_objects):
+        cat.aut_idx(x)
+    spoil(cat)
+    with pytest.raises(CategoryError, match="missing composite for pair"):
+        for x in range(cat.n_objects):
+            cat.aut_generators(x)
+
+
+@pytest.mark.parametrize("make", [lambda: finset.finset_skeleton(4),
+                                  lambda: finset.finset_skeleton(4, "surj"),
+                                  lambda: finvect.vect_skeleton(2, 3)],
+                         ids=["finset:4", "finset:4:surj", "vect:2:3"])
+def test_aut_x_acts_only_through_generator_columns(make, monkeypatch):
+    # once the automorphisms and their inverses are known, the closure,
+    # the words, the tables and the hom-set columns compose nothing pair
+    # by pair
+    cat = make()
+    for x in range(cat.n_objects):
+        cat.aut_idx(x)
+
+    def refuse(gi, fi):
+        raise AssertionError("compose_idx called")
+
+    monkeypatch.setattr(cat, "compose_idx", refuse)
+    for x in range(cat.n_objects):
+        auts, words = cat.aut_idx(x), cat.aut_words(x)
+        assert len(cat.aut_generators(x)) <= len(auts) == len(words)
+        assert cat.aut_table(x).shape == (len(auts), len(auts))
+        for y in range(cat.n_objects):
+            cat.hom_columns(x, y)
 
 
 def test_radix_codes_refuse_an_entry_beyond_the_radix():

@@ -77,6 +77,15 @@ def test_profile_invariants_hold_by_construction():
 def test_enumerate_profiles_small():
     assert [p.k for p in enumerate_profiles(2, 1)] == [(0, 0, 1)]
     assert [p.k for p in enumerate_profiles(2, 2)] == [(0, 2, 0), (1, 0, 1)]
+    # every variant lists, in lexicographic order, exactly the profiles of
+    # its functions
+    keep = {"all": lambda v, m: True, "inj": lambda v, m: len(set(v)) == len(v),
+            "surj": lambda v, m: len(set(v)) == m}
+    for n in range(6):
+        for m in range(6):
+            for variant, kept in keep.items():
+                want = sorted({profile_of(v, m).k for v in finset._functions(n, m) if kept(v, m)})
+                assert [p.k for p in enumerate_profiles(n, m, variant)] == want
 
 
 def test_enumerate_profiles_12_4():
