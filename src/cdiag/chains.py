@@ -315,7 +315,9 @@ def _tuple_action(cat: FiniteCategory, objs) -> tuple:
     """
     homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
     radix = [len(h) for h in homs]
-    strides = [math.prod(radix[i + 1:]) for i in range(len(homs))]
+    strides = [1] * len(homs)
+    for i in range(len(homs) - 2, -1, -1):
+        strides[i] = strides[i + 1] * radix[i + 1]
     codes = np.arange(math.prod(radix))
     digits = [codes // s % r for s, r in zip(strides, radix)]
     moves = []
@@ -340,11 +342,12 @@ def _tuple_action(cat: FiniteCategory, objs) -> tuple:
         labels = new
 
 
-def _decode(homs, strides, codes) -> list:
-    """The morphism tuples coded by ``codes``, one gather per hom set."""
+def _decode(homs, strides, codes) -> np.ndarray:
+    """The morphism tuples coded by ``codes``, one row each, one gather per
+    hom set."""
     codes = np.asarray(codes)
-    cols = [np.array(h)[codes // s % len(h)].tolist() for h, s in zip(homs, strides)]
-    return list(zip(*cols)) if cols else [()] * len(codes)
+    cols = [np.asarray(h, dtype=np.intp)[codes // s % len(h)] for h, s in zip(homs, strides)]
+    return np.stack(cols, axis=1) if cols else np.empty((len(codes), 0), dtype=np.intp)
 
 
 def _encode(homs, strides, mors) -> int:
@@ -389,7 +392,10 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
     block's own f_i (``FiniteCategory.hom_action_tables``): the positions
     of a . f_i, sorted stably, are searched for that of f_i . a_{i-1},
     read from the right action at a_{i-1}^-1, so the matches of every
-    prefix come out in ascending rank.
+    prefix come out in ascending rank.  A coordinate keeps only its new
+    column and the prefix row each match extends; the earlier coordinates
+    of the listed tuples are read back through those rows at the end, so a
+    level costs a number of numpy steps linear in its length.
     """
     auts = [np.array(cat.aut_idx(x), dtype=np.int64) for x in objs]
     inv_rank = [np.searchsorted(aut, [cat.inverse_idx(a) for a in aut]) for aut in auts[:-1]]
@@ -399,32 +405,39 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
     for lo in range(0, len(reps), block):
         part = reps[lo:lo + block]
         which = np.repeat(np.arange(len(part)), len(auts[0]))
-        prefix = [np.tile(np.arange(len(auts[0])), len(part))]
+        cols, extends = [np.tile(np.arange(len(auts[0])), len(part))], []
         for i, hom in enumerate(homs):
             left, right = cat.hom_action_tables(objs[i], objs[i + 1],
                                                 np.searchsorted(hom, part[:, i]))
             keys = (left.T + np.arange(len(part))[:, None] * len(hom)).ravel()
             order = np.argsort(keys, kind="stable")
             keys = keys[order]
-            want = right[inv_rank[i][prefix[-1]], which] + which * len(hom)
+            want = right[inv_rank[i][cols[-1]], which] + which * len(hom)
             first = np.searchsorted(keys, want)
             count = np.searchsorted(keys, want, "right") - first
             # the matches of prefix j are order[first[j]:first[j] + count[j]]
             keep = np.repeat(np.arange(len(which)), count)
             at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
             which = which[keep]
-            prefix = [p[keep] for p in prefix] + [order[at] % len(auts[i + 1])]
-        els = np.stack([aut[p] for aut, p in zip(auts, prefix)], axis=1).tolist()
+            extends.append(keep)
+            cols.append(order[at] % len(auts[i + 1]))
+        rows, els = np.arange(len(which)), [None] * len(cols)
+        for i in range(len(cols) - 1, -1, -1):
+            els[i] = auts[i][cols[i][rows]]
+            if i:
+                rows = extends[i - 1][rows]
+        els = np.stack(els, axis=1).tolist()
         bounds = np.searchsorted(which, np.arange(len(part) + 1)).tolist()
         for b, e in zip(bounds, bounds[1:]):
-            yield [tuple(a) for a in els[b:e]]
+            yield list(map(tuple, els[b:e]))
 
 
 def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
-                          seeds=None, reverse: bool = False) -> list:
-    """[(chain morphisms, orbit size, stabilizer)] on one object tuple, for
-    the chains whose morphism tuples are ``seeds`` or, by default, for the
-    least chain of every orbit, in ascending order.
+                          seeds=None, reverse: bool = False,
+                          multiplicity: int = 1) -> "TupleBlock":
+    """The block of components on one object tuple, for the chains whose
+    morphism tuples are ``seeds`` or, by default, for the least chain of
+    every orbit, in ascending order.
 
     Orbits come from the labels of ``_tuple_action``, and the stabilizer
     order is the ambient order divided by the orbit size.  A stabilizer of
@@ -444,32 +457,39 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     # orbit k is order[bounds[k]:bounds[k + 1]], its label by_label[bounds[k]]
     bounds = np.flatnonzero(np.diff(by_label, prepend=-1, append=len(labels)))
     group = np.searchsorted(by_label[bounds[:-1]], labels[seeds])
-    ranked = order.tolist()
-    orbits_ = [ranked[b:e] for b, e in zip(bounds[group].tolist(), bounds[group + 1].tolist())]
+    starts, ends = bounds[group].tolist(), bounds[group + 1].tolist()
+    sizes = [e - b for b, e in zip(starts, ends)]
     ambient = _ambient_order(cat, objs)
     reps = _decode(homs, strides, seeds)
-    if any(ambient % len(orbit) for orbit in orbits_):
+    if any(ambient % size for size in sizes):
         raise SelfCheckFailed("orbit size does not divide the ambient group order")
-    orders = [ambient // len(orbit) for orbit in orbits_]
+    orders = [ambient // size for size in sizes]
     bound = max(_LIST_LIMIT, limits.table_limit)
-    listed = iter(_stabilizer_elements(cat, objs, [m for m, k in zip(reps, orders) if k <= bound]))
-    out = []
-    for seed, orbit, mors, stab_order in zip(seeds.tolist(), orbits_, reps, orders):
+    listed = iter(_stabilizer_elements(
+        cat, objs, reps[np.array([k <= bound for k in orders], dtype=bool)]))
+    # every trivial stabilizer keeps this one listing once its own is checked
+    trivial = [tuple(cat.identity_idx[x] for x in objs)]
+    elements, policies = [], []
+    for k, (seed, stab_order) in enumerate(zip(seeds.tolist(), orders)):
         els = next(listed) if stab_order <= bound else None
         if els is not None and len(els) != stab_order:
             raise SelfCheckFailed(
-                f"orbit-stabilizer identity fails at {Chain(cat, objs, mors)!r}: "
-                f"{len(orbit)} * {len(els)} != {ambient}")
-        if stab_order > _LIST_LIMIT and sorted(_orbit_search(moves, seed)) != orbit:
-            raise SelfCheckFailed(f"orbit search from {mors} disagrees with the orbit labels")
-        if reverse and sorted(_orbit_search(moves, orbit[-1])) != orbit:
-            raise SelfCheckFailed(f"orbits of {_decode(homs, strides, orbit[-1:])[0]} "
-                                  f"and of its least member {mors} differ")
-        stab = StabilizerGroup(cat, objs, mors, stab_order,
-                               els if stab_order <= limits.table_limit else None,
-                               "scan" if stab_order <= _LIST_LIMIT else "transversal")
-        out.append((mors, len(orbit), stab))
-    return out
+                f"orbit-stabilizer identity fails at {Chain(cat, objs, reps[k].tolist())!r}: "
+                f"{sizes[k]} * {len(els)} != {ambient}")
+        if els == trivial:
+            els = trivial
+        if stab_order > _LIST_LIMIT or reverse:
+            orbit = order[starts[k]:ends[k]].tolist()
+            mors = tuple(reps[k].tolist())
+            if stab_order > _LIST_LIMIT and sorted(_orbit_search(moves, seed)) != orbit:
+                raise SelfCheckFailed(f"orbit search from {mors} disagrees with the orbit labels")
+            if reverse and sorted(_orbit_search(moves, orbit[-1])) != orbit:
+                greatest = tuple(_decode(homs, strides, orbit[-1:])[0].tolist())
+                raise SelfCheckFailed(f"orbits of {greatest} "
+                                      f"and of its least member {mors} differ")
+        elements.append(els if stab_order <= limits.table_limit else None)
+        policies.append("scan" if stab_order <= _LIST_LIMIT else "transversal")
+    return TupleBlock(cat, objs, ambient, multiplicity, reps, sizes, orders, elements, policies)
 
 
 def least_member(cat: FiniteCategory, chain: Chain) -> Chain:
@@ -477,13 +497,13 @@ def least_member(cat: FiniteCategory, chain: Chain) -> Chain:
     object tuple."""
     homs, strides, _, labels = _tuple_action(cat, chain.objs)
     return Chain(cat, chain.objs,
-                 _decode(homs, strides, labels[[_encode(homs, strides, chain.mors)]])[0])
+                 _decode(homs, strides, labels[[_encode(homs, strides, chain.mors)]])[0].tolist())
 
 
 def stabilizer(cat: FiniteCategory, chain: Chain,
                limits: Limits = DEFAULT_LIMITS) -> StabilizerGroup:
     """Stabilizer of a chain under the ladder action of Aut(x_0) x ... x Aut(x_n)."""
-    return _orbit_and_stabilizer(cat, chain.objs, limits, [chain.mors])[0][2]
+    return _orbit_and_stabilizer(cat, chain.objs, limits, [chain.mors]).stabilizer(0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +531,61 @@ class Orbit:
         return self.rep_fiber_size * self.stabilizer.order == self.ambient_order
 
 
-def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
-           reverse: bool = False) -> list:
-    """All components of level n with representatives and stabilizers.
+@dataclass
+class TupleBlock:
+    """The components of one level on one object tuple, held as columns.
+
+    ``reps`` is one integer array with a row of morphism indices per
+    component (no columns at level 0): the least chain of its orbit on
+    ``objs``, rows ascending.  Column by column with it run
+    ``fiber_sizes``, the chains on ``objs`` in each orbit (an ``Orbit``'s
+    ``rep_fiber_size``); ``orders``, the stabilizer orders by division;
+    ``elements``, the listed stabilizer when its order fits the table_limit
+    it was found under, else None; and ``policies``, "scan" or
+    "transversal".  ``multiplicity`` counts the object tuples isomorphic to
+    ``objs``, so a component holds its fibre size times that many chains.
+
+    Nothing is held per component but these columns: ``stabilizer(k)`` and
+    ``orbits()`` build the ``StabilizerGroup`` and ``Orbit`` views when a
+    caller asks for them.
+    """
+
+    cat: FiniteCategory
+    objs: tuple
+    ambient_order: int
+    multiplicity: int
+    reps: np.ndarray
+    fiber_sizes: list
+    orders: list
+    elements: list
+    policies: list
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    @property
+    def chains(self) -> int:
+        """The chains in the block's components, on every isomorphic tuple."""
+        return sum(self.fiber_sizes) * self.multiplicity
+
+    def check_orbit_stabilizer(self) -> bool:
+        return all(size * order == self.ambient_order
+                   for size, order in zip(self.fiber_sizes, self.orders))
+
+    def stabilizer(self, k: int) -> StabilizerGroup:
+        return StabilizerGroup(self.cat, self.objs, tuple(self.reps[k].tolist()),
+                               self.orders[k], self.elements[k], self.policies[k])
+
+    def orbits(self) -> list:
+        return [Orbit(rep=Chain(self.cat, self.objs, mors), size=size * self.multiplicity,
+                      rep_fiber_size=size, ambient_order=self.ambient_order,
+                      stabilizer=self.stabilizer(k))
+                for k, (mors, size) in enumerate(zip(self.reps.tolist(), self.fiber_sizes))]
+
+
+def level_blocks(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
+                 reverse: bool = False) -> list:
+    """All components of level n, one ``TupleBlock`` per object tuple.
 
     Object tuples are first reduced to isomorphism-class representatives,
     taken in ascending order.  On each tuple the chains are labelled with
@@ -538,13 +610,16 @@ def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
     tuples = [(x,) for x in reps]
     for _ in range(n):
         tuples = [objs + (y,) for objs in tuples for y in after[objs[-1]]]
-    out = []
-    for objs in tuples:
-        mult = math.prod(class_size[x] for x in objs)
-        ambient = _ambient_order(cat, objs)
-        for mors, size, stab in _orbit_and_stabilizer(cat, objs, limits, reverse=reverse):
-            out.append(Orbit(rep=Chain(cat, objs, mors), size=size * mult,
-                             rep_fiber_size=size, ambient_order=ambient, stabilizer=stab))
-    if sum(o.size for o in out) != total:
+    blocks = [_orbit_and_stabilizer(cat, objs, limits, reverse=reverse,
+                                    multiplicity=math.prod(class_size[x] for x in objs))
+              for objs in tuples]
+    if sum(b.chains for b in blocks) != total:
         raise SelfCheckFailed("orbit sizes do not sum to the chain count")
-    return out
+    return blocks
+
+
+def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
+           reverse: bool = False) -> list:
+    """All components of level n with representatives and stabilizers: the
+    ``Orbit`` views of ``level_blocks``, in block order."""
+    return [o for b in level_blocks(cat, n, limits, reverse) for o in b.orbits()]

@@ -12,12 +12,13 @@ isomorphism below the configured limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import chains as chains_mod
-from .chains import Orbit, SelfCheckFailed, StabilizerGroup, chain_count, orbits
+from .chains import Orbit, SelfCheckFailed, StabilizerGroup, TupleBlock, chain_count, orbits
 from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid
 from .groups import GroupMemo
 from .limits import DEFAULT_LIMITS, Limits
@@ -48,53 +49,86 @@ class Component:
 
 @dataclass
 class Decomposition:
+    """Level ``level`` as the ``chains.TupleBlock`` of each object tuple,
+    with the (group_expr, policy) of every component, block by block."""
+
     category: str
     level: int
     total_chains: int
-    components: list
+    blocks: list
+    names: list
 
     def orders(self) -> list:
-        return sorted(c.group_order for c in self.components)
+        return sorted(order for b in self.blocks for order in b.orders)
 
     def __len__(self):
-        return len(self.components)
+        return sum(len(b) for b in self.blocks)
+
+    def rows(self) -> Iterator[tuple]:
+        """(cell, representatives, orbit sizes, orders, names) per block,
+        read from its columns: the object ids once per tuple, and the
+        representatives' morphism ids (the object id at level 0) by one
+        gather."""
+        ids = None
+        for block, names in zip(self.blocks, self.names):
+            cat = block.cat
+            cell = tuple(cat.objects[x] for x in block.objs)
+            if self.level == 0:
+                reps = [list(cell)] * len(block)
+            else:
+                if ids is None:
+                    ids = np.array(cat.mor_ids, dtype=object)
+                reps = ids[block.reps].tolist()
+            sizes = [size * block.multiplicity for size in block.fiber_sizes]
+            yield cell, reps, sizes, block.orders, names
+
+    @cached_property
+    def components(self) -> list:
+        """One ``Component`` per component, built from the ``Orbit`` views
+        of the blocks on first use."""
+        comps = []
+        for block, names in zip(self.blocks, self.names):
+            for o, (expr, policy) in zip(block.orbits(), names):
+                comps.append(Component(
+                    level=self.level,
+                    cell=o.rep.object_ids,
+                    representative=o.rep.morphism_ids if self.level else o.rep.object_ids,
+                    orbit_size=o.size,
+                    group_order=o.stabilizer.order,
+                    group_expr=expr,
+                    policy=policy,
+                    stabilizer=o.stabilizer,
+                    orbit=o,
+                ))
+        return comps
 
 
-def _match_component_group(stab: StabilizerGroup, limits: Limits, memo: GroupMemo):
-    """(group_expr, policy) for a stabilizer: named expression by isomorphism
-    when the order fits iso_limit, otherwise order-only reporting."""
-    if stab.order == 1:
+def _match_component_group(block: TupleBlock, k: int, limits: Limits, memo: GroupMemo):
+    """(group_expr, policy) for the stabilizer of component ``k``: named
+    expression by isomorphism when the order fits iso_limit, otherwise
+    order-only reporting.  Only a stabilizer that is tabled gets a
+    ``StabilizerGroup``."""
+    order = block.orders[k]
+    if order == 1:
         return "1", "isomorphism"
-    if stab.order <= limits.iso_limit:
-        return memo.name(stab.to_cayley_table(limits.table_limit, memo)), "isomorphism"
+    if order <= limits.iso_limit:
+        table = block.stabilizer(k).to_cayley_table(limits.table_limit, memo)
+        return memo.name(table), "isomorphism"
     return None, "order-only"
 
 
 def level_decomposition(cat: FiniteCategory, n: int,
                         limits: Limits = DEFAULT_LIMITS) -> Decomposition:
     """Level n as components (representative, class size, stabilizer)."""
-    orbs = orbits(cat, n, limits)
+    blocks = chains_mod.level_blocks(cat, n, limits)
     memo = GroupMemo(limits.iso_limit)
-    comps = []
-    for o in orbs:
-        expr, policy = _match_component_group(o.stabilizer, limits, memo)
-        rep = o.rep.morphism_ids if n >= 1 else (o.rep.object_ids[0],)
-        comps.append(Component(
-            level=n,
-            cell=o.rep.object_ids,
-            representative=rep,
-            orbit_size=o.size,
-            group_order=o.stabilizer.order,
-            group_expr=expr,
-            policy=policy,
-            stabilizer=o.stabilizer,
-            orbit=o,
-        ))
+    names = [[_match_component_group(b, k, limits, memo) for k in range(len(b))]
+             for b in blocks]
     total = chain_count(cat, n)
-    if sum(c.orbit_size for c in comps) != total:
+    if sum(b.chains for b in blocks) != total:
         raise SelfCheckFailed("component sizes do not sum to the chain count")
     return Decomposition(category=cat.name, level=n, total_chains=total,
-                         components=comps)
+                         blocks=blocks, names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +444,8 @@ def component_maps(cat: FiniteCategory, truncation: int,
             codes = np.zeros(len(sel), dtype=np.int64)
             for i, (h, s) in enumerate(zip(homs, strides)):
                 codes += np.searchsorted(h, rows[sel, i]) * s
-            for r, mors in zip(sel.tolist(), chains_mod._decode(homs, strides, labels[codes])):
+            least = map(tuple, chains_mod._decode(homs, strides, labels[codes]).tolist())
+            for r, mors in zip(sel.tolist(), least):
                 if (tup, mors) not in where:
                     raise SelfCheckFailed(f"{mors} on {tup} is no component of level {n}")
                 out[r] = where[tup, mors]

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import classifying, fincat, finset, finvect, groups
 from .chains import SelfCheckFailed
@@ -123,7 +125,37 @@ def _component_row(c: classifying.Component) -> dict:
     }
 
 
+def _decomposition_rows(dec: classifying.Decomposition) -> list:
+    """The report rows of a decomposition, read from its blocks."""
+    rows = []
+    for cell, reps, sizes, orders, names in dec.rows():
+        cell = list(cell)
+        rows += ({"level": dec.level, "cell": cell, "representative": rep,
+                  "orbit_size": size, "group_expr": expr, "group_order": order,
+                  "policy": policy}
+                 for rep, size, order, (expr, policy) in zip(reps, sizes, orders, names))
+    return rows
+
+
+def _component_line(level, cell: str, rep: str, size, order, expr, policy) -> str:
+    """One component's text line; ``cell`` and ``rep`` are the joined ids."""
+    return (f"component level={level} cell=({cell}) rep=({rep}) size={size} "
+            f"order={order} group={'?' if expr is None else expr} policy={policy}")
+
+
+def _decomposition_lines(dec: classifying.Decomposition) -> list:
+    """The text lines of ``_decomposition_rows``, each cell joined once."""
+    lines = []
+    for cell, reps, sizes, orders, names in dec.rows():
+        cell = ",".join(cell)
+        lines += (_component_line(dec.level, cell, ",".join(rep), size, order, expr, policy)
+                  for rep, size, order, (expr, policy) in zip(reps, sizes, orders, names))
+    return lines
+
+
 def _render_text(report: dict) -> str:
+    """The text report.  Component rows are dicts, or lines already
+    rendered (``decompose`` in text format)."""
     lines = [f"# cdiag {report['command']}"]
     cfg = " ".join(f"{k}={v}" for k, v in sorted(report["config"].items())
                    if k != "limits")
@@ -131,28 +163,35 @@ def _render_text(report: dict) -> str:
     lims = ",".join(f"{k}={v}" for k, v in sorted(lim.items()))
     lines.append(f"# config: {cfg} limits[{lims}]")
     for row in report.get("components", []):
-        cell = ",".join(row["cell"])
-        rep = ",".join(row["representative"])
-        expr = row["group_expr"] if row["group_expr"] is not None else "?"
-        lines.append(
-            f"component level={row['level']} cell=({cell}) rep=({rep}) "
-            f"size={row['orbit_size']} order={row['group_order']} "
-            f"group={expr} policy={row['policy']}")
+        if isinstance(row, str):
+            lines.append(row)
+            continue
+        lines.append(_component_line(row["level"], ",".join(row["cell"]),
+                                     ",".join(row["representative"]), row["orbit_size"],
+                                     row["group_order"], row["group_expr"], row["policy"]))
     for chk in report.get("checks", []):
         lines.append(f"check {chk['name']}: {chk['status']} ({chk['details']})")
-    return "\n".join(lines) + "\n"
+    lines.append("")        # the final newline, without a second copy of the text
+    return "\n".join(lines)
+
+
+def _json_pieces(report: dict) -> Iterator[str]:
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, in
+    pieces of a few thousand encoder tokens, so that the text of a large
+    report is never held whole beside its rows."""
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    while piece := "".join(itertools.islice(tokens, 4096)):
+        yield piece
+    yield "\n"
 
 
 def _emit(report: dict, args) -> None:
-    if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _render_text(report)
+    pieces = _json_pieces(report) if args.format == "json" else [_render_text(report)]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _check(name, ok, details):
@@ -166,14 +205,14 @@ def _check(name, ok, details):
 def _cmd_decompose(args, limits):
     cat = _load_category(args)
     dec = classifying.level_decomposition(cat, args.level, limits)
-    ok = all(c.orbit is None or c.orbit.check_orbit_stabilizer()
-             for c in dec.components)
+    ok = all(b.check_orbit_stabilizer() for b in dec.blocks)
+    rows = _decomposition_rows if args.format == "json" else _decomposition_lines
     report = {
-        "components": [_component_row(c) for c in dec.components],
+        "components": rows(dec),
         "checks": [
             _check("orbit-stabilizer", ok, "identity verified on every component"),
             _check("size-sum", True,
-                   f"{sum(c.orbit_size for c in dec.components)} chains at level {args.level}"),
+                   f"{sum(b.chains for b in dec.blocks)} chains at level {args.level}"),
         ],
     }
     return (0 if ok else MISMATCH), report
@@ -386,9 +425,15 @@ def _config_dict(args, limits: Limits) -> dict:
     return cfg
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``run``, built on its first call; parsing leaves no
+    state on it, so ``run`` may be called again in one process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         limits = _resolve_limits(args)
         code, body = args.handler(args, limits)

@@ -582,6 +582,7 @@ def truncated_delta(m_max: int) -> FiniteCategory:
     if not 0 <= m_max <= 9:
         raise CategoryError(f"delta:<M> needs 0 <= M <= 9, got {m_max}")
     objects = [f"d{n}" for n in range(m_max + 1)]
+    digit = [str(v) for v in range(m_max + 1)].__getitem__    # the id text of a value
     payloads, morphisms = [], []
     for n in range(m_max + 1):
         for m in range(m_max + 1):
@@ -590,7 +591,7 @@ def truncated_delta(m_max: int) -> FiniteCategory:
                 if n == m and t == tuple(range(n + 1)):
                     mid = f"id_d{n}"
                 else:
-                    mid = f"t{n}_{m}_" + "".join(str(v) for v in t)
+                    mid = f"t{n}_{m}_" + "".join(map(digit, t))
                 payloads.append(payload)
                 morphisms.append((mid, f"d{n}", f"d{m}"))
     identity = {f"d{n}": f"id_d{n}" for n in range(m_max + 1)}

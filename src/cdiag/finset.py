@@ -129,6 +129,7 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
     if not 0 <= max_card <= DEFAULT_MAX_CARD:
         raise CategoryError(f"max_card {max_card} outside 0..{DEFAULT_MAX_CARD}")
     objects = [str(c) for c in range(max_card + 1)]
+    digit = objects.__getitem__         # the id text of a value, read from a table
     payloads, morphisms = [], []
     for n in range(max_card + 1):
         for m in range(max_card + 1):
@@ -141,7 +142,7 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
                 if n == m and values == tuple(range(n)):
                     mid = f"id_{n}"
                 else:
-                    mid = f"f{n}_{m}_" + "".join(str(v) for v in values)
+                    mid = f"f{n}_{m}_" + "".join(map(digit, values))
                 payloads.append(payload)
                 morphisms.append((mid, str(n), str(m)))
     identity = {str(n): f"id_{n}" for n in range(max_card + 1)}

@@ -109,6 +109,7 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
     objects = [str(d) for d in range(max_dim + 1)]
     # entries above 9 need a separator: (1, 10) and (11, 0) would both read 110
     sep = "_" if q > 10 else ""
+    digits = [str(v) for v in range(q)]     # the id text of an entry, read from a table
     payloads, morphisms = [], []
     for n in range(max_dim + 1):
         ident = modp.identity(n)
@@ -118,7 +119,7 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
                 if n == m and rows == ident:
                     mid = f"id_{n}"
                 else:
-                    flat = sep.join(str(v) for row in rows for v in row)
+                    flat = sep.join([digits[v] for row in rows for v in row])
                     mid = f"m{n}_{m}_{flat}"
                 payloads.append(payload)
                 morphisms.append((mid, str(n), str(m)))

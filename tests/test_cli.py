@@ -1,5 +1,8 @@
 import ast
+import contextlib
+import dataclasses
 import glob
+import io
 import hashlib
 import json
 import os
@@ -10,8 +13,10 @@ import time
 import pytest
 
 import cdiag
-from cdiag import chains, classifying, finset
+from cdiag import chains, classifying, cli, finset
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
+from cdiag.groups import GroupMemo
+from cdiag.limits import DEFAULT_LIMITS
 
 
 def _src_env():
@@ -190,6 +195,8 @@ def test_every_exported_name_resolves():
     (["decompose", "--builtin", "ordinal:1", "--level", "100", "--format", "json"], 0, 102),
     # the 5 x 5 cell alone holds 2^25 matrices
     (["finvect", "--max-dim", "5", "--q", "2"], 2, "2^25 matrices exceeds enumeration bound"),
+    # one chain of 12000 identities, its trivial stabilizer listed coordinate by coordinate
+    (["decompose", "--builtin", "ordinal:0", "--level", "12000", "--format", "json"], 0, 1),
 ])
 def test_commands_bounded_by_their_output_end_at_once(argv, code, expect):
     done = subprocess.run([sys.executable, "-m", "cdiag", *argv], capture_output=True,
@@ -442,6 +449,80 @@ def _body_digest(argv, fmt, capsys):
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
+# flags, then their defaults; JSON, then text; usage errors between them
+REPEATED_RUNS = [
+    ["decompose", "--builtin", "group:S3", "--level", "2", "--iso-limit", "4"],
+    ["decompose", "--builtin", "group:S3"],
+    ["decompose", "--builtin", "vect:1:3", "--level", "0", "--format", "json"],
+    ["decompose", "--builtin", "vect:1:3", "--level", "x"],
+    ["decompose", "--builtin", "vect:1:3", "--level", "0"],
+    ["segal", "--builtin", "ordinal:2", "--level", "3", "--chain-limit", "10"],
+    ["segal", "--builtin", "ordinal:2"],
+    ["nerve", "--builtin", "group:S3", "--truncation", "9"],
+    ["complete", "--builtin", "group:C4", "--format", "json"],
+    ["complete", "--builtin", "group:C4"],
+]
+
+
+def _run_isolated(argv):
+    """(exit code, stdout, stderr) of one in-process run; a usage error
+    leaves run by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_runs_in_one_process_equal_fresh_parsers():
+    cli._parser.cache_clear()
+    shared = [_run_isolated(argv) for argv in REPEATED_RUNS]
+    fresh = []
+    for argv in REPEATED_RUNS:
+        cli._parser.cache_clear()
+        fresh.append(_run_isolated(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 2, 0, 2, 0, 0]
+    assert "invalid int value: 'x'" in shared[3][2]
+    assert "iso_limit=512" in shared[1][1] and "iso_limit=4" in shared[0][1]
+    assert cli._parser.cache_info().currsize == 1
+
+
+VIEW_CASES = ([(spec, n) for spec in ACCEPTANCE_SUITE for n in range(3)]
+              + [("delta:3", 2), ("finset:4", 2), ("vect:2:3", 2)])
+
+
+@pytest.mark.parametrize("spec,level", VIEW_CASES)
+def test_block_rows_equal_the_component_views(spec, level):
+    cat = builtin_category(spec)
+    dec = classifying.level_decomposition(cat, level)
+    rows = cli._decomposition_rows(dec)
+    assert rows == [cli._component_row(c) for c in dec.components]
+    # the rows again from orbits(), each stabilizer named through a memo of its own
+    memo, limits = GroupMemo(DEFAULT_LIMITS.iso_limit), DEFAULT_LIMITS
+    from_orbits = []
+    for o in chains.orbits(cat, level):
+        order = o.stabilizer.order
+        if order == 1:
+            expr, policy = "1", "isomorphism"
+        elif order <= limits.iso_limit:
+            expr = memo.name(o.stabilizer.to_cayley_table(limits.table_limit, memo))
+            policy = "isomorphism"
+        else:
+            expr, policy = None, "order-only"
+        rep = o.rep.morphism_ids if level else o.rep.object_ids
+        from_orbits.append({"level": level, "cell": list(o.rep.object_ids),
+                            "representative": list(rep), "orbit_size": o.size,
+                            "group_expr": expr, "group_order": order, "policy": policy})
+    assert rows == from_orbits
+    report = {"command": "decompose", "config": {}}
+    assert (cli._render_text(dict(report, components=cli._decomposition_lines(dec)))
+            == cli._render_text(dict(report, components=from_orbits)))
+    assert len(dec) == len(rows) and dec.orders() == sorted(r["group_order"] for r in rows)
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = run(["segal", "--builtin", "ordinal:1", "--level", "2",
@@ -545,9 +626,18 @@ def test_a_failed_closed_form_self_check_exits_1(monkeypatch, capsys):
     assert "self-check failed: profile" in capsys.readouterr().err
 
 
+def _without_last_component(blocks):
+    *rest, last = blocks
+    k = len(last) - 1
+    return rest + [dataclasses.replace(
+        last, reps=last.reps[:k], fiber_sizes=last.fiber_sizes[:k], orders=last.orders[:k],
+        elements=last.elements[:k], policies=last.policies[:k])]
+
+
 def test_a_failed_size_sum_exits_1(monkeypatch, capsys):
-    real = classifying.orbits
-    monkeypatch.setattr(classifying, "orbits", lambda *a, **kw: real(*a, **kw)[:-1])
+    real = chains.level_blocks
+    monkeypatch.setattr(chains, "level_blocks",
+                        lambda *a, **kw: _without_last_component(real(*a, **kw)))
     assert run(["decompose", "--builtin", "finset:3", "--level", "1"]) == 1
     assert "component sizes do not sum to the chain count" in capsys.readouterr().err
 
