@@ -80,57 +80,6 @@ class Chain:
         return "Chain<" + " ; ".join(self.morphism_ids) + ">"
 
 
-class ChainIso:
-    """An invertible ladder between two chains: automorphism-or-isomorphism
-    components alpha_0, ..., alpha_n with every square commuting,
-    alpha_i . f_i = g_i . alpha_{i-1}."""
-
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: Chain, target: Chain, components):
-        cat = source.cat
-        if target.cat is not cat or source.level != target.level:
-            raise CategoryError("a ladder joins two chains of one level in one category")
-        components = tuple(components)
-        if len(components) != len(source.objs):
-            raise CategoryError("need one ladder component per chain object")
-        for i, a in enumerate(components):
-            if cat.src[a] != source.objs[i] or cat.dst[a] != target.objs[i]:
-                raise CategoryError(
-                    f"ladder component {cat.mor_ids[a]} has wrong endpoints")
-            if cat.inverse_idx(a) is None:
-                raise CategoryError(
-                    f"ladder component {cat.mor_ids[a]} is not invertible")
-        for i, (f, g) in enumerate(zip(source.mors, target.mors)):
-            if cat.compose_idx(components[i + 1], f) != cat.compose_idx(g, components[i]):
-                raise CategoryError(f"square {i + 1} does not commute")
-        self.source, self.target, self.components = source, target, components
-
-    @classmethod
-    def from_ids(cls, source: Chain, target: Chain, component_ids) -> "ChainIso":
-        cat = source.cat
-        return cls(source, target, (cat.mor_index(a) for a in component_ids))
-
-    @classmethod
-    def from_action(cls, alpha_ids, chain: Chain) -> "ChainIso":
-        """The ladder witnessing that acting by an automorphism tuple lands
-        on the transformed chain."""
-        return cls(chain, act(alpha_ids, chain),
-                   (chain.cat.mor_index(a) for a in alpha_ids))
-
-    @property
-    def component_ids(self) -> tuple:
-        return tuple(self.source.cat.mor_ids[a] for a in self.components)
-
-    def inverse(self) -> "ChainIso":
-        cat = self.source.cat
-        return ChainIso(self.target, self.source,
-                        (cat.inverse_idx(a) for a in self.components))
-
-    def __repr__(self):
-        return "ChainIso<" + ",".join(self.component_ids) + ">"
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -140,15 +89,22 @@ def _check_level(n: int) -> None:
         raise CategoryError(f"levels start at 0, got level {n}")
 
 
-def chain_count(cat: FiniteCategory, n: int) -> int:
-    """Number of n-chains, by dynamic programming over hom-set sizes."""
-    _check_level(n)
+def _chain_counts(cat: FiniteCategory, n: int) -> Iterator[int]:
+    """The number of k-chains for k = 0..n in turn, by dynamic programming
+    over hom-set sizes."""
     nob = cat.n_objects
     hom_size = [[len(cat.hom_idx(x, y)) for y in range(nob)] for x in range(nob)]
     ways = [1] * nob
+    yield sum(ways)
     for _ in range(n):
         ways = [sum(ways[x] * hom_size[x][y] for x in range(nob)) for y in range(nob)]
-    return sum(ways)
+        yield sum(ways)
+
+
+def chain_count(cat: FiniteCategory, n: int) -> int:
+    """Number of n-chains."""
+    _check_level(n)
+    return list(_chain_counts(cat, n))[-1]
 
 
 def _chain_array(cat: FiniteCategory, n: int) -> np.ndarray:
@@ -210,11 +166,16 @@ def _chain_index(cat: FiniteCategory, rows: np.ndarray) -> np.ndarray:
 
 
 def _limited_chain_count(cat: FiniteCategory, n: int, limits: Limits) -> int:
-    """``chain_count``, raising ChainLimitExceeded above chain_limit."""
-    total = chain_count(cat, n)
-    if total > limits.chain_limit:
-        raise ChainLimitExceeded(
-            f"{total} chains at level {n} exceeds chain_limit {limits.chain_limit}")
+    """``chain_count``, raising ChainLimitExceeded above chain_limit.
+
+    Levels are counted in turn, and the first one above chain_limit raises:
+    appending an identity maps k-chains injectively into (k+1)-chains, so
+    no level has fewer chains than the one before."""
+    for k, total in enumerate(_chain_counts(cat, n)):
+        if total > limits.chain_limit:
+            raise ChainLimitExceeded(
+                f"{total} chains at level {k} exceeds chain_limit {limits.chain_limit}"
+                + ("" if k == n else f", and level {n} has at least as many"))
     return total
 
 
@@ -350,8 +311,14 @@ def _decode(homs, strides, codes) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.empty((len(codes), 0), dtype=np.intp)
 
 
-def _encode(homs, strides, mors) -> int:
-    return sum(h.index(f) * s for h, f, s in zip(homs, mors, strides))
+def _encode(homs, strides, rows) -> np.ndarray:
+    """The codes of the morphism tuples ``rows``, one row each, on the
+    tuple whose hom sets are ``homs``: the inverse of ``_decode``."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(len(rows), len(homs))
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for i, (h, s) in enumerate(zip(homs, strides)):
+        codes += np.searchsorted(h, rows[:, i]) * s
+    return codes
 
 
 def _orbit_search(moves, seed) -> list:
@@ -451,7 +418,7 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     """
     homs, strides, moves, labels = _tuple_action(cat, objs)
     seeds = (np.flatnonzero(labels == np.arange(len(labels))) if seeds is None
-             else np.array([_encode(homs, strides, m) for m in seeds], dtype=np.int64))
+             else _encode(homs, strides, seeds))
     order = np.argsort(labels, kind="stable")
     by_label = labels[order]
     # orbit k is order[bounds[k]:bounds[k + 1]], its label by_label[bounds[k]]
@@ -497,7 +464,7 @@ def least_member(cat: FiniteCategory, chain: Chain) -> Chain:
     object tuple."""
     homs, strides, _, labels = _tuple_action(cat, chain.objs)
     return Chain(cat, chain.objs,
-                 _decode(homs, strides, labels[[_encode(homs, strides, chain.mors)]])[0].tolist())
+                 _decode(homs, strides, labels[_encode(homs, strides, [chain.mors])])[0].tolist())
 
 
 def stabilizer(cat: FiniteCategory, chain: Chain,

@@ -11,6 +11,7 @@ isomorphism below the configured limit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional
@@ -18,8 +19,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import chains as chains_mod
-from .chains import Orbit, SelfCheckFailed, StabilizerGroup, TupleBlock, chain_count, orbits
-from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid
+from .chains import SelfCheckFailed, TupleBlock, chain_count
+from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid, object_iso_classes
 from .groups import GroupMemo
 from .limits import DEFAULT_LIMITS, Limits
 
@@ -37,8 +38,6 @@ class Component:
     group_order: int
     group_expr: Optional[str]
     policy: str                 # "isomorphism" | "order-only" | "closed-form"
-    stabilizer: Optional[StabilizerGroup] = None
-    orbit: Optional[Orbit] = None
     extra: dict = field(default_factory=dict)
 
     def group_display(self) -> str:
@@ -84,23 +83,11 @@ class Decomposition:
 
     @cached_property
     def components(self) -> list:
-        """One ``Component`` per component, built from the ``Orbit`` views
-        of the blocks on first use."""
-        comps = []
-        for block, names in zip(self.blocks, self.names):
-            for o, (expr, policy) in zip(block.orbits(), names):
-                comps.append(Component(
-                    level=self.level,
-                    cell=o.rep.object_ids,
-                    representative=o.rep.morphism_ids if self.level else o.rep.object_ids,
-                    orbit_size=o.size,
-                    group_order=o.stabilizer.order,
-                    group_expr=expr,
-                    policy=policy,
-                    stabilizer=o.stabilizer,
-                    orbit=o,
-                ))
-        return comps
+        """One ``Component`` per row of ``rows``, built on first use."""
+        return [Component(level=self.level, cell=cell, representative=tuple(rep),
+                          orbit_size=size, group_order=order, group_expr=expr, policy=policy)
+                for cell, reps, sizes, orders, names in self.rows()
+                for rep, size, order, (expr, policy) in zip(reps, sizes, orders, names)]
 
 
 def _match_component_group(block: TupleBlock, k: int, limits: Limits, memo: GroupMemo):
@@ -202,11 +189,9 @@ def completeness_check(cat: FiniteCategory,
     class counts, stabilizer orders and, below iso_limit, stabilizer groups
     are the checkable shadow of completeness of the classifying diagram."""
     gpd = maximal_subgroupoid(cat)
-    side_a, side_b = orbits(gpd, 0, limits), orbits(gpd, 1, limits)
-
-    counts = (len(side_a), len(side_b))
-    multi_a = tuple(sorted(o.stabilizer.order for o in side_a))
-    multi_b = tuple(sorted(o.stabilizer.order for o in side_b))
+    sides = [chains_mod.level_blocks(gpd, n, limits) for n in (0, 1)]
+    counts = tuple(sum(len(b) for b in side) for side in sides)
+    multi_a, multi_b = (tuple(sorted(k for b in side for k in b.orders)) for side in sides)
     if counts[0] != counts[1] or multi_a != multi_b:
         return CompletenessReport(counts, (multi_a, multi_b), False,
                                   "class-count + aut-order multiset",
@@ -215,22 +200,18 @@ def completeness_check(cat: FiniteCategory,
     # group-isomorphism refinement on matching classes, bucketed by order
     policy = "aut-order only"
     detail = []
-    buckets_a, buckets_b = {}, {}
-    for o in side_a:
-        buckets_a.setdefault(o.stabilizer.order, []).append(o.stabilizer)
-    for o in side_b:
-        buckets_b.setdefault(o.stabilizer.order, []).append(o.stabilizer)
     verdict = True
     memo = GroupMemo(limits.iso_limit)
-    for order_key in sorted(buckets_a):
+    for order_key in sorted(set(multi_a)):
         if order_key > limits.iso_limit:
             detail.append(f"order {order_key}: order-only (above iso_limit)")
             continue
         policy = "aut-order multiset + group isomorphism"
         if order_key == 1:
             continue            # every group of order 1 is trivial
-        ta, tb = ([s.to_cayley_table(limits.table_limit, memo) for s in b[order_key]]
-                  for b in (buckets_a, buckets_b))
+        ta, tb = ([b.stabilizer(k).to_cayley_table(limits.table_limit, memo)
+                   for b in side for k, order in enumerate(b.orders) if order == order_key]
+                  for side in sides)
         if not _match_tables(ta, tb, memo):
             verdict = False
             detail.append(f"order {order_key}: no isomorphism matching")
@@ -272,21 +253,19 @@ class DiscretenessReport:
 
 def is_discrete_classifying(cat: FiniteCategory, truncation: int,
                             limits: Limits = DEFAULT_LIMITS) -> DiscretenessReport:
-    """True exactly when every isomorphism of ``cat`` is an identity; the
-    report confirms the combinatorial shadow level by level: each component
-    a singleton with trivial stabilizer."""
+    """True exactly when every isomorphism of ``cat`` is an identity: each
+    object alone in its class, with trivial Aut(x).  The report confirms it
+    level by level: each component a singleton with trivial stabilizer."""
     if truncation < 1:
         raise CategoryError(f"truncation must be at least 1, got {truncation}")
-    discrete = True
-    for f in range(cat.n_morphisms):
-        if cat.inverse_idx(f) is not None and not cat.is_identity_idx(f):
-            discrete = False
-            break
+    discrete = all(c.members == [c.rep] and len(cat.aut_idx(c.rep)) == 1
+                   for c in object_iso_classes(cat))
     levels = []
     for n in range(truncation + 1):
-        orbs = orbits(cat, n, limits)
-        flat = all(o.size == 1 and o.stabilizer.order == 1 for o in orbs)
-        levels.append((n, len(orbs), flat))
+        blocks = chains_mod.level_blocks(cat, n, limits)
+        flat = all(size * b.multiplicity == 1 and order == 1
+                   for b in blocks for size, order in zip(b.fiber_sizes, b.orders))
+        levels.append((n, sum(len(b) for b in blocks), flat))
     consistent = all(flat == discrete for _, _, flat in levels)
     return DiscretenessReport(discrete=discrete, levels=levels, consistent=consistent)
 
@@ -409,22 +388,25 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
 def component_maps(cat: FiniteCategory, truncation: int,
                    limits: Limits = DEFAULT_LIMITS) -> TruncatedSimplicialSet:
     """Levels 0..truncation of the classifying diagram as components, one
-    simplex per component in ``orbits(cat, n)`` order, with the face and
-    degeneracy maps between them as arrays of component numbers.
+    simplex per component in ``level_blocks(cat, n)`` order, with the face
+    and degeneracy maps between them as arrays of component numbers.
 
     Each component is its representative chain, a row of morphism indices
     on a tuple of class representatives (its object at level 0).  A face or
     degeneracy of such a row lies on a tuple of class representatives
     again, so no object is transported: the image's component is the one
-    whose representative is the least member of the image's orbit on that
-    tuple (``_tuple_action``).  An image found in no component raises
+    of its tuple's block whose representative is the least member of the
+    image's orbit (``_tuple_action``), found among the ascending codes of
+    the block's representatives.  An image found in no component raises
     SelfCheckFailed.  Labels are computed per tuple and per level, so
     ``check_simplicial_identities`` can fail on them."""
     _check_truncation(truncation)
-    orbs = [orbits(cat, n, limits) for n in range(truncation + 1)]
-    where = {(o.rep.objs, o.rep.mors): k for level in orbs for k, o in enumerate(level)}
-    levels = [np.array([o.rep.objs[0] for o in orbs[0]], dtype=np.intp)]
-    levels += [np.array([o.rep.mors for o in orbs[n]], dtype=np.intp).reshape(len(orbs[n]), n)
+    blocks = [chains_mod.level_blocks(cat, n, limits) for n in range(truncation + 1)]
+    # each tuple's representatives and the number of its first component in its level
+    where = {b.objs: (b.reps, start) for level in blocks for b, start in
+             zip(level, itertools.accumulate([len(b) for b in level], initial=0))}
+    levels = [np.array([b.objs[0] for b in blocks[0] for _ in b.orders], dtype=np.intp)]
+    levels += [np.concatenate([np.empty((0, n), dtype=np.intp)] + [b.reps for b in blocks[n]])
                for n in range(1, truncation + 1)]
     src, dst = np.array(cat.src, dtype=np.intp), np.array(cat.dst, dtype=np.intp)
     actions = {}
@@ -441,14 +423,15 @@ def component_maps(cat: FiniteCategory, truncation: int,
                 actions[tup] = chains_mod._tuple_action(cat, tup)
             homs, strides, _, labels = actions[tup]
             sel = np.flatnonzero(at.ravel() == t)
-            codes = np.zeros(len(sel), dtype=np.int64)
-            for i, (h, s) in enumerate(zip(homs, strides)):
-                codes += np.searchsorted(h, rows[sel, i]) * s
-            least = map(tuple, chains_mod._decode(homs, strides, labels[codes]).tolist())
-            for r, mors in zip(sel.tolist(), least):
-                if (tup, mors) not in where:
-                    raise SelfCheckFailed(f"{mors} on {tup} is no component of level {n}")
-                out[r] = where[tup, mors]
+            least = labels[chains_mod._encode(homs, strides, rows[sel])]
+            reps, start = where.get(tup, (np.empty((0, len(homs))), 0))
+            codes = chains_mod._encode(homs, strides, reps)
+            k = np.searchsorted(codes, least)
+            missing = np.flatnonzero(np.append(codes, -1)[k] != least)
+            if len(missing):
+                mors = tuple(chains_mod._decode(homs, strides, least[missing[:1]])[0].tolist())
+                raise SelfCheckFailed(f"{mors} on {tup} is no component of level {n}")
+            out[sel] = start + k
         return out
 
     return _simplicial_set(cat, levels, index)

@@ -189,22 +189,21 @@ class FiniteCategory:
     # -- isomorphisms ---------------------------------------------------------
 
     def inverse_idx(self, mi: int) -> Optional[int]:
-        if mi in self._inv:
-            return self._inv[mi]
-        inv = None
-        if self._inverse_payload is not None:
-            p = self._inverse_payload(self.payloads[mi])
-            if p is not None:
-                inv = self._payload_idx.get(p)
-                if inv is None or not self._check_inverse(mi, inv):
-                    raise CategoryError(
-                        f"builder inverse is wrong for {self.mor_ids[mi]}")
-        else:
-            for g in self.hom_idx(self.dst[mi], self.src[mi]):
-                if self._check_inverse(mi, g):
-                    inv = g
-                    break
-        self._inv[mi] = inv
+        if mi not in self._inv:
+            self._inv[mi] = self._find_inverse(mi)
+        return self._inv[mi]
+
+    def _find_inverse(self, mi: int) -> Optional[int]:
+        """``inverse_idx`` without keeping the answer."""
+        if self._inverse_payload is None:
+            return next((g for g in self.hom_idx(self.dst[mi], self.src[mi])
+                         if self._check_inverse(mi, g)), None)
+        p = self._inverse_payload(self.payloads[mi])
+        if p is None:
+            return None
+        inv = self._payload_idx.get(p)
+        if inv is None or not self._check_inverse(mi, inv):
+            raise CategoryError(f"builder inverse is wrong for {self.mor_ids[mi]}")
         return inv
 
     def _check_inverse(self, fi: int, gi: int) -> bool:
@@ -633,25 +632,20 @@ class ObjectClass:
 
 
 def object_iso_classes(cat: FiniteCategory) -> list:
-    """Isomorphism classes of objects; deterministic, reps are least indices."""
-    seen = set()
-    classes = []
-    for start in range(cat.n_objects):
-        if start in seen:
+    """Isomorphism classes of objects; deterministic, reps are least indices.
+
+    A pair x < y is tested only when |End x| = |End y| = |Hom(x, y)| =
+    |Hom(y, x)|, as for every isomorphic pair, by a search of Hom(x, y) that
+    stops at its first isomorphism and keeps no inverse."""
+    seen, classes = set(), []
+    for x in range(cat.n_objects):
+        if x in seen:
             continue
-        members = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for x in frontier:
-                for f in cat.morphisms_from_idx(x):
-                    if cat.inverse_idx(f) is None:
-                        continue
-                    y = cat.dst[f]
-                    if y not in members:
-                        members.add(y)
-                        new.append(y)
-            frontier = new
-        classes.append(ObjectClass(rep=start, members=sorted(members)))
-        seen |= members
+        size = len(cat.hom_idx(x, x))
+        members = [x] + [y for y in range(x + 1, cat.n_objects) if y not in seen
+                         and size == len(cat.hom_idx(y, y)) == len(cat.hom_idx(x, y))
+                         == len(cat.hom_idx(y, x))
+                         and any(cat._find_inverse(f) is not None for f in cat.hom_idx(x, y))]
+        classes.append(ObjectClass(rep=x, members=members))
+        seen.update(members)
     return classes

@@ -321,14 +321,14 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
     the order fits iso_limit.
     """
     skel = finset_skeleton(max_card, variant)
-    orbs = chains_mod.orbits(skel, 1, limits)
     report = DiffReport(subject=f"finset max={max_card} variant={variant}")
     memo = GroupMemo(limits.iso_limit)
 
     by_cell = {}
-    for o in orbs:
-        n, m, values = skel.payloads[o.rep.mors[0]]
-        by_cell.setdefault((n, m), []).append((profile_of(values, m), o))
+    for b in chains_mod.level_blocks(skel, 1, limits):
+        for k, f in enumerate(b.reps[:, 0].tolist()):
+            n, m, values = skel.payloads[f]
+            by_cell.setdefault((n, m), []).append((profile_of(values, m), b, k))
 
     for n in range(max_card + 1):
         for m in range(max_card + 1):
@@ -339,7 +339,7 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
                            f"{len(expected)} closed-form profiles")
                 continue
             seen = set()
-            for p, o in got:
+            for p, b, k in got:
                 report.checked += 1
                 if p.k not in expected:
                     report.add(f"cell ({n},{m}): unexpected profile {p.k}")
@@ -349,20 +349,20 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
                     continue
                 seen.add(p.k)
                 want_order = p.group_order()
-                if o.stabilizer.order != want_order:
+                if b.orders[k] != want_order:
                     report.add(
                         f"cell ({n},{m}) profile {p.k}: stabilizer order "
-                        f"{o.stabilizer.order} != wreath order {want_order}")
+                        f"{b.orders[k]} != wreath order {want_order}")
                     continue
-                if want_order <= limits.iso_limit:
-                    stab_table = o.stabilizer.to_cayley_table(limits.table_limit, memo)
+                if want_order > limits.iso_limit:
+                    report.policies[p.k] = "order-only"
+                    continue
+                report.policies[p.k] = "isomorphism"
+                if want_order > 1:      # groups of order 1 are isomorphic
+                    stab_table = b.stabilizer(k).to_cayley_table(limits.table_limit, memo)
                     wreath_table = materialize(p.group_expr(), limits.table_limit, memo)
-                    verdict = memo.isomorphic(stab_table, wreath_table)
-                    report.policies[p.k] = "isomorphism"
-                    if verdict is not True:
+                    if memo.isomorphic(stab_table, wreath_table) is not True:
                         report.add(
                             f"cell ({n},{m}) profile {p.k}: stabilizer is not "
                             f"isomorphic to {p.group_expr().text()}")
-                else:
-                    report.policies[p.k] = "order-only"
     return report

@@ -413,7 +413,6 @@ def oracle_diff_vect(max_dim: int, q: int,
     """Compare the generic chain engine on the matrix skeleton against
     orbits_by_rank and the explicit dimension <= 2 stabilizer catalogue."""
     skel = vect_skeleton(max_dim, q)
-    orbs = chains_mod.orbits(skel, 1, limits)
     report = DiffReport(subject=f"vect max_dim={max_dim} q={q}")
     memo = GroupMemo(limits.iso_limit)
 
@@ -424,10 +423,13 @@ def oracle_diff_vect(max_dim: int, q: int,
         if (m, n, r) not in paper_cases:
             paper_cases[(m, n, r)] = c
 
+    # (rank, (size, stabilizer order, block, row)) per component
     by_cell = {}
-    for o in orbs:
-        n, m, rows = skel.payloads[o.rep.mors[0]]
-        by_cell.setdefault((n, m), []).append((modp.rank(rows, q), o))
+    for block in chains_mod.level_blocks(skel, 1, limits):
+        for k, (f, size) in enumerate(zip(block.reps[:, 0].tolist(), block.fiber_sizes)):
+            n, m, rows = skel.payloads[f]
+            by_cell.setdefault((n, m), []).append(
+                (modp.rank(rows, q), (size * block.multiplicity, block.orders[k], block, k)))
 
     for n in range(max_dim + 1):
         for m in range(max_dim + 1):
@@ -439,41 +441,42 @@ def oracle_diff_vect(max_dim: int, q: int,
                 continue
             for cls in cell.classes:
                 report.checked += 1
-                o = got[cls.rank]
-                if o.size != cls.class_size:
+                size, order, block, k = got[cls.rank]
+                if size != cls.class_size:
                     report.add(f"cell ({n},{m}) rank {cls.rank}: orbit size "
-                               f"{o.size} != rank class size {cls.class_size}")
+                               f"{size} != rank class size {cls.class_size}")
                 if not cls.orbit_verified:
                     report.add(f"cell ({n},{m}) rank {cls.rank}: rank class is "
                                f"not a single orbit")
-                if o.stabilizer.order != cls.stabilizer_order:
+                if order != cls.stabilizer_order:
                     report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer "
-                               f"{o.stabilizer.order} != {cls.stabilizer_order}")
-                if cls.scan_order is not None and cls.scan_order != o.stabilizer.order:
+                               f"{order} != {cls.stabilizer_order}")
+                if cls.scan_order is not None and cls.scan_order != order:
                     report.add(f"cell ({n},{m}) rank {cls.rank}: direct scan "
-                               f"{cls.scan_order} != engine {o.stabilizer.order}")
+                               f"{cls.scan_order} != engine {order}")
                 case = paper_cases.get((n, m, cls.rank))
                 if case is not None:
-                    if case.order != o.stabilizer.order:
+                    if case.order != order:
                         report.add(
                             f"cell ({n},{m}) rank {cls.rank}: catalogue order "
-                            f"{case.order} ({case.expr_text}) != {o.stabilizer.order}")
-                    elif case.order <= limits.iso_limit:
-                        stab_table = o.stabilizer.to_cayley_table(limits.table_limit, memo)
-                        want = case.table(limits.table_limit)
-                        if memo.isomorphic(stab_table, want) is not True:
+                            f"{case.order} ({case.expr_text}) != {order}")
+                    elif case.order > limits.iso_limit:
+                        report.policies[(n, m, cls.rank)] = "order-only"
+                    else:
+                        report.policies[(n, m, cls.rank)] = "isomorphism"
+                        # groups of order 1 are isomorphic
+                        if case.order > 1 and memo.isomorphic(
+                                block.stabilizer(k).to_cayley_table(limits.table_limit, memo),
+                                case.table(limits.table_limit)) is not True:
                             report.add(
                                 f"cell ({n},{m}) rank {cls.rank}: stabilizer not "
                                 f"isomorphic to {case.expr_text}")
-                        report.policies[(n, m, cls.rank)] = "isomorphism"
-                    else:
-                        report.policies[(n, m, cls.rank)] = "order-only"
 
     # transpose duality of component multisets
     for n in range(max_dim + 1):
         for m in range(n + 1, max_dim + 1):
-            a = sorted((r, o.size, o.stabilizer.order) for r, o in by_cell.get((n, m), []))
-            b = sorted((r, o.size, o.stabilizer.order) for r, o in by_cell.get((m, n), []))
+            a, b = (sorted((r, size, order) for r, (size, order, _, _) in by_cell.get(cell, []))
+                    for cell in ((n, m), (m, n)))
             if a != b:
                 report.add(f"transpose symmetry broken between cells ({n},{m}) and ({m},{n})")
     return report

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cdiag import chains, fincat, finset, finvect
-from cdiag.chains import (Chain, ChainIso, ChainLimitExceeded, SelfCheckFailed,
+from cdiag.chains import (Chain, ChainLimitExceeded, SelfCheckFailed,
                           StabilizerGroup, _act_mors, act, chain_count, enumerate_chains,
                           least_member, orbits, stabilizer)
 from cdiag.cli import builtin_category
@@ -126,32 +126,6 @@ def test_act_rejects_non_automorphism():
     c = Chain.from_morphism_ids(cat, ["f"])
     with pytest.raises(CategoryError):
         act(["f", "id_y"], c)
-
-
-def test_chain_iso_validation():
-    ii = fincat.iso_interval()
-    src = Chain.from_morphism_ids(ii, ["id_0"])
-    tgt = Chain.from_morphism_ids(ii, ["id_1"])
-    ladder = ChainIso.from_ids(src, tgt, ["f01", "f01"])
-    assert ladder.component_ids == ("f01", "f01")
-    back = ladder.inverse()
-    assert back.source == tgt and back.target == src
-    # mismatched squares are rejected: f01 . id_0 != id_0 . id_0
-    with pytest.raises(CategoryError, match="square|endpoints"):
-        ChainIso.from_ids(src, src, ["id_0", "f01"])
-    # non-invertible components are rejected
-    wa = fincat.walking_arrow()
-    cx = Chain.from_morphism_ids(wa, ["id_x"])
-    cy = Chain.from_morphism_ids(wa, ["id_y"])
-    with pytest.raises(CategoryError, match="invertible"):
-        ChainIso.from_ids(cx, cy, ["f", "f"])
-
-
-def test_chain_iso_from_action(s3_category):
-    c = Chain.from_morphism_ids(s3_category, ["g3"])
-    ladder = ChainIso.from_action(["g1", "g2"], c)
-    assert ladder.source == c
-    assert ladder.target == act(["g1", "g2"], c)
 
 
 # ---------------------------------------------------------------------------

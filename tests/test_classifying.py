@@ -70,12 +70,15 @@ def test_memoized_names_equal_fresh_names():
     # stabilizers of one order take different names (24: S4 and
     # C2 x C2 x S3; 8: C2 x C2 x C2 and unnamed), so a memo keyed by less
     # than the exact table would mislabel some of them
-    d = cl.level_decomposition(finset.finset_skeleton(4), 2)
+    cat = finset.finset_skeleton(4)
+    d = cl.level_decomposition(cat, 2)
     names = {}
-    for c in d.components:
+    # the components come in the order of chains.orbits
+    for c, o in zip(d.components, chains_mod.orbits(cat, 2), strict=True):
+        assert (c.representative, c.group_order) == (o.rep.morphism_ids, o.stabilizer.order)
         names.setdefault(c.group_order, set()).add(c.group_expr)
         if 1 < c.group_order <= DEFAULT_LIMITS.iso_limit:
-            fresh = c.stabilizer.to_cayley_table(DEFAULT_LIMITS.table_limit)
+            fresh = o.stabilizer.to_cayley_table(DEFAULT_LIMITS.table_limit)
             assert c.group_expr == groups.match_named(fresh)
     assert names[24] == {"S4", "C2 x C2 x S3"}
     assert names[8] == {"C2 x C2 x C2", None}
@@ -241,21 +244,24 @@ def test_iso_s3_level1_is_one_component(s3_category):
 
 
 LEVEL1_SPOILERS = {
-    "drop": lambda orbs: orbs[:-1],
-    "order": lambda orbs: [dataclasses.replace(orbs[0], stabilizer=dataclasses.replace(
-        orbs[0].stabilizer, order=2 * orbs[0].stabilizer.order))] + orbs[1:],
+    "drop": lambda blocks: blocks[:-1] + [dataclasses.replace(
+        blocks[-1], reps=blocks[-1].reps[:-1], fiber_sizes=blocks[-1].fiber_sizes[:-1],
+        orders=blocks[-1].orders[:-1], elements=blocks[-1].elements[:-1],
+        policies=blocks[-1].policies[:-1])],
+    "order": lambda blocks: [dataclasses.replace(
+        blocks[0], orders=[2 * blocks[0].orders[0]] + blocks[0].orders[1:])] + blocks[1:],
 }
 
 
 @pytest.mark.parametrize("spoil", sorted(LEVEL1_SPOILERS))
 def test_completeness_fails_on_a_spoiled_level_1(spoil, monkeypatch, capsys):
-    real = cl.orbits
+    real = chains_mod.level_blocks
 
     def spoiled(cat, n, limits=DEFAULT_LIMITS, reverse=False):
-        orbs = real(cat, n, limits, reverse)
-        return LEVEL1_SPOILERS[spoil](orbs) if n == 1 else orbs
+        blocks = real(cat, n, limits, reverse)
+        return LEVEL1_SPOILERS[spoil](blocks) if n == 1 else blocks
 
-    monkeypatch.setattr(cl, "orbits", spoiled)
+    monkeypatch.setattr(chains_mod, "level_blocks", spoiled)
     assert cl.completeness_check(finset.finset_skeleton(3)).verdict is False
     assert run(["complete", "--builtin", "finset:3"]) == 1
     assert "check completeness: fail" in capsys.readouterr().out
@@ -394,13 +400,13 @@ def test_face_degeneracy_finset3():
 
 
 def test_face_degeneracy_fails_on_a_wrong_component(monkeypatch):
-    # the orbits are computed first, then every tuple's labels are left
+    # the blocks are computed first, then every tuple's labels are left
     # unpropagated, so an image that is not the least chain of its orbit
     # is looked up as itself and found in no component
     cat = finset.finset_skeleton(3)
-    levels = [chains_mod.orbits(cat, n) for n in range(3)]
+    levels = [chains_mod.level_blocks(cat, n) for n in range(3)]
     assert cl.component_maps(cat, 2).check_simplicial_identities()
-    monkeypatch.setattr(cl, "orbits", lambda cat, n, limits: levels[n])
+    monkeypatch.setattr(chains_mod, "level_blocks", lambda cat, n, limits: levels[n])
     real = chains_mod._tuple_action
 
     def unpropagated(cat, objs):

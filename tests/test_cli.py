@@ -211,11 +211,30 @@ def test_commands_bounded_by_their_output_end_at_once(argv, code, expect):
 DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
 
 
+# SHA-256 of each demo's stdout, pinned from the engine whose components
+# were built from Orbit views
+DEMO_STDOUT = {
+    "01_distinguishing_categories.py":
+        "f11748cd789d69cf5c53872576d3d0cb882fe40f17a5889946b01b300f37044c",
+    "02_ordinals_and_truncated_delta.py":
+        "31aeb9c2ffb77322286daa22b0dd2a2bab107c32ec00d2e40aa7a79353f4db0a",
+    "03_group_categories.py":
+        "446207e9eb0a5989b236722b9348e8da9b2ebacd59fdc7e3f4c946193b7475be",
+    "04_finite_sets_wreath.py":
+        "f8a3d9d632b0f8c438a9cb472ef9aea606bd9a01f0b7cd5a9e6740d81228f363",
+    "05_vector_spaces_rank.py":
+        "0c5f38de8f5515d7c3a378ac0873f9c08dfe1e27a620d2daee3956f856a9e7ac",
+    "06_catdef_input.py":
+        "f8ccddf91e0a824e944fb0f501055b1b3e54455adb280882ed8045bbca4c48af",
+}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=os.path.basename)
 def test_demo_runs(demo):
-    done = subprocess.run([sys.executable, demo], capture_output=True, text=True,
+    done = subprocess.run([sys.executable, demo], capture_output=True,
                           env=_src_env(), timeout=300)
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_STDOUT[os.path.basename(demo)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +468,37 @@ def _body_digest(argv, fmt, capsys):
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
+class ViewBuilt(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise ViewBuilt
+
+
+VIEW_FREE_RUNS = [
+    *([command, "--builtin", spec] + flags
+      for spec in ACCEPTANCE_SUITE
+      for command, flags in [("decompose", ["--level", "0"]), ("decompose", ["--level", "1"]),
+                             ("decompose", ["--level", "2"]), ("segal", []), ("complete", []),
+                             ("discrete", []), ("nerve", [])]),
+    ["finset", "--max", "3", "--oracle"],
+    ["finvect", "--max-dim", "2", "--q", "2", "--oracle"],
+    *(["oracle-diff", "--finset-max", "4", "--variant", v] for v in ("all", "inj", "surj")),
+    ["oracle-diff", "--vect-dim", "2", "--q", "3"],
+]
+
+
+def test_no_command_builds_an_object_view(monkeypatch, capsys):
+    # commands read the columns of the level blocks: no Chain, no Orbit
+    want = [run_capture(argv, capsys) for argv in VIEW_FREE_RUNS]
+    monkeypatch.setattr(chains.Chain, "__init__", _refuse)
+    monkeypatch.setattr(chains.Orbit, "__init__", _refuse)
+    monkeypatch.setattr(chains.TupleBlock, "orbits", _refuse)
+    for argv, expected in zip(VIEW_FREE_RUNS, want):
+        assert run_capture(argv, capsys) == expected, argv
+
+
 # flags, then their defaults; JSON, then text; usage errors between them
 REPEATED_RUNS = [
     ["decompose", "--builtin", "group:S3", "--level", "2", "--iso-limit", "4"],
@@ -589,6 +639,18 @@ def test_nerve_and_complete_refuse_over_chain_limit_at_once(argv, capsys):
     assert run(argv) == 2
     assert time.perf_counter() - start < 5.0
     assert "exceeds chain_limit 1000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decompose", "segal"])
+def test_a_level_far_above_chain_limit_is_refused_at_once(command):
+    # group:C720 has 720^3 chains at level 3, so no level above it is counted
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "cdiag", command, "--builtin", "group:C720",
+                           "--level", "1000000"], capture_output=True, text=True,
+                          env=_src_env(), timeout=30)
+    assert time.perf_counter() - start < 5.0
+    assert done.returncode == 2
+    assert "exceeds chain_limit 1000000" in done.stderr
 
 
 @pytest.mark.parametrize("spec", ["group:S5", "group:S6", "vect:2:5"])

@@ -7,7 +7,8 @@ generators, no breadth-first search and no action arrays.  The completeness
 reference counts invertible squares pair by pair with ``compose_idx``.
 The chain reference filters itertools.product of the morphisms.  The nerve
 reference maps one simplex at a time, composing with ``compose_idx`` and
-looking every image up in a dict of the level's tuples.
+looking every image up in a dict of the level's tuples.  The object class
+reference searches breadth first along every invertible morphism.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from cdiag import chains, fincat, finset, finvect, groups
 from cdiag.chains import Chain, _chain_array, _chain_index, act, orbits
 from cdiag.classifying import completeness_check, nerve_truncation
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
-from cdiag.fincat import FiniteCategory, object_iso_classes
+from cdiag.fincat import FiniteCategory, ObjectClass, object_iso_classes
 
 BASES = {"finset:3": finset.finset_skeleton(3), "vect:2:2": finvect.vect_skeleton(2, 2)}
 GROUP_TABLES = [groups.cyclic_table(n).table for n in range(1, 7)] + [
@@ -245,3 +246,67 @@ def test_nerve_matches_the_reference_with_uint16_morphisms():
 @given(small_categories())
 def test_nerve_matches_the_reference(cat):
     check_nerve_against_the_reference(fincat.maximal_subgroupoid(cat), 3)
+
+
+def bfs_iso_classes(cat: FiniteCategory) -> list:
+    """Object classes by a breadth-first search from each object along every
+    invertible morphism out of the objects reached."""
+    seen, classes = set(), []
+    for start in range(cat.n_objects):
+        if start in seen:
+            continue
+        members, frontier = {start}, [start]
+        while frontier:
+            new = []
+            for x in frontier:
+                for f in cat.morphisms_from_idx(x):
+                    if cat.inverse_idx(f) is not None and cat.dst[f] not in members:
+                        members.add(cat.dst[f])
+                        new.append(cat.dst[f])
+            frontier = new
+        classes.append(ObjectClass(rep=start, members=sorted(members)))
+        seen |= members
+    return classes
+
+
+def inflated(cat: FiniteCategory, copies) -> FiniteCategory:
+    """An equivalent category with ``copies[x]`` isomorphic copies of each
+    object x: every morphism x -> y once from each copy of x to each copy
+    of y."""
+    obj = [(x, i) for x in range(cat.n_objects) for i in range(copies[x])]
+    keys = [(f, i, j) for f in range(cat.n_morphisms)
+            for i in range(copies[cat.src[f]]) for j in range(copies[cat.dst[f]])]
+    return FiniteCategory(
+        [f"{x}.{i}" for x, i in obj],
+        [(f"{cat.mor_ids[f]}.{i}.{j}", f"{cat.src[f]}.{i}", f"{cat.dst[f]}.{j}")
+         for f, i, j in keys],
+        {f"{x}.{i}": f"{cat.mor_ids[cat.identity_idx[x]]}.{i}.{i}" for x, i in obj},
+        payloads=keys, compose_payload=lambda g, f: (cat.compose_idx(g[0], f[0]), f[1], g[2]))
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SUITE + ("delta:5", "finset:4", "vect:3:2"))
+def test_object_iso_classes_match_the_reference_on_builtins(spec):
+    cat = builtin_category(spec)
+    assert object_iso_classes(cat) == bfs_iso_classes(cat)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_categories(), st.lists(st.integers(1, 3), min_size=6, max_size=6))
+def test_object_iso_classes_match_the_reference(cat, copies):
+    for c in (cat, inflated(cat, copies), catdef_round_trip(inflated(cat, copies))):
+        assert object_iso_classes(c) == bfs_iso_classes(c)
+
+
+@pytest.mark.parametrize("spec", ["delta:5", "finset:4", "vect:3:2"])
+def test_no_inverse_is_sought_between_distinct_objects(spec, monkeypatch):
+    cat, asked = builtin_category(spec), []
+    real = FiniteCategory.inverse_idx
+
+    def spy(self, mi):
+        asked.append(self.src[mi] != self.dst[mi])
+        return real(self, mi)
+
+    monkeypatch.setattr(FiniteCategory, "inverse_idx", spy)
+    object_iso_classes(cat)
+    chains.level_blocks(cat, 1)
+    assert asked and not any(asked)
