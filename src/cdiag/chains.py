@@ -365,7 +365,7 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
     level costs a number of numpy steps linear in its length.
     """
     auts = [np.array(cat.aut_idx(x), dtype=np.int64) for x in objs]
-    inv_rank = [np.searchsorted(aut, [cat.inverse_idx(a) for a in aut]) for aut in auts[:-1]]
+    inv_rank = [cat.aut_inverse_ranks(x) for x in objs[:-1]]
     homs = [np.array(cat.hom_idx(x, y)) for x, y in zip(objs, objs[1:])]
     reps = np.array(reps, dtype=np.int64).reshape(len(reps), len(homs))
     block = max(1, _SCAN_CELLS // _ambient_order(cat, objs))

@@ -32,10 +32,33 @@ def _radix_codes(stack: np.ndarray, radix: int) -> np.ndarray:
     """Each array of ``stack`` read as one number in base ``radix``, its
     first entry most significant, as int64; -1 for an array with an entry
     outside 0 .. radix - 1."""
-    flat = stack.reshape(len(stack), math.prod(stack.shape[1:])).astype(np.int64)
-    codes = flat @ radix ** np.arange(flat.shape[1] - 1, -1, -1, dtype=np.int64)
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    codes = np.zeros(len(flat), dtype=np.int64)
+    for column in flat.T:       # an entry at a time: no int64 copy of the stack
+        codes = codes * radix + column.astype(np.int64)
     codes[((flat < 0) | (flat >= radix)).any(axis=1)] = -1
     return codes
+
+
+# FiniteCategory._word_rows gathers a breadth-first level of at least
+# _GATHER_MIN words at once, at most _GATHER_CELLS entries a gather; below
+# that, one numpy step per word costs less than a gather's set-up.
+_GATHER_MIN = 4
+_GATHER_CELLS = 1 << 16
+
+
+def _code_finder(stack: np.ndarray, radix: int):
+    """find(arrays): the position in ``stack`` of each of ``arrays``,
+    matched by radix code, or -1 for one that is not in it."""
+    codes = _radix_codes(stack, radix)
+    order = np.argsort(codes)
+    ordered = codes[order]
+
+    def find(arrays):
+        found = _radix_codes(arrays, radix)
+        at = np.minimum(np.searchsorted(ordered, found), len(ordered) - 1)
+        return np.where((ordered[at] == found) & (found >= 0), order[at], -1)
+    return find
 
 
 class CatdefError(CategoryError):
@@ -61,14 +84,19 @@ class FiniteCategory:
         inverse_payload: payload -> payload of its inverse, or None when the
             morphism is not invertible.  Without it inverses are searched
             for in the opposite hom set.
-        codec: reads the payloads of a hom set as integer arrays, for the
-            generator columns of hom sets and of Aut(x).
+        codec: reads the payloads of a hom set as integer arrays, for
+            Aut(x) and the generator columns of hom sets and of Aut(x).
             ``codec.values(si, di, payloads)`` stacks the payloads of
             morphisms si -> di into one array, one payload per row, with
             entries in 0 .. ``codec.radix(si, di)`` - 1;
             ``codec.left(g, F)`` and ``codec.right(F, h)`` are the stacks of
             g after each f in F and of each f in F after h, for one stacked
-            g of di -> di or h of si -> si.  Without it every composite is
+            g of di -> di or h of si -> si; ``codec.left(G, F)`` with a
+            stack G of as many rows as F composes row by row;
+            ``codec.units(E)``, for the stack E of the endomorphisms of one
+            object, is (invertible, inverses): a boolean per row of E, and
+            the stack of the inverses of the invertible rows, in order.
+            Without it every inverse is searched for and every composite
             computed pair by pair.
         """
         self.name = name
@@ -119,6 +147,7 @@ class FiniteCategory:
         self._aut_closures = {}
         self._aut_table = {}
         self._hom_columns = {}
+        self._hom_stacks = {}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -215,16 +244,63 @@ class FiniteCategory:
 
     def aut_idx(self, oi: int) -> list:
         """All automorphism morphism indices of the object, ascending."""
+        return self._units(oi)[0]
+
+    def aut_inverse_ranks(self, oi: int) -> np.ndarray:
+        """The rank in ``aut_idx(oi)`` of the inverse of each automorphism,
+        as one int64 array in ``aut_idx`` order."""
+        return self._units(oi)[1]
+
+    def _units(self, oi: int) -> tuple:
+        """(``aut_idx``, ``aut_inverse_ranks``) of x from the inverse of
+        every endomorphism, which is kept as ``inverse_idx`` keeps it.
+        Computed on the first call and kept."""
         if oi not in self._aut:
-            self._aut[oi] = [m for m in self.hom_idx(oi, oi)
-                             if self.inverse_idx(m) is not None]
+            endos = self.hom_idx(oi, oi)
+            if self._codec is None:
+                inverses = [self.inverse_idx(m) for m in endos]
+            else:
+                inverses = self._codec_inverses(oi, endos)
+                self._inv.update(zip(endos, inverses))
+            auts = [m for m, g in zip(endos, inverses) if g is not None]
+            ranks = np.searchsorted(auts, [g for g in inverses if g is not None])
+            self._aut[oi] = auts, ranks
         return self._aut[oi]
 
+    def _codec_inverses(self, oi: int, endos: list) -> list:
+        """The inverse of each endomorphism in ``endos`` or None, from one
+        ``codec.units`` pass over their stack.  Each inverse is found among
+        ``endos`` by its radix code, and f . f^-1 = id = f^-1 . f is checked
+        for every unit by a row-by-row codec product of their stacks; so is
+        the inverse of f^-1 being f.  Raises CategoryError naming the first
+        morphism for which a check fails."""
+        codec = self._codec
+        E, find = self._hom_stack(oi, oi)
+        units, inv = codec.units(E)
+        rows = np.flatnonzero(units)
+        at = find(inv)
+        position = np.full(len(endos), -1)
+        position[rows] = at
+        ident = endos.index(self.identity_idx[oi])
+        bad = ((at < 0) | (position[at] != rows)
+               | (find(codec.left(E[rows], E[at])) != ident)
+               | (find(codec.left(E[at], E[rows])) != ident))
+        if bad.any():
+            raise CategoryError(f"codec inverse is wrong for {self.mor_ids[endos[rows[bad][0]]]}")
+        inverses = [None] * len(endos)
+        for r, p in zip(rows.tolist(), at.tolist()):
+            inverses[r] = endos[p]
+        return inverses
+
     def _aut_closure(self, oi: int) -> tuple:
-        """(generators, words, columns) of Aut(x) from one greedy closure
-        over the ranks in ``aut_idx(oi)``, which steps a -> g . a along the
-        column of g, the ranks of g . a for every a, computed once per
-        generator.  Computed on the first call and kept."""
+        """(generators, words, columns, levels) of Aut(x) from one greedy
+        closure over the ranks in ``aut_idx(oi)``, which steps a -> g . a
+        along the column of g, the ranks of g . a for every a, computed once
+        per generator.  levels are the words after the identity, one entry
+        per breadth-first level: the level's (element, parent, k) triples
+        when it has fewer than _GATHER_MIN words, else one array each of
+        its elements, parents and generators.  Computed on the first call
+        and kept."""
         if oi not in self._aut_closures:
             auts = self.aut_idx(oi)
             column, cols = self._column(oi, oi, auts), {}
@@ -234,11 +310,15 @@ class FiniteCategory:
                     cols[g] = column(auts[g], True).tolist()
                 return cols[g][a]
 
-            gens, _, words = greedy_closure(range(len(auts)), step,
-                                            auts.index(self.identity_idx[oi]), len(auts))
+            gens, _, levels = greedy_closure(range(len(auts)), step,
+                                             auts.index(self.identity_idx[oi]), len(auts),
+                                             tree=True)
             columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(len(auts) - 1))
-            self._aut_closures[oi] = ([auts[g] for g in gens], words,
-                                      columns.reshape(len(gens), len(auts)))
+            self._aut_closures[oi] = (
+                [auts[g] for g in gens], [w for level in levels for w in level],
+                columns.reshape(len(gens), len(auts)),
+                [level if len(level) < _GATHER_MIN else tuple(map(np.array, zip(*level)))
+                 for level in levels[1:]])
         return self._aut_closures[oi]
 
     def aut_generators(self, oi: int) -> list:
@@ -256,21 +336,32 @@ class FiniteCategory:
         """The action table of Aut(x) on the points ``start``, where the
         k-th generator maps point p to columns[k, p]: row a holds the images
         of the points under a, rows in ``aut_idx`` order, built along the
-        left words as row(g . a) = column(g)[row(a)]."""
-        words = self.aut_words(oi)
+        left words as row(g . a) = column(g)[row(a)].  A breadth-first
+        level of at least _GATHER_MIN words is built by gathers of at most
+        _GATHER_CELLS entries each; a smaller one a word at a time."""
+        _, words, _, levels = self._aut_closure(oi)
         rows = np.empty((len(words), len(start)), dtype=columns.dtype)
         rows[words[0][0]] = start
-        for a, p, k in words[1:]:
-            rows[a] = columns[k][rows[p]]
+        for level in levels:
+            if isinstance(level, list):
+                for a, p, k in level:
+                    rows[a] = columns[k][rows[p]]
+                continue
+            a, p, k = level
+            flat, width = columns.ravel(), max(1, _GATHER_CELLS // len(start))
+            for lo in range(0, len(a), width):
+                part = slice(lo, lo + width)
+                rows[a[part]] = flat[k[part, None] * columns.shape[1] + rows[p[part]]]
         return rows
 
     def _column(self, si: int, di: int, mors: list):
         """column(g, left): the positions among ``mors``, morphisms x -> y,
         of g . f for each f (``left``, g an endomorphism of y) or of f . g
-        (else, g one of x), as an int64 array.  Read through the codec when
-        there is one, which stacks ``mors`` once here and acts by one numpy
-        step per g, else one composite per morphism.  A column raises
-        CategoryError for an image outside ``mors``."""
+        (else, g one of x), as an int64 array; ``mors`` ascend.  Read
+        through the codec when there is one, which acts by one numpy step
+        per g on the stack of ``mors`` (``_hom_stack``), else one composite
+        per morphism.  A column raises CategoryError for an image outside
+        ``mors``."""
         if self._codec is None:
             pos = {f: p for p, f in enumerate(mors)}
 
@@ -283,17 +374,14 @@ class FiniteCategory:
             def stack(s, d, ms):
                 return codec.values(s, d, [self.payloads[m] for m in ms])
 
-            radix = codec.radix(si, di)
-            F = stack(si, di, mors)
-            codes = _radix_codes(F, radix)
-            order = np.argsort(codes)
+            F, find = self._hom_stack(si, di)
+            if len(mors) < len(F):
+                F = F[np.searchsorted(self.hom_idx(si, di), mors)]
+                find = _code_finder(F, codec.radix(si, di))
 
             def positions(g, left):
-                images = (codec.left(stack(di, di, [g])[0], F) if left
-                          else codec.right(F, stack(si, si, [g])[0]))
-                found = _radix_codes(images, radix)
-                at = order[np.minimum(np.searchsorted(codes, found, sorter=order), len(mors) - 1)]
-                return np.where(codes[at] == found, at, -1)
+                return find(codec.left(stack(di, di, [g])[0], F) if left
+                            else codec.right(F, stack(si, si, [g])[0]))
 
         def column(g, left):
             at = positions(g, left)
@@ -306,6 +394,18 @@ class FiniteCategory:
             return at
 
         return column
+
+    def _hom_stack(self, si: int, di: int) -> tuple:
+        """(stack, find) of Hom(x, y) through the codec: the payloads of
+        ``hom_idx(si, di)`` stacked in that order, and ``_code_finder`` over
+        them.  Computed on the first call and kept until ``hom_columns``
+        of the pair, its last reader, so that End(x) is stacked once for
+        ``aut_idx``, the closure and its own columns."""
+        key = (si, di)
+        if key not in self._hom_stacks:
+            F = self._codec.values(si, di, [self.payloads[m] for m in self.hom_idx(si, di)])
+            self._hom_stacks[key] = F, _code_finder(F, self._codec.radix(si, di))
+        return self._hom_stacks[key]
 
     def hom_columns(self, si: int, di: int) -> tuple:
         """Generator columns of Hom(x, y) as arrays of positions in
@@ -323,6 +423,7 @@ class FiniteCategory:
             self._hom_columns[key] = tuple(
                 np.array([column(g, left) for g in gens], dtype=dtype).reshape(len(gens), len(hom))
                 for gens, left in ((self.aut_generators(di), True), (invs, False)))
+            self._hom_stacks.pop(key, None)
         return self._hom_columns[key]
 
     def hom_action_tables(self, si: int, di: int, positions) -> tuple:

@@ -169,19 +169,26 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
 class _FunctionCodec:
     """The hom-set codec of the skeleton (``FiniteCategory``): a function
     n -> m is its value tuple, a row of n entries below m, so g after F is
-    the gather g[F] and F after h is F[:, h]."""
+    the gather g[F] (row by row for a stack g) and F after h is F[:, h]."""
 
     def values(self, n, m, payloads):
-        return np.array([p[2] for p in payloads], dtype=np.uint8).reshape(len(payloads), n)
+        entries = itertools.chain.from_iterable(p[2] for p in payloads)
+        return np.fromiter(entries, dtype=np.uint8, count=len(payloads) * n).reshape(len(payloads), n)
 
     def radix(self, n, m):
         return m
 
     def left(self, g, F):
-        return g[F]
+        return g[F] if g.ndim == 1 else np.take_along_axis(g, F, axis=1)
 
     def right(self, F, h):
         return F[:, h]
+
+    def units(self, E):
+        """(invertible, inverses) of the stack E of endomorphisms of one
+        set: the rows that are permutations, and their inverses by argsort."""
+        perm = (np.sort(E, axis=1) == np.arange(E.shape[1])).all(axis=1)
+        return perm, np.argsort(E[perm], axis=1).astype(E.dtype)
 
 
 def _functions(n: int, m: int):

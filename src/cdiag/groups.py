@@ -249,46 +249,51 @@ def _direct_product_table(tables: list) -> np.ndarray:
 # Greedy closure
 
 
-def greedy_closure(candidates, compose, identity, order: int) -> tuple:
+def greedy_closure(candidates, compose, identity, order: int, tree: bool = False) -> tuple:
     """Greedy generators, among ``candidates``, of a group of known ``order``.
 
     Walks the candidates in order and keeps each one outside the closure of
     those kept so far; after each, the closure is rebuilt breadth first
     from ``identity`` as ``compose(x, g)``.  Once the closure has ``order``
     elements it keeps no more, and every later candidate must lie in it.
-    Returns (generators, closure size after each, tree), the tree the last
-    closure's (element, parent, k) triples in discovery order, each element
-    ``compose(parent, generators[k])`` and the identity first as
-    (identity, -1, -1).  Raises ClosureLimitExceeded when the closure grows
-    past ``order`` and GroupError when a candidate lies outside a closure
-    of ``order`` elements or the candidates run out before it reaches
-    ``order``.
+    Returns (generators, closure size after each, levels).  With ``tree``,
+    levels is the last closure's breadth-first tree level by level: first
+    [(identity, -1, -1)], then for each level the (element, parent, k)
+    triples in discovery order, each element ``compose(parent,
+    generators[k])`` with its parent in the level before; else None.
+    Raises ClosureLimitExceeded when the closure grows past ``order`` and
+    GroupError when a candidate lies outside a closure of ``order``
+    elements or the candidates run out before it reaches ``order``.
     """
-    root = (identity, -1, -1)
-    gens, sizes, tree, seen = [], [], [root], {identity}
+    gens, sizes, seen = [], [], {identity}
+    levels = [[(identity, -1, -1)]] if tree else None
     for c in candidates:
         if c in seen:
             continue
-        if len(tree) == order:
+        if len(seen) == order:
             raise GroupError(f"{c!r} lies outside the closure of {order} elements")
         gens.append(c)
-        tree, seen, frontier = [root], {identity}, [identity]
+        seen, frontier = {identity}, [identity]
+        levels = [[(identity, -1, -1)]] if tree else None
         while frontier:
-            new = []
+            new, level = [], []
             for k, g in enumerate(gens):
                 for x in frontier:
                     y = compose(x, g)
                     if y not in seen:
                         seen.add(y)
-                        tree.append((y, x, k))
                         new.append(y)
-                        if len(tree) > order:
-                            raise ClosureLimitExceeded(order, len(tree))
+                        if tree:
+                            level.append((y, x, k))
+                        if len(seen) > order:
+                            raise ClosureLimitExceeded(order, len(seen))
+            if tree and level:
+                levels.append(level)
             frontier = new
-        sizes.append(len(tree))
-    if len(tree) != order:
-        raise GroupError(f"candidates generate {len(tree)} elements, not {order}")
-    return gens, sizes, tree
+        sizes.append(len(seen))
+    if len(seen) != order:
+        raise GroupError(f"candidates generate {len(seen)} elements, not {order}")
+    return gens, sizes, levels
 
 
 def table_from_elements(els: list, compose, label: str = "") -> CayleyTable:

@@ -87,7 +87,7 @@ def all_matrices(rows: int, cols: int, p: int):
         yield tuple(() for _ in range(rows))
         return
     for flat in itertools.product(range(p), repeat=rows * cols):
-        yield tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
+        yield tuple(zip(*[iter(flat)] * cols))      # consecutive runs of cols entries
 
 
 def general_linear(n: int, p: int) -> list:

@@ -530,9 +530,9 @@ def test_words_and_generators_come_from_one_closure(monkeypatch):
     # from one greedy closure, whose tree is the words
     closures, closure = [], fincat.greedy_closure
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         closures.append(args[3])
-        return closure(*args)
+        return closure(*args, **kwargs)
 
     monkeypatch.setattr(fincat, "greedy_closure", spy)
     cat = builtin_category("group:S3")

@@ -5,6 +5,7 @@ import pytest
 
 from cdiag import fincat, finset, finvect
 from cdiag.classifying import level_decomposition
+from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import (CatdefError, CategoryError, FiniteCategory, from_catdef,
                           maximal_subgroupoid, object_iso_classes, parse_catdef)
 from cdiag.groups import table_from_elements
@@ -427,3 +428,139 @@ def test_radix_codes_refuse_an_entry_beyond_the_radix():
     # (0, 3) in base 3 would carry into the code of (1, 0)
     stack = np.array([[0, 3], [1, 0], [2, 2], [0, -1]])
     assert fincat._radix_codes(stack, 3).tolist() == [-1, 3, 8, -1]
+
+
+# ---------------------------------------------------------------------------
+# Aut(x) from one codec pass
+
+
+BULK_INVERSE_CASES = (
+    [(f"finset:{n}:{v}", lambda n=n, v=v: finset.finset_skeleton(n, v))
+     for v in ("all", "inj", "surj") for n in range(6)]
+    + [(f"vect:{d}:{q}", lambda d=d, q=q: finvect.vect_skeleton(d, q))
+       for d, q in ((0, 2), (2, 2), (3, 2), (2, 3), (2, 11), (2, 13), (1, 101))])
+
+
+@pytest.mark.parametrize("make", [m for _, m in BULK_INVERSE_CASES],
+                         ids=[name for name, _ in BULK_INVERSE_CASES])
+def test_bulk_inverses_equal_the_per_morphism_search(make):
+    # aut_idx reads every inverse from one codec pass per object; each
+    # endomorphism's answer, None included, must be the one _find_inverse
+    # gives it a morphism at a time
+    cat = make()
+    for x in range(cat.n_objects):
+        auts, ranks = cat.aut_idx(x), cat.aut_inverse_ranks(x)
+        want = {m: cat._find_inverse(m) for m in cat.hom_idx(x, x)}
+        assert {m: cat._inv[m] for m in want} == want
+        assert auts == [m for m, g in want.items() if g is not None]
+        assert [auts[r] for r in ranks.tolist()] == [want[a] for a in auts]
+
+
+class _SpoiledUnits:
+    """A hom-set codec whose bulk inverses are spoiled by ``spoil``."""
+
+    def __init__(self, codec, spoil):
+        self.codec, self.spoil = codec, spoil
+
+    def __getattr__(self, name):
+        return getattr(self.codec, name)
+
+    def units(self, E):
+        return self.spoil(self.codec, E)
+
+
+def _off_by_one(codec, E):
+    units, inv = codec.units(E)
+    return units, inv + 1
+
+
+def _off_by_one_within_the_radix(codec, E):
+    units, inv = codec.units(E)
+    return units, (inv + 1) % codec.radix(E.shape[-1], E.shape[-1])
+
+
+def _every_unit_its_own_inverse(codec, E):
+    units, _ = codec.units(E)
+    return units, E[units]
+
+
+def _one_unit_missed(codec, E):
+    # the first unit that is not its own inverse is reported singular
+    units, inv = codec.units(E)
+    rows = np.flatnonzero(units)
+    j = next(j for j, r in enumerate(rows) if not np.array_equal(E[r], inv[j]))
+    units[rows[j]] = False
+    return units, np.delete(inv, j, axis=0)
+
+
+@pytest.mark.parametrize("spoil", [_off_by_one, _off_by_one_within_the_radix,
+                                   _every_unit_its_own_inverse, _one_unit_missed])
+@pytest.mark.parametrize("make", [lambda: finset.finset_skeleton(3),
+                                  lambda: finvect.vect_skeleton(2, 3)],
+                         ids=["finset:3", "vect:2:3"])
+def test_spoiled_bulk_inverses_raise(make, spoil):
+    cat = make()
+    cat._codec = _SpoiledUnits(cat._codec, spoil)
+    with pytest.raises(CategoryError, match="codec inverse is wrong for"):
+        cat.aut_idx(cat.n_objects - 1)
+
+
+@pytest.mark.parametrize("make, level", [(lambda: finvect.vect_skeleton(3, 2), 1),
+                                         (lambda: finset.finset_skeleton(4), 2)],
+                         ids=["vect:3:2", "finset:4"])
+def test_no_endomorphism_is_inverted_one_at_a_time(make, level, monkeypatch):
+    # once aut_idx has run, every inverse the engine reads is the one the
+    # codec pass recorded
+    from cdiag import chains
+    want = [(b.objs, b.reps.tolist(), b.orders) for b in chains.level_blocks(make(), level)]
+    cat = make()
+    search = cat._find_inverse
+
+    def refuse(mi):
+        if cat.src[mi] == cat.dst[mi]:
+            raise AssertionError(f"_find_inverse called on endomorphism {cat.mor_ids[mi]}")
+        return search(mi)
+
+    monkeypatch.setattr(cat, "_find_inverse", refuse)
+    for x in range(cat.n_objects):
+        cat.aut_idx(x)
+    got = [(b.objs, b.reps.tolist(), b.orders) for b in chains.level_blocks(cat, level)]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Word rows a level at a time
+
+
+def _word_rows_reference(cat, oi, columns, start):
+    """The action table along the words, one numpy step per automorphism."""
+    words = cat.aut_words(oi)
+    rows = np.empty((len(words), len(start)), dtype=columns.dtype)
+    rows[words[0][0]] = start
+    for a, p, k in words[1:]:
+        rows[a] = columns[k][rows[p]]
+    return rows
+
+
+WORD_ROW_CASES = list(ACCEPTANCE_SUITE) + ["vect:3:2", "finset:5"]
+
+
+@pytest.mark.parametrize("name", WORD_ROW_CASES)
+def test_level_batched_word_rows_equal_the_per_word_loop(name):
+    cat = builtin_category(name)
+    for x in range(cat.n_objects):
+        ranks = np.arange(len(cat.aut_idx(x)))
+        columns = cat._aut_closure(x)[2]
+        assert np.array_equal(cat.aut_table(x),
+                              _word_rows_reference(cat, x, columns, ranks.astype(columns.dtype)))
+        for y in range(cat.n_objects):
+            hom = cat.hom_idx(x, y)
+            if not hom:
+                continue
+            left, right = cat.hom_columns(x, y)
+            every = np.arange(len(hom))
+            for positions in (every, every[::-1][::2]):
+                on_left, on_right = cat.hom_action_tables(x, y, positions)
+                positions = positions.astype(left.dtype)
+                assert np.array_equal(on_left, _word_rows_reference(cat, y, left, positions))
+                assert np.array_equal(on_right, _word_rows_reference(cat, x, right, positions))

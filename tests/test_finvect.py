@@ -218,6 +218,20 @@ def test_matrix_codec_products_equal_modp(q):
         assert codec.right(F, G).tolist() == [[list(r) for r in modp.mul(f, g, q)] for f in fs]
 
 
+@pytest.mark.parametrize("q", [2, 17, 257, 65537])
+def test_matrix_codec_units_equal_modp(q):
+    # one q for each width of the elimination's working dtype, with
+    # singular matrices among the random ones
+    codec = finvect._MatrixCodec(3, q)
+    rng = random.Random(q)
+    fs = [tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3)) for _ in range(200)]
+    fs += [((1, 2, 3), (2, 4, 6), (0, 0, 1)), ((q - 1,) * 3,) * 3, ((0,) * 3,) * 3]
+    units, inverses = codec.units(codec.values(3, 3, [(3, 3, f) for f in fs]))
+    want = [modp.inverse(f, q) for f in fs]
+    assert units.tolist() == [w is not None for w in want]
+    assert inverses.tolist() == [[list(r) for r in w] for w in want if w is not None]
+
+
 # ---------------------------------------------------------------------------
 # Oracle diff
 

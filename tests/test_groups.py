@@ -169,8 +169,8 @@ def test_centralizer_orders_by_hand(expr):
 
 
 def closed_table(candidates, compose, identity, order):
-    _, _, tree = greedy_closure(candidates, compose, identity, order)
-    return table_from_elements([y for y, _, _ in tree], compose)
+    _, _, levels = greedy_closure(candidates, compose, identity, order, tree=True)
+    return table_from_elements([y for level in levels for y, _, _ in level], compose)
 
 
 def test_closure_empty_generators():
@@ -214,16 +214,20 @@ def test_closure_stops_short_of_the_order():
 def test_greedy_closure_keeps_only_growing_candidates():
     # Z/12: 4 generates {0,4,8}; 8 is already inside; 6 grows it to 6
     # elements; 3 completes it; 1 is never reached
-    gens, sizes, tree = greedy_closure([0, 4, 8, 6, 3, 1], lambda a, b: (a + b) % 12, 0, 12)
+    gens, sizes, levels = greedy_closure([0, 4, 8, 6, 3, 1], lambda a, b: (a + b) % 12, 0, 12,
+                                         tree=True)
     assert gens == [4, 6, 3]
     assert sizes == [3, 6, 12]
     # the last closure's breadth-first tree: every element once, each one
-    # generator after a parent found before it
-    assert tree[0] == (0, -1, -1)
-    assert sorted(y for y, _, _ in tree) == list(range(12))
-    found = [y for y, _, _ in tree]
-    for i, (y, x, k) in enumerate(tree[1:], 1):
-        assert y == (x + gens[k]) % 12 and found.index(x) < i
+    # generator after a parent in the level before
+    assert levels[0] == [(0, -1, -1)]
+    assert sorted(y for level in levels for y, _, _ in level) == list(range(12))
+    for before, level in zip(levels, levels[1:]):
+        assert level and all(y == (x + gens[k]) % 12 and x in [z for z, _, _ in before]
+                             for y, x, k in level)
+    # without the tree the generators and sizes are the same
+    assert greedy_closure([0, 4, 8, 6, 3, 1], lambda a, b: (a + b) % 12, 0, 12) == \
+        (gens, sizes, None)
 
 
 def test_generating_sequence_is_unchanged():
