@@ -336,6 +336,10 @@ def _cmd_oracle_diff(args, limits):
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+#: Highest ``finset --max``.  The closed forms list every fiber profile of
+#: every cell, and their number grows fast: 16 takes about 2–3 s.
+MAX_FINSET_CARD = 16
+
 
 def _int_in(lo: int, hi: Optional[int] = None):
     """argparse type: an integer in lo..hi (no upper bound when hi is None)."""
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finset", help="wreath-product closed form for finite sets")
     _add_common(p, category=False)
-    p.add_argument("--max", type=_int_in(0), default=4)
+    p.add_argument("--max", type=_int_in(0, MAX_FINSET_CARD), default=4)
     p.add_argument("--variant", choices=("all", "inj", "surj"), default="all")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the brute-force engine")
@@ -409,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-diff", help="closed forms vs the brute-force engine")
     _add_common(p, category=False)
-    p.add_argument("--finset-max", type=_int_in(0), dest="finset_max")
+    p.add_argument("--finset-max", type=_int_in(0, finset.DEFAULT_MAX_CARD), dest="finset_max")
     p.add_argument("--variant", choices=("all", "inj", "surj"), default="all")
     p.add_argument("--vect-dim", type=_int_in(0), dest="vect_dim")
     p.add_argument("--q", type=_int_in(2, finvect.ENUM_BOUND), default=2)

@@ -129,22 +129,24 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
     if not 0 <= max_card <= DEFAULT_MAX_CARD:
         raise CategoryError(f"max_card {max_card} outside 0..{DEFAULT_MAX_CARD}")
     objects = [str(c) for c in range(max_card + 1)]
-    digit = objects.__getitem__         # the id text of a value, read from a table
+    # value tuples and their digit strings, enumerated side by side in the
+    # same lexicographic order: the n-tuples over m (one empty function when
+    # n = 0, none when n > 0 = m), or for injections the n-permutations of m
+    maps = itertools.permutations if variant == "inj" else (
+        lambda pool, n: itertools.product(pool, repeat=n))
     payloads, morphisms = [], []
-    for n in range(max_card + 1):
-        for m in range(max_card + 1):
-            for values in _functions(n, m):
-                if variant == "inj" and len(set(values)) != n:
-                    continue
-                if variant == "surj" and len(set(values)) != m:
-                    continue
-                payload = (n, m, values)
-                if n == m and values == tuple(range(n)):
-                    mid = f"id_{n}"
-                else:
-                    mid = f"f{n}_{m}_" + "".join(map(digit, values))
-                payloads.append(payload)
-                morphisms.append((mid, str(n), str(m)))
+    for n, src in enumerate(objects):
+        for m, dst in enumerate(objects):
+            if variant == "surj":       # few n-tuples are onto: spell out those kept
+                values = [v for v in maps(range(m), n) if len(set(v)) == m]
+                words = (map(objects.__getitem__, v) for v in values)
+            else:
+                values, words = list(maps(range(m), n)), maps(objects[:m], n)
+            ids = list(map(f"f{n}_{m}_".__add__, map("".join, words)))
+            if n == m:
+                ids[values.index(tuple(range(n)))] = f"id_{n}"
+            payloads += zip(itertools.repeat(n), itertools.repeat(m), values)
+            morphisms += zip(ids, itertools.repeat(src), itertools.repeat(dst))
     identity = {str(n): f"id_{n}" for n in range(max_card + 1)}
 
     def comp(gp, fp):
@@ -189,17 +191,6 @@ class _FunctionCodec:
         set: the rows that are permutations, and their inverses by argsort."""
         perm = (np.sort(E, axis=1) == np.arange(E.shape[1])).all(axis=1)
         return perm, np.argsort(E[perm], axis=1).astype(E.dtype)
-
-
-def _functions(n: int, m: int):
-    """All functions {0..n-1} -> {0..m-1} as value tuples (one empty
-    function when n = 0; none when n > 0 = m)."""
-    if n == 0:
-        yield ()
-        return
-    if m == 0:
-        return
-    yield from itertools.product(range(m), repeat=n)
 
 
 # ---------------------------------------------------------------------------

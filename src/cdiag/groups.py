@@ -45,8 +45,10 @@ class CayleyTable:
 
     Group axioms are checked on construction: closure and identity/inverses
     always (the range check runs before the table is narrowed),
-    associativity via Light's test on a greedy generating set (full proof of
-    associativity, not a sample) for orders up to ``_ASSOC_CHECK_LIMIT``.
+    associativity via Light's test on the generators of
+    ``generating_sequence`` (full proof of associativity, not a sample) for
+    orders up to ``_ASSOC_CHECK_LIMIT``.  That closure runs once per table
+    and is kept for the isomorphism search.
     """
 
     def __init__(self, table, identity: Optional[int] = None, label: str = ""):
@@ -65,7 +67,7 @@ class CayleyTable:
             if identity is None:
                 raise GroupError("no identity element")
         self.identity = int(identity)
-        self._orders = None
+        self._orders = self._generators = None
         self._check_axioms()
 
     def _find_identity(self):
@@ -84,7 +86,10 @@ class CayleyTable:
         if not np.all((self.table == e).any(axis=1)):
             raise GroupError("missing inverse")
         if self.n <= _ASSOC_CHECK_LIMIT:
-            gens, _, _ = greedy_closure(range(self.n), self._column_mul(), self.identity, self.n)
+            try:
+                gens, _ = self.generating_sequence()
+            except GroupError as exc:   # every element of a group has a finite order
+                raise GroupError(f"associativity fails: {exc}") from exc
             for g in gens:
                 left = self.table[:, self.table[g]]       # x*(g*y)
                 right = self.table[self.table[:, g]]      # (x*g)*y
@@ -140,10 +145,12 @@ class CayleyTable:
 
     def generating_sequence(self):
         """Greedy generators ordered by decreasing element order, with the
-        subgroup size after each addition."""
-        by_pref = np.argsort(-self.orders, kind="stable").tolist()
-        gens, sizes, _ = greedy_closure(by_pref, self._column_mul(), self.identity, self.n)
-        return gens, sizes
+        subgroup size after each addition, from one closure per table."""
+        if self._generators is None:
+            by_pref = np.argsort(-self.orders, kind="stable").tolist()
+            gens, sizes, _ = greedy_closure(by_pref, self._column_mul(), self.identity, self.n)
+            self._generators = gens, sizes
+        return self._generators
 
     def __repr__(self):
         lbl = f" {self.label}" if self.label else ""
@@ -466,12 +473,12 @@ def _general_linear_table(n: int, q: int) -> np.ndarray:
     return _fill_table(len(mats), rows)
 
 
-def _wreath_table(base: np.ndarray, k: int) -> np.ndarray:
+def _wreath_table(base: np.ndarray, k: int, sk: np.ndarray) -> np.ndarray:
     """Table of base wr S_k over the elements (f, sigma), f in base^k
     lexicographic and sigma in S_k lexicographic, with
-    (f, sigma)(g, tau) = (h, sigma tau) and h_i = f_i g_{sigma^-1(i)}."""
+    (f, sigma)(g, tau) = (h, sigma tau) and h_i = f_i g_{sigma^-1(i)};
+    ``sk`` is the table of S_k."""
     perms = _permutations(k)
-    sk = _symmetric_table(perms)
     n_perms = len(perms)
     digits = _grid([len(base)] * k)
     weights = len(base) ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -493,10 +500,12 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(perms, dtype=np.int64).reshape(len(perms), n)
 
 
-def _expr_table(expr: GroupExpr) -> np.ndarray:
+def _expr_table(expr: GroupExpr, memo: Optional["GroupMemo"] = None) -> np.ndarray:
     """Multiplication table of an expression over its elements in their
     canonical order: permutations and matrices lexicographic, field
-    elements ascending, products and wreath coordinates lexicographic."""
+    elements ascending, products and wreath coordinates lexicographic.
+    With a ``memo`` the tables of its sub-expressions come from the memo."""
+    table = _expr_table if memo is None else memo.expr_table
     if isinstance(expr, Trivial):
         return np.zeros((1, 1), dtype=np.uint8)
     if isinstance(expr, Symmetric):
@@ -510,11 +519,11 @@ def _expr_table(expr: GroupExpr) -> np.ndarray:
         values = np.arange(expr.q)
         return _fill_table(expr.q, lambda lo, hi: (values[lo:hi, None] + values) % expr.q)
     if isinstance(expr, Product):
-        return _direct_product_table([_expr_table(f) for f in expr.factors])
+        return _direct_product_table([table(f) for f in expr.factors])
     if isinstance(expr, Wreath):
-        if expr.k == 0:     # trivial, whatever the base; its table is not needed
-            return np.zeros((1, 1), dtype=np.uint8)
-        return _wreath_table(_expr_table(expr.base), expr.k)
+        if expr.k == 0 or expr.base.order() == 1:   # base^k is trivial: S_k's table
+            return table(Symmetric(expr.k))
+        return _wreath_table(table(expr.base), expr.k, table(Symmetric(expr.k)))
     raise GroupError(f"cannot materialize {expr!r}")
 
 
@@ -523,13 +532,15 @@ def materialize(expr: GroupExpr, table_limit: int = DEFAULT_LIMITS.table_limit,
     """Concrete Cayley table of a symbolic expression.
 
     Refuses expressions whose order exceeds ``table_limit``.  With a
-    ``memo`` the table is checked once per distinct array.
+    ``memo`` the table is built once per expression and checked once per
+    distinct array.
     """
     n = expr.order()
     if n > table_limit:
         raise ClosureLimitExceeded(table_limit, n)
-    table = _expr_table(expr)
-    return CayleyTable(table, label=expr.text()) if memo is None else memo.table(table, expr.text())
+    if memo is None:
+        return CayleyTable(_expr_table(expr), label=expr.text())
+    return memo.table(memo.expr_table(expr), expr.text())
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +707,11 @@ def _table_key(table: np.ndarray, identity=None) -> tuple:
 
 class GroupMemo:
     """Checked tables, library names and isomorphism verdicts, each worked
-    out once per distinct table, and the library's candidate tables, each
-    built once per atom sequence.  A caller makes one for one command (one
-    ``iso_limit``) and drops it with the command."""
+    out once per distinct table; the library's candidate tables, each built
+    once per atom sequence; and the arrays of expressions and of their
+    sub-expressions (factors, wreath bases and the S_k of each wreath
+    product), each built once per expression text.  A caller makes one for
+    one command (one ``iso_limit``) and drops it with the command."""
 
     def __init__(self, iso_limit: int):
         self.iso_limit, self._done = iso_limit, {}
@@ -709,9 +722,13 @@ class GroupMemo:
         return self._done[key]
 
     def table(self, table: np.ndarray, label: str = "") -> CayleyTable:
-        """``CayleyTable(table)``, checked on the first sight of the array only."""
-        return self._once(("table", label, _table_key(table)),
-                          lambda: CayleyTable(table, label=label))
+        """``CayleyTable(table)``, checked on the first sight of the array
+        only; a later ``label`` for the same array is dropped."""
+        return self._once(("table", _table_key(table)), lambda: CayleyTable(table, label=label))
+
+    def expr_table(self, expr: GroupExpr) -> np.ndarray:
+        """``_expr_table(expr)``, built once per expression text."""
+        return self._once(("expr", expr.text()), lambda: _expr_table(expr, self))
 
     def name(self, t: CayleyTable) -> Optional[str]:
         return self._once(("name", _table_key(t.table, t.identity)),

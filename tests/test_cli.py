@@ -124,9 +124,11 @@ def test_vect_builtin_with_two_digit_entries(capsys):
      "--truncation: must be at least 1"),
     (["nerve", "--builtin", "group:S2", "--truncation", "6"],
      "--truncation: must be between 0 and 4"),
-    (["finset", "--max", "-1"], "--max: must be at least 0"),
+    (["finset", "--max", "-1"], "--max: must be between 0 and 16"),
     (["oracle-diff", "--vect-dim", "-2"], "--vect-dim: must be at least 0"),
     (["decompose", "--builtin", "ordinal:1", "--level", "x"], "invalid int value"),
+    (["finset", "--max", "17"], "--max: must be between 0 and 16, got 17"),
+    (["oracle-diff", "--finset-max", "7"], "--finset-max: must be between 0 and 6, got 7"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -451,6 +453,27 @@ PINNED_BODIES = [
                          ids=[" ".join(p[0][2:]) for p in PINNED_BODIES])
 def test_pinned_report_body(argv, text_sha, json_sha, fmt, capsys):
     assert _body_digest(argv, fmt, capsys) == (text_sha if fmt == "text" else json_sha)
+
+
+# acceptance criterion 7 at its largest size, text bodies pinned from the
+# engine that checked every closed-form table once per profile
+ORACLE_DIFF_BODIES = {
+    "all": "221194099539abf50a562294e7c37a7c443cc1cfdea77666545e8b077d3139f4",
+    "inj": "41ef56b446e7f303179768e96593d9a8dfbad3482c9bcbe75ae8c8f49adc85cd",
+    "surj": "677c9b34df24cca1ced25e90fde76c858b640a62c6d270ea26500fafc2b4acdf",
+}
+
+
+@pytest.mark.parametrize("variant", ORACLE_DIFF_BODIES)
+def test_criterion_7_oracle_diff_at_finset_max_6(variant, capsys):
+    argv = ("oracle-diff", "--finset-max", str(finset.DEFAULT_MAX_CARD), "--variant", variant)
+    code, out = run_capture(list(argv), capsys)
+    assert code == 0
+    body = body_lines(out)
+    checks = [l for l in body if l.startswith("check ")]
+    assert checks and all("0 mismatches" in l for l in checks)
+    digest = hashlib.sha256("".join(l + "\n" for l in body).encode("utf-8")).hexdigest()
+    assert digest == ORACLE_DIFF_BODIES[variant]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import pytest
@@ -11,7 +12,50 @@ from cdiag.finset import (FiberProfile, closed_form_level0, closed_form_level1,
 
 
 # ---------------------------------------------------------------------------
+# Reference enumeration
+
+
+def functions(n, m):
+    """Every function {0..n-1} -> {0..m-1} as a value tuple, lexicographic."""
+    return list(itertools.product(range(m), repeat=n))
+
+
+KEEP = {"all": lambda v, m: True, "inj": lambda v, m: len(set(v)) == len(v),
+        "surj": lambda v, m: len(set(v)) == m}
+
+
+def reference_skeleton(max_card, variant):
+    """(mor_ids, src, dst, payloads, identity_idx) of the skeleton, one
+    function at a time: every value tuple, filtered by a set test, its id
+    formatted on its own."""
+    ids, src, dst, payloads, identity_idx = [], [], [], [], [None] * (max_card + 1)
+    for n in range(max_card + 1):
+        for m in range(max_card + 1):
+            for v in functions(n, m):
+                if not KEEP[variant](v, m):
+                    continue
+                if n == m and v == tuple(range(n)):
+                    identity_idx[n] = len(ids)
+                    ids.append(f"id_{n}")
+                else:
+                    ids.append(f"f{n}_{m}_{''.join(str(x) for x in v)}")
+                src.append(n)
+                dst.append(m)
+                payloads.append((n, m, v))
+    return tuple(ids), tuple(src), tuple(dst), tuple(payloads), tuple(identity_idx)
+
+
+# ---------------------------------------------------------------------------
 # Skeleton
+
+
+@pytest.mark.parametrize("variant", ["all", "inj", "surj"])
+@pytest.mark.parametrize("max_card", range(finset.DEFAULT_MAX_CARD + 1))
+def test_skeleton_equals_the_per_function_reference(max_card, variant):
+    sk = finset_skeleton(max_card, variant)
+    assert sk.objects == tuple(str(c) for c in range(max_card + 1))
+    assert (sk.mor_ids, sk.src, sk.dst, sk.payloads, sk.identity_idx) == \
+        reference_skeleton(max_card, variant)
 
 
 def test_skeleton_morphism_counts():
@@ -68,7 +112,7 @@ def test_profile_gamma_3_4():
 def test_profile_invariants_hold_by_construction():
     for n in range(5):
         for m in range(5):
-            for values in finset._functions(n, m):
+            for values in functions(n, m):
                 p = profile_of(values, m)
                 assert sum(i * v for i, v in enumerate(p.k)) == n
                 assert sum(p.k) == m
@@ -79,12 +123,10 @@ def test_enumerate_profiles_small():
     assert [p.k for p in enumerate_profiles(2, 2)] == [(0, 2, 0), (1, 0, 1)]
     # every variant lists, in lexicographic order, exactly the profiles of
     # its functions
-    keep = {"all": lambda v, m: True, "inj": lambda v, m: len(set(v)) == len(v),
-            "surj": lambda v, m: len(set(v)) == m}
     for n in range(6):
         for m in range(6):
-            for variant, kept in keep.items():
-                want = sorted({profile_of(v, m).k for v in finset._functions(n, m) if kept(v, m)})
+            for variant, kept in KEEP.items():
+                want = sorted({profile_of(v, m).k for v in functions(n, m) if kept(v, m)})
                 assert [p.k for p in enumerate_profiles(n, m, variant)] == want
 
 
@@ -197,6 +239,34 @@ def test_oracle_verdicts_equal_fresh_isomorphism_tests(variant, monkeypatch):
     assert seen
     for a, b, verdict in seen:
         assert verdict == groups.are_isomorphic(groups.CayleyTable(a), groups.CayleyTable(b))
+
+
+@pytest.mark.parametrize("variant", ["all", "inj", "surj"])
+def test_oracle_diff_builds_and_checks_each_table_once(variant, monkeypatch):
+    calls = {"check": [], "symmetric": [], "wreath": []}
+    check, symmetric, wreath = (groups.CayleyTable._check_axioms, groups._symmetric_table,
+                                groups._wreath_table)
+
+    def spy_check(t):
+        calls["check"].append((t.n, t.table.tobytes()))
+        check(t)
+
+    def spy_symmetric(perms):
+        calls["symmetric"].append(perms.shape[1])
+        return symmetric(perms)
+
+    def spy_wreath(base, k, sk):
+        calls["wreath"].append((base.tobytes(), k))
+        return wreath(base, k, sk)
+
+    monkeypatch.setattr(groups.CayleyTable, "_check_axioms", spy_check)
+    monkeypatch.setattr(groups, "_symmetric_table", spy_symmetric)
+    monkeypatch.setattr(groups, "_wreath_table", spy_wreath)
+    assert oracle_diff_finset(5, variant).ok
+    # the injective closed forms hold no wreath product
+    assert calls["check"] and calls["symmetric"] and bool(calls["wreath"]) == (variant != "inj")
+    for name, seen in calls.items():
+        assert len(set(seen)) == len(seen), name
 
 
 def test_oracle_diff_reports_iso_policy():

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cdiag import groups, modp
+from cdiag import finset, groups, modp
 from cdiag.groups import (CayleyTable, ClosureLimitExceeded, FieldAdditive,
                           FieldUnits, GeneralLinear, GroupError, Product,
                           Symmetric, Trivial, Wreath, are_isomorphic,
@@ -145,6 +145,13 @@ def test_table_axioms_checked():
         CayleyTable([[0, 1, 2], [1, 0, 0], [2, 0, 0]])
 
 
+def test_an_element_without_a_finite_order_fails_associativity():
+    # closed, unital, identity in every row, but the powers of 3 stay 3:
+    # in a group every element has a finite order
+    with pytest.raises(GroupError, match="associativity"):
+        CayleyTable([[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 3]])
+
+
 def test_element_orders_and_abelian():
     t = cyclic_table(6)
     assert t.element_order(1) == 6
@@ -236,22 +243,19 @@ def test_generating_sequence_is_unchanged():
         ([9, 10, 7], [6, 24, 48])
 
 
-CLOSURE_POOL = {
-    "S4": lambda: materialize(Symmetric(4)),
-    "GL(2,3)": lambda: materialize(GeneralLinear(2, 3)),
-    "S2 wr S3": lambda: materialize(Wreath(Symmetric(2), 3)),
-    "S3 wr S2": lambda: materialize(Wreath(Symmetric(3), 2)),
-    "C3 x S3 x C2": lambda: product_table([cyclic_table(3), materialize(Symmetric(3)),
-                                           cyclic_table(2)]),
-    "(S2 wr S2) x S3 x A(2)": lambda: materialize(
-        Product([Wreath(Symmetric(2), 2), Symmetric(3), FieldAdditive(2)])),
-}
+CLOSURE_EXPRS = [Symmetric(4), GeneralLinear(2, 3), Wreath(Symmetric(2), 3),
+                 Wreath(Symmetric(3), 2),
+                 Product([Wreath(Symmetric(2), 2), Symmetric(3), FieldAdditive(2)])]
+CLOSURE_POOL = {e.text(): lambda e=e: materialize(e) for e in CLOSURE_EXPRS}
+CLOSURE_POOL["C3 x S3 x C2"] = lambda: product_table([cyclic_table(3), materialize(Symmetric(3)),
+                                                      cyclic_table(2)])
 
 
 @pytest.mark.parametrize("make", CLOSURE_POOL.values(), ids=CLOSURE_POOL.keys())
 def test_column_closures_equal_the_per_pair_reference(make, monkeypatch):
-    # the Light's-test generators and generating_sequence read products
-    # from table columns; each closure must equal one run on CayleyTable.mul
+    # Light's test and the isomorphism search share one closure per table,
+    # generating_sequence's, which reads products from table columns; it
+    # must equal a closure run on CayleyTable.mul
     calls, closure = [], groups.greedy_closure
 
     def spy(candidates, compose, identity, order):
@@ -263,10 +267,40 @@ def test_column_closures_equal_the_per_pair_reference(make, monkeypatch):
     monkeypatch.setattr(groups, "greedy_closure", spy)
     t = CayleyTable(table)
     gens, sizes = t.generating_sequence()
-    assert len(calls) == 2 and calls[0][0] == list(range(t.n))
-    for candidates, got in calls:
-        assert got == closure(candidates, t.mul, t.identity, t.n)
-    assert (gens, sizes) == calls[1][1][:2]
+    assert t.generating_sequence() == (gens, sizes)
+    assert len(calls) == 1
+    candidates, got = calls[0]
+    assert candidates == np.argsort(-t.orders, kind="stable").tolist()
+    assert got == closure(candidates, t.mul, t.identity, t.n)
+    assert (gens, sizes) == got[:2]
+
+
+def subexpressions(expr):
+    """``expr`` and every expression whose table its table is built from."""
+    yield expr
+    if isinstance(expr, Product):
+        for f in expr.factors:
+            yield from subexpressions(f)
+    if isinstance(expr, Wreath):
+        if expr.k and expr.base.order() > 1:
+            yield from subexpressions(expr.base)
+        yield Symmetric(expr.k)
+
+
+def test_memoized_tables_equal_tables_built_without_a_memo():
+    # one memo across every profile of finset:5 and the closure pool, so
+    # that sub-expression tables are shared between expressions
+    exprs = [p.group_expr() for n in range(6) for m in range(6)
+             for p in finset.enumerate_profiles(n, m)] + CLOSURE_EXPRS
+    memo = groups.GroupMemo(512)
+    for expr in exprs:
+        got, want = materialize(expr, memo=memo).table, materialize(expr).table
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        for sub in subexpressions(expr):
+            assert ("expr", sub.text()) in memo._done       # built on the way
+            got, want = memo.expr_table(sub), groups._expr_table(sub)
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes()), sub.text()
 
 
 # ---------------------------------------------------------------------------
