@@ -9,7 +9,7 @@ S_i wr S_{k_i}, pictured by a height-2 tree.  The closed form is verified
 against the generic orbit engine on the skeleton of small sets.
 """
 
-from cdiag.finset import (closed_form_level1, enumerate_profiles,
+from cdiag.finset import (enumerate_profiles, level1_closed_form,
                           oracle_diff_finset, profile_of)
 
 # a function from 12 points onto 4 points with all fibers of size 3
@@ -26,7 +26,7 @@ print(f"\nprofile {p2.k[:5]}...: {p2.tree_display()} has group "
 
 # all components of functions from a 4-set to a 3-set
 print("\ncomponents for 4 -> 3:")
-for c in closed_form_level1(4, 3):
+for c in level1_closed_form(4, 3, "all"):
     print(f"  {c.extra['tree']:>24s}  {c.group_display():>28s}  "
           f"order {c.group_order:>3d}  class size {c.orbit_size}")
 

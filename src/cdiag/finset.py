@@ -8,8 +8,9 @@ of the classifying diagram decomposes into one component per solution of
 
     k_1 + 2 k_2 + ... + n k_n = n        k_0 + k_1 + ... + k_n = m.
 
-Everything here is cross-checked against the generic chain engine by
-``oracle_diff_finset``.
+``level1_closed_form`` is the one source of the level-1 groups that
+``finset`` prints, in all three variants, and ``oracle_diff_finset`` checks
+each printed group against the generic chain engine.
 """
 
 from __future__ import annotations
@@ -54,8 +55,15 @@ class FiberProfile:
         parts = [f"Γ_{{{i},{v}}}" for i, v in enumerate(self.k) if v > 0]
         return " ∪ ".join(parts) if parts else "·"
 
-    def group_expr(self) -> GroupExpr:
-        return _product_of([Wreath(Symmetric(i), v) for i, v in enumerate(self.k) if v > 0])
+    def group_expr(self, variant: str = "all") -> GroupExpr:
+        """The level-1 group that ``variant`` prints for this profile: the
+        product of the S_i wr S_{k_i}, for inj and surj with S_0 wr S_k and
+        S_1 wr S_k read as S_k and factors of order 1 left out."""
+        if variant == "all":
+            return _product_of([Wreath(Symmetric(i), v) for i, v in enumerate(self.k) if v > 0])
+        factors = [Symmetric(v) if i <= 1 else Wreath(Symmetric(i), v)
+                   for i, v in enumerate(self.k) if v > 0]
+        return _product_of([f for f in factors if f.order() > 1])
 
     def group_order(self) -> int:
         out = 1
@@ -211,65 +219,30 @@ def closed_form_level0(max_card: int) -> list:
     return out
 
 
-def _profile_component(p: FiberProfile, expr: GroupExpr) -> Component:
-    order, total = p.group_order(), factorial(p.n) * factorial(p.m)
-    if expr.order() != order or total % order:
-        raise chains_mod.SelfCheckFailed(
-            f"profile {p.k}: group order {order} is not the order {expr.order()} "
-            f"of {expr.text()} or does not divide {p.n}! * {p.m}! = {total}")
-    return Component(
-        level=1, cell=(str(p.n), str(p.m)),
-        representative=("k=" + ",".join(str(v) for v in p.k),),
-        orbit_size=total // order,
-        group_order=order,
-        group_expr=expr.text(),
-        policy="closed-form",
-        extra={"profile": p.k, "tree": p.tree_display()})
-
-
-def closed_form_level1(n: int, m: int) -> list:
-    """One component per fiber profile, with its wreath-product group."""
-    return [_profile_component(p, p.group_expr()) for p in enumerate_profiles(n, m)]
-
-
-def injective_level1(n: int, m: int) -> list:
-    """Components of the injective restriction: empty unless n <= m, else a
-    single component.  The stabilizer of an injection permutes the n source
-    points and, independently, the m - n missed targets, so the group is
-    S_{m-n} x S_n (the profile wreath product, with trivial factors
-    simplified away)."""
-    if n > m:
-        return []
-    profiles = enumerate_profiles(n, m, "inj")
-    if len(profiles) != 1:
-        raise chains_mod.SelfCheckFailed(
-            f"{len(profiles)} injective profiles from {n} to {m}, not one")
-    p = profiles[0]
-    expr = _product_of([f for f in (Symmetric(m - n), Symmetric(n)) if f.order() > 1])
-    return [_profile_component(p, expr)]
-
-
-def surjective_level1(n: int, m: int) -> list:
-    """Components of the surjective restriction: profiles with k_0 = 0
-    (hence nonempty only for n >= m), group S_{k_1} x prod_{i>=2} S_i wr S_{k_i}."""
-    out = []
-    for p in enumerate_profiles(n, m, "surj"):
-        factors = []
-        if p.n >= 1 and p.k[1] > 1:
-            factors.append(Symmetric(p.k[1]))
-        for i in range(2, p.n + 1):
-            if p.k[i] > 0:
-                factors.append(Wreath(Symmetric(i), p.k[i]))
-        out.append(_profile_component(p, _product_of(factors)))
-    return out
-
-
 def level1_closed_form(n: int, m: int, variant: str) -> list:
-    if variant == "inj":
-        return injective_level1(n, m)
-    if variant == "surj":
-        return surjective_level1(n, m)
-    return closed_form_level1(n, m)
+    """One component per fiber profile of ``variant``, with the group it
+    prints (``FiberProfile.group_expr``).  An injection n -> m has the one
+    profile (m - n, n) when n <= m and none otherwise."""
+    profiles = enumerate_profiles(n, m, variant)
+    if variant == "inj" and len(profiles) != (n <= m):
+        raise chains_mod.SelfCheckFailed(
+            f"{len(profiles)} injective profiles from {n} to {m}, not {int(n <= m)}")
+    out = []
+    for p in profiles:
+        expr, order, total = p.group_expr(variant), p.group_order(), factorial(n) * factorial(m)
+        if expr.order() != order or total % order:
+            raise chains_mod.SelfCheckFailed(
+                f"profile {p.k}: group order {order} is not the order {expr.order()} "
+                f"of {expr.text()} or does not divide {n}! * {m}! = {total}")
+        out.append(Component(
+            level=1, cell=(str(n), str(m)),
+            representative=("k=" + ",".join(str(v) for v in p.k),),
+            orbit_size=total // order,
+            group_order=order,
+            group_expr=expr.text(),
+            policy="closed-form",
+            extra={"profile": p.k, "tree": p.tree_display()}))
+    return out
 
 
 def function_count_identity(n: int, m: int) -> bool:
@@ -310,12 +283,13 @@ class DiffReport:
 
 def oracle_diff_finset(max_card: int, variant: str = "all",
                        limits: Limits = DEFAULT_LIMITS) -> DiffReport:
-    """Compare the wreath-product closed form with brute-force orbits and
-    stabilizers of the (restricted) skeleton at level 1.
+    """Compare the closed form that ``finset`` prints with brute-force
+    orbits and stabilizers of the (restricted) skeleton at level 1.
 
     Each orbit is keyed by the profile of its representative; the check is
     exact equality of profile multisets per (n, m) cell, equality of every
-    stabilizer order with the wreath order, and group isomorphism whenever
+    stabilizer order with the order of the printed group
+    (``FiberProfile.group_expr``), and group isomorphism with it whenever
     the order fits iso_limit.
     """
     skel = finset_skeleton(max_card, variant)
@@ -346,11 +320,12 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
                     report.add(f"cell ({n},{m}): profile {p.k} hit twice")
                     continue
                 seen.add(p.k)
-                want_order = p.group_order()
+                expr = p.group_expr(variant)
+                want_order = expr.order()
                 if b.orders[k] != want_order:
                     report.add(
                         f"cell ({n},{m}) profile {p.k}: stabilizer order "
-                        f"{b.orders[k]} != wreath order {want_order}")
+                        f"{b.orders[k]} != order {want_order} of {expr.text()}")
                     continue
                 if want_order > limits.iso_limit:
                     report.policies[p.k] = "order-only"
@@ -358,9 +333,9 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
                 report.policies[p.k] = "isomorphism"
                 if want_order > 1:      # groups of order 1 are isomorphic
                     stab_table = b.stabilizer(k).to_cayley_table(limits.table_limit, memo)
-                    wreath_table = materialize(p.group_expr(), limits.table_limit, memo)
-                    if memo.isomorphic(stab_table, wreath_table) is not True:
+                    expr_table = materialize(expr, limits.table_limit, memo)
+                    if memo.isomorphic(stab_table, expr_table) is not True:
                         report.add(
                             f"cell ({n},{m}) profile {p.k}: stabilizer is not "
-                            f"isomorphic to {p.group_expr().text()}")
+                            f"isomorphic to {expr.text()}")
     return report

@@ -5,8 +5,11 @@ Morphisms F^n -> F^m are m x n matrices; the pair (GL_n, GL_m) acts by
 0 of the classifying diagram decomposes into B(GL_n) components, level 1
 into one component per rank with stabilizer orders recovered both by
 orbit-stabilizer division and, within scan limits, by a direct exhaustive
-scan over all (P, Q) pairs.  The dimension <= 2 stabilizers have explicit
-unit/additive-group descriptions that the scans confirm.
+scan over all (P, Q) pairs; a disagreement is a failed self-check.  In
+dimensions <= 2 every rank class has a named stabilizer, built by
+``rank_case`` alone: ``finvect`` prints it for the rank rows and the
+five-case catalogue, and ``oracle_diff_vect`` tests each one of order at
+most iso_limit against the engine's stabilizer by isomorphism.
 """
 
 from __future__ import annotations
@@ -220,11 +223,14 @@ class _MatrixCodec:
 class RankClass:
     rank: int
     class_size: int
-    orbit_verified: bool          # breadth-first action covers the whole class
     stabilizer_order: int         # by orbit-stabilizer division
     scan_order: Optional[int]     # direct pair scan, when within SCAN_BOUND
     policy: str
-    expr_text: Optional[str] = None   # named form, dimensions <= 2 only
+    case: Optional[StabilizerCase] = None   # named form, dimensions <= 2 only
+
+    @property
+    def expr_text(self) -> Optional[str]:
+        return None if self.case is None else self.case.expr_text
 
 
 @dataclass
@@ -259,24 +265,6 @@ def direct_scan_stabilizer_order(A_rows: tuple, n: int, m: int, q: int,
     return count
 
 
-def _named_rank_expr(n: int, m: int, r: int, q: int) -> Optional[str]:
-    """Display form of the rank-r stabilizer when both dimensions are <= 2."""
-    if n > 2 or m > 2:
-        return None
-
-    def gl_text(d):
-        if d == 0:
-            return None
-        return FieldUnits(q).text() if d == 1 else GeneralLinear(2, q).text()
-
-    if r == 0:
-        parts = [t for t in (gl_text(n), gl_text(m)) if t]
-        return " x ".join(parts) if parts else "1"
-    if r == n == m:
-        return gl_text(n) or "1"
-    return _column_text(q) if {n, m} == {1, 2} else _diag_text(q)
-
-
 def check_enumerable(n: int, m: int, q: int) -> None:
     """Raise CategoryError when there are more than ENUM_BOUND m x n
     matrices over F_q."""
@@ -286,9 +274,12 @@ def check_enumerable(n: int, m: int, q: int) -> None:
 
 
 def orbits_by_rank(n: int, m: int, q: int) -> VectCell:
-    """Enumerate all m x n matrices, group them by rank, and verify each
-    rank class is one orbit by breadth-first action from the canonical
-    representative."""
+    """Enumerate all m x n matrices and group them by rank.  Each rank class
+    must be the orbit of its canonical representative (breadth-first action
+    by generators), its size must divide |GL_n x GL_m|, the quotient must
+    equal a direct scan within SCAN_BOUND and the order of its named form
+    (``rank_case``), and the sizes must sum to q^(nm); a class that fails
+    raises ``SelfCheckFailed``."""
     check_enumerable(n, m, q)
     by_rank = {}
     for rows in modp.all_matrices(m, n, q):
@@ -301,9 +292,9 @@ def orbits_by_rank(n: int, m: int, q: int) -> VectCell:
 
     classes = []
     for r in sorted(by_rank):
-        rep = canonical_rank_rep(r, m, n)
+        rep, where = canonical_rank_rep(r, m, n), f"{n} -> {m} over F_{q}, rank {r}"
         if rep not in by_rank[r]:
-            raise CategoryError(f"canonical rank-{r} matrix has another rank")
+            raise chains_mod.SelfCheckFailed(f"{where}: the canonical matrix has another rank")
         seen = {rep}
         frontier = [rep]
         while frontier:
@@ -320,38 +311,35 @@ def orbits_by_rank(n: int, m: int, q: int) -> VectCell:
                         seen.add(nxt)
                         new.append(nxt)
             frontier = new
-        verified = seen == by_rank[r]
         size = len(by_rank[r])
+        if seen != by_rank[r]:
+            raise chains_mod.SelfCheckFailed(
+                f"{where}: the orbit of the canonical matrix has {len(seen)} "
+                f"of the {size} matrices of its rank")
         if group_order % size:
-            raise CategoryError(f"rank-{r} class size does not divide the group order")
+            raise chains_mod.SelfCheckFailed(
+                f"{where}: class size {size} does not divide the group order {group_order}")
         stab = group_order // size
         scan = direct_scan_stabilizer_order(rep, n, m, q)
+        if scan is not None and scan != stab:
+            raise chains_mod.SelfCheckFailed(
+                f"{where}: direct scan {scan} != division order {stab}")
+        case = rank_case(n, m, r, q)
+        if case is not None and case.order != stab:
+            raise chains_mod.SelfCheckFailed(
+                f"{where}: {case.expr_text} has order {case.order}, not {stab}")
         policy = "division+scan" if scan is not None else "division-only"
-        classes.append(RankClass(rank=r, class_size=size, orbit_verified=verified,
-                                 stabilizer_order=stab, scan_order=scan,
-                                 policy=policy,
-                                 expr_text=_named_rank_expr(n, m, r, q)))
+        classes.append(RankClass(rank=r, class_size=size, stabilizer_order=stab,
+                                 scan_order=scan, policy=policy, case=case))
     cell = VectCell(n=n, m=m, q=q, classes=classes)
     if not cell.check_counts():
-        raise CategoryError("rank class sizes do not sum to q^(nm)")
+        raise chains_mod.SelfCheckFailed(f"{n} -> {m} over F_{q}: rank class sizes "
+                                         f"do not sum to q^(nm)")
     return cell
 
 
 # ---------------------------------------------------------------------------
 # The dimension <= 2 stabilizer catalogue
-
-
-def _column_text(q: int) -> str:
-    """Display form of the stabilizer of the column [1;0]."""
-    u, a = FieldUnits(q), FieldAdditive(q)
-    return Product([u, u, a]).text() if q == 2 else "{([a],[[a,x],[0,z]])}"
-
-
-def _diag_text(q: int) -> str:
-    """Display form of the stabilizer of diag(1,0)."""
-    u, a = FieldUnits(q), FieldAdditive(q)
-    return (Product([u, u, u, a, a]).text() if q == 2
-            else "{([[a,b],[0,d]],[[a,0],[y,z]])}")
 
 
 def _column_elements(q: int) -> list:
@@ -374,17 +362,18 @@ class StabilizerCase:
     n: int
     m: int
     representative: tuple
+    q: int
     expr_text: str
     order: int
-    _elements: object = None      # q -> list of (C, D) pairs, or None to use expr
-    expr: object = None
-    q: int = 0
+    expr: object = None           # the GroupExpr, or None for a listed group
+    _elements: object = None      # q -> list of (C, D) pairs, when expr is None
 
-    def table(self, table_limit: int):
-        """The stabilizer subgroup as a concrete Cayley table; the elements
-        are listed only within ``table_limit``."""
+    def table(self, table_limit: int, memo: Optional[GroupMemo] = None):
+        """The stabilizer subgroup as a concrete Cayley table: an expression
+        materialized (through ``memo`` when given), or the listed elements,
+        listed only within ``table_limit``."""
         if self._elements is None:
-            return materialize(self.expr, table_limit)
+            return materialize(self.expr, table_limit, memo)
         if self.order > table_limit:
             raise CategoryError(
                 f"stabilizer of order {self.order} exceeds table_limit {table_limit}")
@@ -397,40 +386,56 @@ class StabilizerCase:
         return table_from_elements(self._elements(q), mul, label=self.case)
 
 
-def paper_stabilizers_dim_le2(q: int) -> list:
-    """The five explicit stabilizer cases in dimensions <= 2.
+def rank_case(n: int, m: int, r: int, q: int) -> Optional[StabilizerCase]:
+    """The stabilizer of the canonical rank-r matrix F^n -> F^m when n and
+    m are at most 2 (None above), the form that ``finvect`` prints:
 
-    rank-0: the full GL_n x GL_m (instantiated at n = m = 2);
-    the 1 x 1 unit [1]: pairs (C, C^{-1}), one unit group;
-    the column [1;0]: pairs ([a], [[a,x],[0,z]]) with a, z units;
-    diag(1,0): pairs ([[a,b],[0,d]], [[a,0],[y,z]]);
-    the full-rank 2 x 2: pairs (C, C^{-1}), a copy of GL_2.
+    rank 0: GL_n x GL_m, with GL_1 shown as U(q) and GL_0 left out;
+    full rank n = m: pairs (C, C^{-1}), a copy of GL_n;
+    the column [1;0] (n = 1, m = 2): pairs ([a], [[a,x],[0,z]]) with a, z
+    units, a case that the row [1 0] (n = 2, m = 1) reads through the
+    isomorphism (C, D) <-> (D^T, C^T);
+    diag(1,0) (n = m = 2, rank 1): pairs ([[a,b],[0,d]], [[a,0],[y,z]])
+    with a, d, z units.
 
-    The column and diag cases list their elements explicitly when tabled:
-    the entrywise parametrization is exact, but the multiplication twists the
+    The column and diag groups list their elements when tabled: the
+    entrywise parametrization is exact, but the multiplication twists the
     off-diagonal coordinates, so for q > 2 these groups are nonabelian and
     in particular not direct products of unit/additive groups (they only
     have the same order).  At q = 2 the twist vanishes and the direct
     product reading is exact.
     """
+    if n > 2 or m > 2:
+        return None
+    u, a = FieldUnits(q), FieldAdditive(q)
+
+    def named(case, expr):
+        return StabilizerCase(case, n, m, canonical_rank_rep(r, m, n), q,
+                              expr.text(), expr.order(), expr=expr)
+
+    if r == 0:
+        return named(f"rank-0 {m}x{n}",
+                     Product([u if d == 1 else GeneralLinear(d, q) for d in (n, m) if d]))
+    if r == n == m:
+        return named("unit 1x1", u) if n == 1 else named("full-rank 2x2", GeneralLinear(2, q))
+    if n + m == 3:
+        return StabilizerCase("column [1;0]", 1, 2, ((1,), (0,)), q,
+                              Product([u, u, a]).text() if q == 2 else "{([a],[[a,x],[0,z]])}",
+                              (q - 1) ** 2 * q, _elements=_column_elements)
+    return StabilizerCase("diag(1,0) 2x2", 2, 2, ((1, 0), (0, 0)), q,
+                          Product([u, u, u, a, a]).text() if q == 2
+                          else "{([[a,b],[0,d]],[[a,0],[y,z]])}",
+                          (q - 1) ** 3 * q * q, _elements=_diag_elements)
+
+
+def paper_stabilizers_dim_le2(q: int) -> list:
+    """The five explicit stabilizer cases in dimensions <= 2 that
+    ``finvect`` prints (``rank_case``): rank 0 at n = m = 2, the 1 x 1 unit
+    [1], the column [1;0], diag(1,0) and the full-rank 2 x 2."""
     if not modp.is_prime(q):
         raise GroupError(f"q={q} is not prime")
-    u = FieldUnits(q)
-    gl2 = GeneralLinear(2, q)
-    zero22 = tuple(tuple(0 for _ in range(2)) for _ in range(2))
-    return [
-        StabilizerCase("rank-0 2x2", 2, 2, zero22,
-                       Product([gl2, gl2]).text(), gl2.order() ** 2,
-                       None, Product([gl2, gl2]), q),
-        StabilizerCase("unit 1x1", 1, 1, ((1,),),
-                       u.text(), q - 1, None, u, q),
-        StabilizerCase("column [1;0]", 1, 2, ((1,), (0,)),
-                       _column_text(q), (q - 1) ** 2 * q, _column_elements, None, q),
-        StabilizerCase("diag(1,0) 2x2", 2, 2, ((1, 0), (0, 0)),
-                       _diag_text(q), (q - 1) ** 3 * q * q, _diag_elements, None, q),
-        StabilizerCase("full-rank 2x2", 2, 2, ((1, 0), (0, 1)),
-                       gl2.text(), gl2.order(), None, gl2, q),
-    ]
+    return [rank_case(n, m, r, q)
+            for n, m, r in ((2, 2, 0), (1, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2))]
 
 
 def vect_level0(max_dim: int, q: int) -> list:
@@ -453,17 +458,12 @@ def vect_level0(max_dim: int, q: int) -> list:
 def oracle_diff_vect(max_dim: int, q: int,
                      limits: Limits = DEFAULT_LIMITS) -> DiffReport:
     """Compare the generic chain engine on the matrix skeleton against
-    orbits_by_rank and the explicit dimension <= 2 stabilizer catalogue."""
+    orbits_by_rank, and each named rank class (``rank_case``) whose order
+    fits iso_limit against its stabilizer by isomorphism."""
     skel = vect_skeleton(max_dim, q)
     report = DiffReport(subject=f"vect max_dim={max_dim} q={q}")
     memo = GroupMemo(limits.iso_limit)
-
-    paper_cases = {(c.n, c.m, modp.rank(c.representative, q)): c
-                   for c in paper_stabilizers_dim_le2(q)}
-    # transpose twins of the catalogue (pairs (C,D) <-> (D^T, C^T))
-    for (n, m, r), c in list(paper_cases.items()):
-        if (m, n, r) not in paper_cases:
-            paper_cases[(m, n, r)] = c
+    case_tables = {}
 
     # (rank, (size, stabilizer order, block, row)) per component
     by_cell = {}
@@ -487,32 +487,24 @@ def oracle_diff_vect(max_dim: int, q: int,
                 if size != cls.class_size:
                     report.add(f"cell ({n},{m}) rank {cls.rank}: orbit size "
                                f"{size} != rank class size {cls.class_size}")
-                if not cls.orbit_verified:
-                    report.add(f"cell ({n},{m}) rank {cls.rank}: rank class is "
-                               f"not a single orbit")
                 if order != cls.stabilizer_order:
                     report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer "
                                f"{order} != {cls.stabilizer_order}")
-                if cls.scan_order is not None and cls.scan_order != order:
-                    report.add(f"cell ({n},{m}) rank {cls.rank}: direct scan "
-                               f"{cls.scan_order} != engine {order}")
-                case = paper_cases.get((n, m, cls.rank))
-                if case is not None:
-                    if case.order != order:
-                        report.add(
-                            f"cell ({n},{m}) rank {cls.rank}: catalogue order "
-                            f"{case.order} ({case.expr_text}) != {order}")
-                    elif case.order > limits.iso_limit:
-                        report.policies[(n, m, cls.rank)] = "order-only"
-                    else:
-                        report.policies[(n, m, cls.rank)] = "isomorphism"
-                        # groups of order 1 are isomorphic
-                        if case.order > 1 and memo.isomorphic(
-                                block.stabilizer(k).to_cayley_table(limits.table_limit, memo),
-                                case.table(limits.table_limit)) is not True:
-                            report.add(
-                                f"cell ({n},{m}) rank {cls.rank}: stabilizer not "
-                                f"isomorphic to {case.expr_text}")
+                    continue
+                case = cls.case
+                if case is None:
+                    continue
+                if case.order > limits.iso_limit:
+                    report.policies[(n, m, cls.rank)] = "order-only"
+                    continue
+                report.policies[(n, m, cls.rank)] = "isomorphism"
+                if case.order > 1:      # groups of order 1 are isomorphic
+                    if case.case not in case_tables:
+                        case_tables[case.case] = case.table(limits.table_limit, memo)
+                    if memo.isomorphic(block.stabilizer(k).to_cayley_table(limits.table_limit, memo),
+                                       case_tables[case.case]) is not True:
+                        report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer not "
+                                   f"isomorphic to {case.expr_text}")
 
     # transpose duality of component multisets
     for n in range(max_dim + 1):

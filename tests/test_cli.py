@@ -455,6 +455,47 @@ def test_pinned_report_body(argv, text_sha, json_sha, fmt, capsys):
     assert _body_digest(argv, fmt, capsys) == (text_sha if fmt == "text" else json_sha)
 
 
+# the closed-form commands, pinned from the code that kept a separate level-1
+# form per finset variant and named the vect rank rows apart from the
+# catalogue
+CLOSED_FORM_BODIES = [
+    (("finset", "--max", "5", "--oracle", "--variant", "all"),
+     "67bb64bf8e4c18c9b8c73eb4264ae63520b53e9837aff5f57c4cc03ef3ee06eb",
+     "45bd5488e49a5c5979f61df661879d23795e6e62e64daa7d7880e6377c6c9914"),
+    (("finset", "--max", "5", "--oracle", "--variant", "inj"),
+     "9b0281d7221e5c1a3fbeaf5b31e0575e60696ab7453f64cd3ca95c165e98b219",
+     "c051a88da87a0c418a013fd586d3822ea27b4a23a2cedc3f8d6e5bea0bd71368"),
+    (("finset", "--max", "5", "--oracle", "--variant", "surj"),
+     "57ba19ae0d9f8c3923fa3e731d92acd6b5f690ee47bca12fa1b10921062cd789",
+     "701562b6177df9956d6887397ca484246b5131beffed46b44973a231b96cf084"),
+    (("finset", "--max", "6", "--variant", "all"),
+     "82534db809763aa5d733bbc81817a0c765bd0627223b3cfc01686e58f6523e1b",
+     "2cab0b632393d6fb22e48184505e539a75774c84e758131f73470e180221632f"),
+    (("finset", "--max", "6", "--variant", "inj"),
+     "a15278ec78a8e95baa9e36bcd5207e57d34cdb60e644cb99e9ba2d90a0ad102f",
+     "0923b648a3e0bb32f682933c7ab1bc6b8fa3eb4cb4ed713ab4cbf9217133df28"),
+    (("finset", "--max", "6", "--variant", "surj"),
+     "239807f87e56f0c7a91d4f7a6a4281ef8bbd380e28a90dcfb33a1c56efb33d0d",
+     "4db44fc92ae4720eeedf1ff30c34e0bc4da877100ff5a5cbe0069c69afa398a4"),
+    (("finvect", "--max-dim", "2", "--q", "2", "--oracle"),
+     "fe84d64b4386a26e010a6e758dca34a380b4787e0bae995475992687f31a9608",
+     "af0c50268dca55da11c6c7c86d42d1da3a508458bf33a730f96e36664f44b84f"),
+    (("finvect", "--max-dim", "2", "--q", "3", "--oracle"),
+     "6ebe7e2d3b9841b248bdbb15c24d6ff0ee22765ca9a23dcfd45a53eb752d9f84",
+     "7196d468f3be20350438045f4230700ee102a966a4639ca5a2fa7faef8aa5b6e"),
+    (("finvect", "--max-dim", "3", "--q", "2", "--oracle"),
+     "475f7a426995c6041f219b7dc59d6832a1c67d111a5d8f3ad47ea8222bc9a41b",
+     "f29b42585fa509cb6cfc31a25a1a43ed0c55aff08e52bd6a1393f9237352c69a"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,text_sha,json_sha", CLOSED_FORM_BODIES,
+                         ids=[" ".join(p[0]) for p in CLOSED_FORM_BODIES])
+def test_pinned_closed_form_body(argv, text_sha, json_sha, fmt, capsys):
+    assert _body_digest(argv, fmt, capsys) == (text_sha if fmt == "text" else json_sha)
+
+
 # acceptance criterion 7 at its largest size, text bodies pinned from the
 # engine that checked every closed-form table once per profile
 ORACLE_DIFF_BODIES = {

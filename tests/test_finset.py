@@ -5,10 +5,10 @@ import pytest
 
 from cdiag import finset, groups
 from cdiag.fincat import CategoryError
-from cdiag.finset import (FiberProfile, closed_form_level0, closed_form_level1,
-                          enumerate_profiles, finset_skeleton,
-                          function_count_identity, injective_level1,
-                          oracle_diff_finset, profile_of, surjective_level1)
+from cdiag.cli import run
+from cdiag.finset import (FiberProfile, closed_form_level0, enumerate_profiles,
+                          finset_skeleton, function_count_identity,
+                          level1_closed_form, oracle_diff_finset, profile_of)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +156,13 @@ def test_closed_form_level0():
 
 
 def test_closed_form_level1_3_2():
-    comps = closed_form_level1(3, 2)
+    comps = level1_closed_form(3, 2, "all")
     assert sorted(c.group_order for c in comps) == [2, 6]
 
 
 def test_closed_form_bijection_component():
     for n in range(1, 5):
-        comps = [c for c in closed_form_level1(n, n)
+        comps = [c for c in level1_closed_form(n, n, "all")
                  if c.extra["profile"][1] == n]
         assert len(comps) == 1
         assert comps[0].group_order == factorial(n)
@@ -171,39 +171,39 @@ def test_closed_form_bijection_component():
 def test_closed_form_orbit_sizes_sum_to_function_count():
     for n in range(6):
         for m in range(6):
-            comps = closed_form_level1(n, m)
+            comps = level1_closed_form(n, m, "all")
             assert sum(c.orbit_size for c in comps) == m ** n
 
 
 def test_injective_level1():
-    assert injective_level1(3, 2) == []
-    comps = injective_level1(2, 3)
+    assert level1_closed_form(3, 2, "inj") == []
+    comps = level1_closed_form(2, 3, "inj")
     assert len(comps) == 1 and comps[0].group_order == 2
-    comps = injective_level1(0, 0)
+    comps = level1_closed_form(0, 0, "inj")
     assert len(comps) == 1 and comps[0].group_order == 1
     # the stabilizer of an injection also permutes the missed targets
-    comps = injective_level1(1, 3)
+    comps = level1_closed_form(1, 3, "inj")
     assert comps[0].group_order == 2
     assert comps[0].orbit_size == 3    # three injections 1 -> 3
 
 
 def test_surjective_level1():
-    comps = surjective_level1(3, 2)
+    comps = level1_closed_form(3, 2, "surj")
     assert len(comps) == 1 and comps[0].group_order == 2
     assert comps[0].orbit_size == 6    # six surjections 3 -> 2
-    assert surjective_level1(2, 3) == []
+    assert level1_closed_form(2, 3, "surj") == []
     for n in range(1, 5):
-        comps = surjective_level1(n, n)
+        comps = level1_closed_form(n, n, "surj")
         assert len(comps) == 1 and comps[0].group_order == factorial(n)
 
 
 def test_variant_emptiness_conditions():
     for n in range(6):
         for m in range(6):
-            assert bool(injective_level1(n, m)) == (n <= m)
+            assert bool(level1_closed_form(n, m, "inj")) == (n <= m)
             # no function hits an empty target from a nonempty source, so
             # n >= m alone is not enough when m = 0
-            assert bool(surjective_level1(n, m)) == (n >= m and (m >= 1 or n == 0))
+            assert bool(level1_closed_form(n, m, "surj")) == (n >= m and (m >= 1 or n == 0))
 
 
 def test_function_count_identity_upto_5():
@@ -221,7 +221,27 @@ def test_oracle_diff_max3(variant):
     rep = oracle_diff_finset(3, variant)
     assert rep.ok, rep.mismatches
     assert rep.checked > 0
-    assert "isomorphism" in rep.policies.values().__iter__().__next__() or rep.policies
+    # every stabilizer at max 3 has order at most 6, within iso_limit
+    assert rep.policies and set(rep.policies.values()) == {"isomorphism"}
+
+
+@pytest.mark.parametrize("variant", ["inj", "surj"])
+def test_oracle_checks_the_printed_form(variant, monkeypatch, capsys):
+    # U(7), cyclic of order 6, in place of the printed S3: same order, not isomorphic
+    printed = FiberProfile.group_expr
+
+    def swapped(p, v="all"):
+        expr = printed(p, v)
+        return groups.FieldUnits(7) if v == variant and expr.text() == "S3" else expr
+
+    monkeypatch.setattr(FiberProfile, "group_expr", swapped)
+    assert run(["oracle-diff", "--finset-max", "4", "--variant", variant]) == 1
+    assert "MISMATCHES" in capsys.readouterr().out
+    rep = oracle_diff_finset(4, variant)
+    profiles = {"inj": [(3,), (3, 1), (0, 3, 0, 0), (1, 3, 0, 0)], "surj": [(0, 3, 0, 0)]}
+    assert rep.mismatches == [
+        f"cell ({len(k) - 1},{sum(k)}) profile {k}: stabilizer is not isomorphic to U(7)"
+        for k in profiles[variant]]
 
 
 @pytest.mark.parametrize("variant", ["all", "inj", "surj"])

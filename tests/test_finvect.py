@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
-from cdiag import finvect, modp
+from cdiag import finvect, groups, modp
+from cdiag.cli import run
 from cdiag.fincat import CategoryError
 from cdiag.finvect import (MatrixFq, direct_scan_stabilizer_order, glnq_order,
                            matrix_action, oracle_diff_vect, orbits_by_rank,
@@ -78,7 +80,6 @@ def test_cell_2_2_2():
     cell = orbits_by_rank(2, 2, 2)
     assert [(c.rank, c.class_size, c.stabilizer_order) for c in cell.classes] \
         == [(0, 1, 36), (1, 9, 4), (2, 6, 6)]
-    assert all(c.orbit_verified for c in cell.classes)
     assert all(c.scan_order == c.stabilizer_order for c in cell.classes)
 
 
@@ -106,6 +107,39 @@ def test_cell_sizes_sum_to_qnm():
 def test_enumeration_bound():
     with pytest.raises(CategoryError):
         orbits_by_rank(3, 3, 5)         # 5^9 matrices
+
+
+def _spoil_gl1_order(monkeypatch):
+    order = finvect.glnq_order
+    monkeypatch.setattr(finvect, "glnq_order", lambda n, q: order(n, q) + (n == 1))
+
+
+def _spoil_scan(monkeypatch):
+    scan = finvect.direct_scan_stabilizer_order
+    monkeypatch.setattr(finvect, "direct_scan_stabilizer_order",
+                        lambda *a, **k: scan(*a, **k) + 1)
+
+
+def _spoil_generators(monkeypatch):
+    # no generators: the breadth-first orbit is the canonical matrix alone
+    monkeypatch.setattr(modp, "gl_generators", lambda n, q: [])
+
+
+def _spoil_representative(monkeypatch):
+    monkeypatch.setattr(finvect, "canonical_rank_rep",
+                        lambda r, m, n: tuple((0,) * n for _ in range(m)))
+
+
+@pytest.mark.parametrize("spoil,argv", [
+    (_spoil_gl1_order, ["--max-dim", "1", "--q", "3"]),
+    (_spoil_scan, ["--max-dim", "1", "--q", "2"]),
+    (_spoil_generators, ["--max-dim", "2", "--q", "2"]),
+    (_spoil_representative, ["--max-dim", "1", "--q", "2"]),
+])
+def test_rank_class_self_checks_exit_1(spoil, argv, monkeypatch, capsys):
+    spoil(monkeypatch)
+    assert run(["finvect"] + argv) == 1
+    assert "self-check failed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +312,38 @@ def test_rank_class_named_expressions():
     assert [c.expr_text for c in cell.classes] == ["U(5) x U(5)", "U(5)"]
     cell = orbits_by_rank(0, 2, 3)
     assert cell.classes[0].expr_text == "GL(2,3)"
+
+
+@pytest.mark.parametrize("q,tested", [(2, 9), (3, 12), (5, 9)])
+def test_oracle_tests_every_named_rank_class_within_iso_limit(q, tested, monkeypatch):
+    pairs = []
+    isomorphic = groups.GroupMemo.isomorphic
+
+    def spy(memo, a, b):
+        pairs.append((a.n, b.n))
+        return isomorphic(memo, a, b)
+
+    monkeypatch.setattr(groups.GroupMemo, "isomorphic", spy)
+    rep = oracle_diff_vect(2, q)
+    assert rep.ok, rep.mismatches
+    named = [(n, m, c) for n in range(3) for m in range(3)
+             for c in orbits_by_rank(n, m, q).classes if 1 < c.stabilizer_order <= 512]
+    assert len(pairs) == len(named) == tested
+    assert all(a == b for a, b in pairs)
+
+
+def test_oracle_checks_a_printed_rank_name_outside_the_catalogue(monkeypatch):
+    # S4 x U(5) has the order 96 of U(3) x GL(2,3) but no element of order 8
+    printed = finvect.rank_case
+
+    def swapped(n, m, r, q):
+        case = printed(n, m, r, q)
+        if (n, m, r) == (1, 2, 0):
+            expr = groups.Product([groups.Symmetric(4), groups.FieldUnits(5)])
+            case = dataclasses.replace(case, expr=expr, expr_text=expr.text())
+        return case
+
+    monkeypatch.setattr(finvect, "rank_case", swapped)
+    assert orbits_by_rank(1, 2, 3).classes[0].expr_text == "S4 x U(5)"
+    rep = oracle_diff_vect(2, 3)
+    assert rep.mismatches == ["cell (1,2) rank 0: stabilizer not isomorphic to S4 x U(5)"]
