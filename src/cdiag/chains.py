@@ -261,26 +261,32 @@ def _ambient_order(cat: FiniteCategory, objs) -> int:
     return math.prod(len(cat.aut_idx(x)) for x in objs)
 
 
+def _tuple_codec(cat: FiniteCategory, objs) -> tuple:
+    """(hom sets, strides) of the chain codes on one object tuple: a chain
+    is coded in mixed radix over the positions of its morphisms in their
+    hom sets, the first morphism most significant."""
+    homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
+    strides = [1] * len(homs)
+    for i in range(len(homs) - 2, -1, -1):
+        strides[i] = strides[i + 1] * len(homs[i + 1])
+    return homs, strides
+
+
 def _tuple_action(cat: FiniteCategory, objs) -> tuple:
     """(hom sets, strides, moves, labels) of the ladder action on the
     chains of one object tuple.
 
-    A chain is coded in mixed radix over the positions of its morphisms in
-    their hom sets, the first morphism most significant, so codes order the
-    chains lexicographically.  Each move maps every code to its image under
+    Chains are coded as in ``_tuple_codec``, so codes order them
+    lexicographically.  Each move maps every code to its image under
     one generator of one Aut(x_i), in (i, generator) order, read from the
     generator columns of the hom sets next to x_i; a lone object (level 0)
     has no hom sets to move, so no moves.  Min-label propagation with
     pointer jumping over the moves labels every chain with the least code
     in its orbit.
     """
-    homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
-    radix = [len(h) for h in homs]
-    strides = [1] * len(homs)
-    for i in range(len(homs) - 2, -1, -1):
-        strides[i] = strides[i + 1] * radix[i + 1]
-    codes = np.arange(math.prod(radix))
-    digits = [codes // s % r for s, r in zip(strides, radix)]
+    homs, strides = _tuple_codec(cat, objs)
+    codes = np.arange(math.prod(map(len, homs)))
+    digits = [codes // s % len(h) for s, h in zip(strides, homs)]
     moves = []
     for i, x in enumerate(objs if homs else ()):
         for k in range(len(cat.aut_generators(x))):
@@ -415,7 +421,13 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     stabilizer must have exactly the division order.  With ``reverse`` the
     search also runs from the greatest member of every orbit, and its member
     set must equal the labelled orbit too.
+
+    When the ambient group is trivial, ``_trivial_block`` builds the block
+    from the codes alone.
     """
+    ambient = _ambient_order(cat, objs)
+    if ambient == 1:
+        return _trivial_block(cat, objs, limits, seeds, multiplicity)
     homs, strides, moves, labels = _tuple_action(cat, objs)
     seeds = (np.flatnonzero(labels == np.arange(len(labels))) if seeds is None
              else _encode(homs, strides, seeds))
@@ -426,7 +438,6 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     group = np.searchsorted(by_label[bounds[:-1]], labels[seeds])
     starts, ends = bounds[group].tolist(), bounds[group + 1].tolist()
     sizes = [e - b for b, e in zip(starts, ends)]
-    ambient = _ambient_order(cat, objs)
     reps = _decode(homs, strides, seeds)
     if any(ambient % size for size in sizes):
         raise SelfCheckFailed("orbit size does not divide the ambient group order")
@@ -457,6 +468,28 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
         elements.append(els if stab_order <= limits.table_limit else None)
         policies.append("scan" if stab_order <= _LIST_LIMIT else "transversal")
     return TupleBlock(cat, objs, ambient, multiplicity, reps, sizes, orders, elements, policies)
+
+
+def _trivial_block(cat: FiniteCategory, objs, limits: Limits, seeds,
+                   multiplicity: int) -> "TupleBlock":
+    """``_orbit_and_stabilizer`` on a tuple whose ambient group
+    Aut(x_0) x ... x Aut(x_n) is trivial: every chain is an orbit of its
+    own, fixed by the identity tuple alone.
+
+    No check is skipped that could fail here.  Without generators there are
+    no moves, so the labels are the codes and an orbit search returns its
+    seed; and the listing's join compares each position with itself, since
+    ``FiniteCategory._word_rows`` writes the identity's row as its start.
+    The elements and policies follow the rule of every other stabilizer,
+    and the caller's size-sum check still runs."""
+    homs, strides = _tuple_codec(cat, objs)
+    codes = (np.arange(math.prod(map(len, homs))) if seeds is None
+             else _encode(homs, strides, seeds))
+    ones = [1] * len(codes)
+    els = [tuple(cat.identity_idx[x] for x in objs)] if limits.table_limit >= 1 else None
+    policy = "scan" if 1 <= _LIST_LIMIT else "transversal"
+    return TupleBlock(cat, objs, 1, multiplicity, _decode(homs, strides, codes), ones,
+                      list(ones), [els] * len(codes), [policy] * len(codes))
 
 
 def least_member(cat: FiniteCategory, chain: Chain) -> Chain:

@@ -286,19 +286,19 @@ def _cmd_finvect(args, limits):
     # the largest cell first, so that a command that must fail fails at once
     finvect.check_enumerable(args.max_dim, args.max_dim, args.q)
     rows = [_component_row(c) for c in finvect.vect_level0(args.max_dim, args.q)]
-    for n in range(args.max_dim + 1):
-        for m in range(args.max_dim + 1):
-            cell = finvect.orbits_by_rank(n, m, args.q)
-            for cls in cell.classes:
-                rows.append({
-                    "level": 1,
-                    "cell": [str(n), str(m)],
-                    "representative": [f"rank={cls.rank}"],
-                    "orbit_size": cls.class_size,
-                    "group_expr": cls.expr_text,
-                    "group_order": cls.stabilizer_order,
-                    "policy": cls.policy,
-                })
+    # each cell is enumerated once: its rank rows and the oracle read it
+    cells = finvect.rank_cells(args.max_dim, args.q)
+    for (n, m), cell in cells.items():
+        for cls in cell.classes:
+            rows.append({
+                "level": 1,
+                "cell": [str(n), str(m)],
+                "representative": [f"rank={cls.rank}"],
+                "orbit_size": cls.class_size,
+                "group_expr": cls.expr_text,
+                "group_order": cls.stabilizer_order,
+                "policy": cls.policy,
+            })
     for case in finvect.paper_stabilizers_dim_le2(args.q):
         rows.append({
             "level": 1,
@@ -312,7 +312,7 @@ def _cmd_finvect(args, limits):
     checks = []
     code = 0
     if args.oracle:
-        diff = finvect.oracle_diff_vect(args.max_dim, args.q, limits)
+        diff = finvect.oracle_diff_vect(args.max_dim, args.q, limits, cells)
         checks.append(_check("oracle-diff", diff.ok, diff.summary()))
         code = 0 if diff.ok else MISMATCH
     report = {"components": rows, "checks": checks}

@@ -277,8 +277,13 @@ class DiffReport:
         self.mismatches.append(msg)
 
     def summary(self) -> str:
-        state = "0 mismatches" if self.ok else f"{len(self.mismatches)} MISMATCHES"
-        return f"{self.subject}: {self.checked} components checked, {state}"
+        """The subject and the count of components checked, then either
+        "0 mismatches" or the count followed by every mismatch message,
+        so a failing report names each failing cell or profile."""
+        head = f"{self.subject}: {self.checked} components checked"
+        if self.ok:
+            return f"{head}, 0 mismatches"
+        return f"{head}, {len(self.mismatches)} MISMATCHES: " + "; ".join(self.mismatches)
 
 
 def oracle_diff_finset(max_card: int, variant: str = "all",

@@ -26,7 +26,7 @@ from .classifying import Component
 from .fincat import CategoryError, FiniteCategory
 from .finset import DiffReport
 from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
-                     GroupMemo, Product, materialize, table_from_elements)
+                     GroupMemo, Product, materialize, table_by_codes)
 from .limits import DEFAULT_LIMITS, Limits
 
 # vect_skeleton and orbits_by_rank enumerate at most this many matrices, and
@@ -371,19 +371,29 @@ class StabilizerCase:
     def table(self, table_limit: int, memo: Optional[GroupMemo] = None):
         """The stabilizer subgroup as a concrete Cayley table: an expression
         materialized (through ``memo`` when given), or the listed elements,
-        listed only within ``table_limit``."""
+        listed only within ``table_limit``.  Listed pairs (C, D) are
+        multiplied as stacked matrices mod q, a block of rows at a time, and
+        each product is found among them by the base-q code of its entries
+        (``table_by_codes``)."""
         if self._elements is None:
             return materialize(self.expr, table_limit, memo)
         if self.order > table_limit:
             raise CategoryError(
                 f"stabilizer of order {self.order} exceeds table_limit {table_limit}")
-        q = self.q
+        q, pairs = self.q, self._elements(self.q)
+        C = np.array([c for c, _ in pairs], dtype=np.int64)
+        D = np.array([d for _, d in pairs], dtype=np.int64)
+        weights = q ** np.arange(C[0].size + D[0].size - 1, -1, -1, dtype=np.int64)
 
-        def mul(e1, e2):
-            (c1, d1), (c2, d2) = e1, e2
-            return (modp.mul(c1, c2, q), modp.mul(d1, d2, q))
+        def code(c, d):
+            """The base-q code of the entries of each pair, C's first."""
+            flat = [a.reshape(a.shape[:-2] + (-1,)) for a in (c, d)]
+            return np.concatenate(flat, axis=-1) @ weights
 
-        return table_from_elements(self._elements(q), mul, label=self.case)
+        def products(lo, hi):
+            return code(C[lo:hi, None] @ C[None] % q, D[lo:hi, None] @ D[None] % q)
+
+        return table_by_codes(code(C, D), products, label=self.case)
 
 
 def rank_case(n: int, m: int, r: int, q: int) -> Optional[StabilizerCase]:
@@ -455,11 +465,20 @@ def vect_level0(max_dim: int, q: int) -> list:
 # Oracle diff
 
 
-def oracle_diff_vect(max_dim: int, q: int,
-                     limits: Limits = DEFAULT_LIMITS) -> DiffReport:
+def rank_cells(max_dim: int, q: int) -> dict:
+    """``orbits_by_rank(n, m, q)`` of every cell with n, m <= max_dim,
+    keyed by (n, m), in row-major order."""
+    return {(n, m): orbits_by_rank(n, m, q)
+            for n in range(max_dim + 1) for m in range(max_dim + 1)}
+
+
+def oracle_diff_vect(max_dim: int, q: int, limits: Limits = DEFAULT_LIMITS,
+                     cells: Optional[dict] = None) -> DiffReport:
     """Compare the generic chain engine on the matrix skeleton against
     orbits_by_rank, and each named rank class (``rank_case``) whose order
-    fits iso_limit against its stabilizer by isomorphism."""
+    fits iso_limit against its stabilizer by isomorphism.  ``cells`` are
+    the ``rank_cells(max_dim, q)`` of a caller that has them already;
+    by default they are enumerated here."""
     skel = vect_skeleton(max_dim, q)
     report = DiffReport(subject=f"vect max_dim={max_dim} q={q}")
     memo = GroupMemo(limits.iso_limit)
@@ -473,38 +492,38 @@ def oracle_diff_vect(max_dim: int, q: int,
             by_cell.setdefault((n, m), []).append(
                 (modp.rank(rows, q), (size * block.multiplicity, block.orders[k], block, k)))
 
-    for n in range(max_dim + 1):
-        for m in range(max_dim + 1):
-            cell = orbits_by_rank(n, m, q)
-            got = dict(by_cell.get((n, m), []))
-            if sorted(got) != [c.rank for c in cell.classes]:
-                report.add(f"cell ({n},{m}): orbit ranks {sorted(got)} vs "
-                           f"rank classes {[c.rank for c in cell.classes]}")
+    if cells is None:
+        cells = rank_cells(max_dim, q)
+    for (n, m), cell in cells.items():
+        got = dict(by_cell.get((n, m), []))
+        if sorted(got) != [c.rank for c in cell.classes]:
+            report.add(f"cell ({n},{m}): orbit ranks {sorted(got)} vs "
+                       f"rank classes {[c.rank for c in cell.classes]}")
+            continue
+        for cls in cell.classes:
+            report.checked += 1
+            size, order, block, k = got[cls.rank]
+            if size != cls.class_size:
+                report.add(f"cell ({n},{m}) rank {cls.rank}: orbit size "
+                           f"{size} != rank class size {cls.class_size}")
+            if order != cls.stabilizer_order:
+                report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer "
+                           f"{order} != {cls.stabilizer_order}")
                 continue
-            for cls in cell.classes:
-                report.checked += 1
-                size, order, block, k = got[cls.rank]
-                if size != cls.class_size:
-                    report.add(f"cell ({n},{m}) rank {cls.rank}: orbit size "
-                               f"{size} != rank class size {cls.class_size}")
-                if order != cls.stabilizer_order:
-                    report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer "
-                               f"{order} != {cls.stabilizer_order}")
-                    continue
-                case = cls.case
-                if case is None:
-                    continue
-                if case.order > limits.iso_limit:
-                    report.policies[(n, m, cls.rank)] = "order-only"
-                    continue
-                report.policies[(n, m, cls.rank)] = "isomorphism"
-                if case.order > 1:      # groups of order 1 are isomorphic
-                    if case.case not in case_tables:
-                        case_tables[case.case] = case.table(limits.table_limit, memo)
-                    if memo.isomorphic(block.stabilizer(k).to_cayley_table(limits.table_limit, memo),
-                                       case_tables[case.case]) is not True:
-                        report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer not "
-                                   f"isomorphic to {case.expr_text}")
+            case = cls.case
+            if case is None:
+                continue
+            if case.order > limits.iso_limit:
+                report.policies[(n, m, cls.rank)] = "order-only"
+                continue
+            report.policies[(n, m, cls.rank)] = "isomorphism"
+            if case.order > 1:      # groups of order 1 are isomorphic
+                if case.case not in case_tables:
+                    case_tables[case.case] = case.table(limits.table_limit, memo)
+                if memo.isomorphic(block.stabilizer(k).to_cayley_table(limits.table_limit, memo),
+                                   case_tables[case.case]) is not True:
+                    report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer not "
+                               f"isomorphic to {case.expr_text}")
 
     # transpose duality of component multisets
     for n in range(max_dim + 1):

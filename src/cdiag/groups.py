@@ -180,10 +180,23 @@ def table_in_product(tables: list, coords, label: str = "",
     """
     coords = np.asarray(coords, dtype=np.int64)
     strides = _strides([len(t) for t in tables])
-    codes = coords @ strides
+    return table_by_codes(coords @ strides, _product_codes(tables, coords, strides), label, memo)
+
+
+def table_by_codes(codes, product_codes, label: str = "",
+                   memo: Optional["GroupMemo"] = None) -> CayleyTable:
+    """Cayley table of a set of elements given by distinct integer
+    ``codes``, element i coded codes[i].
+
+    ``product_codes(lo, hi)`` gives the codes of x * y for x among elements
+    lo..hi-1 and y among all of them, one row per x.  Each product is
+    located among the elements by its code; a product outside the set
+    raises GroupError.  With a ``memo`` the table is checked once per
+    distinct array.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
     order = np.argsort(codes)
     known = codes[order]
-    product_codes = _product_codes(tables, coords, strides)
 
     def rows(lo, hi):
         prods = product_codes(lo, hi)
@@ -192,7 +205,7 @@ def table_in_product(tables: list, coords, label: str = "",
             raise GroupError("element set is not closed under the product")
         return order[at]
 
-    table = _fill_table(len(coords), rows)
+    table = _fill_table(len(codes), rows)
     return CayleyTable(table, label=label) if memo is None else memo.table(table, label)
 
 

@@ -243,7 +243,8 @@ def test_zero_matrix_stabilizer_over_f2():
 def test_transversal_path_agrees_with_scan(monkeypatch):
     # force the search path with a listing bound of 0 and compare its
     # exact orders and elements against the listed path
-    cats = [(finset.finset_skeleton(3), 1), (finvect.vect_skeleton(2, 2), 1)]
+    cats = [(finset.finset_skeleton(3), 1), (finvect.vect_skeleton(2, 2), 1),
+            (fincat.ordinal(2), 2)]
     listed = [{o.rep.mors: o.stabilizer for o in orbits(cat, n)} for cat, n in cats]
     monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
     for (cat, n), default in zip(cats, listed):
@@ -254,6 +255,86 @@ def test_transversal_path_agrees_with_scan(monkeypatch):
             assert forced[rep].policy == "transversal"
             assert forced[rep].order == stab.order
             assert forced[rep].elements == stab.elements
+
+
+# categories whose levels hold tuples with a trivial ambient group
+# Aut(x_0) x ... x Aut(x_n): all of them for delta:3, ordinal:3 and
+# walking-arrow, and mixed with non-trivial ones on iso-interval, finset:3
+# (the empty set) and vect:2:2 (the zero space)
+TRIVIAL_AMBIENT_CASES = ["delta:3", "ordinal:3", "iso-interval", "walking-arrow",
+                         "finset:3", "vect:2:2"]
+
+
+def _reference_blocks(cat, n):
+    """(objs, ambient order, multiplicity, reps, fibre sizes, orders,
+    elements) per object tuple of level n, by brute force: tuples of class
+    representatives with a morphism between neighbours, ascending; on each,
+    every chain, its orbit under the whole ambient product, the least member
+    of each orbit and the sorted ambient tuples that fix it."""
+    classes = fincat.object_iso_classes(cat)
+    size = {c.rep: len(c.members) for c in classes}
+    out = []
+    for objs in itertools.product(sorted(size), repeat=n + 1):
+        homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
+        if not all(homs):
+            continue
+        ambient = list(itertools.product(*(cat.aut_idx(x) for x in objs)))
+        orbit = {}
+        for mors in itertools.product(*homs):
+            orbit.setdefault(min(_act_mors(cat, g, objs, mors) for g in ambient), []).append(mors)
+        reps = sorted(orbit)
+        stabs = [[g for g in ambient if _act_mors(cat, g, objs, r) == r] for r in reps]
+        out.append((objs, len(ambient), int(np.prod([size[x] for x in objs])), reps,
+                    [len(orbit[r]) for r in reps], [len(g) for g in stabs], stabs))
+    return out
+
+
+@pytest.mark.parametrize("spec", TRIVIAL_AMBIENT_CASES)
+def test_blocks_equal_a_brute_force_reference(spec):
+    cat = builtin_category(spec)
+    for n in range(3):
+        blocks = chains.level_blocks(cat, n, reverse=True)
+        got = [(b.objs, b.ambient_order, b.multiplicity, [tuple(r) for r in b.reps.tolist()],
+                b.fiber_sizes, b.orders, b.elements) for b in blocks]
+        assert got == _reference_blocks(cat, n), (spec, n)
+        assert all(p == "scan" for b in blocks for p in b.policies)
+        if n:
+            assert any(b.ambient_order == 1 for b in blocks), (spec, n)
+
+
+def test_trivial_ambient_tuples_skip_labelling_and_listing(monkeypatch):
+    seen = {"_tuple_action": [], "_stabilizer_elements": []}
+    for name in seen:
+        real = getattr(chains, name)
+
+        def spy(cat, objs, *args, real=real, name=name):
+            seen[name].append(objs)
+            return real(cat, objs, *args)
+
+        monkeypatch.setattr(chains, name, spy)
+    for spec in TRIVIAL_AMBIENT_CASES:
+        cat = builtin_category(spec)
+        for n in range(3):
+            for name in seen:
+                seen[name].clear()
+            blocks = chains.level_blocks(cat, n, reverse=True)
+            acted = [b.objs for b in blocks if b.ambient_order > 1]
+            # one labelling and one listing per tuple with a non-trivial ambient group
+            assert seen["_tuple_action"] == acted, (spec, n)
+            assert seen["_stabilizer_elements"] == acted, (spec, n)
+
+
+def test_trivial_ambient_blocks_follow_the_limits(monkeypatch):
+    cat = builtin_category("ordinal:2")
+    identity = (cat.identity_idx[0], cat.identity_idx[1])
+    [block] = [b for b in chains.level_blocks(cat, 1) if b.objs == (0, 1)]
+    assert block.elements == [[identity]] and block.policies == ["scan"]
+    # elements are kept within table_limit only; a listing bound of 0 searches
+    [block] = [b for b in chains.level_blocks(cat, 1, Limits(table_limit=0)) if b.objs == (0, 1)]
+    assert block.elements == [None]
+    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
+    [block] = [b for b in chains.level_blocks(cat, 1) if b.objs == (0, 1)]
+    assert block.policies == ["transversal"] and block.elements == [[identity]]
 
 
 def test_stabilizer_transversal_path_standalone(monkeypatch):

@@ -517,6 +517,25 @@ def test_criterion_7_oracle_diff_at_finset_max_6(variant, capsys):
     assert digest == ORACLE_DIFF_BODIES[variant]
 
 
+# levels with few chains on long object tuples, each with a trivial ambient
+# group, pinned from the engine that labelled and listed every such chain
+FEW_CHAIN_BODIES = [
+    (("decompose", "--builtin", "ordinal:1", "--level", "400"),
+     "a07eb6fe8d49c90ad3c286f592159b3589e4cb5de5c9f2db5d6c503dc2794d70",
+     "573d96ba9f6d79e5aa9ecac3af378b80beef6c0647edfa13f3f962617fb32904"),
+    (("discrete", "--builtin", "ordinal:1", "--truncation", "60"),
+     "864b13bab91fba906e035a77bcc7c55487d8eff925faab195f183cf0063db290",
+     "3b820bdc034c0605a07a859430c09fe255f99ca1b3439873aecd49a829d37746"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,text_sha,json_sha", FEW_CHAIN_BODIES,
+                         ids=[" ".join(p[0]) for p in FEW_CHAIN_BODIES])
+def test_pinned_few_chain_body(argv, text_sha, json_sha, fmt, capsys):
+    assert _body_digest(argv, fmt, capsys) == (text_sha if fmt == "text" else json_sha)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_pinned_body_on_the_search_path(fmt, monkeypatch, capsys):
     # a listing bound of 0 sends every stabilizer down the orbit search

@@ -1,4 +1,5 @@
 import itertools
+import json
 from math import factorial
 
 import pytest
@@ -235,13 +236,19 @@ def test_oracle_checks_the_printed_form(variant, monkeypatch, capsys):
         return groups.FieldUnits(7) if v == variant and expr.text() == "S3" else expr
 
     monkeypatch.setattr(FiberProfile, "group_expr", swapped)
-    assert run(["oracle-diff", "--finset-max", "4", "--variant", variant]) == 1
-    assert "MISMATCHES" in capsys.readouterr().out
-    rep = oracle_diff_finset(4, variant)
     profiles = {"inj": [(3,), (3, 1), (0, 3, 0, 0), (1, 3, 0, 0)], "surj": [(0, 3, 0, 0)]}
-    assert rep.mismatches == [
-        f"cell ({len(k) - 1},{sum(k)}) profile {k}: stabilizer is not isomorphic to U(7)"
-        for k in profiles[variant]]
+    want = [f"cell ({len(k) - 1},{sum(k)}) profile {k}: stabilizer is not isomorphic to U(7)"
+            for k in profiles[variant]]
+    assert oracle_diff_finset(4, variant).mismatches == want
+    # the check line of both commands names every failing profile, in text and JSON
+    named = f"{len(want)} MISMATCHES: " + "; ".join(want)
+    for argv in (["oracle-diff", "--finset-max", "4"], ["finset", "--max", "4", "--oracle"]):
+        assert run(argv + ["--variant", variant]) == 1
+        [line] = [l for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
+        assert line.endswith(named + ")")
+        assert run(argv + ["--variant", variant, "--format", "json"]) == 1
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert check["status"] == "fail" and check["details"].endswith(named)
 
 
 @pytest.mark.parametrize("variant", ["all", "inj", "surj"])

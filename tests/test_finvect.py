@@ -332,7 +332,7 @@ def test_oracle_tests_every_named_rank_class_within_iso_limit(q, tested, monkeyp
     assert all(a == b for a, b in pairs)
 
 
-def test_oracle_checks_a_printed_rank_name_outside_the_catalogue(monkeypatch):
+def test_oracle_checks_a_printed_rank_name_outside_the_catalogue(monkeypatch, capsys):
     # S4 x U(5) has the order 96 of U(3) x GL(2,3) but no element of order 8
     printed = finvect.rank_case
 
@@ -346,4 +346,61 @@ def test_oracle_checks_a_printed_rank_name_outside_the_catalogue(monkeypatch):
     monkeypatch.setattr(finvect, "rank_case", swapped)
     assert orbits_by_rank(1, 2, 3).classes[0].expr_text == "S4 x U(5)"
     rep = oracle_diff_vect(2, 3)
-    assert rep.mismatches == ["cell (1,2) rank 0: stabilizer not isomorphic to S4 x U(5)"]
+    want = "cell (1,2) rank 0: stabilizer not isomorphic to S4 x U(5)"
+    assert rep.mismatches == [want]
+    # the check line names the failing cell
+    assert run(["finvect", "--max-dim", "2", "--q", "3", "--oracle"]) == 1
+    assert f"1 MISMATCHES: {want})" in capsys.readouterr().out
+
+
+def test_finvect_oracle_enumerates_each_cell_once(monkeypatch, capsys):
+    calls = []
+    enumerate_cell = finvect.orbits_by_rank
+
+    def spy(n, m, q):
+        calls.append((n, m, q))
+        return enumerate_cell(n, m, q)
+
+    monkeypatch.setattr(finvect, "orbits_by_rank", spy)
+    assert run(["finvect", "--max-dim", "2", "--q", "3", "--oracle"]) == 0
+    capsys.readouterr()
+    assert sorted(calls) == [(n, m, 3) for n in range(3) for m in range(3)]
+
+
+def _reference_case_table(case):
+    """The listed case's table with one pair of ``modp.mul`` per product."""
+    q = case.q
+
+    def mul(e1, e2):
+        (c1, d1), (c2, d2) = e1, e2
+        return (modp.mul(c1, c2, q), modp.mul(d1, d2, q))
+
+    return groups.table_from_elements(case._elements(q), mul, label=case.case)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_listed_case_tables_equal_the_per_product_reference(q):
+    # the column [1;0] case at every q; diag(1,0) while its reference is
+    # quick (order 1600 at q = 5 takes the reference about 40 s)
+    cases = [finvect.rank_case(1, 2, 1, q)] + ([finvect.rank_case(2, 2, 1, q)] if q <= 3 else [])
+    for case in cases:
+        got, ref = case.table(20000), _reference_case_table(case)
+        assert (got.table.dtype, got.table.shape) == (ref.table.dtype, ref.table.shape)
+        assert got.table.tobytes() == ref.table.tobytes(), (q, case.case)
+        assert got.n == case.order
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+@pytest.mark.parametrize("listing", ["_column_elements", "_diag_elements"])
+def test_a_listed_case_missing_an_element_is_not_a_group(listing, drop, monkeypatch):
+    listed = getattr(finvect, listing)
+
+    def dropped(q):
+        els = listed(q)
+        del els[drop]
+        return els
+
+    monkeypatch.setattr(finvect, listing, dropped)
+    case = finvect.rank_case(*((1, 2) if listing == "_column_elements" else (2, 2)), 1, 3)
+    with pytest.raises(GroupError, match="not closed"):
+        case.table(20000)
