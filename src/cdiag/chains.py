@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import CayleyTable, ClosureLimitExceeded, GroupMemo, table_in_product
+from .groups import CayleyTable, ClosureLimitExceeded, GroupMemo, table_in_product, table_refusal
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -249,7 +249,8 @@ class StabilizerGroup:
         elements were kept, and the table raises unless they are closed
         (checked once per distinct array through a ``memo``)."""
         if self.elements is None or self.order > table_limit:
-            raise ClosureLimitExceeded(table_limit, self.order)
+            raise ClosureLimitExceeded(table_limit, self.order,
+                                       table_refusal(self.order, table_limit))
         els = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), len(self.objs))
         coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
                   for i, x in enumerate(self.objs)]

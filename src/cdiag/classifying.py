@@ -6,7 +6,8 @@ each level is presented as a finite decomposition: one component per chain
 class, carrying the class size and the stabilizer group of a representative.
 Weak equivalence of levels is replaced throughout by the decidable pair
 (component count, automorphism-order multiset), refined by small-group
-isomorphism below the configured limit.
+isomorphism below the configured limit.  ``diff_closed_forms`` is the one
+comparison of a level with a family's closed forms.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -116,6 +117,90 @@ def level_decomposition(cat: FiniteCategory, n: int,
         raise SelfCheckFailed("component sizes do not sum to the chain count")
     return Decomposition(category=cat.name, level=n, total_chains=total,
                          blocks=blocks, names=names)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against the engine
+
+
+@dataclass
+class DiffReport:
+    subject: str
+    checked: int = 0
+    mismatches: list = field(default_factory=list)
+    policies: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+    def add(self, msg: str):
+        self.mismatches.append(msg)
+
+    def summary(self) -> str:
+        """The subject and the count of components checked, then either
+        "0 mismatches" or the count followed by every mismatch message,
+        so a failing report names each failing cell or profile."""
+        head = f"{self.subject}: {self.checked} components checked"
+        if self.ok:
+            return f"{head}, 0 mismatches"
+        return f"{head}, {len(self.mismatches)} MISMATCHES: " + "; ".join(self.mismatches)
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """One component as a family's closed form gives it: its ``name`` in
+    messages, its stabilizer ``order``, its chain count ``size`` (None when
+    the family does not derive it apart from the engine), and the printed
+    group ``text`` with ``table(table_limit, memo)``, its Cayley table
+    (both None when the form names no group)."""
+
+    name: str
+    order: int
+    size: Optional[int] = None
+    text: Optional[str] = None
+    table: Optional[Callable] = None
+
+
+def diff_closed_forms(report: DiffReport, blocks: list, key: Callable, forms: dict,
+                      limits: Limits, memo: GroupMemo) -> None:
+    """Add to ``report`` every mismatch of the engine's ``blocks`` of one
+    level against ``forms``, the {key: ClosedForm} of each object tuple,
+    where ``key(block, k)`` is an invariant of component k's representative.
+
+    Per tuple (a cell, named by its object indices, in ascending order) the
+    engine's key multiset must equal the forms' keys.  Then, key by key, a
+    component's chain count must be the form's size when it gives one, its
+    stabilizer order the form's order, and a stabilizer of order 2 to
+    iso_limit isomorphic to the form's group, each text tabled once.  Each
+    policy is kept under (tuple, key): "isomorphism" when the form names a
+    group within iso_limit, else "order-only"."""
+    by_objs = {b.objs: b for b in blocks}
+    tables = {}
+    for objs in sorted(by_objs.keys() | forms.keys()):
+        block, want, cell = by_objs.get(objs), forms.get(objs, {}), ",".join(map(str, objs))
+        keys = [] if block is None else [key(block, k) for k in range(len(block))]
+        if sorted(keys) != sorted(want):
+            report.add(f"cell ({cell}): engine keys {sorted(keys)} vs closed-form keys {sorted(want)}")
+            continue
+        for got, k in sorted((got, k) for k, got in enumerate(keys)):
+            form, where = want[got], f"cell ({cell}) {want[got].name}"
+            report.checked += 1
+            size, order = block.fiber_sizes[k] * block.multiplicity, block.orders[k]
+            if form.size is not None and size != form.size:
+                report.add(f"{where}: orbit size {size} != closed-form size {form.size}")
+            if order != form.order:
+                of = "" if form.text is None else f" of {form.text}"
+                report.add(f"{where}: stabilizer order {order} != order {form.order}{of}")
+                continue
+            tested = form.text is not None and order <= limits.iso_limit
+            report.policies[(objs, got)] = "isomorphism" if tested else "order-only"
+            if tested and order > 1:        # groups of order 1 are isomorphic
+                if form.text not in tables:
+                    tables[form.text] = form.table(limits.table_limit, memo)
+                stab = block.stabilizer(k).to_cayley_table(limits.table_limit, memo)
+                if memo.isomorphic(stab, tables[form.text]) is not True:
+                    report.add(f"{where}: stabilizer is not isomorphic to {form.text}")
 
 
 # ---------------------------------------------------------------------------

@@ -263,23 +263,15 @@ def _cmd_nerve(args, limits):
 
 
 def _cmd_finset(args, limits):
-    rows = []
-    for c in finset.closed_form_level0(args.max):
-        rows.append(_component_row(c))
+    rows = [_component_row(c) for c in finset.closed_form_level0(args.max)]
     for n in range(args.max + 1):
         for m in range(args.max + 1):
             for c in finset.level1_closed_form(n, m, args.variant):
                 row = _component_row(c)
                 row["representative"] = [c.extra["tree"] + " " + c.representative[0]]
                 rows.append(row)
-    checks = []
-    code = 0
-    if args.oracle:
-        diff = finset.oracle_diff_finset(args.max, args.variant, limits)
-        checks.append(_check("oracle-diff", diff.ok, diff.summary()))
-        code = 0 if diff.ok else MISMATCH
-    report = {"components": rows, "checks": checks}
-    return code, report
+    diffs = [finset.oracle_diff_finset(args.max, args.variant, limits)] if args.oracle else []
+    return _diff_report(rows, [("oracle-diff", d) for d in diffs])
 
 
 def _cmd_finvect(args, limits):
@@ -309,28 +301,27 @@ def _cmd_finvect(args, limits):
             "group_order": case.order,
             "policy": "closed-form",
         })
-    checks = []
-    code = 0
-    if args.oracle:
-        diff = finvect.oracle_diff_vect(args.max_dim, args.q, limits, cells)
-        checks.append(_check("oracle-diff", diff.ok, diff.summary()))
-        code = 0 if diff.ok else MISMATCH
-    report = {"components": rows, "checks": checks}
-    return code, report
+    diffs = [finvect.oracle_diff_vect(args.max_dim, args.q, limits, cells)] if args.oracle else []
+    return _diff_report(rows, [("oracle-diff", d) for d in diffs])
 
 
 def _cmd_oracle_diff(args, limits):
-    checks = []
+    diffs = []
     if args.finset_max is None and args.vect_dim is None:
         raise CategoryError("give --finset-max and/or --vect-dim")
     if args.finset_max is not None:
-        diff = finset.oracle_diff_finset(args.finset_max, args.variant, limits)
-        checks.append(_check("finset-oracle-diff", diff.ok, diff.summary()))
+        diffs.append(("finset-oracle-diff",
+                      finset.oracle_diff_finset(args.finset_max, args.variant, limits)))
     if args.vect_dim is not None:
-        diff = finvect.oracle_diff_vect(args.vect_dim, args.q, limits)
-        checks.append(_check("vect-oracle-diff", diff.ok, diff.summary()))
-    ok = all(c["status"] == "pass" for c in checks)
-    return (0 if ok else MISMATCH), {"components": [], "checks": checks}
+        diffs.append(("vect-oracle-diff", finvect.oracle_diff_vect(args.vect_dim, args.q, limits)))
+    return _diff_report([], diffs)
+
+
+def _diff_report(rows: list, diffs: list) -> tuple:
+    """(exit code, report) of the component ``rows`` and one check per
+    (name, ``classifying.DiffReport``): 1 unless every diff passes."""
+    code = 0 if all(d.ok for _, d in diffs) else MISMATCH
+    return code, {"components": rows, "checks": [_check(n, d.ok, d.summary()) for n, d in diffs]}
 
 
 # ---------------------------------------------------------------------------

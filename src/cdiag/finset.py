@@ -15,14 +15,15 @@ each printed group against the generic chain engine.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from . import chains as chains_mod
-from .classifying import Component
+from .classifying import ClosedForm, Component, DiffReport, diff_closed_forms
 from .fincat import CategoryError, FiniteCategory
 from .groups import (GroupExpr, GroupMemo, Product, Symmetric, Trivial, Wreath,
                      materialize)
@@ -262,85 +263,29 @@ def function_count_identity(n: int, m: int) -> bool:
 # Oracle diff: closed form vs the generic chain engine
 
 
-@dataclass
-class DiffReport:
-    subject: str
-    checked: int = 0
-    mismatches: list = field(default_factory=list)
-    policies: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def add(self, msg: str):
-        self.mismatches.append(msg)
-
-    def summary(self) -> str:
-        """The subject and the count of components checked, then either
-        "0 mismatches" or the count followed by every mismatch message,
-        so a failing report names each failing cell or profile."""
-        head = f"{self.subject}: {self.checked} components checked"
-        if self.ok:
-            return f"{head}, 0 mismatches"
-        return f"{head}, {len(self.mismatches)} MISMATCHES: " + "; ".join(self.mismatches)
-
-
 def oracle_diff_finset(max_card: int, variant: str = "all",
                        limits: Limits = DEFAULT_LIMITS) -> DiffReport:
     """Compare the closed form that ``finset`` prints with brute-force
-    orbits and stabilizers of the (restricted) skeleton at level 1.
-
-    Each orbit is keyed by the profile of its representative; the check is
-    exact equality of profile multisets per (n, m) cell, equality of every
-    stabilizer order with the order of the printed group
-    (``FiberProfile.group_expr``), and group isomorphism with it whenever
-    the order fits iso_limit.
+    orbits and stabilizers of the (restricted) skeleton at level 1, through
+    ``classifying.diff_closed_forms``: each orbit is keyed by the fiber
+    profile of its representative, and each profile's form is the printed
+    group (``FiberProfile.group_expr``) and its order.
     """
     skel = finset_skeleton(max_card, variant)
     report = DiffReport(subject=f"finset max={max_card} variant={variant}")
-    memo = GroupMemo(limits.iso_limit)
 
-    by_cell = {}
-    for b in chains_mod.level_blocks(skel, 1, limits):
-        for k, f in enumerate(b.reps[:, 0].tolist()):
-            n, m, values = skel.payloads[f]
-            by_cell.setdefault((n, m), []).append((profile_of(values, m), b, k))
+    def profile(block, k):
+        _, m, values = skel.payloads[block.reps[k, 0]]
+        return profile_of(values, m).k
 
-    for n in range(max_card + 1):
-        for m in range(max_card + 1):
-            expected = {p.k: p for p in enumerate_profiles(n, m, variant)}
-            got = by_cell.get((n, m), [])
-            if len(got) != len(expected):
-                report.add(f"cell ({n},{m}): {len(got)} orbits vs "
-                           f"{len(expected)} closed-form profiles")
-                continue
-            seen = set()
-            for p, b, k in got:
-                report.checked += 1
-                if p.k not in expected:
-                    report.add(f"cell ({n},{m}): unexpected profile {p.k}")
-                    continue
-                if p.k in seen:
-                    report.add(f"cell ({n},{m}): profile {p.k} hit twice")
-                    continue
-                seen.add(p.k)
-                expr = p.group_expr(variant)
-                want_order = expr.order()
-                if b.orders[k] != want_order:
-                    report.add(
-                        f"cell ({n},{m}) profile {p.k}: stabilizer order "
-                        f"{b.orders[k]} != order {want_order} of {expr.text()}")
-                    continue
-                if want_order > limits.iso_limit:
-                    report.policies[p.k] = "order-only"
-                    continue
-                report.policies[p.k] = "isomorphism"
-                if want_order > 1:      # groups of order 1 are isomorphic
-                    stab_table = b.stabilizer(k).to_cayley_table(limits.table_limit, memo)
-                    expr_table = materialize(expr, limits.table_limit, memo)
-                    if memo.isomorphic(stab_table, expr_table) is not True:
-                        report.add(
-                            f"cell ({n},{m}) profile {p.k}: stabilizer is not "
-                            f"isomorphic to {expr.text()}")
+    def form(p):
+        expr = p.group_expr(variant)
+        return ClosedForm(f"profile {p.k}", expr.order(), text=expr.text(),
+                          table=functools.partial(materialize, expr))
+
+    # object c of the skeleton is the set {0, ..., c-1}, at index c
+    forms = {(n, m): {p.k: form(p) for p in enumerate_profiles(n, m, variant)}
+             for n in range(max_card + 1) for m in range(max_card + 1)}
+    diff_closed_forms(report, chains_mod.level_blocks(skel, 1, limits), profile, forms,
+                      limits, GroupMemo(limits.iso_limit))
     return report

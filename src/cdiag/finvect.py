@@ -22,11 +22,10 @@ import numpy as np
 
 from . import chains as chains_mod
 from . import modp
-from .classifying import Component
+from .classifying import ClosedForm, Component, DiffReport, diff_closed_forms
 from .fincat import CategoryError, FiniteCategory
-from .finset import DiffReport
 from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
-                     GroupMemo, Product, materialize, table_by_codes)
+                     GroupMemo, Product, materialize, table_by_codes, table_refusal)
 from .limits import DEFAULT_LIMITS, Limits
 
 # vect_skeleton and orbits_by_rank enumerate at most this many matrices, and
@@ -378,8 +377,7 @@ class StabilizerCase:
         if self._elements is None:
             return materialize(self.expr, table_limit, memo)
         if self.order > table_limit:
-            raise CategoryError(
-                f"stabilizer of order {self.order} exceeds table_limit {table_limit}")
+            raise CategoryError(table_refusal(self.order, table_limit))
         q, pairs = self.q, self._elements(self.q)
         C = np.array([c for c, _ in pairs], dtype=np.int64)
         D = np.array([d for _, d in pairs], dtype=np.int64)
@@ -475,61 +473,35 @@ def rank_cells(max_dim: int, q: int) -> dict:
 def oracle_diff_vect(max_dim: int, q: int, limits: Limits = DEFAULT_LIMITS,
                      cells: Optional[dict] = None) -> DiffReport:
     """Compare the generic chain engine on the matrix skeleton against
-    orbits_by_rank, and each named rank class (``rank_case``) whose order
-    fits iso_limit against its stabilizer by isomorphism.  ``cells`` are
-    the ``rank_cells(max_dim, q)`` of a caller that has them already;
-    by default they are enumerated here."""
+    orbits_by_rank through ``classifying.diff_closed_forms``: each orbit is
+    keyed by the rank of its representative, and each rank class gives its
+    class size, its division order and, when it is named (``rank_case``),
+    the group tested by isomorphism.  The cells (n, m) and (m, n) must also
+    hold the same (rank, size, order) multiset.  ``cells`` are the
+    ``rank_cells(max_dim, q)`` of a caller that has them already; by
+    default they are enumerated here."""
     skel = vect_skeleton(max_dim, q)
     report = DiffReport(subject=f"vect max_dim={max_dim} q={q}")
-    memo = GroupMemo(limits.iso_limit)
-    case_tables = {}
-
-    # (rank, (size, stabilizer order, block, row)) per component
-    by_cell = {}
-    for block in chains_mod.level_blocks(skel, 1, limits):
-        for k, (f, size) in enumerate(zip(block.reps[:, 0].tolist(), block.fiber_sizes)):
-            n, m, rows = skel.payloads[f]
-            by_cell.setdefault((n, m), []).append(
-                (modp.rank(rows, q), (size * block.multiplicity, block.orders[k], block, k)))
-
+    blocks = chains_mod.level_blocks(skel, 1, limits)
     if cells is None:
         cells = rank_cells(max_dim, q)
-    for (n, m), cell in cells.items():
-        got = dict(by_cell.get((n, m), []))
-        if sorted(got) != [c.rank for c in cell.classes]:
-            report.add(f"cell ({n},{m}): orbit ranks {sorted(got)} vs "
-                       f"rank classes {[c.rank for c in cell.classes]}")
-            continue
-        for cls in cell.classes:
-            report.checked += 1
-            size, order, block, k = got[cls.rank]
-            if size != cls.class_size:
-                report.add(f"cell ({n},{m}) rank {cls.rank}: orbit size "
-                           f"{size} != rank class size {cls.class_size}")
-            if order != cls.stabilizer_order:
-                report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer "
-                           f"{order} != {cls.stabilizer_order}")
-                continue
-            case = cls.case
-            if case is None:
-                continue
-            if case.order > limits.iso_limit:
-                report.policies[(n, m, cls.rank)] = "order-only"
-                continue
-            report.policies[(n, m, cls.rank)] = "isomorphism"
-            if case.order > 1:      # groups of order 1 are isomorphic
-                if case.case not in case_tables:
-                    case_tables[case.case] = case.table(limits.table_limit, memo)
-                if memo.isomorphic(block.stabilizer(k).to_cayley_table(limits.table_limit, memo),
-                                   case_tables[case.case]) is not True:
-                    report.add(f"cell ({n},{m}) rank {cls.rank}: stabilizer not "
-                               f"isomorphic to {case.expr_text}")
+
+    def rank(block, k):
+        return modp.rank(skel.payloads[block.reps[k, 0]][2], q)
+
+    # object d of the skeleton is F^d, at index d
+    forms = {nm: {c.rank: ClosedForm(f"rank {c.rank}", c.stabilizer_order, c.class_size,
+                                     c.expr_text, None if c.case is None else c.case.table)
+                  for c in cell.classes}
+             for nm, cell in cells.items()}
+    diff_closed_forms(report, blocks, rank, forms, limits, GroupMemo(limits.iso_limit))
 
     # transpose duality of component multisets
+    found = {b.objs: sorted((rank(b, k), size * b.multiplicity, order)
+                            for k, (size, order) in enumerate(zip(b.fiber_sizes, b.orders)))
+             for b in blocks}
     for n in range(max_dim + 1):
         for m in range(n + 1, max_dim + 1):
-            a, b = (sorted((r, size, order) for r, (size, order, _, _) in by_cell.get(cell, []))
-                    for cell in ((n, m), (m, n)))
-            if a != b:
+            if found.get((n, m)) != found.get((m, n)):
                 report.add(f"transpose symmetry broken between cells ({n},{m}) and ({m},{n})")
     return report

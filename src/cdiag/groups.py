@@ -29,10 +29,15 @@ class GroupError(Exception):
 
 
 class ClosureLimitExceeded(GroupError):
-    def __init__(self, limit, reached):
-        super().__init__(f"closure exceeded limit {limit} (reached {reached} elements)")
+    def __init__(self, limit, reached, message=None):
+        super().__init__(message or f"closure exceeded limit {limit} (reached {reached} elements)")
         self.limit = limit
         self.reached = reached
+
+
+def table_refusal(order: int, table_limit: int) -> str:
+    """The one wording of every refusal to table a group above table_limit."""
+    return f"group of order {order} exceeds table_limit {table_limit}"
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +555,7 @@ def materialize(expr: GroupExpr, table_limit: int = DEFAULT_LIMITS.table_limit,
     """
     n = expr.order()
     if n > table_limit:
-        raise ClosureLimitExceeded(table_limit, n)
+        raise ClosureLimitExceeded(table_limit, n, table_refusal(n, table_limit))
     if memo is None:
         return CayleyTable(_expr_table(expr), label=expr.text())
     return memo.table(memo.expr_table(expr), expr.text())

@@ -10,7 +10,7 @@ from cdiag import chains, fincat, finset, finvect
 from cdiag.chains import (Chain, ChainLimitExceeded, SelfCheckFailed,
                           StabilizerGroup, _act_mors, act, chain_count, enumerate_chains,
                           least_member, orbits, stabilizer)
-from cdiag.cli import builtin_category
+from cdiag.cli import builtin_category, run
 from cdiag.fincat import CategoryError
 from cdiag.groups import ClosureLimitExceeded, GroupError, table_from_elements
 from cdiag.limits import Limits
@@ -533,6 +533,60 @@ def test_reversed_orbit_search_catches_a_lost_move(monkeypatch):
     orbits(cat, 1)
     with pytest.raises(SelfCheckFailed, match="differ"):
         orbits(cat, 1, reverse=True)
+
+
+def _merge_orbits(monkeypatch, objs, sizes):
+    """Label the chains of the two orbits of these ``sizes`` on ``objs`` as
+    one orbit, with the label of the first."""
+    real = chains._tuple_action
+
+    def merged(cat, tup):
+        homs, strides, moves, labels = real(cat, tup)
+        if tuple(tup) == objs:
+            found, counts = np.unique(labels, return_counts=True)
+            keep, drop = (found[counts.tolist().index(size)] for size in sizes)
+            labels = np.where(labels == drop, keep, labels)
+        return homs, strides, moves, labels
+
+    monkeypatch.setattr(chains, "_tuple_action", merged)
+
+
+def test_an_orbit_size_that_does_not_divide_the_ambient_order_fails(monkeypatch, capsys):
+    # finset:3's (3, 3) tuple: 6 bijections, 18 maps onto two points and 3
+    # constants under S3 x S3 of order 36; 18 + 3 = 21 does not divide 36
+    _merge_orbits(monkeypatch, (3, 3), (18, 3))
+    with pytest.raises(SelfCheckFailed, match="orbit size does not divide"):
+        chains.level_blocks(finset.finset_skeleton(3), 1)
+    assert run(["decompose", "--builtin", "finset:3", "--level", "1"]) == 1
+    assert "orbit size does not divide the ambient group order" in capsys.readouterr().err
+
+
+def test_an_orbit_search_that_disagrees_with_the_labels_fails(monkeypatch, capsys):
+    # 6 + 3 = 9 divides 36, so the merged orbit passes the division; with
+    # listing off, only the orbit search from its representative sees it
+    _merge_orbits(monkeypatch, (3, 3), (6, 3))
+    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
+    with pytest.raises(SelfCheckFailed, match="disagrees with the orbit labels"):
+        chains.level_blocks(finset.finset_skeleton(3), 1, Limits(table_limit=1))
+    argv = ["decompose", "--builtin", "finset:3", "--level", "1", "--table-limit", "1"]
+    assert run(argv) == 1
+    assert "disagrees with the orbit labels" in capsys.readouterr().err
+
+
+def test_orbit_sizes_that_miss_the_chain_count_fail(monkeypatch, capsys):
+    real = chains._orbit_and_stabilizer
+
+    def short(cat, objs, limits, *args, **kw):
+        b = real(cat, objs, limits, *args, **kw)
+        return dataclasses.replace(b, reps=b.reps[1:], fiber_sizes=b.fiber_sizes[1:],
+                                   orders=b.orders[1:], elements=b.elements[1:],
+                                   policies=b.policies[1:]) if objs == (3, 3) else b
+
+    monkeypatch.setattr(chains, "_orbit_and_stabilizer", short)
+    with pytest.raises(SelfCheckFailed, match="orbit sizes do not sum to the chain count"):
+        chains.level_blocks(finset.finset_skeleton(3), 1)
+    assert run(["decompose", "--builtin", "finset:3", "--level", "1"]) == 1
+    assert "orbit sizes do not sum to the chain count" in capsys.readouterr().err
 
 
 def test_least_member_is_the_orbit_representative():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 from collections import Counter
 from math import comb
 
@@ -267,6 +268,20 @@ def test_completeness_fails_on_a_spoiled_level_1(spoil, monkeypatch, capsys):
     assert "check completeness: fail" in capsys.readouterr().out
 
 
+def test_completeness_fails_on_non_isomorphic_stabilizers_of_equal_order(monkeypatch, capsys):
+    # each level-1 stabilizer of iso(S3) tabled as the cyclic group of order 6
+    real = chains_mod.StabilizerGroup.to_cayley_table
+
+    def cyclic_at_level_1(stab, table_limit, memo=None):
+        return groups.cyclic_table(stab.order) if len(stab.objs) == 2 else real(stab, table_limit, memo)
+
+    monkeypatch.setattr(chains_mod.StabilizerGroup, "to_cayley_table", cyclic_at_level_1)
+    rep = cl.completeness_check(builtin_category("group:S3"))
+    assert rep.verdict is False and rep.detail == "order 6: no isomorphism matching"
+    assert run(["complete", "--builtin", "group:S3"]) == 1
+    assert "check completeness: fail" in capsys.readouterr().out
+
+
 def test_greedy_table_matching_equals_a_brute_force_matching():
     c4, v4 = groups.cyclic_table(4), groups.product_table([groups.cyclic_table(2)] * 2)
     u5 = groups.materialize(groups.FieldUnits(5))       # C4 on other labels
@@ -355,6 +370,45 @@ def test_nerve_face_conventions(s2_category):
     assert t.faces[(1, 0)].tolist() == [0, 0] and t.faces[(1, 1)].tolist() == [0, 0]
     # s0 then d0/d1 is the identity on level 0
     assert t.faces[(1, 0)][t.degeneracies[(0, 0)]].tolist() == [0]
+
+
+def _copy_of_the_first_2_simplex(t):
+    """``t`` with a second 2-simplex beside row 0, with the same faces."""
+    t.levels[2] = np.concatenate([t.levels[2], t.levels[2][:1]])
+    for i in range(3):
+        t.faces[(2, i)] = np.append(t.faces[(2, i)], t.faces[(2, i)][0])
+
+
+def _spoil_first_s0(t):
+    """s_0 of the first 1-simplex is the copy of its image: the faces of the
+    copy are those of the image, so only s_0 s_0 = s_1 s_0 can fail."""
+    _copy_of_the_first_2_simplex(t)
+    t.degeneracies[(1, 0)][0] = len(t.levels[2]) - 1
+
+
+# Each spoil breaks one family of the simplicial identities of the nerve of
+# iso-interval (morphisms id_0, id_1, f01, f10 are the level-1 rows 0-3),
+# and leaves the families checked before it intact.
+SIMPLICIAL_SPOILS = {
+    # d_0 of (id_0, id_0) made id_1: d_0 d_1 = d_0 d_0 fails
+    "dd": lambda t: t.faces[(2, 0)].__setitem__(0, 1),
+    # s_0 of object 0 made f01, faces untouched: d_0 s_0 = id fails
+    "ds": lambda t: t.degeneracies[(0, 0)].__setitem__(0, 2),
+    "ss": _spoil_first_s0,
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(SIMPLICIAL_SPOILS))
+def test_each_family_of_simplicial_identities_can_fail(spoil, monkeypatch, capsys):
+    t = cl.nerve_truncation(fincat.iso_interval(), 2)
+    _copy_of_the_first_2_simplex(t)
+    assert t.check_simplicial_identities()
+    t = cl.nerve_truncation(fincat.iso_interval(), 2)
+    SIMPLICIAL_SPOILS[spoil](t)
+    assert not t.check_simplicial_identities()
+    monkeypatch.setattr(cl, "nerve_truncation", lambda cat, truncation, limits: t)
+    assert run(["nerve", "--builtin", "iso-interval", "--truncation", "2"]) == 1
+    assert "check simplicial-identities: fail" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -452,3 +506,117 @@ def test_bands_share_levels_but_not_inner_faces():
 def test_out_of_range_levels_raise_category_error(call, s2_category):
     with pytest.raises(CategoryError):
         call(s2_category)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against the engine
+
+
+def _columns(block, rows):
+    """``block`` with only its components ``rows``, in that order."""
+    return dataclasses.replace(
+        block, reps=block.reps[rows], fiber_sizes=[block.fiber_sizes[k] for k in rows],
+        orders=[block.orders[k] for k in rows], elements=[block.elements[k] for k in rows],
+        policies=[block.policies[k] for k in rows])
+
+
+def test_closed_form_mismatches_come_in_cell_then_key_order():
+    # every form's order doubled and the blocks reversed: the messages still
+    # follow the cells, then the profiles, not the engine's component order
+    skel = finset.finset_skeleton(3)
+
+    def profile(block, k):
+        _, m, values = skel.payloads[block.reps[k, 0]]
+        return finset.profile_of(values, m).k
+
+    profiles = [p for n in range(4) for m in range(4) for p in finset.enumerate_profiles(n, m)]
+    forms = {}
+    for p in profiles:
+        forms.setdefault((p.n, p.m), {})[p.k] = cl.ClosedForm(f"profile {p.k}", 2 * p.group_order())
+    blocks = chains_mod.level_blocks(skel, 1)
+    assert any(keys != sorted(keys) for keys in
+               ([profile(b, k) for k in range(len(b))] for b in blocks))
+    report = cl.DiffReport("reversed")
+    cl.diff_closed_forms(report, blocks[::-1], profile, forms, DEFAULT_LIMITS,
+                         groups.GroupMemo(DEFAULT_LIMITS.iso_limit))
+    assert report.mismatches == [
+        f"cell ({p.n},{p.m}) profile {p.k}: stabilizer order {p.group_order()} "
+        f"!= order {2 * p.group_order()}" for p in profiles]
+    assert report.checked == len(profiles) and report.policies == {}
+
+
+def _spoil_block(objs, change):
+    """Patch ``level_blocks`` to pass the block of ``objs`` through ``change``."""
+    def patch(monkeypatch):
+        real = chains_mod.level_blocks
+
+        def spoiled(cat, n, limits=DEFAULT_LIMITS, reverse=False):
+            return [change(b) if b.objs == objs else b for b in real(cat, n, limits, reverse)]
+
+        monkeypatch.setattr(chains_mod, "level_blocks", spoiled)
+    return patch
+
+
+def _double_first_order(block):
+    return dataclasses.replace(block, orders=[2 * block.orders[0]] + block.orders[1:])
+
+
+def _drop_profile(k):
+    def patch(monkeypatch):
+        real = finset.enumerate_profiles
+        monkeypatch.setattr(finset, "enumerate_profiles",
+                            lambda *a: [p for p in real(*a) if p.k != k])
+    return patch
+
+
+def _rank_class(nm, rank, **changes):
+    """Patch ``orbits_by_rank`` to change one rank class of cell ``nm``."""
+    def patch(monkeypatch):
+        real = finvect.orbits_by_rank
+
+        def spoiled(n, m, q):
+            cell = real(n, m, q)
+            if (n, m) == nm:
+                cell.classes = [dataclasses.replace(c, **changes) if c.rank == rank else c
+                                for c in cell.classes]
+            return cell
+
+        monkeypatch.setattr(finvect, "orbits_by_rank", spoiled)
+    return patch
+
+
+FINSET_ORACLES = (["oracle-diff", "--finset-max", "3"], ["finset", "--max", "3", "--oracle"])
+VECT_ORACLES = (["oracle-diff", "--vect-dim", "2", "--q", "3"],
+                ["finvect", "--max-dim", "2", "--q", "3", "--oracle"])
+
+# name: (commands, spoil, a message the check line must hold); a printed
+# group of the right order that is not the stabilizer is spoiled in
+# test_finset.py and test_finvect.py
+ORACLE_SPOILS = {
+    "dropped profile": (FINSET_ORACLES, _drop_profile((1, 1, 1, 0)),
+                        "cell (3,3): engine keys [(0, 3, 0, 0), (1, 1, 1, 0), (2, 0, 0, 1)] "
+                        "vs closed-form keys [(0, 3, 0, 0), (2, 0, 0, 1)]"),
+    "rank duplicated": (VECT_ORACLES, _spoil_block((1, 1), lambda b: _columns(b, [0, 0, 1])),
+                        "cell (1,1): engine keys [0, 0, 1] vs closed-form keys [0, 1]"),
+    "wrong finset order": (FINSET_ORACLES, _spoil_block((2, 2), _double_first_order),
+                           "cell (2,2) profile (1, 0, 1): stabilizer order 4 != order 2 of "),
+    "wrong vect order": (VECT_ORACLES, _spoil_block((1, 2), _double_first_order),
+                         "cell (1,2) rank 0: stabilizer order 192 != order 96 of U(3) x GL(2,3)"),
+    "wrong class size": (VECT_ORACLES, _rank_class((1, 1), 1, class_size=3),
+                         "cell (1,1) rank 1: orbit size 2 != closed-form size 3"),
+    "broken transpose pair": (VECT_ORACLES, _spoil_block((2, 1), _double_first_order),
+                              "transpose symmetry broken between cells (1,2) and (2,1)"),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(ORACLE_SPOILS))
+def test_each_closed_form_spoil_is_caught_and_named(spoil, monkeypatch, capsys):
+    commands, patch, message = ORACLE_SPOILS[spoil]
+    patch(monkeypatch)
+    for argv in commands:
+        assert run(argv) == 1
+        [line] = [l for l in capsys.readouterr().out.splitlines() if l.startswith("check ")]
+        assert ": fail (" in line and message in line
+        assert run(argv + ["--format", "json"]) == 1
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert check["status"] == "fail" and message in check["details"]

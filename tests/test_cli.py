@@ -13,7 +13,7 @@ import time
 import pytest
 
 import cdiag
-from cdiag import chains, classifying, cli, finset
+from cdiag import chains, classifying, cli, fincat, finset
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 from cdiag.groups import GroupMemo
 from cdiag.limits import DEFAULT_LIMITS
@@ -318,6 +318,26 @@ def test_catdef_file_error_has_line(tmp_path, capsys):
     code = run(["decompose", "--file", str(p)])
     err = capsys.readouterr().err
     assert code == 2 and "line 2" in err
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("object x\nobject x-y\n", 2, "bad object name 'x-y'"),
+    ("object x\nobject y z\n", 2, "expected: object <name>"),
+    ("object x\nmor f : x -> x\ncompose f f f\n", 3, "expected: compose <g> <f> = <h>"),
+    ("object x\narrow f : x -> x\n", 2, "unrecognized directive 'arrow'"),
+    ("object x\nobject y\nmor f : x -> y\nmor g : x -> y\ncompose g f = f\n", 5,
+     "compose g f: target of f is y, source of g is x"),
+    ("object x\nobject y\nmor a : x -> x\nmor h : x -> y\ncompose a a = h\n", 5,
+     "compose a a = h: h has the wrong endpoints"),
+    ("object x\nmor a : x -> x\ncompose a a = a\ncompose a a = id_x\n", 4,
+     "conflicting composites for (a, a): a vs id_x"),
+])
+def test_every_catdef_refusal_names_its_line(text, line, message, tmp_path, capsys):
+    p = tmp_path / "bad.catdef"
+    p.write_text(text, encoding="utf-8")
+    assert run(["decompose", "--file", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cdiag: error: line {line}: {message}\n" and captured.out == ""
 
 
 def test_segal_on_an_empty_catdef_file(tmp_path, capsys):
@@ -703,7 +723,35 @@ def test_table_limit_holds_for_every_stabilizer(argv, capsys):
     assert run(argv + ["--table-limit", "6"]) == 0
     capsys.readouterr()
     assert run(argv + ["--table-limit", "5"]) == 2
-    assert "closure exceeded limit 5" in capsys.readouterr().err
+    assert "group of order 6 exceeds table_limit 5" in capsys.readouterr().err
+
+
+def test_every_table_refusal_names_table_limit_and_the_order():
+    from cdiag import finvect, groups
+    want = "group of order 6 exceeds table_limit 5"
+    with pytest.raises(groups.ClosureLimitExceeded, match=want):
+        groups.materialize(groups.Symmetric(3), table_limit=5)
+    s3 = builtin_category("group:S3")
+    with pytest.raises(groups.ClosureLimitExceeded, match=want):
+        chains.stabilizer(s3, chains.Chain(s3, (0,), ())).to_cayley_table(5)
+    with pytest.raises(fincat.CategoryError, match="group of order 12 exceeds table_limit 5"):
+        finvect.rank_case(1, 2, 1, 3).table(5)
+    # a closure that overshoots its stated order keeps the closure wording
+    with pytest.raises(groups.ClosureLimitExceeded, match="closure exceeded limit 10"):
+        groups.greedy_closure([1], lambda a, b: (a + b) % 100, 0, 10)
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"argv": ["--table-limit", "0"]}, "limit table_limit must be positive"),
+    ({"env": "iso_limit=-1"}, "limit iso_limit must be positive"),
+    ({"env": "table_limit"}, "bad CDIAG_LIMITS entry 'table_limit'"),
+    ({"env": "table_limit=many"}, "invalid literal for int() with base 10: 'many'"),
+])
+def test_a_bad_limit_is_a_usage_error(override, message, capsys, monkeypatch):
+    monkeypatch.setenv("CDIAG_LIMITS", override.get("env", ""))
+    assert run(["decompose", "--builtin", "ordinal:1"] + override.get("argv", [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cdiag: error: {message}\n" and captured.out == ""
 
 
 def test_env_limits_overridden_by_flags(capsys, monkeypatch):

@@ -129,6 +129,50 @@ def test_a_payload_shared_by_two_morphisms_is_refused():
                        payloads=[0, 0], compose_payload=lambda g, f: 0)
 
 
+def _category(objects=("x",), morphisms=(("e", "x", "x"),), identity=None, payloads=None,
+              **kw):
+    """One object x with its identity e, unless a refusal below changes a part."""
+    return FiniteCategory(list(objects), list(morphisms),
+                          {"x": "e"} if identity is None else identity,
+                          payloads=[m[0] for m in morphisms] if payloads is None else payloads,
+                          compose_payload=lambda g, f: g, **kw)
+
+
+@pytest.mark.parametrize("parts,message", [
+    ({"objects": ("x", "x")}, "duplicate object id"),
+    ({"morphisms": (("e", "x", "x"), ("e", "x", "x")), "payloads": [0, 1]},
+     "duplicate morphism id"),
+    ({"morphisms": (("e", "x", "x"), ("f", "x", "y"))},
+     "morphism endpoint not an object: 'x' -> 'y'"),
+    ({"identity": {}}, "no identity for object 'x'"),
+    ({"identity": {"x": "g"}}, "identity of 'x' is not a morphism"),
+    ({"objects": ("x", "y"), "morphisms": (("e", "x", "y"),), "identity": {"x": "e", "y": "e"}},
+     "identity of 'x' is not an endomorphism"),
+    ({"payloads": ["e", "f"]}, "one payload per morphism required"),
+])
+def test_every_refusal_of_a_malformed_category(parts, message):
+    assert _category().mor_ids == ("e",)
+    with pytest.raises(CategoryError, match=message):
+        _category(**parts)
+
+
+def test_composing_a_non_composable_pair_is_refused():
+    cat = from_catdef("object x\nobject y\nmor f : x -> y\n")
+    with pytest.raises(CategoryError, match="pair not composable: f after f"):
+        cat.compose("f", "f")
+
+
+def test_a_wrong_builder_inverse_is_refused():
+    # the involution f of x, with a builder that names e as its inverse
+    table = {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f", ("f", "f"): "e"}
+    cat = FiniteCategory(["x"], [("e", "x", "x"), ("f", "x", "x")], {"x": "e"},
+                         payloads=["e", "f"], compose_payload=lambda g, f: table[(g, f)],
+                         inverse_payload=lambda p: "e")
+    assert cat.inverse_idx(0) == 0
+    with pytest.raises(CategoryError, match="builder inverse is wrong for f"):
+        cat.inverse_idx(1)
+
+
 def test_validate_associativity_violation_reports_triple():
     # a 3-cycle composed against the wrong table entry
     text = ("object x\nmor a : x -> x\nmor b : x -> x\n"

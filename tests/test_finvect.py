@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -346,11 +347,16 @@ def test_oracle_checks_a_printed_rank_name_outside_the_catalogue(monkeypatch, ca
     monkeypatch.setattr(finvect, "rank_case", swapped)
     assert orbits_by_rank(1, 2, 3).classes[0].expr_text == "S4 x U(5)"
     rep = oracle_diff_vect(2, 3)
-    want = "cell (1,2) rank 0: stabilizer not isomorphic to S4 x U(5)"
+    want = "cell (1,2) rank 0: stabilizer is not isomorphic to S4 x U(5)"
     assert rep.mismatches == [want]
-    # the check line names the failing cell
-    assert run(["finvect", "--max-dim", "2", "--q", "3", "--oracle"]) == 1
-    assert f"1 MISMATCHES: {want})" in capsys.readouterr().out
+    # the check line of both commands names the failing cell, in text and JSON
+    for argv in (["finvect", "--max-dim", "2", "--q", "3", "--oracle"],
+                 ["oracle-diff", "--vect-dim", "2", "--q", "3"]):
+        assert run(argv) == 1
+        assert f"1 MISMATCHES: {want})" in capsys.readouterr().out
+        assert run(argv + ["--format", "json"]) == 1
+        [check] = json.loads(capsys.readouterr().out)["checks"]
+        assert check["status"] == "fail" and check["details"].endswith(f"1 MISMATCHES: {want}")
 
 
 def test_finvect_oracle_enumerates_each_cell_once(monkeypatch, capsys):
