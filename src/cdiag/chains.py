@@ -248,9 +248,13 @@ class StabilizerGroup:
         ClosureLimitExceeded when the order exceeds ``table_limit`` or no
         elements were kept, and the table raises unless they are closed
         (checked once per distinct array through a ``memo``)."""
-        if self.elements is None or self.order > table_limit:
+        if self.order > table_limit:
             raise ClosureLimitExceeded(table_limit, self.order,
                                        table_refusal(self.order, table_limit))
+        if self.elements is None:
+            raise ClosureLimitExceeded(table_limit, self.order, (
+                f"stabilizer of order {self.order} kept no listed elements: "
+                f"it was found under a smaller table_limit"))
         els = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), len(self.objs))
         coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
                   for i, x in enumerate(self.objs)]

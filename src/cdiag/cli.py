@@ -113,62 +113,22 @@ def _resolve_limits(args) -> Limits:
 # Report assembly
 
 
-def _component_row(c: classifying.Component) -> dict:
-    return {
-        "level": c.level,
-        "cell": list(c.cell),
-        "representative": list(c.representative),
-        "orbit_size": c.orbit_size,
-        "group_expr": c.group_expr,
-        "group_order": c.group_order,
-        "policy": c.policy,
-    }
-
-
-def _decomposition_rows(dec: classifying.Decomposition) -> list:
-    """The report rows of a decomposition, read from its blocks."""
-    rows = []
-    for cell, reps, sizes, orders, names in dec.rows():
-        cell = list(cell)
-        rows += ({"level": dec.level, "cell": cell, "representative": rep,
-                  "orbit_size": size, "group_expr": expr, "group_order": order,
-                  "policy": policy}
-                 for rep, size, order, (expr, policy) in zip(reps, sizes, orders, names))
-    return rows
-
-
-def _component_line(level, cell: str, rep: str, size, order, expr, policy) -> str:
-    """One component's text line; ``cell`` and ``rep`` are the joined ids."""
-    return (f"component level={level} cell=({cell}) rep=({rep}) size={size} "
-            f"order={order} group={'?' if expr is None else expr} policy={policy}")
-
-
-def _decomposition_lines(dec: classifying.Decomposition) -> list:
-    """The text lines of ``_decomposition_rows``, each cell joined once."""
-    lines = []
-    for cell, reps, sizes, orders, names in dec.rows():
-        cell = ",".join(cell)
-        lines += (_component_line(dec.level, cell, ",".join(rep), size, order, expr, policy)
-                  for rep, size, order, (expr, policy) in zip(reps, sizes, orders, names))
-    return lines
-
-
 def _render_text(report: dict) -> str:
-    """The text report.  Component rows are dicts, or lines already
-    rendered (``decompose`` in text format)."""
+    """The text report: one line per component row, each run of rows that
+    share a cell tuple joining it once, then one line per check."""
     lines = [f"# cdiag {report['command']}"]
     cfg = " ".join(f"{k}={v}" for k, v in sorted(report["config"].items())
                    if k != "limits")
     lim = report["config"].get("limits", {})
     lims = ",".join(f"{k}={v}" for k, v in sorted(lim.items()))
     lines.append(f"# config: {cfg} limits[{lims}]")
-    for row in report.get("components", []):
-        if isinstance(row, str):
-            lines.append(row)
-            continue
-        lines.append(_component_line(row["level"], ",".join(row["cell"]),
-                                     ",".join(row["representative"]), row["orbit_size"],
-                                     row["group_order"], row["group_expr"], row["policy"]))
+    cell = None
+    for level, row_cell, rep, size, order, expr, policy in report.get("components", []):
+        if row_cell is not cell:
+            cell, joined = row_cell, ",".join(row_cell)
+        lines.append(f"component level={level} cell=({joined}) rep=({','.join(rep)}) "
+                     f"size={size} order={order} group={'?' if expr is None else expr} "
+                     f"policy={policy}")
     for chk in report.get("checks", []):
         lines.append(f"check {chk['name']}: {chk['status']} ({chk['details']})")
     lines.append("")        # the final newline, without a second copy of the text
@@ -176,9 +136,16 @@ def _render_text(report: dict) -> str:
 
 
 def _json_pieces(report: dict) -> Iterator[str]:
-    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, in
-    pieces of a few thousand encoder tokens, so that the text of a large
-    report is never held whole beside its rows."""
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, each
+    component row an object keyed by its field names, in pieces of a few
+    thousand encoder tokens, so that the text of a large report is never
+    held whole beside its rows."""
+    # a dict display: dict(zip(names, row)) took 0.2-0.3 s longer on the
+    # 352,705 rows of delta:9 level 1
+    report = dict(report, components=[
+        {"level": level, "cell": cell, "representative": rep, "orbit_size": size,
+         "group_order": order, "group_expr": expr, "policy": policy}
+        for level, cell, rep, size, order, expr, policy in report.get("components", [])])
     tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
     while piece := "".join(itertools.islice(tokens, 4096)):
         yield piece
@@ -206,9 +173,8 @@ def _cmd_decompose(args, limits):
     cat = _load_category(args)
     dec = classifying.level_decomposition(cat, args.level, limits)
     ok = all(b.check_orbit_stabilizer() for b in dec.blocks)
-    rows = _decomposition_rows if args.format == "json" else _decomposition_lines
     report = {
-        "components": rows(dec),
+        "components": dec.rows(),
         "checks": [
             _check("orbit-stabilizer", ok, "identity verified on every component"),
             _check("size-sum", True,
@@ -263,13 +229,9 @@ def _cmd_nerve(args, limits):
 
 
 def _cmd_finset(args, limits):
-    rows = [_component_row(c) for c in finset.closed_form_level0(args.max)]
-    for n in range(args.max + 1):
-        for m in range(args.max + 1):
-            for c in finset.level1_closed_form(n, m, args.variant):
-                row = _component_row(c)
-                row["representative"] = [c.extra["tree"] + " " + c.representative[0]]
-                rows.append(row)
+    rows = [c.row() for c in finset.closed_form_level0(args.max)]
+    rows += (c.row() for n in range(args.max + 1) for m in range(args.max + 1)
+             for c in finset.level1_closed_form(n, m, args.variant))
     diffs = [finset.oracle_diff_finset(args.max, args.variant, limits)] if args.oracle else []
     return _diff_report(rows, [("oracle-diff", d) for d in diffs])
 
@@ -277,30 +239,14 @@ def _cmd_finset(args, limits):
 def _cmd_finvect(args, limits):
     # the largest cell first, so that a command that must fail fails at once
     finvect.check_enumerable(args.max_dim, args.max_dim, args.q)
-    rows = [_component_row(c) for c in finvect.vect_level0(args.max_dim, args.q)]
+    rows = [c.row() for c in finvect.vect_level0(args.max_dim, args.q)]
     # each cell is enumerated once: its rank rows and the oracle read it
     cells = finvect.rank_cells(args.max_dim, args.q)
-    for (n, m), cell in cells.items():
-        for cls in cell.classes:
-            rows.append({
-                "level": 1,
-                "cell": [str(n), str(m)],
-                "representative": [f"rank={cls.rank}"],
-                "orbit_size": cls.class_size,
-                "group_expr": cls.expr_text,
-                "group_order": cls.stabilizer_order,
-                "policy": cls.policy,
-            })
-    for case in finvect.paper_stabilizers_dim_le2(args.q):
-        rows.append({
-            "level": 1,
-            "cell": [str(case.n), str(case.m)],
-            "representative": [case.case],
-            "orbit_size": 0,
-            "group_expr": case.expr_text,
-            "group_order": case.order,
-            "policy": "closed-form",
-        })
+    rows += ((1, (str(n), str(m)), (f"rank={cls.rank}",), cls.class_size,
+              cls.stabilizer_order, cls.expr_text, cls.policy)
+             for (n, m), cell in cells.items() for cls in cell.classes)
+    rows += ((1, (str(case.n), str(case.m)), (case.case,), 0, case.order, case.expr_text,
+              "closed-form") for case in finvect.paper_stabilizers_dim_le2(args.q))
     diffs = [finvect.oracle_diff_vect(args.max_dim, args.q, limits, cells)] if args.oracle else []
     return _diff_report(rows, [("oracle-diff", d) for d in diffs])
 

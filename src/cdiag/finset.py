@@ -215,14 +215,14 @@ def closed_form_level0(max_card: int) -> list:
             level=0, cell=(str(c),), representative=(str(c),),
             orbit_size=1, group_order=expr.order(),
             group_expr="1" if c <= 1 else expr.text(),
-            policy="closed-form",
-            extra={"cardinality": c}))
+            policy="closed-form"))
     return out
 
 
 def level1_closed_form(n: int, m: int, variant: str) -> list:
-    """One component per fiber profile of ``variant``, with the group it
-    prints (``FiberProfile.group_expr``).  An injection n -> m has the one
+    """One component per fiber profile of ``variant``, represented by the
+    profile's tree and its k, with the group it prints
+    (``FiberProfile.group_expr``).  An injection n -> m has the one
     profile (m - n, n) when n <= m and none otherwise."""
     profiles = enumerate_profiles(n, m, variant)
     if variant == "inj" and len(profiles) != (n <= m):
@@ -237,7 +237,7 @@ def level1_closed_form(n: int, m: int, variant: str) -> list:
                 f"of {expr.text()} or does not divide {n}! * {m}! = {total}")
         out.append(Component(
             level=1, cell=(str(n), str(m)),
-            representative=("k=" + ",".join(str(v) for v in p.k),),
+            representative=(f"{p.tree_display()} k={','.join(map(str, p.k))}",),
             orbit_size=total // order,
             group_order=order,
             group_expr=expr.text(),

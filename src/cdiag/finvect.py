@@ -454,8 +454,7 @@ def vect_level0(max_dim: int, q: int) -> list:
             level=0, cell=(str(d),), representative=(str(d),),
             orbit_size=1, group_order=order,
             group_expr="1" if d == 0 else GeneralLinear(d, q).text(),
-            policy="closed-form",
-            extra={"dimension": d}))
+            policy="closed-form"))
     return out
 
 

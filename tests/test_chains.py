@@ -13,7 +13,7 @@ from cdiag.chains import (Chain, ChainLimitExceeded, SelfCheckFailed,
 from cdiag.cli import builtin_category, run
 from cdiag.fincat import CategoryError
 from cdiag.groups import ClosureLimitExceeded, GroupError, table_from_elements
-from cdiag.limits import Limits
+from cdiag.limits import DEFAULT_LIMITS, Limits
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +389,23 @@ def test_a_stabilizer_over_the_listing_bound_is_searched():
     with pytest.raises(ClosureLimitExceeded):
         big[0].to_cayley_table(10 ** 6)
     assert all(o.stabilizer.policy == "scan" for o in orbs if o.stabilizer is not big[0])
+
+
+def test_a_stabilizer_without_elements_is_refused_for_what_it_lacks():
+    # the order-110592 stabilizer was found under the default table_limit,
+    # which it exceeds, so it kept no elements to table under a larger one
+    [(block, k)] = [(b, k) for b in chains.level_blocks(builtin_category("vect:2:3"), 2)
+                    for k, order in enumerate(b.orders) if order > chains._LIST_LIMIT]
+    stab = block.stabilizer(k)
+    assert stab.elements is None and stab.order > DEFAULT_LIMITS.table_limit
+    with pytest.raises(ClosureLimitExceeded) as refused:
+        stab.to_cayley_table(10 ** 6)
+    assert str(refused.value) == ("stabilizer of order 110592 kept no listed elements: "
+                                  "it was found under a smaller table_limit")
+    # a real order over the limit keeps the refusal wording
+    with pytest.raises(ClosureLimitExceeded,
+                       match="^group of order 110592 exceeds table_limit 100000$"):
+        stab.to_cayley_table(10 ** 5)
 
 
 @pytest.mark.parametrize("cells", [chains._SCAN_CELLS, 1])

@@ -6,6 +6,7 @@ import io
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -651,8 +652,9 @@ VIEW_CASES = ([(spec, n) for spec in ACCEPTANCE_SUITE for n in range(3)]
 def test_block_rows_equal_the_component_views(spec, level):
     cat = builtin_category(spec)
     dec = classifying.level_decomposition(cat, level)
-    rows = cli._decomposition_rows(dec)
-    assert rows == [cli._component_row(c) for c in dec.components]
+    # representatives compared as tuples: the rows hold the lists of one gather
+    rows = [(level, cell, tuple(rep), *rest) for level, cell, rep, *rest in dec.rows()]
+    assert [c.row() for c in dec.components] == rows
     # the rows again from orbits(), each stabilizer named through a memo of its own
     memo, limits = GroupMemo(DEFAULT_LIMITS.iso_limit), DEFAULT_LIMITS
     from_orbits = []
@@ -666,14 +668,39 @@ def test_block_rows_equal_the_component_views(spec, level):
         else:
             expr, policy = None, "order-only"
         rep = o.rep.morphism_ids if level else o.rep.object_ids
-        from_orbits.append({"level": level, "cell": list(o.rep.object_ids),
-                            "representative": list(rep), "orbit_size": o.size,
-                            "group_expr": expr, "group_order": order, "policy": policy})
+        from_orbits.append((level, o.rep.object_ids, tuple(rep), o.size, order, expr, policy))
     assert rows == from_orbits
     report = {"command": "decompose", "config": {}}
-    assert (cli._render_text(dict(report, components=cli._decomposition_lines(dec)))
-            == cli._render_text(dict(report, components=from_orbits)))
-    assert len(dec) == len(rows) and dec.orders() == sorted(r["group_order"] for r in rows)
+    for render in (cli._render_text, lambda r: "".join(cli._json_pieces(r))):
+        assert (render(dict(report, components=dec.rows()))
+                == render(dict(report, components=from_orbits)))
+    assert len(dec) == len(rows) and dec.orders() == sorted(row[4] for row in rows)
+
+
+_COMPONENT_LINE = re.compile(r"component level=(\d+) cell=\((.*?)\) rep=\((.*)\) size=(\d+) "
+                             r"order=(\d+) group=(.*) policy=(\S+)")
+
+
+@pytest.mark.parametrize("argv", [
+    *(["finset", "--max", "3", "--variant", v] for v in ("all", "inj", "surj")),
+    ["finvect", "--max-dim", "2", "--q", "3", "--oracle"],
+])
+def test_closed_form_text_and_json_rows_agree_field_by_field(argv, capsys):
+    _, text = run_capture(argv, capsys)
+    _, out = run_capture(argv + ["--format", "json"], capsys)
+    report = json.loads(out)
+    comps, checks = report["components"], report["checks"]
+    lines = [l for l in body_lines(text) if l.startswith("component ")]
+    assert len(lines) == len(comps) > 0
+    for line, c in zip(lines, comps):
+        level, cell, rep, size, order, expr, policy = _COMPONENT_LINE.fullmatch(line).groups()
+        assert set(c) == {"level", "cell", "representative", "orbit_size",
+                          "group_expr", "group_order", "policy"}
+        assert (int(level), cell.split(","), rep, int(size), int(order), expr, policy) == (
+            c["level"], c["cell"], ",".join(c["representative"]), c["orbit_size"],
+            c["group_order"], "?" if c["group_expr"] is None else c["group_expr"], c["policy"])
+    assert [l for l in body_lines(text) if not l.startswith("component ")] == [
+        f"check {c['name']}: {c['status']} ({c['details']})" for c in checks]
 
 
 def test_output_file(tmp_path, capsys):

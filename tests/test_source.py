@@ -40,3 +40,14 @@ def test_the_package_import_graph_is_acyclic():
     assert "finvect" not in graph["finset"] and "finset" not in graph["finvect"]
     # raises graphlib.CycleError on an import cycle
     assert set(graphlib.TopologicalSorter(graph).static_order()) >= set(graph)
+
+
+def test_the_row_fields_are_spelled_once():
+    # a component row is a tuple in Component field order; only the JSON
+    # mapping names its fields, so no command copies the schema
+    counts = {name: 0 for name in ("representative", "orbit_size", "group_order", "group_expr")}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Constant) and node.value in counts:
+                counts[node.value] += 1
+    assert counts == dict.fromkeys(counts, 1)
