@@ -484,7 +484,7 @@ def _trivial_block(cat: FiniteCategory, objs, limits: Limits, seeds,
     No check is skipped that could fail here.  Without generators there are
     no moves, so the labels are the codes and an orbit search returns its
     seed; and the listing's join compares each position with itself, since
-    ``FiniteCategory._word_rows`` writes the identity's row as its start.
+    ``groups.word_rows`` writes the identity's row as its start.
     The elements and policies follow the rule of every other stabilizer,
     and the caller's size-sum check still runs."""
     homs, strides = _tuple_codec(cat, objs)

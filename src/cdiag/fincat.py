@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import CayleyTable, greedy_closure
+from .groups import CayleyTable, greedy_closure, word_levels, word_rows
 
 
 class CategoryError(Exception):
@@ -38,13 +38,6 @@ def _radix_codes(stack: np.ndarray, radix: int) -> np.ndarray:
         codes = codes * radix + column.astype(np.int64)
     codes[((flat < 0) | (flat >= radix)).any(axis=1)] = -1
     return codes
-
-
-# FiniteCategory._word_rows gathers a breadth-first level of at least
-# _GATHER_MIN words at once, at most _GATHER_CELLS entries a gather; below
-# that, one numpy step per word costs less than a gather's set-up.
-_GATHER_MIN = 4
-_GATHER_CELLS = 1 << 16
 
 
 def _code_finder(stack: np.ndarray, radix: int):
@@ -293,14 +286,12 @@ class FiniteCategory:
         return inverses
 
     def _aut_closure(self, oi: int) -> tuple:
-        """(generators, words, columns, levels) of Aut(x) from one greedy
+        """(generators, words, columns, tree) of Aut(x) from one greedy
         closure over the ranks in ``aut_idx(oi)``, which steps a -> g . a
         along the column of g, the ranks of g . a for every a, computed once
-        per generator.  levels are the words after the identity, one entry
-        per breadth-first level: the level's (element, parent, k) triples
-        when it has fewer than _GATHER_MIN words, else one array each of
-        its elements, parents and generators.  Computed on the first call
-        and kept."""
+        per generator.  tree is the words as ``groups.word_rows`` reads
+        them (``groups.word_levels``).  Computed on the first call and
+        kept."""
         if oi not in self._aut_closures:
             auts = self.aut_idx(oi)
             column, cols = self._column(oi, oi, auts), {}
@@ -316,9 +307,7 @@ class FiniteCategory:
             columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(len(auts) - 1))
             self._aut_closures[oi] = (
                 [auts[g] for g in gens], [w for level in levels for w in level],
-                columns.reshape(len(gens), len(auts)),
-                [level if len(level) < _GATHER_MIN else tuple(map(np.array, zip(*level)))
-                 for level in levels[1:]])
+                columns.reshape(len(gens), len(auts)), word_levels(levels))
         return self._aut_closures[oi]
 
     def aut_generators(self, oi: int) -> list:
@@ -331,28 +320,6 @@ class FiniteCategory:
         identity, (identity, -1, -1), each element that generator after the
         parent, elements and parents as ranks in ``aut_idx(oi)``."""
         return self._aut_closure(oi)[1]
-
-    def _word_rows(self, oi: int, columns: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """The action table of Aut(x) on the points ``start``, where the
-        k-th generator maps point p to columns[k, p]: row a holds the images
-        of the points under a, rows in ``aut_idx`` order, built along the
-        left words as row(g . a) = column(g)[row(a)].  A breadth-first
-        level of at least _GATHER_MIN words is built by gathers of at most
-        _GATHER_CELLS entries each; a smaller one a word at a time."""
-        _, words, _, levels = self._aut_closure(oi)
-        rows = np.empty((len(words), len(start)), dtype=columns.dtype)
-        rows[words[0][0]] = start
-        for level in levels:
-            if isinstance(level, list):
-                for a, p, k in level:
-                    rows[a] = columns[k][rows[p]]
-                continue
-            a, p, k = level
-            flat, width = columns.ravel(), max(1, _GATHER_CELLS // len(start))
-            for lo in range(0, len(a), width):
-                part = slice(lo, lo + width)
-                rows[a[part]] = flat[k[part, None] * columns.shape[1] + rows[p[part]]]
-        return rows
 
     def _column(self, si: int, di: int, mors: list):
         """column(g, left): the positions among ``mors``, morphisms x -> y,
@@ -433,7 +400,8 @@ class FiniteCategory:
         positions[j] and the a-th element of Aut(y) or Aut(x)."""
         left, right = self.hom_columns(si, di)
         positions = np.asarray(positions, dtype=left.dtype)
-        return self._word_rows(di, left, positions), self._word_rows(si, right, positions)
+        return (word_rows(self._aut_closure(di)[3], left, positions),
+                word_rows(self._aut_closure(si)[3], right, positions))
 
     def aut_table(self, oi: int) -> np.ndarray:
         """The read-only Cayley table of Aut(x) in ``aut_idx`` order, built
@@ -441,8 +409,8 @@ class FiniteCategory:
         smallest integer dtype that holds a rank.  Computed on the first
         call and kept."""
         if oi not in self._aut_table:
-            columns = self._aut_closure(oi)[2]
-            table = self._word_rows(oi, columns, np.arange(columns.shape[1], dtype=columns.dtype))
+            _, _, columns, tree = self._aut_closure(oi)
+            table = word_rows(tree, columns, np.arange(columns.shape[1], dtype=columns.dtype))
             table.setflags(write=False)
             self._aut_table[oi] = table
         return self._aut_table[oi]

@@ -371,9 +371,9 @@ class StabilizerCase:
         """The stabilizer subgroup as a concrete Cayley table: an expression
         materialized (through ``memo`` when given), or the listed elements,
         listed only within ``table_limit``.  Listed pairs (C, D) are
-        multiplied as stacked matrices mod q, a block of rows at a time, and
-        each product is found among them by the base-q code of its entries
-        (``table_by_codes``)."""
+        multiplied as stacked matrices mod q, and the products g * x of the
+        generators g that ``table_by_codes`` keeps are found among them by
+        the base-q code of their entries."""
         if self._elements is None:
             return materialize(self.expr, table_limit, memo)
         if self.order > table_limit:
@@ -388,10 +388,11 @@ class StabilizerCase:
             flat = [a.reshape(a.shape[:-2] + (-1,)) for a in (c, d)]
             return np.concatenate(flat, axis=-1) @ weights
 
-        def products(lo, hi):
-            return code(C[lo:hi, None] @ C[None] % q, D[lo:hi, None] @ D[None] % q)
+        def left_codes(g):
+            return code(C[g] @ C % q, D[g] @ D % q)
 
-        return table_by_codes(code(C, D), products, label=self.case)
+        identity = code(np.eye(len(C[0]), dtype=np.int64), np.eye(len(D[0]), dtype=np.int64))
+        return table_by_codes(code(C, D), int(identity), left_codes, label=self.case)
 
 
 def rank_case(n: int, m: int, r: int, q: int) -> Optional[StabilizerCase]:

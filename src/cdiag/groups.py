@@ -3,8 +3,10 @@
 Symbolic group expressions (symmetric, general linear, products, wreath
 products) with exact arbitrary-precision orders, concrete Cayley tables
 with fully checked group axioms, greedy generating sets closed to a known
-order, and small-group isomorphism testing by backtracking over generator
-images of the same element order and centralizer order.
+order, tables of coded element sets filled along the left words of that
+closure from a few located generator columns, and small-group isomorphism
+testing by backtracking over generator images of the same element order
+and centralizer order.
 """
 
 from __future__ import annotations
@@ -177,45 +179,97 @@ def table_in_product(tables: list, coords, label: str = "",
                      memo: Optional["GroupMemo"] = None) -> CayleyTable:
     """Cayley table of a set of elements of the direct product of ``tables``.
 
-    Row i of ``coords`` holds the factor coordinates of element i.  Every
-    product is computed coordinate-wise in the factor tables and located
-    among the elements by its mixed-radix code; a product outside the set
-    raises GroupError.  With a ``memo`` the table is checked once per
-    distinct array.
+    Row i of ``coords`` holds the factor coordinates of element i, coded in
+    mixed radix.  The products g * x are computed coordinate-wise in the
+    factor tables for the generators g of ``table_by_codes`` only.  With a
+    ``memo`` the table is checked once per distinct array.
     """
     coords = np.asarray(coords, dtype=np.int64)
     strides = _strides([len(t) for t in tables])
-    return table_by_codes(coords @ strides, _product_codes(tables, coords, strides), label, memo)
+    identity = sum(s * int(np.flatnonzero(t[:, 0] == 0)[0]) for s, t in zip(strides, tables))
+
+    def left_codes(g):
+        return sum(s * t[c[g]][c].astype(np.int64) for s, t, c in zip(strides, tables, coords.T))
+
+    return table_by_codes(coords @ strides, identity, left_codes, label, memo)
 
 
-def table_by_codes(codes, product_codes, label: str = "",
+def table_by_codes(codes, identity: int, left_codes, label: str = "",
                    memo: Optional["GroupMemo"] = None) -> CayleyTable:
-    """Cayley table of a set of elements given by distinct integer
-    ``codes``, element i coded codes[i].
+    """Cayley table of the elements with distinct integer ``codes``,
+    element i coded codes[i], the identity coded ``identity``.
 
-    ``product_codes(lo, hi)`` gives the codes of x * y for x among elements
-    lo..hi-1 and y among all of them, one row per x.  Each product is
-    located among the elements by its code; a product outside the set
-    raises GroupError.  With a ``memo`` the table is checked once per
-    distinct array.
+    ``left_codes(g)`` gives the codes of g * x for every element x.  Only
+    the generators g of one greedy closure over the elements have theirs
+    located among the codes; the rows are filled along the closure's left
+    words, row(g * a) = column(g)[row(a)].  The closure reaches every
+    element, so a product outside the set shows in a generator column and
+    raises GroupError, as a missing identity does.  With a ``memo`` the
+    table is checked once per distinct array.
     """
     codes = np.asarray(codes, dtype=np.int64)
-    order = np.argsort(codes)
-    known = codes[order]
+    n, order = len(codes), np.argsort(codes)
+    known, cols = codes[order], {}
 
-    def rows(lo, hi):
-        prods = product_codes(lo, hi)
-        at = np.minimum(np.searchsorted(known, prods), len(known) - 1)
-        if not np.array_equal(known[at], prods):
+    def locate(found):
+        at = np.minimum(np.searchsorted(known, found), n - 1)
+        if not np.array_equal(known[at], found):
             raise GroupError("element set is not closed under the product")
         return order[at]
 
-    table = _fill_table(len(codes), rows)
+    def step(a, g):
+        if g not in cols:
+            cols[g] = locate(left_codes(g)).tolist()
+        return cols[g][a]
+
+    root = int(locate(np.array([identity]))[0])
+    gens, _, levels = greedy_closure(range(n), step, root, n, tree=True)
+    columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(n - 1))
+    table = word_rows(word_levels(levels), columns, np.arange(n, dtype=columns.dtype))
     return CayleyTable(table, label=label) if memo is None else memo.table(table, label)
 
 
-# Tables are filled a block of rows at a time, each block about this many
-# cells, so temporaries stay near this size times the number of coordinates.
+# A breadth-first level of at least _GATHER_MIN words is filled by gathers
+# of at most _GATHER_CELLS entries each; below that, one numpy step per word
+# costs less than a gather's set-up.
+_GATHER_MIN = 4
+_GATHER_CELLS = 1 << 16
+
+
+def word_levels(levels) -> tuple:
+    """A ``greedy_closure`` tree as ``word_rows`` reads it: (its size, its
+    root, its levels after the root), a level of fewer than _GATHER_MIN
+    words as its (element, parent, k) triples, a larger one as one array
+    each of its elements, parents and generators."""
+    return (sum(map(len, levels)), levels[0][0][0],
+            [level if len(level) < _GATHER_MIN else tuple(map(np.array, zip(*level)))
+             for level in levels[1:]])
+
+
+def word_rows(tree: tuple, columns: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The action table of a group on the points ``start``, where its k-th
+    generator g_k maps point p to columns[k, p], built along the left words
+    of ``tree`` (``word_levels``): the root's row is ``start`` and
+    row(g_k . parent) = column(g_k)[row(parent)], level by level, in the
+    dtype of ``columns``."""
+    n, root, levels = tree
+    rows = np.empty((n, len(start)), dtype=columns.dtype)
+    rows[root] = start
+    flat, width = columns.ravel(), max(1, _GATHER_CELLS // max(len(start), 1))
+    for level in levels:
+        if isinstance(level, list):
+            for a, p, k in level:
+                rows[a] = columns[k][rows[p]]
+            continue
+        a, p, k = level
+        for lo in range(0, len(a), width):
+            part = slice(lo, lo + width)
+            rows[a[part]] = flat[k[part, None] * columns.shape[1] + rows[p[part]]]
+    return rows
+
+
+# Expression tables are filled a block of rows at a time, each block about
+# this many cells, so their 64-bit temporaries stay near this size.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -251,23 +305,20 @@ def _grid(sizes) -> np.ndarray:
     return np.array(digits, dtype=np.int64).reshape(len(digits), len(sizes))
 
 
-def _product_codes(tables, coords, strides):
-    """rows(lo, hi): mixed-radix codes of x * y, for x in coords[lo:hi] and
-    y in coords, multiplied coordinate-wise in the factor tables.  Each
-    gathered block is widened to int64 before it is scaled, since factor
-    tables may hold narrower integers."""
-    def rows(lo, hi):
-        return sum(s * t[np.ix_(c[lo:hi], c)].astype(np.int64)
-                   for s, t, c in zip(strides, tables, coords.T))
-    return rows
-
-
 def _direct_product_table(tables: list) -> np.ndarray:
     """Table of the direct product over lexicographic coordinate tuples,
-    whose index is their mixed-radix code."""
+    whose index is their mixed-radix code: the sum of each factor's table,
+    scaled by its stride and broadcast over the other factors' axes,
+    computed in the final narrow dtype."""
     sizes = [len(t) for t in tables]
-    coords = _grid(sizes)
-    return _fill_table(len(coords), _product_codes(tables, coords, _strides(sizes)))
+    n, k = prod(sizes), len(tables)
+    dtype = np.min_scalar_type(n - 1)
+    out = np.zeros(sizes + sizes, dtype=dtype)
+    for i, (s, t) in enumerate(zip(_strides(sizes).tolist(), tables)):
+        shape = [1] * (2 * k)
+        shape[i] = shape[k + i] = sizes[i]
+        out += (np.asarray(t, dtype=np.int64) * s).astype(dtype).reshape(shape)
+    return out.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +329,20 @@ def greedy_closure(candidates, compose, identity, order: int, tree: bool = False
     """Greedy generators, among ``candidates``, of a group of known ``order``.
 
     Walks the candidates in order and keeps each one outside the closure of
-    those kept so far; after each, the closure is rebuilt breadth first
-    from ``identity`` as ``compose(x, g)``.  Once the closure has ``order``
+    those kept so far; after each, the closure is extended breadth first
+    as ``compose(x, g)``: the new generator after every member so far, then
+    every generator after each new element.  Once the closure has ``order``
     elements it keeps no more, and every later candidate must lie in it.
     Returns (generators, closure size after each, levels).  With ``tree``,
-    levels is the last closure's breadth-first tree level by level: first
-    [(identity, -1, -1)], then for each level the (element, parent, k)
+    levels is the closure's breadth-first tree level by level: first
+    [(identity, -1, -1)], then for each round the (element, parent, k)
     triples in discovery order, each element ``compose(parent,
-    generators[k])`` with its parent in the level before; else None.
+    generators[k])`` with its parent in an earlier level; else None.
     Raises ClosureLimitExceeded when the closure grows past ``order`` and
     GroupError when a candidate lies outside a closure of ``order``
     elements or the candidates run out before it reaches ``order``.
     """
-    gens, sizes, seen = [], [], {identity}
+    gens, sizes, seen = [], [], {identity: None}
     levels = [[(identity, -1, -1)]] if tree else None
     for c in candidates:
         if c in seen:
@@ -298,15 +350,14 @@ def greedy_closure(candidates, compose, identity, order: int, tree: bool = False
         if len(seen) == order:
             raise GroupError(f"{c!r} lies outside the closure of {order} elements")
         gens.append(c)
-        seen, frontier = {identity}, [identity]
-        levels = [[(identity, -1, -1)]] if tree else None
+        frontier, steps = list(seen), [(len(gens) - 1, c)]
         while frontier:
             new, level = [], []
-            for k, g in enumerate(gens):
+            for k, g in steps:
                 for x in frontier:
                     y = compose(x, g)
                     if y not in seen:
-                        seen.add(y)
+                        seen[y] = None
                         new.append(y)
                         if tree:
                             level.append((y, x, k))
@@ -314,7 +365,7 @@ def greedy_closure(candidates, compose, identity, order: int, tree: bool = False
                             raise ClosureLimitExceeded(order, len(seen))
             if tree and level:
                 levels.append(level)
-            frontier = new
+            frontier, steps = new, list(enumerate(gens))
         sizes.append(len(seen))
     if len(seen) != order:
         raise GroupError(f"candidates generate {len(seen)} elements, not {order}")

@@ -384,13 +384,30 @@ def _reference_case_table(case):
     return groups.table_from_elements(case._elements(q), mul, label=case.case)
 
 
+def _gl_lookup_case_table(case):
+    """The listed case's table by ``table_from_elements``, each product one
+    lookup per coordinate in the tables of GL_n and GL_m, whose elements
+    are ranked in ``modp.general_linear`` order."""
+    q, pairs = case.q, case._elements(case.q)
+    ranks, tables = [], []
+    for side in range(2):
+        n = len(pairs[0][side])
+        ranks.append({m: r for r, m in enumerate(modp.general_linear(n, q))})
+        tables.append(groups.materialize(groups.GeneralLinear(n, q)).table.tolist())
+    els = [tuple(rank[m] for rank, m in zip(ranks, pair)) for pair in pairs]
+    (c, d) = tables
+    return groups.table_from_elements(els, lambda a, b: (c[a[0]][b[0]], d[a[1]][b[1]]))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_listed_case_tables_equal_the_per_product_reference(q):
-    # the column [1;0] case at every q; diag(1,0) while its reference is
-    # quick (order 1600 at q = 5 takes the reference about 40 s)
-    cases = [finvect.rank_case(1, 2, 1, q)] + ([finvect.rank_case(2, 2, 1, q)] if q <= 3 else [])
+    # the column [1;0] case at every q and diag(1,0) up to q = 5; diag(1,0)
+    # at q = 5 (order 1600) looks its products up in the GL tables, since
+    # modp.mul takes about 40 s over its 2,560,000 products
+    cases = [finvect.rank_case(1, 2, 1, q)] + ([finvect.rank_case(2, 2, 1, q)] if q <= 5 else [])
     for case in cases:
-        got, ref = case.table(20000), _reference_case_table(case)
+        reference = _gl_lookup_case_table if case.order > 1000 else _reference_case_table
+        got, ref = case.table(20000), reference(case)
         assert (got.table.dtype, got.table.shape) == (ref.table.dtype, ref.table.shape)
         assert got.table.tobytes() == ref.table.tobytes(), (q, case.case)
         assert got.n == case.order

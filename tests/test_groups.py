@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cdiag import finset, groups, modp
+from cdiag.cli import builtin_category
 from cdiag.groups import (CayleyTable, ClosureLimitExceeded, FieldAdditive,
                           FieldUnits, GeneralLinear, GroupError, Product,
                           Symmetric, Trivial, Wreath, are_isomorphic,
@@ -225,16 +226,63 @@ def test_greedy_closure_keeps_only_growing_candidates():
                                          tree=True)
     assert gens == [4, 6, 3]
     assert sizes == [3, 6, 12]
-    # the last closure's breadth-first tree: every element once, each one
-    # generator after a parent in the level before
+    # the closure's breadth-first tree: every element once, each one
+    # generator after a parent in an earlier level
     assert levels[0] == [(0, -1, -1)]
     assert sorted(y for level in levels for y, _, _ in level) == list(range(12))
-    for before, level in zip(levels, levels[1:]):
-        assert level and all(y == (x + gens[k]) % 12 and x in [z for z, _, _ in before]
-                             for y, x, k in level)
+    earlier = {0}
+    for level in levels[1:]:
+        assert level and all(y == (x + gens[k]) % 12 and x in earlier for y, x, k in level)
+        earlier.update(y for y, _, _ in level)
+    # a kept generator extends the closure from its members, not from the
+    # identity: 6 after each of 0, 4 and 8, whose levels are 0, 1 and 2
+    assert levels[3] == [(6, 0, 1), (10, 4, 1), (2, 8, 1)]
     # without the tree the generators and sizes are the same
     assert greedy_closure([0, 4, 8, 6, 3, 1], lambda a, b: (a + b) % 12, 0, 12) == \
         (gens, sizes, None)
+
+
+def restarting_closure(candidates, compose, identity, order):
+    """Reference: the greedy closure rebuilt breadth first from the
+    identity after each kept candidate; (generators, sizes)."""
+    gens, sizes, seen = [], [], {identity}
+    for c in candidates:
+        if c in seen:
+            continue
+        gens.append(c)
+        seen, frontier = {identity}, [identity]
+        while frontier:
+            new = []
+            for g in gens:
+                for x in frontier:
+                    y = compose(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        new.append(y)
+            frontier = new
+        sizes.append(len(seen))
+    assert len(seen) == order
+    return gens, sizes
+
+
+def assert_closures_agree(candidates, compose, identity, order):
+    gens, sizes, levels = greedy_closure(candidates, compose, identity, order, tree=True)
+    assert (gens, sizes) == restarting_closure(candidates, compose, identity, order)
+    earlier = {identity}
+    for level in levels[1:]:
+        assert all(x in earlier and compose(x, gens[k]) == y for y, x, k in level)
+        earlier.update(y for y, _, _ in level)
+    assert len(earlier) == sum(map(len, levels)) == order
+
+
+@pytest.mark.parametrize("name", ["finset:4", "vect:2:3", "vect:3:2", "group:S4"])
+def test_extending_closure_equals_the_restarting_one_on_aut_groups(name):
+    cat = builtin_category(name)
+    for x in range(cat.n_objects):
+        auts = cat.aut_idx(x)
+        rank = {a: r for r, a in enumerate(auts)}
+        assert_closures_agree(range(len(auts)), lambda a, g: rank[cat.compose_idx(auts[g], auts[a])],
+                              auts.index(cat.identity_idx[x]), len(auts))
 
 
 def test_generating_sequence_is_unchanged():
@@ -273,6 +321,13 @@ def test_column_closures_equal_the_per_pair_reference(make, monkeypatch):
     assert candidates == np.argsort(-t.orders, kind="stable").tolist()
     assert got == closure(candidates, t.mul, t.identity, t.n)
     assert (gens, sizes) == got[:2]
+
+
+@pytest.mark.parametrize("make", CLOSURE_POOL.values(), ids=CLOSURE_POOL.keys())
+def test_extending_closure_equals_the_restarting_one_on_tables(make):
+    t = make()
+    assert_closures_agree(np.argsort(-t.orders, kind="stable").tolist(), t.mul, t.identity, t.n)
+    assert_closures_agree(range(t.n), t.mul, t.identity, t.n)
 
 
 def subexpressions(expr):
@@ -430,8 +485,51 @@ def test_product_table_equals_per_pair_reference():
 def test_table_in_product_rejects_a_set_that_is_not_closed():
     c4 = cyclic_table(4).table
     assert groups.table_in_product([c4], [[0], [2]]).n == 2
-    with pytest.raises(GroupError, match="not closed"):
-        groups.table_in_product([c4], [[0], [1]])
+    c6 = cyclic_table(6).table
+    # {0, 1}; {1, 3, 5}, which holds no identity; and {0, 3, 1, 4}, which
+    # 3 + x keeps and only the second generator, 1, leaves
+    for tables, coords in (([c4], [[0], [1]]), ([c6], [[1], [3], [5]]),
+                           ([c6], [[0], [3], [1], [4]])):
+        with pytest.raises(GroupError, match="^element set is not closed under the product$"):
+            groups.table_in_product(tables, coords)
+
+
+def generated_coords(tables, gens):
+    """The coordinate tuples of the subgroup of the product of ``tables``
+    generated by ``gens``, closed one Python product per pair."""
+    def mul(a, b):
+        return tuple(int(t[x, y]) for t, x, y in zip(tables, a, b))
+
+    els = {tuple(int(np.flatnonzero(t[:, 0] == 0)[0]) for t in tables)}
+    frontier = list(els)
+    while frontier:
+        frontier = [y for y in {mul(g, x) for g in gens for x in frontier} if y not in els]
+        els.update(frontier)
+    return sorted(els), mul
+
+
+SUBGROUP_CASES = {
+    # S4 (uint8) x C17 x C17 (uint16): 408 elements
+    "S4 x C17^2": ([materialize(Symmetric(4)).table, product_table([cyclic_table(17)] * 2).table],
+                   [(9, 17), (1, 0)]),
+    # C20 (uint8) x S4 (uint8) x C300 (uint16): 288 elements, a uint16 table
+    "C20 x S4 x C300": ([cyclic_table(20).table, materialize(Symmetric(4)).table,
+                         cyclic_table(300).table], [(5, 9, 0), (0, 10, 100)]),
+}
+
+
+@pytest.mark.parametrize("case", SUBGROUP_CASES.values(), ids=SUBGROUP_CASES.keys())
+def test_subgroups_of_products_in_shuffled_order_equal_the_per_pair_reference(case):
+    tables, gens = case
+    els, mul = generated_coords(tables, gens)
+    assert 1 < len(els) < np.prod([len(t) for t in tables])
+    for seed in range(3):
+        shuffled = [els[i] for i in np.random.default_rng(seed).permutation(len(els))]
+        got = groups.table_in_product(tables, shuffled)
+        ref = table_from_elements(shuffled, mul)
+        assert got.table.dtype == ref.table.dtype
+        assert np.array_equal(got.table, ref.table)
+        assert got.identity == ref.identity
 
 
 def test_table_in_product_widens_narrow_factor_tables():
@@ -470,7 +568,8 @@ def test_table_takes_the_smallest_dtype_that_holds_an_index(make):
     assert t.table.dtype == np.min_scalar_type(t.n - 1)
 
 
-@pytest.mark.parametrize("expr", [Product([FieldAdditive(17)] * 2), Wreath(FieldAdditive(13), 2)],
+@pytest.mark.parametrize("expr", [Product([FieldAdditive(17)] * 2), Wreath(FieldAdditive(13), 2),
+                                  Product([Symmetric(5), FieldAdditive(3)])],
                          ids=lambda e: e.text())
 def test_uint8_factors_give_a_uint16_table_equal_to_the_reference(expr):
     els, mul = reference_carrier(expr)
