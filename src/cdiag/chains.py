@@ -18,7 +18,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import CayleyTable, ClosureLimitExceeded, GroupMemo, table_in_product, table_refusal
+from .groups import (CayleyTable, ClosureLimitExceeded, GroupError, GroupMemo, table_in_product,
+                     table_refusal)
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -246,11 +247,10 @@ class StabilizerGroup:
         """The listed elements multiplied coordinate-wise in the Cayley
         tables of the Aut(x_i) (``FiniteCategory.aut_table``).  Raises
         ClosureLimitExceeded when the order exceeds ``table_limit`` or no
-        elements were kept, and the table raises unless they are closed
+        elements were kept, and SelfCheckFailed unless they form a group
         (checked once per distinct array through a ``memo``)."""
         if self.order > table_limit:
-            raise ClosureLimitExceeded(table_limit, self.order,
-                                       table_refusal(self.order, table_limit))
+            raise table_refusal(self.order, table_limit)
         if self.elements is None:
             raise ClosureLimitExceeded(table_limit, self.order, (
                 f"stabilizer of order {self.order} kept no listed elements: "
@@ -258,8 +258,12 @@ class StabilizerGroup:
         els = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), len(self.objs))
         coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
                   for i, x in enumerate(self.objs)]
-        return table_in_product([self.cat.aut_table(x) for x in self.objs],
-                                np.stack(coords, axis=1), label="stabilizer", memo=memo)
+        try:
+            return table_in_product([self.cat.aut_table(x) for x in self.objs],
+                                    np.stack(coords, axis=1), label="stabilizer", memo=memo)
+        except GroupError as exc:
+            chain = Chain(self.cat, self.objs, self.mors)
+            raise SelfCheckFailed(f"listed stabilizer of {chain!r}: {exc}") from exc
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:

@@ -6,7 +6,8 @@ each level is presented as a finite decomposition: one component per chain
 class, carrying the class size and the stabilizer group of a representative.
 Weak equivalence of levels is replaced throughout by the decidable pair
 (component count, automorphism-order multiset), refined by small-group
-isomorphism below the configured limit.  ``diff_closed_forms`` is the one
+isomorphism below the configured limit; completeness checks the known one,
+along s_0, element by element.  ``diff_closed_forms`` is the one
 comparison of a level with a family's closed forms.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import chains as chains_mod
 from .chains import SelfCheckFailed, TupleBlock, chain_count
 from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid, object_iso_classes
-from .groups import GroupMemo
+from .groups import GroupMemo, table_refusal
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -270,66 +271,56 @@ class CompletenessReport:
     aut_order_multisets: tuple
     verdict: bool
     policy: str
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict
+    detail: str = ""             # the first failure, "" when the verdict is True
 
 
 def completeness_check(cat: FiniteCategory,
                        limits: Limits = DEFAULT_LIMITS) -> CompletenessReport:
-    """Compare the components of levels 0 and 1 of the classifying diagram
-    of iso(C), the maximal subgroupoid of ``cat``: its objects up to
-    isomorphism, and its isomorphisms up to invertible squares.  Equal
-    class counts, stabilizer orders and, below iso_limit, stabilizer groups
-    are the checkable shadow of completeness of the classifying diagram."""
+    """Compare levels 0 and 1 of the classifying diagram of iso(C), the
+    maximal subgroupoid of ``cat``, along the degeneracy s_0.  It takes the
+    class of x, stabilized by Aut(x), to the one level-1 component on (x, x):
+    Aut(x) x Aut(x) acts on Aut(x) by (a, b) . f = b f a^-1, transitively,
+    and fixes f exactly on the graph {(a, f a f^-1)} of conjugation by f.
+    So each class needs one such component of its order, no other may be
+    left, and a listed stabilizer must be that graph, by ``compose_idx`` and
+    ``inverse_idx``; an order within iso_limit left unlisted is refused."""
     gpd = maximal_subgroupoid(cat)
     sides = [chains_mod.level_blocks(gpd, n, limits) for n in (0, 1)]
     counts = tuple(sum(len(b) for b in side) for side in sides)
     multi_a, multi_b = (tuple(sorted(k for b in side for k in b.orders)) for side in sides)
-    if counts[0] != counts[1] or multi_a != multi_b:
-        return CompletenessReport(counts, (multi_a, multi_b), False,
-                                  "class-count + aut-order multiset",
-                                  detail="invariant mismatch")
+    within = any(k <= limits.iso_limit for k in multi_a)
+    policy = ("class-count + aut-order multiset" if counts[0] != counts[1] or multi_a != multi_b
+              else "aut-order multiset + group isomorphism" if within else "aut-order only")
+    detail = _conjugation_failure(gpd, *sides, limits)
+    return CompletenessReport(counts, (multi_a, multi_b), not detail, policy, detail)
 
-    # group-isomorphism refinement on matching classes, bucketed by order
-    policy = "aut-order only"
-    detail = []
-    verdict = True
-    memo = GroupMemo(limits.iso_limit)
-    for order_key in sorted(set(multi_a)):
-        if order_key > limits.iso_limit:
-            detail.append(f"order {order_key}: order-only (above iso_limit)")
+
+def _conjugation_failure(gpd: FiniteCategory, level0: list, level1: list, limits: Limits) -> str:
+    """The first failure of ``completeness_check`` on these levels of iso(C)."""
+    on = {}         # object tuple -> its level-1 (block, component) pairs
+    for b in level1:
+        on.setdefault(b.objs, []).extend((b, k) for k in range(len(b)))
+    for b0 in level0:             # one component each, on (x,)
+        x, name = b0.objs[0], gpd.objects[b0.objs[0]]
+        found = on.pop((x, x), [])
+        if len(found) != 1:
+            return f"class {name}: {len(found)} level-1 components on ({name},{name}), not 1"
+        b, k = found[0]
+        order, els = b.orders[k], b.elements[k]
+        if order != b0.orders[0]:
+            return f"class {name}: level-1 stabilizer order {order} != level-0 order {b0.orders[0]}"
+        if els is None:
+            if order <= limits.iso_limit:
+                raise table_refusal(order, limits.table_limit)
             continue
-        policy = "aut-order multiset + group isomorphism"
-        if order_key == 1:
-            continue            # every group of order 1 is trivial
-        ta, tb = ([b.stabilizer(k).to_cayley_table(limits.table_limit, memo)
-                   for b in side for k, order in enumerate(b.orders) if order == order_key]
-                  for side in sides)
-        if not _match_tables(ta, tb, memo):
-            verdict = False
-            detail.append(f"order {order_key}: no isomorphism matching")
-    return CompletenessReport(counts, (multi_a, multi_b), verdict, policy,
-                              detail="; ".join(detail))
-
-
-def _match_tables(ta: list, tb: list, memo: GroupMemo) -> bool:
-    """Whether the two lists of groups match one to one under isomorphism.
-    Every order here is at most ``iso_limit``, so isomorphism is decided
-    and is an equivalence relation; matching each group of ``ta`` to the
-    first unused isomorphic one of ``tb`` then finds a perfect matching
-    exactly when one exists."""
-    if len(ta) != len(tb):
-        return False
-    free = list(tb)
-    for a in ta:
-        j = next((j for j, b in enumerate(free) if memo.isomorphic(a, b)), None)
-        if j is None:
-            return False
-        del free[j]
-    return True
+        f, f_inv = int(b.reps[k, 0]), gpd.inverse_idx(int(b.reps[k, 0]))
+        graph = sorted((a, gpd.compose_idx(gpd.compose_idx(f, a), f_inv)) for a in gpd.aut_idx(x))
+        if els != graph:
+            return f"class {name}: listed stabilizer is not the conjugation graph of {gpd.mor_ids[f]}"
+    for objs, found in on.items():
+        cell = ",".join(gpd.objects[x] for x in objs)
+        return f"{len(found)} level-1 components on ({cell}) pair with no class"
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,8 @@ def _cmd_complete(args, limits):
     rep = classifying.completeness_check(cat, limits)
     details = (f"classes {rep.class_counts[0]} vs {rep.class_counts[1]}; "
                f"aut orders {list(rep.aut_order_multisets[0])} vs "
-               f"{list(rep.aut_order_multisets[1])}; policy: {rep.policy}")
+               f"{list(rep.aut_order_multisets[1])}; policy: {rep.policy}"
+               + ("" if rep.verdict else f"; {rep.detail}"))
     report = {"components": [],
               "checks": [_check("completeness", rep.verdict, details)]}
     return (0 if rep.verdict else MISMATCH), report

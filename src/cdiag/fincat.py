@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import CayleyTable, greedy_closure, word_levels, word_rows
+from .groups import CayleyTable, closure_columns, word_levels, word_rows
 
 
 class CategoryError(Exception):
@@ -287,27 +287,17 @@ class FiniteCategory:
 
     def _aut_closure(self, oi: int) -> tuple:
         """(generators, words, columns, tree) of Aut(x) from one greedy
-        closure over the ranks in ``aut_idx(oi)``, which steps a -> g . a
-        along the column of g, the ranks of g . a for every a, computed once
-        per generator.  tree is the words as ``groups.word_rows`` reads
-        them (``groups.word_levels``).  Computed on the first call and
-        kept."""
+        closure (``groups.closure_columns``) over the ranks in ``aut_idx(oi)``,
+        the column of g the ranks of g . a; tree is the words as
+        ``groups.word_rows`` reads them.  Computed on the first call and kept."""
         if oi not in self._aut_closures:
             auts = self.aut_idx(oi)
-            column, cols = self._column(oi, oi, auts), {}
-
-            def step(a, g):
-                if g not in cols:
-                    cols[g] = column(auts[g], True).tolist()
-                return cols[g][a]
-
-            gens, _, levels = greedy_closure(range(len(auts)), step,
-                                             auts.index(self.identity_idx[oi]), len(auts),
-                                             tree=True)
-            columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(len(auts) - 1))
+            column = self._column(oi, oi, auts)
+            gens, levels, columns = closure_columns(len(auts), lambda g: column(auts[g], True),
+                                                    auts.index(self.identity_idx[oi]))
             self._aut_closures[oi] = (
                 [auts[g] for g in gens], [w for level in levels for w in level],
-                columns.reshape(len(gens), len(auts)), word_levels(levels))
+                columns, word_levels(levels))
         return self._aut_closures[oi]
 
     def aut_generators(self, oi: int) -> list:

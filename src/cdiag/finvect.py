@@ -377,7 +377,7 @@ class StabilizerCase:
         if self._elements is None:
             return materialize(self.expr, table_limit, memo)
         if self.order > table_limit:
-            raise CategoryError(table_refusal(self.order, table_limit))
+            raise table_refusal(self.order, table_limit)
         q, pairs = self.q, self._elements(self.q)
         C = np.array([c for c, _ in pairs], dtype=np.int64)
         D = np.array([d for _, d in pairs], dtype=np.int64)

@@ -37,9 +37,10 @@ class ClosureLimitExceeded(GroupError):
         self.reached = reached
 
 
-def table_refusal(order: int, table_limit: int) -> str:
-    """The one wording of every refusal to table a group above table_limit."""
-    return f"group of order {order} exceeds table_limit {table_limit}"
+def table_refusal(order: int, table_limit: int) -> ClosureLimitExceeded:
+    """The one refusal, and its one wording, to table a group above table_limit."""
+    return ClosureLimitExceeded(table_limit, order,
+                                f"group of order {order} exceeds table_limit {table_limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ class CayleyTable:
 
 
 def cyclic_table(n: int, label: str = "") -> CayleyTable:
-    t = [[(i + j) % n for j in range(n)] for i in range(n)]
+    t = (np.arange(n)[:, None] + np.arange(n)) % n
     return CayleyTable(t, identity=0, label=label or f"C{n}")
 
 
@@ -209,7 +210,7 @@ def table_by_codes(codes, identity: int, left_codes, label: str = "",
     """
     codes = np.asarray(codes, dtype=np.int64)
     n, order = len(codes), np.argsort(codes)
-    known, cols = codes[order], {}
+    known = codes[order]
 
     def locate(found):
         at = np.minimum(np.searchsorted(known, found), n - 1)
@@ -217,14 +218,8 @@ def table_by_codes(codes, identity: int, left_codes, label: str = "",
             raise GroupError("element set is not closed under the product")
         return order[at]
 
-    def step(a, g):
-        if g not in cols:
-            cols[g] = locate(left_codes(g)).tolist()
-        return cols[g][a]
-
     root = int(locate(np.array([identity]))[0])
-    gens, _, levels = greedy_closure(range(n), step, root, n, tree=True)
-    columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(n - 1))
+    _, levels, columns = closure_columns(n, lambda g: locate(left_codes(g)), root)
     table = word_rows(word_levels(levels), columns, np.arange(n, dtype=columns.dtype))
     return CayleyTable(table, label=label) if memo is None else memo.table(table, label)
 
@@ -370,6 +365,24 @@ def greedy_closure(candidates, compose, identity, order: int, tree: bool = False
     if len(seen) != order:
         raise GroupError(f"candidates generate {len(seen)} elements, not {order}")
     return gens, sizes, levels
+
+
+def closure_columns(n: int, column, root: int) -> tuple:
+    """(generators, levels, columns) of the greedy closure, with its tree,
+    of the group on 0..n-1 with identity ``root`` that steps a -> g * a
+    along ``column(g)``, the integer array of g * a for every a, read once
+    per generator tried; ``columns`` stacks the generators' in
+    ``np.min_scalar_type(n - 1)``."""
+    cols = {}
+
+    def step(a, g):
+        if g not in cols:
+            cols[g] = column(g).tolist()
+        return cols[g][a]
+
+    gens, _, levels = greedy_closure(range(n), step, root, n, tree=True)
+    columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(n - 1))
+    return gens, levels, columns.reshape(len(gens), n)
 
 
 def table_from_elements(els: list, compose, label: str = "") -> CayleyTable:
@@ -606,7 +619,7 @@ def materialize(expr: GroupExpr, table_limit: int = DEFAULT_LIMITS.table_limit,
     """
     n = expr.order()
     if n > table_limit:
-        raise ClosureLimitExceeded(table_limit, n, table_refusal(n, table_limit))
+        raise table_refusal(n, table_limit)
     if memo is None:
         return CayleyTable(_expr_table(expr), label=expr.text())
     return memo.table(memo.expr_table(expr), expr.text())

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from cdiag import chains, fincat, finset, finvect
+from cdiag import chains, fincat, finset, finvect, groups
 from cdiag.chains import (Chain, ChainLimitExceeded, SelfCheckFailed,
                           StabilizerGroup, _act_mors, act, chain_count, enumerate_chains,
                           least_member, orbits, stabilizer)
@@ -525,13 +525,13 @@ def test_stabilizer_table_rejects_a_set_that_is_not_closed(s3_category):
     c2 = cat.compose_idx(c, c)
     # {e, g3} in Aut(*): the coordinate's own automorphisms are not closed
     small = StabilizerGroup(cat, (0,), (), 2, [(e,), (c,)], "scan")
-    with pytest.raises(GroupError, match="not closed"):
+    with pytest.raises(SelfCheckFailed, match=r"listed stabilizer of Chain<\*>: .*not closed"):
         small.to_cayley_table(20000)
     # each coordinate uses the closed {e, g3, g3^2}, but the pairs are not
     # closed: (g3, g3^2)(g3, e) = (g3^2, g3^2) is missing
     pairs = [(e, e), (c, c2), (c2, c), (c, e), (c2, e)]
     large = StabilizerGroup(cat, (0, 0), (e,), 5, pairs, "scan")
-    with pytest.raises(GroupError, match="not closed"):
+    with pytest.raises(SelfCheckFailed, match="not closed"):
         large.to_cayley_table(20000)
 
 
@@ -679,15 +679,16 @@ def test_action_arrays_equal_per_pair_reference(spec):
 
 def test_words_and_generators_come_from_one_closure(monkeypatch):
     # the generators, the words and the Cayley table of each Aut(x) come
-    # from one greedy closure, whose tree is the words
-    closures, closure = [], fincat.greedy_closure
+    # from one greedy closure, whose tree is the words; the spy starts
+    # after the build, whose CayleyTable of S3 runs a closure of its own
+    closures, closure = [], groups.greedy_closure
 
     def spy(*args, **kwargs):
         closures.append(args[3])
         return closure(*args, **kwargs)
 
-    monkeypatch.setattr(fincat, "greedy_closure", spy)
     cat = builtin_category("group:S3")
+    monkeypatch.setattr(groups, "greedy_closure", spy)
     auts, gens, words = cat.aut_idx(0), cat.aut_generators(0), cat.aut_words(0)
     table = cat.aut_table(0)
     cat.hom_action_tables(0, 0, range(6))

@@ -251,51 +251,97 @@ LEVEL1_SPOILERS = {
         policies=blocks[-1].policies[:-1])],
     "order": lambda blocks: [dataclasses.replace(
         blocks[0], orders=[2 * blocks[0].orders[0]] + blocks[0].orders[1:])] + blocks[1:],
+    "repeat": lambda blocks: blocks + blocks[-1:],
+    "stray": lambda blocks: blocks + [dataclasses.replace(
+        blocks[-1], objs=(blocks[0].objs[0], blocks[-1].objs[1]))],
 }
 
 
-@pytest.mark.parametrize("spoil", sorted(LEVEL1_SPOILERS))
-def test_completeness_fails_on_a_spoiled_level_1(spoil, monkeypatch, capsys):
+def _spoil_level_1(monkeypatch, spoil):
     real = chains_mod.level_blocks
 
     def spoiled(cat, n, limits=DEFAULT_LIMITS, reverse=False):
         blocks = real(cat, n, limits, reverse)
-        return LEVEL1_SPOILERS[spoil](blocks) if n == 1 else blocks
+        return spoil(blocks) if n == 1 else blocks
 
     monkeypatch.setattr(chains_mod, "level_blocks", spoiled)
-    assert cl.completeness_check(finset.finset_skeleton(3)).verdict is False
-    assert run(["complete", "--builtin", "finset:3"]) == 1
-    assert "check completeness: fail" in capsys.readouterr().out
 
 
-def test_completeness_fails_on_non_isomorphic_stabilizers_of_equal_order(monkeypatch, capsys):
-    # each level-1 stabilizer of iso(S3) tabled as the cyclic group of order 6
-    real = chains_mod.StabilizerGroup.to_cayley_table
-
-    def cyclic_at_level_1(stab, table_limit, memo=None):
-        return groups.cyclic_table(stab.order) if len(stab.objs) == 2 else real(stab, table_limit, memo)
-
-    monkeypatch.setattr(chains_mod.StabilizerGroup, "to_cayley_table", cyclic_at_level_1)
-    rep = cl.completeness_check(builtin_category("group:S3"))
-    assert rep.verdict is False and rep.detail == "order 6: no isomorphism matching"
-    assert run(["complete", "--builtin", "group:S3"]) == 1
-    assert "check completeness: fail" in capsys.readouterr().out
+def _failing_check_line(spec, capsys) -> str:
+    rep = cl.completeness_check(builtin_category(spec))
+    assert rep.verdict is False and rep.detail
+    assert run(["complete", "--builtin", spec]) == 1
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("check "))
+    assert line.startswith("check completeness: fail") and line.endswith(f"; {rep.detail})")
+    return rep.detail
 
 
-def test_greedy_table_matching_equals_a_brute_force_matching():
-    c4, v4 = groups.cyclic_table(4), groups.product_table([groups.cyclic_table(2)] * 2)
-    u5 = groups.materialize(groups.FieldUnits(5))       # C4 on other labels
-    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+@pytest.mark.parametrize("spoil", sorted(LEVEL1_SPOILERS))
+def test_completeness_fails_on_a_spoiled_level_1(spoil, monkeypatch, capsys):
+    _spoil_level_1(monkeypatch, LEVEL1_SPOILERS[spoil])
+    detail = _failing_check_line("finset:3", capsys)
+    want = {"drop": "class 3: 0 level-1 components on (3,3), not 1",
+            "order": "class 0: level-1 stabilizer order 2 != level-0 order 1",
+            "repeat": "class 3: 2 level-1 components on (3,3), not 1",
+            "stray": "1 level-1 components on (0,3) pair with no class"}
+    assert detail == want[spoil]
 
-    def brute(ta, tb):
-        return any(all(groups.are_isomorphic(a, b) for a, b in zip(ta, p))
-                   for p in itertools.permutations(tb))
 
-    for ta, tb, want in (([c4, v4, u5], [v4, u5, c4], True),
-                         ([c4, v4, u5], [v4, v4, c4], False)):
-        for perm in itertools.permutations(ta):
-            assert brute(list(perm), tb) is want
-            assert cl._match_tables(list(perm), tb, memo) is want
+def _moved_element(blocks):
+    """The last level-1 block with the second coordinate of its last
+    listed stabilizer element moved to another automorphism."""
+    b = blocks[-1]
+    els = list(b.elements[0])
+    a, c = els[-1]
+    els[-1] = (a, next(g for g in b.cat.aut_idx(b.objs[1]) if g != c))
+    return blocks[:-1] + [dataclasses.replace(b, elements=[els] + b.elements[1:])]
+
+
+@pytest.mark.parametrize("spec,cls", [("group:S3", "*"), ("finset:3", "3"), ("vect:2:2", "2")])
+def test_completeness_fails_on_a_moved_stabilizer_element(spec, cls, monkeypatch, capsys):
+    _spoil_level_1(monkeypatch, _moved_element)
+    detail = _failing_check_line(spec, capsys)
+    assert detail.startswith(f"class {cls}: listed stabilizer is not the conjugation graph of ")
+
+
+@pytest.mark.parametrize("spec", ["group:S3", "finset:3"])
+def test_a_spoiled_stabilizer_listing_is_a_self_check_failure(spec, monkeypatch, capsys):
+    # decompose tables the moved listing to name it: the engine is at
+    # fault, so the refusal of the set exits 1, not as a usage error
+    _spoil_level_1(monkeypatch, _moved_element)
+    assert run(["decompose", "--builtin", spec, "--level", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cdiag: self-check failed: listed stabilizer of Chain<")
+
+
+def test_completeness_conjugates_by_a_representative_of_order_3():
+    # S3 relabelled so that its least morphism, the level-1 representative
+    # f of iso(C), is a 3-cycle: the stabilizer {(a, f a f^-1)} is then
+    # neither the diagonal nor {(a, f^-1 a f)}
+    t = groups.materialize(groups.Symmetric(3))
+    c = int(np.flatnonzero(t.orders == 3)[0])
+    perm = [c] + [i for i in range(6) if i != c]        # new index -> old
+    new = {old: k for k, old in enumerate(perm)}
+    cat = fincat.one_object_group([[new[t.mul(a, b)] for b in perm] for a in perm])
+    (block,) = chains_mod.level_blocks(fincat.maximal_subgroupoid(cat), 1)
+    assert block.reps.tolist() == [[0]] and cat.mor_ids[0] == "g0"
+    assert cl.completeness_check(cat).verdict is True
+
+
+def test_completeness_builds_no_cayley_table(monkeypatch):
+    # the stabilizer isomorphism is the given graph of conjugation, so
+    # complete tables no group and searches no isomorphism; the builtins
+    # are built first, since group:S2 and the like are built from tables
+    cats = [builtin_category(spec) for spec in ACCEPTANCE_SUITE]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complete built a Cayley table or a GroupMemo")
+
+    for cls in (groups.CayleyTable, groups.GroupMemo):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for cat in cats:
+        assert cl.completeness_check(cat).verdict, cat.name
 
 
 # ---------------------------------------------------------------------------

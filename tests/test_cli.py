@@ -14,7 +14,7 @@ import time
 import pytest
 
 import cdiag
-from cdiag import chains, classifying, cli, fincat, finset
+from cdiag import chains, classifying, cli, finset
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 from cdiag.groups import GroupMemo
 from cdiag.limits import DEFAULT_LIMITS
@@ -746,7 +746,7 @@ def test_the_scan_limit_is_gone(capsys, monkeypatch):
     ["complete", "--builtin", "group:S3"],
 ])
 def test_table_limit_holds_for_every_stabilizer(argv, capsys):
-    # group:S3 has stabilizers of order 6, tabled to name them
+    # group:S3 has stabilizers of order 6, listed to name or check them
     assert run(argv + ["--table-limit", "6"]) == 0
     capsys.readouterr()
     assert run(argv + ["--table-limit", "5"]) == 2
@@ -761,7 +761,7 @@ def test_every_table_refusal_names_table_limit_and_the_order():
     s3 = builtin_category("group:S3")
     with pytest.raises(groups.ClosureLimitExceeded, match=want):
         chains.stabilizer(s3, chains.Chain(s3, (0,), ())).to_cayley_table(5)
-    with pytest.raises(fincat.CategoryError, match="group of order 12 exceeds table_limit 5"):
+    with pytest.raises(groups.ClosureLimitExceeded, match="group of order 12 exceeds table_limit 5"):
         finvect.rank_case(1, 2, 1, 3).table(5)
     # a closure that overshoots its stated order keeps the closure wording
     with pytest.raises(groups.ClosureLimitExceeded, match="closure exceeded limit 10"):

@@ -11,7 +11,7 @@ from cdiag.finvect import (MatrixFq, direct_scan_stabilizer_order, glnq_order,
                            matrix_action, oracle_diff_vect, orbits_by_rank,
                            paper_stabilizers_dim_le2, vect_level0,
                            vect_skeleton)
-from cdiag.groups import GroupError, are_isomorphic
+from cdiag.groups import ClosureLimitExceeded, GroupError, are_isomorphic
 
 
 def det2(a, q):
@@ -193,9 +193,9 @@ def test_catalogue_lists_elements_only_when_tabled(monkeypatch):
     cases = {c.case: c for c in paper_stabilizers_dim_le2(101)}
     diag = cases["diag(1,0) 2x2"]
     assert diag.order == 100 ** 3 * 101 ** 2
-    with pytest.raises(CategoryError, match="exceeds table_limit 20000"):
+    with pytest.raises(ClosureLimitExceeded, match="exceeds table_limit 20000"):
         diag.table(20000)
-    with pytest.raises(CategoryError, match="exceeds table_limit 20000"):
+    with pytest.raises(ClosureLimitExceeded, match="exceeds table_limit 20000"):
         cases["column [1;0]"].table(20000)
 
 

@@ -153,6 +153,13 @@ def test_an_element_without_a_finite_order_fails_associativity():
         CayleyTable([[0, 1, 2, 3], [1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 3]])
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 256, 257, 720])
+def test_cyclic_table_is_addition_mod_n(n):
+    t = cyclic_table(n)
+    assert t.table.dtype == np.min_scalar_type(n - 1) and t.identity == 0 and t.label == f"C{n}"
+    assert t.table.tolist() == [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
 def test_element_orders_and_abelian():
     t = cyclic_table(6)
     assert t.element_order(1) == 6

@@ -284,6 +284,18 @@ def inflated(cat: FiniteCategory, copies) -> FiniteCategory:
         payloads=keys, compose_payload=lambda g, f: (cat.compose_idx(g[0], f[0]), f[1], g[2]))
 
 
+@pytest.mark.parametrize("spec", ACCEPTANCE_SUITE)
+def test_completeness_is_invariant_under_inflation(spec):
+    # each object copied twice or three times: an equivalent category, so
+    # the classes and their automorphism orders are the original's
+    cat = builtin_category(spec)
+    rep = completeness_check(inflated(cat, [2 + x % 2 for x in range(cat.n_objects)]))
+    want = completeness_check(cat)
+    assert rep.verdict is True and want.verdict is True
+    assert rep.class_counts == want.class_counts
+    assert rep.aut_order_multisets == want.aut_order_multisets
+
+
 @pytest.mark.parametrize("spec", ACCEPTANCE_SUITE + ("delta:5", "finset:4", "vect:3:2"))
 def test_object_iso_classes_match_the_reference_on_builtins(spec):
     cat = builtin_category(spec)
