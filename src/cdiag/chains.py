@@ -233,7 +233,7 @@ class StabilizerGroup:
 
     ``order`` comes from orbit-stabilizer division.  ``elements`` lists the
     group when its order is at most the table_limit it was found under, and
-    is None otherwise.
+    is None otherwise, when an orbit search checked it instead.
     """
 
     cat: FiniteCategory
@@ -241,7 +241,11 @@ class StabilizerGroup:
     mors: tuple
     order: int
     elements: Optional[list]              # automorphism tuples (morphism indices)
-    policy: str                           # "scan" or "transversal"
+
+    @property
+    def policy(self) -> str:
+        """How it was checked: "scan" when listed, else "transversal"."""
+        return "scan" if self.elements is not None else "transversal"
 
     def to_cayley_table(self, table_limit: int, memo: Optional[GroupMemo] = None) -> CayleyTable:
         """The listed elements multiplied coordinate-wise in the Cayley
@@ -358,10 +362,6 @@ def _orbit_search(moves, seed) -> list:
 # ambient elements in all.
 _SCAN_CELLS = 1 << 20
 
-# Stabilizers of at most this order are listed when their orbit is found;
-# the orbits of larger ones are checked by a breadth-first search instead.
-_LIST_LIMIT = 100_000
-
 
 def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
     """For each morphism tuple in ``reps`` on the object tuple ``objs``, in
@@ -422,14 +422,14 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     every orbit, in ascending order.
 
     Orbits come from the labels of ``_tuple_action``, and the stabilizer
-    order is the ambient order divided by the orbit size.  A stabilizer of
-    order at most ``_LIST_LIMIT`` is listed (policy "scan"); a larger one
+    order is the ambient order divided by the orbit size.  One check backs
+    each stabilizer: one of order at most table_limit is listed and kept
+    (policy "scan"), and must have exactly the division order; a larger one
     gets a breadth-first orbit search, whose member set must equal the
-    labelled orbit (policy "transversal").  Elements are kept when the order
-    fits table_limit, so those are listed under either policy.  A listed
-    stabilizer must have exactly the division order.  With ``reverse`` the
-    search also runs from the greatest member of every orbit, and its member
-    set must equal the labelled orbit too.
+    labelled orbit (policy "transversal").  Either proves the labelled
+    orbit is the orbit, since correct moves never join two orbits.  With
+    ``reverse`` the search also runs from the greatest member of every
+    orbit, and its member set must equal the labelled orbit too.
 
     When the ambient group is trivial, ``_trivial_block`` builds the block
     from the codes alone.
@@ -451,32 +451,27 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     if any(ambient % size for size in sizes):
         raise SelfCheckFailed("orbit size does not divide the ambient group order")
     orders = [ambient // size for size in sizes]
-    bound = max(_LIST_LIMIT, limits.table_limit)
-    listed = iter(_stabilizer_elements(
-        cat, objs, reps[np.array([k <= bound for k in orders], dtype=bool)]))
+    listing = [k <= limits.table_limit for k in orders]
+    listed = iter(_stabilizer_elements(cat, objs, reps[np.array(listing, dtype=bool)]))
     # every trivial stabilizer keeps this one listing once its own is checked
     trivial = [tuple(cat.identity_idx[x] for x in objs)]
-    elements, policies = [], []
+    elements = []
     for k, (seed, stab_order) in enumerate(zip(seeds.tolist(), orders)):
-        els = next(listed) if stab_order <= bound else None
+        els = next(listed) if listing[k] else None
         if els is not None and len(els) != stab_order:
             raise SelfCheckFailed(
                 f"orbit-stabilizer identity fails at {Chain(cat, objs, reps[k].tolist())!r}: "
                 f"{sizes[k]} * {len(els)} != {ambient}")
-        if els == trivial:
-            els = trivial
-        if stab_order > _LIST_LIMIT or reverse:
-            orbit = order[starts[k]:ends[k]].tolist()
-            mors = tuple(reps[k].tolist())
-            if stab_order > _LIST_LIMIT and sorted(_orbit_search(moves, seed)) != orbit:
+        elements.append(trivial if els == trivial else els)
+        if els is None or reverse:
+            orbit, mors = order[starts[k]:ends[k]].tolist(), tuple(reps[k].tolist())
+            if els is None and sorted(_orbit_search(moves, seed)) != orbit:
                 raise SelfCheckFailed(f"orbit search from {mors} disagrees with the orbit labels")
             if reverse and sorted(_orbit_search(moves, orbit[-1])) != orbit:
                 greatest = tuple(_decode(homs, strides, orbit[-1:])[0].tolist())
                 raise SelfCheckFailed(f"orbits of {greatest} "
                                       f"and of its least member {mors} differ")
-        elements.append(els if stab_order <= limits.table_limit else None)
-        policies.append("scan" if stab_order <= _LIST_LIMIT else "transversal")
-    return TupleBlock(cat, objs, ambient, multiplicity, reps, sizes, orders, elements, policies)
+    return TupleBlock(cat, objs, ambient, multiplicity, reps, sizes, orders, elements)
 
 
 def _trivial_block(cat: FiniteCategory, objs, limits: Limits, seeds,
@@ -489,16 +484,15 @@ def _trivial_block(cat: FiniteCategory, objs, limits: Limits, seeds,
     no moves, so the labels are the codes and an orbit search returns its
     seed; and the listing's join compares each position with itself, since
     ``groups.word_rows`` writes the identity's row as its start.
-    The elements and policies follow the rule of every other stabilizer,
-    and the caller's size-sum check still runs."""
+    The identity tuple is kept when table_limit admits order 1, by the rule
+    of every other stabilizer, and the caller's size-sum check still runs."""
     homs, strides = _tuple_codec(cat, objs)
     codes = (np.arange(math.prod(map(len, homs))) if seeds is None
              else _encode(homs, strides, seeds))
     ones = [1] * len(codes)
     els = [tuple(cat.identity_idx[x] for x in objs)] if limits.table_limit >= 1 else None
-    policy = "scan" if 1 <= _LIST_LIMIT else "transversal"
     return TupleBlock(cat, objs, 1, multiplicity, _decode(homs, strides, codes), ones,
-                      list(ones), [els] * len(codes), [policy] * len(codes))
+                      list(ones), [els] * len(codes))
 
 
 def least_member(cat: FiniteCategory, chain: Chain) -> Chain:
@@ -549,9 +543,9 @@ class TupleBlock:
     ``objs``, rows ascending.  Column by column with it run
     ``fiber_sizes``, the chains on ``objs`` in each orbit (an ``Orbit``'s
     ``rep_fiber_size``); ``orders``, the stabilizer orders by division;
-    ``elements``, the listed stabilizer when its order fits the table_limit
-    it was found under, else None; and ``policies``, "scan" or
-    "transversal".  ``multiplicity`` counts the object tuples isomorphic to
+    and ``elements``, the listed stabilizer when its order fits the
+    table_limit it was found under, else None, when an orbit search checked
+    it instead.  ``multiplicity`` counts the object tuples isomorphic to
     ``objs``, so a component holds its fibre size times that many chains.
 
     Nothing is held per component but these columns: ``stabilizer(k)`` and
@@ -567,7 +561,6 @@ class TupleBlock:
     fiber_sizes: list
     orders: list
     elements: list
-    policies: list
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -583,7 +576,7 @@ class TupleBlock:
 
     def stabilizer(self, k: int) -> StabilizerGroup:
         return StabilizerGroup(self.cat, self.objs, tuple(self.reps[k].tolist()),
-                               self.orders[k], self.elements[k], self.policies[k])
+                               self.orders[k], self.elements[k])
 
     def orbits(self) -> list:
         return [Orbit(rep=Chain(self.cat, self.objs, mors), size=size * self.multiplicity,

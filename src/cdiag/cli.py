@@ -91,21 +91,19 @@ def _load_category(args) -> FiniteCategory:
 
 
 def _resolve_limits(args) -> Limits:
-    limits = DEFAULT_LIMITS
-    env = os.environ.get("CDIAG_LIMITS", "")
-    if env:
-        overrides = {}
-        for pair in env.split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
-            if "=" not in pair:
-                raise CategoryError(f"bad CDIAG_LIMITS entry {pair!r}")
-            k, v = pair.split("=", 1)
-            if k not in _LIMIT_NAMES:
-                raise CategoryError(f"unknown limit {k!r} in CDIAG_LIMITS")
+    """The defaults, overridden by the name=value entries of CDIAG_LIMITS,
+    then by the flags."""
+    overrides = {}
+    entries = [pair.strip() for pair in os.environ.get("CDIAG_LIMITS", "").split(",")]
+    for pair in filter(None, entries):
+        k, eq, v = pair.partition("=")
+        if eq and k not in _LIMIT_NAMES:
+            raise CategoryError(f"unknown limit {k!r} in CDIAG_LIMITS")
+        try:
             overrides[k] = int(v)
-        limits = limits.with_overrides(**overrides)
+        except ValueError:
+            raise CategoryError(f"bad CDIAG_LIMITS entry {pair!r}") from None
+    limits = DEFAULT_LIMITS.with_overrides(**overrides)
     return limits.with_overrides(**{k: getattr(args, k, None) for k in _LIMIT_NAMES})
 
 

@@ -246,11 +246,11 @@ class FiniteCategory:
 
     def _units(self, oi: int) -> tuple:
         """(``aut_idx``, ``aut_inverse_ranks``) of x from the inverse of
-        every endomorphism, which is kept as ``inverse_idx`` keeps it.
-        Computed on the first call and kept."""
+        every endomorphism, kept as ``inverse_idx`` keeps it, by the codec
+        unless all are known.  Computed on the first call and kept."""
         if oi not in self._aut:
             endos = self.hom_idx(oi, oi)
-            if self._codec is None:
+            if self._codec is None or all(m in self._inv for m in endos):
                 inverses = [self.inverse_idx(m) for m in endos]
             else:
                 inverses = self._codec_inverses(oi, endos)
@@ -672,15 +672,20 @@ def truncated_delta(m_max: int) -> FiniteCategory:
 
 
 def maximal_subgroupoid(cat: FiniteCategory) -> FiniteCategory:
-    """Same objects, only the isomorphisms, composition restricted; each
-    payload is the morphism's index in ``cat``."""
+    """Same objects, only the isomorphisms, composition restricted.  Each
+    morphism keeps its payload in ``cat``, and with it the payload functions,
+    the hom-set codec and the inverse that ``cat`` found and checked."""
     keep = [i for i in range(cat.n_morphisms) if cat.inverse_idx(i) is not None]
     morphisms = [(cat.mor_ids[i], cat.objects[cat.src[i]], cat.objects[cat.dst[i]])
                  for i in keep]
     identity = {o: cat.mor_ids[cat.identity_idx[i]] for i, o in enumerate(cat.objects)}
-    return FiniteCategory(cat.objects, morphisms, identity, payloads=keep,
-                          compose_payload=cat.compose_idx, inverse_payload=cat.inverse_idx,
-                          name=f"iso({cat.name})" if cat.name else "iso")
+    sub = FiniteCategory(cat.objects, morphisms, identity,
+                         payloads=[cat.payloads[i] for i in keep],
+                         compose_payload=cat._compose_payload,
+                         inverse_payload=cat._inverse_payload, codec=cat._codec,
+                         name=f"iso({cat.name})" if cat.name else "iso")
+    sub._inv = dict(enumerate(np.searchsorted(keep, [cat.inverse_idx(i) for i in keep]).tolist()))
+    return sub
 
 
 @dataclass

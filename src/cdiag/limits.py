@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Limits:
     chain_limit: int = 1_000_000   # max chains enumerated per level
-    table_limit: int = 20_000      # max elements materialized by closure
+    table_limit: int = 20_000      # max group order tabled, and stabilizer order listed
     iso_limit: int = 512           # max order for group-isomorphism testing
 
     def with_overrides(self, **kw) -> "Limits":

@@ -240,21 +240,21 @@ def test_zero_matrix_stabilizer_over_f2():
     assert stabilizer(sk, c).order == 36
 
 
-def test_transversal_path_agrees_with_scan(monkeypatch):
-    # force the search path with a listing bound of 0 and compare its
-    # exact orders and elements against the listed path
+def test_transversal_path_agrees_with_scan():
+    # a table_limit of 0 sends every stabilizer down the orbit search: the
+    # same reps, fibre sizes and orders as the listed path, and no elements
     cats = [(finset.finset_skeleton(3), 1), (finvect.vect_skeleton(2, 2), 1),
             (fincat.ordinal(2), 2)]
-    listed = [{o.rep.mors: o.stabilizer for o in orbits(cat, n)} for cat, n in cats]
-    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
-    for (cat, n), default in zip(cats, listed):
-        forced = {o.rep.mors: o.stabilizer for o in orbits(cat, n)}
-        assert set(default) == set(forced)
-        for rep, stab in default.items():
-            assert stab.policy == "scan"
-            assert forced[rep].policy == "transversal"
-            assert forced[rep].order == stab.order
-            assert forced[rep].elements == stab.elements
+    for cat, n in cats:
+        listed = chains.level_blocks(cat, n)
+        forced = chains.level_blocks(cat, n, Limits(table_limit=0))
+        assert [(b.objs, b.reps.tolist(), b.fiber_sizes, b.orders) for b in listed] == \
+            [(b.objs, b.reps.tolist(), b.fiber_sizes, b.orders) for b in forced]
+        for default, searched in zip(listed, forced):
+            for k in range(len(default)):
+                assert default.stabilizer(k).policy == "scan"
+                assert searched.stabilizer(k).policy == "transversal"
+                assert searched.elements[k] is None
 
 
 # categories whose levels hold tuples with a trivial ambient group
@@ -297,7 +297,6 @@ def test_blocks_equal_a_brute_force_reference(spec):
         got = [(b.objs, b.ambient_order, b.multiplicity, [tuple(r) for r in b.reps.tolist()],
                 b.fiber_sizes, b.orders, b.elements) for b in blocks]
         assert got == _reference_blocks(cat, n), (spec, n)
-        assert all(p == "scan" for b in blocks for p in b.policies)
         if n:
             assert any(b.ambient_order == 1 for b in blocks), (spec, n)
 
@@ -324,29 +323,25 @@ def test_trivial_ambient_tuples_skip_labelling_and_listing(monkeypatch):
             assert seen["_stabilizer_elements"] == acted, (spec, n)
 
 
-def test_trivial_ambient_blocks_follow_the_limits(monkeypatch):
+def test_trivial_ambient_blocks_follow_the_limits():
     cat = builtin_category("ordinal:2")
     identity = (cat.identity_idx[0], cat.identity_idx[1])
     [block] = [b for b in chains.level_blocks(cat, 1) if b.objs == (0, 1)]
-    assert block.elements == [[identity]] and block.policies == ["scan"]
-    # elements are kept within table_limit only; a listing bound of 0 searches
+    assert block.elements == [[identity]] and block.stabilizer(0).policy == "scan"
+    # a table_limit of 0 keeps nothing, so the identity tuple is searched
     [block] = [b for b in chains.level_blocks(cat, 1, Limits(table_limit=0)) if b.objs == (0, 1)]
-    assert block.elements == [None]
-    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
-    [block] = [b for b in chains.level_blocks(cat, 1) if b.objs == (0, 1)]
-    assert block.policies == ["transversal"] and block.elements == [[identity]]
+    assert block.elements == [None] and block.stabilizer(0).policy == "transversal"
 
 
 def test_stabilizer_transversal_path_standalone(monkeypatch):
     sk = finvect.vect_skeleton(2, 2)
     c = Chain.from_morphism_ids(sk, ["m2_2_1000"])   # diag(1, 0)
-    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
-    stab = stabilizer(sk, c)
-    assert stab.policy == "transversal"
-    assert stab.order == 4
-    assert stab.to_cayley_table(20000).n == 4
+    stab = stabilizer(sk, c, Limits(table_limit=3))
+    assert (stab.policy, stab.order, stab.elements) == ("transversal", 4, None)
+    listed = stabilizer(sk, c)
+    assert listed.policy == "scan" and listed.to_cayley_table(20000).n == 4
     # to_cayley_table lists nothing: it refuses above table_limit or without elements
-    for refused, table_limit in ((stab, 3), (dataclasses.replace(stab, elements=None), 20000)):
+    for refused, table_limit in ((listed, 3), (stab, 20000)):
         with pytest.raises(ClosureLimitExceeded):
             refused.to_cayley_table(table_limit)
     # the chain's stabilizer must have exactly the division order, checked
@@ -358,17 +353,18 @@ def test_stabilizer_transversal_path_standalone(monkeypatch):
         orbits(sk, 1)
 
 
-def test_transversal_stabilizer_elements_form_the_stabilizer(monkeypatch):
+def test_transversal_stabilizer_elements_form_the_stabilizer():
+    # a searched stabilizer keeps no elements; its division order is that of
+    # the listing, and the listing is closed
     sk = finset.finset_skeleton(3)
-    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
-    for o in orbits(sk, 1):
+    for o in orbits(sk, 1, Limits(table_limit=0)):
         stab = o.stabilizer
-        assert stab.policy == "transversal"
+        assert stab.policy == "transversal" and stab.elements is None
         [els] = chains._stabilizer_elements(sk, stab.objs, [stab.mors])
-        assert stab.elements == els
         assert len(set(els)) == len(els) == stab.order
         # the table raises unless the listed elements are closed
-        assert stab.to_cayley_table(20000).n == stab.order
+        listed = dataclasses.replace(stab, elements=els)
+        assert listed.policy == "scan" and listed.to_cayley_table(20000).n == stab.order
 
 
 def test_small_stabilizers_in_a_large_product_are_listed():
@@ -383,7 +379,7 @@ def test_small_stabilizers_in_a_large_product_are_listed():
 
 def test_a_stabilizer_over_the_listing_bound_is_searched():
     orbs = orbits(builtin_category("vect:2:3"), 2)
-    big = [o.stabilizer for o in orbs if o.stabilizer.order > chains._LIST_LIMIT]
+    big = [o.stabilizer for o in orbs if o.stabilizer.order > DEFAULT_LIMITS.table_limit]
     assert [s.order for s in big] == [110592]
     assert big[0].policy == "transversal" and big[0].elements is None
     with pytest.raises(ClosureLimitExceeded):
@@ -391,11 +387,58 @@ def test_a_stabilizer_over_the_listing_bound_is_searched():
     assert all(o.stabilizer.policy == "scan" for o in orbs if o.stabilizer is not big[0])
 
 
+@pytest.mark.parametrize("spec,level,limits", [
+    ("vect:3:2", 1, DEFAULT_LIMITS), ("vect:2:3", 2, DEFAULT_LIMITS),
+    ("finset:3", 1, Limits(table_limit=2)),
+], ids=["vect:3:2-1", "vect:2:3-2", "finset:3-1-table2"])
+def test_a_stabilizer_is_listed_exactly_when_it_fits_table_limit(spec, level, limits,
+                                                                  monkeypatch):
+    listed, real = [], chains._stabilizer_elements
+
+    def spy(cat, objs, reps):
+        listed.extend((objs, tuple(r)) for r in np.asarray(reps).tolist())
+        return real(cat, objs, reps)
+
+    monkeypatch.setattr(chains, "_stabilizer_elements", spy)
+    blocks = chains.level_blocks(builtin_category(spec), level, limits)
+    # each representative of order at most table_limit once, in block order
+    assert listed == [(b.objs, tuple(r)) for b in blocks if b.ambient_order > 1
+                      for r, k in zip(b.reps.tolist(), b.orders) if k <= limits.table_limit]
+    assert any(k > limits.table_limit for b in blocks for k in b.orders)
+    for b in blocks:
+        for k in range(len(b)):
+            listing = b.orders[k] <= limits.table_limit
+            assert (b.elements[k] is not None) == listing
+            assert b.stabilizer(k).policy == ("scan" if listing else "transversal")
+
+
+def test_the_searched_rank_0_stabilizer_checks_its_orbit(monkeypatch):
+    # vect:3:2's zero map F^3 -> F^3 is fixed by all of GL(3, 2)^2, of order
+    # 28224 > table_limit: a move spoiled at it only the orbit search sees
+    cat = builtin_category("vect:3:2")
+    [block] = [b for b in chains.level_blocks(cat, 1) if b.objs == (3, 3)]
+    k = block.orders.index(28224)
+    assert block.stabilizer(k).policy == "transversal"
+    [zero] = chains._encode(*chains._tuple_codec(cat, (3, 3)), block.reps[k:k + 1])
+    real = chains._tuple_action
+
+    def spoiled(cat, objs):
+        homs, strides, moves, labels = real(cat, objs)
+        if tuple(objs) == (3, 3):
+            moves = [img.copy() for img in moves]
+            moves[0][zero] = zero + 1
+        return homs, strides, moves, labels
+
+    monkeypatch.setattr(chains, "_tuple_action", spoiled)
+    with pytest.raises(SelfCheckFailed, match="disagrees with the orbit labels"):
+        chains.level_blocks(cat, 1)
+
+
 def test_a_stabilizer_without_elements_is_refused_for_what_it_lacks():
     # the order-110592 stabilizer was found under the default table_limit,
     # which it exceeds, so it kept no elements to table under a larger one
     [(block, k)] = [(b, k) for b in chains.level_blocks(builtin_category("vect:2:3"), 2)
-                    for k, order in enumerate(b.orders) if order > chains._LIST_LIMIT]
+                    for k, order in enumerate(b.orders) if order > DEFAULT_LIMITS.table_limit]
     stab = block.stabilizer(k)
     assert stab.elements is None and stab.order > DEFAULT_LIMITS.table_limit
     with pytest.raises(ClosureLimitExceeded) as refused:
@@ -425,42 +468,45 @@ def test_stabilizer_elements_equal_a_brute_force_filter(cells, monkeypatch):
             assert list(chains._stabilizer_elements(cat, objs, reps)) == want, objs
 
 
-# Both stabilizer policies (the default listing bound, and 0 to search
-# every orbit), in both enumeration orders, on four categories.
+# Both stabilizer policies (the default table_limit, which lists every
+# stabilizer here, and 0 to search every orbit), in both enumeration orders,
+# on four categories.
 STABILIZER_CASES = [("finset:3", 1), ("vect:2:2", 1), ("group:S3", 2), ("delta:2", 2)]
-STABILIZER_MODES = [(chains._LIST_LIMIT, False), (chains._LIST_LIMIT, True),
-                    (0, False), (0, True)]
+SEARCH_ALL = Limits(table_limit=0)
+STABILIZER_MODES = [(DEFAULT_LIMITS, False), (DEFAULT_LIMITS, True),
+                    (SEARCH_ALL, False), (SEARCH_ALL, True)]
 
 
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
-def test_stabilizer_elements_fix_the_representative(spec, level, monkeypatch):
+def test_stabilizer_elements_fix_the_representative(spec, level):
     cat = builtin_category(spec)
     scanned = {o.rep.mors: o.stabilizer for o in orbits(cat, level)}
-    assert {s.policy for s in scanned.values()} == {"scan"}
-    for list_limit, reverse in STABILIZER_MODES:
-        monkeypatch.setattr(chains, "_LIST_LIMIT", list_limit)
-        for o in orbits(cat, level, reverse=reverse):
-            rep, stab = o.rep, o.stabilizer
-            assert stab.policy == ("scan" if list_limit else "transversal")
-            # the search path lists the same elements as the scan of the same chain
-            assert stab.elements == scanned[rep.mors].elements, rep
-            assert len(stab.elements) == stab.order
-            for g in stab.elements:
-                assert _act_mors(cat, g, rep.objs, rep.mors) == rep.mors, (rep, g)
+    for rep, stab in scanned.items():
+        assert stab.policy == "scan" and len(stab.elements) == stab.order
+        for g in stab.elements:
+            assert _act_mors(cat, g, stab.objs, rep) == rep, (rep, g)
+    for limits, reverse in STABILIZER_MODES:
+        got = orbits(cat, level, limits, reverse=reverse)
+        assert [o.rep.mors for o in got] == list(scanned)
+        for o in got:
+            stab = o.stabilizer
+            assert stab.order == scanned[o.rep.mors].order, o.rep
+            # the search path keeps no elements; the listing path the same ones
+            assert stab.elements == (None if limits is SEARCH_ALL
+                                     else scanned[o.rep.mors].elements), o.rep
 
 
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
-def test_stabilizer_of_a_chain_matches_its_orbit(spec, level, monkeypatch):
+def test_stabilizer_of_a_chain_matches_its_orbit(spec, level):
     cat = builtin_category(spec)
     rng = random.Random(7)
-    for list_limit in (chains._LIST_LIMIT, 0):
-        monkeypatch.setattr(chains, "_LIST_LIMIT", list_limit)
-        for o in orbits(cat, level):
+    for limits in (DEFAULT_LIMITS, SEARCH_ALL):
+        for o in orbits(cat, level, limits):
             # the representative and a random member of its orbit
             alpha = [rng.choice(cat.aut_idx(x)) for x in o.rep.objs]
             moved = Chain(cat, o.rep.objs, _act_mors(cat, alpha, o.rep.objs, o.rep.mors))
             for chain in (o.rep, moved):
-                got = stabilizer(cat, chain)
+                got = stabilizer(cat, chain, limits)
                 assert (got.order, got.policy) == (o.stabilizer.order, o.stabilizer.policy)
 
 
@@ -524,13 +570,13 @@ def test_stabilizer_table_rejects_a_set_that_is_not_closed(s3_category):
     e, c = cat.mor_index("id_*"), cat.mor_index("g3")    # g3 has order 3
     c2 = cat.compose_idx(c, c)
     # {e, g3} in Aut(*): the coordinate's own automorphisms are not closed
-    small = StabilizerGroup(cat, (0,), (), 2, [(e,), (c,)], "scan")
+    small = StabilizerGroup(cat, (0,), (), 2, [(e,), (c,)])
     with pytest.raises(SelfCheckFailed, match=r"listed stabilizer of Chain<\*>: .*not closed"):
         small.to_cayley_table(20000)
     # each coordinate uses the closed {e, g3, g3^2}, but the pairs are not
     # closed: (g3, g3^2)(g3, e) = (g3^2, g3^2) is missing
     pairs = [(e, e), (c, c2), (c2, c), (c, e), (c2, e)]
-    large = StabilizerGroup(cat, (0, 0), (e,), 5, pairs, "scan")
+    large = StabilizerGroup(cat, (0, 0), (e,), 5, pairs)
     with pytest.raises(SelfCheckFailed, match="not closed"):
         large.to_cayley_table(20000)
 
@@ -579,10 +625,10 @@ def test_an_orbit_size_that_does_not_divide_the_ambient_order_fails(monkeypatch,
 
 
 def test_an_orbit_search_that_disagrees_with_the_labels_fails(monkeypatch, capsys):
-    # 6 + 3 = 9 divides 36, so the merged orbit passes the division; with
-    # listing off, only the orbit search from its representative sees it
+    # 6 + 3 = 9 divides 36, so the merged orbit passes the division; its
+    # stabilizer of order 4 is over table_limit 1, so only the orbit search
+    # from its representative sees it
     _merge_orbits(monkeypatch, (3, 3), (6, 3))
-    monkeypatch.setattr(chains, "_LIST_LIMIT", 0)
     with pytest.raises(SelfCheckFailed, match="disagrees with the orbit labels"):
         chains.level_blocks(finset.finset_skeleton(3), 1, Limits(table_limit=1))
     argv = ["decompose", "--builtin", "finset:3", "--level", "1", "--table-limit", "1"]
@@ -596,8 +642,8 @@ def test_orbit_sizes_that_miss_the_chain_count_fail(monkeypatch, capsys):
     def short(cat, objs, limits, *args, **kw):
         b = real(cat, objs, limits, *args, **kw)
         return dataclasses.replace(b, reps=b.reps[1:], fiber_sizes=b.fiber_sizes[1:],
-                                   orders=b.orders[1:], elements=b.elements[1:],
-                                   policies=b.policies[1:]) if objs == (3, 3) else b
+                                   orders=b.orders[1:],
+                                   elements=b.elements[1:]) if objs == (3, 3) else b
 
     monkeypatch.setattr(chains, "_orbit_and_stabilizer", short)
     with pytest.raises(SelfCheckFailed, match="orbit sizes do not sum to the chain count"):

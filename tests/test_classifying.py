@@ -247,8 +247,7 @@ def test_iso_s3_level1_is_one_component(s3_category):
 LEVEL1_SPOILERS = {
     "drop": lambda blocks: blocks[:-1] + [dataclasses.replace(
         blocks[-1], reps=blocks[-1].reps[:-1], fiber_sizes=blocks[-1].fiber_sizes[:-1],
-        orders=blocks[-1].orders[:-1], elements=blocks[-1].elements[:-1],
-        policies=blocks[-1].policies[:-1])],
+        orders=blocks[-1].orders[:-1], elements=blocks[-1].elements[:-1])],
     "order": lambda blocks: [dataclasses.replace(
         blocks[0], orders=[2 * blocks[0].orders[0]] + blocks[0].orders[1:])] + blocks[1:],
     "repeat": lambda blocks: blocks + blocks[-1:],
@@ -562,8 +561,7 @@ def _columns(block, rows):
     """``block`` with only its components ``rows``, in that order."""
     return dataclasses.replace(
         block, reps=block.reps[rows], fiber_sizes=[block.fiber_sizes[k] for k in rows],
-        orders=[block.orders[k] for k in rows], elements=[block.elements[k] for k in rows],
-        policies=[block.policies[k] for k in rows])
+        orders=[block.orders[k] for k in rows], elements=[block.elements[k] for k in rows])
 
 
 def test_closed_form_mismatches_come_in_cell_then_key_order():

@@ -230,6 +230,33 @@ def test_maximal_subgroupoid_fixed_point_and_idempotent(s3_category):
     assert all(sub.is_isomorphism(m) for m in sub.mor_ids)
 
 
+@pytest.mark.parametrize("cat", [finset.finset_skeleton(3), finvect.vect_skeleton(2, 2)],
+                         ids=["finset:3", "vect:2:2"])
+def test_maximal_subgroupoid_reads_hom_sets_by_the_parent_codec(cat):
+    sub = maximal_subgroupoid(cat)
+    assert sub._codec is cat._codec is not None
+    assert sub.payloads == tuple(p for i, p in enumerate(cat.payloads)
+                                 if cat.inverse_idx(i) is not None)
+    # the same groupoid composing payload by payload
+    plain = FiniteCategory(
+        sub.objects, [(m, sub.objects[s], sub.objects[d])
+                      for m, s, d in zip(sub.mor_ids, sub.src, sub.dst)],
+        {o: sub.mor_ids[i] for o, i in zip(sub.objects, sub.identity_idx)},
+        payloads=sub.payloads, compose_payload=cat._compose_payload,
+        inverse_payload=cat._inverse_payload)
+    # the inverses the parent found, kept, equal those of a search here
+    assert [sub.inverse_idx(i) for i in range(sub.n_morphisms)] == \
+        [plain.inverse_idx(i) for i in range(plain.n_morphisms)]
+    for x in range(sub.n_objects):
+        assert sub.aut_idx(x) == plain.aut_idx(x)
+        assert np.array_equal(sub.aut_inverse_ranks(x), plain.aut_inverse_ranks(x))
+        assert sub.aut_generators(x) == plain.aut_generators(x)
+        for y in range(sub.n_objects):
+            if sub.hom_idx(x, y):
+                for got, want in zip(sub.hom_columns(x, y), plain.hom_columns(x, y)):
+                    assert np.array_equal(got, want), (x, y)
+
+
 def test_maximal_subgroupoid_ordinal():
     sub = maximal_subgroupoid(fincat.ordinal(2))
     assert sub.n_objects == 3

@@ -23,6 +23,7 @@ from cdiag.chains import Chain, _chain_array, _chain_index, act, orbits
 from cdiag.classifying import completeness_check, nerve_truncation
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import FiniteCategory, ObjectClass, object_iso_classes
+from cdiag.limits import DEFAULT_LIMITS, Limits
 
 BASES = {"finset:3": finset.finset_skeleton(3), "vect:2:2": finvect.vect_skeleton(2, 2)}
 GROUP_TABLES = [groups.cyclic_table(n).table for n in range(1, 7)] + [
@@ -108,18 +109,16 @@ def naive_orbits(cat: FiniteCategory, n: int) -> list:
 def test_orbits_match_the_naive_reference(cat):
     for n in (1, 2):
         expected = naive_orbits(cat, n)
-        # the default listing bound, and 0 to search every orbit
-        for list_limit in (chains._LIST_LIMIT, 0):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(chains, "_LIST_LIMIT", list_limit)
-                got = orbits(cat, n)
+        # the default table_limit lists every stabilizer here, and 0
+        # searches every orbit and keeps no elements
+        for limits in (DEFAULT_LIMITS, Limits(table_limit=0)):
+            got = orbits(cat, n, limits)
             assert ([(o.rep.objs, o.rep.mors, o.rep_fiber_size, o.stabilizer.order)
                      for o in got]
                     == [(objs, mors, size, len(fixing))
                         for objs, mors, size, fixing in expected])
             for o, (_, _, _, fixing) in zip(got, expected):
-                assert o.stabilizer.policy == ("scan" if list_limit else "transversal")
-                assert o.stabilizer.elements == fixing
+                assert o.stabilizer.elements == (fixing if limits.table_limit else None)
 
 
 def naive_chains(cat: FiniteCategory, n: int) -> list:

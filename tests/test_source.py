@@ -2,7 +2,9 @@
 
 import ast
 import graphlib
+import importlib
 import pathlib
+import re
 
 import cdiag
 
@@ -51,3 +53,41 @@ def test_the_row_fields_are_spelled_once():
             if isinstance(node, ast.Constant) and node.value in counts:
                 counts[node.value] += 1
     assert counts == dict.fromkeys(counts, 1)
+
+
+MODULES = {path.stem: importlib.import_module(f"cdiag.{path.stem}")
+           for path in sorted(PACKAGE.glob("*.py")) if not path.stem.startswith("_")}
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name``, dotted or bare, names an attribute of the package:
+    from ``cdiag``, from one of its modules, or from a class one of them
+    defines.  A dataclass field counts as an attribute of its class."""
+    head, *rest = name.split(".")
+    if head == "cdiag" or head in MODULES:
+        obj = MODULES.get(head, cdiag)
+    else:
+        owners = [getattr(m, head) for m in MODULES.values() if hasattr(m, head)]
+        if not owners:
+            return False
+        obj = owners[0]
+    for attr in rest:
+        if not (hasattr(obj, attr) or attr in getattr(obj, "__dataclass_fields__", {})):
+            return False
+        obj = getattr(obj, attr, None)
+    return True
+
+
+def test_the_readme_names_only_what_exists():
+    # a backticked name that starts at the package, one of its modules or a
+    # class (``chains.level_blocks``, ``TupleBlock.orders``, ``Orbit``), or
+    # a bare private name (``_SCAN_CELLS``), must still be there; other
+    # spans (flags, commands, JSON keys) are not names of the package
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    spans = re.findall(r"`([^`\n]+)`", readme.read_text(encoding="utf-8"))
+    names = {span.removesuffix("()") for span in spans}
+    checked = sorted(n for n in names if re.fullmatch(r"\w+(\.\w+)*", n)
+                     and (n.split(".")[0] in MODULES or n.startswith(("cdiag.", "_"))
+                          or re.match(r"[A-Z][a-z]", n)))
+    assert len(checked) > 40
+    assert [n for n in checked if not _resolves(n)] == []
