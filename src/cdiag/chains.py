@@ -18,8 +18,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import (CayleyTable, ClosureLimitExceeded, GroupError, GroupMemo, table_in_product,
-                     table_refusal)
+from .groups import (CayleyTable, ClosureLimitExceeded, GroupError, GroupMemo, _strides,
+                     table_in_product, table_refusal)
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -279,10 +279,7 @@ def _tuple_codec(cat: FiniteCategory, objs) -> tuple:
     is coded in mixed radix over the positions of its morphisms in their
     hom sets, the first morphism most significant."""
     homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
-    strides = [1] * len(homs)
-    for i in range(len(homs) - 2, -1, -1):
-        strides[i] = strides[i + 1] * len(homs[i + 1])
-    return homs, strides
+    return homs, _strides(list(map(len, homs)))
 
 
 def _tuple_action(cat: FiniteCategory, objs) -> tuple:

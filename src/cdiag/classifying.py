@@ -24,7 +24,7 @@ import numpy as np
 from . import chains as chains_mod
 from .chains import SelfCheckFailed, TupleBlock, chain_count
 from .fincat import CategoryError, FiniteCategory, maximal_subgroupoid, object_iso_classes
-from .groups import GroupMemo, table_refusal
+from .groups import GroupMemo, code_finder, table_refusal
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -512,9 +512,8 @@ def component_maps(cat: FiniteCategory, truncation: int,
             sel = np.flatnonzero(at.ravel() == t)
             least = labels[chains_mod._encode(homs, strides, rows[sel])]
             reps, start = where.get(tup, (np.empty((0, len(homs))), 0))
-            codes = chains_mod._encode(homs, strides, reps)
-            k = np.searchsorted(codes, least)
-            missing = np.flatnonzero(np.append(codes, -1)[k] != least)
+            k = code_finder(chains_mod._encode(homs, strides, reps))(least)
+            missing = np.flatnonzero(k < 0)
             if len(missing):
                 mors = tuple(chains_mod._decode(homs, strides, least[missing[:1]])[0].tolist())
                 raise SelfCheckFailed(f"{mors} on {tup} is no component of level {n}")

@@ -14,44 +14,25 @@ after construction and every operation here is pure.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .groups import CayleyTable, closure_columns, word_levels, word_rows
+from .groups import (CayleyTable, closure_columns, code_finder, radix_codes, word_levels,
+                     word_rows)
 
 
 class CategoryError(Exception):
     pass
 
 
-def _radix_codes(stack: np.ndarray, radix: int) -> np.ndarray:
-    """Each array of ``stack`` read as one number in base ``radix``, its
-    first entry most significant, as int64; -1 for an array with an entry
-    outside 0 .. radix - 1."""
-    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
-    codes = np.zeros(len(flat), dtype=np.int64)
-    for column in flat.T:       # an entry at a time: no int64 copy of the stack
-        codes = codes * radix + column.astype(np.int64)
-    codes[((flat < 0) | (flat >= radix)).any(axis=1)] = -1
-    return codes
-
-
 def _code_finder(stack: np.ndarray, radix: int):
     """find(arrays): the position in ``stack`` of each of ``arrays``,
     matched by radix code, or -1 for one that is not in it."""
-    codes = _radix_codes(stack, radix)
-    order = np.argsort(codes)
-    ordered = codes[order]
-
-    def find(arrays):
-        found = _radix_codes(arrays, radix)
-        at = np.minimum(np.searchsorted(ordered, found), len(ordered) - 1)
-        return np.where((ordered[at] == found) & (found >= 0), order[at], -1)
-    return find
+    find = code_finder(radix_codes(stack, radix))
+    return lambda arrays: find(radix_codes(arrays, radix))
 
 
 class CatdefError(CategoryError):

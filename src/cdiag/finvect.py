@@ -25,7 +25,7 @@ from . import modp
 from .classifying import ClosedForm, Component, DiffReport, diff_closed_forms
 from .fincat import CategoryError, FiniteCategory
 from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
-                     GroupMemo, Product, materialize, table_by_codes, table_refusal)
+                     GroupMemo, Product, materialize, radix_codes, table_by_codes, table_refusal)
 from .limits import DEFAULT_LIMITS, Limits
 
 # vect_skeleton and orbits_by_rank enumerate at most this many matrices, and
@@ -373,7 +373,7 @@ class StabilizerCase:
         listed only within ``table_limit``.  Listed pairs (C, D) are
         multiplied as stacked matrices mod q, and the products g * x of the
         generators g that ``table_by_codes`` keeps are found among them by
-        the base-q code of their entries."""
+        the base-q code (``radix_codes``) of their entries."""
         if self._elements is None:
             return materialize(self.expr, table_limit, memo)
         if self.order > table_limit:
@@ -381,17 +381,16 @@ class StabilizerCase:
         q, pairs = self.q, self._elements(self.q)
         C = np.array([c for c, _ in pairs], dtype=np.int64)
         D = np.array([d for _, d in pairs], dtype=np.int64)
-        weights = q ** np.arange(C[0].size + D[0].size - 1, -1, -1, dtype=np.int64)
 
         def code(c, d):
             """The base-q code of the entries of each pair, C's first."""
-            flat = [a.reshape(a.shape[:-2] + (-1,)) for a in (c, d)]
-            return np.concatenate(flat, axis=-1) @ weights
+            return radix_codes(np.concatenate([c.reshape(len(c), -1), d.reshape(len(d), -1)], 1), q)
 
         def left_codes(g):
             return code(C[g] @ C % q, D[g] @ D % q)
 
-        identity = code(np.eye(len(C[0]), dtype=np.int64), np.eye(len(D[0]), dtype=np.int64))
+        [identity] = code(np.eye(len(C[0]), dtype=np.int64)[None],
+                          np.eye(len(D[0]), dtype=np.int64)[None])
         return table_by_codes(code(C, D), int(identity), left_codes, label=self.case)
 
 

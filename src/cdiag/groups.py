@@ -3,10 +3,16 @@
 Symbolic group expressions (symmetric, general linear, products, wreath
 products) with exact arbitrary-precision orders, concrete Cayley tables
 with fully checked group axioms, greedy generating sets closed to a known
-order, tables of coded element sets filled along the left words of that
-closure from a few located generator columns, and small-group isomorphism
-testing by backtracking over generator images of the same element order
-and centralizer order.
+order, and small-group isomorphism testing by backtracking over generator
+images of the same element order and centralizer order.
+
+Elements are coded as integers here, by one coder (``radix_codes``: an
+array of digits read as one number) and found among known codes by one
+locator (``code_finder``).  The tables of expressions (but direct products
+and cyclic groups) and of coded element sets are built by one routine,
+``coded_table``: it locates the products of the generators of one greedy
+closure over the coded elements and fills every other row along the
+closure's left words.
 """
 
 from __future__ import annotations
@@ -182,7 +188,7 @@ def table_in_product(tables: list, coords, label: str = "",
 
     Row i of ``coords`` holds the factor coordinates of element i, coded in
     mixed radix.  The products g * x are computed coordinate-wise in the
-    factor tables for the generators g of ``table_by_codes`` only.  With a
+    factor tables for the generators g of ``coded_table`` only.  With a
     ``memo`` the table is checked once per distinct array.
     """
     coords = np.asarray(coords, dtype=np.int64)
@@ -197,31 +203,36 @@ def table_in_product(tables: list, coords, label: str = "",
 
 def table_by_codes(codes, identity: int, left_codes, label: str = "",
                    memo: Optional["GroupMemo"] = None) -> CayleyTable:
-    """Cayley table of the elements with distinct integer ``codes``,
-    element i coded codes[i], the identity coded ``identity``.
+    """``coded_table`` checked as a CayleyTable; with a ``memo`` the table
+    is checked once per distinct array."""
+    table = coded_table(codes, identity, left_codes)
+    return CayleyTable(table, label=label) if memo is None else memo.table(table, label)
+
+
+def coded_table(codes, identity: int, left_codes) -> np.ndarray:
+    """The multiplication table of the elements with distinct integer
+    ``codes``, element i coded codes[i], the identity coded ``identity``,
+    in the smallest dtype that holds an index.
 
     ``left_codes(g)`` gives the codes of g * x for every element x.  Only
     the generators g of one greedy closure over the elements have theirs
-    located among the codes; the rows are filled along the closure's left
-    words, row(g * a) = column(g)[row(a)].  The closure reaches every
-    element, so a product outside the set shows in a generator column and
-    raises GroupError, as a missing identity does.  With a ``memo`` the
-    table is checked once per distinct array.
+    located among the codes (``code_finder``); the rows are filled along the
+    closure's left words, row(g * a) = column(g)[row(a)].  The closure
+    reaches every element, so a product outside the set shows in a
+    generator column and raises GroupError, as a missing identity does.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    n, order = len(codes), np.argsort(codes)
-    known = codes[order]
+    find = code_finder(codes)
 
     def locate(found):
-        at = np.minimum(np.searchsorted(known, found), n - 1)
-        if not np.array_equal(known[at], found):
+        at = find(found)
+        if at.min() < 0:
             raise GroupError("element set is not closed under the product")
-        return order[at]
+        return at
 
-    root = int(locate(np.array([identity]))[0])
-    _, levels, columns = closure_columns(n, lambda g: locate(left_codes(g)), root)
-    table = word_rows(word_levels(levels), columns, np.arange(n, dtype=columns.dtype))
-    return CayleyTable(table, label=label) if memo is None else memo.table(table, label)
+    n = len(codes)
+    _, levels, columns = closure_columns(n, lambda g: locate(left_codes(g)),
+                                         int(locate(np.array([identity]))[0]))
+    return word_rows(word_levels(levels), columns, np.arange(n, dtype=columns.dtype))
 
 
 # A breadth-first level of at least _GATHER_MIN words is filled by gathers
@@ -263,41 +274,42 @@ def word_rows(tree: tuple, columns: np.ndarray, start: np.ndarray) -> np.ndarray
     return rows
 
 
-# Expression tables are filled a block of rows at a time, each block about
-# this many cells, so their 64-bit temporaries stay near this size.
-_BLOCK_CELLS = 1 << 16
-
-
-def _fill_table(n: int, rows) -> np.ndarray:
-    """The n x n table whose rows lo..hi-1 are ``rows(lo, hi)``, in the
-    smallest dtype that holds an index.  Each block is range-checked before
-    it is narrowed into the table."""
-    out = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        block = np.asarray(rows(lo, hi))
-        if block.min() < 0 or block.max() >= n:
-            raise GroupError("table entries out of range (not closed)")
-        out[lo:hi] = block
-    return out
-
-
 def _strides(sizes) -> np.ndarray:
     """Mixed-radix place values for digits of the given sizes, most
     significant first."""
     out = [1] * len(sizes)
     for k in range(len(sizes) - 2, -1, -1):
         out[k] = out[k + 1] * sizes[k + 1]
-    if sizes and out[0] * sizes[0] > np.iinfo(np.int64).max:
+    if sizes and out[0] * sizes[0] >= 1 << 63:
         raise GroupError("direct product too large for 64-bit element codes")
     return np.array(out, dtype=np.int64)
 
 
-def _grid(sizes) -> np.ndarray:
-    """All digit tuples for the given sizes, lexicographic, one per row."""
-    digits = list(itertools.product(*(range(n) for n in sizes)))
-    return np.array(digits, dtype=np.int64).reshape(len(digits), len(sizes))
+def radix_codes(stack: np.ndarray, radix: int) -> np.ndarray:
+    """Each array of ``stack`` read as one number in base ``radix``, its
+    first entry most significant, as int64; -1 for an array with an entry
+    outside 0 .. radix - 1."""
+    flat = stack.reshape(len(stack), prod(stack.shape[1:]))
+    codes = np.zeros(len(flat), dtype=np.int64)
+    for column in flat.T:       # an entry at a time: no int64 copy of the stack
+        codes = codes * radix + column.astype(np.int64)
+    if flat.size and (flat.min() < 0 or flat.max() >= radix):
+        codes[((flat < 0) | (flat >= radix)).any(axis=1)] = -1
+    return codes
+
+
+def code_finder(codes):
+    """find(found): the position among ``codes`` of each code in ``found``,
+    or -1 for one that is not among them; a negative code is never found."""
+    codes = np.asarray(codes, dtype=np.int64)
+    order = np.argsort(codes)
+    order = order[codes[order] >= 0]
+    known = codes[order]
+
+    def find(found):
+        at = np.minimum(np.searchsorted(known, found), len(known) - 1)
+        return np.where(known[at] == found, order[at], -1)
+    return find if len(known) else lambda found: np.full(len(found), -1)
 
 
 def _direct_product_table(tables: list) -> np.ndarray:
@@ -532,49 +544,41 @@ class Wreath(GroupExpr):
 
 def _symmetric_table(perms: np.ndarray) -> np.ndarray:
     """Table of the permutations ``perms`` (one per row, a complete S_n in
-    lexicographic order) under (a*b)[i] = a[b[i]]."""
+    lexicographic order, the identity first) under (a*b)[i] = a[b[i]],
+    each coded in base n."""
     n = perms.shape[1]
-    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rank = np.empty(n ** n, dtype=np.int64)
-    rank[perms @ weights] = np.arange(len(perms))
-    return _fill_table(len(perms), lambda lo, hi: rank[perms[lo:hi][:, perms] @ weights])
+    codes = radix_codes(perms, n)
+    return coded_table(codes, codes[0], lambda g: radix_codes(perms[g][perms], n))
 
 
 def _general_linear_table(n: int, q: int) -> np.ndarray:
-    """Table of GL(n, q) in ``modp.general_linear`` order, by batched matrix
-    products mod q looked up through base-q codes of the entries."""
-    mats = np.array(modp.general_linear(n, q), dtype=np.int64)
-    weights = q ** np.arange(n * n - 1, -1, -1, dtype=np.int64)
-    index = np.empty(q ** (n * n), dtype=np.int64)
-    index[mats.reshape(-1, n * n) @ weights] = np.arange(len(mats))
-
-    def rows(lo, hi):
-        prods = (mats[lo:hi, None] @ mats[None]) % q
-        return index[prods.reshape(hi - lo, len(mats), n * n) @ weights]
-
-    return _fill_table(len(mats), rows)
+    """Table of GL(n, q) in ``modp.general_linear`` order under matrix
+    products mod q, each matrix coded in base q."""
+    mats = np.array(modp.general_linear(n, q), dtype=np.int64).reshape(-1, n, n)
+    return coded_table(radix_codes(mats, q), radix_codes(np.eye(n, dtype=np.int64)[None], q)[0],
+                       lambda g: radix_codes(mats[g] @ mats % q, q))
 
 
 def _wreath_table(base: np.ndarray, k: int, sk: np.ndarray) -> np.ndarray:
     """Table of base wr S_k over the elements (f, sigma), f in base^k
-    lexicographic and sigma in S_k lexicographic, with
-    (f, sigma)(g, tau) = (h, sigma tau) and h_i = f_i g_{sigma^-1(i)};
+    lexicographic and sigma in S_k lexicographic, each coded by its index,
+    with (f, sigma)(g, tau) = (h, sigma tau) and h_i = f_i g_{sigma^-1(i)};
     ``sk`` is the table of S_k."""
     perms = _permutations(k)
     n_perms = len(perms)
-    digits = _grid([len(base)] * k)
-    weights = len(base) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    weights = _strides([len(base)] * k)
+    digits = np.arange(len(base) ** k)[:, None] // weights % len(base)
     inverses = np.argsort(perms, axis=1)
 
-    def rows(lo, hi):
-        f = digits[np.arange(lo, hi) // n_perms]           # (rows, k)
-        s = np.arange(lo, hi) % n_perms
-        inv = inverses[s]
-        h = sum(weights[i] * base[f[:, i, None], digits[:, inv[:, i]].T]
-                for i in range(k))                          # (rows, |base|^k)
-        return (h[:, :, None] * n_perms + sk[s][:, None, :]).reshape(hi - lo, -1)
+    def left_codes(r):
+        f, s = digits[r // n_perms], r % n_perms
+        h = sum(weights[i] * base[f[i], digits[:, inverses[s, i]]] for i in range(k))
+        return (h[:, None] * n_perms + sk[s]).ravel()
 
-    return _fill_table(len(digits) * n_perms, rows)
+    # the identity (e, ..., e; 1) has index e * sum(weights) * k!
+    e = int(np.flatnonzero(base[:, 0] == 0)[0])
+    return coded_table(np.arange(len(digits) * n_perms), e * int(weights.sum()) * n_perms,
+                       left_codes)
 
 
 def _permutations(n: int) -> np.ndarray:
@@ -596,15 +600,16 @@ def _expr_table(expr: GroupExpr, memo: Optional["GroupMemo"] = None) -> np.ndarr
         return _general_linear_table(expr.n, expr.q)
     if isinstance(expr, FieldUnits):
         units = np.arange(1, expr.q)
-        return _fill_table(expr.q - 1, lambda lo, hi: units[lo:hi, None] * units % expr.q - 1)
+        return coded_table(units, 1, lambda g: units[g] * units % expr.q)
     if isinstance(expr, FieldAdditive):
-        values = np.arange(expr.q)
-        return _fill_table(expr.q, lambda lo, hi: (values[lo:hi, None] + values) % expr.q)
+        return cyclic_table(expr.q).table
     if isinstance(expr, Product):
         return _direct_product_table([table(f) for f in expr.factors])
     if isinstance(expr, Wreath):
         if expr.k == 0 or expr.base.order() == 1:   # base^k is trivial: S_k's table
             return table(Symmetric(expr.k))
+        if expr.k == 1:                             # S_1 is trivial: the base's table
+            return table(expr.base)
         return _wreath_table(table(expr.base), expr.k, table(Symmetric(expr.k)))
     raise GroupError(f"cannot materialize {expr!r}")
 

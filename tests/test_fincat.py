@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cdiag import fincat, finset, finvect
+from cdiag import fincat, finset, finvect, groups
 from cdiag.classifying import level_decomposition
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import (CatdefError, CategoryError, FiniteCategory, from_catdef,
@@ -498,7 +498,7 @@ def test_aut_x_acts_only_through_generator_columns(make, monkeypatch):
 def test_radix_codes_refuse_an_entry_beyond_the_radix():
     # (0, 3) in base 3 would carry into the code of (1, 0)
     stack = np.array([[0, 3], [1, 0], [2, 2], [0, -1]])
-    assert fincat._radix_codes(stack, 3).tolist() == [-1, 3, 8, -1]
+    assert groups.radix_codes(stack, 3).tolist() == [-1, 3, 8, -1]
 
 
 # ---------------------------------------------------------------------------

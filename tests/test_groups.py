@@ -466,7 +466,10 @@ REFERENCE_EXPRS = (
        Wreath(Product([Symmetric(2), FieldAdditive(3)]), 2),
        Product([]), Product([Symmetric(3)]),
        Product([Symmetric(3), FieldUnits(5), Wreath(Symmetric(1), 3)]),
-       Product([Wreath(Symmetric(2), 2), Symmetric(3), FieldAdditive(2)])]
+       Product([Wreath(Symmetric(2), 2), Symmetric(3), FieldAdditive(2)]),
+       # factors whose identity is not element 0
+       Wreath(GeneralLinear(2, 2), 2), Product([GeneralLinear(2, 2), FieldUnits(3)]),
+       Wreath(FieldUnits(5), 2)]
     + [GeneralLinear(n, q) for n, q in ((1, 2), (1, 7), (2, 2), (2, 3), (3, 2))]
     + [FieldUnits(q) for q in (2, 3, 7)] + [FieldAdditive(q) for q in (2, 5)]
 )
@@ -476,6 +479,21 @@ REFERENCE_EXPRS = (
 def test_materialize_equals_per_pair_reference(expr):
     els, mul = reference_carrier(expr)
     assert np.array_equal(materialize(expr).table, table_from_elements(els, mul).table)
+
+
+def test_code_finder_locates_codes_and_misses_the_rest():
+    find = groups.code_finder([7, 3, -1, 5])
+    # 4 and 8 are not among the codes, and a negative code is never found
+    assert find(np.array([3, 5, 7, 4, 8, -1])).tolist() == [1, 3, 0, -1, -1, -1]
+    assert groups.code_finder([])(np.array([0, -1])).tolist() == [-1, -1]
+
+
+def test_materialize_refuses_an_element_set_that_is_not_closed(monkeypatch):
+    full = modp.general_linear(2, 2)
+    for drop in range(len(full)):       # the identity, (1 0; 0 1), is element 2
+        monkeypatch.setattr(modp, "general_linear", lambda n, q: full[:drop] + full[drop + 1:])
+        with pytest.raises(GroupError, match="^element set is not closed under the product$"):
+            materialize(GeneralLinear(2, 2))
 
 
 def test_product_table_equals_per_pair_reference():
@@ -601,8 +619,6 @@ def test_range_check_runs_before_the_narrowing_cast():
     t[3, 5] = -1
     with pytest.raises(GroupError, match="out of range"):
         CayleyTable(t)
-    with pytest.raises(GroupError, match="out of range"):
-        groups._fill_table(256, lambda lo, hi: t[lo:hi])
 
 
 @pytest.mark.parametrize("make", [lambda: materialize(Symmetric(4)),
