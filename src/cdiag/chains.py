@@ -248,11 +248,15 @@ class StabilizerGroup:
         return "scan" if self.elements is not None else "transversal"
 
     def to_cayley_table(self, table_limit: int, memo: Optional[GroupMemo] = None) -> CayleyTable:
-        """The listed elements multiplied coordinate-wise in the Cayley
-        tables of the Aut(x_i) (``FiniteCategory.aut_table``).  Raises
-        ClosureLimitExceeded when the order exceeds ``table_limit`` or no
-        elements were kept, and SelfCheckFailed unless they form a group
-        (checked once per distinct array through a ``memo``)."""
+        """The listed elements, sorted rows of Aut(x_i) ranks, multiplied
+        coordinate-wise in the Cayley tables of the Aut(x_i)
+        (``FiniteCategory.aut_table``).  Raises ClosureLimitExceeded when
+        the order exceeds ``table_limit`` or no elements were kept, and
+        SelfCheckFailed unless they form a group.  A coordinate constant on
+        each run of rows agreeing before it is a function phi of the kept
+        ones, which alone are tabled, once per command through a ``memo``;
+        the listing is closed exactly when they are and each phi is a hom,
+        checked on the table's generators g as phi(x*g) = phi(x)*phi(g)."""
         if self.order > table_limit:
             raise table_refusal(self.order, table_limit)
         if self.elements is None:
@@ -260,14 +264,34 @@ class StabilizerGroup:
                 f"stabilizer of order {self.order} kept no listed elements: "
                 f"it was found under a smaller table_limit"))
         els = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), len(self.objs))
-        coords = [np.searchsorted(self.cat.aut_idx(x), els[:, i])
-                  for i, x in enumerate(self.objs)]
+        ranks = np.stack([np.searchsorted(self.cat.aut_idx(x), els[:, i])
+                          for i, x in enumerate(self.objs)], axis=1)
+        ranks = ranks[np.lexsort(ranks.T[::-1])]
+        kept, dropped, run_starts = [], [], np.zeros(len(ranks) - 1, dtype=bool)
+        for i in range(len(self.objs)):
+            steps = ranks[1:, i] != ranks[:-1, i]
+            (kept if (steps & ~run_starts).any() else dropped).append(i)
+            run_starts |= steps
+        rows, objs = np.ascontiguousarray(ranks[:, kept]), tuple(self.objs[i] for i in kept)
+
+        def build():
+            return table_in_product([self.cat.aut_table(x) for x in objs], rows,
+                                    label="stabilizer", memo=memo)
         try:
-            return table_in_product([self.cat.aut_table(x) for x in self.objs],
-                                    np.stack(coords, axis=1), label="stabilizer", memo=memo)
+            table = build() if memo is None else memo.once(
+                ("stabilizer", self.cat, objs, rows.shape, rows.tobytes()), build)
+            gens = np.array(table.generating_sequence()[0], dtype=np.intp)
+            for i in dropped:
+                phi, aut = ranks[:, i], self.cat.aut_table(self.objs[i])
+                # phi(e) * a = a holds for the identity phi(e) alone
+                if (aut[phi[table.identity], 0] != 0
+                        or not np.array_equal(aut[phi[:, None], phi[gens]],
+                                              phi[table.table[:, gens]])):
+                    raise GroupError("element set is not closed under the product")
         except GroupError as exc:
             chain = Chain(self.cat, self.objs, self.mors)
             raise SelfCheckFailed(f"listed stabilizer of {chain!r}: {exc}") from exc
+        return table
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import json
 import os
@@ -365,15 +364,14 @@ def _config_dict(args, limits: Limits) -> dict:
     return cfg
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``run``, built on its first call; parsing leaves no
-    state on it, so ``run`` may be called again in one process."""
-    return build_parser()
+# The parser of ``run``, built with the module: every command line pays for
+# it once, with the import.  Parsing leaves no state on it, so ``run`` may be
+# called again in one process.
+_PARSER = build_parser()
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         limits = _resolve_limits(args)
         code, body = args.handler(args, limits)

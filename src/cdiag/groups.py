@@ -81,7 +81,7 @@ class CayleyTable:
             if identity is None:
                 raise GroupError("no identity element")
         self.identity = int(identity)
-        self._orders = self._generators = None
+        self._orders = self._generators = self._centralizers = None
         self._check_axioms()
 
     def _find_identity(self):
@@ -151,11 +151,14 @@ class CayleyTable:
         return Counter(self.orders.tolist())
 
     def centralizer_orders(self) -> np.ndarray:
-        """For each element, the number of elements that commute with it."""
-        return (self.table == self.table.T).sum(axis=0)
+        """For each element, the number of elements that commute with it,
+        counted once per table."""
+        if self._centralizers is None:
+            self._centralizers = (self.table == self.table.T).sum(axis=0)
+        return self._centralizers
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return bool((self.centralizer_orders() == self.n).all())
 
     def generating_sequence(self):
         """Greedy generators ordered by decreasing element order, with the
@@ -196,7 +199,8 @@ def table_in_product(tables: list, coords, label: str = "",
     identity = sum(s * int(np.flatnonzero(t[:, 0] == 0)[0]) for s, t in zip(strides, tables))
 
     def left_codes(g):
-        return sum(s * t[c[g]][c].astype(np.int64) for s, t, c in zip(strides, tables, coords.T))
+        return sum((s * t[c[g]][c].astype(np.int64) for s, t, c in zip(strides, tables, coords.T)),
+                   np.zeros(len(coords), dtype=np.int64))
 
     return table_by_codes(coords @ strides, identity, left_codes, label, memo)
 
@@ -654,55 +658,52 @@ def are_isomorphic(a: CayleyTable, b: CayleyTable,
     gens, sizes = a.generating_sequence()
     cent_a, cent_b = a.centralizer_orders().tolist(), b.centralizer_orders().tolist()
     orders_b = list(zip(b.orders.tolist(), cent_b))
-    cols_a = [a.table[:, g].tolist() for g in gens]
+    cols_a, cols_b = [a.table[:, g].tolist() for g in gens], {}
 
-    def extend(images):
-        """Grow the partial hom gens[:len(images)] -> images over the
-        generated subgroup, reading x*g and f(x)*h from table columns;
-        None on any inconsistency."""
-        amap = {a.identity: b.identity}
-        frontier = [a.identity]
-        for g, h in zip(gens, images):
-            if g in amap:
-                if amap[g] != h:
-                    return None
-            else:
-                amap[g] = h
-                frontier.append(g)
-        cols = list(zip(cols_a, [b.table[:, h].tolist() for h in images]))
+    def extend(amap, images):
+        """Grow the checked hom ``amap`` on <gens[:len(images) - 1]> over
+        <gens[:len(images)]>, the new generator after every member so far,
+        then every generator after each new element, reading x*g and
+        f(x)*h from table columns; None on any inconsistency or two
+        elements with one image."""
+        amap, used = dict(amap), set(amap.values())
+        if images[-1] not in cols_b:
+            cols_b[images[-1]] = b.table[:, images[-1]].tolist()
+        cols = [(col_g, cols_b[h]) for col_g, h in zip(cols_a, images)]
+        frontier, steps = list(amap), cols[-1:]
         while frontier:
             new = []
-            for col_g, col_h in cols:
+            for col_g, col_h in steps:
                 for x in frontier:
-                    y = col_g[x]
-                    fy = col_h[amap[x]]
+                    y, fy = col_g[x], col_h[amap[x]]
                     if y in amap:
                         if amap[y] != fy:
                             return None
+                    elif fy in used:
+                        return None
                     else:
                         amap[y] = fy
+                        used.add(fy)
                         new.append(y)
-            frontier = new
-        if len(set(amap.values())) != len(amap):
-            return None
+            frontier, steps = new, cols
         return amap
 
-    def backtrack(i, images):
+    def backtrack(amap, images):
+        i = len(images)
         if i == len(gens):
-            amap = extend(images)
-            return amap is not None and len(amap) == a.n
+            return True
         want = (a.element_order(gens[i]), cent_a[gens[i]])
         for h in range(b.n):
             if orders_b[h] != want:
                 continue
-            amap = extend(images + [h])
-            if amap is None or len(amap) != sizes[i]:
+            grown = extend(amap, images + [h])
+            if grown is None or len(grown) != sizes[i]:
                 continue
-            if backtrack(i + 1, images + [h]):
+            if backtrack(grown, images + [h]):
                 return True
         return False
 
-    return backtrack(0, [])
+    return backtrack({a.identity: b.identity}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -760,25 +761,29 @@ def _candidate(seq: tuple) -> CayleyTable:
 
 
 def match_named(table: CayleyTable, iso_limit: int = DEFAULT_LIMITS.iso_limit,
-                candidate=_candidate) -> Optional[str]:
+                memo: Optional["GroupMemo"] = None) -> Optional[str]:
     """Label of the first library group isomorphic to ``table``, or None.
 
     Candidates are prefiltered on abelianness and the element-order
     histogram (both computable from atom data without building the product
-    table), so only plausible products are materialized, by ``candidate``.
+    table), so only plausible products are materialized.  The candidate
+    lists, histograms and tables come from ``memo``, or from a memo of this
+    call alone.
     """
     if table.n > iso_limit:
         return None
     if table.n == 1:
         return "1"
+    if memo is None:
+        memo = GroupMemo(iso_limit)
     abelian = table.is_abelian()
     hist = table.element_order_histogram()
-    for seq in _candidate_sequences(table.n):
+    for seq in memo._sequences(table.n):
         if all(i < _N_CYCLIC_ATOMS for i in seq) != abelian:
             continue
-        if _sequence_histogram(seq) != hist:
+        if memo._histogram(seq) != hist:
             continue
-        if are_isomorphic(table, candidate(seq), iso_limit):
+        if are_isomorphic(table, memo._candidate(seq), iso_limit):
             return " x ".join(_ATOMS[i][0] for i in seq)
     return None
 
@@ -794,16 +799,19 @@ def _table_key(table: np.ndarray, identity=None) -> tuple:
 
 class GroupMemo:
     """Checked tables, library names and isomorphism verdicts, each worked
-    out once per distinct table; the library's candidate tables, each built
-    once per atom sequence; and the arrays of expressions and of their
-    sub-expressions (factors, wreath bases and the S_k of each wreath
-    product), each built once per expression text.  A caller makes one for
-    one command (one ``iso_limit``) and drops it with the command."""
+    out once per distinct table; the library's candidate lists, one per
+    order, and candidate tables and histograms, one per atom sequence; and
+    the arrays of expressions and of their sub-expressions (factors, wreath
+    bases and the S_k of each wreath product), each built once per
+    expression text.  A caller makes one for one command (one
+    ``iso_limit``) and drops it with the command; ``once`` keeps what a
+    caller keys itself."""
 
     def __init__(self, iso_limit: int):
         self.iso_limit, self._done = iso_limit, {}
 
-    def _once(self, key, compute):
+    def once(self, key: tuple, compute):
+        """``compute()``, called on the first sight of ``key`` only."""
         if key not in self._done:
             self._done[key] = compute()
         return self._done[key]
@@ -811,19 +819,25 @@ class GroupMemo:
     def table(self, table: np.ndarray, label: str = "") -> CayleyTable:
         """``CayleyTable(table)``, checked on the first sight of the array
         only; a later ``label`` for the same array is dropped."""
-        return self._once(("table", _table_key(table)), lambda: CayleyTable(table, label=label))
+        return self.once(("table", _table_key(table)), lambda: CayleyTable(table, label=label))
 
     def expr_table(self, expr: GroupExpr) -> np.ndarray:
         """``_expr_table(expr)``, built once per expression text."""
-        return self._once(("expr", expr.text()), lambda: _expr_table(expr, self))
+        return self.once(("expr", expr.text()), lambda: _expr_table(expr, self))
 
     def name(self, t: CayleyTable) -> Optional[str]:
-        return self._once(("name", _table_key(t.table, t.identity)),
-                          lambda: match_named(t, self.iso_limit, self._candidate))
+        return self.once(("name", _table_key(t.table, t.identity)),
+                         lambda: match_named(t, self.iso_limit, self))
 
     def _candidate(self, seq: tuple) -> CayleyTable:
-        return self._once(("candidate", seq), lambda: _candidate(seq))
+        return self.once(("candidate", seq), lambda: _candidate(seq))
+
+    def _sequences(self, n: int) -> list:
+        return self.once(("sequences", n), lambda: _candidate_sequences(n))
+
+    def _histogram(self, seq: tuple) -> Counter:
+        return self.once(("histogram", seq), lambda: _sequence_histogram(seq))
 
     def isomorphic(self, a: CayleyTable, b: CayleyTable) -> Optional[bool]:
-        return self._once(("iso", _table_key(a.table, a.identity), _table_key(b.table, b.identity)),
-                          lambda: are_isomorphic(a, b, self.iso_limit))
+        return self.once(("iso", _table_key(a.table, a.identity), _table_key(b.table, b.identity)),
+                         lambda: are_isomorphic(a, b, self.iso_limit))

@@ -581,6 +581,76 @@ def test_stabilizer_table_rejects_a_set_that_is_not_closed(s3_category):
         large.to_cayley_table(20000)
 
 
+def sorted_ranks(stab):
+    """The listing of ``stab`` as rows of Aut(x_i) ranks, rows ascending."""
+    return sorted(tuple(stab.cat.aut_idx(x).index(a) for x, a in zip(stab.objs, el))
+                  for el in stab.elements)
+
+
+def reduced_listing(stab) -> tuple:
+    """(kept objects, rows on them) of the sorted listing: coordinate i is
+    dropped when it is a function of coordinates 0..i-1, that is, when it
+    splits no set of rows that agree on those."""
+    rows = sorted_ranks(stab)
+    kept = [i for i in range(len(stab.objs))
+            if len({r[:i] for r in rows}) != len({r[:i + 1] for r in rows})]
+    return tuple(stab.objs[i] for i in kept), tuple(tuple(r[i] for i in kept) for r in rows)
+
+
+@pytest.mark.parametrize("spec,level", [("vect:2:3", 2), ("vect:3:2", 1), ("finset:4", 1)])
+def test_reduced_stabilizer_tables_equal_full_builds(spec, level):
+    # every stabilizer decompose tables: the table built on the kept
+    # coordinates is the one built on every coordinate of the sorted listing
+    cat = builtin_category(spec)
+    stabs = [b.stabilizer(k) for b in chains.level_blocks(cat, level) for k in range(len(b))
+             if 1 < b.orders[k] <= DEFAULT_LIMITS.iso_limit]
+    memo, shared = groups.GroupMemo(DEFAULT_LIMITS.iso_limit), {}
+    for stab in stabs:
+        got = stab.to_cayley_table(DEFAULT_LIMITS.table_limit, memo)
+        want = groups.table_in_product([cat.aut_table(x) for x in stab.objs], sorted_ranks(stab))
+        assert (got.table.dtype, got.table.tobytes()) == (want.table.dtype, want.table.tobytes())
+        # stabilizers with equal reduced listings share one table
+        assert shared.setdefault(reduced_listing(stab), got) is got
+    assert len(shared) < len(stabs)
+
+
+def test_dropped_coordinates_are_checked_on_every_listing(s3_category, monkeypatch):
+    cat = s3_category
+    e, c = cat.mor_index("id_*"), cat.mor_index("g3")    # g3 has order 3
+    c2 = cat.compose_idx(c, c)
+    # the first coordinate is the closed {e, g3, g3^2}, and the second a
+    # function of it, but not a homomorphism: (g3, g3)^2 = (g3^2, g3^2)
+    # is missing
+    bad = StabilizerGroup(cat, (0, 0), (e,), 3, [(e, e), (c, c), (c2, e)])
+    with pytest.raises(SelfCheckFailed, match="not closed"):
+        bad.to_cayley_table(20000)
+    # one row drops every coordinate, and its table has no generators
+    with pytest.raises(SelfCheckFailed, match="not closed"):
+        StabilizerGroup(cat, (0,), (), 1, [(c,)]).to_cayley_table(20000)
+    assert StabilizerGroup(cat, (0,), (), 1, [(e,)]).to_cayley_table(20000).n == 1
+    # the diagonal of <g3> has the same kept rows, so its table is the
+    # memo's on the second call; the check still runs
+    builds, table_in_product = [], chains.table_in_product
+    monkeypatch.setattr(chains, "table_in_product",
+                        lambda *args, **kw: builds.append(1) or table_in_product(*args, **kw))
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    diagonal = StabilizerGroup(cat, (0, 0), (e,), 3, [(e, e), (c, c), (c2, c2)])
+    assert diagonal.to_cayley_table(20000, memo).n == 3
+    with pytest.raises(SelfCheckFailed, match="not closed"):
+        bad.to_cayley_table(20000, memo)
+    assert builds == [1]
+
+
+def test_an_unsorted_listing_gives_the_sorted_listings_table(s3_category):
+    stab = stabilizer(s3_category, Chain(s3_category, (0, 0), (s3_category.mor_index("g3"),)))
+    assert stab.elements == sorted(stab.elements) and stab.order == 6
+    want = stab.to_cayley_table(20000).table
+    for seed in range(3):
+        shuffled = random.Random(seed).sample(stab.elements, len(stab.elements))
+        got = dataclasses.replace(stab, elements=shuffled).to_cayley_table(20000).table
+        assert np.array_equal(got, want)
+
+
 def test_reversed_orbit_search_catches_a_lost_move(monkeypatch):
     # Keep only the first generator move after labelling: the labels still
     # give the right orbits, so only the search from each orbit's greatest

@@ -108,6 +108,37 @@ def test_memo_builds_each_candidate_table_once(monkeypatch):
     assert built == {label: 2 for label in once}
 
 
+def test_memo_lists_and_convolves_each_candidate_once(monkeypatch):
+    tables = [o.stabilizer.to_cayley_table(DEFAULT_LIMITS.table_limit)
+              for o in chains_mod.orbits(finvect.vect_skeleton(2, 3), 2)
+              if 1 < o.stabilizer.order <= DEFAULT_LIMITS.iso_limit]
+    fresh = [groups.match_named(t) for t in tables]
+    listed, convolved = Counter(), Counter()
+    sequences, histogram = groups._candidate_sequences, groups._sequence_histogram
+
+    def list_spy(n):
+        listed[n] += 1
+        return sequences(n)
+
+    def convolve_spy(seq):
+        convolved[seq] += 1
+        return histogram(seq)
+
+    monkeypatch.setattr(groups, "_candidate_sequences", list_spy)
+    monkeypatch.setattr(groups, "_sequence_histogram", convolve_spy)
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    assert [memo.name(t) for t in tables] == fresh
+    # one list per order named, one histogram per sequence, though several
+    # distinct tables of one order are named
+    assert len({t.table.tobytes() for t in tables}) > len(listed) > 1
+    assert set(listed.values()) == {1} and len(convolved) > 1 and set(convolved.values()) == {1}
+    # nothing outlives the memo: a second one computes them again
+    once = dict(listed), dict(convolved)
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    assert [memo.name(t) for t in tables] == fresh
+    assert (listed, convolved) == tuple({k: 2 for k in d} for d in once)
+
+
 def test_memoized_verdicts_equal_fresh_verdicts():
     orbs = chains_mod.orbits(finset.finset_skeleton(4), 2)
     stabs = [o.stabilizer for o in orbs if o.stabilizer.order in (8, 24)]

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cdiag import finset, groups, modp
+from cdiag import chains, finset, groups, modp
 from cdiag.cli import builtin_category
 from cdiag.groups import (CayleyTable, ClosureLimitExceeded, FieldAdditive,
                           FieldUnits, GeneralLinear, GroupError, Product,
@@ -705,6 +705,103 @@ def test_iso_exhausts_the_backtracking_when_every_prefilter_passes():
         moved = relabelled(t, seed)
         assert are_isomorphic(t, moved) is True
         assert are_isomorphic(moved, t) is True
+
+
+def restarting_isomorphic(a, b):
+    """Reference for ``are_isomorphic`` within iso_limit: the same
+    prefilters and backtracking, but every partial hom is grown again from
+    the identity over all generators chosen so far."""
+    if a.n != b.n:
+        return False
+    if a.n == 1:
+        return True
+    if (np.array_equal(a.table, a.table.T) != np.array_equal(b.table, b.table.T)
+            or a.element_order_histogram() != b.element_order_histogram()):
+        return False
+    gens, sizes = a.generating_sequence()
+    cent_a, cent_b = a.centralizer_orders().tolist(), b.centralizer_orders().tolist()
+
+    def extend(images):
+        amap, frontier = {a.identity: b.identity}, [a.identity]
+        while frontier:
+            new = []
+            for g, h in zip(gens, images):
+                for x in frontier:
+                    y, fy = a.mul(x, g), b.mul(amap[x], h)
+                    if y in amap:
+                        if amap[y] != fy:
+                            return None
+                    else:
+                        amap[y] = fy
+                        new.append(y)
+            frontier = new
+        return amap if len(set(amap.values())) == len(amap) else None
+
+    def backtrack(images):
+        i = len(images)
+        if i == len(gens):
+            return True
+        for h in range(b.n):
+            if (b.element_order(h), cent_b[h]) != (a.element_order(gens[i]), cent_a[gens[i]]):
+                continue
+            amap = extend(images + [h])
+            if amap is not None and len(amap) == sizes[i] and backtrack(images + [h]):
+                return True
+        return False
+
+    return backtrack([])
+
+
+def semidirect_c4_c4():
+    """C4 x| C4, the second factor inverting the first, from its elements."""
+    return table_from_elements(
+        list(itertools.product(range(4), repeat=2)),
+        lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % 4, (x[1] + y[1]) % 4))
+
+
+def c2_x_q8():
+    """C2 x Q8 from its elements, Q8 as in ``quaternion_table``."""
+    q8 = quaternion_table()
+    return table_from_elements(list(itertools.product(range(2), range(8))),
+                               lambda x, y: ((x[0] + y[0]) % 2, q8.mul(x[1], y[1])))
+
+
+def test_iso_search_agrees_with_the_restarting_reference():
+    # every library candidate up to order 72 against every other of its order
+    library = {}
+    for n in range(1, 73):
+        for seq in groups._candidate_sequences(n):
+            library.setdefault(n, []).append(groups._candidate(seq))
+    assert sum(map(len, library.values())) == 149
+    found = 0
+    for tables in library.values():
+        for a, b in itertools.product(tables, repeat=2):
+            want = restarting_isomorphic(a, b)
+            assert are_isomorphic(a, b) == want, (a, b)
+            found += want and a is not b
+    assert found          # C6 and C2 x C3, among others, are named twice
+    # the distinct stabilizer tables of vect:2:3 at level 2
+    memo = groups.GroupMemo(512)
+    stabs = {}
+    for block in chains.level_blocks(builtin_category("vect:2:3"), 2):
+        for k in range(len(block)):
+            if 1 < block.orders[k] <= 512:
+                t = block.stabilizer(k).to_cayley_table(20000, memo)
+                stabs[t.table.tobytes()] = t
+    assert len(stabs) == 24
+    for a, b in itertools.product(stabs.values(), repeat=2):
+        if a.n == b.n:
+            assert are_isomorphic(a, b) == restarting_isomorphic(a, b), (a, b)
+    # a pair that passes every prefilter, and each side against itself
+    # relabelled
+    c4c4, c2q8 = semidirect_c4_c4(), c2_x_q8()
+    for t in (c4c4, c2q8):
+        assert not t.is_abelian()
+        assert t.element_order_histogram() == {1: 1, 2: 3, 4: 12}
+        assert sorted(t.centralizer_orders().tolist()) == [8] * 12 + [16] * 4
+    for a, b, want in [(c4c4, c2q8, False), (c2q8, c4c4, False),
+                       (c4c4, relabelled(c4c4, 0), True), (c2q8, relabelled(c2q8, 1), True)]:
+        assert are_isomorphic(a, b) is want and restarting_isomorphic(a, b) is want
 
 
 def test_iso_undecided_above_limit():

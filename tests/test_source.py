@@ -91,3 +91,19 @@ def test_the_readme_names_only_what_exists():
                           or re.match(r"[A-Z][a-z]", n)))
     assert len(checked) > 40
     assert [n for n in checked if not _resolves(n)] == []
+
+
+def test_no_process_wide_caches_in_the_package():
+    # a memo lives as long as the command that made it (groups.GroupMemo);
+    # functools.cache or lru_cache would keep results across commands, so
+    # that the second command of one process would be faster than any
+    # command line run alone
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name in ("cache", "lru_cache")]
+    assert found == []
