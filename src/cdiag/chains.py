@@ -11,6 +11,7 @@ the classifying diagram.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -66,7 +67,7 @@ class Chain:
 
     @property
     def morphism_ids(self) -> tuple:
-        return tuple(self.cat.mor_ids[f] for f in self.mors)
+        return tuple(self.cat.mor_id(f) for f in self.mors)
 
     def __eq__(self, other):
         return (isinstance(other, Chain) and self.cat is other.cat
@@ -117,7 +118,7 @@ def _chain_array(cat: FiniteCategory, n: int) -> np.ndarray:
     Identities extend every prefix, so no level has more rows than the last.
     """
     dtype = np.min_scalar_type(max(cat.n_morphisms, cat.n_objects))
-    src, dst = np.array(cat.src, dtype=dtype), np.array(cat.dst, dtype=dtype)
+    src, dst = cat.endpoints
     out = np.argsort(src, kind="stable").astype(dtype)
     pos = np.int32 if chain_count(cat, n) < 2 ** 31 else np.int64
     degree = np.bincount(src, minlength=cat.n_objects).astype(pos)
@@ -145,7 +146,7 @@ def _chain_index(cat: FiniteCategory, rows: np.ndarray) -> np.ndarray:
     (n-1-k)-chains that start at dst(g), and column 0 counts every smaller
     morphism.
     """
-    src, dst = np.array(cat.src, dtype=np.intp), np.array(cat.dst, dtype=np.intp)
+    src, dst = cat.endpoints
     # g is at rank[g] of the morphisms sorted by source, whose run starts at first[g]
     order = np.argsort(src, kind="stable")
     rank = np.empty_like(order)
@@ -189,7 +190,8 @@ def enumerate_chains(cat: FiniteCategory, n: int,
         return [Chain(cat, (x,), ()) for x in range(cat.n_objects)]
     _limited_chain_count(cat, n, limits)
     rows = _chain_array(cat, n)
-    objs = np.column_stack([np.array(cat.src)[rows[:, 0]], np.array(cat.dst)[rows]])
+    src, dst = cat.endpoints
+    objs = np.column_stack([src[rows[:, 0]], dst[rows]])
     return [Chain(cat, o, m) for o, m in zip(objs.tolist(), rows.tolist())]
 
 
@@ -219,7 +221,7 @@ def act(alpha_ids, chain: Chain) -> Chain:
         x = chain.objs[i]
         if cat.src[a] != x or cat.dst[a] != x or cat.inverse_idx(a) is None:
             raise CategoryError(
-                f"{cat.mor_ids[a]} is not an automorphism of {cat.objects[x]}")
+                f"{cat.mor_id(a)} is not an automorphism of {cat.objects[x]}")
     return Chain(cat, chain.objs, _act_mors(cat, alpha, chain.objs, chain.mors))
 
 
@@ -295,14 +297,15 @@ class StabilizerGroup:
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:
-    return math.prod(len(cat.aut_idx(x)) for x in objs)
+    return math.prod(len(cat.aut_idx(x)) ** objs.count(x) for x in set(objs))
 
 
 def _tuple_codec(cat: FiniteCategory, objs) -> tuple:
     """(hom sets, strides) of the chain codes on one object tuple: a chain
     is coded in mixed radix over the positions of its morphisms in their
-    hom sets, the first morphism most significant."""
-    homs = [cat.hom_idx(x, y) for x, y in zip(objs, objs[1:])]
+    hom sets, the first morphism most significant.  The hom sets are the
+    category's kept index arrays (``FiniteCategory.hom_array``)."""
+    homs = [cat.hom_array(x, y) for x, y in zip(objs, objs[1:])]
     return homs, _strides(list(map(len, homs)))
 
 
@@ -344,11 +347,15 @@ def _tuple_action(cat: FiniteCategory, objs) -> tuple:
 
 
 def _decode(homs, strides, codes) -> np.ndarray:
-    """The morphism tuples coded by ``codes``, one row each, one gather per
-    hom set."""
-    codes = np.asarray(codes)
-    cols = [np.asarray(h, dtype=np.intp)[codes // s % len(h)] for h, s in zip(homs, strides)]
-    return np.stack(cols, axis=1) if cols else np.empty((len(codes), 0), dtype=np.intp)
+    """The morphism tuples coded by ``codes``, one row each: every digit in
+    one step, then one gather from the hom sets laid end to end, so that a
+    long tuple costs no numpy call per hom set."""
+    codes = np.asarray(codes, dtype=np.int64)
+    if not homs:
+        return np.empty((len(codes), 0), dtype=np.intp)
+    sizes = [len(h) for h in homs]
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    return np.concatenate(homs)[codes[:, None] // strides % sizes + starts]
 
 
 def _encode(homs, strides, rows) -> np.ndarray:
@@ -402,7 +409,7 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
     """
     auts = [np.array(cat.aut_idx(x), dtype=np.int64) for x in objs]
     inv_rank = [cat.aut_inverse_ranks(x) for x in objs[:-1]]
-    homs = [np.array(cat.hom_idx(x, y)) for x, y in zip(objs, objs[1:])]
+    homs = [cat.hom_array(x, y) for x, y in zip(objs, objs[1:])]
     reps = np.array(reps, dtype=np.int64).reshape(len(reps), len(homs))
     block = max(1, _SCAN_CELLS // _ambient_order(cat, objs))
     for lo in range(0, len(reps), block):

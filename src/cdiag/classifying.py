@@ -75,23 +75,17 @@ class Decomposition:
     def rows(self) -> Iterator[tuple]:
         """The report row of every component, block by block, built when
         read.  A block's rows share one cell tuple of object ids, and its
-        representatives' morphism ids come from one gather, as the lists
-        of ``tolist`` (tuples made from them raised the peak memory of the
+        representatives' morphism ids come from ``FiniteCategory.ids_of``,
+        as the lists of ``tolist`` (tuples made from them raised the peak memory of the
         352,705 JSON rows of ``delta:9`` level 1 by about 10 MB); at level
         0 the representative is the cell."""
         return itertools.chain.from_iterable(self._block_rows())
 
     def _block_rows(self) -> Iterator[Iterator[tuple]]:
-        ids = None
         for block, names in zip(self.blocks, self.names):
             cat = block.cat
             cell = tuple(cat.objects[x] for x in block.objs)
-            if self.level == 0:
-                reps = itertools.repeat(cell)
-            else:
-                if ids is None:
-                    ids = np.array(cat.mor_ids, dtype=object)
-                reps = ids[block.reps].tolist()
+            reps = itertools.repeat(cell) if self.level == 0 else cat.ids_of(block.reps)
             sizes = [size * block.multiplicity for size in block.fiber_sizes]
             yield zip(itertools.repeat(self.level), itertools.repeat(cell), reps, sizes,
                       block.orders, map(itemgetter(0), names), map(itemgetter(1), names))
@@ -244,7 +238,7 @@ def segal_check(cat: FiniteCategory, n: int,
         raise CategoryError(f"Segal maps start at level 2, got level {n}")
     fiber = chains_mod._limited_chain_count(cat, n, limits)
     rows = chains_mod._chain_array(cat, n)
-    src, dst = (np.array(e, dtype=np.min_scalar_type(cat.n_objects)) for e in (cat.src, cat.dst))
+    src, dst = (e.astype(np.min_scalar_type(cat.n_objects)) for e in cat.endpoints)
     ok = rows.shape[1:] == (n,)
     if ok:
         ok = all(np.array_equal(dst[rows[:, i - 1]], src[rows[:, i]]) for i in range(1, n))
@@ -316,7 +310,7 @@ def _conjugation_failure(gpd: FiniteCategory, level0: list, level1: list, limits
         f, f_inv = int(b.reps[k, 0]), gpd.inverse_idx(int(b.reps[k, 0]))
         graph = sorted((a, gpd.compose_idx(gpd.compose_idx(f, a), f_inv)) for a in gpd.aut_idx(x))
         if els != graph:
-            return f"class {name}: listed stabilizer is not the conjugation graph of {gpd.mor_ids[f]}"
+            return f"class {name}: listed stabilizer is not the conjugation graph of {gpd.mor_id(f)}"
     for objs, found in on.items():
         cell = ",".join(gpd.objects[x] for x in objs)
         return f"{len(found)} level-1 components on ({cell}) pair with no class"
@@ -426,7 +420,7 @@ def _simplicial_set(cat: FiniteCategory, levels: list, index) -> TruncatedSimpli
     degeneracy inserts a column of identities.  ``index(n, rows)`` numbers
     each resulting level-n simplex (an object index at level 0), so d_0 and
     d_1 of a 1-simplex are its target and source."""
-    src, dst, ident = (np.array(e, dtype=np.intp) for e in (cat.src, cat.dst, cat.identity_idx))
+    (src, dst), ident = cat.endpoints, np.array(cat.identity_idx, dtype=np.intp)
     faces, degen = {}, {}
     for n in range(1, len(levels)):
         rows = levels[n]
@@ -462,7 +456,7 @@ def nerve_truncation(gpd: FiniteCategory, truncation: int,
     for f in range(gpd.n_morphisms):
         if gpd.inverse_idx(f) is None:
             raise CategoryError(
-                f"nerve truncation expects a groupoid; {gpd.mor_ids[f]} is not invertible")
+                f"nerve truncation expects a groupoid; {gpd.mor_id(f)} is not invertible")
 
     for n in range(1, truncation + 1):
         chains_mod._limited_chain_count(gpd, n, limits)
@@ -495,7 +489,7 @@ def component_maps(cat: FiniteCategory, truncation: int,
     levels = [np.array([b.objs[0] for b in blocks[0] for _ in b.orders], dtype=np.intp)]
     levels += [np.concatenate([np.empty((0, n), dtype=np.intp)] + [b.reps for b in blocks[n]])
                for n in range(1, truncation + 1)]
-    src, dst = np.array(cat.src, dtype=np.intp), np.array(cat.dst, dtype=np.intp)
+    src, dst = cat.endpoints
     actions = {}
 
     def index(n, rows):

@@ -5,34 +5,47 @@ engine-internal indexing uses dense integers.  Every morphism carries a
 hashable payload (an ordered pair for ordinals, a group element, a function
 or matrix for the skeletons, the parent's morphism index for derived
 categories, the morphism's own name for CATDEF input), and composites are
-computed from payloads on demand and cached.  The finset and vect skeletons
-also give a hom-set codec, which reads a whole hom set as one integer array
-so that a generator acts on it in one numpy step.  Values are immutable
+computed from payloads on demand and cached.  A category is listed, every
+morphism given with its id and payload, or coded (``FiniteCategory.coded``),
+as the finset and vect skeletons are: each hom set is an ascending array of
+radix codes read through a hom-set codec, which decodes a whole hom set as
+one integer array so that a generator acts on it in one numpy step, and
+makes ids and payloads only when they are read.  Values are immutable
 after construction and every operation here is pure.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .groups import (CayleyTable, closure_columns, code_finder, radix_codes, word_levels,
-                     word_rows)
+from .groups import CayleyTable, closure_columns, radix_codes, word_levels, word_rows
 
 
 class CategoryError(Exception):
     pass
 
 
-def _code_finder(stack: np.ndarray, radix: int):
-    """find(arrays): the position in ``stack`` of each of ``arrays``,
-    matched by radix code, or -1 for one that is not in it."""
-    find = code_finder(radix_codes(stack, radix))
-    return lambda arrays: find(radix_codes(arrays, radix))
+def _finder(codes: np.ndarray, full: bool, radix: int):
+    """find(stack): the position among the ascending ``codes`` of each
+    array of ``stack`` by its radix code, or -1: the code itself when
+    ``codes`` are all those below their bound, else by ``searchsorted``."""
+    if full:
+        return lambda stack: radix_codes(stack, radix)
+    if not len(codes):
+        return lambda stack: np.full(len(stack), -1)
+
+    def find(stack):
+        found = radix_codes(stack, radix)
+        at = np.minimum(np.searchsorted(codes, found), len(codes) - 1)
+        return np.where(codes[at] == found, at, -1)
+    return find
 
 
 class CatdefError(CategoryError):
@@ -47,8 +60,9 @@ class CatdefError(CategoryError):
 
 class FiniteCategory:
     def __init__(self, objects, morphisms, identity, *, payloads, compose_payload,
-                 inverse_payload=None, codec=None, name: str = ""):
-        """
+                 inverse_payload=None, name: str = ""):
+        """A listed category, every morphism given.
+
         objects: sequence of object ids.
         morphisms: sequence of (morphism id, source id, target id).
         identity: mapping object id -> morphism id.
@@ -58,27 +72,8 @@ class FiniteCategory:
         inverse_payload: payload -> payload of its inverse, or None when the
             morphism is not invertible.  Without it inverses are searched
             for in the opposite hom set.
-        codec: reads the payloads of a hom set as integer arrays, for
-            Aut(x) and the generator columns of hom sets and of Aut(x).
-            ``codec.values(si, di, payloads)`` stacks the payloads of
-            morphisms si -> di into one array, one payload per row, with
-            entries in 0 .. ``codec.radix(si, di)`` - 1;
-            ``codec.left(g, F)`` and ``codec.right(F, h)`` are the stacks of
-            g after each f in F and of each f in F after h, for one stacked
-            g of di -> di or h of si -> si; ``codec.left(G, F)`` with a
-            stack G of as many rows as F composes row by row;
-            ``codec.units(E)``, for the stack E of the endomorphisms of one
-            object, is (invertible, inverses): a boolean per row of E, and
-            the stack of the inverses of the invertible rows, in order.
-            Without it every inverse is searched for and every composite
-            computed pair by pair.
         """
-        self.name = name
-        self.objects = tuple(objects)
-        self._oidx = {o: i for i, o in enumerate(self.objects)}
-        if len(self._oidx) != len(self.objects):
-            raise CategoryError("duplicate object id")
-
+        self._setup(objects, compose_payload, inverse_payload, None, name)
         mors = list(morphisms)
         self.mor_ids = tuple(m[0] for m in mors)
         self._midx = {m: i for i, m in enumerate(self.mor_ids)}
@@ -100,8 +95,7 @@ class FiniteCategory:
             if self.src[mi] != self._oidx[o] or self.dst[mi] != self._oidx[o]:
                 raise CategoryError(f"identity of {o!r} is not an endomorphism")
             ident.append(mi)
-        self.identity_idx = tuple(ident)
-        self._identity_set = frozenset(ident)
+        self._set_identities(ident)
 
         self.payloads = tuple(payloads)
         if len(self.payloads) != len(self.mor_ids):
@@ -109,19 +103,152 @@ class FiniteCategory:
         self._payload_idx = {p: i for i, p in enumerate(self.payloads)}
         if len(self._payload_idx) != len(self.payloads):
             raise CategoryError("duplicate morphism payload")
+        self._codes = None
+
+    @classmethod
+    def coded(cls, objects, codes, *, codec, compose_payload, inverse_payload=None,
+              name: str = "") -> "FiniteCategory":
+        """A category whose hom sets are arrays.  codes[x][y] holds the
+        radix codes of the morphisms x -> y, strictly ascending; indices run
+        hom set by hom set, x major.  One vectorized pass refuses a code out
+        of order or at least ``codec.bound(x, y)``, and the identity is found
+        by its code ``codec.identity(x)``.  ``codec.decode(x, y, codes)``
+        stacks the arrays coded, one per row, in base ``codec.radix(x, y)``,
+        and ``codec.ids`` and ``codec.payloads`` name the rows of such a
+        stack; ``codec.left(g, F)`` and ``codec.right(F, h)`` stack g . f and
+        f . h for each row f of F (row by row for a stack g), and
+        ``codec.units(E)`` is (invertible, inverses) for a stack E of
+        End(x).  A hom set is decoded when first read; ids and payloads are
+        made when read, ``mor_ids``, ``payloads`` and the dicts behind
+        ``mor_index`` and ``compose_idx`` whole on first use."""
+        self = cls.__new__(cls)
+        self._setup(objects, compose_payload, inverse_payload, codec, name)
+        nob = len(self.objects)
+        if len(codes) != nob or any(len(row) != nob for row in codes):
+            raise CategoryError(f"one code array per hom set required, {nob} x {nob}")
+        parts = [c for row in codes for c in row]
+        sizes = [len(c) for c in parts]
+        bound = [codec.bound(x, y) for x in range(nob) for y in range(nob)]
+        self._starts = list(itertools.accumulate(sizes, initial=0))
+        flat = (np.concatenate(parts).astype(np.int64, copy=False) if parts
+                else np.zeros(0, np.int64))
+        down = np.zeros(len(flat), dtype=bool)      # not above the code before it
+        np.less_equal(flat[1:], flat[:-1], out=down[1:])
+        down[[a for a, b in zip(self._starts, self._starts[1:]) if b > a]] = False
+        bad = down | (flat < 0) | (flat >= np.repeat(bound, sizes))
+        if bad.any():
+            at = int(np.flatnonzero(bad)[0])
+            x, y = divmod(bisect.bisect_right(self._starts, at) - 1, nob)
+            where = f"Hom({self.objects[x]}, {self.objects[y]})"
+            if down[at]:
+                raise CategoryError(f"codes of {where} do not strictly ascend: "
+                                    f"{flat[at - 1]} before {flat[at]}")
+            raise CategoryError(f"code {flat[at]} outside {where}, whose codes are below "
+                                f"{bound[x * nob + y]}")
+        self._codes, self._full = flat, [s == b for s, b in zip(sizes, bound)]
+        ident = []
+        for x, o in enumerate(self.objects):
+            lo, hi = self._starts[x * nob + x], self._starts[x * nob + x + 1]
+            code = codec.identity(x)
+            at = code if self._full[x * nob + x] else int(np.searchsorted(flat[lo:hi], code))
+            if at >= hi - lo or flat[lo + at] != code:
+                raise CategoryError(f"no identity for object {o!r}: code {code} is not in "
+                                    f"Hom({o}, {o})")
+            ident.append(lo + at)
+        self._set_identities(ident)
+        return self
+
+    def _setup(self, objects, compose_payload, inverse_payload, codec, name):
+        self.name = name
+        self.objects = tuple(objects)
+        self._oidx = {o: i for i, o in enumerate(self.objects)}
+        if len(self._oidx) != len(self.objects):
+            raise CategoryError("duplicate object id")
         self._compose_payload = compose_payload
         self._inverse_payload = inverse_payload
         self._codec = codec
         self._ctab = {}
-
-        self._hom = None
         self._by_src = None
+        self._hom_arrays = {}
         self._inv = {}
         self._aut = {}
         self._aut_closures = {}
         self._aut_table = {}
         self._hom_columns = {}
         self._hom_stacks = {}
+
+    def _set_identities(self, ident):
+        self.identity_idx = tuple(ident)
+        self._identity_set = frozenset(ident)
+
+    # -- ids and payloads of a coded category, made when read -----------------
+    # A listed category sets these attributes in __init__, which hides them.
+
+    @cached_property
+    def src(self) -> tuple:
+        """The source object index of each morphism."""
+        return tuple(self.endpoints[0].tolist())
+
+    @cached_property
+    def dst(self) -> tuple:
+        """The target object index of each morphism."""
+        return tuple(self.endpoints[1].tolist())
+
+    @cached_property
+    def mor_ids(self) -> tuple:
+        """The id of each morphism."""
+        return self._all_made(self._codec.ids)
+
+    @cached_property
+    def payloads(self) -> tuple:
+        """The payload of each morphism."""
+        return self._all_made(self._codec.payloads)
+
+    @cached_property
+    def _midx(self) -> dict:
+        return {m: i for i, m in enumerate(self.mor_ids)}
+
+    @cached_property
+    def _payload_idx(self) -> dict:
+        return {p: i for i, p in enumerate(self.payloads)}
+
+    @cached_property
+    def _id_array(self) -> np.ndarray:
+        return np.array(self.mor_ids, dtype=object)
+
+    @cached_property
+    def endpoints(self) -> tuple:
+        """(``src``, ``dst``) as two intp arrays; a coded category makes them
+        from its hom-set runs alone."""
+        if self._codes is None:
+            return np.array(self.src, dtype=np.intp), np.array(self.dst, dtype=np.intp)
+        hom = np.repeat(np.arange(self.n_objects ** 2), np.diff(self._starts))
+        return np.divmod(hom, self.n_objects)
+
+    def _made(self, indices, make) -> list:
+        """``make(x, y, stack)`` read off for each of the morphism indices
+        ``indices`` of a coded category, one ``codec.decode`` per hom set
+        met."""
+        indices = np.asarray(indices, dtype=np.int64).ravel()
+        homs = np.searchsorted(self._starts, indices, "right") - 1
+        out = [None] * len(indices)
+        for k in set(homs.tolist()):
+            at = np.flatnonzero(homs == k)
+            x, y = divmod(k, self.n_objects)
+            stack = self._codec.decode(x, y, self._codes[indices[at]])
+            for j, value in zip(at.tolist(), make(x, y, stack)):
+                out[j] = value
+        return out
+
+    def _all_made(self, make) -> tuple:
+        """``make(x, y, stack)`` read off for every morphism of a coded
+        category, hom set by hom set."""
+        out, nob = [], self.n_objects
+        for k, (a, b) in enumerate(zip(self._starts, self._starts[1:])):
+            if b > a:
+                x, y = divmod(k, nob)
+                out += make(x, y, self._codec.decode(x, y, self._codes[a:b]))
+        return tuple(out)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -131,7 +258,7 @@ class FiniteCategory:
 
     @property
     def n_morphisms(self):
-        return len(self.mor_ids)
+        return len(self.mor_ids) if self._codes is None else len(self._codes)
 
     def obj_index(self, obj_id: str) -> int:
         try:
@@ -145,6 +272,29 @@ class FiniteCategory:
         except KeyError:
             raise CategoryError(f"unknown morphism id {mor_id!r}") from None
 
+    def mor_id(self, mi: int) -> str:
+        """The id of one morphism, made alone in a coded category whose ids
+        have not all been made."""
+        if self._codes is None or "mor_ids" in self.__dict__:
+            return self.mor_ids[mi]
+        return self._made([mi], self._codec.ids)[0]
+
+    def payload(self, mi: int):
+        """The payload of one morphism, made alone in a coded category whose
+        payloads have not all been made."""
+        if self._codes is None or "payloads" in self.__dict__:
+            return self.payloads[mi]
+        return self._made([mi], self._codec.payloads)[0]
+
+    def ids_of(self, rows: np.ndarray) -> list:
+        """The ids of the morphism indices in the integer array ``rows``, as
+        nested lists of its shape."""
+        if self._codes is None or "mor_ids" in self.__dict__:
+            return self._id_array[rows].tolist()
+        ids = np.empty(rows.size, dtype=object)
+        ids[:] = self._made(rows, self._codec.ids)
+        return ids.reshape(rows.shape).tolist()
+
     def source(self, mor_id: str) -> str:
         return self.objects[self.src[self.mor_index(mor_id)]]
 
@@ -154,18 +304,39 @@ class FiniteCategory:
     def is_identity_idx(self, mi: int) -> bool:
         return mi in self._identity_set
 
-    def hom_idx(self, si: int, di: int) -> list:
-        if self._hom is None:
-            hom = {}
-            for i in range(len(self.mor_ids)):
-                hom.setdefault((self.src[i], self.dst[i]), []).append(i)
-            self._hom = hom
-        return self._hom.get((si, di), [])
+    @cached_property
+    def _homs(self) -> list:
+        """Hom(x, y) at x * n_objects + y, as ``hom_idx`` gives it: a run
+        of indices in a coded category; in a listed one, whose morphisms
+        are sorted by hom set, stably, in one step."""
+        if self._codes is not None:
+            return [range(a, b) for a, b in zip(self._starts, self._starts[1:])]
+        nob = self.n_objects
+        src, dst = self.endpoints
+        key = src * nob + dst
+        order = key.argsort(kind="stable").tolist()
+        ends = np.bincount(key, minlength=nob * nob).cumsum().tolist()
+        return [order[a:b] for a, b in zip([0] + ends, ends)]
+
+    def hom_idx(self, si: int, di: int):
+        """The morphism indices x -> y, ascending: a range in a coded
+        category, a list in a listed one."""
+        return self._homs[si * len(self.objects) + di]
+
+    def hom_array(self, si: int, di: int) -> np.ndarray:
+        """``hom_idx(si, di)`` as an intp array.  Kept."""
+        key = si * len(self.objects) + di
+        hom = self._hom_arrays.get(key)
+        if hom is None:
+            run = self._homs[key]
+            hom = self._hom_arrays[key] = (np.array(run, dtype=np.intp) if self._codes is None
+                                           else np.arange(run.start, run.stop, dtype=np.intp))
+        return hom
 
     def morphisms_from_idx(self, si: int) -> list:
         if self._by_src is None:
             by = [[] for _ in self.objects]
-            for i in range(len(self.mor_ids)):
+            for i in range(self.n_morphisms):
                 by[self.src[i]].append(i)
             self._by_src = by
         return self._by_src[si]
@@ -175,38 +346,45 @@ class FiniteCategory:
     def compose_idx(self, gi: int, fi: int) -> int:
         if self.dst[fi] != self.src[gi]:
             raise CategoryError(
-                f"pair not composable: {self.mor_ids[gi]} after {self.mor_ids[fi]}")
+                f"pair not composable: {self.mor_id(gi)} after {self.mor_id(fi)}")
         key = (gi, fi)
         h = self._ctab.get(key)
         if h is None:
             h = self._payload_idx.get(self._compose_payload(self.payloads[gi], self.payloads[fi]))
             if h is None:
                 raise CategoryError(
-                    f"missing composite for pair ({self.mor_ids[gi]}, {self.mor_ids[fi]})")
+                    f"missing composite for pair ({self.mor_id(gi)}, {self.mor_id(fi)})")
             self._ctab[key] = h
         return h
 
     def compose(self, g: str, f: str) -> str:
-        return self.mor_ids[self.compose_idx(self.mor_index(g), self.mor_index(f))]
+        return self.mor_id(self.compose_idx(self.mor_index(g), self.mor_index(f)))
 
     # -- isomorphisms ---------------------------------------------------------
 
     def inverse_idx(self, mi: int) -> Optional[int]:
+        """The inverse of a morphism, or None; an endomorphism of a coded
+        category is answered by the codec pass of ``aut_idx``."""
         if mi not in self._inv:
-            self._inv[mi] = self._find_inverse(mi)
+            x = int(self.endpoints[0][mi]) if self._codec is not None else None
+            if x is not None and x == self.endpoints[1][mi]:
+                self._units(x)
+            else:
+                self._inv[mi] = self._find_inverse(mi)
         return self._inv[mi]
 
     def _find_inverse(self, mi: int) -> Optional[int]:
-        """``inverse_idx`` without keeping the answer."""
+        """``inverse_idx`` by payloads, one morphism at a time, without
+        keeping the answer."""
         if self._inverse_payload is None:
             return next((g for g in self.hom_idx(self.dst[mi], self.src[mi])
                          if self._check_inverse(mi, g)), None)
-        p = self._inverse_payload(self.payloads[mi])
+        p = self._inverse_payload(self.payload(mi))
         if p is None:
             return None
         inv = self._payload_idx.get(p)
         if inv is None or not self._check_inverse(mi, inv):
-            raise CategoryError(f"builder inverse is wrong for {self.mor_ids[mi]}")
+            raise CategoryError(f"builder inverse is wrong for {self.mor_id(mi)}")
         return inv
 
     def _check_inverse(self, fi: int, gi: int) -> bool:
@@ -227,44 +405,45 @@ class FiniteCategory:
 
     def _units(self, oi: int) -> tuple:
         """(``aut_idx``, ``aut_inverse_ranks``) of x from the inverse of
-        every endomorphism, kept as ``inverse_idx`` keeps it, by the codec
-        unless all are known.  Computed on the first call and kept."""
+        every endomorphism, kept as ``inverse_idx`` keeps it: by one codec
+        pass in a coded category (``_codec_units``), else one morphism at a
+        time.  Computed on the first call and kept."""
         if oi not in self._aut:
             endos = self.hom_idx(oi, oi)
-            if self._codec is None or all(m in self._inv for m in endos):
+            if self._codec is None:
                 inverses = [self.inverse_idx(m) for m in endos]
+                auts = [m for m, g in zip(endos, inverses) if g is not None]
+                rank = {m: r for r, m in enumerate(auts)}
+                ranks = np.array([rank[g] for g in inverses if g is not None], dtype=np.int64)
             else:
-                inverses = self._codec_inverses(oi, endos)
-                self._inv.update(zip(endos, inverses))
-            auts = [m for m, g in zip(endos, inverses) if g is not None]
-            ranks = np.searchsorted(auts, [g for g in inverses if g is not None])
+                # an End(x) of one morphism holds the identity alone, its own inverse
+                rows, at = self._codec_units(oi) if len(endos) > 1 else (np.zeros(1, np.intp),) * 2
+                lo = endos.start
+                auts, ranks = (lo + rows).tolist(), np.searchsorted(rows, at)
+                self._inv.update(dict.fromkeys(endos))
+                self._inv.update(zip(auts, (lo + at).tolist()))
             self._aut[oi] = auts, ranks
         return self._aut[oi]
 
-    def _codec_inverses(self, oi: int, endos: list) -> list:
-        """The inverse of each endomorphism in ``endos`` or None, from one
-        ``codec.units`` pass over their stack.  Each inverse is found among
-        ``endos`` by its radix code, and f . f^-1 = id = f^-1 . f is checked
-        for every unit by a row-by-row codec product of their stacks; so is
-        the inverse of f^-1 being f.  Raises CategoryError naming the first
-        morphism for which a check fails."""
+    def _codec_units(self, oi: int) -> tuple:
+        """(rows, at): the positions in End(x) of its units and of their
+        inverses, from one ``codec.units`` pass.  Each inverse is found by
+        its radix code; (f^-1)^-1 = f and f . f^-1 = id are checked for
+        every unit, else CategoryError names the first f.  Since f^-1 is a
+        unit too, whose inverse is f, that checks f^-1 . f = id as well."""
         codec = self._codec
         E, find = self._hom_stack(oi, oi)
         units, inv = codec.units(E)
         rows = np.flatnonzero(units)
         at = find(inv)
-        position = np.full(len(endos), -1)
+        position = np.full(len(E) + 1, -1)     # the last slot answers at = -1
         position[rows] = at
-        ident = endos.index(self.identity_idx[oi])
-        bad = ((at < 0) | (position[at] != rows)
-               | (find(codec.left(E[rows], E[at])) != ident)
-               | (find(codec.left(E[at], E[rows])) != ident))
+        lo = self.hom_idx(oi, oi).start
+        one = (codec.left(E[rows], E[at]) == E[self.identity_idx[oi] - lo]).reshape(len(rows), -1)
+        bad = (position[at] != rows) | ~one.all(axis=1)
         if bad.any():
-            raise CategoryError(f"codec inverse is wrong for {self.mor_ids[endos[rows[bad][0]]]}")
-        inverses = [None] * len(endos)
-        for r, p in zip(rows.tolist(), at.tolist()):
-            inverses[r] = endos[p]
-        return inverses
+            raise CategoryError(f"codec inverse is wrong for {self.mor_id(lo + rows[bad][0])}")
+        return rows, at
 
     def _aut_closure(self, oi: int) -> tuple:
         """(generators, words, columns, tree) of Aut(x) from one greedy
@@ -296,10 +475,10 @@ class FiniteCategory:
         """column(g, left): the positions among ``mors``, morphisms x -> y,
         of g . f for each f (``left``, g an endomorphism of y) or of f . g
         (else, g one of x), as an int64 array; ``mors`` ascend.  Read
-        through the codec when there is one, which acts by one numpy step
-        per g on the stack of ``mors`` (``_hom_stack``), else one composite
-        per morphism.  A column raises CategoryError for an image outside
-        ``mors``."""
+        through the codec in a coded category, which acts by one numpy
+        step per g on the stack of ``mors`` (``_hom_stack``), else one
+        composite per morphism.  A column raises CategoryError for an image
+        outside ``mors``."""
         if self._codec is None:
             pos = {f: p for p, f in enumerate(mors)}
 
@@ -307,19 +486,16 @@ class FiniteCategory:
                 images = (self.compose_idx(g, f) if left else self.compose_idx(f, g) for f in mors)
                 return np.array([pos.get(h, -1) for h in images], dtype=np.int64)
         else:
-            codec = self._codec
-
-            def stack(s, d, ms):
-                return codec.values(s, d, [self.payloads[m] for m in ms])
-
+            codec, lo = self._codec, self.hom_idx(si, di).start
             F, find = self._hom_stack(si, di)
             if len(mors) < len(F):
-                F = F[np.searchsorted(self.hom_idx(si, di), mors)]
-                find = _code_finder(F, codec.radix(si, di))
+                at = np.asarray(mors, dtype=np.int64)
+                F, find = F[at - lo], _finder(self._codes[at], False, codec.radix(si, di))
 
             def positions(g, left):
-                return find(codec.left(stack(di, di, [g])[0], F) if left
-                            else codec.right(F, stack(si, si, [g])[0]))
+                x = di if left else si
+                [a] = codec.decode(x, x, self._codes[g:g + 1])
+                return find(codec.left(a, F) if left else codec.right(F, a))
 
         def column(g, left):
             at = positions(g, left)
@@ -328,21 +504,24 @@ class FiniteCategory:
                 f = mors[missing[0]]
                 a, b = (g, f) if left else (f, g)
                 raise CategoryError(
-                    f"missing composite for pair ({self.mor_ids[a]}, {self.mor_ids[b]})")
+                    f"missing composite for pair ({self.mor_id(a)}, {self.mor_id(b)})")
             return at
 
         return column
 
     def _hom_stack(self, si: int, di: int) -> tuple:
-        """(stack, find) of Hom(x, y) through the codec: the payloads of
-        ``hom_idx(si, di)`` stacked in that order, and ``_code_finder`` over
-        them.  Computed on the first call and kept until ``hom_columns``
-        of the pair, its last reader, so that End(x) is stacked once for
-        ``aut_idx``, the closure and its own columns."""
+        """(stack, find) of Hom(x, y) in a coded category: its codes
+        decoded (``codec.decode``), and ``_finder`` over them.  Computed on
+        the first call and kept until ``hom_columns`` of the pair, its last
+        reader, so that End(x) is decoded once for ``aut_idx``, the closure
+        and its own columns."""
         key = (si, di)
         if key not in self._hom_stacks:
-            F = self._codec.values(si, di, [self.payloads[m] for m in self.hom_idx(si, di)])
-            self._hom_stacks[key] = F, _code_finder(F, self._codec.radix(si, di))
+            hom = self.hom_idx(si, di)
+            codes = self._codes[hom.start:hom.stop]
+            self._hom_stacks[key] = (
+                self._codec.decode(si, di, codes),
+                _finder(codes, self._full[si * len(self.objects) + di], self._codec.radix(si, di)))
         return self._hom_stacks[key]
 
     def hom_columns(self, si: int, di: int) -> tuple:
@@ -392,13 +571,12 @@ class FiniteCategory:
         """Verify identity laws and associativity, which composes every
         composable pair, so a missing composite raises too.
         Intended for parsed input and small built categories."""
-        nm = len(self.mor_ids)
+        nm = self.n_morphisms
         for fi in range(nm):
-            f = self.mor_ids[fi]
             if self.compose_idx(self.identity_idx[self.dst[fi]], fi) != fi:
-                raise CategoryError(f"left identity law fails for {f}")
+                raise CategoryError(f"left identity law fails for {self.mor_id(fi)}")
             if self.compose_idx(fi, self.identity_idx[self.src[fi]]) != fi:
-                raise CategoryError(f"right identity law fails for {f}")
+                raise CategoryError(f"right identity law fails for {self.mor_id(fi)}")
         for fi in range(nm):
             for gi in self.morphisms_from_idx(self.dst[fi]):
                 gf = self.compose_idx(gi, fi)
@@ -406,7 +584,7 @@ class FiniteCategory:
                     if self.compose_idx(hi, gf) != self.compose_idx(self.compose_idx(hi, gi), fi):
                         raise CategoryError(
                             "associativity fails for triple "
-                            f"({self.mor_ids[hi]}, {self.mor_ids[gi]}, {self.mor_ids[fi]})")
+                            f"({self.mor_id(hi)}, {self.mor_id(gi)}, {self.mor_id(fi)})")
         return self
 
     # -- derived categories ----------------------------------------------------
@@ -429,7 +607,7 @@ class FiniteCategory:
                 or self.src != other.src or self.dst != other.dst
                 or self.identity_idx != other.identity_idx):
             return False
-        for fi in range(len(self.mor_ids)):
+        for fi in range(self.n_morphisms):
             for gi in self.morphisms_from_idx(self.dst[fi]):
                 if self.compose_idx(gi, fi) != other.compose_idx(gi, fi):
                     return False
@@ -655,17 +833,43 @@ def truncated_delta(m_max: int) -> FiniteCategory:
 def maximal_subgroupoid(cat: FiniteCategory) -> FiniteCategory:
     """Same objects, only the isomorphisms, composition restricted.  Each
     morphism keeps its payload in ``cat``, and with it the payload functions,
-    the hom-set codec and the inverse that ``cat`` found and checked."""
-    keep = [i for i in range(cat.n_morphisms) if cat.inverse_idx(i) is not None]
-    morphisms = [(cat.mor_ids[i], cat.objects[cat.src[i]], cat.objects[cat.dst[i]])
-                 for i in keep]
-    identity = {o: cat.mor_ids[cat.identity_idx[i]] for i, o in enumerate(cat.objects)}
-    sub = FiniteCategory(cat.objects, morphisms, identity,
-                         payloads=[cat.payloads[i] for i in keep],
-                         compose_payload=cat._compose_payload,
-                         inverse_payload=cat._inverse_payload, codec=cat._codec,
-                         name=f"iso({cat.name})" if cat.name else "iso")
-    sub._inv = dict(enumerate(np.searchsorted(keep, [cat.inverse_idx(i) for i in keep]).tolist()))
+    the hom-set codec and the inverse that ``cat`` found and checked.  A
+    listed ``cat`` is searched one morphism at a time.  A coded one gives a
+    coded iso(C), on the codes kept: Aut(x) is ``cat.aut_idx(x)``, one codec
+    pass, and Hom(x, y), x != y, is searched only when |End x| = |End y| =
+    |Hom(x, y)| = |Hom(y, x)|, as for every iso pair."""
+    name = f"iso({cat.name})" if cat.name else "iso"
+    if cat._codec is None:
+        kept = [m for m in range(cat.n_morphisms) if cat.inverse_idx(m) is not None]
+        identity = {o: cat.mor_ids[cat.identity_idx[i]] for i, o in enumerate(cat.objects)}
+        sub = FiniteCategory(cat.objects, [(cat.mor_ids[i], cat.objects[cat.src[i]],
+                                            cat.objects[cat.dst[i]]) for i in kept],
+                             identity, payloads=[cat.payloads[i] for i in kept],
+                             compose_payload=cat._compose_payload,
+                             inverse_payload=cat._inverse_payload, name=name)
+    else:
+        nob, homs = cat.n_objects, cat._homs
+
+        def isos(x, y):
+            if x == y:
+                return cat.aut_idx(x)
+            if not (len(homs[x * nob + x]) == len(homs[y * nob + y]) == len(homs[x * nob + y])
+                    == len(homs[y * nob + x])):
+                return []
+            return [f for f in homs[x * nob + y] if cat.inverse_idx(f) is not None]
+
+        keep = [isos(x, y) for x in range(nob) for y in range(nob)]     # x major
+        # hom sets are runs of ascending indices, so kept ascends too
+        kept = [m for ms in keep for m in ms]
+        sub = FiniteCategory.coded(
+            cat.objects,
+            [[cat._codes[ms] for ms in keep[x * nob:(x + 1) * nob]] for x in range(nob)],
+            codec=cat._codec, compose_payload=cat._compose_payload,
+            inverse_payload=cat._inverse_payload, name=name)
+        for x in range(nob):
+            sub._aut[x] = list(sub.hom_idx(x, x)), cat.aut_inverse_ranks(x)
+    at = {m: i for i, m in enumerate(kept)}
+    sub._inv = {i: at[cat.inverse_idx(m)] for i, m in enumerate(kept)}
     return sub
 
 

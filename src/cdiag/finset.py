@@ -25,8 +25,8 @@ import numpy as np
 from . import chains as chains_mod
 from .classifying import ClosedForm, Component, DiffReport, diff_closed_forms
 from .fincat import CategoryError, FiniteCategory
-from .groups import (GroupExpr, GroupMemo, Product, Symmetric, Trivial, Wreath,
-                     materialize)
+from .groups import (GroupExpr, GroupMemo, Product, Symmetric, Trivial, Wreath, _strides,
+                     materialize, radix_codes)
 from .limits import DEFAULT_LIMITS, Limits
 
 DEFAULT_MAX_CARD = 6
@@ -133,30 +133,13 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
     """Skeleton on the sets {0, ..., c-1} for c = 0..max_card; morphisms are
     all functions, encoded as target-index tuples.  Functions out of the
     empty set exist (exactly one per target); functions into it from a
-    nonempty set do not."""
+    nonempty set do not.  The skeleton is coded (``FiniteCategory.coded``):
+    a function n -> m is the base-m number of its value tuple."""
     _check_variant(variant)
     if not 0 <= max_card <= DEFAULT_MAX_CARD:
         raise CategoryError(f"max_card {max_card} outside 0..{DEFAULT_MAX_CARD}")
-    objects = [str(c) for c in range(max_card + 1)]
-    # value tuples and their digit strings, enumerated side by side in the
-    # same lexicographic order: the n-tuples over m (one empty function when
-    # n = 0, none when n > 0 = m), or for injections the n-permutations of m
-    maps = itertools.permutations if variant == "inj" else (
-        lambda pool, n: itertools.product(pool, repeat=n))
-    payloads, morphisms = [], []
-    for n, src in enumerate(objects):
-        for m, dst in enumerate(objects):
-            if variant == "surj":       # few n-tuples are onto: spell out those kept
-                values = [v for v in maps(range(m), n) if len(set(v)) == m]
-                words = (map(objects.__getitem__, v) for v in values)
-            else:
-                values, words = list(maps(range(m), n)), maps(objects[:m], n)
-            ids = list(map(f"f{n}_{m}_".__add__, map("".join, words)))
-            if n == m:
-                ids[values.index(tuple(range(n)))] = f"id_{n}"
-            payloads += zip(itertools.repeat(n), itertools.repeat(m), values)
-            morphisms += zip(ids, itertools.repeat(src), itertools.repeat(dst))
-    identity = {str(n): f"id_{n}" for n in range(max_card + 1)}
+    codec = _FunctionCodec()
+    cards = range(max_card + 1)
 
     def comp(gp, fp):
         (_, gm, g), (fn, _, f) = gp, fp
@@ -172,25 +155,60 @@ def finset_skeleton(max_card: int, variant: str = "all") -> FiniteCategory:
         return (n, n, tuple(out))
 
     name = f"finset:{max_card}" + ("" if variant == "all" else f":{variant}")
-    return FiniteCategory(objects, morphisms, identity,
-                          payloads=payloads, compose_payload=comp,
-                          inverse_payload=inv, codec=_FunctionCodec(), name=name)
+    return FiniteCategory.coded([str(c) for c in cards],
+                                [[_function_codes(codec, n, m, variant) for m in cards]
+                                 for n in cards],
+                                codec=codec, compose_payload=comp, inverse_payload=inv, name=name)
+
+
+def _function_codes(codec: "_FunctionCodec", n: int, m: int, variant: str) -> np.ndarray:
+    """The codes of the functions n -> m that ``variant`` keeps, ascending:
+    all m^n of them, the injections from the n-permutations of m in their
+    lexicographic order, or the codes whose value tuples hit all m values."""
+    if variant == "inj":
+        perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.int64)
+        return radix_codes(perms.reshape(len(perms), n), m)
+    codes = np.arange(m ** n)
+    if variant == "all":
+        return codes
+    hit = np.zeros((len(codes), m), dtype=bool)
+    hit[np.arange(len(codes))[:, None], codec.decode(n, m, codes)] = True
+    return codes[hit.all(axis=1)]
 
 
 class _FunctionCodec:
-    """The hom-set codec of the skeleton (``FiniteCategory``): a function
-    n -> m is its value tuple, a row of n entries below m, so g after F is
-    the gather g[F] (row by row for a stack g) and F after h is F[:, h]."""
+    """The hom-set codec of the skeleton (``FiniteCategory.coded``): a
+    function n -> m is its value tuple, a row of n entries below m, coded
+    in base m, so g after F is the gather g[F] (row by row for a stack g)
+    and F after h is F[:, h]."""
 
-    def values(self, n, m, payloads):
-        entries = itertools.chain.from_iterable(p[2] for p in payloads)
-        return np.fromiter(entries, dtype=np.uint8, count=len(payloads) * n).reshape(len(payloads), n)
+    def __init__(self):
+        self._place = {}        # (n, m) -> the place values of a code of n -> m
+
+    def bound(self, n, m):
+        return m ** n
 
     def radix(self, n, m):
         return m
 
+    def identity(self, n):
+        return sum(j * n ** (n - 1 - j) for j in range(n))
+
+    def decode(self, n, m, codes):
+        if (n, m) not in self._place:
+            self._place[n, m] = _strides([m] * n)
+        return (np.asarray(codes)[:, None] // self._place[n, m] % max(m, 1)).astype(np.uint8)
+
+    def ids(self, n, m, stack):
+        one = list(range(n)) if n == m else None
+        return [f"id_{n}" if row == one else f"f{n}_{m}_" + "".join(map(str, row))
+                for row in stack.tolist()]
+
+    def payloads(self, n, m, stack):
+        return [(n, m, tuple(row)) for row in stack.tolist()]
+
     def left(self, g, F):
-        return g[F] if g.ndim == 1 else np.take_along_axis(g, F, axis=1)
+        return g[F] if g.ndim == 1 else g[np.arange(len(g))[:, None], F]
 
     def right(self, F, h):
         return F[:, h]
@@ -275,7 +293,7 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
     report = DiffReport(subject=f"finset max={max_card} variant={variant}")
 
     def profile(block, k):
-        _, m, values = skel.payloads[block.reps[k, 0]]
+        _, m, values = skel.payload(block.reps[k, 0])
         return profile_of(values, m).k
 
     def form(p):

@@ -14,7 +14,6 @@ most iso_limit against the engine's stabilizer by isomorphism.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +24,8 @@ from . import modp
 from .classifying import ClosedForm, Component, DiffReport, diff_closed_forms
 from .fincat import CategoryError, FiniteCategory
 from .groups import (FieldAdditive, FieldUnits, GeneralLinear, GroupError,
-                     GroupMemo, Product, materialize, radix_codes, table_by_codes, table_refusal)
+                     GroupMemo, Product, _strides, materialize, radix_codes, table_by_codes,
+                     table_refusal)
 from .limits import DEFAULT_LIMITS, Limits
 
 # vect_skeleton and orbits_by_rank enumerate at most this many matrices, and
@@ -113,24 +113,7 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
         raise CategoryError(f"vect:{max_dim}:{q} needs q <= {ENUM_BOUND}")
     if not modp.is_prime(q):
         raise GroupError(f"q={q} is not prime")
-    objects = [str(d) for d in range(max_dim + 1)]
-    # entries above 9 need a separator: (1, 10) and (11, 0) would both read 110
-    sep = "_" if q > 10 else ""
-    digits = [str(v) for v in range(q)]     # the id text of an entry, read from a table
-    payloads, morphisms = [], []
-    for n in range(max_dim + 1):
-        ident = modp.identity(n)
-        for m in range(max_dim + 1):
-            for rows in modp.all_matrices(m, n, q):
-                payload = (n, m, rows)
-                if n == m and rows == ident:
-                    mid = f"id_{n}"
-                else:
-                    flat = sep.join([digits[v] for row in rows for v in row])
-                    mid = f"m{n}_{m}_{flat}"
-                payloads.append(payload)
-                morphisms.append((mid, str(n), str(m)))
-    identity = {str(n): f"id_{n}" for n in range(max_dim + 1)}
+    dims = range(max_dim + 1)
 
     def comp(gp, fp):
         (gn, gm, g), (fn, _, f) = gp, fp
@@ -149,25 +132,46 @@ def vect_skeleton(max_dim: int, q: int) -> FiniteCategory:
         r = modp.inverse(rows, q)
         return None if r is None else (n, n, r)
 
-    return FiniteCategory(objects, morphisms, identity,
-                          payloads=payloads, compose_payload=comp, inverse_payload=inv,
-                          codec=_MatrixCodec(max_dim, q), name=f"vect:{max_dim}:{q}")
+    return FiniteCategory.coded([str(d) for d in dims],
+                                [[np.arange(q ** (n * m)) for m in dims] for n in dims],
+                                codec=_MatrixCodec(max_dim, q), compose_payload=comp,
+                                inverse_payload=inv, name=f"vect:{max_dim}:{q}")
 
 
 class _MatrixCodec:
-    """The hom-set codec of the skeleton (``FiniteCategory``): a matrix
-    F^n -> F^m is its m x n entries below q, so g after F and F after h
-    are batched products mod q.  The dtype holds the sums of a product
-    before they are reduced."""
+    """The hom-set codec of the skeleton (``FiniteCategory.coded``): a
+    matrix F^n -> F^m is its m x n entries below q, coded in base q row by
+    row, so g after F and F after h are batched products mod q.  The dtype
+    holds the sums of a product before they are reduced."""
 
     def __init__(self, max_dim: int, q: int):
         self.q = q
         self.dtype = np.min_scalar_type((q - 1) ** 2 * max(max_dim, 1))
+        # entries above 9 need a separator: (1, 10) and (11, 0) would both read 110
+        self.sep = "_" if q > 10 else ""
+        self._place = {}        # (n, m) -> the place values of a code of n -> m
+        self._recip = None      # the inverse of each unit mod q, made by the first units call
 
-    def values(self, n, m, payloads):
-        entries = itertools.chain.from_iterable(itertools.chain.from_iterable(p[2] for p in payloads))
-        return np.fromiter(entries, dtype=self.dtype,
-                           count=len(payloads) * m * n).reshape(len(payloads), m, n)
+    def bound(self, n, m):
+        return self.q ** (n * m)
+
+    def identity(self, n):
+        return sum(self.q ** (n * n - 1 - i * (n + 1)) for i in range(n))
+
+    def decode(self, n, m, codes):
+        if (n, m) not in self._place:
+            self._place[n, m] = _strides([self.q] * (m * n))
+        codes = np.asarray(codes)
+        digits = codes[:, None] // self._place[n, m] % self.q
+        return digits.astype(self.dtype).reshape(len(codes), m, n)
+
+    def ids(self, n, m, stack):
+        one = np.eye(n, dtype=int).ravel().tolist() if n == m else None
+        return [f"id_{n}" if row == one else f"m{n}_{m}_" + self.sep.join(map(str, row))
+                for row in stack.reshape(len(stack), -1).tolist()]
+
+    def payloads(self, n, m, stack):
+        return [(n, m, tuple(map(tuple, rows))) for rows in stack.tolist()]
 
     def radix(self, n, m):
         return self.q
@@ -188,26 +192,30 @@ class _MatrixCodec:
         is singular; its rows are reduced on regardless and dropped at the
         end."""
         n, q = E.shape[1], self.q
-        work = np.result_type(np.min_scalar_type(-q * q), np.int32)
-        recip = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=work)
+        if self._recip is None:
+            work = np.result_type(np.min_scalar_type(-q * q), np.int32)
+            self._recip = np.array([0] + [pow(v, -1, q) for v in range(1, q)], dtype=work)
+        recip = self._recip
+        work = recip.dtype
         block = max(1, _ELIMINATION_CELLS // max(2 * n * n, 1))
         invertible, inverses = [], []
         for lo in range(0, len(E), block):
-            part = E[lo:lo + block].astype(work)
+            part = E[lo:lo + block]
             at = np.arange(len(part))
-            aug = np.concatenate([part, np.broadcast_to(np.eye(n, dtype=work), part.shape)], axis=2)
+            aug = np.zeros((len(part), n, 2 * n), dtype=work)
+            aug[:, :, :n] = part
+            aug.reshape(len(part), -1)[:, n::2 * n + 1] = 1     # I, entry (i, n + i)
             alive = np.ones(len(part), dtype=bool)
             for c in range(n):
                 nonzero = aug[:, c:, c] != 0
                 alive &= nonzero.any(axis=1)
                 pivot = c + nonzero.argmax(axis=1)
-                row = aug[at, pivot]
+                row = aug[at, pivot]            # the pivot row, swapped into row c
                 aug[at, pivot] = aug[:, c]
-                row = row * recip[row[:, c], None] % q
+                row *= recip[row[:, c], None]
+                row %= q
+                aug -= aug[:, :, c, None] * row[:, None]     # row c too, then replaced
                 aug[:, c] = row
-                factor = aug[:, :, c].copy()
-                factor[:, c] = 0
-                aug -= factor[:, :, None] * row[:, None]
                 aug %= q
             invertible.append(alive)
             inverses.append(aug[alive, :, n:])
@@ -486,7 +494,7 @@ def oracle_diff_vect(max_dim: int, q: int, limits: Limits = DEFAULT_LIMITS,
         cells = rank_cells(max_dim, q)
 
     def rank(block, k):
-        return modp.rank(skel.payloads[block.reps[k, 0]][2], q)
+        return modp.rank(skel.payload(block.reps[k, 0])[2], q)
 
     # object d of the skeleton is F^d, at index d
     forms = {nm: {c.rank: ClosedForm(f"rank {c.rank}", c.stabilizer_order, c.class_size,

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cdiag import fincat, finset, finvect, groups
+from cdiag import chains, fincat, finset, finvect, groups
 from cdiag.classifying import level_decomposition
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import (CatdefError, CategoryError, FiniteCategory, from_catdef,
@@ -635,3 +635,81 @@ def test_level_batched_word_rows_equal_the_per_word_loop(name):
                 positions = positions.astype(left.dtype)
                 assert np.array_equal(on_left, _word_rows_reference(cat, y, left, positions))
                 assert np.array_equal(on_right, _word_rows_reference(cat, x, right, positions))
+
+
+# ---------------------------------------------------------------------------
+# Coded categories: the construction checks, and ids and payloads made when read
+
+
+def _repeat_a_code(codes, codec, x):
+    return np.insert(codes, 5, codes[4])
+
+
+def _swap_two_codes(codes, codec, x):
+    return codes[[0, 1, 2, 3, 5, 4, *range(6, len(codes))]]
+
+
+def _drop_the_identity(codes, codec, x):
+    return codes[codes != codec.identity(x)]
+
+
+def _append_the_bound(codes, codec, x):
+    return np.append(codes, len(codes))
+
+
+def _prepend_a_negative_code(codes, codec, x):
+    return np.insert(codes, 0, -1)
+
+
+CODED_CASES = [(finset._FunctionCodec(), 3, (2, 3)), (finvect._MatrixCodec(2, 3), 2, (1, 2))]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_repeat_a_code, r"codes of Hom\({x}, {y}\) do not strictly ascend: 4 before 4"),
+    (_swap_two_codes, r"codes of Hom\({x}, {y}\) do not strictly ascend: 5 before 4"),
+    (_drop_the_identity, r"no identity for object '{x}'"),
+    (_append_the_bound, r"code 9 outside Hom\({x}, {y}\), whose codes are below 9"),
+    (_prepend_a_negative_code, r"code -1 outside Hom\({x}, {y}\)"),
+], ids=["repeated", "descending", "no identity", "past the bound", "negative"])
+@pytest.mark.parametrize("codec, top, hom", CODED_CASES, ids=["finset", "vect"])
+def test_a_spoiled_array_builder_is_refused_when_built(codec, top, hom, spoil, message):
+    # every hom set holds all its codes but one, spoiled; the identity is
+    # dropped from End(x), the others from Hom(x, y), which has 9 codes
+    x, y = hom
+    codes = [[np.arange(codec.bound(s, d)) for d in range(top + 1)] for s in range(top + 1)]
+    s, d = (x, x) if spoil is _drop_the_identity else (x, y)
+    codes[s][d] = spoil(codes[s][d], codec, x)
+    with pytest.raises(CategoryError, match=message.format(x=x, y=y)):
+        FiniteCategory.coded([str(o) for o in range(top + 1)], codes, codec=codec,
+                             compose_payload=lambda g, f: None)
+
+
+def test_the_finset_builder_hands_its_codes_to_the_checks(monkeypatch):
+    build = finset._function_codes
+
+    def spoiled(codec, n, m, variant):
+        codes = build(codec, n, m, variant)
+        return _swap_two_codes(codes, codec, n) if (n, m, variant) == (2, 3, "all") else codes
+
+    monkeypatch.setattr(finset, "_function_codes", spoiled)
+    finset.finset_skeleton(3, "surj")
+    with pytest.raises(CategoryError, match=r"Hom\(2, 3\) do not strictly ascend"):
+        finset.finset_skeleton(3)
+
+
+@pytest.mark.parametrize("make", [lambda: finset.finset_skeleton(5),
+                                  lambda: finset.finset_skeleton(4, "inj"),
+                                  lambda: finvect.vect_skeleton(3, 2)],
+                         ids=["finset:5", "finset:4:inj", "vect:3:2"])
+def test_a_coded_skeleton_makes_ids_and_payloads_when_read(make):
+    cat = make()
+    blocks = chains.level_blocks(cat, 1)
+    made = {"mor_ids", "payloads", "src", "dst", "_midx", "_payload_idx"}
+    assert not made & set(vars(cat))
+    # a report names its representatives one block at a time
+    named = [cat.ids_of(b.reps) for b in blocks]
+    one = [cat.payload(int(b.reps[0, 0])) for b in blocks]
+    assert not made & set(vars(cat))
+    assert named == [[[cat.mor_ids[f] for f in row] for row in b.reps.tolist()] for b in blocks]
+    assert one == [cat.payloads[int(b.reps[0, 0])] for b in blocks]
+    assert cat.mor_index(named[-1][-1][0]) == int(blocks[-1].reps[-1, 0])

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from cdiag import finvect, groups, modp
@@ -228,6 +230,42 @@ def test_skeleton_ids_are_distinct_for_two_digit_entries():
     assert "m2_2_1000" in vect_skeleton(2, 3).mor_ids
 
 
+def reference_vect_skeleton(max_dim, q):
+    """(mor_ids, src, dst, payloads, identity_idx) of the skeleton, one
+    matrix at a time: every m x n matrix over F_q with its entries, row by
+    row, in lexicographic order, its id formatted on its own."""
+    ids, src, dst, payloads, identity_idx = [], [], [], [], [None] * (max_dim + 1)
+    sep = "_" if q > 10 else ""
+    for n in range(max_dim + 1):
+        for m in range(max_dim + 1):
+            for flat in itertools.product(range(q), repeat=m * n):
+                rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(m))
+                if n == m and all(v == (i // n == i % n) for i, v in enumerate(flat)):
+                    identity_idx[n] = len(ids)
+                    ids.append(f"id_{n}")
+                else:
+                    ids.append(f"m{n}_{m}_" + sep.join(str(v) for v in flat))
+                src.append(n)
+                dst.append(m)
+                payloads.append((n, m, rows))
+    return tuple(ids), tuple(src), tuple(dst), tuple(payloads), tuple(identity_idx)
+
+
+# q = 11 and 13 need the separator between entries
+@pytest.mark.parametrize("max_dim, q", [(d, q) for q in (2, 3, 5, 11, 13) for d in range(3)]
+                         + [(3, 2)])
+def test_vect_skeleton_equals_the_per_matrix_reference(max_dim, q):
+    sk = vect_skeleton(max_dim, q)
+    assert sk.objects == tuple(str(d) for d in range(max_dim + 1))
+    assert (sk.mor_ids, sk.src, sk.dst, sk.payloads, sk.identity_idx) == \
+        reference_vect_skeleton(max_dim, q)
+    # one morphism at a time, as a report names it, before any is listed
+    fresh = vect_skeleton(max_dim, q)
+    picks = range(0, fresh.n_morphisms, max(1, fresh.n_morphisms // 50))
+    assert [(fresh.mor_id(i), fresh.payload(i)) for i in picks] == \
+        [(sk.mor_ids[i], sk.payloads[i]) for i in picks]
+
+
 def test_skeleton_unique_zero_dim_maps():
     sk = vect_skeleton(2, 3)
     for d in range(3):
@@ -246,9 +284,9 @@ def test_matrix_codec_products_equal_modp(q):
 
     top = ((q - 1,) * 3,) * 3
     fs = [rand(3, 3) for _ in range(20)] + [top]
-    F = codec.values(3, 3, [(3, 3, f) for f in fs])
+    F = np.array(fs, dtype=codec.dtype)
     for g in (rand(3, 3), top):
-        G = codec.values(3, 3, [(3, 3, g)])[0]
+        G = np.array(g, dtype=codec.dtype)
         assert codec.left(G, F).tolist() == [[list(r) for r in modp.mul(g, f, q)] for f in fs]
         assert codec.right(F, G).tolist() == [[list(r) for r in modp.mul(f, g, q)] for f in fs]
 
@@ -261,7 +299,7 @@ def test_matrix_codec_units_equal_modp(q):
     rng = random.Random(q)
     fs = [tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3)) for _ in range(200)]
     fs += [((1, 2, 3), (2, 4, 6), (0, 0, 1)), ((q - 1,) * 3,) * 3, ((0,) * 3,) * 3]
-    units, inverses = codec.units(codec.values(3, 3, [(3, 3, f) for f in fs]))
+    units, inverses = codec.units(np.array(fs, dtype=codec.dtype))
     want = [modp.inverse(f, q) for f in fs]
     assert units.tolist() == [w is not None for w in want]
     assert inverses.tolist() == [[list(r) for r in w] for w in want if w is not None]
