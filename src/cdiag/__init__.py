@@ -3,8 +3,7 @@ components with explicit stabilizer groups, with closed forms for ordinals,
 truncated ordered sets, finite sets, and vector spaces over prime fields
 cross-checked against a brute-force orbit engine."""
 
-from .chains import (Chain, Orbit, StabilizerGroup, TupleBlock, act, enumerate_chains,
-                     level_blocks, orbits, stabilizer)
+from .chains import StabilizerGroup, TupleBlock, level_blocks
 from .classifying import (Component, Decomposition, completeness_check,
                           component_maps, is_discrete_classifying,
                           level_decomposition, nerve_truncation, segal_check)
@@ -19,9 +18,8 @@ from .limits import DEFAULT_LIMITS, Limits
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chain", "Orbit", "StabilizerGroup", "TupleBlock", "act", "enumerate_chains",
-    "level_blocks", "orbits", "stabilizer", "Component", "Decomposition", "completeness_check",
-    "component_maps", "is_discrete_classifying", "level_decomposition",
+    "StabilizerGroup", "TupleBlock", "level_blocks", "Component", "Decomposition",
+    "completeness_check", "component_maps", "is_discrete_classifying", "level_decomposition",
     "nerve_truncation", "segal_check", "FiniteCategory", "from_catdef", "iso_interval",
     "maximal_subgroupoid", "one_object_group", "ordinal",
     "parse_catdef", "truncated_delta", "validate_category", "walking_arrow",

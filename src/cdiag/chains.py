@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,55 +31,6 @@ class ChainLimitExceeded(CategoryError):
 class SelfCheckFailed(CategoryError):
     """An identity the engine checks on its own results fails: a fault of
     the engine, not a property of the category."""
-
-
-class Chain:
-    """A point of level n: object indices x_0..x_n and morphism indices
-    f_1..f_n with target(f_i) = source(f_{i+1}).  Level-0 chains are bare
-    objects (empty morphism tuple)."""
-
-    __slots__ = ("cat", "objs", "mors")
-
-    def __init__(self, cat: FiniteCategory, objs, mors):
-        objs, mors = tuple(objs), tuple(mors)
-        if len(objs) != len(mors) + 1:
-            raise CategoryError("a chain of n morphisms needs n + 1 objects")
-        for i, f in enumerate(mors):
-            if cat.src[f] != objs[i] or cat.dst[f] != objs[i + 1]:
-                raise CategoryError(f"chain not composable at morphism {i + 1}")
-        self.cat, self.objs, self.mors = cat, objs, mors
-
-    @classmethod
-    def from_morphism_ids(cls, cat: FiniteCategory, mor_ids) -> "Chain":
-        mors = tuple(cat.mor_index(m) for m in mor_ids)
-        if not mors:
-            raise CategoryError("no morphisms given; a level-0 chain is Chain(cat, (x,), ())")
-        objs = (cat.src[mors[0]],) + tuple(cat.dst[f] for f in mors)
-        return cls(cat, objs, mors)
-
-    @property
-    def level(self) -> int:
-        return len(self.mors)
-
-    @property
-    def object_ids(self) -> tuple:
-        return tuple(self.cat.objects[o] for o in self.objs)
-
-    @property
-    def morphism_ids(self) -> tuple:
-        return tuple(self.cat.mor_id(f) for f in self.mors)
-
-    def __eq__(self, other):
-        return (isinstance(other, Chain) and self.cat is other.cat
-                and self.objs == other.objs and self.mors == other.mors)
-
-    def __hash__(self):
-        return hash((id(self.cat), self.objs, self.mors))
-
-    def __repr__(self):
-        if not self.mors:
-            return f"Chain<{self.object_ids[0]}>"
-        return "Chain<" + " ; ".join(self.morphism_ids) + ">"
 
 
 # ---------------------------------------------------------------------------
@@ -181,50 +132,6 @@ def _limited_chain_count(cat: FiniteCategory, n: int, limits: Limits) -> int:
     return total
 
 
-def enumerate_chains(cat: FiniteCategory, n: int,
-                     limits: Limits = DEFAULT_LIMITS) -> list:
-    """All n-chains in lexicographic order of morphism index tuples;
-    level 0 yields one chain per object, in object order."""
-    _check_level(n)
-    if n == 0:
-        return [Chain(cat, (x,), ()) for x in range(cat.n_objects)]
-    _limited_chain_count(cat, n, limits)
-    rows = _chain_array(cat, n)
-    src, dst = cat.endpoints
-    objs = np.column_stack([src[rows[:, 0]], dst[rows]])
-    return [Chain(cat, o, m) for o, m in zip(objs.tolist(), rows.tolist())]
-
-
-# ---------------------------------------------------------------------------
-# The ladder action
-
-
-def _act_mors(cat: FiniteCategory, alpha, objs, mors):
-    """(alpha_1 f_1 alpha_0^-1, ..., alpha_n f_n alpha_{n-1}^-1) on indices."""
-    inv0 = cat.inverse_idx(alpha[0])
-    out = []
-    left_inv = inv0
-    for i, f in enumerate(mors):
-        g = cat.compose_idx(alpha[i + 1], cat.compose_idx(f, left_inv))
-        out.append(g)
-        left_inv = cat.inverse_idx(alpha[i + 1])
-    return tuple(out)
-
-
-def act(alpha_ids, chain: Chain) -> Chain:
-    """Apply an automorphism tuple (by morphism ids) to a chain."""
-    cat = chain.cat
-    alpha = tuple(cat.mor_index(a) for a in alpha_ids)
-    if len(alpha) != len(chain.objs):
-        raise CategoryError("need one automorphism per chain object")
-    for i, a in enumerate(alpha):
-        x = chain.objs[i]
-        if cat.src[a] != x or cat.dst[a] != x or cat.inverse_idx(a) is None:
-            raise CategoryError(
-                f"{cat.mor_id(a)} is not an automorphism of {cat.objects[x]}")
-    return Chain(cat, chain.objs, _act_mors(cat, alpha, chain.objs, chain.mors))
-
-
 # ---------------------------------------------------------------------------
 # Stabilizers
 
@@ -291,9 +198,17 @@ class StabilizerGroup:
                                               phi[table.table[:, gens]])):
                     raise GroupError("element set is not closed under the product")
         except GroupError as exc:
-            chain = Chain(self.cat, self.objs, self.mors)
-            raise SelfCheckFailed(f"listed stabilizer of {chain!r}: {exc}") from exc
+            where = _chain_name(self.cat, self.objs, self.mors)
+            raise SelfCheckFailed(f"listed stabilizer of {where}: {exc}") from exc
         return table
+
+
+def _chain_name(cat: FiniteCategory, objs, mors) -> str:
+    """The chain on ``objs`` with morphism indices ``mors``, by its morphism
+    ids, or by its object id at level 0."""
+    if not len(mors):
+        return f"object {cat.objects[objs[0]]}"
+    return "chain (" + " ; ".join(cat.ids_of(np.asarray(mors, dtype=np.intp))) + ")"
 
 
 def _ambient_order(cat: FiniteCategory, objs) -> int:
@@ -443,11 +358,9 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
 
 
 def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
-                          seeds=None, reverse: bool = False,
-                          multiplicity: int = 1) -> "TupleBlock":
-    """The block of components on one object tuple, for the chains whose
-    morphism tuples are ``seeds`` or, by default, for the least chain of
-    every orbit, in ascending order.
+                          reverse: bool = False, multiplicity: int = 1) -> "TupleBlock":
+    """The block of components on one object tuple, one for the least chain
+    of every orbit, in ascending order.
 
     Orbits come from the labels of ``_tuple_action``, and the stabilizer
     order is the ambient order divided by the orbit size.  One check backs
@@ -464,16 +377,14 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     """
     ambient = _ambient_order(cat, objs)
     if ambient == 1:
-        return _trivial_block(cat, objs, limits, seeds, multiplicity)
+        return _trivial_block(cat, objs, limits, multiplicity)
     homs, strides, moves, labels = _tuple_action(cat, objs)
-    seeds = (np.flatnonzero(labels == np.arange(len(labels))) if seeds is None
-             else _encode(homs, strides, seeds))
     order = np.argsort(labels, kind="stable")
     by_label = labels[order]
     # orbit k is order[bounds[k]:bounds[k + 1]], its label by_label[bounds[k]]
     bounds = np.flatnonzero(np.diff(by_label, prepend=-1, append=len(labels)))
-    group = np.searchsorted(by_label[bounds[:-1]], labels[seeds])
-    starts, ends = bounds[group].tolist(), bounds[group + 1].tolist()
+    seeds = by_label[bounds[:-1]]
+    starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
     sizes = [e - b for b, e in zip(starts, ends)]
     reps = _decode(homs, strides, seeds)
     if any(ambient % size for size in sizes):
@@ -488,7 +399,7 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
         els = next(listed) if listing[k] else None
         if els is not None and len(els) != stab_order:
             raise SelfCheckFailed(
-                f"orbit-stabilizer identity fails at {Chain(cat, objs, reps[k].tolist())!r}: "
+                f"orbit-stabilizer identity fails at {_chain_name(cat, objs, reps[k])}: "
                 f"{sizes[k]} * {len(els)} != {ambient}")
         elements.append(trivial if els == trivial else els)
         if els is None or reverse:
@@ -502,7 +413,7 @@ def _orbit_and_stabilizer(cat: FiniteCategory, objs, limits: Limits,
     return TupleBlock(cat, objs, ambient, multiplicity, reps, sizes, orders, elements)
 
 
-def _trivial_block(cat: FiniteCategory, objs, limits: Limits, seeds,
+def _trivial_block(cat: FiniteCategory, objs, limits: Limits,
                    multiplicity: int) -> "TupleBlock":
     """``_orbit_and_stabilizer`` on a tuple whose ambient group
     Aut(x_0) x ... x Aut(x_n) is trivial: every chain is an orbit of its
@@ -515,51 +426,11 @@ def _trivial_block(cat: FiniteCategory, objs, limits: Limits, seeds,
     The identity tuple is kept when table_limit admits order 1, by the rule
     of every other stabilizer, and the caller's size-sum check still runs."""
     homs, strides = _tuple_codec(cat, objs)
-    codes = (np.arange(math.prod(map(len, homs))) if seeds is None
-             else _encode(homs, strides, seeds))
+    codes = np.arange(math.prod(map(len, homs)))
     ones = [1] * len(codes)
     els = [tuple(cat.identity_idx[x] for x in objs)] if limits.table_limit >= 1 else None
     return TupleBlock(cat, objs, 1, multiplicity, _decode(homs, strides, codes), ones,
                       list(ones), [els] * len(codes))
-
-
-def least_member(cat: FiniteCategory, chain: Chain) -> Chain:
-    """The lexicographically least chain in the orbit of ``chain`` on its
-    object tuple."""
-    homs, strides, _, labels = _tuple_action(cat, chain.objs)
-    return Chain(cat, chain.objs,
-                 _decode(homs, strides, labels[_encode(homs, strides, [chain.mors])])[0].tolist())
-
-
-def stabilizer(cat: FiniteCategory, chain: Chain,
-               limits: Limits = DEFAULT_LIMITS) -> StabilizerGroup:
-    """Stabilizer of a chain under the ladder action of Aut(x_0) x ... x Aut(x_n)."""
-    return _orbit_and_stabilizer(cat, chain.objs, limits, [chain.mors]).stabilizer(0)
-
-
-# ---------------------------------------------------------------------------
-# Orbits
-
-
-@dataclass
-class Orbit:
-    """One component of level n.
-
-    ``size`` counts every chain in the component, across all object tuples
-    isomorphic to the representative's.  ``rep_fiber_size`` counts only the
-    chains on the representative tuple itself; it is the classical orbit of
-    the product action, so rep_fiber_size * stabilizer.order equals the
-    ambient product order exactly.
-    """
-
-    rep: Chain
-    size: int
-    rep_fiber_size: int
-    ambient_order: int
-    stabilizer: StabilizerGroup
-
-    def check_orbit_stabilizer(self) -> bool:
-        return self.rep_fiber_size * self.stabilizer.order == self.ambient_order
 
 
 @dataclass
@@ -569,16 +440,14 @@ class TupleBlock:
     ``reps`` is one integer array with a row of morphism indices per
     component (no columns at level 0): the least chain of its orbit on
     ``objs``, rows ascending.  Column by column with it run
-    ``fiber_sizes``, the chains on ``objs`` in each orbit (an ``Orbit``'s
-    ``rep_fiber_size``); ``orders``, the stabilizer orders by division;
+    ``fiber_sizes``, the chains on ``objs`` in each orbit; ``orders``, the stabilizer orders by division;
     and ``elements``, the listed stabilizer when its order fits the
     table_limit it was found under, else None, when an orbit search checked
     it instead.  ``multiplicity`` counts the object tuples isomorphic to
     ``objs``, so a component holds its fibre size times that many chains.
 
-    Nothing is held per component but these columns: ``stabilizer(k)`` and
-    ``orbits()`` build the ``StabilizerGroup`` and ``Orbit`` views when a
-    caller asks for them.
+    Nothing is held per component but these columns: ``stabilizer(k)``
+    builds the ``StabilizerGroup`` view when a caller asks for it.
     """
 
     cat: FiniteCategory
@@ -605,12 +474,6 @@ class TupleBlock:
     def stabilizer(self, k: int) -> StabilizerGroup:
         return StabilizerGroup(self.cat, self.objs, tuple(self.reps[k].tolist()),
                                self.orders[k], self.elements[k])
-
-    def orbits(self) -> list:
-        return [Orbit(rep=Chain(self.cat, self.objs, mors), size=size * self.multiplicity,
-                      rep_fiber_size=size, ambient_order=self.ambient_order,
-                      stabilizer=self.stabilizer(k))
-                for k, (mors, size) in enumerate(zip(self.reps.tolist(), self.fiber_sizes))]
 
 
 def level_blocks(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
@@ -648,8 +511,59 @@ def level_blocks(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
     return blocks
 
 
+# ---------------------------------------------------------------------------
+# Object views.  No command reads them: Chain, enumerate_chains, Orbit and
+# orbits() are kept only for the staged replay of perfbench/staged.py, until
+# spans in the package replace that replay (ROADMAP.md, "Spans").
+
+
+class Chain(NamedTuple):
+    """A point of level n: object indices x_0..x_n and morphism indices
+    f_1..f_n; a level-0 chain has no morphisms."""
+
+    objs: tuple
+    mors: tuple
+
+
+def enumerate_chains(cat: FiniteCategory, n: int,
+                     limits: Limits = DEFAULT_LIMITS) -> list:
+    """All n-chains in lexicographic order of morphism index tuples;
+    level 0 yields one chain per object, in object order."""
+    _check_level(n)
+    if n == 0:
+        return [Chain((x,), ()) for x in range(cat.n_objects)]
+    _limited_chain_count(cat, n, limits)
+    rows = _chain_array(cat, n)
+    src, dst = cat.endpoints
+    objs = np.column_stack([src[rows[:, 0]], dst[rows]])
+    return [Chain(tuple(o), tuple(m)) for o, m in zip(objs.tolist(), rows.tolist())]
+
+
+@dataclass
+class Orbit:
+    """One component of level n.
+
+    ``size`` counts every chain in the component, across all object tuples
+    isomorphic to the representative's.  ``rep_fiber_size`` counts only the
+    chains on the representative tuple itself; it is the classical orbit of
+    the product action, so rep_fiber_size * stabilizer.order equals the
+    ambient product order exactly.
+    """
+
+    rep: Chain
+    size: int
+    rep_fiber_size: int
+    ambient_order: int
+    stabilizer: StabilizerGroup
+
+    def check_orbit_stabilizer(self) -> bool:
+        return self.rep_fiber_size * self.stabilizer.order == self.ambient_order
+
+
 def orbits(cat: FiniteCategory, n: int, limits: Limits = DEFAULT_LIMITS,
            reverse: bool = False) -> list:
-    """All components of level n with representatives and stabilizers: the
-    ``Orbit`` views of ``level_blocks``, in block order."""
-    return [o for b in level_blocks(cat, n, limits, reverse) for o in b.orbits()]
+    """The ``Orbit`` of every component of ``level_blocks``, in block order."""
+    return [Orbit(rep=Chain(b.objs, tuple(mors)), size=size * b.multiplicity,
+                  rep_fiber_size=size, ambient_order=b.ambient_order, stabilizer=b.stabilizer(k))
+            for b in level_blocks(cat, n, limits, reverse)
+            for k, (mors, size) in enumerate(zip(b.reps.tolist(), b.fiber_sizes))]

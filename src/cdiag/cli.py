@@ -54,7 +54,11 @@ def builtin_category(spec: str) -> FiniteCategory:
         if kind == "iso-interval" and len(parts) == 1:
             return fincat.iso_interval()
         if kind == "group" and len(parts) == 2:
-            g, k = parts[1][:1], int(parts[1][1:])
+            g, k = parts[1][:1], parts[1][1:]
+            try:
+                k = int(k)
+            except ValueError:
+                g = None
             if g == "S":
                 if k > 6:
                     raise CategoryError(f"group:S<k> needs k <= 6, got {k}")
@@ -64,7 +68,7 @@ def builtin_category(spec: str) -> FiniteCategory:
                     raise CategoryError(f"group:C<k> needs 1 <= k <= 720, got {k}")
                 table = groups.cyclic_table(k)
             else:
-                raise ValueError(parts[1])
+                raise CategoryError("expected group:S<k> or group:C<k>")
             return fincat.one_object_group(table, name=f"group:{parts[1]}")
         if kind == "delta" and len(parts) == 2:
             return fincat.truncated_delta(int(parts[1]))

@@ -95,7 +95,7 @@ class FiniteCategory:
             if self.src[mi] != self._oidx[o] or self.dst[mi] != self._oidx[o]:
                 raise CategoryError(f"identity of {o!r} is not an endomorphism")
             ident.append(mi)
-        self._set_identities(ident)
+        self.identity_idx = tuple(ident)
 
         self.payloads = tuple(payloads)
         if len(self.payloads) != len(self.mor_ids):
@@ -155,7 +155,7 @@ class FiniteCategory:
                 raise CategoryError(f"no identity for object {o!r}: code {code} is not in "
                                     f"Hom({o}, {o})")
             ident.append(lo + at)
-        self._set_identities(ident)
+        self.identity_idx = tuple(ident)
         return self
 
     def _setup(self, objects, compose_payload, inverse_payload, codec, name):
@@ -176,10 +176,6 @@ class FiniteCategory:
         self._aut_table = {}
         self._hom_columns = {}
         self._hom_stacks = {}
-
-    def _set_identities(self, ident):
-        self.identity_idx = tuple(ident)
-        self._identity_set = frozenset(ident)
 
     # -- ids and payloads of a coded category, made when read -----------------
     # A listed category sets these attributes in __init__, which hides them.
@@ -300,9 +296,6 @@ class FiniteCategory:
 
     def target(self, mor_id: str) -> str:
         return self.objects[self.dst[self.mor_index(mor_id)]]
-
-    def is_identity_idx(self, mi: int) -> bool:
-        return mi in self._identity_set
 
     @cached_property
     def _homs(self) -> list:

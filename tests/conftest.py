@@ -27,3 +27,12 @@ def s2_category():
 @pytest.fixture(scope="session")
 def c4_category():
     return fincat.one_object_group(groups.cyclic_table(4), name="C4")
+
+
+def ladder_act(cat, alpha, mors) -> tuple:
+    """The reference ladder action on index tuples: the automorphism tuple
+    ``alpha`` = (alpha_0, ..., alpha_n) sends the morphisms ``mors`` =
+    (f_1, ..., f_n) to (alpha_1 f_1 alpha_0^-1, ..., alpha_n f_n
+    alpha_{n-1}^-1), one ``compose_idx`` at a time."""
+    return tuple(cat.compose_idx(alpha[i + 1], cat.compose_idx(f, cat.inverse_idx(alpha[i])))
+                 for i, f in enumerate(mors))

@@ -1,18 +1,19 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from conftest import ladder_act
+
 from cdiag import chains, fincat, finset, finvect, groups
-from cdiag.chains import (Chain, ChainLimitExceeded, SelfCheckFailed,
-                          StabilizerGroup, _act_mors, act, chain_count, enumerate_chains,
-                          least_member, orbits, stabilizer)
+from cdiag.chains import (ChainLimitExceeded, SelfCheckFailed, StabilizerGroup, chain_count,
+                          enumerate_chains, orbits)
 from cdiag.cli import builtin_category, run
-from cdiag.fincat import CategoryError
-from cdiag.groups import ClosureLimitExceeded, GroupError, table_from_elements
+from cdiag.groups import ClosureLimitExceeded, table_from_elements
 from cdiag.limits import DEFAULT_LIMITS, Limits
 
 
@@ -23,13 +24,13 @@ from cdiag.limits import DEFAULT_LIMITS, Limits
 def test_enumerate_ordinal1_level2():
     cs = enumerate_chains(fincat.ordinal(1), 2)
     assert len(cs) == 4
-    assert all(c.level == 2 for c in cs)
+    assert all(len(c.mors) == 2 and len(c.objs) == 3 for c in cs)
 
 
 def test_enumerate_level0_one_per_object():
     cat = fincat.ordinal(3)
     cs = enumerate_chains(cat, 0)
-    assert [c.object_ids[0] for c in cs] == ["0", "1", "2", "3"]
+    assert [(cat.objects[x], mors) for (x,), mors in cs] == [(o, ()) for o in "0123"]
 
 
 def test_enumerate_group_level1(s3_category):
@@ -91,41 +92,86 @@ def test_chain_limit():
         orbits(finset.finset_skeleton(3), 2, Limits(chain_limit=10))
 
 
+@pytest.mark.parametrize("spec,level", [("finset:3", 1), ("vect:2:2", 2)])
+def test_the_views_keep_what_the_staged_replay_reads(spec, level):
+    # perfbench/staged.py reads these and nothing more of the object views
+    cat, limits = builtin_category(spec), DEFAULT_LIMITS
+    orbs = orbits(cat, level, limits)
+    blocks = chains.level_blocks(cat, level, limits)
+    assert [(o.rep.objs, o.rep.mors, o.size, o.stabilizer.order) for o in orbs] == [
+        (b.objs, tuple(rep), size * b.multiplicity, order) for b in blocks
+        for rep, size, order in zip(b.reps.tolist(), b.fiber_sizes, b.orders)]
+    for o in orbs:
+        assert all(type(i) is int for i in o.rep.objs + o.rep.mors)
+        assert o.check_orbit_stabilizer()
+        assert o.stabilizer.policy == "scan"
+        if o.stabilizer.order <= limits.iso_limit:
+            assert o.stabilizer.to_cayley_table(limits.table_limit).n == o.stabilizer.order
+    assert len(enumerate_chains(cat, level, limits)) == chain_count(cat, level)
+    assert sum(o.size for o in orbs) == chain_count(cat, level)
+
+
 # ---------------------------------------------------------------------------
 # The ladder action
 
 
+def _component_of(cat, mors, limits=DEFAULT_LIMITS) -> tuple:
+    """(block, k): the component of the chain ``mors`` on a tuple of class
+    representatives, found through the engine's label of its code."""
+    objs = (cat.src[mors[0]],) + tuple(cat.dst[f] for f in mors)
+    homs, strides, _, labels = chains._tuple_action(cat, objs)
+    least = chains._decode(homs, strides, labels[chains._encode(homs, strides, [mors])])
+    [block] = [b for b in chains.level_blocks(cat, len(mors), limits) if b.objs == objs]
+    return block, block.reps.tolist().index(least[0].tolist())
+
+
 def test_act_identity_tuple_fixes(s3_category):
-    c = Chain.from_morphism_ids(s3_category, ["g2"])
-    assert act(["id_*", "id_*"], c) == c
+    cat = s3_category
+    e = cat.mor_index("id_*")
+    for c in enumerate_chains(cat, 2):
+        assert ladder_act(cat, (e, e, e), c.mors) == c.mors
 
 
 def test_act_compatibility_random(s3_category):
     rng = random.Random(11)
     cat = s3_category
-    mors = list(cat.mor_ids)
     for _ in range(300):
-        f = rng.choice(mors)
-        c = Chain.from_morphism_ids(cat, [f])
-        beta = [rng.choice(mors), rng.choice(mors)]
-        gamma = [rng.choice(mors), rng.choice(mors)]
-        bg = [cat.compose(beta[0], gamma[0]), cat.compose(beta[1], gamma[1])]
-        assert act(beta, act(gamma, c)) == act(bg, c)
+        f = rng.randrange(cat.n_morphisms)
+        beta = [rng.randrange(cat.n_morphisms) for _ in range(2)]
+        gamma = [rng.randrange(cat.n_morphisms) for _ in range(2)]
+        bg = [cat.compose_idx(b, g) for b, g in zip(beta, gamma)]
+        assert ladder_act(cat, beta, ladder_act(cat, gamma, (f,))) == ladder_act(cat, bg, (f,))
 
 
 def test_act_matrix_example_over_f2():
     # ( [1], [[0,1],[1,0]] ) acting on the column [1;0] gives [0;1]
     sk = finvect.vect_skeleton(2, 2)
-    col = Chain.from_morphism_ids(sk, ["m1_2_10"])
-    swapped = act(["id_1", "m2_2_0110"], col)
-    assert swapped.morphism_ids == ("m1_2_01",)
+    col, swap = sk.mor_index("m1_2_10"), sk.mor_index("m2_2_0110")
+    assert ladder_act(sk, (sk.mor_index("id_1"), swap), (col,)) == (sk.mor_index("m1_2_01"),)
+    # the engine labels both columns with their orbit's least chain
+    homs, strides, _, labels = chains._tuple_action(sk, (sk.src[col], sk.dst[col]))
+    codes = chains._encode(homs, strides, [(col,), (sk.mor_index("m1_2_01"),)])
+    assert labels[codes[0]] == labels[codes[1]]
 
 
-def test_act_rejects_non_automorphism():
-    cat = fincat.walking_arrow()
-    c = Chain.from_morphism_ids(cat, ["f"])
-    with pytest.raises(CategoryError):
-        act(["f", "id_y"], c)
+@pytest.mark.parametrize("spec", ["group:S3", "mixed", "finset:3", "vect:2:2", "delta:2",
+                                  "op(finset:3)"])
+def test_moves_are_the_reference_action_of_the_generators(spec):
+    # each move of _tuple_action maps every chain of its tuple to its image
+    # under one generator of one Aut(x_i), the other coordinates identities
+    cat = _category(spec)
+    for n in (1, 2):
+        for block in chains.level_blocks(cat, n):
+            objs = block.objs
+            homs, strides, moves, _ = chains._tuple_action(cat, objs)
+            rows = chains._decode(homs, strides, np.arange(math.prod(map(len, homs))))
+            gens = [(i, g) for i, x in enumerate(objs) for g in cat.aut_generators(x)]
+            assert len(moves) == len(gens), objs
+            for img, (i, g) in zip(moves, gens):
+                alpha = [cat.identity_idx[x] for x in objs]
+                alpha[i] = g
+                want = [ladder_act(cat, alpha, tuple(r)) for r in rows.tolist()]
+                assert list(map(tuple, rows[img].tolist())) == want, (objs, i, g)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +193,10 @@ def test_s3_level1_single_orbit(s3_category):
 
 def test_finset_2_to_2_cell():
     sk = finset.finset_skeleton(2)
-    orbs = [o for o in orbits(sk, 1) if o.rep.object_ids == ("2", "2")]
-    assert sorted(o.size for o in orbs) == [2, 2]
-    assert sorted(o.stabilizer.order for o in orbs) == [2, 2]
+    two = sk.objects.index("2")
+    [block] = [b for b in chains.level_blocks(sk, 1) if b.objs == (two, two)]
+    assert sorted(size * block.multiplicity for size in block.fiber_sizes) == [2, 2]
+    assert sorted(block.orders) == [2, 2]
 
 
 def test_orbit_sizes_sum_to_chain_count():
@@ -221,23 +268,24 @@ def test_merged_orbit_across_isomorphic_objects():
 
 
 def test_identity_chain_stabilizer_is_diagonal(s3_category):
-    c = Chain.from_morphism_ids(s3_category, ["id_*", "id_*"])
-    stab = stabilizer(s3_category, c)
-    assert stab.order == 6
+    e = s3_category.mor_index("id_*")
+    block, k = _component_of(s3_category, (e, e))
+    stab = block.stabilizer(k)
+    assert stab.mors == (e, e) and stab.order == 6
     for alpha in stab.elements:
         assert alpha[0] == alpha[1] == alpha[2]
 
 
 def test_column_stabilizer_over_f2():
     sk = finvect.vect_skeleton(2, 2)
-    c = Chain.from_morphism_ids(sk, ["m1_2_10"])
-    assert stabilizer(sk, c).order == 2
+    block, k = _component_of(sk, (sk.mor_index("m1_2_10"),))
+    assert block.orders[k] == 2
 
 
 def test_zero_matrix_stabilizer_over_f2():
     sk = finvect.vect_skeleton(2, 2)
-    c = Chain.from_morphism_ids(sk, ["m2_2_0000"])
-    assert stabilizer(sk, c).order == 36
+    block, k = _component_of(sk, (sk.mor_index("m2_2_0000"),))
+    assert block.orders[k] == 36
 
 
 def test_transversal_path_agrees_with_scan():
@@ -281,9 +329,9 @@ def _reference_blocks(cat, n):
         ambient = list(itertools.product(*(cat.aut_idx(x) for x in objs)))
         orbit = {}
         for mors in itertools.product(*homs):
-            orbit.setdefault(min(_act_mors(cat, g, objs, mors) for g in ambient), []).append(mors)
+            orbit.setdefault(min(ladder_act(cat, g, mors) for g in ambient), []).append(mors)
         reps = sorted(orbit)
-        stabs = [[g for g in ambient if _act_mors(cat, g, objs, r) == r] for r in reps]
+        stabs = [[g for g in ambient if ladder_act(cat, g, r) == r] for r in reps]
         out.append((objs, len(ambient), int(np.prod([size[x] for x in objs])), reps,
                     [len(orbit[r]) for r in reps], [len(g) for g in stabs], stabs))
     return out
@@ -335,10 +383,12 @@ def test_trivial_ambient_blocks_follow_the_limits():
 
 def test_stabilizer_transversal_path_standalone(monkeypatch):
     sk = finvect.vect_skeleton(2, 2)
-    c = Chain.from_morphism_ids(sk, ["m2_2_1000"])   # diag(1, 0)
-    stab = stabilizer(sk, c, Limits(table_limit=3))
+    diag = (sk.mor_index("m2_2_1000"),)     # diag(1, 0)
+    block, k = _component_of(sk, diag, Limits(table_limit=3))
+    stab = block.stabilizer(k)
     assert (stab.policy, stab.order, stab.elements) == ("transversal", 4, None)
-    listed = stabilizer(sk, c)
+    block, k = _component_of(sk, diag)
+    listed = block.stabilizer(k)
     assert listed.policy == "scan" and listed.to_cayley_table(20000).n == 4
     # to_cayley_table lists nothing: it refuses above table_limit or without elements
     for refused, table_limit in ((listed, 3), (stab, 20000)):
@@ -463,8 +513,7 @@ def test_stabilizer_elements_equal_a_brute_force_filter(cells, monkeypatch):
             by_objs.setdefault(c.objs, []).append(c.mors)
         for objs, reps in by_objs.items():
             ambient = list(itertools.product(*(cat.aut_idx(x) for x in objs)))
-            want = [[g for g in ambient if _act_mors(cat, g, objs, mors) == mors]
-                    for mors in reps]
+            want = [[g for g in ambient if ladder_act(cat, g, mors) == mors] for mors in reps]
             assert list(chains._stabilizer_elements(cat, objs, reps)) == want, objs
 
 
@@ -477,37 +526,46 @@ STABILIZER_MODES = [(DEFAULT_LIMITS, False), (DEFAULT_LIMITS, True),
                     (SEARCH_ALL, False), (SEARCH_ALL, True)]
 
 
+def _stabilizers(blocks) -> dict:
+    """{(objs, representative): StabilizerGroup} of every component."""
+    return {(b.objs, tuple(b.reps[k].tolist())): b.stabilizer(k)
+            for b in blocks for k in range(len(b))}
+
+
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
 def test_stabilizer_elements_fix_the_representative(spec, level):
     cat = builtin_category(spec)
-    scanned = {o.rep.mors: o.stabilizer for o in orbits(cat, level)}
-    for rep, stab in scanned.items():
+    scanned = _stabilizers(chains.level_blocks(cat, level))
+    for (objs, rep), stab in scanned.items():
         assert stab.policy == "scan" and len(stab.elements) == stab.order
         for g in stab.elements:
-            assert _act_mors(cat, g, stab.objs, rep) == rep, (rep, g)
+            assert ladder_act(cat, g, rep) == rep, (rep, g)
     for limits, reverse in STABILIZER_MODES:
-        got = orbits(cat, level, limits, reverse=reverse)
-        assert [o.rep.mors for o in got] == list(scanned)
-        for o in got:
-            stab = o.stabilizer
-            assert stab.order == scanned[o.rep.mors].order, o.rep
+        got = _stabilizers(chains.level_blocks(cat, level, limits, reverse=reverse))
+        assert list(got) == list(scanned)
+        for key, stab in got.items():
+            assert stab.order == scanned[key].order, key
             # the search path keeps no elements; the listing path the same ones
             assert stab.elements == (None if limits is SEARCH_ALL
-                                     else scanned[o.rep.mors].elements), o.rep
+                                     else scanned[key].elements), key
 
 
 @pytest.mark.parametrize("spec,level", STABILIZER_CASES)
 def test_stabilizer_of_a_chain_matches_its_orbit(spec, level):
+    # a random member of each orbit is fixed by a conjugate of the
+    # representative's stabilizer, of the same order, and is labelled with
+    # the representative
     cat = builtin_category(spec)
     rng = random.Random(7)
-    for limits in (DEFAULT_LIMITS, SEARCH_ALL):
-        for o in orbits(cat, level, limits):
-            # the representative and a random member of its orbit
-            alpha = [rng.choice(cat.aut_idx(x)) for x in o.rep.objs]
-            moved = Chain(cat, o.rep.objs, _act_mors(cat, alpha, o.rep.objs, o.rep.mors))
-            for chain in (o.rep, moved):
-                got = stabilizer(cat, chain, limits)
-                assert (got.order, got.policy) == (o.stabilizer.order, o.stabilizer.policy)
+    for block in chains.level_blocks(cat, level):
+        ambient = list(itertools.product(*(cat.aut_idx(x) for x in block.objs)))
+        homs, strides, _, labels = chains._tuple_action(cat, block.objs)
+        for k, rep in enumerate(map(tuple, block.reps.tolist())):
+            moved = ladder_act(cat, rng.choice(ambient), rep)
+            fixing = [g for g in ambient if ladder_act(cat, g, moved) == moved]
+            assert len(fixing) == block.orders[k], (block.objs, rep, moved)
+            [label] = labels[chains._encode(homs, strides, [moved])]
+            assert chains._decode(homs, strides, [label])[0].tolist() == list(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +629,13 @@ def test_stabilizer_table_rejects_a_set_that_is_not_closed(s3_category):
     c2 = cat.compose_idx(c, c)
     # {e, g3} in Aut(*): the coordinate's own automorphisms are not closed
     small = StabilizerGroup(cat, (0,), (), 2, [(e,), (c,)])
-    with pytest.raises(SelfCheckFailed, match=r"listed stabilizer of Chain<\*>: .*not closed"):
+    with pytest.raises(SelfCheckFailed, match=r"listed stabilizer of object \*: .*not closed"):
         small.to_cayley_table(20000)
     # each coordinate uses the closed {e, g3, g3^2}, but the pairs are not
     # closed: (g3, g3^2)(g3, e) = (g3^2, g3^2) is missing
     pairs = [(e, e), (c, c2), (c2, c), (c, e), (c2, e)]
     large = StabilizerGroup(cat, (0, 0), (e,), 5, pairs)
-    with pytest.raises(SelfCheckFailed, match="not closed"):
+    with pytest.raises(SelfCheckFailed, match=r"listed stabilizer of chain \(id_\*\): .*not closed"):
         large.to_cayley_table(20000)
 
 
@@ -642,7 +700,10 @@ def test_dropped_coordinates_are_checked_on_every_listing(s3_category, monkeypat
 
 
 def test_an_unsorted_listing_gives_the_sorted_listings_table(s3_category):
-    stab = stabilizer(s3_category, Chain(s3_category, (0, 0), (s3_category.mor_index("g3"),)))
+    # the stabilizer of g3, which is not its orbit's representative
+    g3 = (s3_category.mor_index("g3"),)
+    [els] = chains._stabilizer_elements(s3_category, (0, 0), [g3])
+    stab = StabilizerGroup(s3_category, (0, 0), g3, len(els), els)
     assert stab.elements == sorted(stab.elements) and stab.order == 6
     want = stab.to_cayley_table(20000).table
     for seed in range(3):
@@ -723,12 +784,16 @@ def test_orbit_sizes_that_miss_the_chain_count_fail(monkeypatch, capsys):
 
 
 def test_least_member_is_the_orbit_representative():
+    # every member of an orbit, moved by a random ambient tuple, is
+    # labelled with the representative, the least chain of the orbit
     cat = builtin_category("vect:2:2")
     rng = random.Random(3)
-    for o in orbits(cat, 2):
-        alpha = [rng.choice(cat.aut_idx(x)) for x in o.rep.objs]
-        moved = Chain(cat, o.rep.objs, _act_mors(cat, alpha, o.rep.objs, o.rep.mors))
-        assert least_member(cat, moved) == o.rep
+    for block in chains.level_blocks(cat, 2):
+        homs, strides, _, labels = chains._tuple_action(cat, block.objs)
+        for rep in map(tuple, block.reps.tolist()):
+            alpha = [rng.choice(cat.aut_idx(x)) for x in block.objs]
+            codes = chains._encode(homs, strides, [rep, ladder_act(cat, alpha, rep)])
+            assert labels[codes].tolist() == [codes[0]] * 2, (block.objs, rep)
 
 
 # ---------------------------------------------------------------------------

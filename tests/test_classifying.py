@@ -76,7 +76,8 @@ def test_memoized_names_equal_fresh_names():
     names = {}
     # the components come in the order of chains.orbits
     for c, o in zip(d.components, chains_mod.orbits(cat, 2), strict=True):
-        assert (c.representative, c.group_order) == (o.rep.morphism_ids, o.stabilizer.order)
+        rep = tuple(cat.mor_ids[f] for f in o.rep.mors)
+        assert (c.representative, c.group_order) == (rep, o.stabilizer.order)
         names.setdefault(c.group_order, set()).add(c.group_expr)
         if 1 < c.group_order <= DEFAULT_LIMITS.iso_limit:
             fresh = o.stabilizer.to_cayley_table(DEFAULT_LIMITS.table_limit)
@@ -342,7 +343,7 @@ def test_a_spoiled_stabilizer_listing_is_a_self_check_failure(spec, monkeypatch,
     assert run(["decompose", "--builtin", spec, "--level", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("cdiag: self-check failed: listed stabilizer of Chain<")
+    assert captured.err.startswith("cdiag: self-check failed: listed stabilizer of chain (")
 
 
 def test_completeness_conjugates_by_a_representative_of_order_3():
@@ -506,8 +507,8 @@ def test_face_degeneracy_ordinal1():
     cat = fincat.ordinal(1)
     t = cl.component_maps(cat, 1)
     assert t.levels[0].tolist() == [0, 1]
-    level1 = [o.rep.morphism_ids for o in chains_mod.orbits(cat, 1)]
-    assert level1 == [("id_0",), ("a0_1",), ("id_1",)]
+    level1 = [cat.ids_of(b.reps) for b in chains_mod.level_blocks(cat, 1)]
+    assert level1 == [[["id_0"]], [["a0_1"]], [["id_1"]]]
     assert t.faces[(1, 0)][1] == 1 and t.faces[(1, 1)][1] == 0
     assert t.degeneracies[(0, 0)].tolist() == [0, 2]
     assert t.check_simplicial_identities()
@@ -516,16 +517,19 @@ def test_face_degeneracy_ordinal1():
 def test_face_degeneracy_finset3():
     cat = finset.finset_skeleton(3)
     t = cl.component_maps(cat, 1)
-    level0, level1 = (chains_mod.orbits(cat, n) for n in (0, 1))
+    # (cell, representative ids, stabilizer order) of each component, in order
+    level0, level1 = ([(tuple(cat.objects[x] for x in b.objs), rep, order)
+                       for b in chains_mod.level_blocks(cat, n)
+                       for rep, order in zip(map(tuple, cat.ids_of(b.reps)), b.orders)]
+                      for n in (0, 1))
     # the surjection class 3 ->> 2 connects the S3 component to the S2 one
-    surj = next(k for k, o in enumerate(level1)
-                if o.rep.object_ids == ("3", "2") and o.stabilizer.order == 2)
-    assert level0[t.faces[(1, 1)][surj]].rep.object_ids == ("3",)
-    assert level0[t.faces[(1, 0)][surj]].rep.object_ids == ("2",)
+    surj = next(k for k, (cell, _, order) in enumerate(level1)
+                if cell == ("3", "2") and order == 2)
+    assert level0[t.faces[(1, 1)][surj]][0] == ("3",)
+    assert level0[t.faces[(1, 0)][surj]][0] == ("2",)
     # s0 of the 2-element class lands on the identity component, stabilizer S2
-    two = next(k for k, o in enumerate(level0) if o.rep.object_ids == ("2",))
-    image = level1[t.degeneracies[(0, 0)][two]]
-    assert image.rep.morphism_ids == ("id_2",) and image.stabilizer.order == 2
+    two = next(k for k, (cell, _, _) in enumerate(level0) if cell == ("2",))
+    assert level1[t.degeneracies[(0, 0)][two]][1:] == (("id_2",), 2)
     assert t.check_simplicial_identities()
 
 

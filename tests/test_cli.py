@@ -63,6 +63,8 @@ def test_builtin_errors(capsys):
     ("group:C721", "1 <= k <= 720, got 721"),
     ("vect:3:5", "vect:3:5 has more than 1048576 morphisms"),
     ("vect:1:1000000000000000003", "has more than 1048576 morphisms"),
+    ("group:X3", "expected group:S<k> or group:C<k>"),
+    ("group:S", "expected group:S<k> or group:C<k>"),
 ])
 def test_bad_builtin_says_why(spec, reason, capsys):
     assert run(["decompose", "--builtin", spec]) == 2
@@ -148,19 +150,29 @@ def test_python_dash_m_runs_the_cli(module):
 
 
 def test_validation_survives_python_dash_O():
+    # a descending code array and a composite with the wrong endpoints are
+    # refused, each for its own reason
     script = (
-        "from cdiag import fincat\n"
-        "from cdiag.chains import Chain\n"
-        "from cdiag.fincat import CategoryError\n"
+        "import numpy as np\n"
+        "from cdiag import fincat, finset\n"
+        "from cdiag.fincat import CategoryError, FiniteCategory\n"
         "from cdiag.finset import FiberProfile\n"
-        "cat = fincat.walking_arrow()\n"
-        "f, idx = cat.mor_index('f'), cat.mor_index('id_x')\n"
-        "for make in (lambda: Chain(cat, (0, 1, 1), (f, idx)),\n"
-        "             lambda: FiberProfile(n=1, m=1, k=(0, 2))):\n"
+        "codec = finset._FunctionCodec()\n"
+        "codes = [[np.arange(codec.bound(s, d)) for d in range(3)] for s in range(3)]\n"
+        "codes[1][2] = codes[1][2][::-1]\n"
+        "wrong = 'object x\\nobject y\\nmor f : x -> y\\nmor g : y -> y\\ncompose g f = g\\n'\n"
+        "for make, why in (\n"
+        "        (lambda: FiniteCategory.coded('012', codes, codec=codec,\n"
+        "                                      compose_payload=lambda g, f: None),\n"
+        "         'codes of Hom(1, 2) do not strictly ascend: 1 before 0'),\n"
+        "        (lambda: fincat.from_catdef(wrong), 'g has the wrong endpoints'),\n"
+        "        (lambda: FiberProfile(n=1, m=1, k=(0, 2)), '')):\n"
         "    try:\n"
         "        make()\n"
-        "    except CategoryError:\n"
-        "        continue\n"
+        "    except CategoryError as exc:\n"
+        "        if why in str(exc):\n"
+        "            continue\n"
+        "        raise\n"
         "    raise SystemExit('accepted')\n"
         "from cdiag import modp\n"
         "for make in (lambda: modp.mul(((1, 1, 1),), ((1,), (1,)), 5),\n"
@@ -617,7 +629,6 @@ def test_no_command_builds_an_object_view(monkeypatch, capsys):
     want = [run_capture(argv, capsys) for argv in VIEW_FREE_RUNS]
     monkeypatch.setattr(chains.Chain, "__init__", _refuse)
     monkeypatch.setattr(chains.Orbit, "__init__", _refuse)
-    monkeypatch.setattr(chains.TupleBlock, "orbits", _refuse)
     for argv, expected in zip(VIEW_FREE_RUNS, want):
         assert run_capture(argv, capsys) == expected, argv
 
@@ -684,8 +695,9 @@ def test_block_rows_equal_the_component_views(spec, level):
             policy = "isomorphism"
         else:
             expr, policy = None, "order-only"
-        rep = o.rep.morphism_ids if level else o.rep.object_ids
-        from_orbits.append((level, o.rep.object_ids, tuple(rep), o.size, order, expr, policy))
+        cell = tuple(cat.objects[x] for x in o.rep.objs)
+        rep = tuple(cat.mor_ids[f] for f in o.rep.mors) if level else cell
+        from_orbits.append((level, cell, rep, o.size, order, expr, policy))
     assert rows == from_orbits
     report = {"command": "decompose", "config": {}}
     for render in (cli._render_text, lambda r: "".join(cli._json_pieces(r))):
@@ -777,7 +789,7 @@ def test_every_table_refusal_names_table_limit_and_the_order():
         groups.materialize(groups.Symmetric(3), table_limit=5)
     s3 = builtin_category("group:S3")
     with pytest.raises(groups.ClosureLimitExceeded, match=want):
-        chains.stabilizer(s3, chains.Chain(s3, (0,), ())).to_cayley_table(5)
+        chains.level_blocks(s3, 0)[0].stabilizer(0).to_cayley_table(5)
     with pytest.raises(groups.ClosureLimitExceeded, match="group of order 12 exceeds table_limit 5"):
         finvect.rank_case(1, 2, 1, 3).table(5)
     # a closure that overshoots its stated order keeps the closure wording

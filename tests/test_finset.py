@@ -304,7 +304,7 @@ def test_oracle_diff_reports_iso_policy():
 def test_oracle_diff_surj_3_2_orbit_size():
     from cdiag import chains
     sk = finset_skeleton(3, "surj")
-    orbs = [o for o in chains.orbits(sk, 1) if o.rep.object_ids == ("3", "2")]
+    orbs = [o for o in chains.orbits(sk, 1) if o.rep.objs == (3, 2)]
     assert len(orbs) == 1
     assert orbs[0].size == 6 and orbs[0].stabilizer.order == 2
     assert orbs[0].ambient_order == 12
@@ -313,6 +313,6 @@ def test_oracle_diff_surj_3_2_orbit_size():
 def test_oracle_diff_inj_2_3_stabilizer():
     from cdiag import chains
     sk = finset_skeleton(3, "inj")
-    orbs = [o for o in chains.orbits(sk, 1) if o.rep.object_ids == ("2", "3")]
+    orbs = [o for o in chains.orbits(sk, 1) if o.rep.objs == (2, 3)]
     assert len(orbs) == 1
     assert orbs[0].size == 6 and orbs[0].stabilizer.order == 2

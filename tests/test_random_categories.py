@@ -1,9 +1,10 @@
-"""The chain array, orbits(), completeness_check() and the truncated nerve
-against naive references on random small categories.
+"""The chain array, level_blocks(), completeness_check() and the truncated
+nerve against naive references on random small categories.
 
 The orbit reference applies every element of Aut(x_0) x ... x Aut(x_n)
-through ``act`` to every chain on each tuple of class representatives: no
-generators, no breadth-first search and no action arrays.  The completeness
+through the reference ladder action (``conftest.ladder_act``) to every chain
+on each tuple of class representatives: no generators, no breadth-first
+search and no action arrays.  The completeness
 reference counts invertible squares pair by pair with ``compose_idx``.
 The chain reference filters itertools.product of the morphisms.  The nerve
 reference maps one simplex at a time, composing with ``compose_idx`` and
@@ -18,8 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ladder_act
+
 from cdiag import chains, fincat, finset, finvect, groups
-from cdiag.chains import Chain, _chain_array, _chain_index, act, orbits
+from cdiag.chains import _chain_array, _chain_index
 from cdiag.classifying import completeness_check, nerve_truncation
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import FiniteCategory, ObjectClass, object_iso_classes
@@ -60,7 +63,7 @@ def catdef_round_trip(cat: FiniteCategory) -> FiniteCategory:
     name.update({cat.identity_idx[x]: f"id_o{x}" for x in range(cat.n_objects)})
     lines = [f"object {obj[x]}" for x in range(cat.n_objects)]
     lines += [f"mor {name[f]} : {obj[cat.src[f]]} -> {obj[cat.dst[f]]}"
-              for f in range(cat.n_morphisms) if not cat.is_identity_idx(f)]
+              for f in range(cat.n_morphisms) if f not in cat.identity_idx]
     lines += [f"compose {name[g]} {name[f]} = {name[cat.compose_idx(g, f)]}"
               for f in range(cat.n_morphisms) for g in cat.morphisms_from_idx(cat.dst[f])]
     return fincat.from_catdef("\n".join(lines))
@@ -92,12 +95,11 @@ def naive_orbits(cat: FiniteCategory, n: int) -> list:
         for mors in itertools.product(*homs):
             if mors in seen:
                 continue
-            chain = Chain(cat, objs, mors)
             images, fixing = set(), []
             for alpha in ambient:
-                image = act([cat.mor_ids[a] for a in alpha], chain)
-                images.add(image.mors)
-                if image == chain:
+                image = ladder_act(cat, alpha, mors)
+                images.add(image)
+                if image == mors:
                     fixing.append(alpha)
             seen |= images
             out.append((objs, mors, len(images), fixing))
@@ -112,13 +114,15 @@ def test_orbits_match_the_naive_reference(cat):
         # the default table_limit lists every stabilizer here, and 0
         # searches every orbit and keeps no elements
         for limits in (DEFAULT_LIMITS, Limits(table_limit=0)):
-            got = orbits(cat, n, limits)
-            assert ([(o.rep.objs, o.rep.mors, o.rep_fiber_size, o.stabilizer.order)
-                     for o in got]
+            got = [(b.objs, tuple(rep), size, order, els)
+                   for b in chains.level_blocks(cat, n, limits)
+                   for rep, size, order, els in zip(b.reps.tolist(), b.fiber_sizes, b.orders,
+                                                    b.elements)]
+            assert ([row[:4] for row in got]
                     == [(objs, mors, size, len(fixing))
                         for objs, mors, size, fixing in expected])
-            for o, (_, _, _, fixing) in zip(got, expected):
-                assert o.stabilizer.elements == (fixing if limits.table_limit else None)
+            for row, (_, _, _, fixing) in zip(got, expected):
+                assert row[4] == (fixing if limits.table_limit else None)
 
 
 def naive_chains(cat: FiniteCategory, n: int) -> list:

@@ -107,3 +107,27 @@ def test_no_process_wide_caches_in_the_package():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name in ("cache", "lru_cache")]
     assert found == []
+
+
+# the per-chain entry points that duplicated the engine, and the object views
+# that only the staged benchmark replay still reads
+RETIRED_NAMES = {"act", "_act_mors", "least_member", "from_morphism_ids"}
+VIEW_NAMES = {"Chain", "Orbit", "act", "enumerate_chains", "orbits", "stabilizer"}
+
+
+def test_the_retired_entry_points_stay_gone():
+    # a component is found through chains.level_blocks alone; the ladder
+    # action, per-chain stabilizers and least members live in the tests
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            name = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    else node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in RETIRED_NAMES:
+                found.append(f"{path.name}:{node.lineno} {name}")
+        found += [f"{path.name}:{node.lineno} def stabilizer" for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "stabilizer"]
+    assert found == []
+    assert VIEW_NAMES.isdisjoint(cdiag.__all__)
