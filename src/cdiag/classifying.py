@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -58,7 +57,8 @@ class Component:
 @dataclass
 class Decomposition:
     """Level ``level`` as the ``chains.TupleBlock`` of each object tuple,
-    with the (group_expr, policy) of every component, block by block."""
+    with, block by block, the {component: (group_expr, policy)} of every
+    stabilizer of order above 1; a trivial one is ("1", "isomorphism")."""
 
     category: str
     level: int
@@ -72,23 +72,28 @@ class Decomposition:
     def __len__(self):
         return sum(len(b) for b in self.blocks)
 
-    def rows(self) -> Iterator[tuple]:
-        """The report row of every component, block by block, built when
-        read.  A block's rows share one cell tuple of object ids, and its
+    def row_columns(self) -> Iterator[tuple]:
+        """The report rows of each block as columns, a block at a time,
+        built when read: (level, cell, representatives, orbit sizes, group
+        orders, group expressions, policies), the first two shared by the
+        block's rows.  The cell is the tuple of object ids, and the
         representatives' morphism ids come from ``FiniteCategory.ids_of``,
-        as the lists of ``tolist`` (tuples made from them raised the peak memory of the
-        352,705 JSON rows of ``delta:9`` level 1 by about 10 MB); at level
-        0 the representative is the cell."""
-        return itertools.chain.from_iterable(self._block_rows())
-
-    def _block_rows(self) -> Iterator[Iterator[tuple]]:
+        as its lists; at level 0 the representative is the cell."""
         for block, names in zip(self.blocks, self.names):
-            cat = block.cat
+            cat, count = block.cat, len(block)
             cell = tuple(cat.objects[x] for x in block.objs)
-            reps = itertools.repeat(cell) if self.level == 0 else cat.ids_of(block.reps)
+            reps = [cell] * count if self.level == 0 else cat.ids_of(block.reps)
             sizes = [size * block.multiplicity for size in block.fiber_sizes]
-            yield zip(itertools.repeat(self.level), itertools.repeat(cell), reps, sizes,
-                      block.orders, map(itemgetter(0), names), map(itemgetter(1), names))
+            exprs, policies = ["1"] * count, ["isomorphism"] * count
+            for k, (expr, policy) in names.items():
+                exprs[k], policies[k] = expr, policy
+            yield self.level, cell, reps, sizes, block.orders, exprs, policies
+
+    def rows(self) -> Iterator[tuple]:
+        """The report row of every component, in ``row_columns`` order."""
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat(level), itertools.repeat(cell), *columns)
+            for level, cell, *columns in self.row_columns())
 
     @cached_property
     def components(self) -> list:
@@ -98,14 +103,11 @@ class Decomposition:
 
 
 def _match_component_group(block: TupleBlock, k: int, limits: Limits, memo: GroupMemo):
-    """(group_expr, policy) for the stabilizer of component ``k``: named
-    expression by isomorphism when the order fits iso_limit, otherwise
-    order-only reporting.  Only a stabilizer that is tabled gets a
-    ``StabilizerGroup``."""
-    order = block.orders[k]
-    if order == 1:
-        return "1", "isomorphism"
-    if order <= limits.iso_limit:
+    """(group_expr, policy) for the stabilizer of component ``k``, of order
+    above 1: named expression by isomorphism when the order fits
+    iso_limit, otherwise order-only reporting.  Only a stabilizer that is
+    tabled gets a ``StabilizerGroup``."""
+    if block.orders[k] <= limits.iso_limit:
         table = block.stabilizer(k).to_cayley_table(limits.table_limit, memo)
         return memo.name(table), "isomorphism"
     return None, "order-only"
@@ -116,8 +118,8 @@ def level_decomposition(cat: FiniteCategory, n: int,
     """Level n as components (representative, class size, stabilizer)."""
     blocks = chains_mod.level_blocks(cat, n, limits)
     memo = GroupMemo(limits.iso_limit)
-    names = [[_match_component_group(b, k, limits, memo) for k in range(len(b))]
-             for b in blocks]
+    names = [{k: _match_component_group(b, k, limits, memo)
+              for k, order in enumerate(b.orders) if order > 1} for b in blocks]
     total = chain_count(cat, n)
     if sum(b.chains for b in blocks) != total:
         raise SelfCheckFailed("component sizes do not sum to the chain count")
@@ -168,11 +170,12 @@ class ClosedForm:
     table: Optional[Callable] = None
 
 
-def diff_closed_forms(report: DiffReport, blocks: list, key: Callable, forms: dict,
+def diff_closed_forms(report: DiffReport, blocks: list, keys: Callable, forms: dict,
                       limits: Limits, memo: GroupMemo) -> None:
     """Add to ``report`` every mismatch of the engine's ``blocks`` of one
     level against ``forms``, the {key: ClosedForm} of each object tuple,
-    where ``key(block, k)`` is an invariant of component k's representative.
+    where ``keys(block)`` lists an invariant of each component's
+    representative, in component order.
 
     Per tuple (a cell, named by its object indices, in ascending order) the
     engine's key multiset must equal the forms' keys.  Then, key by key, a
@@ -185,11 +188,11 @@ def diff_closed_forms(report: DiffReport, blocks: list, key: Callable, forms: di
     tables = {}
     for objs in sorted(by_objs.keys() | forms.keys()):
         block, want, cell = by_objs.get(objs), forms.get(objs, {}), ",".join(map(str, objs))
-        keys = [] if block is None else [key(block, k) for k in range(len(block))]
-        if sorted(keys) != sorted(want):
-            report.add(f"cell ({cell}): engine keys {sorted(keys)} vs closed-form keys {sorted(want)}")
+        found = [] if block is None else keys(block)
+        if sorted(found) != sorted(want):
+            report.add(f"cell ({cell}): engine keys {sorted(found)} vs closed-form keys {sorted(want)}")
             continue
-        for got, k in sorted((got, k) for k, got in enumerate(keys)):
+        for got, k in sorted((got, k) for k, got in enumerate(found)):
             form, where = want[got], f"cell ({cell}) {want[got].name}"
             report.checked += 1
             size, order = block.fiber_sizes[k] * block.multiplicity, block.orders[k]

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
 import sys
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import classifying, fincat, finset, finvect, groups
@@ -111,50 +113,97 @@ def _resolve_limits(args) -> Limits:
 
 
 # ---------------------------------------------------------------------------
-# Report assembly
+# Report writing
+
+#: The fields of a component row, in row order: the first seven fields of
+#: ``classifying.Component``, and the keys of a row object in the JSON report.
+ROW_FIELDS = ("level", "cell", "representative", "orbit_size", "group_order",
+              "group_expr", "policy")
+
+# A row object as json.dumps(report, indent=2, sort_keys=True) writes it in
+# the components list, with a hole for each field's JSON.  A cell or
+# representative is a list of at least one string, one to a line.
+_JSON_ROW = ("    {{\n" + ",\n".join(f'      "{name}": {{{name}}}' for name in sorted(ROW_FIELDS))
+             + "\n    }}")
+_LIST_OPEN, _LIST_ITEM, _LIST_CLOSE = "[\n        ", ",\n        ", "\n      ]"
+_json_string = json.encoder.encode_basestring_ascii
 
 
-def _render_text(report: dict) -> str:
-    """The text report: one line per component row, each run of rows that
-    share a cell tuple joining it once, then one line per check."""
-    lines = [f"# cdiag {report['command']}"]
-    cfg = " ".join(f"{k}={v}" for k, v in sorted(report["config"].items())
-                   if k != "limits")
-    lim = report["config"].get("limits", {})
-    lims = ",".join(f"{k}={v}" for k, v in sorted(lim.items()))
-    lines.append(f"# config: {cfg} limits[{lims}]")
-    cell = None
-    for level, row_cell, rep, size, order, expr, policy in report.get("components", []):
-        if row_cell is not cell:
-            cell, joined = row_cell, ",".join(row_cell)
-        lines.append(f"component level={level} cell=({joined}) rep=({','.join(rep)}) "
-                     f"size={size} order={order} group={'?' if expr is None else expr} "
-                     f"policy={policy}")
-    for chk in report.get("checks", []):
-        lines.append(f"check {chk['name']}: {chk['status']} ({chk['details']})")
-    lines.append("")        # the final newline, without a second copy of the text
-    return "\n".join(lines)
+# Rows written at most this many at a time: the text of a run is held
+# whole while it is written, and the largest block of delta:9 at level 1
+# has 92,378 rows, about 21 MB of JSON.
+_PIECE_ROWS = 4096
 
 
-def _json_pieces(report: dict) -> Iterator[str]:
-    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, each
-    component row an object keyed by its field names, in pieces of a few
-    thousand encoder tokens, so that the text of a large report is never
-    held whole beside its rows."""
-    # a dict display: dict(zip(names, row)) took 0.2-0.3 s longer on the
-    # 352,705 rows of delta:9 level 1
-    report = dict(report, components=[
-        {"level": level, "cell": cell, "representative": rep, "orbit_size": size,
-         "group_order": order, "group_expr": expr, "policy": policy}
-        for level, cell, rep, size, order, expr, policy in report.get("components", [])])
-    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-    while piece := "".join(itertools.islice(tokens, 4096)):
-        yield piece
-    yield "\n"
+def _runs(blocks) -> Iterator[tuple]:
+    """(level, cell, (size, order, group_expr, policy), representatives)
+    of each run of at most ``_PIECE_ROWS`` rows of one block that share all
+    but their representatives, read from ``blocks`` a block at a time.  A
+    block is its rows' columns: (level, cell, representatives, sizes,
+    orders, group_exprs, policies), the first two shared by its rows."""
+    for level, cell, reps, *columns in blocks:
+        if all(col.count(col[0]) == len(col) for col in columns):     # as every trivial block
+            runs = [(tuple(col[0] for col in columns), len(reps))]
+        else:
+            runs = ((same, len(list(run))) for same, run in itertools.groupby(zip(*columns)))
+        start = 0
+        for same, count in runs:
+            for lo in range(start, start + count, _PIECE_ROWS):
+                yield level, cell, same, reps[lo:min(lo + _PIECE_ROWS, start + count)]
+            start += count
 
 
-def _emit(report: dict, args) -> None:
-    pieces = _json_pieces(report) if args.format == "json" else [_render_text(report)]
+def _text_pieces(report: dict, blocks) -> Iterator[str]:
+    cfg = " ".join(f"{k}={v}" for k, v in sorted(report["config"].items()) if k != "limits")
+    lims = ",".join(f"{k}={v}" for k, v in sorted(report["config"]["limits"].items()))
+    yield f"# cdiag {report['command']}\n# config: {cfg} limits[{lims}]\n"
+    for level, cell, (size, order, expr, policy), reps in _runs(blocks):
+        head = f"component level={level} cell=({','.join(cell)}) rep=("
+        tail = (f") size={size} order={order} group={'?' if expr is None else expr} "
+                f"policy={policy}\n")
+        yield head + (tail + head).join(map(",".join, reps)) + tail
+    yield "".join(f"check {c['name']}: {c['status']} ({c['details']})\n" for c in report["checks"])
+
+
+def _json_pieces(report: dict, blocks) -> Iterator[str]:
+    # the envelope without rows, opened where the rows go
+    head, _, tail = json.dumps(dict(report, components=[]), indent=2,
+                               sort_keys=True).partition('\n  "components": []')
+    yield head + '\n  "components": ['
+    sep = "\n"
+    for level, cell, (size, order, expr, policy), reps in _runs(blocks):
+        row = _JSON_ROW.format_map(dict(zip(ROW_FIELDS, (
+            level, _LIST_OPEN + _LIST_ITEM.join(map(_json_string, cell)) + _LIST_CLOSE,
+            _LIST_OPEN + "\0" + _LIST_CLOSE, size, order,
+            "null" if expr is None else _json_string(expr), _json_string(policy)))))
+        # an encoded string holds no NUL: the one NUL is where a row's ids go
+        before, after = row.split("\0")
+        ids = map(_LIST_ITEM.join, map(functools.partial(map, _json_string), reps))
+        yield sep + before + (after + ",\n" + before).join(ids) + after
+        sep = ",\n"
+    yield ("]" if sep == "\n" else "\n  ]") + tail + "\n"
+
+
+def report_pieces(report: dict, blocks, fmt: str) -> Iterator[str]:
+    """The report in ``fmt`` ("text" or "json"), in pieces: its command,
+    config and checks around the component rows of ``blocks`` (see
+    ``_runs``), written a run of rows at a time as blocks are read.  Text
+    is one line per row, then one per check; JSON is
+    ``json.dumps(report, indent=2, sort_keys=True)`` of the report with the
+    rows as objects keyed by ``ROW_FIELDS``, and a newline."""
+    return (_json_pieces if fmt == "json" else _text_pieces)(report, blocks)
+
+
+def _row_blocks(rows) -> Iterator[tuple]:
+    """Component rows as blocks of columns, one per run of rows on one
+    level and cell."""
+    for _, run in itertools.groupby(rows, itemgetter(0, 1)):
+        level, cell, *columns = zip(*run)
+        yield level[0], cell[0], *columns
+
+
+def _emit(report: dict, blocks, args) -> None:
+    pieces = report_pieces(report, blocks, args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -167,22 +216,19 @@ def _check(name, ok, details):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers; each returns (exit code, report dict)
+# Command handlers; each returns (exit code, checks, component row blocks)
 
 
 def _cmd_decompose(args, limits):
     cat = _load_category(args)
     dec = classifying.level_decomposition(cat, args.level, limits)
     ok = all(b.check_orbit_stabilizer() for b in dec.blocks)
-    report = {
-        "components": dec.rows(),
-        "checks": [
-            _check("orbit-stabilizer", ok, "identity verified on every component"),
-            _check("size-sum", True,
-                   f"{sum(b.chains for b in dec.blocks)} chains at level {args.level}"),
-        ],
-    }
-    return (0 if ok else MISMATCH), report
+    checks = [
+        _check("orbit-stabilizer", ok, "identity verified on every component"),
+        _check("size-sum", True,
+               f"{sum(b.chains for b in dec.blocks)} chains at level {args.level}"),
+    ]
+    return (0 if ok else MISMATCH), checks, dec.row_columns()
 
 
 def _cmd_segal(args, limits):
@@ -190,9 +236,7 @@ def _cmd_segal(args, limits):
     rep = classifying.segal_check(cat, args.level, limits)
     details = (f"{rep.chain_count} = {rep.fiber_product_count}, bijection "
                + ("verified" if rep.bijection_ok else "FAILED"))
-    report = {"components": [],
-              "checks": [_check(f"segal-{args.level}", rep.ok, details)]}
-    return (0 if rep.ok else MISMATCH), report
+    return (0 if rep.ok else MISMATCH), [_check(f"segal-{args.level}", rep.ok, details)], ()
 
 
 def _cmd_complete(args, limits):
@@ -202,9 +246,7 @@ def _cmd_complete(args, limits):
                f"aut orders {list(rep.aut_order_multisets[0])} vs "
                f"{list(rep.aut_order_multisets[1])}; policy: {rep.policy}"
                + ("" if rep.verdict else f"; {rep.detail}"))
-    report = {"components": [],
-              "checks": [_check("completeness", rep.verdict, details)]}
-    return (0 if rep.verdict else MISMATCH), report
+    return (0 if rep.verdict else MISMATCH), [_check("completeness", rep.verdict, details)], ()
 
 
 def _cmd_discrete(args, limits):
@@ -212,22 +254,16 @@ def _cmd_discrete(args, limits):
     rep = classifying.is_discrete_classifying(cat, args.truncation, limits)
     rows = "; ".join(f"level {n}: {k} components, flat={flat}"
                      for n, k, flat in rep.levels)
-    report = {"components": [],
-              "checks": [
-                  _check("discrete", rep.consistent,
-                         f"verdict={rep.discrete}; {rows}")]}
-    return (0 if rep.consistent else MISMATCH), report
+    checks = [_check("discrete", rep.consistent, f"verdict={rep.discrete}; {rows}")]
+    return (0 if rep.consistent else MISMATCH), checks, ()
 
 
 def _cmd_nerve(args, limits):
     cat = _load_category(args)
     t = classifying.nerve_truncation(cat, args.truncation, limits)
     ok = t.check_simplicial_identities()
-    report = {"components": [],
-              "checks": [
-                  _check("simplicial-identities", ok,
-                         f"level sizes {t.level_sizes}")]}
-    return (0 if ok else MISMATCH), report
+    checks = [_check("simplicial-identities", ok, f"level sizes {t.level_sizes}")]
+    return (0 if ok else MISMATCH), checks, ()
 
 
 def _cmd_finset(args, limits):
@@ -266,10 +302,11 @@ def _cmd_oracle_diff(args, limits):
 
 
 def _diff_report(rows: list, diffs: list) -> tuple:
-    """(exit code, report) of the component ``rows`` and one check per
-    (name, ``classifying.DiffReport``): 1 unless every diff passes."""
+    """(exit code, checks, row blocks) of the component ``rows`` and one
+    check per (name, ``classifying.DiffReport``): 1 unless every diff
+    passes."""
     code = 0 if all(d.ok for _, d in diffs) else MISMATCH
-    return code, {"components": rows, "checks": [_check(n, d.ok, d.summary()) for n, d in diffs]}
+    return code, [_check(n, d.ok, d.summary()) for n, d in diffs], _row_blocks(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +415,9 @@ def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         limits = _resolve_limits(args)
-        code, body = args.handler(args, limits)
-        report = {"command": args.command, "config": _config_dict(args, limits)}
-        report.update(body)
-        _emit(report, args)
+        code, checks, blocks = args.handler(args, limits)
+        report = {"command": args.command, "config": _config_dict(args, limits), "checks": checks}
+        _emit(report, blocks, args)
     except SelfCheckFailed as exc:
         sys.stderr.write(f"cdiag: self-check failed: {exc}\n")
         return MISMATCH

@@ -291,6 +291,11 @@ class FiniteCategory:
         ids[:] = self._made(rows, self._codec.ids)
         return ids.reshape(rows.shape).tolist()
 
+    def decoded(self, si: int, di: int, indices: np.ndarray) -> np.ndarray:
+        """The stack that ``codec.decode`` makes of the morphism indices
+        ``indices`` of Hom(si, di) in a coded category, in one call."""
+        return self._codec.decode(si, di, self._codes[indices])
+
     def source(self, mor_id: str) -> str:
         return self.objects[self.src[self.mor_index(mor_id)]]
 

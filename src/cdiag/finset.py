@@ -292,18 +292,23 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
     skel = finset_skeleton(max_card, variant)
     report = DiffReport(subject=f"finset max={max_card} variant={variant}")
 
-    def profile(block, k):
-        _, m, values = skel.payload(block.reps[k, 0])
-        return profile_of(values, m).k
+    def profiles(block):
+        # object c of the skeleton is the set {0, ..., c-1}, at index c
+        n, m = block.objs
+        values = skel.decoded(n, m, block.reps[:, 0]).astype(np.intp)
+        rows = np.arange(len(values))[:, None]
+        fibers = np.bincount((rows * m + values).ravel(), minlength=len(values) * m)
+        k = np.bincount((rows * (n + 1) + fibers.reshape(len(values), m)).ravel(),
+                        minlength=len(values) * (n + 1))
+        return list(map(tuple, k.reshape(len(values), n + 1).tolist()))
 
     def form(p):
         expr = p.group_expr(variant)
         return ClosedForm(f"profile {p.k}", expr.order(), text=expr.text(),
                           table=functools.partial(materialize, expr))
 
-    # object c of the skeleton is the set {0, ..., c-1}, at index c
     forms = {(n, m): {p.k: form(p) for p in enumerate_profiles(n, m, variant)}
              for n in range(max_card + 1) for m in range(max_card + 1)}
-    diff_closed_forms(report, chains_mod.level_blocks(skel, 1, limits), profile, forms,
+    diff_closed_forms(report, chains_mod.level_blocks(skel, 1, limits), profiles, forms,
                       limits, GroupMemo(limits.iso_limit))
     return report

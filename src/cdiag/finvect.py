@@ -493,19 +493,19 @@ def oracle_diff_vect(max_dim: int, q: int, limits: Limits = DEFAULT_LIMITS,
     if cells is None:
         cells = rank_cells(max_dim, q)
 
-    def rank(block, k):
-        return modp.rank(skel.payload(block.reps[k, 0])[2], q)
-
-    # object d of the skeleton is F^d, at index d
+    # object d of the skeleton is F^d, at index d; each block is ranked once
+    ranks = {b.objs: [modp.rank(a, q) for a in skel.decoded(*b.objs, b.reps[:, 0]).tolist()]
+             for b in blocks}
     forms = {nm: {c.rank: ClosedForm(f"rank {c.rank}", c.stabilizer_order, c.class_size,
                                      c.expr_text, None if c.case is None else c.case.table)
                   for c in cell.classes}
              for nm, cell in cells.items()}
-    diff_closed_forms(report, blocks, rank, forms, limits, GroupMemo(limits.iso_limit))
+    diff_closed_forms(report, blocks, lambda b: ranks[b.objs], forms, limits,
+                      GroupMemo(limits.iso_limit))
 
     # transpose duality of component multisets
-    found = {b.objs: sorted((rank(b, k), size * b.multiplicity, order)
-                            for k, (size, order) in enumerate(zip(b.fiber_sizes, b.orders)))
+    found = {b.objs: sorted(zip(ranks[b.objs], [size * b.multiplicity for size in b.fiber_sizes],
+                                b.orders))
              for b in blocks}
     for n in range(max_dim + 1):
         for m in range(n + 1, max_dim + 1):

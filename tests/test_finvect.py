@@ -316,6 +316,24 @@ def test_oracle_diff_small_q(q):
     assert rep.checked == 14
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_oracle_keys_are_the_ranks_of_the_representatives(q, monkeypatch):
+    # one rank per component, read from one decode of its block
+    seen = []
+    compare = finvect.diff_closed_forms
+
+    def spy(report, blocks, keys, *rest):
+        seen.extend((b, keys(b)) for b in blocks)
+        return compare(report, blocks, keys, *rest)
+
+    monkeypatch.setattr(finvect, "diff_closed_forms", spy)
+    assert oracle_diff_vect(2, q).ok
+    skel = vect_skeleton(2, q)
+    assert len(seen) == 9 and any(len(set(keys)) > 1 for _, keys in seen)
+    for block, keys in seen:
+        assert keys == [modp.rank(skel.payload(f)[2], q) for f in block.reps[:, 0]]
+
+
 def test_oracle_diff_component_count_q2():
     rep = oracle_diff_vect(2, 2)
     assert rep.checked == sum(min(n, m) + 1 for n in range(3) for m in range(3))
