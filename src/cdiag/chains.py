@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -166,15 +167,7 @@ class StabilizerGroup:
         ones, which alone are tabled, once per command through a ``memo``;
         the listing is closed exactly when they are and each phi is a hom,
         checked on the table's generators g as phi(x*g) = phi(x)*phi(g)."""
-        if self.order > table_limit:
-            raise table_refusal(self.order, table_limit)
-        if self.elements is None:
-            raise ClosureLimitExceeded(table_limit, self.order, (
-                f"stabilizer of order {self.order} kept no listed elements: "
-                f"it was found under a smaller table_limit"))
-        els = np.array(self.elements, dtype=np.int64).reshape(len(self.elements), len(self.objs))
-        ranks = np.stack([np.searchsorted(self.cat.aut_idx(x), els[:, i])
-                          for i, x in enumerate(self.objs)], axis=1)
+        ranks = self._ranks(table_limit)
         ranks = ranks[np.lexsort(ranks.T[::-1])]
         kept, dropped, run_starts = [], [], np.zeros(len(ranks) - 1, dtype=bool)
         for i in range(len(self.objs)):
@@ -201,6 +194,59 @@ class StabilizerGroup:
             where = _chain_name(self.cat, self.objs, self.mors)
             raise SelfCheckFailed(f"listed stabilizer of {where}: {exc}") from exc
         return table
+
+    def _ranks(self, table_limit: int) -> np.ndarray:
+        """The listed elements as rows of Aut(x_i) ranks, in listed order.
+        Raises ClosureLimitExceeded when the order exceeds ``table_limit``
+        or no elements were kept."""
+        if self.order > table_limit:
+            raise table_refusal(self.order, table_limit)
+        if self.elements is None:
+            raise ClosureLimitExceeded(table_limit, self.order, (
+                f"stabilizer of order {self.order} kept no listed elements: "
+                f"it was found under a smaller table_limit"))
+        shape = (len(self.elements), len(self.objs))
+        els = np.fromiter(itertools.chain.from_iterable(self.elements), dtype=np.int64,
+                          count=shape[0] * shape[1]).reshape(shape)
+        return np.stack([np.searchsorted(self.cat.aut_idx(x), els[:, i])
+                         for i, x in enumerate(self.objs)], axis=1)
+
+    def map_failure(self, iso: Callable, table: CayleyTable, memo: GroupMemo) -> str:
+        """"" when the explicit map ``iso(self, ranks)`` is an isomorphism
+        of the listing onto ``table``, else what fails, phrased to be
+        followed by the table's name.  ``ranks`` are the listed elements as
+        rows of Aut(x_i) ranks, and the map gives the index in ``table`` of
+        each one's image, in listed order, or None when it has none.
+        Listed elements multiply coordinate-wise in the Cayley tables of
+        the Aut(x_i) (``FiniteCategory.aut_table``), each checked once per
+        command through ``memo``, so the product is associative.
+
+        phi must be one-to-one onto the table and take the identity tuple
+        to its identity, and for each generator g of the table
+        (``generating_sequence``) and every listed x, x * phi^-1(g) must be
+        the listed phi^-1(phi(x) * g).  Then the listing is the subgroup
+        that the phi^-1(g) generate, and phi a homomorphism onto the
+        table."""
+        ranks = self._ranks(table.n)
+        phi = iso(self, ranks)
+        if phi is None:
+            return "no explicit map onto"
+        auts = [memo.once(("aut", self.cat, x), lambda x=x: memo.table(self.cat.aut_table(x)))
+                for x in self.objs]
+        preimage = np.full(table.n, -1, dtype=np.intp)
+        if len(phi) == table.n and phi.min() >= 0 and phi.max() < table.n:
+            preimage[phi] = np.arange(table.n)
+        if preimage.min() < 0:
+            return "explicit map is not one-to-one onto"
+        if ranks[preimage[table.identity]].tolist() != [a.identity for a in auts]:
+            return "explicit map does not take the identity tuple to the identity of"
+        gens = np.array(table.generating_sequence()[0], dtype=np.intp)
+        want = ranks[preimage[table.table[phi[:, None], gens]]]       # x, generator, coordinate
+        by = ranks[preimage[gens]]
+        for i, a in enumerate(auts):
+            if not np.array_equal(a.table[ranks[:, i, None], by[:, i]], want[:, :, i]):
+                return "explicit map is not a homomorphism onto"
+        return ""
 
 
 def _chain_name(cat: FiniteCategory, objs, mors) -> str:
@@ -468,8 +514,9 @@ class TupleBlock:
         return sum(self.fiber_sizes) * self.multiplicity
 
     def check_orbit_stabilizer(self) -> bool:
-        return all(size * order == self.ambient_order
-                   for size, order in zip(self.fiber_sizes, self.orders))
+        """Every component's fibre size times its stabilizer order is the
+        ambient order, compared a block at a time in exact integers."""
+        return set(map(operator.mul, self.fiber_sizes, self.orders)) <= {self.ambient_order}
 
     def stabilizer(self, k: int) -> StabilizerGroup:
         return StabilizerGroup(self.cat, self.objs, tuple(self.reps[k].tolist()),

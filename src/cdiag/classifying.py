@@ -161,13 +161,16 @@ class ClosedForm:
     messages, its stabilizer ``order``, its chain count ``size`` (None when
     the family does not derive it apart from the engine), and the printed
     group ``text`` with ``table(table_limit, memo)``, its Cayley table
-    (both None when the form names no group)."""
+    (both None when the form names no group).  ``iso``, when the family
+    gives one, is an explicit map of a listed stabilizer onto that table,
+    as ``StabilizerGroup.map_failure`` takes it."""
 
     name: str
     order: int
     size: Optional[int] = None
     text: Optional[str] = None
     table: Optional[Callable] = None
+    iso: Optional[Callable] = None
 
 
 def diff_closed_forms(report: DiffReport, blocks: list, keys: Callable, forms: dict,
@@ -181,9 +184,11 @@ def diff_closed_forms(report: DiffReport, blocks: list, keys: Callable, forms: d
     engine's key multiset must equal the forms' keys.  Then, key by key, a
     component's chain count must be the form's size when it gives one, its
     stabilizer order the form's order, and a stabilizer of order 2 to
-    iso_limit isomorphic to the form's group, each text tabled once.  Each
-    policy is kept under (tuple, key): "isomorphism" when the form names a
-    group within iso_limit, else "order-only"."""
+    iso_limit isomorphic to the form's group, each text tabled once: by the
+    form's explicit map when it has one (``StabilizerGroup.map_failure``),
+    else by tabling the stabilizer and an isomorphism search.  Each policy
+    is kept under (tuple, key): "isomorphism" when the form names a group
+    within iso_limit, else "order-only"."""
     by_objs = {b.objs: b for b in blocks}
     tables = {}
     for objs in sorted(by_objs.keys() | forms.keys()):
@@ -207,9 +212,15 @@ def diff_closed_forms(report: DiffReport, blocks: list, keys: Callable, forms: d
             if tested and order > 1:        # groups of order 1 are isomorphic
                 if form.text not in tables:
                     tables[form.text] = form.table(limits.table_limit, memo)
-                stab = block.stabilizer(k).to_cayley_table(limits.table_limit, memo)
-                if memo.isomorphic(stab, tables[form.text]) is not True:
-                    report.add(f"{where}: stabilizer is not isomorphic to {form.text}")
+                stab, table = block.stabilizer(k), tables[form.text]
+                if form.iso is not None:
+                    failure = stab.map_failure(form.iso, table, memo)
+                elif memo.isomorphic(stab.to_cayley_table(limits.table_limit, memo), table):
+                    failure = ""
+                else:
+                    failure = "stabilizer is not isomorphic to"
+                if failure:
+                    report.add(f"{where}: {failure} {form.text}")
 
 
 # ---------------------------------------------------------------------------

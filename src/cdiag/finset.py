@@ -10,7 +10,11 @@ of the classifying diagram decomposes into one component per solution of
 
 ``level1_closed_form`` is the one source of the level-1 groups that
 ``finset`` prints, in all three variants, and ``oracle_diff_finset`` checks
-each printed group against the generic chain engine.
+each printed group against the generic chain engine by an explicit map:
+each listed stabilizer element goes to its fibre-wise wreath coordinates
+in the printed group (``_fibre_map``), and the map must be an isomorphism
+(``StabilizerGroup.map_failure``).  No stabilizer is tabled and no
+isomorphism is searched for, as they are for the rank forms of finvect.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import numpy as np
 from . import chains as chains_mod
 from .classifying import ClosedForm, Component, DiffReport, diff_closed_forms
 from .fincat import CategoryError, FiniteCategory
-from .groups import (GroupExpr, GroupMemo, Product, Symmetric, Trivial, Wreath, _strides,
-                     materialize, radix_codes)
+from .groups import (GroupExpr, GroupMemo, Product, Symmetric, Trivial, Wreath, _permutations,
+                     _strides, materialize, radix_codes)
 from .limits import DEFAULT_LIMITS, Limits
 
 DEFAULT_MAX_CARD = 6
@@ -287,7 +291,8 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
     orbits and stabilizers of the (restricted) skeleton at level 1, through
     ``classifying.diff_closed_forms``: each orbit is keyed by the fiber
     profile of its representative, and each profile's form is the printed
-    group (``FiberProfile.group_expr``) and its order.
+    group (``FiberProfile.group_expr``), its order and its explicit map
+    (``_fibre_map``), all under one ``GroupMemo``.
     """
     skel = finset_skeleton(max_card, variant)
     report = DiffReport(subject=f"finset max={max_card} variant={variant}")
@@ -302,13 +307,119 @@ def oracle_diff_finset(max_card: int, variant: str = "all",
                         minlength=len(values) * (n + 1))
         return list(map(tuple, k.reshape(len(values), n + 1).tolist()))
 
+    memo = GroupMemo(limits.iso_limit)
+
     def form(p):
         expr = p.group_expr(variant)
         return ClosedForm(f"profile {p.k}", expr.order(), text=expr.text(),
-                          table=functools.partial(materialize, expr))
+                          table=functools.partial(materialize, expr),
+                          iso=functools.partial(_fibre_map, skel, _factor_sizes(p.k, expr), memo))
 
     forms = {(n, m): {p.k: form(p) for p in enumerate_profiles(n, m, variant)}
              for n in range(max_card + 1) for m in range(max_card + 1)}
     diff_closed_forms(report, chains_mod.level_blocks(skel, 1, limits), profiles, forms,
-                      limits, GroupMemo(limits.iso_limit))
+                      limits, memo)
     return report
+
+
+def _factor_sizes(k: tuple, expr: GroupExpr):
+    """(i, k_i) for the fibre size i whose values each factor of the
+    printed group ``expr`` permutes, in factor order, or None when the
+    factors are not the fibre sizes' groups in turn.  The fibre sizes i
+    with k_i > 0 are walked ascending: S_i wr S_{k_i} is that of i, and
+    S_{k_i} that of i < 2; a lone value of a fibre size below 2, whose
+    group is trivial, may print no factor."""
+    factors = (list(expr.factors) if isinstance(expr, Product)
+               else [] if isinstance(expr, Trivial) else [expr])
+    sizes = []
+    for i, v in enumerate(k):
+        if v == 0:
+            continue
+        f = factors[len(sizes)] if len(sizes) < len(factors) else None
+        if (isinstance(f, Wreath) and isinstance(f.base, Symmetric) and (f.base.n, f.k) == (i, v)
+                or isinstance(f, Symmetric) and i < 2 and f.n == v):
+            sizes.append((i, v))
+        elif v > 1 or i > 1:
+            return None
+    return sizes if len(sizes) == len(factors) else None
+
+
+def _fibre_map(skel: FiniteCategory, sizes, memo: GroupMemo, stab, ranks: np.ndarray):
+    """The explicit map of the level-1 stabilizer ``stab`` of ``skel``,
+    listed as the rows of Aut ranks ``ranks``, onto the table of its
+    printed group, whose factors permute the k_i values of the fibre sizes
+    i of ``sizes`` (``_factor_sizes``), or None when ``sizes`` is None.
+
+    A listed (a, b), a permutation of the source and one of the target,
+    fixes the function f exactly when b f = f a; one that does not maps to
+    -1.  Otherwise b permutes the values of each fibre size i, by sigma on
+    their positions (ascending), and a sends the fibre of the p-th value
+    onto that of the sigma(p)-th.  The base coordinate of the j-th value is
+    a restricted to a fibre as an element of S_i, indexed by its target:
+    the position in fibre j (members ascending) of the image of the s-th
+    member of fibre sigma^-1(j), for each s.  So (f, sigma)(g, tau) =
+    (h, sigma tau) with h_j = f_j g_{sigma^-1(j)}, as ``_wreath_table``
+    multiplies.  A factor's coordinate is coded as ``_wreath_table``
+    numbers base^v x| S_v, the base coordinates in lexicographic mixed
+    radix over S_i and then sigma, each permutation ranked as
+    ``_symmetric_table`` orders its group; the factors' codes combine in
+    mixed radix, the first most significant, as ``_direct_product_table``
+    numbers a product."""
+    if sizes is None:
+        return None
+    n, m = stab.objs
+    values = skel.decoded(n, m, np.array(stab.mors))[0].tolist()
+    a, b = (memo.once(("permutations", skel, x),
+                      lambda x=x: skel.decoded(x, x, np.array(skel.aut_idx(x))))[ranks[:, i]]
+            for i, x in enumerate(stab.objs))
+    fixes = (np.array(values, dtype=np.intp)[a] == b[:, values]).all(axis=1)
+    if not fixes.all():
+        a[~fixes], b[~fixes] = np.arange(n), np.arange(m)
+    # the values by fibre size, then ascending, and the members of their
+    # fibres in that order, each fibre ascending
+    fibres = [[] for _ in range(m)]
+    for x, w in enumerate(values):
+        fibres[w].append(x)
+    by_size = sorted(range(m), key=lambda w: len(fibres[w]))
+    first, at, place, members = {}, [0] * m, [0] * n, []
+    for j, w in enumerate(by_size):
+        # a fibre size's first value among by_size and first member among members
+        at[w] = j - first.setdefault(len(fibres[w]), (j, len(members)))[0]
+        for s, x in enumerate(fibres[w]):
+            place[x] = s
+        members += fibres[w]
+    moved = np.array(at, dtype=np.intp)[b[:, by_size]]             # sigma of every fibre size
+    images = np.array(place, dtype=np.intp)[a[:, members]]         # base rows, by source
+    codes = np.zeros(len(ranks), dtype=np.int64)
+    for i, v in sizes:
+        j, x = first[i]
+        sigma = moved[:, j:j + v]
+        digit = _permutation_ranks(sigma, memo)
+        if i > 1:
+            base = _by_target(images[:, x:x + i * v].reshape(len(ranks), v, i), sigma)
+            digit += (_permutation_ranks(base.reshape(-1, i), memo).reshape(len(ranks), v)
+                      @ _strides([factorial(i)] * v) * factorial(v))
+        codes = codes * (factorial(i) ** v * factorial(v)) + digit
+    return np.where(fixes, codes, -1)
+
+
+def _by_target(base: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The base coordinates base[r, p] of the fibre of the p-th value,
+    row by row, indexed instead by their target fibre sigma[r, p]."""
+    return base[np.arange(len(base))[:, None], np.argsort(sigma, axis=1)]
+
+
+def _permutation_ranks(rows: np.ndarray, memo: GroupMemo) -> np.ndarray:
+    """The position of each row, a permutation of its length s, among the
+    permutations of s in lexicographic order, the order of
+    ``_symmetric_table``: one lookup of its base-s code in an array of all
+    s^s codes, built once per command."""
+    def lookup():
+        place = _strides([s] * s)
+        out = np.full(s ** s, -1, dtype=np.int64)
+        out[_permutations(s) @ place] = np.arange(factorial(s))
+        return place, out
+
+    s = rows.shape[1]
+    place, ranks = memo.once(("permutation ranks", s), lookup)
+    return ranks[rows @ place]

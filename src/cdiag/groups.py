@@ -207,10 +207,12 @@ def table_in_product(tables: list, coords, label: str = "",
 
 def table_by_codes(codes, identity: int, left_codes, label: str = "",
                    memo: Optional["GroupMemo"] = None) -> CayleyTable:
-    """``coded_table`` checked as a CayleyTable; with a ``memo`` the table
-    is checked once per distinct array."""
-    table = coded_table(codes, identity, left_codes)
-    return CayleyTable(table, label=label) if memo is None else memo.table(table, label)
+    """``coded_table`` checked as a CayleyTable, handed the identity's row
+    that the build located; with a ``memo`` the table is checked once per
+    distinct array."""
+    table, root = _coded_table(codes, identity, left_codes)
+    return (CayleyTable(table, identity=root, label=label) if memo is None
+            else memo.table(table, label, identity=root))
 
 
 def coded_table(codes, identity: int, left_codes) -> np.ndarray:
@@ -225,6 +227,11 @@ def coded_table(codes, identity: int, left_codes) -> np.ndarray:
     reaches every element, so a product outside the set shows in a
     generator column and raises GroupError, as a missing identity does.
     """
+    return _coded_table(codes, identity, left_codes)[0]
+
+
+def _coded_table(codes, identity: int, left_codes) -> tuple:
+    """(``coded_table``, the index of the identity's row)."""
     find = code_finder(codes)
 
     def locate(found):
@@ -233,10 +240,9 @@ def coded_table(codes, identity: int, left_codes) -> np.ndarray:
             raise GroupError("element set is not closed under the product")
         return at
 
-    n = len(codes)
-    _, levels, columns = closure_columns(n, lambda g: locate(left_codes(g)),
-                                         int(locate(np.array([identity]))[0]))
-    return word_rows(word_levels(levels), columns, np.arange(n, dtype=columns.dtype))
+    n, root = len(codes), int(locate(np.array([identity]))[0])
+    _, levels, columns = closure_columns(n, lambda g: locate(left_codes(g)), root)
+    return word_rows(word_levels(levels), columns, np.arange(n, dtype=columns.dtype)), root
 
 
 # A breadth-first level of at least _GATHER_MIN words is filled by gathers
@@ -816,10 +822,13 @@ class GroupMemo:
             self._done[key] = compute()
         return self._done[key]
 
-    def table(self, table: np.ndarray, label: str = "") -> CayleyTable:
-        """``CayleyTable(table)``, checked on the first sight of the array
-        only; a later ``label`` for the same array is dropped."""
-        return self.once(("table", _table_key(table)), lambda: CayleyTable(table, label=label))
+    def table(self, table: np.ndarray, label: str = "",
+              identity: Optional[int] = None) -> CayleyTable:
+        """``CayleyTable(table, identity)``, checked on the first sight of
+        the array only; a later ``label`` or ``identity`` for the same array
+        is dropped: a table has one identity, and the first is checked."""
+        return self.once(("table", _table_key(table)),
+                         lambda: CayleyTable(table, identity=identity, label=label))
 
     def expr_table(self, expr: GroupExpr) -> np.ndarray:
         """``_expr_table(expr)``, built once per expression text."""

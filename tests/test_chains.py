@@ -215,6 +215,17 @@ def test_orbit_stabilizer_identity_every_orbit(s3_category):
             assert o.check_orbit_stabilizer(), (cat.name, n, o.rep)
 
 
+def test_block_orbit_stabilizer_check_fails_on_one_spoiled_component():
+    blocks = chains.level_blocks(finset.finset_skeleton(3), 1)
+    assert all(b.check_orbit_stabilizer() for b in blocks)
+    block = max(blocks, key=len)
+    for k in (0, len(block) - 1):
+        spoiled = dataclasses.replace(block, orders=list(block.orders))
+        spoiled.orders[k] += 1
+        assert not spoiled.check_orbit_stabilizer()
+    assert dataclasses.replace(block, fiber_sizes=[], orders=[]).check_orbit_stabilizer()
+
+
 def test_orbits_independent_of_enumeration_order():
     for cat, n in [(finset.finset_skeleton(2), 1), (fincat.ordinal(2), 2),
                    (finvect.vect_skeleton(1, 3), 1)]:

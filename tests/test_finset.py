@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from cdiag import finset, groups
+from cdiag import chains, finset, finvect, groups
 from cdiag.fincat import CategoryError
 from cdiag.cli import run
 from cdiag.finset import (FiberProfile, closed_form_level0, enumerate_profiles,
@@ -258,7 +258,7 @@ def test_oracle_checks_the_printed_form(variant, monkeypatch, capsys):
 
     monkeypatch.setattr(FiberProfile, "group_expr", swapped)
     profiles = {"inj": [(3,), (3, 1), (0, 3, 0, 0), (1, 3, 0, 0)], "surj": [(0, 3, 0, 0)]}
-    want = [f"cell ({len(k) - 1},{sum(k)}) profile {k}: stabilizer is not isomorphic to U(7)"
+    want = [f"cell ({len(k) - 1},{sum(k)}) profile {k}: no explicit map onto U(7)"
             for k in profiles[variant]]
     assert oracle_diff_finset(4, variant).mismatches == want
     # the check line of both commands names every failing profile, in text and JSON
@@ -272,21 +272,117 @@ def test_oracle_checks_the_printed_form(variant, monkeypatch, capsys):
         assert check["status"] == "fail" and check["details"].endswith(named)
 
 
+def named_mismatches(report):
+    """The cell and profile that each mismatch of ``report`` names."""
+    return [msg.split(": ")[0] for msg in report.mismatches]
+
+
+def names_of(max_card, variant, keep):
+    """"cell (n,m) profile k" of every profile that ``keep`` keeps, in the
+    order of the report: cell by cell, then by profile."""
+    return [f"cell ({n},{m}) profile {p.k}" for n in range(max_card + 1)
+            for m in range(max_card + 1) for p in enumerate_profiles(n, m, variant) if keep(p)]
+
+
 @pytest.mark.parametrize("variant", ["all", "inj", "surj"])
-def test_oracle_verdicts_equal_fresh_isomorphism_tests(variant, monkeypatch):
+def test_oracle_refuses_a_transposed_map(variant, monkeypatch):
+    # with two images swapped the map is still one-to-one, but above order
+    # 4 no homomorphism: the n - 2 elements it keeps would be a subgroup
+    # of more than half the order
+    fibre_map = finset._fibre_map
+
+    def transposed(*args):
+        phi = fibre_map(*args)
+        if len(phi) > 4:
+            phi[[1, 2]] = phi[[2, 1]]
+        return phi
+
+    monkeypatch.setattr(finset, "_fibre_map", transposed)
+    report = oracle_diff_finset(4, variant)
+    want = names_of(4, variant, lambda p: p.group_order() > 4)
+    assert want and named_mismatches(report) == want
+    assert all(": explicit map is not a homomorphism onto " in msg for msg in report.mismatches)
+
+
+@pytest.mark.parametrize("variant", ["all", "surj"])
+def test_oracle_refuses_base_coordinates_indexed_by_source(variant, monkeypatch):
+    # (f, sigma)(g, tau) has h_j = f_j g_{sigma^-1(j)} only when f_j is the
+    # restriction of a onto fibre j; indexed by its source fibre instead,
+    # the map fails on every S_i wr S_v with i, v >= 2
+    monkeypatch.setattr(finset, "_by_target", lambda base, sigma: base)
+    report = oracle_diff_finset(4, variant)
+    want = names_of(4, variant, lambda p: any(v > 1 for v in p.k[2:]))
+    assert want and named_mismatches(report) == want
+
+
+@pytest.mark.parametrize("variant", ["all", "inj", "surj"])
+def test_oracle_refuses_a_listed_non_member(variant, monkeypatch):
+    # the last listed element of every tested stabilizer that is not all of
+    # Aut(n) x Aut(m) is replaced by the least ambient element outside the
+    # listing, so none is the stabilizer
+    compare = finset.diff_closed_forms
+
+    def spoiled(report, blocks, *rest):
+        for b in blocks:
+            for k, order in enumerate(b.orders):
+                if 1 < order < b.ambient_order:
+                    listed = set(b.elements[k])
+                    outside = next(pair for pair in itertools.product(
+                        *(b.cat.aut_idx(x) for x in b.objs)) if pair not in listed)
+                    b.elements[k] = b.elements[k][:-1] + [outside]
+        return compare(report, blocks, *rest)
+
+    monkeypatch.setattr(finset, "diff_closed_forms", spoiled)
+    report = oracle_diff_finset(4, variant)
+    want = names_of(4, variant, lambda p: 1 < p.group_order() < factorial(p.n) * factorial(p.m))
+    assert want and named_mismatches(report) == want
+    assert all(": explicit map is not one-to-one onto " in msg for msg in report.mismatches)
+
+
+@pytest.mark.parametrize("variant", ["all", "inj", "surj"])
+def test_oracle_maps_only_isomorphic_stabilizers(variant, monkeypatch):
+    # a reference: every stabilizer the explicit map accepts is also
+    # isomorphic to its printed group by a fresh search on fresh tables
     seen = []
-    memoized = groups.GroupMemo.isomorphic
+    check = chains.StabilizerGroup.map_failure
 
-    def spy(memo, a, b):
-        verdict = memoized(memo, a, b)
-        seen.append((a.table.copy(), b.table.copy(), verdict))
-        return verdict
+    def spy(stab, iso, table, memo):
+        failure = check(stab, iso, table, memo)
+        seen.append((stab, table, failure))
+        return failure
 
-    monkeypatch.setattr(groups.GroupMemo, "isomorphic", spy)
-    assert oracle_diff_finset(4, variant).ok
-    assert seen
-    for a, b, verdict in seen:
-        assert verdict == groups.are_isomorphic(groups.CayleyTable(a), groups.CayleyTable(b))
+    monkeypatch.setattr(chains.StabilizerGroup, "map_failure", spy)
+    report = oracle_diff_finset(4, variant)
+    assert report.ok
+    assert len(seen) == sum(p.group_order() > 1 for n in range(5) for m in range(5)
+                            for p in enumerate_profiles(n, m, variant))
+    for stab, table, failure in seen:
+        assert failure == ""
+        assert groups.are_isomorphic(groups.CayleyTable(stab.to_cayley_table(20000).table.copy()),
+                                     groups.CayleyTable(table.table.copy())) is True
+
+
+def test_oracle_finset_maps_and_oracle_vect_searches(monkeypatch):
+    # finset forms are checked by their explicit map alone; finvect's rank
+    # forms still table the stabilizer and search for an isomorphism
+    calls = []
+    tabled, search = chains.StabilizerGroup.to_cayley_table, groups.are_isomorphic
+
+    def spy_table(*args, **kw):
+        calls.append("to_cayley_table")
+        return tabled(*args, **kw)
+
+    def spy_search(*args, **kw):
+        calls.append("are_isomorphic")
+        return search(*args, **kw)
+
+    monkeypatch.setattr(chains.StabilizerGroup, "to_cayley_table", spy_table)
+    monkeypatch.setattr(groups, "are_isomorphic", spy_search)
+    for variant in ("all", "inj", "surj"):
+        assert oracle_diff_finset(4, variant).ok
+    assert calls == []
+    assert finvect.oracle_diff_vect(2, 2).ok
+    assert set(calls) == {"to_cayley_table", "are_isomorphic"}
 
 
 @pytest.mark.parametrize("variant", ["all", "inj", "surj"])

@@ -365,6 +365,23 @@ def test_memoized_tables_equal_tables_built_without_a_memo():
                 (want.dtype, want.shape, want.tobytes()), sub.text()
 
 
+def test_coded_tables_are_handed_their_identity(monkeypatch):
+    # table_by_codes passes on the identity row its build located, so no
+    # stabilizer table scans for it, and the identity law is still checked
+    found = []
+    monkeypatch.setattr(CayleyTable, "_find_identity", lambda t: found.append(t))
+    cat = builtin_category("vect:3:2")
+    stabs = [b.stabilizer(k) for b in chains.level_blocks(cat, 1) for k in range(len(b))
+             if b.elements[k] is not None]
+    tables = [s.to_cayley_table(20000) for s in stabs]
+    assert found == [] and any(t.identity > 0 for t in tables)
+    for t in tables:
+        rng = np.arange(t.n)
+        assert np.array_equal(t.table[t.identity], rng) and np.array_equal(t.table[:, t.identity], rng)
+    with pytest.raises(GroupError, match="identity law fails"):
+        CayleyTable(cyclic_table(4).table, identity=1)
+
+
 # ---------------------------------------------------------------------------
 # Materialization
 
