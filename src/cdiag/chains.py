@@ -20,8 +20,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import (CayleyTable, ClosureLimitExceeded, GroupError, GroupMemo, _strides,
-                     table_in_product, table_refusal)
+from .groups import (CayleyTable, ClosureLimitExceeded, GroupError, GroupMemo, ProductSubgroup,
+                     _strides, checked_factor, table_refusal)
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -143,7 +143,9 @@ class StabilizerGroup:
 
     ``order`` comes from orbit-stabilizer division.  ``elements`` lists the
     group when its order is at most the table_limit it was found under, and
-    is None otherwise, when an orbit search checked it instead.
+    is None otherwise, when an orbit search checked it instead.  A listed
+    group is named and compared as its ``subgroup`` of the Aut(x_i), with
+    no Cayley table; ``to_cayley_table`` builds one for callers that ask.
     """
 
     cat: FiniteCategory
@@ -157,16 +159,17 @@ class StabilizerGroup:
         """How it was checked: "scan" when listed, else "transversal"."""
         return "scan" if self.elements is not None else "transversal"
 
-    def to_cayley_table(self, table_limit: int, memo: Optional[GroupMemo] = None) -> CayleyTable:
-        """The listed elements, sorted rows of Aut(x_i) ranks, multiplied
-        coordinate-wise in the Cayley tables of the Aut(x_i)
-        (``FiniteCategory.aut_table``).  Raises ClosureLimitExceeded when
-        the order exceeds ``table_limit`` or no elements were kept, and
-        SelfCheckFailed unless they form a group.  A coordinate constant on
-        each run of rows agreeing before it is a function phi of the kept
-        ones, which alone are tabled, once per command through a ``memo``;
-        the listing is closed exactly when they are and each phi is a hom,
-        checked on the table's generators g as phi(x*g) = phi(x)*phi(g)."""
+    def subgroup(self, table_limit: int, memo: Optional[GroupMemo] = None) -> ProductSubgroup:
+        """The listed elements as a ``ProductSubgroup`` of the checked
+        Aut(x_i) (``_checked_aut``), on their sorted rows of Aut(x_i) ranks.
+        Raises ClosureLimitExceeded when the order exceeds ``table_limit``
+        or no elements were kept, and SelfCheckFailed unless they form a
+        group.  A coordinate constant on each run of rows agreeing before it
+        is a function phi of the kept ones, which alone make the subgroup,
+        once per command through a ``memo``; the listing is closed exactly
+        when they are and each phi is a hom, checked on every call on the
+        subgroup's generators g as phi(x*g) = phi(x)*phi(g) and phi(e) = e."""
+        memo = GroupMemo(DEFAULT_LIMITS.iso_limit) if memo is None else memo
         ranks = self._ranks(table_limit)
         ranks = ranks[np.lexsort(ranks.T[::-1])]
         kept, dropped, run_starts = [], [], np.zeros(len(ranks) - 1, dtype=bool)
@@ -175,25 +178,27 @@ class StabilizerGroup:
             (kept if (steps & ~run_starts).any() else dropped).append(i)
             run_starts |= steps
         rows, objs = np.ascontiguousarray(ranks[:, kept]), tuple(self.objs[i] for i in kept)
-
-        def build():
-            return table_in_product([self.cat.aut_table(x) for x in objs], rows,
-                                    label="stabilizer", memo=memo)
+        auts = [_checked_aut(self.cat, x, memo) for x in self.objs]
+        key = ("stabilizer", self.cat, objs, rows.shape, rows.tobytes())
         try:
-            table = build() if memo is None else memo.once(
-                ("stabilizer", self.cat, objs, rows.shape, rows.tobytes()), build)
-            gens = np.array(table.generating_sequence()[0], dtype=np.intp)
+            group = memo.once(key, lambda: ProductSubgroup([auts[i] for i in kept], rows, key,
+                                                           label="stabilizer"))
+            gens = np.array(group.generating_sequence()[0], dtype=np.intp)
             for i in dropped:
-                phi, aut = ranks[:, i], self.cat.aut_table(self.objs[i])
-                # phi(e) * a = a holds for the identity phi(e) alone
-                if (aut[phi[table.identity], 0] != 0
-                        or not np.array_equal(aut[phi[:, None], phi[gens]],
-                                              phi[table.table[:, gens]])):
+                phi, aut = ranks[:, i], auts[i]
+                if (phi[group.identity] != aut.identity
+                        or not np.array_equal(aut.table[phi[:, None], phi[gens]],
+                                              phi[group.columns.T])):
                     raise GroupError("element set is not closed under the product")
         except GroupError as exc:
             where = _chain_name(self.cat, self.objs, self.mors)
             raise SelfCheckFailed(f"listed stabilizer of {where}: {exc}") from exc
-        return table
+        return group
+
+    def to_cayley_table(self, table_limit: int, memo: Optional[GroupMemo] = None) -> CayleyTable:
+        """The Cayley table of ``subgroup``, rows in sorted listing order:
+        the elements multiply coordinate-wise in the Aut(x_i) tables."""
+        return self.subgroup(table_limit, memo).cayley_table()
 
     def _ranks(self, table_limit: int) -> np.ndarray:
         """The listed elements as rows of Aut(x_i) ranks, in listed order.
@@ -208,7 +213,7 @@ class StabilizerGroup:
         shape = (len(self.elements), len(self.objs))
         els = np.fromiter(itertools.chain.from_iterable(self.elements), dtype=np.int64,
                           count=shape[0] * shape[1]).reshape(shape)
-        return np.stack([np.searchsorted(self.cat.aut_idx(x), els[:, i])
+        return np.stack([np.searchsorted(self.cat.aut_array(x), els[:, i])
                          for i, x in enumerate(self.objs)], axis=1)
 
     def map_failure(self, iso: Callable, table: CayleyTable, memo: GroupMemo) -> str:
@@ -218,8 +223,8 @@ class StabilizerGroup:
         rows of Aut(x_i) ranks, and the map gives the index in ``table`` of
         each one's image, in listed order, or None when it has none.
         Listed elements multiply coordinate-wise in the Cayley tables of
-        the Aut(x_i) (``FiniteCategory.aut_table``), each checked once per
-        command through ``memo``, so the product is associative.
+        the Aut(x_i), each checked once per command (``_checked_aut``), so
+        the product is associative.
 
         phi must be one-to-one onto the table and take the identity tuple
         to its identity, and for each generator g of the table
@@ -231,8 +236,7 @@ class StabilizerGroup:
         phi = iso(self, ranks)
         if phi is None:
             return "no explicit map onto"
-        auts = [memo.once(("aut", self.cat, x), lambda x=x: memo.table(self.cat.aut_table(x)))
-                for x in self.objs]
+        auts = [_checked_aut(self.cat, x, memo) for x in self.objs]
         preimage = np.full(table.n, -1, dtype=np.intp)
         if len(phi) == table.n and phi.min() >= 0 and phi.max() < table.n:
             preimage[phi] = np.arange(table.n)
@@ -247,6 +251,20 @@ class StabilizerGroup:
             if not np.array_equal(a.table[ranks[:, i, None], by[:, i]], want[:, :, i]):
                 return "explicit map is not a homomorphism onto"
         return ""
+
+
+def _checked_aut(cat: FiniteCategory, x: int, memo: GroupMemo):
+    """The table of Aut(x) (``FiniteCategory.aut_table``) checked as a
+    group (``groups.checked_factor``) with the rank of the identity of x as
+    its identity, once per command through ``memo``.  A failed check raises
+    SelfCheckFailed naming x."""
+    def check():
+        identity = int(np.searchsorted(cat.aut_array(x), cat.identity_idx[x]))
+        try:
+            return checked_factor(cat.aut_table(x), identity, memo)
+        except GroupError as exc:
+            raise SelfCheckFailed(f"Aut({cat.objects[x]}) is not a group: {exc}") from exc
+    return memo.once(("aut", cat, x), check)
 
 
 def _chain_name(cat: FiniteCategory, objs, mors) -> str:
@@ -368,7 +386,7 @@ def _stabilizer_elements(cat: FiniteCategory, objs, reps) -> Iterator[list]:
     of the listed tuples are read back through those rows at the end, so a
     level costs a number of numpy steps linear in its length.
     """
-    auts = [np.array(cat.aut_idx(x), dtype=np.int64) for x in objs]
+    auts = [cat.aut_array(x) for x in objs]
     inv_rank = [cat.aut_inverse_ranks(x) for x in objs[:-1]]
     homs = [cat.hom_array(x, y) for x, y in zip(objs, objs[1:])]
     reps = np.array(reps, dtype=np.int64).reshape(len(reps), len(homs))

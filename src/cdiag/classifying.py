@@ -106,10 +106,10 @@ def _match_component_group(block: TupleBlock, k: int, limits: Limits, memo: Grou
     """(group_expr, policy) for the stabilizer of component ``k``, of order
     above 1: named expression by isomorphism when the order fits
     iso_limit, otherwise order-only reporting.  Only a stabilizer that is
-    tabled gets a ``StabilizerGroup``."""
+    named gets a ``StabilizerGroup``, and it is named as its
+    ``subgroup``, with no Cayley table."""
     if block.orders[k] <= limits.iso_limit:
-        table = block.stabilizer(k).to_cayley_table(limits.table_limit, memo)
-        return memo.name(table), "isomorphism"
+        return memo.name(block.stabilizer(k).subgroup(limits.table_limit, memo)), "isomorphism"
     return None, "order-only"
 
 
@@ -186,7 +186,7 @@ def diff_closed_forms(report: DiffReport, blocks: list, keys: Callable, forms: d
     stabilizer order the form's order, and a stabilizer of order 2 to
     iso_limit isomorphic to the form's group, each text tabled once: by the
     form's explicit map when it has one (``StabilizerGroup.map_failure``),
-    else by tabling the stabilizer and an isomorphism search.  Each policy
+    else by an isomorphism search from the stabilizer's ``subgroup``.  Each policy
     is kept under (tuple, key): "isomorphism" when the form names a group
     within iso_limit, else "order-only"."""
     by_objs = {b.objs: b for b in blocks}
@@ -215,7 +215,7 @@ def diff_closed_forms(report: DiffReport, blocks: list, keys: Callable, forms: d
                 stab, table = block.stabilizer(k), tables[form.text]
                 if form.iso is not None:
                     failure = stab.map_failure(form.iso, table, memo)
-                elif memo.isomorphic(stab.to_cayley_table(limits.table_limit, memo), table):
+                elif memo.isomorphic(stab.subgroup(limits.table_limit, memo), table):
                     failure = ""
                 else:
                     failure = "stabilizer is not isomorphic to"

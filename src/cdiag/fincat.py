@@ -48,6 +48,14 @@ def _finder(codes: np.ndarray, full: bool, radix: int):
     return find
 
 
+def _units_entry(auts: list, ranks: np.ndarray) -> tuple:
+    """The kept (``aut_idx``, ``aut_inverse_ranks``, ``aut_array``) of one
+    object, the array read-only."""
+    array = np.array(auts, dtype=np.int64)
+    array.setflags(write=False)
+    return auts, ranks, array
+
+
 class CatdefError(CategoryError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -401,11 +409,16 @@ class FiniteCategory:
         as one int64 array in ``aut_idx`` order."""
         return self._units(oi)[1]
 
+    def aut_array(self, oi: int) -> np.ndarray:
+        """``aut_idx(oi)`` as one read-only int64 array, the ranks'
+        ``searchsorted`` keys."""
+        return self._units(oi)[2]
+
     def _units(self, oi: int) -> tuple:
-        """(``aut_idx``, ``aut_inverse_ranks``) of x from the inverse of
-        every endomorphism, kept as ``inverse_idx`` keeps it: by one codec
-        pass in a coded category (``_codec_units``), else one morphism at a
-        time.  Computed on the first call and kept."""
+        """(``aut_idx``, ``aut_inverse_ranks``, ``aut_array``) of x from the
+        inverse of every endomorphism, kept as ``inverse_idx`` keeps it: by
+        one codec pass in a coded category (``_codec_units``), else one
+        morphism at a time.  Computed on the first call and kept."""
         if oi not in self._aut:
             endos = self.hom_idx(oi, oi)
             if self._codec is None:
@@ -420,7 +433,7 @@ class FiniteCategory:
                 auts, ranks = (lo + rows).tolist(), np.searchsorted(rows, at)
                 self._inv.update(dict.fromkeys(endos))
                 self._inv.update(zip(auts, (lo + at).tolist()))
-            self._aut[oi] = auts, ranks
+            self._aut[oi] = _units_entry(auts, ranks)
         return self._aut[oi]
 
     def _codec_units(self, oi: int) -> tuple:
@@ -865,7 +878,7 @@ def maximal_subgroupoid(cat: FiniteCategory) -> FiniteCategory:
             codec=cat._codec, compose_payload=cat._compose_payload,
             inverse_payload=cat._inverse_payload, name=name)
         for x in range(nob):
-            sub._aut[x] = list(sub.hom_idx(x, x)), cat.aut_inverse_ranks(x)
+            sub._aut[x] = _units_entry(list(sub.hom_idx(x, x)), cat.aut_inverse_ranks(x))
     at = {m: i for i, m in enumerate(kept)}
     sub._inv = {i: at[cat.inverse_idx(m)] for i, m in enumerate(kept)}
     return sub

@@ -13,8 +13,8 @@ of the classifying diagram decomposes into one component per solution of
 each printed group against the generic chain engine by an explicit map:
 each listed stabilizer element goes to its fibre-wise wreath coordinates
 in the printed group (``_fibre_map``), and the map must be an isomorphism
-(``StabilizerGroup.map_failure``).  No stabilizer is tabled and no
-isomorphism is searched for, as they are for the rank forms of finvect.
+(``StabilizerGroup.map_failure``).  No isomorphism is searched for, as
+one is for the rank forms of finvect.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def _fibre_map(skel: FiniteCategory, sizes, memo: GroupMemo, stab, ranks: np.nda
     n, m = stab.objs
     values = skel.decoded(n, m, np.array(stab.mors))[0].tolist()
     a, b = (memo.once(("permutations", skel, x),
-                      lambda x=x: skel.decoded(x, x, np.array(skel.aut_idx(x))))[ranks[:, i]]
+                      lambda x=x: skel.decoded(x, x, skel.aut_array(x)))[ranks[:, i]]
             for i, x in enumerate(stab.objs))
     fixes = (np.array(values, dtype=np.intp)[a] == b[:, values]).all(axis=1)
     if not fixes.all():

@@ -9,18 +9,22 @@ images of the same element order and centralizer order.
 Elements are coded as integers here, by one coder (``radix_codes``: an
 array of digits read as one number) and found among known codes by one
 locator (``code_finder``).  The tables of expressions (but direct products
-and cyclic groups) and of coded element sets are built by one routine,
-``coded_table``: it locates the products of the generators of one greedy
-closure over the coded elements and fills every other row along the
-closure's left words.
+and cyclic groups) and of the listed ``finvect`` cases are built by one
+routine, ``coded_table``: it locates the products of the generators of one
+greedy closure over the coded elements and fills every other row along the
+closure's left words.  An engine stabilizer is no table but a
+``ProductSubgroup`` of checked Aut(x) tables: its element orders, the
+columns of its generators and their centralizer orders are all that
+naming and isomorphism testing read.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from math import factorial, prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -128,20 +132,15 @@ class CayleyTable:
         return int(np.nonzero(self.table[i] == self.identity)[0][0])
 
     @property
+    def key(self) -> tuple:
+        """The exact key a memo keeps this group's name and verdicts under."""
+        return _table_key(self.table, self.identity)
+
+    @property
     def orders(self) -> np.ndarray:
-        """Every element's order, by stepping all powers x^k at once; a power
-        that misses the identity for n steps raises GroupError."""
+        """Every element's order (``power_orders``), computed once."""
         if self._orders is None:
-            els = np.arange(self.n)
-            power, orders = els, np.zeros(self.n, dtype=np.int64)
-            for k in range(1, self.n + 1):
-                orders[(power == self.identity) & (orders == 0)] = k
-                if orders.all():
-                    break
-                power = self.table[power, els]
-            else:
-                raise GroupError("an element has no power equal to the identity")
-            self._orders = orders
+            self._orders = power_orders(self.table, self.identity)
         return self._orders
 
     def element_order(self, i: int) -> int:
@@ -150,12 +149,19 @@ class CayleyTable:
     def element_order_histogram(self) -> Counter:
         return Counter(self.orders.tolist())
 
+    def column(self, g: int) -> np.ndarray:
+        """x * g for every element x."""
+        return self.table[:, g]
+
     def centralizer_orders(self) -> np.ndarray:
         """For each element, the number of elements that commute with it,
         counted once per table."""
         if self._centralizers is None:
             self._centralizers = (self.table == self.table.T).sum(axis=0)
         return self._centralizers
+
+    def centralizer_order(self, g: int) -> int:
+        return int(self.centralizer_orders()[g])
 
     def is_abelian(self) -> bool:
         return bool((self.centralizer_orders() == self.n).all())
@@ -174,6 +180,141 @@ class CayleyTable:
         return f"CayleyTable(order={self.n}{lbl})"
 
 
+def power_orders(table: np.ndarray, identity: int) -> np.ndarray:
+    """Every element's order in the group of ``table``, by stepping all
+    powers x^k at once, n entries a step; a power that misses the identity
+    for n steps raises GroupError."""
+    n = len(table)
+    els = np.arange(n)
+    power, orders = els, np.zeros(n, dtype=np.int64)
+    for k in range(1, n + 1):
+        orders[(power == identity) & (orders == 0)] = k
+        if orders.all():
+            return orders
+        power = table[power, els]
+    raise GroupError("an element has no power equal to the identity")
+
+
+class Factor(NamedTuple):
+    """A factor of a ``ProductSubgroup``: its table, identity and element
+    orders, as a ``CayleyTable`` reads them."""
+
+    table: np.ndarray
+    identity: int
+    orders: np.ndarray
+
+
+def checked_factor(table: np.ndarray, identity: int, memo: "GroupMemo"):
+    """The group of ``table``, with identity ``identity``, as a factor of a
+    ``ProductSubgroup``: up to _ASSOC_CHECK_LIMIT elements the memo's checked
+    ``CayleyTable``; above it, a ``Factor`` whose identity law is checked on
+    its row and column and whose element orders come from ``power_orders``,
+    with no n x n temporary.  Raises GroupError when a check fails."""
+    if len(table) <= _ASSOC_CHECK_LIMIT:
+        return memo.table(table, identity=identity)
+    rng = np.arange(len(table))
+    if not (np.array_equal(table[identity], rng) and np.array_equal(table[:, identity], rng)):
+        raise GroupError("identity law fails")
+    return Factor(table, identity, power_orders(table, identity))
+
+
+class ProductSubgroup:
+    """A subgroup of the direct product of checked groups, read without its
+    Cayley table.
+
+    Row i of ``rows`` holds the coordinates of element i in ``factors``
+    (``CayleyTable`` or ``Factor``), whose products are associative, so
+    nothing is checked per pair of elements.  The identity is located among
+    the rows, and each element's order is the lcm of its coordinates'.  One
+    greedy closure over the elements in decreasing order, stable by index,
+    the candidate order of ``CayleyTable.generating_sequence``, gives the
+    generators and sizes of the rows' own table.  It locates x * g for
+    every element x and each generator g it keeps, and g * x too, for g's
+    centralizer order; a product outside the rows, like a missing
+    identity, raises GroupError, and so does a repeated row, which the
+    closure cannot reach.  Only those generator columns are kept, and the
+    closure's tree, for ``cayley_table``.  ``key`` is the exact key a memo
+    keeps the group's name and verdicts under.
+    """
+
+    def __init__(self, factors: list, rows, key: tuple, label: str = ""):
+        self.factors, self.key, self.label = factors, key, label
+        self.rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(factors))
+        self.n = len(self.rows)
+        self._strides = _strides([len(f.table) for f in factors])
+        self._find = code_finder(self.rows @ self._strides)
+        [self.identity] = self._locate(
+            np.array([sum(int(s) * f.identity for s, f in zip(self._strides, factors))])).tolist()
+        self.orders = functools.reduce(np.lcm, (f.orders[c] for f, c in zip(factors, self.rows.T)),
+                                       np.ones(self.n, dtype=np.int64))
+        right = {}
+
+        def step(x, g):
+            if g not in right:
+                right[g] = self._locate(self._product_codes(g, False)).tolist()
+            return right[g][x]
+
+        by_pref = np.argsort(-self.orders, kind="stable").tolist()
+        gens, sizes, self._levels = greedy_closure(by_pref, step, self.identity, self.n, tree=True)
+        self._generators = gens, sizes
+        self.columns = np.array([right[g] for g in gens], dtype=np.intp).reshape(len(gens), self.n)
+        self._at = {g: k for k, g in enumerate(gens)}
+        self._centralizers = [int((self._locate(self._product_codes(g, True)) == col).sum())
+                              for g, col in zip(gens, self.columns)]
+        self._table = None
+
+    def _product_codes(self, g: int, left: bool) -> np.ndarray:
+        """The codes of g * x (``left``) or of x * g for every element x."""
+        codes = np.zeros(self.n, dtype=np.int64)
+        for s, f, c, a in zip(self._strides, self.factors, self.rows.T, self.rows[g].tolist()):
+            codes += (f.table[a, c] if left else f.table[c, a]).astype(np.int64) * s
+        return codes
+
+    def _locate(self, codes) -> np.ndarray:
+        at = self._find(codes)
+        if at.min() < 0:
+            raise GroupError("element set is not closed under the product")
+        return at
+
+    def generating_sequence(self) -> tuple:
+        """(generators, subgroup size after each), as ``CayleyTable``'s."""
+        return self._generators
+
+    def element_order(self, i: int) -> int:
+        return int(self.orders[i])
+
+    def element_order_histogram(self) -> Counter:
+        return Counter(self.orders.tolist())
+
+    def column(self, g: int) -> np.ndarray:
+        """x * g for every element x, for a generator g."""
+        return self.columns[self._at[g]]
+
+    def centralizer_order(self, g: int) -> int:
+        """The number of elements that commute with the generator g."""
+        return self._centralizers[self._at[g]]
+
+    def is_abelian(self) -> bool:
+        """True when every generator is central."""
+        return all(c == self.n for c in self._centralizers)
+
+    def cayley_table(self) -> CayleyTable:
+        """The rows' Cayley table, filled along the closure's words: the
+        column of x * g is the column of x read through g's (``word_rows``),
+        and checked as a ``CayleyTable``.  Built on the first call and kept."""
+        if self._table is None:
+            columns = self.columns.astype(np.min_scalar_type(self.n - 1))
+            by_column = word_rows(word_levels(self._levels), columns,
+                                  np.arange(self.n, dtype=columns.dtype))
+            self._table = CayleyTable(np.ascontiguousarray(by_column.T), identity=self.identity,
+                                      label=self.label)
+        return self._table
+
+    def __repr__(self):
+        lbl = f" {self.label}" if self.label else ""
+        return f"ProductSubgroup(order={self.n}{lbl})"
+
+
 def cyclic_table(n: int, label: str = "") -> CayleyTable:
     t = (np.arange(n)[:, None] + np.arange(n)) % n
     return CayleyTable(t, identity=0, label=label or f"C{n}")
@@ -183,26 +324,6 @@ def product_table(tables: list, label: str = "") -> CayleyTable:
     """Direct product of concrete tables, elements ordered lexicographically."""
     return CayleyTable(_direct_product_table([t.table for t in tables]),
                        label=label or ("" if tables else "1"))
-
-
-def table_in_product(tables: list, coords, label: str = "",
-                     memo: Optional["GroupMemo"] = None) -> CayleyTable:
-    """Cayley table of a set of elements of the direct product of ``tables``.
-
-    Row i of ``coords`` holds the factor coordinates of element i, coded in
-    mixed radix.  The products g * x are computed coordinate-wise in the
-    factor tables for the generators g of ``coded_table`` only.  With a
-    ``memo`` the table is checked once per distinct array.
-    """
-    coords = np.asarray(coords, dtype=np.int64)
-    strides = _strides([len(t) for t in tables])
-    identity = sum(s * int(np.flatnonzero(t[:, 0] == 0)[0]) for s, t in zip(strides, tables))
-
-    def left_codes(g):
-        return sum((s * t[c[g]][c].astype(np.int64) for s, t, c in zip(strides, tables, coords.T)),
-                   np.zeros(len(coords), dtype=np.int64))
-
-    return table_by_codes(coords @ strides, identity, left_codes, label, memo)
 
 
 def table_by_codes(codes, identity: int, left_codes, label: str = "",
@@ -644,10 +765,14 @@ def materialize(expr: GroupExpr, table_limit: int = DEFAULT_LIMITS.table_limit,
 # Isomorphism testing
 
 
-def are_isomorphic(a: CayleyTable, b: CayleyTable,
+def are_isomorphic(a, b: CayleyTable,
                    iso_limit: int = DEFAULT_LIMITS.iso_limit) -> Optional[bool]:
     """True/False when decided; None when either order exceeds ``iso_limit``
     (undecided at the configured limit, deliberately distinct from False).
+
+    ``a``, a ``CayleyTable`` or a ``ProductSubgroup``, is read only through
+    its element orders, abelianness, generating sequence, and the columns
+    and centralizer orders of its generators; ``b`` is a table.
     """
     if a.n != b.n:
         return False
@@ -662,9 +787,8 @@ def are_isomorphic(a: CayleyTable, b: CayleyTable,
 
     # an isomorphism preserves element orders and centralizer orders
     gens, sizes = a.generating_sequence()
-    cent_a, cent_b = a.centralizer_orders().tolist(), b.centralizer_orders().tolist()
-    orders_b = list(zip(b.orders.tolist(), cent_b))
-    cols_a, cols_b = [a.table[:, g].tolist() for g in gens], {}
+    orders_b = list(zip(b.orders.tolist(), b.centralizer_orders().tolist()))
+    cols_a, cols_b = [a.column(g).tolist() for g in gens], {}
 
     def extend(amap, images):
         """Grow the checked hom ``amap`` on <gens[:len(images) - 1]> over
@@ -698,7 +822,7 @@ def are_isomorphic(a: CayleyTable, b: CayleyTable,
         i = len(images)
         if i == len(gens):
             return True
-        want = (a.element_order(gens[i]), cent_a[gens[i]])
+        want = (a.element_order(gens[i]), a.centralizer_order(gens[i]))
         for h in range(b.n):
             if orders_b[h] != want:
                 continue
@@ -766,9 +890,11 @@ def _candidate(seq: tuple) -> CayleyTable:
     return tables[0] if len(tables) == 1 else product_table(tables, label=label)
 
 
-def match_named(table: CayleyTable, iso_limit: int = DEFAULT_LIMITS.iso_limit,
+def match_named(table, iso_limit: int = DEFAULT_LIMITS.iso_limit,
                 memo: Optional["GroupMemo"] = None) -> Optional[str]:
-    """Label of the first library group isomorphic to ``table``, or None.
+    """Label of the first library group isomorphic to ``table``, a
+    ``CayleyTable`` or a ``ProductSubgroup`` (read as ``are_isomorphic``
+    reads its first group), or None.
 
     Candidates are prefiltered on abelianness and the element-order
     histogram (both computable from atom data without building the product
@@ -834,9 +960,9 @@ class GroupMemo:
         """``_expr_table(expr)``, built once per expression text."""
         return self.once(("expr", expr.text()), lambda: _expr_table(expr, self))
 
-    def name(self, t: CayleyTable) -> Optional[str]:
-        return self.once(("name", _table_key(t.table, t.identity)),
-                         lambda: match_named(t, self.iso_limit, self))
+    def name(self, t) -> Optional[str]:
+        """``match_named`` of a ``CayleyTable`` or ``ProductSubgroup``."""
+        return self.once(("name", t.key), lambda: match_named(t, self.iso_limit, self))
 
     def _candidate(self, seq: tuple) -> CayleyTable:
         return self.once(("candidate", seq), lambda: _candidate(seq))
@@ -847,6 +973,7 @@ class GroupMemo:
     def _histogram(self, seq: tuple) -> Counter:
         return self.once(("histogram", seq), lambda: _sequence_histogram(seq))
 
-    def isomorphic(self, a: CayleyTable, b: CayleyTable) -> Optional[bool]:
-        return self.once(("iso", _table_key(a.table, a.identity), _table_key(b.table, b.identity)),
-                         lambda: are_isomorphic(a, b, self.iso_limit))
+    def isomorphic(self, a, b: CayleyTable) -> Optional[bool]:
+        """``are_isomorphic`` of a ``CayleyTable`` or ``ProductSubgroup``
+        and a table."""
+        return self.once(("iso", a.key, b.key), lambda: are_isomorphic(a, b, self.iso_limit))

@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ladder_act
+from conftest import check_subgroup_against_reference, ladder_act
 
-from cdiag import chains, fincat, finset, finvect, groups
+from cdiag import chains, classifying, fincat, finset, finvect, groups
 from cdiag.chains import (ChainLimitExceeded, SelfCheckFailed, StabilizerGroup, chain_count,
                           enumerate_chains, orbits)
 from cdiag.cli import builtin_category, run
@@ -676,7 +676,8 @@ def test_reduced_stabilizer_tables_equal_full_builds(spec, level):
     memo, shared = groups.GroupMemo(DEFAULT_LIMITS.iso_limit), {}
     for stab in stabs:
         got = stab.to_cayley_table(DEFAULT_LIMITS.table_limit, memo)
-        want = groups.table_in_product([cat.aut_table(x) for x in stab.objs], sorted_ranks(stab))
+        want = groups.ProductSubgroup([groups.CayleyTable(cat.aut_table(x)) for x in stab.objs],
+                                      sorted_ranks(stab), key=("full", stab.mors)).cayley_table()
         assert (got.table.dtype, got.table.tobytes()) == (want.table.dtype, want.table.tobytes())
         # stabilizers with equal reduced listings share one table
         assert shared.setdefault(reduced_listing(stab), got) is got
@@ -697,16 +698,16 @@ def test_dropped_coordinates_are_checked_on_every_listing(s3_category, monkeypat
     with pytest.raises(SelfCheckFailed, match="not closed"):
         StabilizerGroup(cat, (0,), (), 1, [(c,)]).to_cayley_table(20000)
     assert StabilizerGroup(cat, (0,), (), 1, [(e,)]).to_cayley_table(20000).n == 1
-    # the diagonal of <g3> has the same kept rows, so its table is the
+    # the diagonal of <g3> has the same kept rows, so its subgroup is the
     # memo's on the second call; the check still runs
-    builds, table_in_product = [], chains.table_in_product
-    monkeypatch.setattr(chains, "table_in_product",
-                        lambda *args, **kw: builds.append(1) or table_in_product(*args, **kw))
+    builds, subgroup = [], chains.ProductSubgroup
+    monkeypatch.setattr(chains, "ProductSubgroup",
+                        lambda *args, **kw: builds.append(1) or subgroup(*args, **kw))
     memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
     diagonal = StabilizerGroup(cat, (0, 0), (e,), 3, [(e, e), (c, c), (c2, c2)])
-    assert diagonal.to_cayley_table(20000, memo).n == 3
+    assert diagonal.subgroup(20000, memo).n == 3
     with pytest.raises(SelfCheckFailed, match="not closed"):
-        bad.to_cayley_table(20000, memo)
+        bad.subgroup(20000, memo)
     assert builds == [1]
 
 
@@ -721,6 +722,128 @@ def test_an_unsorted_listing_gives_the_sorted_listings_table(s3_category):
         shuffled = random.Random(seed).sample(stab.elements, len(stab.elements))
         got = dataclasses.replace(stab, elements=shuffled).to_cayley_table(20000).table
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec,level", [("vect:2:3", 2), ("finset:4", 2), ("vect:3:2", 1),
+                                        ("vect:2:2", 3), ("group:S4", 2)])
+def test_subgroups_read_like_their_reference_tables(spec, level):
+    # generators, sizes, orders, generator columns, centralizer orders,
+    # abelianness and library names of every stabilizer decompose names
+    cat = builtin_category(spec)
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    stabs = [b.stabilizer(k) for b in chains.level_blocks(cat, level) for k in range(len(b))
+             if 1 < b.orders[k] <= DEFAULT_LIMITS.iso_limit]
+    assert stabs
+    for stab in stabs:
+        check_subgroup_against_reference(stab, DEFAULT_LIMITS.table_limit, memo)
+
+
+def spoiled_aut_table(monkeypatch, size, spoil):
+    """Make ``FiniteCategory.aut_table`` return, for every object whose
+    Aut(x) has ``size`` elements, a copy of its table changed by ``spoil``."""
+    real = fincat.FiniteCategory.aut_table
+
+    def aut_table(cat, x):
+        table = real(cat, x)
+        if len(table) != size:
+            return table
+        table = table.copy()
+        spoil(table)
+        return table
+    monkeypatch.setattr(fincat.FiniteCategory, "aut_table", aut_table)
+
+
+def unassociative(table):
+    """Swap two entries of one row that are neither the identity's row or
+    column nor an inverse pair: each row stays a permutation and the
+    identity and inverse checks pass, so only associativity can fail."""
+    e = int(np.flatnonzero(table[:, 0] == 0)[0])
+    a = 1 if e != 1 else 2
+    b, c = [j for j in range(len(table)) if j != e and table[a, j] != e][:2]
+    table[a, b], table[a, c] = table[a, c], table[a, b]
+
+
+def test_spoiled_listings_and_aut_tables_fail_the_subgroup_check(monkeypatch):
+    cat = builtin_category("vect:2:3")
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    stabs = [b.stabilizer(k) for b in chains.level_blocks(cat, 2) for k in range(len(b))
+             if 2 < b.orders[k] <= DEFAULT_LIMITS.iso_limit and b.orders[k] < b.ambient_order]
+    # a listed element swapped for a non-member of the same ambient group
+    stab = stabs[0]
+    ambient = itertools.product(*(cat.aut_idx(x) for x in stab.objs))
+    outside = next(el for el in ambient if el not in stab.elements)
+    swapped = dataclasses.replace(stab, elements=stab.elements[:-1] + [outside])
+    with pytest.raises(SelfCheckFailed, match="listed stabilizer of chain .*not closed"):
+        swapped.subgroup(DEFAULT_LIMITS.table_limit, memo)
+    # a dropped coordinate changed on the whole run of rows over one kept
+    # element: the kept rows, and so the memo's subgroup, stay the same
+    for stab in stabs:
+        ranks = np.array(sorted_ranks(stab))
+        objs, kept_rows = reduced_listing(stab)
+        dropped = [i for i in range(len(stab.objs))
+                   if len({tuple(r[:i]) for r in ranks}) == len({tuple(r[:i + 1]) for r in ranks})
+                   and len(cat.aut_idx(stab.objs[i])) > 1]
+        if dropped and len(kept_rows) > 2:
+            break
+    i = dropped[0]
+    x, run = stab.objs[i], (ranks[:, :i] == ranks[-1, :i]).all(axis=1)
+    ranks[run, i] = (ranks[-1, i] + 1) % len(cat.aut_idx(x))
+    auts = [cat.aut_idx(y) for y in stab.objs]
+    spoiled = dataclasses.replace(stab, elements=[tuple(a[r] for a, r in zip(auts, row))
+                                                  for row in ranks.tolist()])
+    assert reduced_listing(spoiled) == (objs, kept_rows)
+    stab.subgroup(DEFAULT_LIMITS.table_limit, memo)
+    builds, subgroup = [], chains.ProductSubgroup
+    monkeypatch.setattr(chains, "ProductSubgroup",
+                        lambda *args, **kw: builds.append(1) or subgroup(*args, **kw))
+    with pytest.raises(SelfCheckFailed, match="listed stabilizer of chain .*not closed"):
+        spoiled.subgroup(DEFAULT_LIMITS.table_limit, memo)
+    assert builds == []
+    # a spoiled Aut(F^2) table, checked once per command, within the limit
+    spoiled_aut_table(monkeypatch, 48, unassociative)
+    fresh = builtin_category("vect:2:3")
+    stab = next(b.stabilizer(k) for b in chains.level_blocks(fresh, 1) for k in range(len(b))
+                if 2 in b.objs and 1 < b.orders[k] <= DEFAULT_LIMITS.iso_limit)
+    with pytest.raises(SelfCheckFailed, match=r"Aut\(2\) is not a group: associativity fails"):
+        stab.subgroup(DEFAULT_LIMITS.table_limit)
+
+
+def swapped_rows(table):
+    """Swap the first two rows, as a spoiled ``aut_table``."""
+    table[[0, 1]] = table[[1, 0]]
+
+
+def test_aut_tables_above_the_check_limit_are_checked_by_their_identity(monkeypatch):
+    monkeypatch.setattr(groups, "_ASSOC_CHECK_LIMIT", 10)
+    spoiled_aut_table(monkeypatch, 48, swapped_rows)
+    cat = builtin_category("vect:2:3")
+    stab = next(b.stabilizer(k) for b in chains.level_blocks(cat, 1) for k in range(len(b))
+                if 2 in b.objs and 1 < b.orders[k] <= DEFAULT_LIMITS.iso_limit)
+    with pytest.raises(SelfCheckFailed, match=r"Aut\(2\) is not a group: identity law fails"):
+        stab.subgroup(DEFAULT_LIMITS.table_limit)
+
+
+def test_decompose_tables_no_stabilizer_and_no_aut_above_the_check_limit(monkeypatch):
+    cat = builtin_category("vect:2:3")
+    want = list(classifying.level_decomposition(cat, 2).rows())
+    auts = {cat.aut_table(x).tobytes() for x in range(cat.n_objects)}
+    library = {groups._ATOMS[i][0] for i in range(len(groups._ATOMS))}
+    for limit in (groups._ASSOC_CHECK_LIMIT, 10):
+        monkeypatch.setattr(groups, "_ASSOC_CHECK_LIMIT", limit)
+        built, init = [], groups.CayleyTable.__init__
+
+        def spy(table, *args, **kw):
+            init(table, *args, **kw)
+            built.append(table)
+        monkeypatch.setattr(groups.CayleyTable, "__init__", spy)
+        got = classifying.level_decomposition(builtin_category("vect:2:3"), 2)
+        monkeypatch.setattr(groups.CayleyTable, "__init__", init)
+        assert list(got.rows()) == want
+        # the Aut(x) tables, of orders 1, 2 and 48, and library candidates
+        tabled_auts = sorted(t.n for t in built if t.table.tobytes() in auts and not t.label)
+        assert tabled_auts == [n for n in (1, 2, 48) if n <= limit]
+        assert all(t.table.tobytes() in auts and not t.label
+                   or set(t.label.split(" x ")) <= library for t in built)
 
 
 def test_reversed_orbit_search_catches_a_lost_move(monkeypatch):

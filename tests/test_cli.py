@@ -13,7 +13,7 @@ import time
 import pytest
 
 import cdiag
-from cdiag import chains, classifying, cli, finset
+from cdiag import chains, classifying, cli, fincat, finset
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 from cdiag.groups import GroupMemo
 from cdiag.limits import DEFAULT_LIMITS, Limits
@@ -926,6 +926,28 @@ def test_a_failed_stabilizer_self_check_exits_1(monkeypatch, capsys):
                         lambda cat, objs, reps: [els[:-1] for els in listed(cat, objs, reps)])
     assert run(["decompose", "--builtin", "finset:3", "--level", "1"]) == 1
     assert "orbit-stabilizer identity fails" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,size,obj", [
+    (["oracle-diff", "--finset-max", "3"], 6, "3"),
+    (["decompose", "--builtin", "vect:2:3", "--level", "1"], 48, "2"),
+])
+def test_a_spoiled_aut_table_exits_1(argv, size, obj, monkeypatch, capsys):
+    # two rows of one Aut(x) table swapped: the per-command check of the
+    # table fails, and it is the engine's fault, not a usage error
+    real = fincat.FiniteCategory.aut_table
+
+    def aut_table(cat, x):
+        table = real(cat, x)
+        if len(table) == size:
+            table = table.copy()
+            table[[1, 2]] = table[[2, 1]]
+        return table
+
+    monkeypatch.setattr(fincat.FiniteCategory, "aut_table", aut_table)
+    assert run(argv) == 1
+    assert f"self-check failed: Aut({obj}) is not a group: identity law fails" in \
+        capsys.readouterr().err
 
 
 def test_a_failed_closed_form_self_check_exits_1(monkeypatch, capsys):

@@ -364,25 +364,25 @@ def test_oracle_maps_only_isomorphic_stabilizers(variant, monkeypatch):
 
 def test_oracle_finset_maps_and_oracle_vect_searches(monkeypatch):
     # finset forms are checked by their explicit map alone; finvect's rank
-    # forms still table the stabilizer and search for an isomorphism
+    # forms still read the stabilizer's subgroup and search for an isomorphism
     calls = []
-    tabled, search = chains.StabilizerGroup.to_cayley_table, groups.are_isomorphic
+    tabled, search = chains.StabilizerGroup.subgroup, groups.are_isomorphic
 
     def spy_table(*args, **kw):
-        calls.append("to_cayley_table")
+        calls.append("subgroup")
         return tabled(*args, **kw)
 
     def spy_search(*args, **kw):
         calls.append("are_isomorphic")
         return search(*args, **kw)
 
-    monkeypatch.setattr(chains.StabilizerGroup, "to_cayley_table", spy_table)
+    monkeypatch.setattr(chains.StabilizerGroup, "subgroup", spy_table)
     monkeypatch.setattr(groups, "are_isomorphic", spy_search)
     for variant in ("all", "inj", "surj"):
         assert oracle_diff_finset(4, variant).ok
     assert calls == []
     assert finvect.oracle_diff_vect(2, 2).ok
-    assert set(calls) == {"to_cayley_table", "are_isomorphic"}
+    assert set(calls) == {"subgroup", "are_isomorphic"}
 
 
 @pytest.mark.parametrize("variant", ["all", "inj", "surj"])

@@ -524,16 +524,27 @@ def test_product_table_equals_per_pair_reference():
     assert product_table([]).n == 1
 
 
-def test_table_in_product_rejects_a_set_that_is_not_closed():
+def in_product(tables, coords) -> groups.ProductSubgroup:
+    """The subgroup of the product of ``tables`` listed by ``coords``."""
+    return groups.ProductSubgroup([CayleyTable(t) for t in tables], coords, key=("test",))
+
+
+def test_product_subgroup_rejects_a_set_that_is_not_closed():
     c4 = cyclic_table(4).table
-    assert groups.table_in_product([c4], [[0], [2]]).n == 2
-    c6 = cyclic_table(6).table
-    # {0, 1}; {1, 3, 5}, which holds no identity; and {0, 3, 1, 4}, which
-    # 3 + x keeps and only the second generator, 1, leaves
+    assert in_product([c4], [[0], [2]]).n == 2
+    c6, c3 = cyclic_table(6).table, cyclic_table(3).table
+    # {0, 1}; {1, 3, 5}, which holds no identity; {0, 3, 1, 4}, which the
+    # first generator, 1 of order 6, leaves; (0, 0), (1, 0), (0, 1), (1, 1),
+    # (2, 0), (2, 1), which the first generator, (1, 0), keeps and only the
+    # second, (0, 1), leaves; and {0, 3, 3}, whose repeated 3 the closure
+    # cannot reach
     for tables, coords in (([c4], [[0], [1]]), ([c6], [[1], [3], [5]]),
-                           ([c6], [[0], [3], [1], [4]])):
+                           ([c6], [[0], [3], [1], [4]]),
+                           ([c3, c3], [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [2, 1]])):
         with pytest.raises(GroupError, match="^element set is not closed under the product$"):
-            groups.table_in_product(tables, coords)
+            in_product(tables, coords)
+    with pytest.raises(GroupError, match="candidates generate 2 elements, not 3"):
+        in_product([c6], [[0], [3], [3]])
 
 
 def generated_coords(tables, gens):
@@ -567,21 +578,21 @@ def test_subgroups_of_products_in_shuffled_order_equal_the_per_pair_reference(ca
     assert 1 < len(els) < np.prod([len(t) for t in tables])
     for seed in range(3):
         shuffled = [els[i] for i in np.random.default_rng(seed).permutation(len(els))]
-        got = groups.table_in_product(tables, shuffled)
+        got = in_product(tables, shuffled).cayley_table()
         ref = table_from_elements(shuffled, mul)
         assert got.table.dtype == ref.table.dtype
         assert np.array_equal(got.table, ref.table)
         assert got.identity == ref.identity
 
 
-def test_table_in_product_widens_narrow_factor_tables():
+def test_product_subgroup_widens_narrow_factor_tables():
     # codes reach 20 * 30 - 1 = 599; under NumPy 1.x value-based casting a
     # stride times a uint8 block would stay uint8 and wrap
     tables = [cyclic_table(20).table.astype(np.int64), cyclic_table(30).table.astype(np.int64)]
     coords = list(itertools.product(range(20), range(30)))
-    want = groups.table_in_product(tables, coords).table
+    want = in_product(tables, coords).cayley_table().table
     narrow = [tables[0].astype(np.uint8), tables[1].astype(np.uint16)]
-    assert np.array_equal(groups.table_in_product(narrow, coords).table, want)
+    assert np.array_equal(in_product(narrow, coords).cayley_table().table, want)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +609,9 @@ NARROW_CASES = {
     "GL(2,3)": lambda: materialize(GeneralLinear(2, 3)),
     "C17 x C17": lambda: product_table([cyclic_table(17)] * 2),
     "A(13) wr S2": lambda: materialize(Wreath(FieldAdditive(13), 2)),
-    "in product": lambda: groups.table_in_product(
-        [cyclic_table(20).table] * 2, list(itertools.product(range(0, 20, 2), repeat=2))),
+    "in product": lambda: in_product(
+        [cyclic_table(20).table] * 2,
+        list(itertools.product(range(0, 20, 2), repeat=2))).cayley_table(),
     "from elements": lambda: table_from_elements(list(range(300)), lambda a, b: (a + b) % 300),
 }
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ladder_act
+from conftest import check_subgroup_against_reference, ladder_act
 
 from cdiag import chains, fincat, finset, finvect, groups
 from cdiag.chains import _chain_array, _chain_index
@@ -123,6 +123,17 @@ def test_orbits_match_the_naive_reference(cat):
                         for objs, mors, size, fixing in expected])
             for row, (_, _, _, fixing) in zip(got, expected):
                 assert row[4] == (fixing if limits.table_limit else None)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_categories())
+def test_subgroups_read_like_their_reference_tables(cat):
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    for n in (0, 1, 2):
+        for b in chains.level_blocks(cat, n):
+            for k in range(len(b)):
+                check_subgroup_against_reference(b.stabilizer(k), DEFAULT_LIMITS.table_limit,
+                                                 memo)
 
 
 def naive_chains(cat: FiniteCategory, n: int) -> list:
