@@ -181,7 +181,7 @@ class StabilizerGroup:
         auts = [_checked_aut(self.cat, x, memo) for x in self.objs]
         key = ("stabilizer", self.cat, objs, rows.shape, rows.tobytes())
         try:
-            group = memo.once(key, lambda: ProductSubgroup([auts[i] for i in kept], rows, key,
+            group = memo.once(key, lambda: ProductSubgroup([auts[i] for i in kept], rows,
                                                            label="stabilizer"))
             gens = np.array(group.generating_sequence()[0], dtype=np.intp)
             for i in dropped:

@@ -233,12 +233,11 @@ class ProductSubgroup:
     centralizer order; a product outside the rows, like a missing
     identity, raises GroupError, and so does a repeated row, which the
     closure cannot reach.  Only those generator columns are kept, and the
-    closure's tree, for ``cayley_table``.  ``key`` is the exact key a memo
-    keeps the group's name and verdicts under.
+    closure's tree, for ``cayley_table``.
     """
 
-    def __init__(self, factors: list, rows, key: tuple, label: str = ""):
-        self.factors, self.key, self.label = factors, key, label
+    def __init__(self, factors: list, rows, label: str = ""):
+        self.factors, self.label = factors, label
         self.rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(factors))
         self.n = len(self.rows)
         self._strides = _strides([len(f.table) for f in factors])
@@ -262,6 +261,15 @@ class ProductSubgroup:
         self._centralizers = [int((self._locate(self._product_codes(g, True)) == col).sum())
                               for g, col in zip(gens, self.columns)]
         self._table = None
+
+    @property
+    def key(self) -> tuple:
+        """The exact key a memo keeps this group's name and verdicts under:
+        the element orders, the generators and their columns fix the
+        closure, and so the table, without building it."""
+        gens = self._generators[0]
+        return ("subgroup", self.n, self.identity, self.orders.tobytes(), tuple(gens),
+                self.columns.tobytes())
 
     def _product_codes(self, g: int, left: bool) -> np.ndarray:
         """The codes of g * x (``left``) or of x * g for every element x."""

@@ -677,7 +677,7 @@ def test_reduced_stabilizer_tables_equal_full_builds(spec, level):
     for stab in stabs:
         got = stab.to_cayley_table(DEFAULT_LIMITS.table_limit, memo)
         want = groups.ProductSubgroup([groups.CayleyTable(cat.aut_table(x)) for x in stab.objs],
-                                      sorted_ranks(stab), key=("full", stab.mors)).cayley_table()
+                                      sorted_ranks(stab)).cayley_table()
         assert (got.table.dtype, got.table.tobytes()) == (want.table.dtype, want.table.tobytes())
         # stabilizers with equal reduced listings share one table
         assert shared.setdefault(reduced_listing(stab), got) is got
@@ -844,6 +844,19 @@ def test_decompose_tables_no_stabilizer_and_no_aut_above_the_check_limit(monkeyp
         assert tabled_auts == [n for n in (1, 2, 48) if n <= limit]
         assert all(t.table.tobytes() in auts and not t.label
                    or set(t.label.split(" x ")) <= library for t in built)
+
+
+def test_stabilizers_with_one_table_share_one_name_search(monkeypatch):
+    # a subgroup's memo key is its orders and generator columns, which fix
+    # its table: stabilizers on different kept objects with one table are
+    # named once
+    searched, match_named = [], groups.match_named
+    monkeypatch.setattr(groups, "match_named",
+                        lambda t, *args: searched.append(t.key) or match_named(t, *args))
+    d = classifying.level_decomposition(builtin_category("vect:2:3"), 2)
+    tables = {b.stabilizer(k).to_cayley_table(20000).table.tobytes()
+              for b in d.blocks for k in range(len(b)) if 1 < b.orders[k] <= 512}
+    assert len(searched) == len(set(searched)) == len(tables) == 24
 
 
 def test_reversed_orbit_search_catches_a_lost_move(monkeypatch):

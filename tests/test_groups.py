@@ -526,7 +526,7 @@ def test_product_table_equals_per_pair_reference():
 
 def in_product(tables, coords) -> groups.ProductSubgroup:
     """The subgroup of the product of ``tables`` listed by ``coords``."""
-    return groups.ProductSubgroup([CayleyTable(t) for t in tables], coords, key=("test",))
+    return groups.ProductSubgroup([CayleyTable(t) for t in tables], coords)
 
 
 def test_product_subgroup_rejects_a_set_that_is_not_closed():
