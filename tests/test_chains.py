@@ -827,7 +827,7 @@ def test_decompose_tables_no_stabilizer_and_no_aut_above_the_check_limit(monkeyp
     cat = builtin_category("vect:2:3")
     want = list(classifying.level_decomposition(cat, 2).rows())
     auts = {cat.aut_table(x).tobytes() for x in range(cat.n_objects)}
-    library = {groups._ATOMS[i][0] for i in range(len(groups._ATOMS))}
+    library = {label for label, _, _ in groups._ATOMS}
     for limit in (groups._ASSOC_CHECK_LIMIT, 10):
         monkeypatch.setattr(groups, "_ASSOC_CHECK_LIMIT", limit)
         built, init = [], groups.CayleyTable.__init__
