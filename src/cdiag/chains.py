@@ -20,8 +20,8 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from .fincat import CategoryError, FiniteCategory, object_iso_classes
-from .groups import (CayleyTable, ClosureLimitExceeded, GroupError, GroupMemo, ProductSubgroup,
-                     _strides, checked_factor, table_refusal)
+from .groups import (CayleyTable, ClosureGroup, ClosureLimitExceeded, GroupError, GroupMemo,
+                     ProductSubgroup, _strides, table_refusal)
 from .limits import DEFAULT_LIMITS, Limits
 
 
@@ -187,8 +187,8 @@ class StabilizerGroup:
             for i in dropped:
                 phi, aut = ranks[:, i], auts[i]
                 if (phi[group.identity] != aut.identity
-                        or not np.array_equal(aut.table[phi[:, None], phi[gens]],
-                                              phi[group.columns.T])):
+                        or not np.array_equal(aut.columns(phi[gens])[:, phi],
+                                              phi[group.columns])):
                     raise GroupError("element set is not closed under the product")
         except GroupError as exc:
             where = _chain_name(self.cat, self.objs, self.mors)
@@ -222,9 +222,9 @@ class StabilizerGroup:
         followed by the table's name.  ``ranks`` are the listed elements as
         rows of Aut(x_i) ranks, and the map gives the index in ``table`` of
         each one's image, in listed order, or None when it has none.
-        Listed elements multiply coordinate-wise in the Cayley tables of
-        the Aut(x_i), each checked once per command (``_checked_aut``), so
-        the product is associative.
+        Listed elements multiply coordinate-wise in the Aut(x_i), each
+        checked once per command as a group (``_checked_aut``), so the
+        product is associative.
 
         phi must be one-to-one onto the table and take the identity tuple
         to its identity, and for each generator g of the table
@@ -248,20 +248,20 @@ class StabilizerGroup:
         want = ranks[preimage[table.table[phi[:, None], gens]]]       # x, generator, coordinate
         by = ranks[preimage[gens]]
         for i, a in enumerate(auts):
-            if not np.array_equal(a.table[ranks[:, i, None], by[:, i]], want[:, :, i]):
+            if not np.array_equal(a.columns(by[:, i])[:, ranks[:, i]].T, want[:, :, i]):
                 return "explicit map is not a homomorphism onto"
         return ""
 
 
-def _checked_aut(cat: FiniteCategory, x: int, memo: GroupMemo):
-    """The table of Aut(x) (``FiniteCategory.aut_table``) checked as a
-    group (``groups.checked_factor``) with the rank of the identity of x as
-    its identity, once per command through ``memo``.  A failed check raises
+def _checked_aut(cat: FiniteCategory, x: int, memo: GroupMemo) -> ClosureGroup:
+    """Aut(x) on the ranks of ``aut_idx(x)``, its closure
+    (``FiniteCategory._aut_closure``) checked as a ``groups.ClosureGroup``
+    once per command through ``memo``.  A failed check raises
     SelfCheckFailed naming x."""
     def check():
-        identity = int(np.searchsorted(cat.aut_array(x), cat.identity_idx[x]))
+        _, columns, tree = cat._aut_closure(x)
         try:
-            return checked_factor(cat.aut_table(x), identity, memo)
+            return ClosureGroup(columns, tree)
         except GroupError as exc:
             raise SelfCheckFailed(f"Aut({cat.objects[x]}) is not a group: {exc}") from exc
     return memo.once(("aut", cat, x), check)

@@ -1,7 +1,8 @@
 """Command-line front end: deterministic text and JSON reports.
 
 Exit codes: 0 success, 1 verification mismatch or failed engine self-check,
-2 usage or input error.
+2 usage or input error, 141 standard output closed by its reader before the
+report ended (as ``head`` does).
 Reports contain no timestamps; repeated runs with the same configuration
 are byte-identical.  Header lines start with ``#`` and carry run metadata;
 golden comparisons should ignore them.
@@ -26,6 +27,8 @@ from .limits import DEFAULT_LIMITS, Limits
 
 USAGE_ERROR = 2
 MISMATCH = 1
+# 128 + SIGPIPE: the status a shell reports for a command that a closed pipe stops
+CLOSED_OUTPUT = 141
 
 BUILTINS_HELP = ("ordinal:<m>, group:S<k>, group:C<k>, iso-interval, "
                  "walking-arrow, delta:<M>, finset:<N>, vect:<dim>:<q>")
@@ -421,6 +424,8 @@ def run(argv=None) -> int:
     except SelfCheckFailed as exc:
         sys.stderr.write(f"cdiag: self-check failed: {exc}\n")
         return MISMATCH
+    except BrokenPipeError:
+        raise
     except (CategoryError, groups.GroupError, OSError, ValueError) as exc:
         sys.stderr.write(f"cdiag: error: {exc}\n")
         return USAGE_ERROR
@@ -428,7 +433,15 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output: as the Python documentation
+        # advises, point it at devnull, so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_OUTPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

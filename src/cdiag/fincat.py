@@ -181,7 +181,6 @@ class FiniteCategory:
         self._inv = {}
         self._aut = {}
         self._aut_closures = {}
-        self._aut_table = {}
         self._hom_columns = {}
         self._hom_stacks = {}
 
@@ -457,30 +456,21 @@ class FiniteCategory:
         return rows, at
 
     def _aut_closure(self, oi: int) -> tuple:
-        """(generators, words, columns, tree) of Aut(x) from one greedy
-        closure (``groups.closure_columns``) over the ranks in ``aut_idx(oi)``,
-        the column of g the ranks of g . a; tree is the words as
+        """(generators, columns, tree) of Aut(x) from one greedy closure
+        (``groups.closure_columns``) over the ranks in ``aut_idx(oi)``, the
+        column of g the ranks of g . a; tree is the left words as
         ``groups.word_rows`` reads them.  Computed on the first call and kept."""
         if oi not in self._aut_closures:
             auts = self.aut_idx(oi)
             column = self._column(oi, oi, auts)
             gens, levels, columns = closure_columns(len(auts), lambda g: column(auts[g], True),
                                                     auts.index(self.identity_idx[oi]))
-            self._aut_closures[oi] = (
-                [auts[g] for g in gens], [w for level in levels for w in level],
-                columns, word_levels(levels))
+            self._aut_closures[oi] = [auts[g] for g in gens], columns, word_levels(levels)
         return self._aut_closures[oi]
 
     def aut_generators(self, oi: int) -> list:
         """A small generating set of Aut(x), greedy over ``aut_idx(oi)``."""
         return self._aut_closure(oi)[0]
-
-    def aut_words(self, oi: int) -> list:
-        """Every automorphism of x as a left word in ``aut_generators(oi)``:
-        (element, parent, generator) triples in breadth-first order from the
-        identity, (identity, -1, -1), each element that generator after the
-        parent, elements and parents as ranks in ``aut_idx(oi)``."""
-        return self._aut_closure(oi)[1]
 
     def _column(self, si: int, di: int, mors: list):
         """column(g, left): the positions among ``mors``, morphisms x -> y,
@@ -561,20 +551,8 @@ class FiniteCategory:
         positions[j] and the a-th element of Aut(y) or Aut(x)."""
         left, right = self.hom_columns(si, di)
         positions = np.asarray(positions, dtype=left.dtype)
-        return (word_rows(self._aut_closure(di)[3], left, positions),
-                word_rows(self._aut_closure(si)[3], right, positions))
-
-    def aut_table(self, oi: int) -> np.ndarray:
-        """The read-only Cayley table of Aut(x) in ``aut_idx`` order, built
-        along the words from the rank columns of the closure, in the
-        smallest integer dtype that holds a rank.  Computed on the first
-        call and kept."""
-        if oi not in self._aut_table:
-            _, _, columns, tree = self._aut_closure(oi)
-            table = word_rows(tree, columns, np.arange(columns.shape[1], dtype=columns.dtype))
-            table.setflags(write=False)
-            self._aut_table[oi] = table
-        return self._aut_table[oi]
+        return (word_rows(self._aut_closure(di)[2], left, positions),
+                word_rows(self._aut_closure(si)[2], right, positions))
 
     # -- axiom checking --------------------------------------------------------
 
@@ -610,19 +588,6 @@ class FiniteCategory:
                               compose_payload=lambda g, f: self.compose_idx(f, g),
                               inverse_payload=self.inverse_idx,
                               name=f"op({self.name})" if self.name else "op")
-
-    def same_presentation(self, other: "FiniteCategory") -> bool:
-        """Structural equality: same ids in the same order, same composition.
-        Enumerates all composable pairs, so use on desk-scale categories."""
-        if (self.objects != other.objects or self.mor_ids != other.mor_ids
-                or self.src != other.src or self.dst != other.dst
-                or self.identity_idx != other.identity_idx):
-            return False
-        for fi in range(self.n_morphisms):
-            for gi in self.morphisms_from_idx(self.dst[fi]):
-                if self.compose_idx(gi, fi) != other.compose_idx(gi, fi):
-                    return False
-        return True
 
     def __repr__(self):
         nm = self.name or "category"

@@ -42,34 +42,6 @@ SCAN_BOUND = 100_000
 _ELIMINATION_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
-class MatrixFq:
-    """An m x n matrix over F_q representing a morphism F^n -> F^m."""
-
-    q: int
-    rows: tuple    # m row tuples of length n
-
-    def __post_init__(self):
-        if not modp.is_prime(self.q):
-            raise GroupError(f"q={self.q} is not prime")
-        if not all(0 <= v < self.q for row in self.rows for v in row):
-            raise GroupError(f"matrix entries must lie in 0..{self.q - 1}")
-
-    @property
-    def m_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def rank(self) -> int:
-        return modp.rank(self.rows, self.q)
-
-    def __repr__(self):
-        return f"MatrixFq(q={self.q}, {self.rows})"
-
-
 def glnq_order(n: int, q: int) -> int:
     """|GL_n(F_q)|, as ``GeneralLinear(n, q).order()``; GL_0 is trivial."""
     if not modp.is_prime(q):
@@ -77,17 +49,6 @@ def glnq_order(n: int, q: int) -> int:
     if n < 0:
         raise GroupError(f"GL_n needs n >= 0, got {n}")
     return 1 if n == 0 else GeneralLinear(n, q).order()
-
-
-def matrix_action(P: tuple, Q: tuple, A: MatrixFq) -> MatrixFq:
-    """(P, Q) . A = Q A P^{-1} with P in GL_n, Q in GL_m."""
-    q = A.q
-    if len(P) != A.n_cols or len(Q) != A.m_rows:
-        raise CategoryError("dimension mismatch in matrix action")
-    Pinv = modp.inverse(P, q)
-    if Pinv is None or modp.inverse(Q, q) is None:
-        raise CategoryError("action requires invertible matrices")
-    return MatrixFq(q, modp.mul(modp.mul(Q, A.rows, q), Pinv, q))
 
 
 def canonical_rank_rep(rank: int, m: int, n: int) -> tuple:

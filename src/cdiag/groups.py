@@ -12,10 +12,10 @@ locator (``code_finder``).  The tables of expressions (but direct products
 and cyclic groups) and of the listed ``finvect`` cases are built by one
 routine, ``coded_table``: it locates the products of the generators of one
 greedy closure over the coded elements and fills every other row along the
-closure's left words.  An engine stabilizer is no table but a
-``ProductSubgroup`` of checked Aut(x) tables: its element orders, the
-columns of its generators and their centralizer orders are all that
-naming and isomorphism testing read.
+closure's left words.  An Aut(x) is no table but its checked closure, a
+``ClosureGroup``, and an engine stabilizer a ``ProductSubgroup`` of those:
+its element orders, the columns of its generators and their centralizer
+orders are all that naming and isomorphism testing read.
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ import functools
 import itertools
 from collections import Counter
 from math import factorial, prod
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import modp
 from .limits import DEFAULT_LIMITS
 
-# Tables above this size skip Light's associativity test; they only arise
-# from closure inside an already-associative ambient composition.
+# CayleyTables of expressions and of ``ProductSubgroup.cayley_table`` above
+# this size skip Light's associativity test; no Aut(x) is tabled.
 _ASSOC_CHECK_LIMIT = 4096
 
 
@@ -140,7 +140,7 @@ class CayleyTable:
     def orders(self) -> np.ndarray:
         """Every element's order (``power_orders``), computed once."""
         if self._orders is None:
-            self._orders = power_orders(self.table, self.identity)
+            self._orders = power_orders(self.table.T, self.identity)
         return self._orders
 
     def element_order(self, i: int) -> int:
@@ -180,42 +180,89 @@ class CayleyTable:
         return f"CayleyTable(order={self.n}{lbl})"
 
 
-def power_orders(table: np.ndarray, identity: int) -> np.ndarray:
-    """Every element's order in the group of ``table``, by stepping all
-    powers x^k at once, n entries a step; a power that misses the identity
-    for n steps raises GroupError."""
-    n = len(table)
-    els = np.arange(n)
-    power, orders = els, np.zeros(n, dtype=np.int64)
+def power_orders(columns: np.ndarray, identity: int) -> np.ndarray:
+    """The order of each element a whose column, x * a for every x, is a
+    row of ``columns`` (a table's transpose), stepping every a^(k+1) =
+    a^k * a at once; GroupError when a power misses the identity n steps."""
+    m, n = columns.shape
+    power, orders = columns[:, identity], np.zeros(m, dtype=np.int64)
     for k in range(1, n + 1):
         orders[(power == identity) & (orders == 0)] = k
         if orders.all():
             return orders
-        power = table[power, els]
+        power = columns[np.arange(m), power]
     raise GroupError("an element has no power equal to the identity")
 
 
-class Factor(NamedTuple):
-    """A factor of a ``ProductSubgroup``: its table, identity and element
-    orders, as a ``CayleyTable`` reads them."""
-
-    table: np.ndarray
-    identity: int
-    orders: np.ndarray
+# Orders are found on columns worked out about this many entries at a time,
+# kept while a group keeps no more entries than this, and dropped past it.
+_ORDER_CELLS = 1 << 20
 
 
-def checked_factor(table: np.ndarray, identity: int, memo: "GroupMemo"):
-    """The group of ``table``, with identity ``identity``, as a factor of a
-    ``ProductSubgroup``: up to _ASSOC_CHECK_LIMIT elements the memo's checked
-    ``CayleyTable``; above it, a ``Factor`` whose identity law is checked on
-    its row and column and whose element orders come from ``power_orders``,
-    with no n x n temporary.  Raises GroupError when a check fails."""
-    if len(table) <= _ASSOC_CHECK_LIMIT:
-        return memo.table(table, identity=identity)
-    rng = np.arange(len(table))
-    if not (np.array_equal(table[identity], rng) and np.array_equal(table[:, identity], rng)):
-        raise GroupError("identity law fails")
-    return Factor(table, identity, power_orders(table, identity))
+class ClosureGroup:
+    """A group held as one greedy closure: the left columns L_k of its
+    generators, ``left[k, a]`` = g_k * a, and the closure's tree
+    (``word_levels``), rooted at the identity e, in which each x is its
+    word lambda_x in the L_k applied to e.  x * a for every x, lambda_x(a),
+    is one ``word_rows`` pass with start [a], kept once a product reads it;
+    each element's order is found once, on columns kept up to a budget.
+
+    The check reads generator columns only: (1) each L_k is a permutation;
+    (2) x * e = x along the words; (3) each L_k commutes with each R_j,
+    x * L_j(e) along the words.  By 1 and 2, <L_k> is a transitive group.
+    By 3 the image of R_j is <L_k>-invariant, so all: R_j is a permutation,
+    and R_jm ... R_j1(e) = L_j1 ... L_jm(e), so <R_j> is transitive.  The
+    centralizer of a transitive group is semiregular (Dixon and Mortimer,
+    Permutation Groups, Thm 4.2A), so <R_j> is regular, and so is <L_k>,
+    which it centralizes: x -> lambda_x is one-to-one onto <L_k>, whose
+    product x * a = lambda_x(a) carries over.
+    """
+
+    def __init__(self, left: np.ndarray, tree: tuple):
+        self.n, self.identity = tree[0], int(tree[1])
+        self._left, self._tree, self._cols = left, tree, left[:0]
+        self._slot = np.full(self.n, -1, dtype=np.intp)       # each element's row of _cols
+        self._orders = np.zeros(self.n, dtype=np.int64)      # 0 until found
+        rng = np.arange(self.n)
+        if not (np.sort(left, axis=1) == rng).all():
+            raise GroupError("a left generator column is not a permutation")
+        cols = self.columns(np.append(left[:, self.identity], self.identity))
+        if not np.array_equal(cols[-1], rng):
+            raise GroupError("x * e is not x along the words")
+        right = cols[:-1]
+        for k, col in enumerate(left):
+            if not np.array_equal(col[right], right[:, col]):
+                raise GroupError(f"left generator column {k} does not commute with the right ones")
+
+    def columns(self, elements) -> np.ndarray:
+        """x * a for every x, one row per a of ``elements``."""
+        elements = np.asarray(elements, dtype=np.intp)
+        missing = self._slot[elements] < 0
+        if missing.any():
+            new = np.array(sorted(set(elements[missing].tolist())), dtype=np.intp)
+            self._slot[new] = np.arange(len(self._cols), len(self._cols) + len(new))
+            start = new.astype(self._left.dtype)
+            self._cols = np.concatenate([self._cols, word_rows(self._tree, self._left, start).T])
+        return self._cols[self._slot[elements]]
+
+    def column(self, a: int) -> np.ndarray:
+        """x * a for every x, kept: ``columns`` for one element."""
+        if self._slot[a] < 0:
+            self.columns([a])
+        return self._cols[self._slot[a]]
+
+    def orders_of(self, elements) -> np.ndarray:
+        """The order of each of ``elements`` (``power_orders``)."""
+        elements = np.asarray(elements, dtype=np.intp)
+        new = np.array(sorted(set(elements[self._orders[elements] == 0].tolist())), dtype=np.intp)
+        step = max(1, _ORDER_CELLS // self.n)
+        for lo in range(0, len(new), step):
+            part = new[lo:lo + step]
+            columns = (self.columns(part) if (len(self._cols) + len(part)) * self.n
+                       <= _ORDER_CELLS else
+                       word_rows(self._tree, self._left, part.astype(self._left.dtype)).T)
+            self._orders[part] = power_orders(columns, self.identity)
+        return self._orders[elements]
 
 
 class ProductSubgroup:
@@ -223,43 +270,47 @@ class ProductSubgroup:
     Cayley table.
 
     Row i of ``rows`` holds the coordinates of element i in ``factors``
-    (``CayleyTable`` or ``Factor``), whose products are associative, so
+    (checked ``ClosureGroup``s), whose products are associative, so
     nothing is checked per pair of elements.  The identity is located among
     the rows, and each element's order is the lcm of its coordinates'.  One
     greedy closure over the elements in decreasing order, stable by index,
     the candidate order of ``CayleyTable.generating_sequence``, gives the
     generators and sizes of the rows' own table.  It locates x * g for
-    every element x and each generator g it keeps, and g * x too, for g's
-    centralizer order; a product outside the rows, like a missing
-    identity, raises GroupError, and so does a repeated row, which the
-    closure cannot reach.  Only those generator columns are kept, and the
-    closure's tree, for ``cayley_table``.
+    every element x and each generator g it keeps; a product outside the
+    rows, like a missing identity, raises GroupError, and so does a
+    repeated row, which the closure cannot reach.  Only those columns are
+    kept, and the closure's tree, along whose words g * (x * h) =
+    (g * x) * h gives g * x for g's centralizer order and the table.
     """
 
     def __init__(self, factors: list, rows, label: str = ""):
-        self.factors, self.label = factors, label
+        self.label = label
         self.rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), len(factors))
         self.n = len(self.rows)
-        self._strides = _strides([len(f.table) for f in factors])
+        self._strides = _strides([f.n for f in factors])
         self._find = code_finder(self.rows @ self._strides)
         [self.identity] = self._locate(
             np.array([sum(int(s) * f.identity for s, f in zip(self._strides, factors))])).tolist()
-        self.orders = functools.reduce(np.lcm, (f.orders[c] for f, c in zip(factors, self.rows.T)),
-                                       np.ones(self.n, dtype=np.int64))
+        self.orders = functools.reduce(
+            np.lcm, (f.orders_of(c) for f, c in zip(factors, self.rows.T)),
+            np.ones(self.n, dtype=np.int64))
         right = {}
 
-        def step(x, g):
+        def step(x, g):     # x * g, coordinate by coordinate, found among the rows
             if g not in right:
-                right[g] = self._locate(self._product_codes(g, False)).tolist()
+                codes = sum((f.column(a)[c].astype(np.int64) * s for s, f, c, a
+                             in zip(self._strides, factors, self.rows.T, self.rows[g].tolist())),
+                            np.zeros(self.n, dtype=np.int64))
+                right[g] = self._locate(codes).tolist()
             return right[g][x]
 
         by_pref = np.argsort(-self.orders, kind="stable").tolist()
-        gens, sizes, self._levels = greedy_closure(by_pref, step, self.identity, self.n, tree=True)
-        self._generators = gens, sizes
+        gens, sizes, levels = greedy_closure(by_pref, step, self.identity, self.n, tree=True)
+        self._generators, self._tree = (gens, sizes), word_levels(levels)
         self.columns = np.array([right[g] for g in gens], dtype=np.intp).reshape(len(gens), self.n)
         self._at = {g: k for k, g in enumerate(gens)}
-        self._centralizers = [int((self._locate(self._product_codes(g, True)) == col).sum())
-                              for g, col in zip(gens, self.columns)]
+        lefts = word_rows(self._tree, self.columns, np.array(gens, dtype=np.intp))
+        self._centralizers = (lefts == self.columns.T).sum(axis=0).tolist()
         self._table = None
 
     @property
@@ -270,13 +321,6 @@ class ProductSubgroup:
         gens = self._generators[0]
         return ("subgroup", self.n, self.identity, self.orders.tobytes(), tuple(gens),
                 self.columns.tobytes())
-
-    def _product_codes(self, g: int, left: bool) -> np.ndarray:
-        """The codes of g * x (``left``) or of x * g for every element x."""
-        codes = np.zeros(self.n, dtype=np.int64)
-        for s, f, c, a in zip(self._strides, self.factors, self.rows.T, self.rows[g].tolist()):
-            codes += (f.table[a, c] if left else f.table[c, a]).astype(np.int64) * s
-        return codes
 
     def _locate(self, codes) -> np.ndarray:
         at = self._find(codes)
@@ -312,8 +356,7 @@ class ProductSubgroup:
         and checked as a ``CayleyTable``.  Built on the first call and kept."""
         if self._table is None:
             columns = self.columns.astype(np.min_scalar_type(self.n - 1))
-            by_column = word_rows(word_levels(self._levels), columns,
-                                  np.arange(self.n, dtype=columns.dtype))
+            by_column = word_rows(self._tree, columns, np.arange(self.n, dtype=columns.dtype))
             self._table = CayleyTable(np.ascontiguousarray(by_column.T), identity=self.identity,
                                       label=self.label)
         return self._table
@@ -534,17 +577,6 @@ def closure_columns(n: int, column, root: int) -> tuple:
     gens, _, levels = greedy_closure(range(n), step, root, n, tree=True)
     columns = np.array([cols[g] for g in gens], dtype=np.min_scalar_type(n - 1))
     return gens, levels, columns.reshape(len(gens), n)
-
-
-def table_from_elements(els: list, compose, label: str = "") -> CayleyTable:
-    idx = {e: i for i, e in enumerate(els)}
-    n = len(els)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(els):
-        row = table[i]
-        for j, b in enumerate(els):
-            row[j] = idx[compose(a, b)]
-    return CayleyTable(table, label=label)
 
 
 # ---------------------------------------------------------------------------

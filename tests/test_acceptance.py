@@ -7,7 +7,7 @@ lines as they pass.
 import itertools
 import random
 
-from conftest import ladder_act
+from conftest import MatrixFq, ladder_act, matrix_action
 
 from cdiag import classifying as cl, fincat, finset, finvect, modp
 from cdiag.chains import enumerate_chains, orbits
@@ -204,17 +204,17 @@ def test_criterion_10b_matrix_action_axioms():
     for _ in range(CASES):
         q = rng.choice((2, 3, 5))
         n, m = rng.randint(1, 2), rng.randint(1, 2)
-        A = finvect.MatrixFq(q, rng.choice(list(modp.all_matrices(m, n, q))))
+        A = MatrixFq(q, rng.choice(list(modp.all_matrices(m, n, q))))
         P1, P2 = rng.choice(gl(n, q)), rng.choice(gl(n, q))
         Q1, Q2 = rng.choice(gl(m, q)), rng.choice(gl(m, q))
-        ident = finvect.matrix_action(modp.identity(n), modp.identity(m), A)
-        lhs = finvect.matrix_action(
+        ident = matrix_action(modp.identity(n), modp.identity(m), A)
+        lhs = matrix_action(
             modp.mul(P1, P2, q), modp.mul(Q1, Q2, q), A)
-        rhs = finvect.matrix_action(
-            P1, Q1, finvect.matrix_action(P2, Q2, A))
+        rhs = matrix_action(
+            P1, Q1, matrix_action(P2, Q2, A))
         if ident.rows != A.rows or lhs.rows != rhs.rows:
             failures += 1
-        if finvect.matrix_action(P1, Q1, A).rank() != A.rank():
+        if matrix_action(P1, Q1, A).rank() != A.rank():
             failures += 1
     verdict("criterion 10b (matrix action axioms)", failures == 0,
             f"{CASES} randomized identity/compatibility/rank cases, {failures} failures")

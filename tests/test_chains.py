@@ -7,13 +7,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import check_subgroup_against_reference, ladder_act
+from conftest import (aut_reference, aut_words, check_subgroup_against_reference,
+                      closure_table, ladder_act, repeated_image, spoiled_aut_columns,
+                      table_from_elements)
 
 from cdiag import chains, classifying, fincat, finset, finvect, groups
 from cdiag.chains import (ChainLimitExceeded, SelfCheckFailed, StabilizerGroup, chain_count,
                           enumerate_chains, orbits)
-from cdiag.cli import builtin_category, run
-from cdiag.groups import ClosureLimitExceeded, table_from_elements
+from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
+from cdiag.groups import ClosureLimitExceeded, GroupError
 from cdiag.limits import DEFAULT_LIMITS, Limits
 
 
@@ -676,8 +678,8 @@ def test_reduced_stabilizer_tables_equal_full_builds(spec, level):
     memo, shared = groups.GroupMemo(DEFAULT_LIMITS.iso_limit), {}
     for stab in stabs:
         got = stab.to_cayley_table(DEFAULT_LIMITS.table_limit, memo)
-        want = groups.ProductSubgroup([groups.CayleyTable(cat.aut_table(x)) for x in stab.objs],
-                                      sorted_ranks(stab)).cayley_table()
+        auts = [chains._checked_aut(cat, x, memo) for x in stab.objs]
+        want = groups.ProductSubgroup(auts, sorted_ranks(stab)).cayley_table()
         assert (got.table.dtype, got.table.tobytes()) == (want.table.dtype, want.table.tobytes())
         # stabilizers with equal reduced listings share one table
         assert shared.setdefault(reduced_listing(stab), got) is got
@@ -738,31 +740,6 @@ def test_subgroups_read_like_their_reference_tables(spec, level):
         check_subgroup_against_reference(stab, DEFAULT_LIMITS.table_limit, memo)
 
 
-def spoiled_aut_table(monkeypatch, size, spoil):
-    """Make ``FiniteCategory.aut_table`` return, for every object whose
-    Aut(x) has ``size`` elements, a copy of its table changed by ``spoil``."""
-    real = fincat.FiniteCategory.aut_table
-
-    def aut_table(cat, x):
-        table = real(cat, x)
-        if len(table) != size:
-            return table
-        table = table.copy()
-        spoil(table)
-        return table
-    monkeypatch.setattr(fincat.FiniteCategory, "aut_table", aut_table)
-
-
-def unassociative(table):
-    """Swap two entries of one row that are neither the identity's row or
-    column nor an inverse pair: each row stays a permutation and the
-    identity and inverse checks pass, so only associativity can fail."""
-    e = int(np.flatnonzero(table[:, 0] == 0)[0])
-    a = 1 if e != 1 else 2
-    b, c = [j for j in range(len(table)) if j != e and table[a, j] != e][:2]
-    table[a, b], table[a, c] = table[a, c], table[a, b]
-
-
 def test_spoiled_listings_and_aut_tables_fail_the_subgroup_check(monkeypatch):
     cat = builtin_category("vect:2:3")
     memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
@@ -799,34 +776,50 @@ def test_spoiled_listings_and_aut_tables_fail_the_subgroup_check(monkeypatch):
     with pytest.raises(SelfCheckFailed, match="listed stabilizer of chain .*not closed"):
         spoiled.subgroup(DEFAULT_LIMITS.table_limit, memo)
     assert builds == []
-    # a spoiled Aut(F^2) table, checked once per command, within the limit
-    spoiled_aut_table(monkeypatch, 48, unassociative)
+    # a spoiled generator column of Aut(F^2), checked once per command
+    spoiled_aut_columns(monkeypatch, 48, repeated_image)
     fresh = builtin_category("vect:2:3")
     stab = next(b.stabilizer(k) for b in chains.level_blocks(fresh, 1) for k in range(len(b))
                 if 2 in b.objs and 1 < b.orders[k] <= DEFAULT_LIMITS.iso_limit)
-    with pytest.raises(SelfCheckFailed, match=r"Aut\(2\) is not a group: associativity fails"):
+    with pytest.raises(SelfCheckFailed, match=r"Aut\(2\) is not a group: a left generator"):
         stab.subgroup(DEFAULT_LIMITS.table_limit)
 
 
-def swapped_rows(table):
-    """Swap the first two rows, as a spoiled ``aut_table``."""
-    table[[0, 1]] = table[[1, 0]]
-
-
-def test_aut_tables_above_the_check_limit_are_checked_by_their_identity(monkeypatch):
-    monkeypatch.setattr(groups, "_ASSOC_CHECK_LIMIT", 10)
-    spoiled_aut_table(monkeypatch, 48, swapped_rows)
+def test_spoiled_generator_columns_fail_the_aut_check():
+    # GL(2,3) as a ClosureGroup: a repeated image in a left column, and a
+    # tree edge's image swapped with another, so that the words reach the
+    # wrong element
     cat = builtin_category("vect:2:3")
-    stab = next(b.stabilizer(k) for b in chains.level_blocks(cat, 1) for k in range(len(b))
-                if 2 in b.objs and 1 < b.orders[k] <= DEFAULT_LIMITS.iso_limit)
-    with pytest.raises(SelfCheckFailed, match=r"Aut\(2\) is not a group: identity law fails"):
-        stab.subgroup(DEFAULT_LIMITS.table_limit)
+    _, columns, tree = cat._aut_closure(2)
+    groups.ClosureGroup(columns, tree)
+    spoiled = columns.copy()
+    repeated_image(spoiled, tree)
+    with pytest.raises(GroupError, match="a left generator column is not a permutation"):
+        groups.ClosureGroup(spoiled, tree)
+    # the (generator, parent) pairs whose images the words read
+    n, edges = columns.shape[1], {(k, p) for _, p, k in aut_words(cat, 2)[1:]}
+    k, p = min(edges)
+    spoiled = columns.copy()
+    spoiled[k, [p, (p + 1) % n]] = spoiled[k, [(p + 1) % n, p]]
+    with pytest.raises(GroupError, match="x \\* e is not x along the words"):
+        groups.ClosureGroup(spoiled, tree)
+    # images of two points swapped where neither is a tree edge: every left
+    # column stays a permutation and the words still reach each element, so
+    # x * e = x holds, and only the commutation check can catch it; the
+    # right columns then reach every element, as R_j(e) = L_j(e), and are
+    # permutations, as their images are <L_k>-invariant
+    k, p, q = next((k, p, q) for k in range(len(columns))
+                   for p, q in itertools.combinations(range(n), 2)
+                   if not {(k, p), (k, q)} & edges)
+    spoiled = columns.copy()
+    spoiled[k, [p, q]] = spoiled[k, [q, p]]
+    with pytest.raises(GroupError, match=f"left generator column {k} does not commute"):
+        groups.ClosureGroup(spoiled, tree)
 
 
 def test_decompose_tables_no_stabilizer_and_no_aut_above_the_check_limit(monkeypatch):
     cat = builtin_category("vect:2:3")
     want = list(classifying.level_decomposition(cat, 2).rows())
-    auts = {cat.aut_table(x).tobytes() for x in range(cat.n_objects)}
     library = {label for label, _, _ in groups._ATOMS}
     for limit in (groups._ASSOC_CHECK_LIMIT, 10):
         monkeypatch.setattr(groups, "_ASSOC_CHECK_LIMIT", limit)
@@ -839,11 +832,8 @@ def test_decompose_tables_no_stabilizer_and_no_aut_above_the_check_limit(monkeyp
         got = classifying.level_decomposition(builtin_category("vect:2:3"), 2)
         monkeypatch.setattr(groups.CayleyTable, "__init__", init)
         assert list(got.rows()) == want
-        # the Aut(x) tables, of orders 1, 2 and 48, and library candidates
-        tabled_auts = sorted(t.n for t in built if t.table.tobytes() in auts and not t.label)
-        assert tabled_auts == [n for n in (1, 2, 48) if n <= limit]
-        assert all(t.table.tobytes() in auts and not t.label
-                   or set(t.label.split(" x ")) <= library for t in built)
+        # library candidates only: no Aut(x), of order 1, 2 or 48, is tabled
+        assert built and all(set(t.label.split(" x ")) <= library for t in built)
 
 
 def test_stabilizers_with_one_table_share_one_name_search(monkeypatch):
@@ -978,16 +968,15 @@ def test_action_arrays_equal_per_pair_reference(spec):
                         dtype=np.int64).reshape(len(auts), len(hom))
 
     for x in range(cat.n_objects):
-        words = cat.aut_words(x)
+        words = aut_words(cat, x)
         auts, gens = cat.aut_idx(x), cat.aut_generators(x)
         assert sorted(a for a, _, _ in words) == list(range(len(auts)))
         assert words[0] == (auts.index(cat.identity_idx[x]), -1, -1)
         for a, p, k in words[1:]:
             assert cat.compose_idx(gens[k], auts[p]) == auts[a]
-        table = cat.aut_table(x)
+        table = closure_table(chains._checked_aut(cat, x, groups.GroupMemo(512)))
         assert np.array_equal(table, table_from_elements(auts, cat.compose_idx).table)
         assert table.dtype == np.min_scalar_type(len(auts) - 1)
-        assert not table.flags.writeable
         for y in range(cat.n_objects):
             hom = cat.hom_idx(x, y)
             left, right = cat.hom_columns(x, y)
@@ -1005,8 +994,31 @@ def test_action_arrays_equal_per_pair_reference(spec):
                 assert np.array_equal(on_right, full_right[:, positions])
 
 
+@pytest.mark.parametrize("spec", list(ACCEPTANCE_SUITE) + ["vect:2:3", "group:C12"])
+def test_checked_aut_groups_equal_the_per_pair_reference(spec):
+    # every product x * a (the columns) and every element order of each
+    # checked Aut(x) equal those of its table composed pair by pair;
+    # group:C12 has one generator, and a word tree 11 levels deep
+    cat = builtin_category(spec)
+    memo = groups.GroupMemo(DEFAULT_LIMITS.iso_limit)
+    for x in range(cat.n_objects):
+        ref, aut = aut_reference(cat, x), chains._checked_aut(cat, x, memo)
+        e, everyone = aut.identity, np.arange(aut.n)
+        assert e == cat.aut_idx(x).index(cat.identity_idx[x])
+        orders = []
+        for a in everyone.tolist():
+            power, k = a, 1
+            while power != e:
+                power, k = ref[power, a], k + 1
+            orders.append(k)
+        assert aut.orders_of(everyone[::-1]).tolist() == orders[::-1]
+        assert np.array_equal(aut.columns(everyone), ref.T)
+    if spec == "group:C12":
+        assert len(cat._aut_closure(0)[2][2]) == 11
+
+
 def test_words_and_generators_come_from_one_closure(monkeypatch):
-    # the generators, the words and the Cayley table of each Aut(x) come
+    # the generators, the words and the checked group of each Aut(x) come
     # from one greedy closure, whose tree is the words; the spy starts
     # after the build, whose CayleyTable of S3 runs a closure of its own
     closures, closure = [], groups.greedy_closure
@@ -1017,9 +1029,9 @@ def test_words_and_generators_come_from_one_closure(monkeypatch):
 
     cat = builtin_category("group:S3")
     monkeypatch.setattr(groups, "greedy_closure", spy)
-    auts, gens, words = cat.aut_idx(0), cat.aut_generators(0), cat.aut_words(0)
-    table = cat.aut_table(0)
+    auts, gens, words = cat.aut_idx(0), cat.aut_generators(0), aut_words(cat, 0)
+    aut = chains._checked_aut(cat, 0, groups.GroupMemo(512))
     cat.hom_action_tables(0, 0, range(6))
     assert closures == [6]
     ranks = [auts.index(g) for g in gens]
-    assert all(table[ranks[k], p] == a for a, p, k in words[1:])
+    assert all(aut.column(p)[ranks[k]] == a for a, p, k in words[1:])

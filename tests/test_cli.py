@@ -13,10 +13,12 @@ import time
 import pytest
 
 import cdiag
-from cdiag import chains, classifying, cli, fincat, finset
+from cdiag import chains, classifying, cli, finset
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category, run
 from cdiag.groups import GroupMemo
 from cdiag.limits import DEFAULT_LIMITS, Limits
+
+from conftest import repeated_image, spoiled_aut_columns
 
 
 def _src_env():
@@ -931,23 +933,34 @@ def test_a_failed_stabilizer_self_check_exits_1(monkeypatch, capsys):
 @pytest.mark.parametrize("argv,size,obj", [
     (["oracle-diff", "--finset-max", "3"], 6, "3"),
     (["decompose", "--builtin", "vect:2:3", "--level", "1"], 48, "2"),
+    # GL(3,3), above _ASSOC_CHECK_LIMIT: at the default iso_limit no
+    # stabilizer named at level 1 reads it
+    (["decompose", "--builtin", "vect:3:3", "--level", "1", "--iso-limit", "1000"], 11232, "3"),
 ])
-def test_a_spoiled_aut_table_exits_1(argv, size, obj, monkeypatch, capsys):
-    # two rows of one Aut(x) table swapped: the per-command check of the
-    # table fails, and it is the engine's fault, not a usage error
-    real = fincat.FiniteCategory.aut_table
-
-    def aut_table(cat, x):
-        table = real(cat, x)
-        if len(table) == size:
-            table = table.copy()
-            table[[1, 2]] = table[[2, 1]]
-        return table
-
-    monkeypatch.setattr(fincat.FiniteCategory, "aut_table", aut_table)
+def test_a_spoiled_generator_column_exits_1(argv, size, obj, monkeypatch, capsys):
+    # one Aut(x) generator column with a repeated image: the per-command
+    # check of Aut(x) fails, and it is the engine's fault, not a usage error
+    spoiled_aut_columns(monkeypatch, size, repeated_image)
     assert run(argv) == 1
-    assert f"self-check failed: Aut({obj}) is not a group: identity law fails" in \
-        capsys.readouterr().err
+    assert (f"self-check failed: Aut({obj}) is not a group: "
+            "a left generator column is not a permutation") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--builtin", "ordinal:1", "--level", "400"],
+    ["decompose", "--builtin", "delta:3", "--level", "2", "--format", "json"],
+], ids=["text", "json"])
+def test_a_reader_that_closes_after_one_line_gets_the_closed_output_code(argv):
+    # each report is over a megabyte, far more than a pipe holds, so the
+    # command is still writing when its reader closes
+    proc = subprocess.Popen([sys.executable, "-m", "cdiag", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_src_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.CLOSED_OUTPUT == 141
+    assert first.strip() in (b"# cdiag decompose", b"{") and err == b""
 
 
 def test_a_failed_closed_form_self_check_exits_1(monkeypatch, capsys):

@@ -8,9 +8,7 @@ from cdiag.classifying import level_decomposition
 from cdiag.cli import ACCEPTANCE_SUITE, builtin_category
 from cdiag.fincat import (CatdefError, CategoryError, FiniteCategory, from_catdef,
                           maximal_subgroupoid, object_iso_classes, parse_catdef)
-from cdiag.groups import table_from_elements
-
-from conftest import S3_TABLE
+from conftest import S3_TABLE, aut_reference, aut_words, closure_table, same_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,7 @@ def test_maximal_subgroupoid_ordinal():
 
 def test_opposite_involution():
     for cat in (fincat.walking_arrow(), fincat.ordinal(2), fincat.iso_interval()):
-        assert cat.opposite().opposite().same_presentation(cat)
+        assert same_presentation(cat.opposite().opposite(), cat)
 
 
 def test_derived_categories_compose_through_the_parent(s3_category):
@@ -388,7 +386,7 @@ def test_opposite_of_computed_category():
     from cdiag import finset
     sk = finset.finset_skeleton(2)
     op = sk.opposite()
-    assert op.opposite().same_presentation(sk)
+    assert same_presentation(op.opposite(), sk)
     f = next(m for m in sk.mor_ids if sk.source(m) == "1" and sk.target(m) == "2")
     assert op.source(f) == "2" and op.target(f) == "1"
 
@@ -409,10 +407,12 @@ def test_object_iso_classes_members():
                                  finvect.vect_skeleton(2, 2), finvect.vect_skeleton(2, 3),
                                  fincat.iso_interval()], ids=lambda c: c.name)
 def test_aut_table_equals_per_pair_reference(cat):
+    # the checked Aut(x), read whole through its columns
+    memo = groups.GroupMemo(512)
     for oi in range(cat.n_objects):
-        ref = table_from_elements(cat.aut_idx(oi), cat.compose_idx)
-        assert np.array_equal(cat.aut_table(oi), ref.table)
-        assert cat.aut_table(oi) is cat.aut_table(oi)
+        aut = chains._checked_aut(cat, oi, memo)
+        assert np.array_equal(closure_table(aut), aut_reference(cat, oi))
+        assert chains._checked_aut(cat, oi, memo) is aut
 
 
 class _SpoiledCodec:
@@ -488,9 +488,10 @@ def test_aut_x_acts_only_through_generator_columns(make, monkeypatch):
 
     monkeypatch.setattr(cat, "compose_idx", refuse)
     for x in range(cat.n_objects):
-        auts, words = cat.aut_idx(x), cat.aut_words(x)
+        auts, words = cat.aut_idx(x), aut_words(cat, x)
         assert len(cat.aut_generators(x)) <= len(auts) == len(words)
-        assert cat.aut_table(x).shape == (len(auts), len(auts))
+        aut = chains._checked_aut(cat, x, groups.GroupMemo(512))
+        assert closure_table(aut).shape == (len(auts), len(auts))
         for y in range(cat.n_objects):
             cat.hom_columns(x, y)
 
@@ -605,7 +606,7 @@ def test_no_endomorphism_is_inverted_one_at_a_time(make, level, monkeypatch):
 
 def _word_rows_reference(cat, oi, columns, start):
     """The action table along the words, one numpy step per automorphism."""
-    words = cat.aut_words(oi)
+    words = aut_words(cat, oi)
     rows = np.empty((len(words), len(start)), dtype=columns.dtype)
     rows[words[0][0]] = start
     for a, p, k in words[1:]:
@@ -621,9 +622,10 @@ def test_level_batched_word_rows_equal_the_per_word_loop(name):
     cat = builtin_category(name)
     for x in range(cat.n_objects):
         ranks = np.arange(len(cat.aut_idx(x)))
-        columns = cat._aut_closure(x)[2]
-        assert np.array_equal(cat.aut_table(x),
-                              _word_rows_reference(cat, x, columns, ranks.astype(columns.dtype)))
+        columns = cat._aut_closure(x)[1]
+        ranks = ranks.astype(columns.dtype)
+        assert np.array_equal(groups.word_rows(cat._aut_closure(x)[2], columns, ranks),
+                              _word_rows_reference(cat, x, columns, ranks))
         for y in range(cat.n_objects):
             hom = cat.hom_idx(x, y)
             if not hom:

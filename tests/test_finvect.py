@@ -9,11 +9,12 @@ import pytest
 from cdiag import finvect, groups, modp
 from cdiag.cli import run
 from cdiag.fincat import CategoryError
-from cdiag.finvect import (MatrixFq, direct_scan_stabilizer_order, glnq_order,
-                           matrix_action, oracle_diff_vect, orbits_by_rank,
-                           paper_stabilizers_dim_le2, vect_level0,
+from cdiag.finvect import (direct_scan_stabilizer_order, glnq_order, oracle_diff_vect,
+                           orbits_by_rank, paper_stabilizers_dim_le2, vect_level0,
                            vect_skeleton)
 from cdiag.groups import ClosureLimitExceeded, GroupError, are_isomorphic
+
+from conftest import MatrixFq, matrix_action, table_from_elements
 
 
 def det2(a, q):
@@ -437,7 +438,7 @@ def _reference_case_table(case):
         (c1, d1), (c2, d2) = e1, e2
         return (modp.mul(c1, c2, q), modp.mul(d1, d2, q))
 
-    return groups.table_from_elements(case._elements(q), mul, label=case.case)
+    return table_from_elements(case._elements(q), mul, label=case.case)
 
 
 def _gl_lookup_case_table(case):
@@ -452,7 +453,7 @@ def _gl_lookup_case_table(case):
         tables.append(groups.materialize(groups.GeneralLinear(n, q)).table.tolist())
     els = [tuple(rank[m] for rank, m in zip(ranks, pair)) for pair in pairs]
     (c, d) = tables
-    return groups.table_from_elements(els, lambda a, b: (c[a[0]][b[0]], d[a[1]][b[1]]))
+    return table_from_elements(els, lambda a, b: (c[a[0]][b[0]], d[a[1]][b[1]]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])

@@ -9,7 +9,9 @@ from cdiag.groups import (CayleyTable, ClosureLimitExceeded, FieldAdditive,
                           FieldUnits, GeneralLinear, GroupError, Product,
                           Symmetric, Trivial, Wreath, are_isomorphic,
                           cyclic_table, greedy_closure, match_named,
-                          materialize, product_table, table_from_elements)
+                          materialize, product_table)
+
+from conftest import closure_group, table_from_elements
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +528,7 @@ def test_product_table_equals_per_pair_reference():
 
 def in_product(tables, coords) -> groups.ProductSubgroup:
     """The subgroup of the product of ``tables`` listed by ``coords``."""
-    return groups.ProductSubgroup([CayleyTable(t) for t in tables], coords)
+    return groups.ProductSubgroup([closure_group(t) for t in tables], coords)
 
 
 def test_product_subgroup_rejects_a_set_that_is_not_closed():
